@@ -3,24 +3,17 @@
 
 For each (n, d) in the requested ranges, prints one row per admissible m
 with the dimension, the exact degree, and a consistency column comparing
-the general sum against the inclusion-exclusion form and, where one
-exists, the dimension-specific closed form.
+the general sum against every other method of the registry that applies
+there (the inclusion-exclusion form, the dimension-specific closed form,
+and the m = n+1 and m = N-1 endpoint forms).
 
 Usage: python scripts/degree_tables.py --max-n 3 --max-d 4
 """
 
 import argparse
 
-from gaussdeg.degrees import (
-    degree_alternate,
-    degree_curve_closed,
-    degree_main,
-    degree_surface_closed,
-    degree_threefold_closed,
-)
+from gaussdeg.degrees import METHODS, degree_main
 from gaussdeg.schur import VeroneseVariety
-
-CLOSED_FORMS = {1: degree_curve_closed, 2: degree_surface_closed, 3: degree_threefold_closed}
 
 
 def main() -> int:
@@ -36,10 +29,11 @@ def main() -> int:
             print(f"  {'m':>4}  {'dim':>6}  {'degree':>24}  consistent")
             for m in range(n, v.N):
                 report = degree_main(v, m)
-                agree = degree_alternate(v, m).deg_xm == report.deg_xm
-                closed = CLOSED_FORMS.get(n)
-                if closed is not None:
-                    agree = agree and closed(d, m).deg_xm == report.deg_xm
+                agree = all(
+                    method.compute(v, m).deg_xm == report.deg_xm
+                    for name, method in METHODS.items()
+                    if name != "main" and method.applies(v, m)
+                )
                 flag = "yes" if agree else "NO"
                 print(f"  {m:>4}  {report.dim_xm:>6}  {report.deg_xm:>24}  {flag}")
     return 0

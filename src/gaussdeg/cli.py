@@ -16,23 +16,16 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .degrees import (
-    DegreeReport,
+    METHODS,
     NotGenericallyFiniteError,
-    boole_degree,
     bounds,
     conjecture_scan,
-    degree_alternate,
-    degree_curve_closed,
+    degree_by_method,
     degree_generic,
-    degree_m_np1,
     degree_main,
-    degree_surface_closed,
-    degree_threefold_closed,
-    dim_xm,
 )
 from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 from .partitions import (
@@ -43,48 +36,10 @@ from .partitions import (
     weight,
 )
 from .schur import SegreIntegralTable, VeroneseVariety
-from .verify import (
-    SUITE_NAMES,
-    run_bounds_suite,
-    run_crossform_suite,
-    run_identity_suite,
-    run_schur_suite,
-    run_syt_suite,
-)
+from .verify import SUITE_NAMES, run_suite
 
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
-METHOD_CHOICES = (
-    "main",
-    "alternate",
-    "curve_closed",
-    "surface_closed",
-    "threefold_closed",
-    "m_eq_n_plus_1",
-    "boole",
-)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated knobs shared by the sweep-style subcommands."""
-
-    output_format: str = "json"
-    n_values: tuple[int, ...] | None = None
-    d_values: tuple[int, ...] | None = None
-    brute_cap: int = DEFAULT_BRUTE_CAP
-    identity_cap: int = 6
-
-    def __post_init__(self):
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        for label, values in (("--n", self.n_values), ("--d", self.d_values)):
-            if values is not None and len(values) == 0:
-                raise ValueError(f"range for {label} is empty")
-        if self.brute_cap < 1:
-            raise ValueError("brute-force cap must be >= 1")
-        if self.identity_cap < 1:
-            raise ValueError("identity cap must be >= 1")
 
 
 def effective_brute_cap() -> int:
@@ -165,45 +120,9 @@ def _render_rows(rows: list[dict], fmt: str, envelope: dict | None = None) -> st
     return _table_text(rows)
 
 
-def _dispatch_method(v: VeroneseVariety, m: int, method: str) -> DegreeReport:
-    if method == "main":
-        return degree_main(v, m)
-    if method == "alternate":
-        return degree_alternate(v, m)
-    if method == "m_eq_n_plus_1":
-        if m != v.n + 1:
-            raise ValueError("method m_eq_n_plus_1 requires m = n + 1")
-        return degree_m_np1(v)
-    if method == "curve_closed":
-        if v.n != 1:
-            raise ValueError("method curve_closed requires n = 1")
-        return degree_curve_closed(v.d, m)
-    if method == "surface_closed":
-        if v.n != 2:
-            raise ValueError("method surface_closed requires n = 2")
-        return degree_surface_closed(v.d, m)
-    if method == "threefold_closed":
-        if v.n != 3:
-            raise ValueError("method threefold_closed requires n = 3")
-        return degree_threefold_closed(v.d, m)
-    if method == "boole":
-        if m != v.N - 1:
-            raise ValueError("method boole requires m = N - 1")
-        return DegreeReport(
-            n=v.n,
-            d=v.d,
-            N=v.N,
-            m=m,
-            dim_xm=dim_xm(v.n, v.N, m),
-            deg_xm=boole_degree(v.n, v.d),
-            method="boole",
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cmd_degree(args) -> int:
     v = VeroneseVariety(args.n, args.d)
-    report = _dispatch_method(v, args.m, args.method)
+    report = degree_by_method(v, args.m, args.method)
     print(_render_object(report.to_dict(), args.format))
     return 0
 
@@ -229,26 +148,16 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = CliConfig(
-        output_format=args.format,
-        brute_cap=effective_brute_cap(),
-        identity_cap=args.max_n,
-    )
+    options = {
+        "identity": {"max_n": args.max_n},
+        "syt": {"max_weight": args.max_weight, "cap": effective_brute_cap()},
+    }
+    if args.max_n < 1:
+        raise ValueError("identity cap must be >= 1")
     if args.max_weight < 0:
         raise ValueError("--max-weight must be >= 0")
     names = [args.suite] if args.suite else list(SUITE_NAMES)
-    results = []
-    for name in names:
-        if name == "identity":
-            results.append(run_identity_suite(max_n=config.identity_cap))
-        elif name == "syt":
-            results.append(run_syt_suite(max_weight=args.max_weight, cap=config.brute_cap))
-        elif name == "schur":
-            results.append(run_schur_suite())
-        elif name == "crossform":
-            results.append(run_crossform_suite())
-        elif name == "bounds":
-            results.append(run_bounds_suite())
+    results = [run_suite(name, **options.get(name, {})) for name in names]
     ok = all(result.ok for result in results)
     if args.format == "json":
         doc = {
@@ -284,12 +193,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    config = CliConfig(
-        output_format=args.format,
-        n_values=parse_range(args.n),
-        d_values=parse_range(args.d),
-    )
-    report = conjecture_scan(config.n_values, config.d_values)
+    report = conjecture_scan(parse_range(args.n), parse_range(args.d))
     rows = [row.to_dict() for row in report.rows]
     if args.format == "json":
         print(json.dumps({"rows": rows, "violations": len(report.violations)}, indent=2))
@@ -356,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     degree.add_argument("--n", type=int, required=True, help="dimension of the source space")
     degree.add_argument("--d", type=int, required=True, help="degree of the embedding forms")
     degree.add_argument("--m", type=int, required=True, help="tangent plane dimension")
-    degree.add_argument("--method", choices=METHOD_CHOICES, default="main")
+    degree.add_argument("--method", choices=tuple(METHODS), default="main")
     _add_format(degree)
     degree.set_defaults(func=cmd_degree)
 

@@ -15,7 +15,8 @@ Everything is exact: integers are unbounded, intermediate rationals are
 integer is checked to be one.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -23,22 +24,11 @@ from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 from .partitions import (
     add_rectangle,
     enumerate_partitions,
+    falling_factorial_product,
     pad,
     syt_count_hook,
 )
 from .schur import SegreIntegralTable, VeroneseVariety
-
-METHOD_TAGS = (
-    "main",
-    "alternate",
-    "curve_closed",
-    "surface_closed",
-    "threefold_closed",
-    "boole",
-    "generic",
-    "m_eq_n_plus_1",
-    "general_curve",
-)
 
 
 class NotGenericallyFiniteError(Exception):
@@ -166,11 +156,6 @@ def binom_or_zero(k: int, r: int) -> int:
     return comb(k, r)
 
 
-def falling_factorial_ratio(n: int, i: int, part: int) -> int:
-    """(n+i)! / (n+i-part)! for 0 <= part <= n+i; exact integer."""
-    return factorial(n + i) // factorial(n + i - part)
-
-
 def dim_xm(n: int, N: int, m: int) -> int:
     """Dimension n + (N-m)(m-n) of the variety of tangent m-planes."""
     _check_range(n, N, m)
@@ -216,23 +201,12 @@ def _veronese_report(v: VeroneseVariety, m: int, value: Fraction, method: str) -
 def degree_main(v: VeroneseVariety, m: int) -> DegreeReport:
     """Degree of the tangent m-plane variety by the tableau-weighted sum.
 
-    Sums, over partitions lam of n with at most N-m parts, the product of
-    the tableau counts of lam and of lam plus the (m-n)-wide rectangle of
-    height N-m, weighted by falling factorials, then normalizes by
-    n! (n+1)^n times the ordinary Gauss degree.
+    This is `degree_generic` over the Veronese integral table, whose entry
+    at lam is (d-1)^n / n! times the tableau count of lam times the
+    falling-factorial product of lam.  The variety builds that table once,
+    so a sweep over m pays for it once.
     """
-    n, N = v.n, v.N
-    _check_range(n, N, m)
-    e = N - m
-    total = 0
-    for lam in enumerate_partitions(n, min(n, e)):
-        shifted = add_rectangle(lam, e, m - n)
-        term = syt_count_hook(lam) * syt_count_hook(shifted)
-        for i, part in enumerate(lam, start=1):
-            term *= falling_factorial_ratio(n, i, part)
-        total += term
-    value = Fraction(ordinary_gauss_degree(v) * total, factorial(n) * (n + 1) ** n)
-    return _veronese_report(v, m, value, "main")
+    return replace(degree_generic(v.integral_table, m), method="main", d=v.d)
 
 
 def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
@@ -248,13 +222,12 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     big_m = dim_xm(n, N, m)
     total = Fraction(0)
     for k in range(n + 1):
-        inner = 0
-        for lam in enumerate_partitions(n - k, e):
-            shifted = add_rectangle(lam, e, N - m)
-            term = syt_count_hook(lam) * syt_count_hook(shifted)
-            for i, part in enumerate(lam, start=1):
-                term *= falling_factorial_ratio(n, i, part)
-            inner += term
+        inner = sum(
+            syt_count_hook(lam)
+            * syt_count_hook(add_rectangle(lam, e, N - m))
+            * falling_factorial_product(n, lam)
+            for lam in enumerate_partitions(n - k, e)
+        )
         coeff = Fraction((-1) ** (n - k) * (n + 1) ** k, factorial(n - k))
         total += coeff * comb(big_m, k) * inner
     value = Fraction(ordinary_gauss_degree(v)) * total / (n + 1) ** n
@@ -380,6 +353,55 @@ def degree_threefold_closed(d: int, m: int) -> DegreeReport:
     return _veronese_report(v, m, value, "threefold_closed")
 
 
+@dataclass(frozen=True)
+class Method:
+    """One `degree --method`: how it computes and where it applies.
+
+    `compute` is a `(v, m)` adapter that looks its formula up among this
+    module's globals when called, so rebinding a formula's global name
+    (to wrap or replace it) reaches calls made through the registry.
+    """
+
+    compute: Callable[[VeroneseVariety, int], DegreeReport]
+    requires: str = ""
+    applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
+
+
+METHODS = {
+    "main": Method(lambda v, m: degree_main(v, m)),
+    "alternate": Method(lambda v, m: degree_alternate(v, m)),
+    "curve_closed": Method(
+        lambda v, m: degree_curve_closed(v.d, m), "n = 1", lambda v, m: v.n == 1
+    ),
+    "surface_closed": Method(
+        lambda v, m: degree_surface_closed(v.d, m), "n = 2", lambda v, m: v.n == 2
+    ),
+    "threefold_closed": Method(
+        lambda v, m: degree_threefold_closed(v.d, m), "n = 3", lambda v, m: v.n == 3
+    ),
+    "m_eq_n_plus_1": Method(
+        lambda v, m: degree_m_np1(v), "m = n + 1", lambda v, m: m == v.n + 1
+    ),
+    "boole": Method(
+        lambda v, m: _veronese_report(v, m, boole_degree(v.n, v.d), "boole"),
+        "m = N - 1",
+        lambda v, m: m == v.N - 1,
+    ),
+}
+
+# Every tag a DegreeReport may carry: the registry's Veronese methods plus
+# the two table- and curve-driven forms that take other inputs.
+METHOD_TAGS = (*METHODS, "generic", "general_curve")
+
+
+def degree_by_method(v: VeroneseVariety, m: int, method: str) -> DegreeReport:
+    """Degree at (v, m) by a registry method; ValueError where it does not apply."""
+    entry = METHODS[method]
+    if not entry.applies(v, m):
+        raise ValueError(f"method {method} requires {entry.requires}")
+    return entry.compute(v, m)
+
+
 def katz_kleiman(table: SegreIntegralTable) -> int:
     """Degree of the dual variety: the table entry at the one-row partition (n)."""
     return table.lookup((table.n,))
@@ -481,13 +503,10 @@ def verify_identity(n: int, tableau_count=syt_count_hook) -> tuple[int, int, boo
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = 0
-    for lam in enumerate_partitions(n, n):
-        f = tableau_count(lam)
-        term = f * f
-        for i, part in enumerate(lam, start=1):
-            term *= falling_factorial_ratio(n, i, part)
-        lhs += term
+    lhs = sum(
+        tableau_count(lam) ** 2 * falling_factorial_product(n, lam)
+        for lam in enumerate_partitions(n, n)
+    )
     rhs = (n + 1) ** n * factorial(n)
     return lhs, rhs, lhs == rhs
 

@@ -123,19 +123,31 @@ def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:
     if n > cap:
         raise ValueError(f"|lam| = {n} exceeds brute-force cap {cap}")
     rows = len(lam)
-    filled = [0] * rows
-
-    def place(value: int) -> int:
-        if value > n:
-            return 1
-        total = 0
+    count = 0
+    # depth-first over partial fillings: each stack entry is (cells filled
+    # per row, values placed so far); an explicit stack keeps the depth of
+    # the search off the interpreter's call stack
+    stack = [((0,) * rows, 0)]
+    while stack:
+        filled, placed = stack.pop()
+        if placed == n:
+            count += 1
+            continue
         for i in range(rows):
             # a new cell at (i, filled[i]) is admissible iff the row still has
             # room and the cell above it is already occupied
             if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i]):
-                filled[i] += 1
-                total += place(value + 1)
-                filled[i] -= 1
-        return total
+                stack.append((filled[:i] + (filled[i] + 1,) + filled[i + 1 :], placed + 1))
+    return count
 
-    return place(1)
+
+def falling_factorial_product(n: int, lam) -> int:
+    """Product over rows i = 1, 2, ... of (n+i)! / (n+i-lam_i)!.
+
+    Every part must satisfy lam_i <= n+i, which holds whenever |lam| <= n;
+    zero parts contribute 1.
+    """
+    product = 1
+    for i, part in enumerate(lam, start=1):
+        product *= factorial(n + i) // factorial(n + i - part)
+    return product

@@ -8,6 +8,7 @@ collected in tables keyed by partitions, with a JSON interchange format.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,6 +16,7 @@ from .partitions import (
     Partition,
     canonical,
     enumerate_partitions,
+    falling_factorial_product,
     pad,
     syt_count_hook,
     weight,
@@ -40,6 +42,11 @@ class VeroneseVariety:
     @property
     def N(self) -> int:
         return comb(self.n + self.d, self.d) - 1
+
+    @cached_property
+    def integral_table(self) -> "SegreIntegralTable":
+        """`veronese_integral_table` of this variety, built once per instance."""
+        return veronese_integral_table(self)
 
 
 @dataclass(frozen=True)
@@ -118,9 +125,8 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
     """Factorial closed form for the Schur value on a Veronese variety.
 
     Returns (d-1)^|lam| / |lam|! times the tableau count of `lam` times the
-    product over rows i = 1..length of (n+i)! / (n+i-lam_i)!, where a
-    negative factorial argument kills the whole product.  Shapes heavier
-    than n are rejected; anything the formula returns must be an integer,
+    product over rows i = 1..length of (n+i)! / (n+i-lam_i)!.  Shapes
+    heavier than n are rejected; anything the formula returns must be an integer,
     and a non-integral value is an internal error.
     """
     if length < 1:
@@ -129,11 +135,10 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
     total = weight(padded)
     if total > v.n:
         raise ValueError(f"|lam| = {total} exceeds the variety dimension {v.n}")
-    value = Fraction((v.d - 1) ** total * syt_count_hook(padded), factorial(total))
-    for i, part in enumerate(padded, start=1):
-        if part > v.n + i:
-            return 0
-        value *= Fraction(factorial(v.n + i), factorial(v.n + i - part))
+    value = Fraction(
+        (v.d - 1) ** total * syt_count_hook(padded) * falling_factorial_product(v.n, padded),
+        factorial(total),
+    )
     if value.denominator != 1:
         raise ArithmeticError(f"closed form for {padded} is not integral: {value}")
     return int(value)

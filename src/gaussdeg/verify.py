@@ -9,17 +9,12 @@ failing tuple verbatim.
 from dataclasses import dataclass
 
 from .degrees import (
+    METHODS,
     NotGenericallyFiniteError,
-    boole_degree,
     bounds,
-    degree_alternate,
-    degree_curve_closed,
     degree_general_curve,
     degree_generic,
-    degree_m_np1,
     degree_main,
-    degree_surface_closed,
-    degree_threefold_closed,
     ordinary_gauss_degree,
     verify_identity,
 )
@@ -30,10 +25,10 @@ from .partitions import (
     syt_count_hook,
 )
 from .schur import (
+    SegreIntegralTable,
     VeroneseVariety,
     schur_delta_determinant,
     schur_delta_veronese_closed,
-    veronese_integral_table,
     veronese_segre_sequence,
 )
 
@@ -117,8 +112,23 @@ def run_schur_suite(max_n: int = 4, max_d: int = 5) -> SuiteResult:
     return _result("schur", checks, failures)
 
 
+def _jacobi_trudi_table(v: VeroneseVariety) -> SegreIntegralTable:
+    """Integral table from Jacobi-Trudi determinants, not the closed form."""
+    s = veronese_segre_sequence(v)
+    entries = {
+        lam: schur_delta_determinant(s, lam, v.n)
+        for lam in enumerate_partitions(v.n, v.n)
+    }
+    return SegreIntegralTable(n=v.n, N=v.N, entries=entries)
+
+
 def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
-    """Every applicable degree formula against `degree_main`, all m."""
+    """Every other degree route against `degree_main`, all m.
+
+    The routes are each applicable registry method, the generic sum over a
+    Jacobi-Trudi integral table, the general-curve form at genus 0, and
+    the ordinary Gauss degree at m = n.
+    """
     checks = 0
     failures = []
 
@@ -131,60 +141,26 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
-            table = veronese_integral_table(v)
+            table = _jacobi_trudi_table(v)
             for m in range(n, v.N):
+                cell = f"(n={n}, d={d}, m={m})"
                 want = degree_main(v, m).deg_xm
-                expect(
-                    f"alternate (n={n}, d={d}, m={m})",
-                    degree_alternate(v, m).deg_xm,
-                    want,
-                )
+                for name, method in METHODS.items():
+                    if name != "main" and method.applies(v, m):
+                        expect(f"{name} {cell}", method.compute(v, m).deg_xm, want)
                 try:
                     generic = degree_generic(table, m).deg_xm
                 except NotGenericallyFiniteError:
                     generic = 0
-                expect(f"generic (n={n}, d={d}, m={m})", generic, want)
+                expect(f"generic {cell}", generic, want)
                 if n == 1:
-                    expect(
-                        f"curve_closed (d={d}, m={m})",
-                        degree_curve_closed(d, m).deg_xm,
-                        want,
-                    )
                     expect(
                         f"general_curve (N={d}, d={d}, g=0, m={m})",
                         degree_general_curve(d, d, 0, m).deg_xm,
                         want,
                     )
-                if n == 2:
-                    expect(
-                        f"surface_closed (d={d}, m={m})",
-                        degree_surface_closed(d, m).deg_xm,
-                        want,
-                    )
-                if n == 3:
-                    expect(
-                        f"threefold_closed (d={d}, m={m})",
-                        degree_threefold_closed(d, m).deg_xm,
-                        want,
-                    )
-                if m == n + 1:
-                    expect(
-                        f"m_eq_n_plus_1 (n={n}, d={d})",
-                        degree_m_np1(v).deg_xm,
-                        want,
-                    )
                 if m == n:
-                    expect(
-                        f"ordinary (n={n}, d={d})",
-                        ordinary_gauss_degree(v),
-                        want,
-                    )
-                if m == v.N - 1:
-                    expect(
-                        f"boole (n={n}, d={d})",
-                        boole_degree(n, d),
-                        want,
-                    )
+                    expect(f"ordinary {cell}", ordinary_gauss_degree(v), want)
     return _result("crossform", checks, failures)
 
 

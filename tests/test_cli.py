@@ -86,15 +86,22 @@ def test_degree_methods(capsys, argv, expected):
     assert json.loads(out)["degree"] == expected
 
 
-def test_degree_method_mismatch_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "degree", "--n", "2", "--d", "2", "--m", "3", "--method", "curve_closed"
+@pytest.mark.parametrize(
+    "method, n, m, requirement",
+    [
+        pytest.param("curve_closed", 2, 3, "n = 1", id="curve_closed"),
+        pytest.param("surface_closed", 1, 2, "n = 2", id="surface_closed"),
+        pytest.param("threefold_closed", 2, 3, "n = 3", id="threefold_closed"),
+        pytest.param("m_eq_n_plus_1", 2, 4, "m = n + 1", id="m_eq_n_plus_1"),
+        pytest.param("boole", 2, 3, "m = N - 1", id="boole"),
+    ],
+)
+def test_degree_method_mismatch_exits_2(capsys, method, n, m, requirement):
+    code, out, err = run_cli(
+        capsys, "degree", "--n", str(n), "--d", "2", "--m", str(m), "--method", method
     )
-    assert code == 2 and "curve_closed" in err
-    code, _, err = run_cli(
-        capsys, "degree", "--n", "2", "--d", "2", "--m", "3", "--method", "boole"
-    )
-    assert code == 2 and "boole" in err
+    assert code == 2 and out == ""
+    assert f"method {method} requires {requirement}" in err
 
 
 def test_table_curve(capsys):
@@ -276,6 +283,14 @@ def test_syt_above_cap_notes(capsys, monkeypatch):
 def test_syt_env_var_raises_cap(capsys, monkeypatch):
     monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", "14")
     code, out, _ = run_cli(capsys, "syt", "--shape", "13")
+    assert code == 0
+    assert json.loads(out)["bruteforce"] == "1"
+
+
+def test_syt_bruteforce_deep_shape_does_not_crash(capsys, monkeypatch):
+    # one tableau, but 2000 placements deep: deeper than the recursion limit
+    monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", "5000")
+    code, out, _ = run_cli(capsys, "syt", "--shape", "2000")
     assert code == 0
     assert json.loads(out)["bruteforce"] == "1"
 

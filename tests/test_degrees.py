@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussdeg.schur
 from gaussdeg.degrees import (
     DegreeReport,
     NotGenericallyFiniteError,
@@ -68,6 +69,22 @@ def test_degree_main_report_fields():
     assert (report.n, report.d, report.N, report.m) == (1, 4, 4, 2)
     assert report.dim_xm == 3
     assert report.method == "main"
+
+
+def test_degree_main_builds_the_veronese_table_once_per_variety(monkeypatch):
+    built = []
+    build = gaussdeg.schur.veronese_integral_table
+
+    def counting_build(v):
+        built.append(v)
+        return build(v)
+
+    monkeypatch.setattr(gaussdeg.schur, "veronese_integral_table", counting_build)
+    v = VeroneseVariety(2, 3)
+    for m in range(v.n, v.N):
+        degree_main(v, m)
+        bounds(v, m)
+    assert built == [v]
 
 
 def test_degree_main_rejects_bad_m():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import gaussdeg.schur
 from gaussdeg.verify import (
     SUITE_NAMES,
     run_bounds_suite,
@@ -14,10 +15,11 @@ from gaussdeg.verify import (
 
 
 def test_all_suites_pass_at_defaults():
+    counts = {"identity": 6, "syt": 67, "schur": 252, "crossform": 275, "bounds": 81}
     for name in SUITE_NAMES:
         result = run_suite(name)
         assert result.ok, result.failures
-        assert result.passed > 0
+        assert result.passed == counts[name]
         assert result.failed == 0
 
 
@@ -42,6 +44,21 @@ def test_syt_suite_respects_cap():
 def test_crossform_suite_trimmed():
     result = run_crossform_suite(n_values=(1, 2), d_values=(2, 3))
     assert result.ok
+
+
+def test_crossform_generic_check_is_independent_of_the_closed_form(monkeypatch):
+    # degree_main sums over the closed-form table; the generic check must
+    # not, or it could never see the closed form go wrong
+    closed = gaussdeg.schur.schur_delta_veronese_closed
+
+    def off_by_one(v, lam, length):
+        value = closed(v, lam, length)
+        return value + 1 if tuple(lam) == (v.n,) else value
+
+    monkeypatch.setattr(gaussdeg.schur, "schur_delta_veronese_closed", off_by_one)
+    result = run_crossform_suite(n_values=(2,), d_values=(2,))
+    assert not result.ok
+    assert any(failure.startswith("generic ") for failure in result.failures)
 
 
 def test_bounds_suite_trimmed():
