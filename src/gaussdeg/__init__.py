@@ -5,106 +5,38 @@ the union of tangent m-planes (n <= m <= N-1, N = C(n+d,d) - 1) is a
 projective variety whose dimension and degree this package computes in
 exact arithmetic, along with several independent closed forms, sandwich
 bounds, and combinatorial oracles used to cross-check every formula.
+
+The package exports what users call; every other name is imported from
+its submodule (`partitions`, `grassmann`, `schur`, `degrees`, `verify`).
 """
 
 from .degrees import (
     BoundsReport,
     DegreeReport,
     NotGenericallyFiniteError,
-    ScanReport,
-    ScanRow,
-    binom_or_zero,
-    binomial_ratio_product,
-    boole_degree,
     bounds,
-    conjecture_scan,
     degree_alternate,
     degree_curve_closed,
-    degree_general_curve,
     degree_generic,
-    degree_m_np1,
     degree_main,
     degree_surface_closed,
     degree_threefold_closed,
-    dim_xm,
-    katz_kleiman,
-    ordinary_gauss_degree,
-    verify_identity,
 )
-from .grassmann import (
-    GrassmannShape,
-    grassmann_degree,
-    grassmann_dim,
-    pushforward_coefficients,
-)
-from .partitions import (
-    DEFAULT_BRUTE_CAP,
-    Partition,
-    add_rectangle,
-    canonical,
-    conjugate,
-    enumerate_partitions,
-    pad,
-    syt_count_bruteforce,
-    syt_count_hook,
-    weight,
-)
-from .schur import (
-    SegreIntegralTable,
-    SegreSequence,
-    VeroneseVariety,
-    schur_delta_determinant,
-    schur_delta_veronese_closed,
-    veronese_integral_table,
-    veronese_segre,
-    veronese_segre_sequence,
-)
+from .schur import SegreIntegralTable, VeroneseVariety
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport",
-    "DEFAULT_BRUTE_CAP",
     "DegreeReport",
-    "GrassmannShape",
     "NotGenericallyFiniteError",
-    "Partition",
-    "ScanReport",
-    "ScanRow",
     "SegreIntegralTable",
-    "SegreSequence",
     "VeroneseVariety",
-    "add_rectangle",
-    "binom_or_zero",
-    "binomial_ratio_product",
-    "boole_degree",
     "bounds",
-    "canonical",
-    "conjecture_scan",
-    "conjugate",
     "degree_alternate",
     "degree_curve_closed",
-    "degree_general_curve",
     "degree_generic",
-    "degree_m_np1",
     "degree_main",
     "degree_surface_closed",
     "degree_threefold_closed",
-    "dim_xm",
-    "enumerate_partitions",
-    "grassmann_degree",
-    "grassmann_dim",
-    "katz_kleiman",
-    "ordinary_gauss_degree",
-    "pad",
-    "pushforward_coefficients",
-    "schur_delta_determinant",
-    "schur_delta_veronese_closed",
-    "syt_count_bruteforce",
-    "syt_count_hook",
-    "verify_identity",
-    "veronese_integral_table",
-    "veronese_segre",
-    "veronese_segre_sequence",
-    "weight",
 ]

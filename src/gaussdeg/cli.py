@@ -104,20 +104,16 @@ def _table_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _render_object(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2)
-    if fmt == "csv":
-        return _csv_text([doc])
-    return _table_text([doc])
-
-
 def _render_rows(rows: list[dict], fmt: str, envelope: dict | None = None) -> str:
     if fmt == "json":
         return json.dumps(envelope if envelope is not None else rows, indent=2)
     if fmt == "csv":
         return _csv_text(rows)
     return _table_text(rows)
+
+
+def _render_object(doc: dict, fmt: str) -> str:
+    return _render_rows([doc], fmt, envelope=doc)
 
 
 def cmd_degree(args) -> int:
@@ -195,13 +191,11 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     report = conjecture_scan(parse_range(args.n), parse_range(args.d))
     rows = [row.to_dict() for row in report.rows]
-    if args.format == "json":
-        print(json.dumps({"rows": rows, "violations": len(report.violations)}, indent=2))
-    elif args.format == "csv":
-        print(_csv_text(rows))
-    else:
-        print(_table_text(rows))
-        print(f"violations: {len(report.violations)}")
+    violations = len(report.violations)
+    text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})
+    if args.format == "table":
+        text += f"\nviolations: {violations}"
+    print(text)
     return 0
 
 

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial
 
-from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
+from .grassmann import (
+    GrassmannShape,
+    grassmann_degree,
+    grassmann_dim,
+    pushforward_coefficients,
+)
 from .partitions import (
     add_rectangle,
     enumerate_partitions,
@@ -79,30 +84,12 @@ class DegreeReport:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Sandwich bounds on the normalized degree ratio at one (variety, m)."""
+    """One (variety, m): the degree against its reference product, and bounds.
 
-    product: int
-    ratio: Fraction
-    lower: Fraction
-    upper: Fraction
-    conjecture_upper: Fraction
-    within_bounds: bool
-    within_conjecture: bool
+    `ratio` is degree / product.  `bounds` enforces the proved sandwich
+    `lower <= ratio <= upper`; the conjectured power bound is only reported.
+    """
 
-    def to_dict(self) -> dict:
-        return {
-            "product": str(self.product),
-            "ratio": str(self.ratio),
-            "lower": str(self.lower),
-            "upper": str(self.upper),
-            "conjecture_upper": str(self.conjecture_upper),
-            "within_bounds": self.within_bounds,
-            "within_conjecture": self.within_conjecture,
-        }
-
-
-@dataclass(frozen=True)
-class ScanRow:
     n: int
     d: int
     N: int
@@ -110,9 +97,18 @@ class ScanRow:
     degree: int
     product: int
     ratio: Fraction
+    lower: Fraction
+    upper: Fraction
     conjecture_upper: Fraction
-    conjecture_value: Fraction
-    within_conjecture: bool
+
+    @property
+    def within_conjecture(self) -> bool:
+        return self.ratio <= self.conjecture_upper
+
+    @property
+    def conjecture_value(self) -> Fraction:
+        """Conjectured virtual degree: the power bound times the reference product."""
+        return self.conjecture_upper * self.product
 
     def to_dict(self) -> dict:
         return {
@@ -131,8 +127,8 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanReport:
-    rows: tuple[ScanRow, ...]
-    violations: tuple[ScanRow, ...] = field(init=False)
+    rows: tuple[BoundsReport, ...]
+    violations: tuple[BoundsReport, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -248,34 +244,40 @@ def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
     return _veronese_report(v, m, value, "m_eq_n_plus_1")
 
 
+def reference_product(n: int, N: int, m: int, first: int) -> int:
+    """C(n + dim G, n) * deg G * first, with G = G(m-n, N-n).
+
+    `first` is the first-stage degree: the ordinary Gauss degree of a
+    Veronese variety, or 2g - 2 + 2d for a curve of degree d and genus g.
+    Each closed form below is a rational ratio in e = N-m and N times this
+    product, and `bounds` measures the degree against it.
+    """
+    shape = GrassmannShape(m - n, N - n)
+    return comb(n + grassmann_dim(shape), n) * grassmann_degree(shape) * first
+
+
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the rational normal curve of degree d (n = 1, N = d).
 
-    The two Grassmannians G(m-1, d-1) and G(d-m, d-1) are dual and must
-    have equal Pluecker degree; both are computed and compared.
+    The degree is (d-m)/(d-1) times the reference product.  G(m-1, d-1)
+    and its dual G(d-m, d-1) must have equal Pluecker degree, so the
+    reference products at m and at d+1-m, which differ only in that
+    Grassmannian, are computed and compared.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    N = d
-    _check_range(1, N, m)
-    fibre = GrassmannShape(d - m, d - 1)
-    plucker = GrassmannShape(m - 1, d - 1)
-    deg_g = grassmann_degree(plucker)
-    if deg_g != grassmann_degree(fibre):
+    v = VeroneseVariety(1, d)
+    _check_range(1, d, m)
+    first = ordinary_gauss_degree(v)
+    product = reference_product(1, d, m, first)
+    if product != reference_product(1, d, d + 1 - m, first):
         raise ArithmeticError("dual Grassmannian degrees disagree")
-    value = (
-        Fraction(d - m, d - 1)
-        * (1 + grassmann_dim(fibre))
-        * deg_g
-        * (2 * (d - 1))
-    )
-    return _veronese_report(VeroneseVariety(1, d), m, value, "curve_closed")
+    return _veronese_report(v, m, Fraction(d - m, d - 1) * product, "curve_closed")
 
 
 def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
     """Closed form for any smooth non-degenerate curve of degree d, genus g in P^N.
 
-    The first-stage degree 2g - 2 + 2d must be positive.
+    (N-m)/(N-1) times the reference product of the first-stage degree
+    2g - 2 + 2d, which must be positive.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -287,13 +289,7 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
     first = 2 * g - 2 + 2 * d
     if first <= 0:
         raise ValueError(f"2g - 2 + 2d = {first} must be positive")
-    shape = GrassmannShape(N - m, N - 1)
-    value = (
-        Fraction(N - m, N - 1)
-        * (1 + grassmann_dim(shape))
-        * grassmann_degree(shape)
-        * first
-    )
+    value = Fraction(N - m, N - 1) * reference_product(1, N, m, first)
     degree = _exact_positive(value, f"general_curve(N={N}, d={d}, g={g}, m={m})")
     return DegreeReport(
         n=1,
@@ -309,47 +305,33 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
 
 def degree_surface_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the degree-d Veronese surface (n = 2)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     v = VeroneseVariety(2, d)
     N = v.N
     _check_range(2, N, m)
     e = N - m
-    shape = GrassmannShape(m - 2, N - 2)
-    coeff = Fraction(
+    ratio = Fraction(
         e * (3 * e * N - N - 5 * e - 1),
         3 * (N - 1) * (N - 2) * (N - 3),
     )
-    value = (
-        coeff
-        * comb(2 + grassmann_dim(shape), 2)
-        * grassmann_degree(shape)
-        * ordinary_gauss_degree(v)
-    )
+    value = ratio * reference_product(2, N, m, ordinary_gauss_degree(v))
     return _veronese_report(v, m, value, "surface_closed")
 
 
 def degree_threefold_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the degree-d Veronese threefold (n = 3)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     v = VeroneseVariety(3, d)
     N = v.N
     _check_range(3, N, m)
     e = N - m
-    numerator = e * (
-        (8 * e * e - 6 * e + 1) * N * N
-        + (-42 * e * e + 9 * e + 6) * N
-        + 5 * (8 * e * e + 3 * e + 1)
+    ratio = Fraction(
+        e * (
+            (8 * e * e - 6 * e + 1) * N * N
+            + (-42 * e * e + 9 * e + 6) * N
+            + 5 * (8 * e * e + 3 * e + 1)
+        ),
+        8 * (N - 1) * (N - 2) * (N - 3) * (N - 4) * (N - 5),
     )
-    denominator = 8 * (N - 1) * (N - 2) * (N - 3) * (N - 4) * (N - 5)
-    shape = GrassmannShape(m - 3, N - 3)
-    value = (
-        Fraction(numerator, denominator)
-        * comb(3 + grassmann_dim(shape), 3)
-        * grassmann_degree(shape)
-        * ordinary_gauss_degree(v)
-    )
+    value = ratio * reference_product(3, N, m, ordinary_gauss_degree(v))
     return _veronese_report(v, m, value, "threefold_closed")
 
 
@@ -410,17 +392,19 @@ def katz_kleiman(table: SegreIntegralTable) -> int:
 def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     """Table-driven degree for an arbitrary n-fold in P^N.
 
-    Weights each weight-n Schur integral by the tableau count of the
-    partition plus the (m-n)-wide rectangle of height N-m.  A non-positive
-    total is not a degree and raises NotGenericallyFiniteError.
+    Pushes the weight-n Schur integrals down along the Grassmann bundle of
+    rank-(N-m) quotients of a rank-(N-n) bundle: each is weighted by the
+    tableau count of the partition plus the (m-n)-wide rectangle of height
+    N-m.  A non-positive total is not a degree and raises
+    NotGenericallyFiniteError.
     """
     n, N = table.n, table.N
     _check_range(n, N, m)
-    e = N - m
-    total = 0
-    for lam in enumerate_partitions(n, min(n, e)):
-        shifted = add_rectangle(lam, e, m - n)
-        total += syt_count_hook(shifted) * table.lookup(lam)
+    fibre = GrassmannShape(N - m, N - n)
+    total = sum(
+        count * table.lookup(lam)
+        for lam, count in pushforward_coefficients(fibre, n + grassmann_dim(fibre))
+    )
     if total <= 0:
         raise NotGenericallyFiniteError(
             f"weighted total {total} <= 0 at m = {m}: the order-{m} Gauss map "
@@ -457,39 +441,36 @@ def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
 
 
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
-    """Sandwich bounds for the degree against its virtual decomposition.
+    """The degree at (v, m) against its reference product, with sandwich bounds.
 
-    The reference product is C(n + dim G, n) * deg G * (ordinary Gauss
-    degree) with G = G(m-n, N-n).  The ratio degree/product always lies in
+    The ratio degree / `reference_product` always lies in
     [C(N-m,n)/C(N-n,n), C(N-m+n-1,n)/C(N-1,n)] (a theorem, enforced); the
     sharper power bound ((N-m)/(N-n))^n is only conjectural and is
     reported, never enforced.
     """
     n, N = v.n, v.N
     _check_range(n, N, m)
-    shape = GrassmannShape(m - n, N - n)
-    product = (
-        comb(n + grassmann_dim(shape), n)
-        * grassmann_degree(shape)
-        * ordinary_gauss_degree(v)
-    )
-    ratio = Fraction(degree_main(v, m).deg_xm, product)
+    product = reference_product(n, N, m, ordinary_gauss_degree(v))
+    degree = degree_main(v, m).deg_xm
+    ratio = Fraction(degree, product)
     lower = Fraction(binom_or_zero(N - m, n), comb(N - n, n))
     upper = Fraction(binom_or_zero(N - m + n - 1, n), comb(N - 1, n))
-    conjecture_upper = Fraction(N - m, N - n) ** n
     if not lower <= ratio <= upper:
         raise ArithmeticError(
             f"proved bounds violated at (n={n}, d={v.d}, m={m}): "
             f"{lower} <= {ratio} <= {upper} fails"
         )
     return BoundsReport(
+        n=n,
+        d=v.d,
+        N=N,
+        m=m,
+        degree=degree,
         product=product,
         ratio=ratio,
         lower=lower,
         upper=upper,
-        conjecture_upper=conjecture_upper,
-        within_bounds=True,
-        within_conjecture=ratio <= conjecture_upper,
+        conjecture_upper=Fraction(N - m, N - n) ** n,
     )
 
 
@@ -515,9 +496,9 @@ def conjecture_scan(n_values, d_values) -> ScanReport:
     """Evaluate the conjectured power bound over a parameter sweep.
 
     For every n in `n_values`, d in `d_values`, and every admissible m,
-    records the exact ratio, the conjectured bound, and the conjectured
-    virtual degree (bound times reference product, rational in general).
-    Violations are collected, not raised.
+    collects `bounds(v, m)`: the exact ratio, the conjectured bound, and the
+    conjectured virtual degree (bound times reference product, rational in
+    general).  Violations are collected, not raised.
     """
     n_values = tuple(n_values)
     d_values = tuple(d_values)
@@ -527,21 +508,5 @@ def conjecture_scan(n_values, d_values) -> ScanReport:
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
-            for m in range(n, v.N):
-                b = bounds(v, m)
-                degree = b.ratio * b.product
-                rows.append(
-                    ScanRow(
-                        n=n,
-                        d=d,
-                        N=v.N,
-                        m=m,
-                        degree=int(degree),
-                        product=b.product,
-                        ratio=b.ratio,
-                        conjecture_upper=b.conjecture_upper,
-                        conjecture_value=b.conjecture_upper * b.product,
-                        within_conjecture=b.within_conjecture,
-                    )
-                )
+            rows.extend(bounds(v, m) for m in range(n, v.N))
     return ScanReport(rows=tuple(rows))

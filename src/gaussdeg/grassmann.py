@@ -4,7 +4,7 @@ G(d, r) parametrizes rank-d quotient spaces of a fixed r-dimensional
 space.  Its Pluecker degree is the tableau count of the (r-d) x d
 rectangle; pushing a power of the tautological hyperplane class down a
 Grassmann bundle produces tableau-count coefficients attached to shifted
-partitions.
+partitions, which are the weights of `degrees.degree_generic`.
 """
 
 from dataclasses import dataclass

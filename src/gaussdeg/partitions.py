@@ -74,6 +74,28 @@ def enumerate_partitions(total: int, max_parts: int) -> list[Partition]:
     return out
 
 
+def partition_count(n: int) -> int:
+    """Number p(n) of partitions of n, by Euler's pentagonal-number recurrence.
+
+    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
+    about n^1.5 additions where enumerating the partitions takes p(n) steps.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    counts = [1] + [0] * n
+    for k in range(1, n + 1):
+        total = 0
+        j = 1
+        while (pentagonal := j * (3 * j - 1) // 2) <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * counts[k - pentagonal]
+            if pentagonal + j <= k:
+                total += sign * counts[k - pentagonal - j]
+            j += 1
+        counts[k] = total
+    return counts[n]
+
+
 def add_rectangle(lam, height: int, width: int) -> Partition:
     """Add `width` cells to each of the first `height` rows.
 

@@ -18,6 +18,7 @@ from .partitions import (
     enumerate_partitions,
     falling_factorial_product,
     pad,
+    partition_count,
     syt_count_hook,
     weight,
 )
@@ -169,9 +170,14 @@ class SegreIntegralTable:
             if lam in cleaned:
                 raise ValueError(f"duplicate entry for partition {lam}")
             cleaned[lam] = int(value)
-        missing = [lam for lam in enumerate_partitions(self.n, self.n) if lam not in cleaned]
-        if missing:
-            raise ValueError(f"table is missing entries for {missing}")
+        # the keys are distinct partitions of n, so the table is complete iff
+        # it has p(n) of them
+        expected = partition_count(self.n)
+        if len(cleaned) != expected:
+            raise ValueError(
+                f"table is missing {expected - len(cleaned)} of the {expected} "
+                f"partitions of {self.n}"
+            )
         object.__setattr__(self, "entries", cleaned)
 
     def lookup(self, lam) -> int:

@@ -254,6 +254,16 @@ def test_generic_schema_violation_exits_2(tmp_path, capsys):
     assert code == 2 and "missing" in err
 
 
+def test_generic_incomplete_table_exits_2_at_once(tmp_path, capsys):
+    # p(40) = 37338 partitions are missing: one line, not a listing of them
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 40, "N": 300, "entries": []}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "generic", "--table", str(path), "--m", "50")
+    assert code == 2 and out == ""
+    assert err == "error: table is missing 37338 of the 37338 partitions of 40\n"
+    assert len(err.encode()) < 1024
+
+
 def test_generic_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "generic", "--table", str(tmp_path / "nope.json"), "--m", "3"

@@ -27,6 +27,7 @@ from gaussdeg.degrees import (
     dim_xm,
     katz_kleiman,
     ordinary_gauss_degree,
+    reference_product,
     verify_identity,
 )
 from gaussdeg.partitions import enumerate_partitions, syt_count_bruteforce
@@ -239,7 +240,7 @@ def test_bounds_curve_equality_case():
     assert b.product == 18
     assert b.ratio == Fraction(2, 3)
     assert b.lower == b.upper == b.conjecture_upper == Fraction(2, 3)
-    assert b.within_bounds and b.within_conjecture
+    assert b.within_conjecture
 
 
 def test_bounds_surface_case():
@@ -249,7 +250,54 @@ def test_bounds_surface_case():
     assert b.lower == Fraction(1, 3)
     assert b.upper == Fraction(1, 2)
     assert b.conjecture_upper == Fraction(4, 9)
-    assert b.within_bounds and b.within_conjecture
+    assert b.within_conjecture
+    assert b.to_dict() == {
+        "n": 2,
+        "d": 2,
+        "N": 5,
+        "m": 3,
+        "degree": "21",
+        "product": "54",
+        "ratio": "7/18",
+        "conjecture_upper": "4/9",
+        "conjecture_value": "24",
+        "within_conjecture": True,
+    }
+
+
+def test_reference_product_by_brute_force():
+    assert reference_product(1, 4, 2, 6) == 18
+    assert reference_product(2, 5, 3, 9) == 54
+    # G(m-n, N-n) has dimension (m-n)(N-m); its Pluecker degree counts the
+    # tableaux of the (N-m)-wide rectangle of height m-n
+    for n, N, m, first in [(1, 6, 3, 10), (2, 9, 5, 64), (3, 9, 5, 7), (2, 9, 2, 1)]:
+        rectangle = (N - m,) * (m - n)
+        assert reference_product(n, N, m, first) == (
+            comb(n + (m - n) * (N - m), n) * syt_count_bruteforce(rectangle) * first
+        )
+
+
+@pytest.mark.parametrize(
+    ("closed", "n", "max_d"),
+    [(degree_curve_closed, 1, 9), (degree_surface_closed, 2, 4), (degree_threefold_closed, 3, 3)],
+)
+def test_closed_forms_and_bounds_share_the_reference_product(closed, n, max_d):
+    for d in range(2, max_d + 1):
+        v = VeroneseVariety(n, d)
+        for m in range(n, v.N):
+            b = bounds(v, m)
+            assert b.product == reference_product(n, v.N, m, ordinary_gauss_degree(v))
+            assert b.degree == closed(d, m).deg_xm == b.ratio * b.product
+            assert (b.n, b.d, b.N, b.m) == (n, d, v.N, m)
+
+
+def test_curve_closed_compares_the_dual_grassmannians(monkeypatch):
+    # a Pluecker degree that tells G(1, 4) from its dual G(3, 4) must trip
+    # the comparison; at the self-dual m = 3 it cannot
+    monkeypatch.setattr("gaussdeg.degrees.grassmann_degree", lambda shape: shape.d + 1)
+    with pytest.raises(ArithmeticError, match="dual Grassmannian"):
+        degree_curve_closed(5, 2)
+    degree_curve_closed(5, 3)
 
 
 def test_bounds_at_m_equals_n():
@@ -264,7 +312,6 @@ def test_bounds_sandwich_sweep(n, d):
     for m in range(n, v.N):
         b = bounds(v, m)
         assert b.lower <= b.ratio <= b.upper
-        assert b.within_bounds
         if n == 1:
             assert b.lower == b.ratio == b.upper
 

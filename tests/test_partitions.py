@@ -12,6 +12,7 @@ from gaussdeg.partitions import (
     conjugate,
     enumerate_partitions,
     pad,
+    partition_count,
     syt_count_bruteforce,
     syt_count_hook,
     weight,
@@ -89,6 +90,15 @@ def test_enumerate_is_valid_and_reverse_lex(total, max_parts):
         assert weight(lam) == total
         assert len(lam) <= max_parts
     assert out == sorted(out, reverse=True)
+
+
+def test_partition_count_matches_enumeration():
+    assert [partition_count(n) for n in range(11)] == PARTITION_COUNTS
+    for n in range(26):
+        assert partition_count(n) == len(enumerate_partitions(n, n))
+    assert partition_count(100) == 190_569_292
+    with pytest.raises(ValueError):
+        partition_count(-1)
 
 
 def test_add_rectangle():

@@ -149,7 +149,7 @@ def test_table_lookup_pads():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table is missing 1 of the 2 partitions of 2$"):
         SegreIntegralTable(n=2, N=5, entries={(2,): 3})  # (1,1) missing
     with pytest.raises(ValueError):
         SegreIntegralTable(n=2, N=5, entries={(2,): 3, (1, 1): 6, (1,): 1})
