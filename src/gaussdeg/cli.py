@@ -7,7 +7,9 @@ for non-integral rationals), or the same fields as CSV or an aligned text
 table.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
-input schema, 3 non-positive table-driven total (no degree exists).
+input schema, 3 non-positive table-driven total (no degree exists), 4 an
+internal invariant failed (an exactness or bounds check raised
+ArithmeticError: a bug, not a property of the input).
 """
 
 import argparse
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     except NotGenericallyFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,16 +16,11 @@ integer is checked to be one.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 
-from .grassmann import (
-    GrassmannShape,
-    grassmann_degree,
-    grassmann_dim,
-    pushforward_coefficients,
-)
+from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 from .partitions import (
     add_rectangle,
     enumerate_partitions,
@@ -128,14 +123,10 @@ class BoundsReport:
 @dataclass(frozen=True)
 class ScanReport:
     rows: tuple[BoundsReport, ...]
-    violations: tuple[BoundsReport, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "violations",
-            tuple(row for row in self.rows if not row.within_conjecture),
-        )
+    @property
+    def violations(self) -> tuple[BoundsReport, ...]:
+        return tuple(row for row in self.rows if not row.within_conjecture)
 
 
 def _check_range(n: int, N: int, m: int) -> None:
@@ -394,17 +385,34 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
 
     Pushes the weight-n Schur integrals down along the Grassmann bundle of
     rank-(N-m) quotients of a rank-(N-n) bundle: each is weighted by the
-    tableau count of the partition plus the (m-n)-wide rectangle of height
-    N-m.  A non-positive total is not a degree and raises
+    tableau count f of the partition plus the w-wide rectangle of height e,
+    with e = N-m and w = m-n.  By the hook length formula
+    (Frame-Robinson-Thrall), for |lam| = n
+
+        f(lam + (w^e)) = reference_product(n, N, m, 1) * f(lam)
+                         * binomial_ratio_product(lam, n, N, m),
+
+    where the ratio vanishes when lam has more than e rows.  So the degree
+    is the reference product times the table-weighted ratio sum, and the
+    rectangle's tableau count is computed once, not once per partition.
+    A non-positive total is not a degree and raises
     NotGenericallyFiniteError.
     """
     n, N = table.n, table.N
     _check_range(n, N, m)
-    fibre = GrassmannShape(N - m, N - n)
-    total = sum(
-        count * table.lookup(lam)
-        for lam, count in pushforward_coefficients(fibre, n + grassmann_dim(fibre))
-    )
+    product = reference_product(n, N, m, 1)
+    total = 0
+    for lam, integral in table.entries.items():
+        ratio = binomial_ratio_product(lam, n, N, m)
+        count, rem = divmod(
+            product * syt_count_hook(lam) * ratio.numerator, ratio.denominator
+        )
+        if rem:
+            raise ArithmeticError(
+                f"tableau count of {lam} plus the {m - n}-wide rectangle of "
+                f"height {N - m} did not come out integral"
+            )
+        total += count * integral
     if total <= 0:
         raise NotGenericallyFiniteError(
             f"weighted total {total} <= 0 at m = {m}: the order-{m} Gauss map "
@@ -425,19 +433,22 @@ def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
     """Row-wise product of C(N-m+lam_i-i, lam_i) / C(N-n+lam_i-i, lam_i).
 
     Computed as the telescoping double product over cells so that zero rows
-    contribute 1; denominators stay positive whenever N >= 2n.  Over
-    partitions of n this interpolates monotonically between the column
-    shape (1^n) (minimum) and the row shape (n) (maximum).
+    contribute 1.  The first cell of row N-m+1 has numerator factor 0, so
+    the ratio is 0 for shapes with more than N-m rows; in the rows above it
+    every denominator factor is at least m-n+1.  Over partitions of n this
+    interpolates monotonically between the column shape (1^n) (minimum) and
+    the row shape (n) (maximum).
     """
     _check_range(n, N, m)
-    if N < 2 * n:
-        raise ValueError("N must be at least 2n for the denominators to be positive")
-    padded = pad(lam, n)
-    value = Fraction(1)
-    for i, part in enumerate(padded, start=1):
+    num = den = 1
+    for i, part in enumerate(pad(lam, n), start=1):
         for cell in range(1, part + 1):
-            value *= Fraction(N - m + cell - i, N - n + cell - i)
-    return value
+            factor = N - m + cell - i
+            if factor == 0:
+                return Fraction(0)
+            num *= factor
+            den *= N - n + cell - i
+    return Fraction(num, den)
 
 
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:

@@ -1,20 +1,13 @@
-"""Grassmannians of quotients: dimension, Pluecker degree, pushforwards.
+"""Grassmannians of quotients: dimension and Pluecker degree.
 
 G(d, r) parametrizes rank-d quotient spaces of a fixed r-dimensional
 space.  Its Pluecker degree is the tableau count of the (r-d) x d
-rectangle; pushing a power of the tautological hyperplane class down a
-Grassmann bundle produces tableau-count coefficients attached to shifted
-partitions, which are the weights of `degrees.degree_generic`.
+rectangle; `degrees.reference_product` carries it into every degree.
 """
 
 from dataclasses import dataclass
 
-from .partitions import (
-    Partition,
-    add_rectangle,
-    enumerate_partitions,
-    syt_count_hook,
-)
+from .partitions import Partition, add_rectangle, syt_count_hook
 
 
 @dataclass(frozen=True)
@@ -45,22 +38,3 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     which the empty rectangle already yields.
     """
     return syt_count_hook(shape.rectangle)
-
-
-def pushforward_coefficients(shape: GrassmannShape, k: int) -> list[tuple[Partition, int]]:
-    """Coefficients of the degree-k pushforward along a Grassmann bundle.
-
-    For the bundle of rank-d quotients of a rank-r bundle, the k-th power
-    of the tautological class pushes down to a sum over partitions `lam` of
-    k - d(r-d) with at most d parts, each weighted by the tableau count of
-    `lam` plus the (r-d)-wide rectangle.  Parts of `lam` are not clipped at
-    r - d here; wide shapes are handled by vanishing at evaluation time.
-    """
-    dim = grassmann_dim(shape)
-    if k < dim:
-        raise ValueError(f"k = {k} is below the fibre dimension {dim}")
-    width = shape.r - shape.d
-    return [
-        (lam, syt_count_hook(add_rectangle(lam, shape.d, width)))
-        for lam in enumerate_partitions(k - dim, shape.d)
-    ]

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, formats, and thin-wrapper fidelity."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+import gaussdeg.degrees
 from gaussdeg.cli import main, parse_partition, parse_range
 from gaussdeg.degrees import degree_main
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
@@ -245,6 +247,22 @@ def test_generic_zero_table_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "not generically finite" in err
+
+
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
+    # a ratio skewed on one-row shapes leaves the rectangle's tableau count
+    # non-integral: an internal fault, not a verification failure (exit 1)
+    ratio = gaussdeg.degrees.binomial_ratio_product
+
+    def skewed(lam, n, N, m):
+        value = ratio(lam, n, N, m)
+        return value * Fraction(5, 7) if len(lam) == 1 else value
+
+    monkeypatch.setattr(gaussdeg.degrees, "binomial_ratio_product", skewed)
+    code, out, err = run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal invariant failed: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_generic_schema_violation_exits_2(tmp_path, capsys):

@@ -30,7 +30,12 @@ from gaussdeg.degrees import (
     reference_product,
     verify_identity,
 )
-from gaussdeg.partitions import enumerate_partitions, syt_count_bruteforce
+from gaussdeg.partitions import (
+    add_rectangle,
+    enumerate_partitions,
+    syt_count_bruteforce,
+    syt_count_hook,
+)
 from gaussdeg.schur import (
     SegreIntegralTable,
     VeroneseVariety,
@@ -235,6 +240,32 @@ def test_generic_non_positive_total():
         degree_generic(negative, 4)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_generic_is_the_rectangle_tableau_sum(data):
+    # the oracle: every Schur integral weighted by the tableau count of its
+    # partition plus the (m-n)-wide rectangle of height N-m; partitions with
+    # more than N-m rows carry no weight.  N < 2n and negative entries are
+    # included, and wherever the sum is <= 0 no degree exists.
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    N = data.draw(st.integers(min_value=n + 1, max_value=3 * n + 4))
+    entries = {
+        lam: data.draw(st.integers(min_value=-50, max_value=200))
+        for lam in enumerate_partitions(n, n)
+    }
+    table = SegreIntegralTable(n=n, N=N, entries=entries)
+    for m in range(n, N):
+        expected = sum(
+            entries[lam] * syt_count_hook(add_rectangle(lam, N - m, m - n))
+            for lam in enumerate_partitions(n, N - m)
+        )
+        if expected <= 0:
+            with pytest.raises(NotGenericallyFiniteError):
+                degree_generic(table, m)
+        else:
+            assert degree_generic(table, m).deg_xm == expected, (entries, N, m)
+
+
 def test_bounds_curve_equality_case():
     b = bounds(VeroneseVariety(1, 4), 2)
     assert b.product == 18
@@ -350,6 +381,15 @@ def test_binomial_ratio_product_monotone(data):
         assert low <= value <= high, (lam, n, N, m)
     assert low == Fraction(binom_or_zero(N - m, n), comb(N - n, n))
     assert high == Fraction(binom_or_zero(N - m + n - 1, n), comb(N - 1, n))
+
+
+def test_binomial_ratio_product_below_2n():
+    # N = 4 < 2n: a shape with more than N - m rows stops at its first zero
+    # numerator, before any denominator could vanish
+    assert binomial_ratio_product((3,), 3, 4, 3) == 1
+    assert binomial_ratio_product((2, 1), 3, 4, 3) == 0
+    assert binomial_ratio_product((1, 1, 1), 3, 4, 3) == 0
+    assert binomial_ratio_product((3,), 3, 5, 4) == Fraction(1, 4)
 
 
 def test_conjecture_scan_small():

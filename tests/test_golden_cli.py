@@ -5,7 +5,8 @@ code and the SHA-256 of everything written to stdout.  The commands cover
 every subcommand in all three formats at small sizes: all seven `degree`
 methods at every m of four varieties (one step out of range on each side
 included, so inapplicable methods are pinned too), `table`, `conjecture`,
-`verify`, `generic` on tables written here, `syt`, `grassmann`, and the
+`verify`, `generic` on tables written here (two with N < 2n, where
+partitions with more than N - m rows drop out), `syt`, `grassmann`, and the
 parameter errors that exit 2.  Refactors must leave every entry unchanged.
 
 Regenerate the file only for an intended output change:
@@ -44,11 +45,26 @@ def _table_docs() -> dict[str, str]:
         ],
     }
     incomplete = {"n": 3, "N": 9, "entries": [{"partition": [3], "integral": "1"}]}
+    # N < 2n: at every m some partitions have more than N - m rows
+    narrow34 = {"n": 3, "N": 4, "entries": [
+        {"partition": [3], "integral": "5"},
+        {"partition": [2, 1], "integral": "7"},
+        {"partition": [1, 1, 1], "integral": "11"},
+    ]}
+    narrow46 = {"n": 4, "N": 6, "entries": [
+        {"partition": [4], "integral": "3"},
+        {"partition": [3, 1], "integral": "-4"},
+        {"partition": [2, 2], "integral": "4"},
+        {"partition": [2, 1, 1], "integral": "9"},
+        {"partition": [1, 1, 1, 1], "integral": "-100"},
+    ]}
     return {
         "veronese23.json": VeroneseVariety(2, 3).integral_table.to_json(),
         "curve.json": json.dumps(curve),
         "zero.json": json.dumps(zero),
         "incomplete.json": json.dumps(incomplete),
+        "narrow34.json": json.dumps(narrow34),
+        "narrow46.json": json.dumps(narrow46),
         "empty40.json": json.dumps({"n": 40, "N": 100, "entries": []}),
         "notjson.json": "{",
     }
@@ -75,6 +91,7 @@ def golden_commands() -> dict[str, list[list[str]]]:
         groups["verify"].append(["verify", "--suite", "syt", "--max-weight", "5", *tail])
         for name, ms in (("veronese23.json", range(1, 10)), ("curve.json", range(0, 6)),
                          ("zero.json", (3,)), ("incomplete.json", (4,)),
+                         ("narrow34.json", range(2, 5)), ("narrow46.json", range(3, 7)),
                          ("empty40.json", (50,)), ("notjson.json", (3,)),
                          ("absent.json", (3,))):
             for m in ms:

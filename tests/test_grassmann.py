@@ -1,16 +1,10 @@
-"""Grassmannian invariants and pushforward coefficients."""
+"""Grassmannian invariants."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaussdeg.grassmann import (
-    GrassmannShape,
-    grassmann_degree,
-    grassmann_dim,
-    pushforward_coefficients,
-)
-from gaussdeg.partitions import enumerate_partitions, syt_count_bruteforce
+from gaussdeg.grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 
 
 def test_shape_validation():
@@ -48,42 +42,3 @@ def test_degree_duality(r, data):
         GrassmannShape(r - d, r)
     )
 
-
-def test_pushforward_at_fibre_dimension():
-    for d, r in [(1, 3), (2, 4), (2, 5), (0, 4)]:
-        shape = GrassmannShape(d, r)
-        assert pushforward_coefficients(shape, grassmann_dim(shape)) == [
-            ((), grassmann_degree(shape))
-        ]
-
-
-def test_pushforward_known():
-    shape = GrassmannShape(2, 4)
-    got = pushforward_coefficients(shape, 6)
-    # coefficients recomputed by exhaustive tableau enumeration
-    assert got == [
-        ((2,), syt_count_bruteforce((4, 2))),
-        ((1, 1), syt_count_bruteforce((3, 3))),
-    ]
-    assert got == [((2,), 9), ((1, 1), 5)]
-    assert pushforward_coefficients(GrassmannShape(1, 3), 3) == [((1,), 1)]
-
-
-def test_pushforward_below_dimension_rejected():
-    with pytest.raises(ValueError):
-        pushforward_coefficients(GrassmannShape(2, 4), 3)
-
-
-@given(
-    r=st.integers(min_value=0, max_value=7),
-    excess=st.integers(min_value=0, max_value=6),
-    data=st.data(),
-)
-def test_pushforward_count_and_positivity(r, excess, data):
-    d = data.draw(st.integers(min_value=0, max_value=r))
-    shape = GrassmannShape(d, r)
-    k = grassmann_dim(shape) + excess
-    pairs = pushforward_coefficients(shape, k)
-    expected = enumerate_partitions(excess, d)
-    assert [lam for lam, _ in pairs] == expected
-    assert all(coeff > 0 for _, coeff in pairs)

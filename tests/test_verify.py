@@ -1,7 +1,10 @@
 """The self-check suite harness itself."""
 
+import re
+
 import pytest
 
+import gaussdeg.degrees
 import gaussdeg.schur
 from gaussdeg.verify import (
     SUITE_NAMES,
@@ -59,6 +62,29 @@ def test_crossform_generic_check_is_independent_of_the_closed_form(monkeypatch):
     result = run_crossform_suite(n_values=(2,), d_values=(2,))
     assert not result.ok
     assert any(failure.startswith("generic ") for failure in result.failures)
+
+
+def test_crossform_catches_a_wrong_reference_product_in_every_cell(monkeypatch):
+    # a doubled reference product must be caught at every (n, d, m): the
+    # routes that do not go through it (at least `alternate`) have to
+    # disagree with the rest
+    product = gaussdeg.degrees.reference_product
+    monkeypatch.setattr(
+        gaussdeg.degrees, "reference_product", lambda *args: 2 * product(*args)
+    )
+    result = run_crossform_suite()
+    caught = {
+        tuple(int(x) for x in cell)
+        for failure in result.failures
+        for cell in re.findall(r"\(n=(\d+), d=(\d+), m=(\d+)\)", failure)
+    }
+    cells = {
+        (n, d, m)
+        for n in (1, 2, 3)
+        for d in (2, 3, 4)
+        for m in range(n, gaussdeg.schur.VeroneseVariety(n, d).N)
+    }
+    assert caught == cells
 
 
 def test_bounds_suite_trimmed():
