@@ -27,7 +27,7 @@ from .degrees import (
     conjecture_scan,
     degree_by_method,
     degree_generic,
-    degree_main,
+    dim_xm,
 )
 from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 from .partitions import (
@@ -129,13 +129,12 @@ def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     rows = []
     for m in range(v.n, v.N):
-        report = degree_main(v, m)
         b = bounds(v, m)
         rows.append(
             {
-                "m": m,
-                "dim": report.dim_xm,
-                "degree": str(report.deg_xm),
+                "m": b.m,
+                "dim": dim_xm(v.n, v.N, m),
+                "degree": str(b.degree),
                 "ratio": str(b.ratio),
                 "within_conjecture": b.within_conjecture,
             }

@@ -49,7 +49,6 @@ class DegreeReport:
     n: int
     N: int
     m: int
-    dim_xm: int
     deg_xm: int
     method: str
     d: int | None = None
@@ -58,10 +57,12 @@ class DegreeReport:
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        if self.dim_xm != self.n + (self.N - self.m) * (self.m - self.n):
-            raise ValueError("dimension field is inconsistent with (n, N, m)")
         if self.deg_xm <= 0:
             raise ValueError("degree must be positive")
+
+    @property
+    def dim_xm(self) -> int:
+        return dim_xm(self.n, self.N, self.m)
 
     def to_dict(self) -> dict:
         doc: dict = {"n": self.n}
@@ -179,7 +180,6 @@ def _veronese_report(v: VeroneseVariety, m: int, value: Fraction, method: str) -
         d=v.d,
         N=v.N,
         m=m,
-        dim_xm=dim_xm(v.n, v.N, m),
         deg_xm=degree,
         method=method,
     )
@@ -287,7 +287,6 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
         d=d,
         N=N,
         m=m,
-        dim_xm=dim_xm(1, N, m),
         deg_xm=degree,
         method="general_curve",
         notes=f"genus {g}",
@@ -400,12 +399,18 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     """
     n, N = table.n, table.N
     _check_range(n, N, m)
-    product = reference_product(n, N, m, 1)
+    total = _weighted_total(table, m, reference_product(n, N, m, 1))
+    return DegreeReport(n=n, N=N, m=m, deg_xm=total, method="generic")
+
+
+def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
+    """`degree_generic`'s checked total; unit = `reference_product(n, N, m, 1)`."""
+    n, N = table.n, table.N
     total = 0
     for lam, integral in table.entries.items():
         ratio = binomial_ratio_product(lam, n, N, m)
         count, rem = divmod(
-            product * syt_count_hook(lam) * ratio.numerator, ratio.denominator
+            unit * syt_count_hook(lam) * ratio.numerator, ratio.denominator
         )
         if rem:
             raise ArithmeticError(
@@ -419,14 +424,7 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
             "is not generically finite onto its image, or the table is not "
             "the Segre data of a variety"
         )
-    return DegreeReport(
-        n=n,
-        N=N,
-        m=m,
-        dim_xm=dim_xm(n, N, m),
-        deg_xm=total,
-        method="generic",
-    )
+    return total
 
 
 def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
@@ -454,15 +452,17 @@ def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     """The degree at (v, m) against its reference product, with sandwich bounds.
 
-    The ratio degree / `reference_product` always lies in
-    [C(N-m,n)/C(N-n,n), C(N-m+n-1,n)/C(N-1,n)] (a theorem, enforced); the
-    sharper power bound ((N-m)/(N-n))^n is only conjectural and is
-    reported, never enforced.
+    One evaluation of the cell: the degree (`degree_main`'s number) and the
+    reference product share one `reference_product(n, N, m, 1)`.  The ratio
+    degree / product always lies in [C(N-m,n)/C(N-n,n), C(N-m+n-1,n)/C(N-1,n)]
+    (a theorem, enforced); the sharper power bound ((N-m)/(N-n))^n is only
+    conjectural and is reported, never enforced.
     """
     n, N = v.n, v.N
     _check_range(n, N, m)
-    product = reference_product(n, N, m, ordinary_gauss_degree(v))
-    degree = degree_main(v, m).deg_xm
+    unit = reference_product(n, N, m, 1)
+    degree = _weighted_total(v.integral_table, m, unit)
+    product = unit * ordinary_gauss_degree(v)
     ratio = Fraction(degree, product)
     lower = Fraction(binom_or_zero(N - m, n), comb(N - n, n))
     upper = Fraction(binom_or_zero(N - m + n - 1, n), comb(N - 1, n))

@@ -7,6 +7,7 @@ collected in tables keyed by partitions, with a JSON interchange format.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -225,8 +226,12 @@ class SegreIntegralTable:
             raw = item["integral"]
             if not isinstance(raw, str):
                 raise ValueError(f"'integral' must be a decimal string: {raw!r}")
+            # int() alone would also take spaces, '_', '+' and non-ASCII
+            # digits; past the pattern it can still refuse the digit count
+            if not _DECIMAL.fullmatch(raw):
+                raise ValueError(f"bad integral value {raw!r}")
             try:
-                value = int(raw, 10)
+                value = int(raw)
             except ValueError as exc:
                 raise ValueError(f"bad integral value {raw!r}") from exc
             lam = canonical(parts)
@@ -234,6 +239,9 @@ class SegreIntegralTable:
                 raise ValueError(f"duplicate entry for partition {lam}")
             entries[lam] = value
         return cls(n=n, N=big_n, entries=entries)
+
+
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 def _is_int(value) -> bool:

@@ -249,7 +249,16 @@ def test_generic_zero_table_exits_3(tmp_path, capsys):
     assert "not generically finite" in err
 
 
-def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--n", "1", "--d", "4", "--m", "2"],
+        ["table", "--n", "1", "--d", "4"],
+        ["conjecture", "--n", "1", "--d", "4"],
+    ],
+    ids=["degree", "table", "conjecture"],
+)
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv):
     # a ratio skewed on one-row shapes leaves the rectangle's tableau count
     # non-integral: an internal fault, not a verification failure (exit 1)
     ratio = gaussdeg.degrees.binomial_ratio_product
@@ -259,10 +268,40 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
         return value * Fraction(5, 7) if len(lam) == 1 else value
 
     monkeypatch.setattr(gaussdeg.degrees, "binomial_ratio_product", skewed)
-    code, out, err = run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: internal invariant failed: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["table", "conjecture"])
+def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
+    # one bounds record per (variety, m): one weighted sum and one
+    # Grassmannian degree per printed row, and no separate degree_main
+    calls = {"grassmann_degree": 0, "degree_main": 0}
+    for name in calls:
+        original = getattr(gaussdeg.degrees, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gaussdeg.degrees, name, counted)
+    code, out, _ = run_cli(capsys, command, "--n", "2", "--d", "3")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 7
+    assert calls == {"grassmann_degree": 7, "degree_main": 0}
+
+
+@pytest.mark.parametrize("integral", [" 1_0 ", "+7", "\u0666"])
+def test_generic_non_decimal_integral_exits_2(tmp_path, capsys, integral):
+    # only what to_json writes, ASCII -?[0-9]+, is an integral value
+    path = tmp_path / "loose.json"
+    doc = {"n": 1, "N": 4, "entries": [{"partition": [1], "integral": integral}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "generic", "--table", str(path), "--m", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: bad integral value {integral!r}\n"
 
 
 def test_generic_schema_violation_exits_2(tmp_path, capsys):

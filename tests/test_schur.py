@@ -189,6 +189,12 @@ def test_table_json_big_integers():
         ' {"partition": [1, 1], "integral": "6"}]}',
         '{"n": 2, "N": 5, "entries": [{"partition": [2], "integral": "x"},'
         ' {"partition": [1, 1], "integral": "6"}]}',
+        '{"n": 2, "N": 5, "entries": [{"partition": [2], "integral": " 1_0 "},'
+        ' {"partition": [1, 1], "integral": "6"}]}',
+        '{"n": 2, "N": 5, "entries": [{"partition": [2], "integral": "+7"},'
+        ' {"partition": [1, 1], "integral": "6"}]}',
+        '{"n": 2, "N": 5, "entries": [{"partition": [2], "integral": "\\u0666"},'
+        ' {"partition": [1, 1], "integral": "6"}]}',
         '{"n": 2, "N": 5, "entries": [{"partition": [1, 2], "integral": "3"},'
         ' {"partition": [1, 1], "integral": "6"}]}',
         '{"n": 2, "N": 5, "entries": [{"partition": [2], "integral": "3"}]}',
