@@ -252,14 +252,16 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
 
     The degree is (d-m)/(d-1) times the reference product.  G(m-1, d-1)
     and its dual G(d-m, d-1) must have equal Pluecker degree, so the
-    reference products at m and at d+1-m, which differ only in that
-    Grassmannian, are computed and compared.
+    reference product is compared with the one built from the hook count
+    of the dual's rectangle, taken with its fewer rows: an independent
+    route, since `grassmann_degree` treats both orientations alike.
     """
     v = VeroneseVariety(1, d)
     _check_range(1, d, m)
     first = ordinary_gauss_degree(v)
     product = reference_product(1, d, m, first)
-    if product != reference_product(1, d, d + 1 - m, first):
+    rows, cols = sorted((m - 1, d - m))
+    if product != (1 + rows * cols) * syt_count_hook((cols,) * rows) * first:
         raise ArithmeticError("dual Grassmannian degrees disagree")
     return _veronese_report(v, m, Fraction(d - m, d - 1) * product, "curve_closed")
 

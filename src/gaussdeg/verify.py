@@ -147,7 +147,13 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
                 want = degree_main(v, m).deg_xm
                 for name, method in METHODS.items():
                     if name != "main" and method.applies(v, m):
-                        expect(f"{name} {cell}", method.compute(v, m).deg_xm, want)
+                        # a route's own invariant check (such as the curve
+                        # form's dual Grassmannian) fails as a mismatch
+                        try:
+                            expect(f"{name} {cell}", method.compute(v, m).deg_xm, want)
+                        except ArithmeticError as exc:
+                            checks += 1
+                            failures.append(f"{name} {cell}: {exc}")
                 try:
                     generic = degree_generic(table, m).deg_xm
                 except NotGenericallyFiniteError:

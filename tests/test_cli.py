@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 import gaussdeg.degrees
+import gaussdeg.grassmann
+import gaussdeg.partitions
+import gaussdeg.schur
 from gaussdeg.cli import main, parse_partition, parse_range
 from gaussdeg.degrees import degree_main
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
@@ -291,6 +294,28 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
     assert code == 0
     assert len(json.loads(out)["rows"]) == 7
     assert calls == {"grassmann_degree": 7, "degree_main": 0}
+
+
+@pytest.mark.parametrize(
+    ("argv", "n"),
+    [(("degree", "--n", "1", "--d", "200", "--m", "180"), 1), (("table", "--n", "2", "--d", "4"), 2)],
+    ids=["degree", "table"],
+)
+def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
+    # the Grassmannian rectangle is counted by its own kernel; the general
+    # hook counter sees only the partitions of n in the weighted sum
+    weights = []
+    original = gaussdeg.partitions.syt_count_hook
+
+    def counted(lam):
+        weights.append(sum(lam))
+        return original(lam)
+
+    for module in (gaussdeg.partitions, gaussdeg.degrees, gaussdeg.schur):
+        monkeypatch.setattr(module, "syt_count_hook", counted)
+    monkeypatch.setattr(gaussdeg.grassmann, "syt_count_hook", counted, raising=False)
+    run_cli(capsys, *argv)
+    assert weights and max(weights) <= n
 
 
 @pytest.mark.parametrize("integral", [" 1_0 ", "+7", "\u0666"])

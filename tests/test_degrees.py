@@ -323,12 +323,14 @@ def test_closed_forms_and_bounds_share_the_reference_product(closed, n, max_d):
 
 
 def test_curve_closed_compares_the_dual_grassmannians(monkeypatch):
-    # a Pluecker degree that tells G(1, 4) from its dual G(3, 4) must trip
-    # the comparison; at the self-dual m = 3 it cannot
+    # a wrong Pluecker degree trips the comparison with the dual rectangle's
+    # hook count at every m where it is wrong, the self-dual m = 3 included;
+    # at m = 1 the fake is the true degree 1 of the point G(0, 4)
     monkeypatch.setattr("gaussdeg.degrees.grassmann_degree", lambda shape: shape.d + 1)
-    with pytest.raises(ArithmeticError, match="dual Grassmannian"):
-        degree_curve_closed(5, 2)
-    degree_curve_closed(5, 3)
+    for m in (2, 3, 4):
+        with pytest.raises(ArithmeticError, match="dual Grassmannian"):
+            degree_curve_closed(5, m)
+    degree_curve_closed(5, 1)
 
 
 def test_bounds_at_m_equals_n():

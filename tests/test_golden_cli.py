@@ -7,7 +7,10 @@ methods at every m of four varieties (one step out of range on each side
 included, so inapplicable methods are pinned too), `table`, `conjecture`,
 `verify`, `generic` on tables written here (two with N < 2n, where
 partitions with more than N - m rows drop out), `syt`, `grassmann`, and the
-parameter errors that exit 2.  Refactors must leave every entry unchanged.
+parameter errors that exit 2.  Larger cells pin Grassmannians of many rows
+(up to 199 x 1) and degrees of up to about 4,000 digits: `grassmann` up to
+G(199, 200), and every applicable method at a few m of (1, 200), (4, 5)
+and (6, 3).  Refactors must leave every entry unchanged.
 
 Regenerate the file only for an intended output change:
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -30,6 +33,12 @@ from gaussdeg.schur import VeroneseVariety
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FORMATS = ("json", "csv", "table")
 VARIETIES = ((1, 5), (2, 3), (3, 2), (4, 2))
+# (n, d, values of m) whose Grassmannian G(m-n, N-n) has many rows or many columns
+MANY_ROW_CELLS = ((1, 200, (2, 199)), (4, 5, (5, 6, 90, 121, 123, 124)), (6, 3, (8, 75, 81, 82)))
+GRASSMANNIANS = (
+    (2, 5), (0, 3), (3, 3), (1, 1), (4, 3), (-1, 2),
+    (1, 80), (1, 200), (40, 80), (40, 90), (70, 80), (70, 90), (199, 200),
+)
 TABLE_DIR = "{tables}"
 
 
@@ -84,6 +93,13 @@ def golden_commands() -> dict[str, list[list[str]]]:
                         ["degree", "--n", str(n), "--d", str(d), "--m", str(m),
                          "--method", method, *tail])
             groups["table"].append(["table", "--n", str(n), "--d", str(d), *tail])
+        for n, d, ms in MANY_ROW_CELLS:
+            v = VeroneseVariety(n, d)
+            for m in ms:
+                for method in (name for name, entry in METHODS.items() if entry.applies(v, m)):
+                    groups["degree"].append(
+                        ["degree", "--n", str(n), "--d", str(d), "--m", str(m),
+                         "--method", method, *tail])
         groups["conjecture"].append(["conjecture", "--n", "1..2", "--d", "2..3", *tail])
         groups["conjecture"].append(["conjecture", "--n", "2", "--d", "4", *tail])
         groups["verify"].append(["verify", *tail])
@@ -99,7 +115,7 @@ def golden_commands() -> dict[str, list[list[str]]]:
                     ["generic", "--table", f"{TABLE_DIR}/{name}", "--m", str(m), *tail])
         for shape in ("3,1", "4,2,1", "", "2,2,2,2,2,2,1", "13", "1,2", "x"):
             groups["syt"].append(["syt", "--shape", shape, *tail])
-        for d, r in ((2, 5), (0, 3), (3, 3), (1, 1), (4, 3), (-1, 2)):
+        for d, r in GRASSMANNIANS:
             groups["grassmann"].append(["grassmann", "--d", str(d), "--r", str(r), *tail])
         for argv in (
             ["degree", "--n", "0", "--d", "3", "--m", "1"],

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaussdeg.grassmann import GrassmannShape, grassmann_degree, grassmann_dim
+from gaussdeg.grassmann import (
+    PRIME_POWER_CELLS,
+    GrassmannShape,
+    grassmann_degree,
+    grassmann_dim,
+)
+from gaussdeg.partitions import syt_count_bruteforce, syt_count_hook
 
 
 def test_shape_validation():
@@ -42,3 +48,29 @@ def test_degree_duality(r, data):
         GrassmannShape(r - d, r)
     )
 
+
+@given(r=st.integers(min_value=0, max_value=60), data=st.data())
+def test_degree_is_the_rectangle_hook_count(r, data):
+    # the kernel, in both of its forms, against the general O(rows^2) counter
+    d = data.draw(st.integers(min_value=0, max_value=r))
+    assert grassmann_degree(GrassmannShape(d, r)) == syt_count_hook((r - d,) * d)
+
+
+def test_degree_is_the_bruteforce_count_up_to_weight_12():
+    for r in range(14):
+        for d in range(r + 1):
+            if d * (r - d) <= 12:
+                expected = syt_count_bruteforce((r - d,) * d)
+                assert grassmann_degree(GrassmannShape(d, r)) == expected
+
+
+def test_degree_on_both_sides_of_the_prime_power_switch():
+    # the product form below PRIME_POWER_CELLS cells, the prime powers from it on
+    for k in range(1, 41):
+        for c in {-(-PRIME_POWER_CELLS // k) - 1, -(-PRIME_POWER_CELLS // k)}:
+            assert grassmann_degree(GrassmannShape(k, k + c)) == syt_count_hook((c,) * k)
+            assert grassmann_degree(GrassmannShape(c, k + c)) == syt_count_hook((c,) * k)
+
+
+def test_degree_large_square():
+    assert grassmann_degree(GrassmannShape(60, 120)) == syt_count_hook((60,) * 60)
