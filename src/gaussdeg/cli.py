@@ -156,43 +156,30 @@ def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else list(SUITE_NAMES)
     results = [run_suite(name, **options.get(name, {})) for name in names]
     ok = all(result.ok for result in results)
-    if args.format == "json":
-        doc = {
-            "suites": [
-                {
-                    "suite": result.name,
-                    "passed": result.passed,
-                    "failed": result.failed,
-                    "failures": list(result.failures),
-                }
-                for result in results
-            ],
-            "ok": ok,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
+    if args.format == "table":
+        for result in results:
+            print(f"suite {result.name}: {result.passed} passed, {result.failed} failed")
+            for failure in result.failures:
+                print(f"  FAIL {failure}")
+    else:
         rows = [
             {
                 "suite": result.name,
                 "passed": result.passed,
                 "failed": result.failed,
-                "failures": "; ".join(result.failures),
+                "failures": result.failures,
             }
             for result in results
         ]
-        print(_csv_text(rows))
-    else:
-        for result in results:
-            print(f"suite {result.name}: {result.passed} passed, {result.failed} failed")
-            for failure in result.failures:
-                print(f"  FAIL {failure}")
+        flat = [{**row, "failures": "; ".join(row["failures"])} for row in rows]
+        print(_render_rows(flat, args.format, envelope={"suites": rows, "ok": ok}))
     return 0 if ok else 1
 
 
 def cmd_conjecture(args) -> int:
-    report = conjecture_scan(parse_range(args.n), parse_range(args.d))
-    rows = [row.to_dict() for row in report.rows]
-    violations = len(report.violations)
+    records = conjecture_scan(parse_range(args.n), parse_range(args.d))
+    rows = [record.to_dict() for record in records]
+    violations = sum(not record.within_conjecture for record in records)
     text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})
     if args.format == "table":
         text += f"\nviolations: {violations}"

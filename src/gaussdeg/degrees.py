@@ -121,15 +121,6 @@ class BoundsReport:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    rows: tuple[BoundsReport, ...]
-
-    @property
-    def violations(self) -> tuple[BoundsReport, ...]:
-        return tuple(row for row in self.rows if not row.within_conjecture)
-
-
 def _check_range(n: int, N: int, m: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -505,13 +496,13 @@ def verify_identity(n: int, tableau_count=syt_count_hook) -> tuple[int, int, boo
     return lhs, rhs, lhs == rhs
 
 
-def conjecture_scan(n_values, d_values) -> ScanReport:
+def conjecture_scan(n_values, d_values) -> tuple[BoundsReport, ...]:
     """Evaluate the conjectured power bound over a parameter sweep.
 
     For every n in `n_values`, d in `d_values`, and every admissible m,
     collects `bounds(v, m)`: the exact ratio, the conjectured bound, and the
     conjectured virtual degree (bound times reference product, rational in
-    general).  Violations are collected, not raised.
+    general).  A violation is a row with `within_conjecture` false.
     """
     n_values = tuple(n_values)
     d_values = tuple(d_values)
@@ -522,4 +513,4 @@ def conjecture_scan(n_values, d_values) -> ScanReport:
         for d in d_values:
             v = VeroneseVariety(n, d)
             rows.extend(bounds(v, m) for m in range(n, v.N))
-    return ScanReport(rows=tuple(rows))
+    return tuple(rows)

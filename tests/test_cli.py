@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, and thin-wrapper fidelity."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -196,12 +197,73 @@ def test_verify_max_weight_above_cap_exits_2(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+BOOLE_FAILURES = [
+    "boole (n=1, d=2, m=1): got 3, want 2",
+    "boole (n=1, d=3, m=2): got 5, want 4",
+    "boole (n=1, d=4, m=3): got 7, want 6",
+    "boole (n=2, d=2, m=4): got 4, want 3",
+    "boole (n=2, d=3, m=8): got 13, want 12",
+    "boole (n=2, d=4, m=13): got 28, want 27",
+    "boole (n=3, d=2, m=8): got 5, want 4",
+    "boole (n=3, d=3, m=18): got 33, want 32",
+    "boole (n=3, d=4, m=33): got 109, want 108",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_verify_failure_output(capsys, monkeypatch, fmt):
+    # the registry's lambdas look boole_degree up at call time, so an
+    # off-by-one dual degree fails the m = N-1 cell of every variety
+    true_boole = gaussdeg.degrees.boole_degree
+    monkeypatch.setattr(
+        gaussdeg.degrees, "boole_degree", lambda n, d: true_boole(n, d) + 1
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "crossform", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        suite = {"suite": "crossform", "passed": 266, "failed": 9, "failures": BOOLE_FAILURES}
+        expected = json.dumps({"suites": [suite], "ok": False}, indent=2) + "\n"
+    elif fmt == "csv":
+        joined = "; ".join(BOOLE_FAILURES)
+        expected = f'suite,passed,failed,failures\ncrossform,266,9,"{joined}"\n'
+    else:
+        lines = ["suite crossform: 266 passed, 9 failed"]
+        lines += [f"  FAIL {failure}" for failure in BOOLE_FAILURES]
+        expected = "\n".join(lines) + "\n"
+    assert out == expected
+
+
 def test_conjecture_scan(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--n", "1..2", "--d", "2..4")
     assert code == 0
     doc = json.loads(out)
     assert doc["violations"] == 0
     assert len(doc["rows"]) > 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_conjecture_counts_violations(capsys, monkeypatch, fmt):
+    # halving the conjectured bound at m = n+1 makes those cells violate it;
+    # n = 1..2, d = 2..3 has three of them ((1,2) has no m = n+1 below N)
+    true_bounds = gaussdeg.degrees.bounds
+
+    def halved(v, m):
+        b = true_bounds(v, m)
+        if m != v.n + 1:
+            return b
+        return dataclasses.replace(b, conjecture_upper=b.ratio / 2)
+
+    monkeypatch.setattr(gaussdeg.degrees, "bounds", halved)
+    code, out, _ = run_cli(
+        capsys, "conjecture", "--n", "1..2", "--d", "2..3", "--format", fmt
+    )
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["violations"] == 3
+        assert [row["m"] for row in doc["rows"] if not row["within_conjecture"]] == [2, 3, 3]
+    else:
+        assert out.splitlines()[-1] == "violations: 3"
 
 
 def test_conjecture_curve_equality(capsys):

@@ -396,10 +396,10 @@ def test_binomial_ratio_product_below_2n():
 
 
 def test_conjecture_scan_small():
-    report = conjecture_scan((1, 2), (2, 3))
-    assert len(report.rows) == 13
-    assert report.violations == ()
-    for row in report.rows:
+    rows = conjecture_scan((1, 2), (2, 3))
+    assert len(rows) == 13
+    assert all(row.within_conjecture for row in rows)
+    for row in rows:
         assert row.within_conjecture == (row.ratio <= row.conjecture_upper)
         assert row.conjecture_value == row.conjecture_upper * row.product
         assert row.degree == degree_main(VeroneseVariety(row.n, row.d), row.m).deg_xm
