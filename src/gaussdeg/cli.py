@@ -23,7 +23,7 @@ from pathlib import Path
 from .degrees import (
     METHODS,
     NotGenericallyFiniteError,
-    bounds,
+    bounds_sweep,
     conjecture_scan,
     degree_by_method,
     degree_generic,
@@ -127,18 +127,16 @@ def cmd_degree(args) -> int:
 
 def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
-    rows = []
-    for m in range(v.n, v.N):
-        b = bounds(v, m)
-        rows.append(
-            {
-                "m": b.m,
-                "dim": dim_xm(v.n, v.N, m),
-                "degree": str(b.degree),
-                "ratio": str(b.ratio),
-                "within_conjecture": b.within_conjecture,
-            }
-        )
+    rows = [
+        {
+            "m": b.m,
+            "dim": dim_xm(v.n, v.N, b.m),
+            "degree": str(b.degree),
+            "ratio": str(b.ratio),
+            "within_conjecture": b.within_conjecture,
+        }
+        for b in bounds_sweep(v)
+    ]
     envelope = {"n": v.n, "d": v.d, "N": v.N, "rows": rows}
     print(_render_rows(rows, args.format, envelope=envelope))
     return 0

@@ -20,7 +20,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 
-from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
+from .grassmann import (
+    GrassmannShape,
+    grassmann_degree,
+    grassmann_degree_sweep,
+    grassmann_dim,
+)
 from .partitions import (
     add_rectangle,
     enumerate_partitions,
@@ -235,7 +240,12 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     product, and `bounds` measures the degree against it.
     """
     shape = GrassmannShape(m - n, N - n)
-    return comb(n + grassmann_dim(shape), n) * grassmann_degree(shape) * first
+    return _reference_unit(n, shape, grassmann_degree(shape)) * first
+
+
+def _reference_unit(n: int, shape: GrassmannShape, pluecker: int) -> int:
+    """C(n + dim G, n) * deg G for G = `shape`, given its degree `pluecker`."""
+    return comb(n + grassmann_dim(shape), n) * pluecker
 
 
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
@@ -449,11 +459,29 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     reference product share one `reference_product(n, N, m, 1)`.  The ratio
     degree / product always lies in [C(N-m,n)/C(N-n,n), C(N-m+n-1,n)/C(N-1,n)]
     (a theorem, enforced); the sharper power bound ((N-m)/(N-n))^n is only
-    conjectural and is reported, never enforced.
+    conjectural and is reported, never enforced.  `bounds_sweep` gives the
+    same records for every m at once.
+    """
+    _check_range(v.n, v.N, m)
+    return _bounds_record(v, m, reference_product(v.n, v.N, m, 1))
+
+
+def bounds_sweep(v: VeroneseVariety):
+    """`bounds(v, m)` for m = n..N-1, in order, from one Grassmannian sweep.
+
+    Along m, G(m-n, N-n) keeps N - n fixed, so the Pluecker degrees come
+    from `grassmann_degree_sweep(N - n)`, one short step per m, instead
+    of one `grassmann_degree` per m.  Records are yielded as they are made.
     """
     n, N = v.n, v.N
-    _check_range(n, N, m)
-    unit = reference_product(n, N, m, 1)
+    for m, pluecker in zip(range(n, N), grassmann_degree_sweep(N - n)):
+        unit = _reference_unit(n, GrassmannShape(m - n, N - n), pluecker)
+        yield _bounds_record(v, m, unit)
+
+
+def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
+    """The `BoundsReport` at (v, m); unit = `reference_product(n, N, m, 1)`."""
+    n, N = v.n, v.N
     degree = _weighted_total(v.integral_table, m, unit)
     product = unit * ordinary_gauss_degree(v)
     ratio = Fraction(degree, product)
@@ -499,10 +527,11 @@ def verify_identity(n: int, tableau_count=syt_count_hook) -> tuple[int, int, boo
 def conjecture_scan(n_values, d_values) -> tuple[BoundsReport, ...]:
     """Evaluate the conjectured power bound over a parameter sweep.
 
-    For every n in `n_values`, d in `d_values`, and every admissible m,
-    collects `bounds(v, m)`: the exact ratio, the conjectured bound, and the
-    conjectured virtual degree (bound times reference product, rational in
-    general).  A violation is a row with `within_conjecture` false.
+    For every n in `n_values` and d in `d_values`, collects `bounds_sweep(v)`,
+    the `bounds(v, m)` of every admissible m: the exact ratio, the
+    conjectured bound, and the conjectured virtual degree (bound times
+    reference product, rational in general).  A violation is a row with
+    `within_conjecture` false.
     """
     n_values = tuple(n_values)
     d_values = tuple(d_values)
@@ -512,5 +541,5 @@ def conjecture_scan(n_values, d_values) -> tuple[BoundsReport, ...]:
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
-            rows.extend(bounds(v, m) for m in range(n, v.N))
+            rows.extend(bounds_sweep(v))
     return tuple(rows)

@@ -13,11 +13,15 @@ product form (kc)! prod_{i<a} i! / (b+i)!, a = min(k, c), b = max(k, c),
 instead: a few factorials and one short division beat the loop over the
 primes there.  `partitions.syt_count_hook`, the general O(rows^2)
 counter, is the test oracle of both.
+
+A sweep over m keeps k + c fixed, and `grassmann_degree_sweep` steps from
+one rectangle to the next: by that product form, D(k+1, c-1) is D(k, c)
+times ((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
 """
 
 from dataclasses import dataclass
 from itertools import compress
-from math import factorial, isqrt, prod
+from math import factorial, gcd, isqrt, prod
 
 # Below this many cells the product form is faster than the prime powers
 # (measured crossover 700-1000 cells on CPython 3.11, x86-64).
@@ -74,6 +78,45 @@ def grassmann_degree(shape: GrassmannShape) -> int:
             raise ArithmeticError(f"tableau count of the {k} x {c} rectangle is not integral")
         powers.append(p**exponent)
     return _balanced_product(powers)
+
+
+def grassmann_degree_sweep(r: int):
+    """deg G(k, r) for k = 0..r-1, in order: the k x (r-k) rectangles' tableau counts.
+
+    Starts at D(0, r) = 1 and takes each next count from the last by one
+    `_sweep_factor`, whose denominator must divide the running count; a
+    remainder would mean a count is not an integer and raises
+    ArithmeticError.  No sieve and no prime-power product: each step costs
+    one division and one multiplication of the count by a short integer.
+    """
+    degree = 1
+    for k in range(r):
+        if k:
+            num, den = _sweep_factor(k - 1, r - k + 1)
+            degree, rem = divmod(degree, den)
+            if rem:
+                raise ArithmeticError(
+                    f"tableau count of the {k} x {r - k} rectangle is not integral"
+                )
+            degree *= num
+        yield degree
+
+
+def _sweep_factor(k: int, c: int) -> tuple[int, int]:
+    """D(k+1, c-1) / D(k, c) in lowest terms, as (numerator, denominator); c >= 1.
+
+    The ratio is ((k+1)(c-1))!/(kc)! * k!/(c-1)!.  Both quotients are
+    products of |c - k - 1| consecutive integers, the first just above
+    min(kc, (k+1)(c-1)), the second just above min(k, c-1); for
+    c - k - 1 >= 0 the first is the numerator, otherwise the second.
+    """
+    cells, steps = k * c, c - k - 1
+    if steps >= 0:
+        num, den = prod(range(cells + 1, cells + steps + 1)), prod(range(k + 1, c))
+    else:
+        num, den = prod(range(c, k + 1)), prod(range(cells + steps + 1, cells + 1))
+    common = gcd(num, den)
+    return num // common, den // common
 
 
 def _primes_upto(n: int):

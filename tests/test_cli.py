@@ -245,15 +245,15 @@ def test_conjecture_scan(capsys):
 def test_conjecture_counts_violations(capsys, monkeypatch, fmt):
     # halving the conjectured bound at m = n+1 makes those cells violate it;
     # n = 1..2, d = 2..3 has three of them ((1,2) has no m = n+1 below N)
-    true_bounds = gaussdeg.degrees.bounds
+    true_record = gaussdeg.degrees._bounds_record
 
-    def halved(v, m):
-        b = true_bounds(v, m)
+    def halved(v, m, unit):
+        b = true_record(v, m, unit)
         if m != v.n + 1:
             return b
         return dataclasses.replace(b, conjecture_upper=b.ratio / 2)
 
-    monkeypatch.setattr(gaussdeg.degrees, "bounds", halved)
+    monkeypatch.setattr(gaussdeg.degrees, "_bounds_record", halved)
     code, out, _ = run_cli(
         capsys, "conjecture", "--n", "1..2", "--d", "2..3", "--format", fmt
     )
@@ -314,18 +314,9 @@ def test_generic_zero_table_exits_3(tmp_path, capsys):
     assert "not generically finite" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["degree", "--n", "1", "--d", "4", "--m", "2"],
-        ["table", "--n", "1", "--d", "4"],
-        ["conjecture", "--n", "1", "--d", "4"],
-    ],
-    ids=["degree", "table", "conjecture"],
-)
-def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv):
+def _skew_ratio(monkeypatch):
     # a ratio skewed on one-row shapes leaves the rectangle's tableau count
-    # non-integral: an internal fault, not a verification failure (exit 1)
+    # non-integral in the weighted sum
     ratio = gaussdeg.degrees.binomial_ratio_product
 
     def skewed(lam, n, N, m):
@@ -333,6 +324,35 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv):
         return value * Fraction(5, 7) if len(lam) == 1 else value
 
     monkeypatch.setattr(gaussdeg.degrees, "binomial_ratio_product", skewed)
+
+
+def _skew_sweep_step(monkeypatch):
+    # the step from the one-row rectangle, whose count is 1, gets a
+    # denominator that cannot divide it
+    factor = gaussdeg.grassmann._sweep_factor
+
+    def skewed(k, c):
+        num, den = factor(k, c)
+        return (num, 7 * den) if k == 1 else (num, den)
+
+    monkeypatch.setattr(gaussdeg.grassmann, "_sweep_factor", skewed)
+
+
+@pytest.mark.parametrize(
+    ("argv", "skew"),
+    [
+        (["degree", "--n", "1", "--d", "4", "--m", "2"], _skew_ratio),
+        (["table", "--n", "1", "--d", "4"], _skew_ratio),
+        (["conjecture", "--n", "1", "--d", "4"], _skew_ratio),
+        (["table", "--n", "1", "--d", "4"], _skew_sweep_step),
+        (["conjecture", "--n", "1", "--d", "4"], _skew_sweep_step),
+    ],
+    ids=["degree", "table", "conjecture", "table-sweep-step", "conjecture-sweep-step"],
+)
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv, skew):
+    # an exactness check that fails is an internal fault, not a
+    # verification failure (exit 1)
+    skew(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: internal invariant failed: ")
@@ -341,10 +361,11 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("command", ["table", "conjecture"])
 def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
-    # one bounds record per (variety, m): one weighted sum and one
-    # Grassmannian degree per printed row, and no separate degree_main
-    calls = {"grassmann_degree": 0, "degree_main": 0}
-    for name in calls:
+    # one bounds record per (variety, m): one weighted sum per printed row,
+    # the Grassmannian degrees from one sweep per variety (one step per row
+    # after the first), no single-cell grassmann_degree and no degree_main
+    calls = {"grassmann_degree": 0, "grassmann_degree_sweep": 0, "degree_main": 0, "steps": 0}
+    for name in ("grassmann_degree", "grassmann_degree_sweep", "degree_main"):
         original = getattr(gaussdeg.degrees, name)
 
         def counted(*args, _name=name, _original=original):
@@ -352,10 +373,19 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
             return _original(*args)
 
         monkeypatch.setattr(gaussdeg.degrees, name, counted)
+    factor = gaussdeg.grassmann._sweep_factor
+
+    def counted_step(k, c):
+        calls["steps"] += 1
+        return factor(k, c)
+
+    monkeypatch.setattr(gaussdeg.grassmann, "_sweep_factor", counted_step)
     code, out, _ = run_cli(capsys, command, "--n", "2", "--d", "3")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 7
-    assert calls == {"grassmann_degree": 7, "degree_main": 0}
+    assert calls == {
+        "grassmann_degree": 0, "grassmann_degree_sweep": 1, "degree_main": 0, "steps": 6,
+    }
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from gaussdeg.degrees import (
     binomial_ratio_product,
     boole_degree,
     bounds,
+    bounds_sweep,
     conjecture_scan,
     degree_alternate,
     degree_curve_closed,
@@ -441,3 +442,20 @@ def test_dimension_invariant_over_sweep():
             report = degree_main(v, m)
             assert report.dim_xm == n + (v.N - m) * (m - n)
             assert report.deg_xm > 0
+
+
+@pytest.mark.parametrize(
+    ("n", "d"),
+    [
+        *((1, d) for d in range(2, 31)),
+        (1, 60),
+        *((2, d) for d in range(2, 7)),
+        (2, 12),
+        *((3, d) for d in range(2, 5)),
+        (4, 4),
+        (5, 3),
+    ],
+)
+def test_bounds_sweep_is_bounds_at_every_m(n, d):
+    v = VeroneseVariety(n, d)
+    assert tuple(bounds_sweep(v)) == tuple(bounds(v, m) for m in range(v.n, v.N))

@@ -10,7 +10,10 @@ partitions with more than N - m rows drop out), `syt`, `grassmann`, and the
 parameter errors that exit 2.  Larger cells pin Grassmannians of many rows
 (up to 199 x 1) and degrees of up to about 4,000 digits: `grassmann` up to
 G(199, 200), and every applicable method at a few m of (1, 200), (4, 5)
-and (6, 3).  Refactors must leave every entry unchanged.
+and (6, 3).  Whole sweeps over m pin the m-to-m Grassmannian sweep:
+`table` on (1, 60), (1, 110), (2, 12), (3, 6), (4, 4) and (5, 3), whose
+rectangles reach 625 to 2,970 cells, and `conjecture` on n = 1,
+d = 40..42.  Refactors must leave every entry unchanged.
 
 Regenerate the file only for an intended output change:
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -39,6 +42,8 @@ GRASSMANNIANS = (
     (2, 5), (0, 3), (3, 3), (1, 1), (4, 3), (-1, 2),
     (1, 80), (1, 200), (40, 80), (40, 90), (70, 80), (70, 90), (199, 200),
 )
+# (n, d) whose `table` sweeps rectangles of hundreds to thousands of cells
+SWEPT_TABLES = ((1, 60), (1, 110), (2, 12), (3, 6), (4, 4), (5, 3))
 TABLE_DIR = "{tables}"
 
 
@@ -93,6 +98,8 @@ def golden_commands() -> dict[str, list[list[str]]]:
                         ["degree", "--n", str(n), "--d", str(d), "--m", str(m),
                          "--method", method, *tail])
             groups["table"].append(["table", "--n", str(n), "--d", str(d), *tail])
+        for n, d in SWEPT_TABLES:
+            groups["table"].append(["table", "--n", str(n), "--d", str(d), *tail])
         for n, d, ms in MANY_ROW_CELLS:
             v = VeroneseVariety(n, d)
             for m in ms:
@@ -102,6 +109,7 @@ def golden_commands() -> dict[str, list[list[str]]]:
                          "--method", method, *tail])
         groups["conjecture"].append(["conjecture", "--n", "1..2", "--d", "2..3", *tail])
         groups["conjecture"].append(["conjecture", "--n", "2", "--d", "4", *tail])
+        groups["conjecture"].append(["conjecture", "--n", "1", "--d", "40..42", *tail])
         groups["verify"].append(["verify", *tail])
         groups["verify"].append(["verify", "--suite", "identity", "--max-n", "3", *tail])
         groups["verify"].append(["verify", "--suite", "syt", "--max-weight", "5", *tail])

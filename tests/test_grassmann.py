@@ -1,13 +1,16 @@
 """Grassmannian invariants."""
 
+from math import isqrt
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussdeg.grassmann import (
     PRIME_POWER_CELLS,
     GrassmannShape,
     grassmann_degree,
+    grassmann_degree_sweep,
     grassmann_dim,
 )
 from gaussdeg.partitions import syt_count_bruteforce, syt_count_hook
@@ -74,3 +77,20 @@ def test_degree_on_both_sides_of_the_prime_power_switch():
 
 def test_degree_large_square():
     assert grassmann_degree(GrassmannShape(60, 120)) == syt_count_hook((60,) * 60)
+
+
+@settings(max_examples=6, deadline=None)
+@given(r=st.integers(min_value=0, max_value=300))
+@example(r=2 * isqrt(PRIME_POWER_CELLS - 1))  # every rectangle in the product form
+@example(r=300)  # most rectangles in the prime-power form
+def test_sweep_is_the_single_cell_degree(r):
+    # each sweep steps with c - k - 1 >= 0 while k < r/2 and < 0 after
+    swept = list(grassmann_degree_sweep(r))
+    assert swept == [grassmann_degree(GrassmannShape(k, r)) for k in range(r)]
+
+
+def test_sweep_is_the_rectangle_hook_count_up_to_r_40():
+    for r in range(41):
+        assert list(grassmann_degree_sweep(r)) == [
+            syt_count_hook((r - k,) * k) for k in range(r)
+        ]
