@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 input schema, 3 non-positive table-driven total (no degree exists), 4 an
 internal invariant failed (an exactness or bounds check raised
 ArithmeticError: a bug, not a property of the input).
+
+`main` may be called any number of times in one process; the parser is
+built on the first call and reused.  A cost guard refuses, with exit 2,
+inputs whose numbers would be too large to compute, before any big-integer
+work starts.
 """
 
 import argparse
@@ -17,7 +22,10 @@ import csv
 import io
 import json
 import os
+import re
 import sys
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .degrees import (
@@ -28,11 +36,14 @@ from .degrees import (
     degree_by_method,
     degree_generic,
     dim_xm,
+    ordinary_gauss_degree,
+    reference_digits,
 )
 from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
     canonical,
+    partition_counts,
     syt_count_bruteforce,
     syt_count_hook,
     weight,
@@ -42,6 +53,13 @@ from .verify import SUITE_NAMES, run_suite
 
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
+# The cost guard: estimated decimal digits of the reference product
+# C(n + dim G, n) * deg G * first, and p(n), the terms of a Veronese
+# partition sum (p(61) is the first count past it).
+MAX_DIGITS = 10**6
+MAX_PARTITIONS = 10**6
+
+_DIGITS = re.compile("[0-9]+")
 
 
 def effective_brute_cap() -> int:
@@ -49,6 +67,9 @@ def effective_brute_cap() -> int:
     raw = os.environ.get(ENV_BRUTE_CAP)
     if raw is None:
         return DEFAULT_BRUTE_CAP
+    # int() alone would also take spaces, '_', '+' and non-ASCII digits
+    if not _DIGITS.fullmatch(raw):
+        raise ValueError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}")
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -118,8 +139,40 @@ def _render_object(doc: dict, fmt: str) -> str:
     return _render_rows([doc], fmt, envelope=doc)
 
 
+def _guard_digits(n: int, N: int, m: int, first: int) -> None:
+    digits = reference_digits(n, N, m, first, MAX_DIGITS)
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"too large: the reference product at (n={n}, N={N}, m={m}) would have "
+            f"over {MAX_DIGITS:,} digits (estimated {digits:,.0f} or more)"
+        )
+
+
+def _guard_veronese(v: VeroneseVariety, m: int) -> None:
+    """Cost guard of the partition sum of `v` at m; range errors come first."""
+    dim_xm(v.n, v.N, m)
+    if any(count > MAX_PARTITIONS for count in islice(partition_counts(), v.n + 1)):
+        raise ValueError(
+            f"too large: n = {v.n} has over {MAX_PARTITIONS:,} partitions, one term each"
+        )
+    _guard_digits(v.n, v.N, m, ordinary_gauss_degree(v))
+
+
+def _guard_sweep(v: VeroneseVariety) -> None:
+    """Cost guard of every m of `v` at once.
+
+    deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
+    least 1 there), and so does C(n + kc, n), so the central m bounds the
+    sweep.
+    """
+    _guard_veronese(v, v.n + (v.N - v.n) // 2)
+
+
 def cmd_degree(args) -> int:
     v = VeroneseVariety(args.n, args.d)
+    method = METHODS[args.method]
+    if method.heavy and method.applies(v, args.m):
+        _guard_veronese(v, args.m)
     report = degree_by_method(v, args.m, args.method)
     print(_render_object(report.to_dict(), args.format))
     return 0
@@ -127,6 +180,7 @@ def cmd_degree(args) -> int:
 
 def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
+    _guard_sweep(v)
     rows = [
         {
             "m": b.m,
@@ -175,7 +229,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    records = conjecture_scan(parse_range(args.n), parse_range(args.d))
+    n_values, d_values = parse_range(args.n), parse_range(args.d)
+    # every variety's range error comes before any cost guard
+    varieties = [VeroneseVariety(n, d) for n in n_values for d in d_values]
+    for v in varieties:
+        _guard_sweep(v)
+    records = conjecture_scan(n_values, d_values)
     rows = [record.to_dict() for record in records]
     violations = sum(not record.within_conjecture for record in records)
     text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})
@@ -188,6 +247,7 @@ def cmd_conjecture(args) -> int:
 def cmd_generic(args) -> int:
     text = Path(args.table).read_text(encoding="utf-8")
     table = SegreIntegralTable.from_json(text)
+    _guard_digits(table.n, table.N, args.m, 1)
     report = degree_generic(table, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0
@@ -229,7 +289,14 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="json")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `gaussdeg` parser, built on the first call and shared after it.
+
+    `parse_args` leaves a parser as it was, and building one costs over
+    ten times as much as a parse, so every `main` call in a process
+    reuses this one.  Being shared, it must not be changed by a caller.
+    """
     parser = argparse.ArgumentParser(
         prog="gaussdeg",
         description="Exact degrees of tangent m-plane varieties of Veronese embeddings.",

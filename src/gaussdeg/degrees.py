@@ -18,7 +18,7 @@ integer is checked to be one.
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf, lgamma, log
 
 from .grassmann import (
     GrassmannShape,
@@ -248,6 +248,42 @@ def _reference_unit(n: int, shape: GrassmannShape, pluecker: int) -> int:
     return comb(n + grassmann_dim(shape), n) * pluecker
 
 
+_LN10 = log(10)
+
+
+def reference_digits(n: int, N: int, m: int, first: int, limit: float = inf) -> float:
+    """Estimated decimal digits of `reference_product(n, N, m, first)`, in floats.
+
+    With k = m-n, c = N-m, a = min(k, c) and b = max(k, c), the product
+    form of the Grassmannian degree gives
+
+        log deg G(k, c) = lgamma(kc+1) + sum_{i<a} [lgamma(i+1) - lgamma(b+i+1)],
+
+    evaluated as log deg G(i, b) for i = 2..a in turn (one row or none has
+    degree 1).  Tableau counts grow with the shape, so these rise with i;
+    the loop stops once the estimate passes `limit` digits and returns
+    that lower bound.  The cost is O(n) steps for the binomial and at most
+    O(a) for deg G; a rectangle of two rows or more whose sizes pass the
+    float range estimates as inf.
+    """
+    _check_range(n, N, m)
+    k, c = m - n, N - m
+    a, b = sorted((k, c))
+    # log C(n + kc, n) * first, one factor (kc + j) / j at a time
+    base = sum(log(k * c + j) - log(j) for j in range(1, n + 1)) + log(first)
+    log_g = 0.0
+    try:
+        partial = -lgamma(b + 1) if a > 1 else 0.0  # the i = 0 term
+        for i in range(2, a + 1):
+            partial += lgamma(i) - lgamma(b + i)
+            log_g = lgamma(i * b + 1) + partial
+            if base + log_g > limit * _LN10:
+                break
+    except OverflowError:
+        return inf
+    return (base + log_g) / _LN10
+
+
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the rational normal curve of degree d (n = 1, N = d).
 
@@ -335,11 +371,14 @@ class Method:
     `compute` is a `(v, m)` adapter that looks its formula up among this
     module's globals when called, so rebinding a formula's global name
     (to wrap or replace it) reaches calls made through the registry.
+    `heavy` is false for the two closed sums of n + 1 small terms, which
+    use neither the partitions of n nor a Grassmannian degree.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
+    heavy: bool = True
 
 
 METHODS = {
@@ -355,12 +394,16 @@ METHODS = {
         lambda v, m: degree_threefold_closed(v.d, m), "n = 3", lambda v, m: v.n == 3
     ),
     "m_eq_n_plus_1": Method(
-        lambda v, m: degree_m_np1(v), "m = n + 1", lambda v, m: m == v.n + 1
+        lambda v, m: degree_m_np1(v),
+        "m = n + 1",
+        lambda v, m: m == v.n + 1,
+        heavy=False,
     ),
     "boole": Method(
         lambda v, m: _veronese_report(v, m, boole_degree(v.n, v.d), "boole"),
         "m = N - 1",
         lambda v, m: m == v.N - 1,
+        heavy=False,
     ),
 }
 

@@ -51,10 +51,13 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     is sum_j floor(kc / p^j) minus the multiplicities of the hooks
     h < k + c divisible by p^j.  A negative exponent, or a remainder in
     the product form below that size, would mean the count is not an
-    integer and raises ArithmeticError.  Degenerate shapes (d = 0 or
-    d = r) are single points of degree 1.
+    integer and raises ArithmeticError.  A rectangle of at most one row or
+    column has one tableau: G is then a point (d = 0 or d = r), a
+    projective space or its dual, of degree 1, and no sieve is built.
     """
     k, c = shape.d, shape.r - shape.d
+    if min(k, c) <= 1:
+        return 1
     cells = k * c
     if cells < PRIME_POWER_CELLS:
         a, b = sorted((k, c))

@@ -6,6 +6,7 @@ to a declared length work against the zero-padded view returned by `pad`.
 All arithmetic is exact.
 """
 
+from itertools import islice
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -74,16 +75,18 @@ def enumerate_partitions(total: int, max_parts: int) -> list[Partition]:
     return out
 
 
-def partition_count(n: int) -> int:
-    """Number p(n) of partitions of n, by Euler's pentagonal-number recurrence.
+def partition_counts():
+    """p(0), p(1), p(2), ... without end, by Euler's pentagonal-number recurrence.
 
     p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
-    about n^1.5 additions where enumerating the partitions takes p(n) steps.
+    about k^1.5 additions up to p(k) where enumerating the partitions takes
+    p(k) steps.  The counts never decrease, so a caller asking only whether
+    p(n) passes a bound can stop at the first count that does.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    counts = [1] + [0] * n
-    for k in range(1, n + 1):
+    counts = [1]
+    yield 1
+    while True:
+        k = len(counts)
         total = 0
         j = 1
         while (pentagonal := j * (3 * j - 1) // 2) <= k:
@@ -92,8 +95,15 @@ def partition_count(n: int) -> int:
             if pentagonal + j <= k:
                 total += sign * counts[k - pentagonal - j]
             j += 1
-        counts[k] = total
-    return counts[n]
+        counts.append(total)
+        yield total
+
+
+def partition_count(n: int) -> int:
+    """Number p(n) of partitions of n, the n-th of `partition_counts`."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return next(islice(partition_counts(), n, None))
 
 
 def add_rectangle(lam, height: int, width: int) -> Partition:

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, formats, and thin-wrapper fidelity."""
 
+import argparse
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+import gaussdeg.cli
 import gaussdeg.degrees
 import gaussdeg.grassmann
 import gaussdeg.partitions
@@ -485,6 +488,15 @@ def test_syt_bad_env_var_exits_2(capsys, monkeypatch):
     assert code == 2 and "GAUSSDEG_BRUTE_CAP" in err
 
 
+# int() reads each of these as a number; the cap must be ASCII digits
+@pytest.mark.parametrize("raw", [" 1_0 ", "+5", "\u0661\u0662", "1_0", "7 "])
+def test_brute_cap_must_be_ascii_digits(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", raw)
+    code, out, err = run_cli(capsys, "syt", "--shape", "2,1")
+    assert code == 2 and out == ""
+    assert err == f"error: GAUSSDEG_BRUTE_CAP must be an integer, got {raw!r}\n"
+
+
 def test_syt_invalid_shape_exits_2(capsys):
     code, _, err = run_cli(capsys, "syt", "--shape", "1,2")
     assert code == 2 and "decreasing" in err
@@ -533,3 +545,107 @@ def test_cli_matches_library_on_sweep(capsys, n, d):
         )
         assert code == 0
         assert json.loads(out) == degree_main(v, m).to_dict()
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2")
+    assert code == 0 and json.loads(out)["degree"] == "12"
+    assert built == []
+
+
+def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
+    argv = ("degree", "--n", "1", "--d", "4", "--m", "2")
+    before = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--n", "x", "--d", "4", "--m", "2"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == before
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("degree", "--help")])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    printed = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        gaussdeg.cli.build_parser.__wrapped__().parse_args(list(argv))
+    assert capsys.readouterr().out == printed
+    assert printed.startswith("usage: gaussdeg")
+
+
+def _huge_curve_table(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"n": 1, "N": 10**7, "entries": [{"partition": [1], "integral": "2"}]}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("degree", "--n", "12", "--d", "12", "--m", "20"), id="degree"),
+        pytest.param(
+            ("degree", "--n", "12", "--d", "12", "--m", "20", "--method", "alternate"),
+            id="degree-alternate",
+        ),
+        pytest.param(("table", "--n", "12", "--d", "12"), id="table"),
+        pytest.param(("conjecture", "--n", "1..12", "--d", "12"), id="conjecture"),
+        pytest.param(("degree", "--n", "61", "--d", "2", "--m", "100"), id="partitions"),
+        pytest.param(("table", "--n", "61", "--d", "2"), id="table-partitions"),
+        pytest.param(("generic", "--table", None, "--m", "5000000"), id="generic"),
+    ],
+)
+def test_cost_guard_rejects_runaway_inputs_at_once(capsys, tmp_path, argv):
+    argv = [_huge_curve_table(tmp_path) if arg is None else arg for arg in argv]
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: too large: ") and err.count("\n") == 1
+
+
+def test_cost_guard_comes_after_range_errors(capsys):
+    code, _, err = run_cli(capsys, "degree", "--n", "12", "--d", "12", "--m", "5")
+    assert (code, err) == (2, "error: m must satisfy 12 <= m <= 2704154, got 5\n")
+    code, _, err = run_cli(
+        capsys, "degree", "--n", "12", "--d", "12", "--m", "20", "--method", "boole"
+    )
+    assert (code, err) == (2, "error: method boole requires m = N - 1\n")
+    code, _, err = run_cli(capsys, "conjecture", "--n", "12..13", "--d", "1..12")
+    assert (code, err) == (2, "error: d must be >= 2 (d = 1 embeds nothing new)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        # the closed sums need no partitions, so n >= 61 is no cost to them
+        (("--n", "61", "--d", "2", "--m", "1951", "--method", "boole"), "62"),
+        (
+            ("--n", "61", "--d", "2", "--m", "62", "--method", "m_eq_n_plus_1"),
+            str(gaussdeg.degrees.degree_m_np1(VeroneseVariety(61, 2)).deg_xm),
+        ),
+        # a thin Grassmannian has degree 1 whatever its size
+        (("--n", "1", "--d", "1000000", "--m", "999999"), "1999998"),
+        # the curve's (N-m)/(N-1) * C(N-1, 1) * 1 * 2(d-1) at N = d, m = 2
+        (("--n", "1", "--d", "1000000", "--m", "2"), str(999998 * 1999998)),
+    ],
+)
+def test_cost_guard_passes_cheap_cells(capsys, argv, degree):
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "degree", *argv)
+    assert time.process_time() - start < 1
+    assert code == 0 and json.loads(out)["degree"] == degree

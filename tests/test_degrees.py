@@ -1,7 +1,7 @@
 """Degree formulas, cross-checks, bounds, and the conjecture scan."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf, log10
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ from gaussdeg.degrees import (
     dim_xm,
     katz_kleiman,
     ordinary_gauss_degree,
+    reference_digits,
     reference_product,
     verify_identity,
 )
@@ -459,3 +460,31 @@ def test_dimension_invariant_over_sweep():
 def test_bounds_sweep_is_bounds_at_every_m(n, d):
     v = VeroneseVariety(n, d)
     assert tuple(bounds_sweep(v)) == tuple(bounds(v, m) for m in range(v.n, v.N))
+
+
+@pytest.mark.parametrize(
+    "n, d, m",
+    [(1, 4, 2), (2, 2, 3), (1, 200, 100), (1, 200, 199), (2, 20, 116), (3, 10, 141), (6, 3, 40)],
+)
+def test_reference_digits_estimates_the_product(n, d, m):
+    v = VeroneseVariety(n, d)
+    first = ordinary_gauss_degree(v)
+    exact = log10(reference_product(n, v.N, m, first))
+    assert abs(reference_digits(n, v.N, m, first) - exact) < 1e-6 * max(1.0, exact)
+
+
+def test_reference_digits_stops_past_the_limit():
+    # N = 2,704,155 for (12, 12): deg G(8, N - 20) alone has millions of digits
+    N = comb(24, 12) - 1
+    full = reference_digits(12, N, 20, 1)
+    partial = reference_digits(12, N, 20, 1, limit=10**6)
+    assert 10**6 < partial < full
+
+
+def test_reference_digits_of_huge_cells():
+    # one row: deg G = 1 and C(1 + kc, 1) = N, however large N is
+    assert abs(reference_digits(1, 10**400, 10**400 - 1, 1) - 400) < 1e-9
+    # two rows or more past the float range cannot be estimated: no limit holds
+    assert reference_digits(1, 10**400, 5, 1) == inf
+    with pytest.raises(ValueError, match="m must satisfy"):
+        reference_digits(2, 5, 5, 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gaussdeg.grassmann
 from gaussdeg.grassmann import (
     PRIME_POWER_CELLS,
     GrassmannShape,
@@ -42,6 +43,16 @@ def test_degree_known():
     assert grassmann_degree(GrassmannShape(0, 5)) == 1
     assert grassmann_degree(GrassmannShape(5, 5)) == 1
     assert grassmann_degree(GrassmannShape(0, 0)) == 1
+
+
+def test_thin_grassmannians_build_no_sieve(monkeypatch):
+    # G(1, r) and G(r-1, r) are a projective space and its dual
+    def no_sieve(n):
+        raise AssertionError(f"sieve of {n} built")
+
+    monkeypatch.setattr(gaussdeg.grassmann, "_primes_upto", no_sieve)
+    assert grassmann_degree(GrassmannShape(1, 10**6)) == 1
+    assert grassmann_degree(GrassmannShape(10**6 - 1, 10**6)) == 1
 
 
 @given(r=st.integers(min_value=0, max_value=10), data=st.data())

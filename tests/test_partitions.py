@@ -1,5 +1,6 @@
 """Partition enumeration and tableau counting, checked against brute force."""
 
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -13,6 +14,7 @@ from gaussdeg.partitions import (
     enumerate_partitions,
     pad,
     partition_count,
+    partition_counts,
     syt_count_bruteforce,
     syt_count_hook,
     weight,
@@ -97,6 +99,14 @@ def test_partition_count_matches_enumeration():
     for n in range(26):
         assert partition_count(n) == len(enumerate_partitions(n, n))
     assert partition_count(100) == 190_569_292
+
+
+def test_partition_counts_never_decrease():
+    counts = list(islice(partition_counts(), 101))
+    assert counts[:11] == PARTITION_COUNTS
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    # the command line's cost guard refuses Veronese sums from n = 61 on
+    assert counts[60] <= 10**6 < counts[61]
     with pytest.raises(ValueError):
         partition_count(-1)
 
