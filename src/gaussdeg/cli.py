@@ -25,7 +25,6 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from .degrees import (
@@ -39,11 +38,11 @@ from .degrees import (
     ordinary_gauss_degree,
     reference_digits,
 )
-from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
+from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
     canonical,
-    partition_counts,
+    check_partition_terms,
     syt_count_bruteforce,
     syt_count_hook,
     weight,
@@ -54,10 +53,9 @@ from .verify import SUITE_NAMES, run_suite
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
 # The cost guard: estimated decimal digits of the reference product
-# C(n + dim G, n) * deg G * first, and p(n), the terms of a Veronese
-# partition sum (p(61) is the first count past it).
+# C(n + dim G, n) * deg G * first, or of a Pluecker degree; the partition
+# sums are held to `partitions.MAX_PARTITIONS` terms.
 MAX_DIGITS = 10**6
-MAX_PARTITIONS = 10**6
 
 _DIGITS = re.compile("[0-9]+")
 
@@ -141,20 +139,21 @@ def _render_object(doc: dict, fmt: str) -> str:
 
 def _guard_digits(n: int, N: int, m: int, first: int) -> None:
     digits = reference_digits(n, N, m, first, MAX_DIGITS)
+    _refuse_digits(digits, f"the reference product at (n={n}, N={N}, m={m})")
+
+
+def _refuse_digits(digits: float, what: str) -> None:
     if digits > MAX_DIGITS:
         raise ValueError(
-            f"too large: the reference product at (n={n}, N={N}, m={m}) would have "
-            f"over {MAX_DIGITS:,} digits (estimated {digits:,.0f} or more)"
+            f"too large: {what} would have over {MAX_DIGITS:,} digits "
+            f"(estimated {digits:,.0f} or more)"
         )
 
 
 def _guard_veronese(v: VeroneseVariety, m: int) -> None:
     """Cost guard of the partition sum of `v` at m; range errors come first."""
     dim_xm(v.n, v.N, m)
-    if any(count > MAX_PARTITIONS for count in islice(partition_counts(), v.n + 1)):
-        raise ValueError(
-            f"too large: n = {v.n} has over {MAX_PARTITIONS:,} partitions, one term each"
-        )
+    check_partition_terms(v.n)
     _guard_digits(v.n, v.N, m, ordinary_gauss_degree(v))
 
 
@@ -275,6 +274,8 @@ def cmd_syt(args) -> int:
 
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.d, args.r)
+    digits = degree_digits(shape, MAX_DIGITS)
+    _refuse_digits(digits, f"the Pluecker degree of G({args.d}, {args.r})")
     doc = {
         "d": args.d,
         "r": args.r,

@@ -18,14 +18,9 @@ integer is checked to be one.
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial, inf, lgamma, log
+from math import comb, factorial, inf, log10
 
-from .grassmann import (
-    GrassmannShape,
-    grassmann_degree,
-    grassmann_degree_sweep,
-    grassmann_dim,
-)
+from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
     add_rectangle,
     enumerate_partitions,
@@ -133,13 +128,6 @@ def _check_range(n: int, N: int, m: int) -> None:
         raise ValueError(f"m must satisfy {n} <= m <= {N - 1}, got {m}")
 
 
-def binom_or_zero(k: int, r: int) -> int:
-    """C(k, r) with the convention that it vanishes for k < r (or r < 0)."""
-    if r < 0 or k < r:
-        return 0
-    return comb(k, r)
-
-
 def dim_xm(n: int, N: int, m: int) -> int:
     """Dimension n + (N-m)(m-n) of the variety of tangent m-planes."""
     _check_range(n, N, m)
@@ -239,49 +227,26 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     Each closed form below is a rational ratio in e = N-m and N times this
     product, and `bounds` measures the degree against it.
     """
-    shape = GrassmannShape(m - n, N - n)
-    return _reference_unit(n, shape, grassmann_degree(shape)) * first
+    pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
+    return _reference_unit(n, N, m, pluecker) * first
 
 
-def _reference_unit(n: int, shape: GrassmannShape, pluecker: int) -> int:
-    """C(n + dim G, n) * deg G for G = `shape`, given its degree `pluecker`."""
-    return comb(n + grassmann_dim(shape), n) * pluecker
-
-
-_LN10 = log(10)
+def _reference_unit(n: int, N: int, m: int, pluecker: int) -> int:
+    """C(n + dim G, n) * deg G = C(dim X_m, n) * `pluecker`, G = G(m-n, N-n)."""
+    return comb(dim_xm(n, N, m), n) * pluecker
 
 
 def reference_digits(n: int, N: int, m: int, first: int, limit: float = inf) -> float:
     """Estimated decimal digits of `reference_product(n, N, m, first)`, in floats.
 
-    With k = m-n, c = N-m, a = min(k, c) and b = max(k, c), the product
-    form of the Grassmannian degree gives
-
-        log deg G(k, c) = lgamma(kc+1) + sum_{i<a} [lgamma(i+1) - lgamma(b+i+1)],
-
-    evaluated as log deg G(i, b) for i = 2..a in turn (one row or none has
-    degree 1).  Tableau counts grow with the shape, so these rise with i;
-    the loop stops once the estimate passes `limit` digits and returns
-    that lower bound.  The cost is O(n) steps for the binomial and at most
-    O(a) for deg G; a rectangle of two rows or more whose sizes pass the
-    float range estimates as inf.
+    log C(n + kc, n) + log first (k = m-n, c = N-m) in O(n) steps, plus
+    `grassmann.degree_digits` of G(k, N-n), stopped once past `limit`.
     """
     _check_range(n, N, m)
     k, c = m - n, N - m
-    a, b = sorted((k, c))
-    # log C(n + kc, n) * first, one factor (kc + j) / j at a time
-    base = sum(log(k * c + j) - log(j) for j in range(1, n + 1)) + log(first)
-    log_g = 0.0
-    try:
-        partial = -lgamma(b + 1) if a > 1 else 0.0  # the i = 0 term
-        for i in range(2, a + 1):
-            partial += lgamma(i) - lgamma(b + i)
-            log_g = lgamma(i * b + 1) + partial
-            if base + log_g > limit * _LN10:
-                break
-    except OverflowError:
-        return inf
-    return (base + log_g) / _LN10
+    # C(n + kc, n) * first, one factor (kc + j) / j at a time
+    base = sum(log10(k * c + j) - log10(j) for j in range(1, n + 1)) + log10(first)
+    return base + degree_digits(GrassmannShape(k, N - n), limit - base)
 
 
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
@@ -476,22 +441,21 @@ def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
 def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
     """Row-wise product of C(N-m+lam_i-i, lam_i) / C(N-n+lam_i-i, lam_i).
 
-    Computed as the telescoping double product over cells so that zero rows
-    contribute 1.  The first cell of row N-m+1 has numerator factor 0, so
-    the ratio is 0 for shapes with more than N-m rows; in the rows above it
-    every denominator factor is at least m-n+1.  Over partitions of n this
-    interpolates monotonically between the column shape (1^n) (minimum) and
-    the row shape (n) (maximum).
+    Zero rows contribute 1.  Row i's numerator, as the rising product
+    (N-m-i+1)...(N-m-i+lam_i) / lam_i!, vanishes at the first nonzero row
+    past N-m, so the ratio is 0 for shapes with more than N-m rows.  Over
+    partitions of n this interpolates monotonically between the column
+    shape (1^n) (minimum) and the row shape (n) (maximum).
     """
     _check_range(n, N, m)
     num = den = 1
     for i, part in enumerate(pad(lam, n), start=1):
-        for cell in range(1, part + 1):
-            factor = N - m + cell - i
-            if factor == 0:
-                return Fraction(0)
-            num *= factor
-            den *= N - n + cell - i
+        if not part:
+            break
+        if i > N - m:
+            return Fraction(0)
+        num *= comb(N - m + part - i, part)
+        den *= comb(N - n + part - i, part)
     return Fraction(num, den)
 
 
@@ -518,8 +482,7 @@ def bounds_sweep(v: VeroneseVariety):
     """
     n, N = v.n, v.N
     for m, pluecker in zip(range(n, N), grassmann_degree_sweep(N - n)):
-        unit = _reference_unit(n, GrassmannShape(m - n, N - n), pluecker)
-        yield _bounds_record(v, m, unit)
+        yield _bounds_record(v, m, _reference_unit(n, N, m, pluecker))
 
 
 def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
@@ -528,8 +491,8 @@ def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
     degree = _weighted_total(v.integral_table, m, unit)
     product = unit * ordinary_gauss_degree(v)
     ratio = Fraction(degree, product)
-    lower = Fraction(binom_or_zero(N - m, n), comb(N - n, n))
-    upper = Fraction(binom_or_zero(N - m + n - 1, n), comb(N - 1, n))
+    lower = Fraction(comb(N - m, n), comb(N - n, n))
+    upper = Fraction(comb(N - m + n - 1, n), comb(N - 1, n))
     if not lower <= ratio <= upper:
         raise ArithmeticError(
             f"proved bounds violated at (n={n}, d={v.d}, m={m}): "

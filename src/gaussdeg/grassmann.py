@@ -21,7 +21,7 @@ times ((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
 
 from dataclasses import dataclass
 from itertools import compress
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, inf, isqrt, lgamma, log, perm, prod
 
 # Below this many cells the product form is faster than the prime powers
 # (measured crossover 700-1000 cells on CPython 3.11, x86-64).
@@ -83,6 +83,30 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     return _balanced_product(powers)
 
 
+def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
+    """Estimated decimal digits of `grassmann_degree(shape)`, in floats.
+
+    By the product form, log deg G(k, c) = lgamma(kc+1) + sum_{i<a}
+    [lgamma(i+1) - lgamma(b+i+1)], a = min(k, c), b = max(k, c), taken as
+    log deg G(i, b) for i = 2..a in turn (one row or none has degree 1).
+    These rise with i, so the loop stops once past `limit` digits and
+    returns that lower bound: at most O(a) steps.  Two rows or more whose
+    sizes pass the float range estimate as inf.
+    """
+    a, b = sorted((shape.d, shape.r - shape.d))
+    log_g, ln10 = 0.0, log(10)
+    try:
+        partial = -lgamma(b + 1) if a > 1 else 0.0  # the i = 0 term
+        for i in range(2, a + 1):
+            partial += lgamma(i) - lgamma(b + i)
+            log_g = lgamma(i * b + 1) + partial
+            if log_g > limit * ln10:
+                break
+    except OverflowError:
+        return inf
+    return log_g / ln10
+
+
 def grassmann_degree_sweep(r: int):
     """deg G(k, r) for k = 0..r-1, in order: the k x (r-k) rectangles' tableau counts.
 
@@ -109,15 +133,15 @@ def _sweep_factor(k: int, c: int) -> tuple[int, int]:
     """D(k+1, c-1) / D(k, c) in lowest terms, as (numerator, denominator); c >= 1.
 
     The ratio is ((k+1)(c-1))!/(kc)! * k!/(c-1)!.  Both quotients are
-    products of |c - k - 1| consecutive integers, the first just above
-    min(kc, (k+1)(c-1)), the second just above min(k, c-1); for
-    c - k - 1 >= 0 the first is the numerator, otherwise the second.
+    products of |c - k - 1| consecutive integers, the first up to
+    max(kc, (k+1)(c-1)), the second up to max(k, c-1); for c - k - 1 >= 0
+    the first is the numerator, otherwise the second.
     """
     cells, steps = k * c, c - k - 1
     if steps >= 0:
-        num, den = prod(range(cells + 1, cells + steps + 1)), prod(range(k + 1, c))
+        num, den = perm(cells + steps, steps), perm(c - 1, steps)
     else:
-        num, den = prod(range(c, k + 1)), prod(range(cells + steps + 1, cells + 1))
+        num, den = perm(k, -steps), perm(cells, -steps)
     common = gcd(num, den)
     return num // common, den // common
 

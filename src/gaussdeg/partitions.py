@@ -7,11 +7,12 @@ All arithmetic is exact.
 """
 
 from itertools import islice
-from math import factorial
+from math import factorial, perm, prod
 
 Partition = tuple[int, ...]
 
 DEFAULT_BRUTE_CAP = 12
+MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count past it
 
 
 def canonical(parts) -> Partition:
@@ -99,6 +100,18 @@ def partition_counts():
         yield total
 
 
+def check_partition_terms(n: int) -> None:
+    """Raise ValueError when n has over MAX_PARTITIONS partitions, one term each.
+
+    Stops at the first count past the bound, so any n costs at most p(61).
+    """
+    counts = islice(partition_counts(), max(n + 1, 0))
+    if any(count > MAX_PARTITIONS for count in counts):
+        raise ValueError(
+            f"too large: n = {n} has over {MAX_PARTITIONS:,} partitions, one term each"
+        )
+
+
 def partition_count(n: int) -> int:
     """Number p(n) of partitions of n, the n-th of `partition_counts`."""
     if n < 0:
@@ -179,7 +192,4 @@ def falling_factorial_product(n: int, lam) -> int:
     Every part must satisfy lam_i <= n+i, which holds whenever |lam| <= n;
     zero parts contribute 1.
     """
-    product = 1
-    for i, part in enumerate(lam, start=1):
-        product *= factorial(n + i) // factorial(n + i - part)
-    return product
+    return prod(perm(n + i, part) for i, part in enumerate(lam, start=1))

@@ -16,6 +16,7 @@ from math import comb, factorial
 from .partitions import (
     Partition,
     canonical,
+    check_partition_terms,
     enumerate_partitions,
     falling_factorial_product,
     pad,
@@ -238,6 +239,8 @@ class SegreIntegralTable:
             if lam in entries:
                 raise ValueError(f"duplicate entry for partition {lam}")
             entries[lam] = value
+        # the claimed n comes from outside: refuse a huge one before p(n)
+        check_partition_terms(n)
         return cls(n=n, N=big_n, entries=entries)
 
 
@@ -248,10 +251,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def veronese_integral_table(v: VeroneseVariety) -> SegreIntegralTable:
-    """Table of all weight-n Schur integrals of a Veronese variety."""
-    entries = {
-        lam: schur_delta_veronese_closed(v, lam, v.n)
-        for lam in enumerate_partitions(v.n, v.n)
-    }
+def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegralTable:
+    """Table of all weight-n Schur integrals of a Veronese variety.
+
+    Entry lam is `schur_value(v, lam, n)`, by default the closed form
+    `schur_delta_veronese_closed` (looked up when the table is built).
+    """
+    value = schur_value or schur_delta_veronese_closed
+    entries = {lam: value(v, lam, v.n) for lam in enumerate_partitions(v.n, v.n)}
     return SegreIntegralTable(n=v.n, N=v.N, entries=entries)

@@ -25,10 +25,10 @@ from .partitions import (
     syt_count_hook,
 )
 from .schur import (
-    SegreIntegralTable,
     VeroneseVariety,
     schur_delta_determinant,
     schur_delta_veronese_closed,
+    veronese_integral_table,
     veronese_segre_sequence,
 )
 
@@ -112,16 +112,6 @@ def run_schur_suite(max_n: int = 4, max_d: int = 5) -> SuiteResult:
     return _result("schur", checks, failures)
 
 
-def _jacobi_trudi_table(v: VeroneseVariety) -> SegreIntegralTable:
-    """Integral table from Jacobi-Trudi determinants, not the closed form."""
-    s = veronese_segre_sequence(v)
-    entries = {
-        lam: schur_delta_determinant(s, lam, v.n)
-        for lam in enumerate_partitions(v.n, v.n)
-    }
-    return SegreIntegralTable(n=v.n, N=v.N, entries=entries)
-
-
 def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
     """Every other degree route against `degree_main`, all m.
 
@@ -141,7 +131,11 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
-            table = _jacobi_trudi_table(v)
+            s = veronese_segre_sequence(v)
+            # Jacobi-Trudi determinants, not the closed form
+            table = veronese_integral_table(
+                v, lambda v, lam, length: schur_delta_determinant(s, lam, length)
+            )
             for m in range(n, v.N):
                 cell = f"(n={n}, d={d}, m={m})"
                 want = degree_main(v, m).deg_xm

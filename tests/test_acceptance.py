@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from gaussdeg.degrees import (
-    binom_or_zero,
     binomial_ratio_product,
     boole_degree,
     bounds,
@@ -168,9 +167,9 @@ def test_criterion_09():
                 low, high = values[(1,) * n], values[(n,)]
                 for value in values.values():
                     assert low <= value <= high
-                assert low == Fraction(binom_or_zero(N - m, n), comb(N - n, n))
+                assert low == Fraction(comb(N - m, n), comb(N - n, n))
                 assert high == Fraction(
-                    binom_or_zero(N - m + n - 1, n), comb(N - 1, n)
+                    comb(N - m + n - 1, n), comb(N - 1, n)
                 )
                 checked += len(shapes)
     return f"{checked} evaluations"

@@ -594,6 +594,19 @@ def _huge_curve_table(tmp_path):
     return str(path)
 
 
+def _huge_n_table(tmp_path):
+    # one entry, but a claimed n whose p(n) would take about half an hour
+    path = tmp_path / "huge_n.json"
+    path.write_text(
+        json.dumps({"n": 10**6, "N": 10**7, "entries": [{"partition": [1], "integral": "2"}]}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+HUGE_TABLES = {None: _huge_curve_table, "{huge n}": _huge_n_table}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -607,10 +620,12 @@ def _huge_curve_table(tmp_path):
         pytest.param(("degree", "--n", "61", "--d", "2", "--m", "100"), id="partitions"),
         pytest.param(("table", "--n", "61", "--d", "2"), id="table-partitions"),
         pytest.param(("generic", "--table", None, "--m", "5000000"), id="generic"),
+        pytest.param(("generic", "--table", "{huge n}", "--m", "3"), id="generic-partitions"),
+        pytest.param(("grassmann", "--d", "1500", "--r", "3000"), id="grassmann"),
     ],
 )
 def test_cost_guard_rejects_runaway_inputs_at_once(capsys, tmp_path, argv):
-    argv = [_huge_curve_table(tmp_path) if arg is None else arg for arg in argv]
+    argv = [HUGE_TABLES[arg](tmp_path) if arg in HUGE_TABLES else arg for arg in argv]
     start = time.process_time()
     code, out, err = run_cli(capsys, *argv)
     assert time.process_time() - start < 1
@@ -649,3 +664,11 @@ def test_cost_guard_passes_cheap_cells(capsys, argv, degree):
     code, out, _ = run_cli(capsys, "degree", *argv)
     assert time.process_time() - start < 1
     assert code == 0 and json.loads(out)["degree"] == degree
+
+
+def test_cost_guard_passes_thin_grassmannians(capsys):
+    # one row: a projective space of degree 1, however large
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "grassmann", "--d", "1", "--r", "3000000")
+    assert time.process_time() - start < 1
+    assert code == 0 and json.loads(out)["degree"] == "1"

@@ -11,7 +11,6 @@ import gaussdeg.schur
 from gaussdeg.degrees import (
     DegreeReport,
     NotGenericallyFiniteError,
-    binom_or_zero,
     binomial_ratio_product,
     boole_degree,
     bounds,
@@ -384,8 +383,8 @@ def test_binomial_ratio_product_monotone(data):
     high = values[(n,)]
     for lam, value in values.items():
         assert low <= value <= high, (lam, n, N, m)
-    assert low == Fraction(binom_or_zero(N - m, n), comb(N - n, n))
-    assert high == Fraction(binom_or_zero(N - m + n - 1, n), comb(N - 1, n))
+    assert low == Fraction(comb(N - m, n), comb(N - n, n))
+    assert high == Fraction(comb(N - m + n - 1, n), comb(N - 1, n))
 
 
 def test_binomial_ratio_product_below_2n():

@@ -1,5 +1,6 @@
 """Partition enumeration and tableau counting, checked against brute force."""
 
+import time
 from itertools import islice
 from math import factorial
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gaussdeg.partitions import (
     add_rectangle,
     canonical,
+    check_partition_terms,
     conjugate,
     enumerate_partitions,
     pad,
@@ -109,6 +111,19 @@ def test_partition_counts_never_decrease():
     assert counts[60] <= 10**6 < counts[61]
     with pytest.raises(ValueError):
         partition_count(-1)
+
+
+def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
+    check_partition_terms(60)
+    check_partition_terms(0)
+    check_partition_terms(-2)
+    message = "^too large: n = 61 has over 1,000,000 partitions, one term each$"
+    with pytest.raises(ValueError, match=message):
+        check_partition_terms(61)
+    start = time.process_time()
+    with pytest.raises(ValueError, match="n = 1000000000 has over"):
+        check_partition_terms(10**9)
+    assert time.process_time() - start < 1
 
 
 def test_add_rectangle():

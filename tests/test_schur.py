@@ -1,6 +1,10 @@
 """Segre coefficients, Schur values two ways, and integral tables."""
 
 import json
+import random
+import time
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -11,6 +15,7 @@ from gaussdeg.schur import (
     SegreIntegralTable,
     SegreSequence,
     VeroneseVariety,
+    _det_int,
     schur_delta_determinant,
     schur_delta_veronese_closed,
     veronese_integral_table,
@@ -86,6 +91,37 @@ def test_determinant_known():
         schur_delta_determinant(s, (1, 1), 1)
     with pytest.raises(ValueError):
         schur_delta_determinant(s, (1,), 0)
+
+
+def _leibniz(matrix):
+    """Determinant as the signed sum over permutations, the definition."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(matrix[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def test_det_int_pivot_search():
+    # a zero leading entry takes a row swap, which flips the sign
+    assert _det_int([[0, 1], [1, 0]]) == -1
+    swapped = [[0, 2, 1], [0, 1, 3], [4, 0, 0]]
+    assert _det_int(swapped) == _leibniz(swapped) == 20
+    # an all-zero column below the pivot row has nothing to swap in
+    assert _det_int([[0, 5], [0, 7]]) == 0
+    assert _det_int([[1, 2, 3], [0, 0, 4], [0, 0, 5]]) == 0
+    assert _det_int([]) == 1
+
+
+def test_det_int_matches_leibniz_on_sparse_matrices():
+    rng = random.Random(20151)
+    for _ in range(2000):
+        size = rng.randint(1, 5)
+        matrix = [
+            [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(size)]
+            for _ in range(size)
+        ]
+        assert _det_int(matrix) == _leibniz(matrix), matrix
 
 
 def test_closed_form_known():
@@ -167,6 +203,21 @@ def test_table_json_round_trip():
     assert doc["entries"][0] == {"partition": [2], "integral": "12"}
     again = SegreIntegralTable.from_json(text)
     assert again == table
+
+
+def test_table_json_refuses_a_huge_claimed_n_before_counting():
+    text = json.dumps({"n": 10**6, "N": 10**7, "entries": [{"partition": [1], "integral": "2"}]})
+    start = time.process_time()
+    with pytest.raises(ValueError, match="^too large: n = 1000000 has over 1,000,000 partitions"):
+        SegreIntegralTable.from_json(text)
+    assert time.process_time() - start < 1
+    # up to n = 60 the count is formed and reported as before
+    text = json.dumps({"n": 40, "N": 100, "entries": []})
+    with pytest.raises(ValueError, match="^table is missing 37338 of the 37338 partitions of 40$"):
+        SegreIntegralTable.from_json(text)
+    # a table built in the library is not held to the bound
+    with pytest.raises(ValueError, match="^table is missing 1121505 of the 1121505 partitions"):
+        SegreIntegralTable(n=61, N=100, entries={})
 
 
 def test_table_json_big_integers():
