@@ -159,14 +159,7 @@ def _exact_positive(value: Fraction, context: str) -> int:
 
 def _veronese_report(v: VeroneseVariety, m: int, value: Fraction, method: str) -> DegreeReport:
     degree = _exact_positive(value, f"{method}(n={v.n}, d={v.d}, m={m})")
-    return DegreeReport(
-        n=v.n,
-        d=v.d,
-        N=v.N,
-        m=m,
-        deg_xm=degree,
-        method=method,
-    )
+    return DegreeReport(n=v.n, d=v.d, N=v.N, m=m, deg_xm=degree, method=method)
 
 
 def degree_main(v: VeroneseVariety, m: int) -> DegreeReport:
@@ -201,8 +194,7 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
         )
         coeff = Fraction((-1) ** (n - k) * (n + 1) ** k, factorial(n - k))
         total += coeff * comb(big_m, k) * inner
-    value = Fraction(ordinary_gauss_degree(v)) * total / (n + 1) ** n
-    return _veronese_report(v, m, value, "alternate")
+    return _veronese_report(v, m, (v.d - 1) ** n * total, "alternate")
 
 
 def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
@@ -215,8 +207,7 @@ def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
         (-1) ** (n - k) * (n + 1) ** k * comb(N - 1, k) * comb(n + 1, n - k)
         for k in range(n + 1)
     )
-    value = Fraction(ordinary_gauss_degree(v) * total, (n + 1) ** n)
-    return _veronese_report(v, m, value, "m_eq_n_plus_1")
+    return _veronese_report(v, m, (v.d - 1) ** n * total, "m_eq_n_plus_1")
 
 
 def reference_product(n: int, N: int, m: int, first: int) -> int:
@@ -249,23 +240,30 @@ def reference_digits(n: int, N: int, m: int, first: int, limit: float = inf) -> 
     return base + degree_digits(GrassmannShape(k, N - n), limit - base)
 
 
+def _closed_form(
+    n: int, N: int, m: int, first: int, ratio, method: str, d: int, notes: str = ""
+) -> DegreeReport:
+    """The closed forms' one step: `ratio(N-m, N) * reference_product(n, N, m, first)`."""
+    _check_range(n, N, m)
+    value = ratio(N - m, N) * reference_product(n, N, m, first)
+    degree = _exact_positive(value, f"{method}(n={n}, N={N}, m={m})")
+    return DegreeReport(n=n, d=d, N=N, m=m, deg_xm=degree, method=method, notes=notes)
+
+
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the rational normal curve of degree d (n = 1, N = d).
 
-    The degree is (d-m)/(d-1) times the reference product.  G(m-1, d-1)
-    and its dual G(d-m, d-1) must have equal Pluecker degree, so the
-    reference product is compared with the one built from the hook count
-    of the dual's rectangle, taken with its fewer rows: an independent
-    route, since `grassmann_degree` treats both orientations alike.
+    The genus-0 general curve in P^d.  G(m-1, d-1) and its dual G(d-m, d-1)
+    must have equal Pluecker degree, so the degree is compared with
+    2(d-m) * (1 + dim G) times the hook count of the dual's rectangle,
+    taken with its fewer rows: an independent route, since
+    `grassmann_degree` treats both orientations alike.
     """
-    v = VeroneseVariety(1, d)
-    _check_range(1, d, m)
-    first = ordinary_gauss_degree(v)
-    product = reference_product(1, d, m, first)
+    report = degree_general_curve(d, d, 0, m)
     rows, cols = sorted((m - 1, d - m))
-    if product != (1 + rows * cols) * syt_count_hook((cols,) * rows) * first:
+    if report.deg_xm != 2 * (d - m) * (1 + rows * cols) * syt_count_hook((cols,) * rows):
         raise ArithmeticError("dual Grassmannian degrees disagree")
-    return _veronese_report(v, m, Fraction(d - m, d - 1) * product, "curve_closed")
+    return replace(report, method="curve_closed", notes="")
 
 
 def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
@@ -280,53 +278,39 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
         raise ValueError("genus must be >= 0")
     if d < 1:
         raise ValueError("curve degree must be >= 1")
-    _check_range(1, N, m)
     first = 2 * g - 2 + 2 * d
     if first <= 0:
         raise ValueError(f"2g - 2 + 2d = {first} must be positive")
-    value = Fraction(N - m, N - 1) * reference_product(1, N, m, first)
-    degree = _exact_positive(value, f"general_curve(N={N}, d={d}, g={g}, m={m})")
-    return DegreeReport(
-        n=1,
-        d=d,
-        N=N,
-        m=m,
-        deg_xm=degree,
-        method="general_curve",
-        notes=f"genus {g}",
+    return _closed_form(
+        1, N, m, first, lambda e, N: Fraction(e, N - 1), "general_curve", d, f"genus {g}"
     )
 
 
 def degree_surface_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the degree-d Veronese surface (n = 2)."""
     v = VeroneseVariety(2, d)
-    N = v.N
-    _check_range(2, N, m)
-    e = N - m
-    ratio = Fraction(
-        e * (3 * e * N - N - 5 * e - 1),
-        3 * (N - 1) * (N - 2) * (N - 3),
-    )
-    value = ratio * reference_product(2, N, m, ordinary_gauss_degree(v))
-    return _veronese_report(v, m, value, "surface_closed")
+
+    def ratio(e: int, N: int) -> Fraction:
+        return Fraction(e * (3 * e * N - N - 5 * e - 1), 3 * (N - 1) * (N - 2) * (N - 3))
+
+    return _closed_form(2, v.N, m, ordinary_gauss_degree(v), ratio, "surface_closed", d)
 
 
 def degree_threefold_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the degree-d Veronese threefold (n = 3)."""
     v = VeroneseVariety(3, d)
-    N = v.N
-    _check_range(3, N, m)
-    e = N - m
-    ratio = Fraction(
-        e * (
-            (8 * e * e - 6 * e + 1) * N * N
-            + (-42 * e * e + 9 * e + 6) * N
-            + 5 * (8 * e * e + 3 * e + 1)
-        ),
-        8 * (N - 1) * (N - 2) * (N - 3) * (N - 4) * (N - 5),
-    )
-    value = ratio * reference_product(3, N, m, ordinary_gauss_degree(v))
-    return _veronese_report(v, m, value, "threefold_closed")
+
+    def ratio(e: int, N: int) -> Fraction:
+        return Fraction(
+            e * (
+                (8 * e * e - 6 * e + 1) * N * N
+                + (-42 * e * e + 9 * e + 6) * N
+                + 5 * (8 * e * e + 3 * e + 1)
+            ),
+            8 * (N - 1) * (N - 2) * (N - 3) * (N - 4) * (N - 5),
+        )
+
+    return _closed_form(3, v.N, m, ordinary_gauss_degree(v), ratio, "threefold_closed", d)
 
 
 @dataclass(frozen=True)
