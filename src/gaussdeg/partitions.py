@@ -40,14 +40,6 @@ def weight(lam) -> int:
     return sum(lam)
 
 
-def conjugate(lam) -> Partition:
-    """Transpose of the Young diagram."""
-    lam = canonical(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-
-
 def enumerate_partitions(total: int, max_parts: int) -> list[Partition]:
     """All partitions of `total` into at most `max_parts` parts.
 

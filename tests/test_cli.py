@@ -3,8 +3,12 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,9 +40,9 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_range():
-    assert parse_range("3") == (3,)
-    assert parse_range("1..4") == (1, 2, 3, 4)
-    assert parse_range("4..1") == ()
+    assert tuple(parse_range("3")) == (3,)
+    assert tuple(parse_range("1..4")) == (1, 2, 3, 4)
+    assert tuple(parse_range("4..1")) == ()
     with pytest.raises(ValueError):
         parse_range("x")
 
@@ -617,6 +621,10 @@ HUGE_TABLES = {None: _huge_curve_table, "{huge n}": _huge_n_table}
         ),
         pytest.param(("table", "--n", "12", "--d", "12"), id="table"),
         pytest.param(("conjecture", "--n", "1..12", "--d", "12"), id="conjecture"),
+        pytest.param(("conjecture", "--n", "1..1000000000", "--d", "2"), id="conjecture-n"),
+        pytest.param(("conjecture", "--n", "1", "--d", "2..1000000000"), id="conjecture-d"),
+        pytest.param(("verify", "--max-n", "61"), id="verify-max-n"),
+        pytest.param(("verify", "--max-n", "1000000000"), id="verify-huge-max-n"),
         pytest.param(("degree", "--n", "61", "--d", "2", "--m", "100"), id="partitions"),
         pytest.param(("table", "--n", "61", "--d", "2"), id="table-partitions"),
         pytest.param(("generic", "--table", None, "--m", "5000000"), id="generic"),
@@ -642,6 +650,26 @@ def test_cost_guard_comes_after_range_errors(capsys):
     assert (code, err) == (2, "error: method boole requires m = N - 1\n")
     code, _, err = run_cli(capsys, "conjecture", "--n", "12..13", "--d", "1..12")
     assert (code, err) == (2, "error: d must be >= 2 (d = 1 embeds nothing new)\n")
+    code, _, err = run_cli(capsys, "conjecture", "--n", "0..1000000000", "--d", "2")
+    assert (code, err) == (2, "error: n must be >= 1\n")
+
+
+def test_sweep_guard_refusal_is_monotone_in_n_and_d():
+    # `conjecture` guards only the largest variety of its box, which is
+    # sound only if a refused (n, d) stays refused at n + 1 and at d + 1
+    def refused(n, d):
+        try:
+            gaussdeg.cli._guard_sweep(VeroneseVariety(n, d))
+        except ValueError:
+            return True
+        return False
+
+    grid = {(n, d): refused(n, d) for n in range(1, 10) for d in range(2, 62)}
+    assert any(grid.values()) and not all(grid.values())
+    for n in range(1, 9):
+        for d in range(2, 61):
+            if grid[n, d]:
+                assert grid[n + 1, d] and grid[n, d + 1], (n, d)
 
 
 @pytest.mark.parametrize(
@@ -672,3 +700,29 @@ def test_cost_guard_passes_thin_grassmannians(capsys):
     code, out, _ = run_cli(capsys, "grassmann", "--d", "1", "--r", "3000000")
     assert time.process_time() - start < 1
     assert code == 0 and json.loads(out)["degree"] == "1"
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    # the interpreter's own exit path: `raise SystemExit(main())` and argparse
+    zero = tmp_path / "zero.json"
+    zero.write_text(ZERO_TABLE, encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "gaussdeg.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, _ = run("degree", "--n", "1", "--d", "4", "--m", "2")
+    assert code == 0 and json.loads(out)["degree"] == "12"
+    code, out, err = run("degree", "--n", "1", "--d", "4")
+    assert code == 2 and out == "" and err.startswith("usage: gaussdeg")
+    code, out, err = run("grassmann", "--d", "1500", "--r", "3000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: too large: ") and err.count("\n") == 1
+    code, out, err = run("generic", "--table", str(zero), "--m", "3")
+    assert code == 3 and out == "" and "not generically finite" in err

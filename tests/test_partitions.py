@@ -12,7 +12,6 @@ from gaussdeg.partitions import (
     add_rectangle,
     canonical,
     check_partition_terms,
-    conjugate,
     enumerate_partitions,
     pad,
     partition_count,
@@ -47,12 +46,6 @@ def test_pad():
     assert pad((), 2) == (0, 0)
     with pytest.raises(ValueError):
         pad((1, 1, 1), 2)
-
-
-def test_conjugate_known():
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate(()) == ()
-    assert conjugate((4,)) == (1, 1, 1, 1)
 
 
 def test_enumerate_known_listings():
@@ -175,8 +168,11 @@ def test_hook_padding_invariance(lam, extra):
 
 @given(lam=partitions())
 def test_conjugate_involution_and_count_symmetry(lam):
-    assert conjugate(conjugate(lam)) == lam
-    assert syt_count_hook(conjugate(lam)) == syt_count_hook(lam)
+    def transpose(shape):
+        return tuple(sum(1 for part in shape if part > i) for i in range(max(shape, default=0)))
+
+    assert transpose(transpose(lam)) == lam
+    assert syt_count_hook(transpose(lam)) == syt_count_hook(lam)
 
 
 def test_rsk_square_sum():
