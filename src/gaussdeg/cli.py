@@ -31,11 +31,12 @@ from .degrees import (
     METHODS,
     NotGenericallyFiniteError,
     bounds_sweep,
+    check_veronese_range,
     conjecture_scan,
     degree_by_method,
     degree_generic,
     dim_xm,
-    ordinary_gauss_degree,
+    ordinary_gauss_digits,
     reference_digits,
 )
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
@@ -61,7 +62,7 @@ _DIGITS = re.compile("[0-9]+")
 
 
 def effective_brute_cap() -> int:
-    """Brute-force enumeration cap, overridable via GAUSSDEG_BRUTE_CAP."""
+    """Weight cap of the brute-force tableau count, overridable via GAUSSDEG_BRUTE_CAP."""
     raw = os.environ.get(ENV_BRUTE_CAP)
     if raw is None:
         return DEFAULT_BRUTE_CAP
@@ -137,8 +138,8 @@ def _render_object(doc: dict, fmt: str) -> str:
     return _render_rows([doc], fmt, envelope=doc)
 
 
-def _guard_digits(n: int, N: int, m: int, first: int) -> None:
-    digits = reference_digits(n, N, m, first, MAX_DIGITS)
+def _guard_digits(n: int, N: int, m: int, first_digits: float) -> None:
+    digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
     _refuse_digits(digits, f"the reference product at (n={n}, N={N}, m={m})")
 
 
@@ -151,10 +152,27 @@ def _refuse_digits(digits: float, what: str) -> None:
 
 
 def _guard_veronese(v: VeroneseVariety, m: int) -> None:
-    """Cost guard of the partition sum of `v` at m; range errors come first."""
-    dim_xm(v.n, v.N, m)
+    """Cost guard of the partition sum of `v` at m; range errors come first.
+
+    Neither the range check nor the partition count forms N when n and d
+    are both large, so such a cell is refused before its binomial is built.
+    """
+    check_veronese_range(v, m)
     check_partition_terms(v.n)
-    _guard_digits(v.n, v.N, m, ordinary_gauss_degree(v))
+    _guard_digits(v.n, v.N, m, ordinary_gauss_digits(v))
+
+
+def _guard_reference(v: VeroneseVariety, m: int) -> None:
+    """Cost guard of the m = n + 1 sum, whose terms are as long as the reference product.
+
+    An m past N - 1 is left to the method's own range message.
+    """
+    if m < v.N:
+        _guard_digits(v.n, v.N, m, ordinary_gauss_digits(v))
+
+
+# `Method.cost` -> its guard
+_METHOD_GUARDS = {"sum": _guard_veronese, "reference": _guard_reference}
 
 
 def _guard_sweep(v: VeroneseVariety) -> None:
@@ -162,16 +180,17 @@ def _guard_sweep(v: VeroneseVariety) -> None:
 
     deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
     least 1 there), and so does C(n + kc, n), so the central m bounds the
-    sweep.
+    sweep.  The partition count comes first, before N is formed.
     """
+    check_partition_terms(v.n)
     _guard_veronese(v, v.n + (v.N - v.n) // 2)
 
 
 def cmd_degree(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     method = METHODS[args.method]
-    if method.heavy and method.applies(v, args.m):
-        _guard_veronese(v, args.m)
+    if method.cost and method.applies(v, args.m):
+        _METHOD_GUARDS[method.cost](v, args.m)
     report = degree_by_method(v, args.m, args.method)
     print(_render_object(report.to_dict(), args.format))
     return 0
@@ -250,7 +269,7 @@ def cmd_conjecture(args) -> int:
 def cmd_generic(args) -> int:
     text = Path(args.table).read_text(encoding="utf-8")
     table = SegreIntegralTable.from_json(text)
-    _guard_digits(table.n, table.N, args.m, 1)
+    _guard_digits(table.n, table.N, args.m, 0.0)
     report = degree_generic(table, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0

@@ -121,11 +121,44 @@ class BoundsReport:
         }
 
 
+# Longest integer an error message prints in decimal: CPython refuses str()
+# past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
+_MESSAGE_BITS = 13_000
+
+
+def _message_int(value: int) -> str:
+    """`value` in decimal, or its size when the decimal would be too long."""
+    if value.bit_length() <= _MESSAGE_BITS:
+        return str(value)
+    return f"an integer of {value.bit_length():,} bits"
+
+
+def _range_error(n: int, upper: str, m: int) -> ValueError:
+    return ValueError(f"m must satisfy {n} <= m <= {upper}, got {_message_int(m)}")
+
+
 def _check_range(n: int, N: int, m: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if not n <= m <= N - 1:
-        raise ValueError(f"m must satisfy {n} <= m <= {N - 1}, got {m}")
+        raise _range_error(n, _message_int(N - 1), m)
+
+
+def check_veronese_range(v: VeroneseVariety, m: int) -> None:
+    """`_check_range(v.n, v.N, m)`, forming N only where the answer needs it.
+
+    N = C(n+d, d) - 1 can have millions of digits.  Since C(n+d, d) > 2^k,
+    k = min(n, d), every m < 2^k that is at least n is in range.  Below n
+    the message names N - 1 = C(n+d, d) - 2 in decimal only when
+    (n+d)^k, a bound on C(n+d, d), fits in a message.
+    """
+    n, d = v.n, v.d
+    k = min(n, d)
+    if m < n:
+        short = k * (n + d).bit_length() <= _MESSAGE_BITS
+        raise _range_error(n, str(v.N - 1) if short else f"C({n + d}, {d}) - 2", m)
+    if m.bit_length() >= k:
+        _check_range(n, v.N, m)
 
 
 def dim_xm(n: int, N: int, m: int) -> int:
@@ -137,6 +170,11 @@ def dim_xm(n: int, N: int, m: int) -> int:
 def ordinary_gauss_degree(v: VeroneseVariety) -> int:
     """Degree of the image of the ordinary (m = n) Gauss map: (n+1)^n (d-1)^n."""
     return (v.n + 1) ** v.n * (v.d - 1) ** v.n
+
+
+def ordinary_gauss_digits(v: VeroneseVariety) -> float:
+    """log10 of `ordinary_gauss_degree(v)`, without forming the integer."""
+    return v.n * log10((v.n + 1) * (v.d - 1))
 
 
 def boole_degree(n: int, d: int) -> int:
@@ -227,16 +265,17 @@ def _reference_unit(n: int, N: int, m: int, pluecker: int) -> int:
     return comb(dim_xm(n, N, m), n) * pluecker
 
 
-def reference_digits(n: int, N: int, m: int, first: int, limit: float = inf) -> float:
+def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float = inf) -> float:
     """Estimated decimal digits of `reference_product(n, N, m, first)`, in floats.
 
-    log C(n + kc, n) + log first (k = m-n, c = N-m) in O(n) steps, plus
+    `first_digits` is log10 of `first`.  log C(n + kc, n) (k = m-n,
+    c = N-m) in O(n) steps, plus `first_digits`, plus
     `grassmann.degree_digits` of G(k, N-n), stopped once past `limit`.
     """
     _check_range(n, N, m)
     k, c = m - n, N - m
     # C(n + kc, n) * first, one factor (kc + j) / j at a time
-    base = sum(log10(k * c + j) - log10(j) for j in range(1, n + 1)) + log10(first)
+    base = sum(log10(k * c + j) - log10(j) for j in range(1, n + 1)) + first_digits
     return base + degree_digits(GrassmannShape(k, N - n), limit - base)
 
 
@@ -320,14 +359,17 @@ class Method:
     `compute` is a `(v, m)` adapter that looks its formula up among this
     module's globals when called, so rebinding a formula's global name
     (to wrap or replace it) reaches calls made through the registry.
-    `heavy` is false for the two closed sums of n + 1 small terms, which
-    use neither the partitions of n nor a Grassmannian degree.
+    `cost` names what bounds the work, for the command line's cost guard:
+    "sum" for a partition sum or a closed form over the reference product,
+    "reference" for the m = n + 1 sum, whose n + 1 binomial terms are
+    about as long as the reference product there, and "" for Boole's
+    formula, which costs next to nothing.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
-    heavy: bool = True
+    cost: str = "sum"
 
 
 METHODS = {
@@ -346,13 +388,14 @@ METHODS = {
         lambda v, m: degree_m_np1(v),
         "m = n + 1",
         lambda v, m: m == v.n + 1,
-        heavy=False,
+        cost="reference",
     ),
     "boole": Method(
         lambda v, m: _veronese_report(v, m, boole_degree(v.n, v.d), "boole"),
         "m = N - 1",
-        lambda v, m: m == v.N - 1,
-        heavy=False,
+        # N - 1 >= n, so m < n is answered before N is formed
+        lambda v, m: v.n <= m == v.N - 1,
+        cost="",
     ),
 }
 

@@ -6,6 +6,7 @@ to a declared length work against the zero-padded view returned by `pad`.
 All arithmetic is exact.
 """
 
+from functools import lru_cache
 from itertools import islice
 from math import factorial, perm, prod
 
@@ -13,6 +14,9 @@ Partition = tuple[int, ...]
 
 DEFAULT_BRUTE_CAP = 12
 MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count past it
+# canonical shapes whose tableau counts `syt_count_hook` keeps; a seeded
+# `small_mixed` benchmark run asks for 857 distinct ones
+HOOK_CACHE_SIZE = 4096
 
 
 def canonical(parts) -> Partition:
@@ -130,8 +134,15 @@ def syt_count_hook(lam) -> int:
     (lam_i - lam_j + j - i) over i < j, divided by the product of
     (lam_i + e - i)! where e is the number of parts.  The value does not
     change when zero parts are appended; the empty shape counts 1.
+    Validates `lam` on every call, then reads the count from a cache of
+    the HOOK_CACHE_SIZE canonical shapes used most recently.
     """
-    lam = canonical(lam)
+    return _syt_count_hook(canonical(lam))
+
+
+@lru_cache(maxsize=HOOK_CACHE_SIZE)
+def _syt_count_hook(lam: Partition) -> int:
+    """`syt_count_hook` of a canonical shape."""
     e = len(lam)
     num = factorial(weight(lam))
     for i in range(e):
@@ -147,11 +158,16 @@ def syt_count_hook(lam) -> int:
 
 
 def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:
-    """Count standard Young tableaux by exhaustive placement of 1..|lam|.
+    """Count standard Young tableaux as paths in Young's lattice.
 
-    Places each value in turn at every cell that keeps rows and columns
-    strictly increasing, backtracking over all choices.  Independent of the
-    product formula, and exponential in spirit, so the weight is capped.
+    A standard filling of `lam` places 1, 2, ..., |lam| one cell at a
+    time, each value at a cell that keeps rows and columns strictly
+    increasing, so the cells holding 1..k always form a sub-diagram of
+    `lam`.  The count keeps, for every sub-diagram of k cells, the number
+    of fillings that reach it, and grows the sub-diagrams by one cell per
+    placed value.  It never uses the product formula.  The work is about
+    |lam| times the rows times the sub-diagrams of one size, so `cap`
+    bounds the weight of the shape.
     """
     lam = canonical(lam)
     n = weight(lam)
@@ -160,22 +176,20 @@ def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:
     if n > cap:
         raise ValueError(f"|lam| = {n} exceeds brute-force cap {cap}")
     rows = len(lam)
-    count = 0
-    # depth-first over partial fillings: each stack entry is (cells filled
-    # per row, values placed so far); an explicit stack keeps the depth of
-    # the search off the interpreter's call stack
-    stack = [((0,) * rows, 0)]
-    while stack:
-        filled, placed = stack.pop()
-        if placed == n:
-            count += 1
-            continue
-        for i in range(rows):
-            # a new cell at (i, filled[i]) is admissible iff the row still has
-            # room and the cell above it is already occupied
-            if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i]):
-                stack.append((filled[:i] + (filled[i] + 1,) + filled[i + 1 :], placed + 1))
-    return count
+    # cells filled per row -> number of ways to place 1..k in exactly them
+    layer = {(0,) * rows: 1}
+    for _ in range(n):
+        grown: dict[Partition, int] = {}
+        for filled, ways in layer.items():
+            for i in range(rows):
+                # a new cell at (i, filled[i]) is admissible iff the row still
+                # has room and the cell above it is already occupied
+                if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i]):
+                    key = filled[:i] + (filled[i] + 1,) + filled[i + 1 :]
+                    grown[key] = grown.get(key, 0) + ways
+        layer = grown
+    # the only sub-diagram of lam with |lam| cells is lam itself
+    return layer[lam]
 
 
 def falling_factorial_product(n: int, lam) -> int:

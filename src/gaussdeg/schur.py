@@ -42,8 +42,9 @@ class VeroneseVariety:
         if self.d < 2:
             raise ValueError("d must be >= 2 (d = 1 embeds nothing new)")
 
-    @property
+    @cached_property
     def N(self) -> int:
+        """C(n+d, d) - 1, formed on first use: at large n and d a slow binomial."""
         return comb(self.n + self.d, self.d) - 1
 
     @cached_property

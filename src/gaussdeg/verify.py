@@ -71,7 +71,7 @@ def run_identity_suite(max_n: int = 6) -> SuiteResult:
 
 
 def run_syt_suite(max_weight: int = 8, cap: int = DEFAULT_BRUTE_CAP) -> SuiteResult:
-    """Hook-formula tableau counts against brute-force enumeration."""
+    """Hook-formula tableau counts against the brute-force path count."""
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     if max_weight > cap:

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -37,6 +38,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_process(*argv, timeout=60):
+    """`python -m gaussdeg.cli *argv` in a child process: exit code, stdout, stderr."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "gaussdeg.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_parse_range():
@@ -609,36 +622,52 @@ def _huge_n_table(tmp_path):
 
 
 HUGE_TABLES = {None: _huge_curve_table, "{huge n}": _huge_n_table}
+TOO_LARGE = "error: too large: "
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        pytest.param(("degree", "--n", "12", "--d", "12", "--m", "20"), id="degree"),
+        pytest.param(("degree", "--n", "12", "--d", "12", "--m", "20"), TOO_LARGE, id="degree"),
         pytest.param(
             ("degree", "--n", "12", "--d", "12", "--m", "20", "--method", "alternate"),
+            TOO_LARGE,
             id="degree-alternate",
         ),
-        pytest.param(("table", "--n", "12", "--d", "12"), id="table"),
-        pytest.param(("conjecture", "--n", "1..12", "--d", "12"), id="conjecture"),
-        pytest.param(("conjecture", "--n", "1..1000000000", "--d", "2"), id="conjecture-n"),
-        pytest.param(("conjecture", "--n", "1", "--d", "2..1000000000"), id="conjecture-d"),
-        pytest.param(("verify", "--max-n", "61"), id="verify-max-n"),
-        pytest.param(("verify", "--max-n", "1000000000"), id="verify-huge-max-n"),
-        pytest.param(("degree", "--n", "61", "--d", "2", "--m", "100"), id="partitions"),
-        pytest.param(("table", "--n", "61", "--d", "2"), id="table-partitions"),
-        pytest.param(("generic", "--table", None, "--m", "5000000"), id="generic"),
-        pytest.param(("generic", "--table", "{huge n}", "--m", "3"), id="generic-partitions"),
-        pytest.param(("grassmann", "--d", "1500", "--r", "3000"), id="grassmann"),
+        pytest.param(("table", "--n", "12", "--d", "12"), TOO_LARGE, id="table"),
+        pytest.param(("conjecture", "--n", "1..12", "--d", "12"), TOO_LARGE, id="conjecture"),
+        pytest.param(("conjecture", "--n", "1..1000000000", "--d", "2"), TOO_LARGE, id="conjecture-n"),
+        pytest.param(("conjecture", "--n", "1", "--d", "2..1000000000"), TOO_LARGE, id="conjecture-d"),
+        pytest.param(("verify", "--max-n", "61"), TOO_LARGE, id="verify-max-n"),
+        pytest.param(("verify", "--max-n", "1000000000"), TOO_LARGE, id="verify-huge-max-n"),
+        pytest.param(("degree", "--n", "61", "--d", "2", "--m", "100"), TOO_LARGE, id="partitions"),
+        pytest.param(("table", "--n", "61", "--d", "2"), TOO_LARGE, id="table-partitions"),
+        pytest.param(("generic", "--table", None, "--m", "5000000"), TOO_LARGE, id="generic"),
+        pytest.param(("generic", "--table", "{huge n}", "--m", "3"), TOO_LARGE, id="generic-partitions"),
+        pytest.param(("grassmann", "--d", "1500", "--r", "3000"), TOO_LARGE, id="grassmann"),
+        pytest.param(
+            ("degree", "--n", "200000", "--d", "2", "--m", "200001", "--method", "m_eq_n_plus_1"),
+            TOO_LARGE,
+            id="m-eq-n-plus-1",
+        ),
+        # N = C(400000, 200000) - 1 has 120,410 digits: refused before it is formed
+        pytest.param(
+            ("degree", "--n", "200000", "--d", "200000", "--m", "1"),
+            "error: m must satisfy 200000 <= m <= C(400000, 200000) - 2, got 1",
+            id="huge-N-range",
+        ),
     ],
 )
-def test_cost_guard_rejects_runaway_inputs_at_once(capsys, tmp_path, argv):
+def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):
+    # a child process with a time limit: a lost guard fails here, it does not hang
     argv = [HUGE_TABLES[arg](tmp_path) if arg in HUGE_TABLES else arg for arg in argv]
-    start = time.process_time()
-    code, out, err = run_cli(capsys, *argv)
-    assert time.process_time() - start < 1
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, out, err = _run_process(*argv, timeout=30)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    # CPU of the whole child: interpreter start-up, import and the command
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
     assert code == 2 and out == ""
-    assert err.startswith("error: too large: ") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_cost_guard_comes_after_range_errors(capsys):
@@ -706,17 +735,7 @@ def test_cli_runs_as_a_process(tmp_path):
     # the interpreter's own exit path: `raise SystemExit(main())` and argparse
     zero = tmp_path / "zero.json"
     zero.write_text(ZERO_TABLE, encoding="utf-8")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-
-    def run(*argv):
-        done = subprocess.run(
-            [sys.executable, "-m", "gaussdeg.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        return done.returncode, done.stdout, done.stderr
-
+    run = _run_process
     code, out, _ = run("degree", "--n", "1", "--d", "4", "--m", "2")
     assert code == 0 and json.loads(out)["degree"] == "12"
     code, out, err = run("degree", "--n", "1", "--d", "4")

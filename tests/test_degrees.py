@@ -15,6 +15,7 @@ from gaussdeg.degrees import (
     boole_degree,
     bounds,
     bounds_sweep,
+    check_veronese_range,
     conjecture_scan,
     degree_alternate,
     degree_curve_closed,
@@ -27,6 +28,7 @@ from gaussdeg.degrees import (
     dim_xm,
     katz_kleiman,
     ordinary_gauss_degree,
+    ordinary_gauss_digits,
     reference_digits,
     reference_product,
     verify_identity,
@@ -469,21 +471,47 @@ def test_reference_digits_estimates_the_product(n, d, m):
     v = VeroneseVariety(n, d)
     first = ordinary_gauss_degree(v)
     exact = log10(reference_product(n, v.N, m, first))
-    assert abs(reference_digits(n, v.N, m, first) - exact) < 1e-6 * max(1.0, exact)
+    assert ordinary_gauss_digits(v) == pytest.approx(log10(first), rel=1e-12)
+    estimate = reference_digits(n, v.N, m, ordinary_gauss_digits(v))
+    assert abs(estimate - exact) < 1e-6 * max(1.0, exact)
 
 
 def test_reference_digits_stops_past_the_limit():
     # N = 2,704,155 for (12, 12): deg G(8, N - 20) alone has millions of digits
     N = comb(24, 12) - 1
-    full = reference_digits(12, N, 20, 1)
-    partial = reference_digits(12, N, 20, 1, limit=10**6)
+    full = reference_digits(12, N, 20, 0.0)
+    partial = reference_digits(12, N, 20, 0.0, limit=10**6)
     assert 10**6 < partial < full
 
 
 def test_reference_digits_of_huge_cells():
     # one row: deg G = 1 and C(1 + kc, 1) = N, however large N is
-    assert abs(reference_digits(1, 10**400, 10**400 - 1, 1) - 400) < 1e-9
+    assert abs(reference_digits(1, 10**400, 10**400 - 1, 0.0) - 400) < 1e-9
     # two rows or more past the float range cannot be estimated: no limit holds
-    assert reference_digits(1, 10**400, 5, 1) == inf
+    assert reference_digits(1, 10**400, 5, 0.0) == inf
     with pytest.raises(ValueError, match="m must satisfy"):
-        reference_digits(2, 5, 5, 1)
+        reference_digits(2, 5, 5, 0.0)
+
+
+def test_range_messages_render_at_any_size():
+    with pytest.raises(ValueError, match="^m must satisfy 2 <= m <= 4, got 5$"):
+        check_veronese_range(VeroneseVariety(2, 2), 5)
+    with pytest.raises(ValueError, match="^m must satisfy 12 <= m <= 2704154, got 5$"):
+        check_veronese_range(VeroneseVariety(12, 12), 5)
+    # a bound past CPython's 4,300-digit str() limit is named by its size
+    message = "^m must satisfy 1 <= m <= an integer of 16,610 bits, got 0$"
+    with pytest.raises(ValueError, match=message):
+        dim_xm(1, 10**5000, 0)
+
+
+def test_veronese_range_forms_n_only_when_it_must():
+    # N = C(400000, 200000) - 1 takes seconds to form and has 120,410 digits
+    v = VeroneseVariety(200000, 200000)
+    message = r"^m must satisfy 200000 <= m <= C\(400000, 200000\) - 2, got 1$"
+    with pytest.raises(ValueError, match=message):
+        check_veronese_range(v, 1)
+    check_veronese_range(v, 300000)
+    assert "N" not in vars(v)
+    small = VeroneseVariety(2, 3)
+    check_veronese_range(small, 8)
+    assert small.N == 9 and vars(small)["N"] == 9

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussdeg.partitions import (
+    HOOK_CACHE_SIZE,
+    _syt_count_hook,
     add_rectangle,
     canonical,
     check_partition_terms,
@@ -159,6 +161,30 @@ def test_syt_bruteforce_cap():
 @given(lam=partitions(max_weight=10))
 def test_hook_equals_bruteforce(lam):
     assert syt_count_hook(lam) == syt_count_bruteforce(lam)
+
+
+def test_bruteforce_equals_hook_on_every_shape_up_to_weight_16():
+    # 915 shapes, 643 of them past the default cap; placing tableaux one by
+    # one would walk the 46,206,736 standard tableaux of weight 16 alone
+    for total in range(17):
+        for lam in enumerate_partitions(total, max(total, 1)):
+            assert syt_count_bruteforce(lam, cap=16) == syt_count_hook(lam), lam
+
+
+def test_syt_hook_reads_shapes_in_any_form():
+    assert syt_count_hook([3, 1, 0]) == syt_count_hook((3, 1, 0, 0)) == syt_count_hook((3, 1)) == 3
+
+
+def test_syt_hook_rejects_an_invalid_shape_on_every_call():
+    # the shape is checked before the cache is consulted
+    for _ in range(3):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            syt_count_hook((1, 2))
+
+
+def test_syt_hook_cache_is_bounded():
+    maxsize = _syt_count_hook.cache_info().maxsize
+    assert maxsize is not None and maxsize == HOOK_CACHE_SIZE
 
 
 @given(lam=partitions(), extra=st.integers(min_value=0, max_value=5))
