@@ -30,10 +30,10 @@ from pathlib import Path
 from .degrees import (
     METHODS,
     NotGenericallyFiniteError,
+    _message_int,
     bounds_sweep,
     check_veronese_range,
     conjecture_scan,
-    degree_by_method,
     degree_generic,
     dim_xm,
     ordinary_gauss_digits,
@@ -140,7 +140,8 @@ def _render_object(doc: dict, fmt: str) -> str:
 
 def _guard_digits(n: int, N: int, m: int, first_digits: float) -> None:
     digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
-    _refuse_digits(digits, f"the reference product at (n={n}, N={N}, m={m})")
+    where = f"(n={n}, N={_message_int(N)}, m={_message_int(m)})"
+    _refuse_digits(digits, f"the reference product at {where}")
 
 
 def _refuse_digits(digits: float, what: str) -> None:
@@ -152,27 +153,15 @@ def _refuse_digits(digits: float, what: str) -> None:
 
 
 def _guard_veronese(v: VeroneseVariety, m: int) -> None:
-    """Cost guard of the partition sum of `v` at m; range errors come first.
+    """Cost guard of a degree of `v` at m; range errors come first.
 
-    Neither the range check nor the partition count forms N when n and d
-    are both large, so such a cell is refused before its binomial is built.
+    The reference product's first factor is refused before N is formed.
     """
     check_veronese_range(v, m)
-    check_partition_terms(v.n)
-    _guard_digits(v.n, v.N, m, ordinary_gauss_digits(v))
-
-
-def _guard_reference(v: VeroneseVariety, m: int) -> None:
-    """Cost guard of the m = n + 1 sum, whose terms are as long as the reference product.
-
-    An m past N - 1 is left to the method's own range message.
-    """
-    if m < v.N:
-        _guard_digits(v.n, v.N, m, ordinary_gauss_digits(v))
-
-
-# `Method.cost` -> its guard
-_METHOD_GUARDS = {"sum": _guard_veronese, "reference": _guard_reference}
+    first = ordinary_gauss_digits(v)
+    where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
+    _refuse_digits(first, f"the ordinary Gauss degree at {where}")
+    _guard_digits(v.n, v.N, m, first)
 
 
 def _guard_sweep(v: VeroneseVariety) -> None:
@@ -189,9 +178,11 @@ def _guard_sweep(v: VeroneseVariety) -> None:
 def cmd_degree(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     method = METHODS[args.method]
-    if method.cost and method.applies(v, args.m):
-        _METHOD_GUARDS[method.cost](v, args.m)
-    report = degree_by_method(v, args.m, args.method)
+    if not method.applies(v, args.m):
+        raise ValueError(f"method {args.method} requires {method.requires}")
+    if method.guarded:
+        _guard_veronese(v, args.m)
+    report = method.compute(v, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0
 

@@ -18,11 +18,12 @@ integer is checked to be one.
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial, inf, log10
+from math import comb, factorial, inf, log2, log10
 
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
     add_rectangle,
+    check_partition_terms,
     enumerate_partitions,
     falling_factorial_product,
     pad,
@@ -134,7 +135,7 @@ def _message_int(value: int) -> str:
 
 
 def _range_error(n: int, upper: str, m: int) -> ValueError:
-    return ValueError(f"m must satisfy {n} <= m <= {upper}, got {_message_int(m)}")
+    return ValueError(f"m must satisfy {_message_int(n)} <= m <= {upper}, got {_message_int(m)}")
 
 
 def _check_range(n: int, N: int, m: int) -> None:
@@ -144,21 +145,32 @@ def _check_range(n: int, N: int, m: int) -> None:
         raise _range_error(n, _message_int(N - 1), m)
 
 
+def _n_bits_exceed(v: VeroneseVariety, bits: int) -> bool:
+    """Whether N = C(n+d, d) - 1 has more than `bits` bits, forming N only if cheap.
+
+    C(n+d, k) >= ((n+d)/k)^k with k = min(n, d), so N has more than `bits`
+    bits once k log2((n+d)/k) passes bits + 2; the two are compared in
+    logarithms so that no k overflows a float.  Short of that, N has at
+    most about 2.5 times `bits` bits, as C(n+d, k) <= (e(n+d)/k)^k, and is
+    formed.
+    """
+    k = min(v.n, v.d)
+    log_bound_bits = log2(k) + log2(log2(v.n + v.d) - log2(k))
+    return log_bound_bits > log2(bits + 2) or v.N.bit_length() > bits
+
+
 def check_veronese_range(v: VeroneseVariety, m: int) -> None:
     """`_check_range(v.n, v.N, m)`, forming N only where the answer needs it.
 
-    N = C(n+d, d) - 1 can have millions of digits.  Since C(n+d, d) > 2^k,
-    k = min(n, d), every m < 2^k that is at least n is in range.  Below n
-    the message names N - 1 = C(n+d, d) - 2 in decimal only when
-    (n+d)^k, a bound on C(n+d, d), fits in a message.
+    N = C(n+d, d) - 1 can have millions of digits.  An m from n up with
+    fewer bits than N is in range.  Below n the message names N - 1 in
+    decimal only if N fits in a message, and C(n+d, d) - 2 otherwise.
     """
     n, d = v.n, v.d
-    k = min(n, d)
-    if m < n:
-        short = k * (n + d).bit_length() <= _MESSAGE_BITS
-        raise _range_error(n, str(v.N - 1) if short else f"C({n + d}, {d}) - 2", m)
-    if m.bit_length() >= k:
+    if not _n_bits_exceed(v, m.bit_length() if m >= n else _MESSAGE_BITS):
         _check_range(n, v.N, m)
+    elif m < n:
+        raise _range_error(n, f"C({_message_int(n + d)}, {_message_int(d)}) - 2", m)
 
 
 def dim_xm(n: int, N: int, m: int) -> int:
@@ -173,8 +185,8 @@ def ordinary_gauss_degree(v: VeroneseVariety) -> int:
 
 
 def ordinary_gauss_digits(v: VeroneseVariety) -> float:
-    """log10 of `ordinary_gauss_degree(v)`, without forming the integer."""
-    return v.n * log10((v.n + 1) * (v.d - 1))
+    """log10 of `ordinary_gauss_degree(v)`, without forming it; inf past the floats."""
+    return v.n * log10((v.n + 1) * (v.d - 1)) if v.n.bit_length() < 1000 else inf
 
 
 def boole_degree(n: int, d: int) -> int:
@@ -220,6 +232,7 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     """
     n, N = v.n, v.N
     _check_range(n, N, m)
+    check_partition_terms(n)
     e = m - n
     big_m = dim_xm(n, N, m)
     total = Fraction(0)
@@ -236,15 +249,20 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
 
 
 def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
-    """Closed form at m = n+1: an alternating binomial sum, no partitions."""
+    """Closed form at m = n+1: an alternating binomial sum, no partitions.
+
+    Term k is (-1)^(n-k) (n+1)^k C(N-1, k) C(n+1, n-k), made from the last
+    by the factor -(n+1)(N-1-k)(n-k) / ((k+1)(k+2)).
+    """
     n, N = v.n, v.N
     m = n + 1
-    if m > N - 1:
-        raise ValueError(f"m = n+1 = {m} is out of range for N = {N}")
-    total = sum(
-        (-1) ** (n - k) * (n + 1) ** k * comb(N - 1, k) * comb(n + 1, n - k)
-        for k in range(n + 1)
-    )
+    _check_range(n, N, m)
+    total, term = 0, (-1) ** n * (n + 1)
+    for k in range(n + 1):
+        total += term
+        term, rem = divmod(-term * ((n + 1) * (N - 1 - k) * (n - k)), (k + 1) * (k + 2))
+        if rem:
+            raise ArithmeticError(f"term {k + 1} of the m = n+1 sum did not come out integral")
     return _veronese_report(v, m, (v.d - 1) ** n * total, "m_eq_n_plus_1")
 
 
@@ -273,10 +291,12 @@ def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float =
     `grassmann.degree_digits` of G(k, N-n), stopped once past `limit`.
     """
     _check_range(n, N, m)
-    k, c = m - n, N - m
-    # C(n + kc, n) * first, one factor (kc + j) / j at a time
-    base = sum(log10(k * c + j) - log10(j) for j in range(1, n + 1)) + first_digits
-    return base + degree_digits(GrassmannShape(k, N - n), limit - base)
+    kc = (m - n) * (N - m)
+    # C(n + kc, n) * first, one factor (kc + j) / j at a time; past 2^64 a
+    # float reads kc + j as kc, so a long kc is not added to n times
+    big = kc >> 64 > 0
+    base = sum(log10(kc if big else kc + j) - log10(j) for j in range(1, n + 1)) + first_digits
+    return base + degree_digits(GrassmannShape(m - n, N - n), limit - base)
 
 
 def _closed_form(
@@ -359,17 +379,15 @@ class Method:
     `compute` is a `(v, m)` adapter that looks its formula up among this
     module's globals when called, so rebinding a formula's global name
     (to wrap or replace it) reaches calls made through the registry.
-    `cost` names what bounds the work, for the command line's cost guard:
-    "sum" for a partition sum or a closed form over the reference product,
-    "reference" for the m = n + 1 sum, whose n + 1 binomial terms are
-    about as long as the reference product there, and "" for Boole's
-    formula, which costs next to nothing.
+    `applies` never forms a huge N.  `guarded` is false only for Boole's
+    formula, which costs next to nothing; the command line's cost guard
+    bounds every other method by the reference product.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
-    cost: str = "sum"
+    guarded: bool = True
 
 
 METHODS = {
@@ -385,31 +403,20 @@ METHODS = {
         lambda v, m: degree_threefold_closed(v.d, m), "n = 3", lambda v, m: v.n == 3
     ),
     "m_eq_n_plus_1": Method(
-        lambda v, m: degree_m_np1(v),
-        "m = n + 1",
-        lambda v, m: m == v.n + 1,
-        cost="reference",
+        lambda v, m: degree_m_np1(v), "m = n + 1", lambda v, m: m == v.n + 1
     ),
     "boole": Method(
         lambda v, m: _veronese_report(v, m, boole_degree(v.n, v.d), "boole"),
         "m = N - 1",
-        # N - 1 >= n, so m < n is answered before N is formed
-        lambda v, m: v.n <= m == v.N - 1,
-        cost="",
+        # N - 1 >= n, and N = m + 1 has at most one bit more than m
+        lambda v, m: v.n <= m and not _n_bits_exceed(v, m.bit_length() + 1) and m == v.N - 1,
+        guarded=False,
     ),
 }
 
 # Every tag a DegreeReport may carry: the registry's Veronese methods plus
 # the two table- and curve-driven forms that take other inputs.
 METHOD_TAGS = (*METHODS, "generic", "general_curve")
-
-
-def degree_by_method(v: VeroneseVariety, m: int, method: str) -> DegreeReport:
-    """Degree at (v, m) by a registry method; ValueError where it does not apply."""
-    entry = METHODS[method]
-    if not entry.applies(v, m):
-        raise ValueError(f"method {method} requires {entry.requires}")
-    return entry.compute(v, m)
 
 
 def katz_kleiman(table: SegreIntegralTable) -> int:

@@ -99,10 +99,10 @@ def partition_counts():
 def check_partition_terms(n: int) -> None:
     """Raise ValueError when n has over MAX_PARTITIONS partitions, one term each.
 
-    Stops at the first count past the bound, so any n costs at most p(61).
+    Stops at n or at the first count past the bound, so any n costs at most p(61).
     """
-    counts = islice(partition_counts(), max(n + 1, 0))
-    if any(count > MAX_PARTITIONS for count in counts):
+    counts = zip(range(n + 1), partition_counts())
+    if any(count > MAX_PARTITIONS for _, count in counts):
         raise ValueError(
             f"too large: n = {n} has over {MAX_PARTITIONS:,} partitions, one term each"
         )

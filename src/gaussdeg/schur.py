@@ -258,6 +258,7 @@ def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegr
     Entry lam is `schur_value(v, lam, n)`, by default the closed form
     `schur_delta_veronese_closed` (looked up when the table is built).
     """
+    check_partition_terms(v.n)
     value = schur_value or schur_delta_veronese_closed
     entries = {lam: value(v, lam, v.n) for lam in enumerate_partitions(v.n, v.n)}
     return SegreIntegralTable(n=v.n, N=v.N, entries=entries)

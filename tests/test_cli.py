@@ -621,8 +621,25 @@ def _huge_n_table(tmp_path):
     return str(path)
 
 
-HUGE_TABLES = {None: _huge_curve_table, "{huge n}": _huge_n_table}
+def _past_maxsize_table(tmp_path):
+    # a claimed n past sys.maxsize, where an islice over p(0), p(1), ... cannot stop
+    path = tmp_path / "past_maxsize.json"
+    path.write_text(
+        json.dumps({"n": 10**20, "N": 10**21, "entries": [{"partition": [1], "integral": "2"}]}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+HUGE_TABLES = {
+    None: _huge_curve_table,
+    "{huge n}": _huge_n_table,
+    "{n past maxsize}": _past_maxsize_table,
+}
 TOO_LARGE = "error: too large: "
+NOT_BOOLE = "error: method boole requires m = N - 1\n"
+# N = C(n + d, d) - 1 has about 40 million digits at n = 10^4000, d = 10,000
+HUGE, HUGER, PAST_MAXSIZE, WIDE_D = (str(10**e) for e in (4000, 4100, 20, 3000))
 
 
 @pytest.mark.parametrize(
@@ -656,6 +673,43 @@ TOO_LARGE = "error: too large: "
             "error: m must satisfy 200000 <= m <= C(400000, 200000) - 2, got 1",
             id="huge-N-range",
         ),
+        pytest.param(
+            ("degree", "--n", "200000", "--d", "200000", "--m", "200001", "--method", "m_eq_n_plus_1"),
+            TOO_LARGE,
+            id="huge-N-m-eq-n-plus-1",
+        ),
+        pytest.param(
+            ("degree", "--n", "200000", "--d", "200000", "--m", "300000", "--method", "boole"),
+            NOT_BOOLE,
+            id="huge-N-boole",
+        ),
+        pytest.param(("degree", "--n", HUGE, "--d", "10000", "--m", HUGER), TOO_LARGE, id="huge-n"),
+        pytest.param(
+            ("degree", "--n", HUGE, "--d", "10000", "--m", HUGER, "--method", "boole"),
+            NOT_BOOLE,
+            id="huge-n-boole",
+        ),
+        # k = min(n, d) = 10^4000 is past the float range
+        pytest.param(("degree", "--n", HUGE, "--d", HUGE, "--m", HUGER), TOO_LARGE, id="huge-n-d"),
+        pytest.param(
+            ("degree", "--n", HUGE, "--d", HUGE, "--m", HUGER, "--method", "boole"),
+            NOT_BOOLE,
+            id="huge-n-d-boole",
+        ),
+        pytest.param(("verify", "--max-n", PAST_MAXSIZE), TOO_LARGE, id="verify-past-maxsize"),
+        pytest.param(("table", "--n", PAST_MAXSIZE, "--d", "2"), TOO_LARGE, id="table-past-maxsize"),
+        pytest.param(
+            ("conjecture", "--n", PAST_MAXSIZE, "--d", "2"), TOO_LARGE, id="conjecture-past-maxsize"
+        ),
+        pytest.param(
+            ("generic", "--table", "{n past maxsize}", "--m", "3"),
+            TOO_LARGE,
+            id="generic-past-maxsize",
+        ),
+        # N has about 6,000 digits, too many for a message
+        pytest.param(("table", "--n", "2", "--d", WIDE_D), TOO_LARGE, id="table-wide-d"),
+        pytest.param(("conjecture", "--n", "2", "--d", WIDE_D), TOO_LARGE, id="conjecture-wide-d"),
+        pytest.param(("degree", "--n", "2", "--d", WIDE_D, "--m", "5"), TOO_LARGE, id="degree-wide-d"),
     ],
 )
 def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):
@@ -677,6 +731,10 @@ def test_cost_guard_comes_after_range_errors(capsys):
         capsys, "degree", "--n", "12", "--d", "12", "--m", "20", "--method", "boole"
     )
     assert (code, err) == (2, "error: method boole requires m = N - 1\n")
+    code, _, err = run_cli(
+        capsys, "degree", "--n", "1", "--d", "2", "--m", "2", "--method", "m_eq_n_plus_1"
+    )
+    assert (code, err) == (2, "error: m must satisfy 1 <= m <= 1, got 2\n")
     code, _, err = run_cli(capsys, "conjecture", "--n", "12..13", "--d", "1..12")
     assert (code, err) == (2, "error: d must be >= 2 (d = 1 embeds nothing new)\n")
     code, _, err = run_cli(capsys, "conjecture", "--n", "0..1000000000", "--d", "2")

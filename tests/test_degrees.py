@@ -1,5 +1,6 @@
 """Degree formulas, cross-checks, bounds, and the conjecture scan."""
 
+import time
 from fractions import Fraction
 from math import comb, inf, log10
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import gaussdeg.schur
 from gaussdeg.degrees import (
+    METHODS,
     DegreeReport,
     NotGenericallyFiniteError,
     binomial_ratio_product,
@@ -114,8 +116,36 @@ def test_alternate_agrees_with_main(n, d):
 def test_degree_m_np1_known():
     assert degree_m_np1(VeroneseVariety(2, 2)).deg_xm == 21
     assert degree_m_np1(VeroneseVariety(1, 4)).deg_xm == 12
-    with pytest.raises(ValueError):
-        degree_m_np1(VeroneseVariety(1, 2))  # N - 1 = 1 < n + 1
+    # N - 1 = 1 < n + 1
+    with pytest.raises(ValueError, match="^m must satisfy 1 <= m <= 1, got 2$"):
+        degree_m_np1(VeroneseVariety(1, 2))
+
+
+def _m_np1_by_binomials(v):
+    """The m = n+1 sum with every binomial and power formed afresh."""
+    n, N = v.n, v.N
+    return (v.d - 1) ** n * sum(
+        (-1) ** (n - k) * (n + 1) ** k * comb(N - 1, k) * comb(n + 1, n - k)
+        for k in range(n + 1)
+    )
+
+
+def test_degree_m_np1_matches_the_binomial_sum():
+    for n in range(1, 9):
+        for d in range(2, 9):
+            v = VeroneseVariety(n, d)
+            if n + 1 < v.N:
+                assert degree_m_np1(v).deg_xm == _m_np1_by_binomials(v), (n, d)
+    for n in (200, 500):
+        v = VeroneseVariety(n, 2)
+        assert degree_m_np1(v).deg_xm == _m_np1_by_binomials(v), n
+
+
+def test_degree_m_np1_builds_each_term_from_the_last():
+    start = time.process_time()
+    degree = degree_m_np1(VeroneseVariety(2000, 2)).deg_xm
+    assert time.process_time() - start < 0.5
+    assert 13_000 < log10(degree) < 14_000
 
 
 def test_degree_curve_closed_known():
@@ -489,6 +519,9 @@ def test_reference_digits_of_huge_cells():
     assert abs(reference_digits(1, 10**400, 10**400 - 1, 0.0) - 400) < 1e-9
     # two rows or more past the float range cannot be estimated: no limit holds
     assert reference_digits(1, 10**400, 5, 0.0) == inf
+    # one row, kc = N - 4 past 2^64: C(3 + kc, 3) = C(N - 1, 3)
+    N = 2**70
+    assert abs(reference_digits(3, N, 4, 0.0) - log10(comb(N - 1, 3))) < 1e-9
     with pytest.raises(ValueError, match="m must satisfy"):
         reference_digits(2, 5, 5, 0.0)
 
@@ -511,7 +544,17 @@ def test_veronese_range_forms_n_only_when_it_must():
     with pytest.raises(ValueError, match=message):
         check_veronese_range(v, 1)
     check_veronese_range(v, 300000)
+    # boole's m = N - 1 is out of reach for an m this short
+    assert not METHODS["boole"].applies(v, 300000)
     assert "N" not in vars(v)
+    # N has about 40 million digits; n = d = 10^4000 puts k = min(n, d) past the floats
+    for v in (VeroneseVariety(10**4000, 10000), VeroneseVariety(10**4000, 10**4000)):
+        check_veronese_range(v, 10**4100)
+        assert not METHODS["boole"].applies(v, 10**4100)
+        # no integer past 13,000 bits is printed in decimal
+        with pytest.raises(ValueError, match=r"^m must satisfy an integer of 13,288 bits <= m "):
+            check_veronese_range(v, 1)
+        assert "N" not in vars(v)
     small = VeroneseVariety(2, 3)
     check_veronese_range(small, 8)
     assert small.N == 9 and vars(small)["N"] == 9

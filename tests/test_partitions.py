@@ -118,6 +118,9 @@ def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
     start = time.process_time()
     with pytest.raises(ValueError, match="n = 1000000000 has over"):
         check_partition_terms(10**9)
+    # past sys.maxsize, where an islice over the counts cannot stop
+    with pytest.raises(ValueError, match="^too large: n = 100000000000000000000 has over"):
+        check_partition_terms(10**20)
     assert time.process_time() - start < 1
 
 
