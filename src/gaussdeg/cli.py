@@ -31,6 +31,7 @@ from .degrees import (
     METHODS,
     NotGenericallyFiniteError,
     _message_int,
+    boole_digits,
     bounds_sweep,
     check_veronese_range,
     conjecture_scan,
@@ -54,8 +55,8 @@ from .verify import SUITE_NAMES, run_suite
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
 # The cost guard: estimated decimal digits of the reference product
-# C(n + dim G, n) * deg G * first, or of a Pluecker degree; the partition
-# sums are held to `partitions.MAX_PARTITIONS` terms.
+# C(n + dim G, n) * deg G * first, of a Pluecker degree or of Boole's
+# degree; the partition sums are held to `partitions.MAX_PARTITIONS` terms.
 MAX_DIGITS = 10**6
 
 _DIGITS = re.compile("[0-9]+")
@@ -182,6 +183,9 @@ def cmd_degree(args) -> int:
         raise ValueError(f"method {args.method} requires {method.requires}")
     if method.guarded:
         _guard_veronese(v, args.m)
+    else:
+        where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
+        _refuse_digits(boole_digits(v.n, v.d), f"Boole's degree at {where}")
     report = method.compute(v, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0
@@ -215,8 +219,6 @@ def cmd_verify(args) -> int:
     if args.max_weight < 0:
         raise ValueError("--max-weight must be >= 0")
     names = [args.suite] if args.suite else list(SUITE_NAMES)
-    if "identity" in names:
-        check_partition_terms(args.max_n)
     results = [run_suite(name, **options.get(name, {})) for name in names]
     ok = all(result.ok for result in results)
     if args.format == "table":

@@ -10,21 +10,22 @@ for arbitrary varieties given as integral tables, together with several
 independent closed forms used to cross-check it, sandwich bounds on the
 normalized degree, and a scan harness for a conjectured sharper bound.
 
-Everything is exact: integers are unbounded, intermediate rationals are
-`fractions.Fraction`, and any value the theory promises to be a positive
-integer is checked to be one.
+Everything is exact: integers are unbounded, ratios are
+`fractions.Fraction`, every quotient the theory promises to be an integer
+is a `partitions.exact_quotient`, and every degree is checked positive.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial, inf, log2, log10
+from math import comb, factorial, inf, log2, log10, perm
 
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
     add_rectangle,
     check_partition_terms,
     enumerate_partitions,
+    exact_quotient,
     falling_factorial_product,
     pad,
     syt_count_hook,
@@ -198,18 +199,22 @@ def boole_degree(n: int, d: int) -> int:
     return (n + 1) * (d - 1) ** n
 
 
-def _exact_positive(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{context}: degree came out non-integral: {value}")
-    degree = int(value)
+def boole_digits(n: int, d: int) -> float:
+    """log10 of `boole_degree(n, d)`, without forming it; inf past the floats."""
+    if d == 2:
+        return log10(n + 1)
+    return log10(n + 1) + n * log10(d - 1) if n.bit_length() < 1000 else inf
+
+
+def _report(
+    n: int, d: int, N: int, m: int, method: str, num: int, den: int = 1, notes: str = ""
+) -> DegreeReport:
+    """The report of degree num / den, an `exact_quotient` that must be positive."""
+    context = f"{method}(n={n}, d={d}, m={m})"
+    degree = exact_quotient(num, den, f"degree of {context}")
     if degree <= 0:
         raise ArithmeticError(f"{context}: degree came out non-positive: {degree}")
-    return degree
-
-
-def _veronese_report(v: VeroneseVariety, m: int, value: Fraction, method: str) -> DegreeReport:
-    degree = _exact_positive(value, f"{method}(n={v.n}, d={v.d}, m={m})")
-    return DegreeReport(n=v.n, d=v.d, N=v.N, m=m, deg_xm=degree, method=method)
+    return DegreeReport(n=n, d=d, N=N, m=m, deg_xm=degree, method=method, notes=notes)
 
 
 def degree_main(v: VeroneseVariety, m: int) -> DegreeReport:
@@ -226,16 +231,18 @@ def degree_main(v: VeroneseVariety, m: int) -> DegreeReport:
 def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     """Same degree through the inclusion-exclusion form over the dual rectangle.
 
-    Independent of `degree_main`: the rectangle here is (N-m) wide and m-n
-    tall, and the sum runs over k = 0..n with partitions of n-k in at most
-    m-n parts.  At m = n the inner sum collapses to the k = n term.
+    Independent of `degree_main` and of `reference_product`: the rectangle
+    is (N-m) wide and m-n tall, and the sum runs over k = 0..n with
+    partitions of n-k in at most m-n parts (at m = n, only k = n).  Term k
+    has weight 1/(n-k)! = perm(n, k)/n!, so the sum is kept in integers
+    and divided by n! once.
     """
     n, N = v.n, v.N
     _check_range(n, N, m)
     check_partition_terms(n)
     e = m - n
     big_m = dim_xm(n, N, m)
-    total = Fraction(0)
+    total = 0
     for k in range(n + 1):
         inner = sum(
             syt_count_hook(lam)
@@ -243,9 +250,8 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
             * falling_factorial_product(n, lam)
             for lam in enumerate_partitions(n - k, e)
         )
-        coeff = Fraction((-1) ** (n - k) * (n + 1) ** k, factorial(n - k))
-        total += coeff * comb(big_m, k) * inner
-    return _veronese_report(v, m, (v.d - 1) ** n * total, "alternate")
+        total += (-1) ** (n - k) * (n + 1) ** k * perm(n, k) * comb(big_m, k) * inner
+    return _report(n, v.d, N, m, "alternate", (v.d - 1) ** n * total, factorial(n))
 
 
 def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
@@ -260,10 +266,9 @@ def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
     total, term = 0, (-1) ** n * (n + 1)
     for k in range(n + 1):
         total += term
-        term, rem = divmod(-term * ((n + 1) * (N - 1 - k) * (n - k)), (k + 1) * (k + 2))
-        if rem:
-            raise ArithmeticError(f"term {k + 1} of the m = n+1 sum did not come out integral")
-    return _veronese_report(v, m, (v.d - 1) ** n * total, "m_eq_n_plus_1")
+        step = -term * ((n + 1) * (N - 1 - k) * (n - k))
+        term = exact_quotient(step, (k + 1) * (k + 2), f"term {k + 1} of the m = n+1 sum")
+    return _report(n, v.d, N, m, "m_eq_n_plus_1", (v.d - 1) ** n * total)
 
 
 def reference_product(n: int, N: int, m: int, first: int) -> int:
@@ -304,9 +309,9 @@ def _closed_form(
 ) -> DegreeReport:
     """The closed forms' one step: `ratio(N-m, N) * reference_product(n, N, m, first)`."""
     _check_range(n, N, m)
-    value = ratio(N - m, N) * reference_product(n, N, m, first)
-    degree = _exact_positive(value, f"{method}(n={n}, N={N}, m={m})")
-    return DegreeReport(n=n, d=d, N=N, m=m, deg_xm=degree, method=method, notes=notes)
+    r = ratio(N - m, N)
+    num = r.numerator * reference_product(n, N, m, first)
+    return _report(n, d, N, m, method, num, r.denominator, notes)
 
 
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
@@ -380,8 +385,8 @@ class Method:
     module's globals when called, so rebinding a formula's global name
     (to wrap or replace it) reaches calls made through the registry.
     `applies` never forms a huge N.  `guarded` is false only for Boole's
-    formula, which costs next to nothing; the command line's cost guard
-    bounds every other method by the reference product.
+    formula, (n+1)(d-1)^n, which the command line's cost guard bounds by
+    `boole_digits`; it bounds every other method by the reference product.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
@@ -406,7 +411,7 @@ METHODS = {
         lambda v, m: degree_m_np1(v), "m = n + 1", lambda v, m: m == v.n + 1
     ),
     "boole": Method(
-        lambda v, m: _veronese_report(v, m, boole_degree(v.n, v.d), "boole"),
+        lambda v, m: _report(v.n, v.d, v.N, m, "boole", boole_degree(v.n, v.d)),
         "m = N - 1",
         # N - 1 >= n, and N = m + 1 has at most one bit more than m
         lambda v, m: v.n <= m and not _n_bits_exceed(v, m.bit_length() + 1) and m == v.N - 1,
@@ -451,18 +456,13 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
 def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
     """`degree_generic`'s checked total; unit = `reference_product(n, N, m, 1)`."""
     n, N = table.n, table.N
+    rectangle = f"the {_message_int(m - n)}-wide rectangle of height {_message_int(N - m)}"
     total = 0
     for lam, integral in table.entries.items():
         ratio = binomial_ratio_product(lam, n, N, m)
-        count, rem = divmod(
-            unit * syt_count_hook(lam) * ratio.numerator, ratio.denominator
-        )
-        if rem:
-            raise ArithmeticError(
-                f"tableau count of {lam} plus the {m - n}-wide rectangle of "
-                f"height {N - m} did not come out integral"
-            )
-        total += count * integral
+        num = unit * syt_count_hook(lam) * ratio.numerator
+        what = f"tableau count of {lam} plus {rectangle}"
+        total += exact_quotient(num, ratio.denominator, what) * integral
     if total <= 0:
         raise NotGenericallyFiniteError(
             f"weighted total {total} <= 0 at m = {m}: the order-{m} Gauss map "

@@ -10,7 +10,7 @@ of prime powers p^e, e = Legendre's exponent of p in (kc)! minus the
 exponent of p in the hooks.  No big division is made, and the cost is the
 same for the rectangle and its transpose.  Small rectangles take the
 product form (kc)! prod_{i<a} i! / (b+i)!, a = min(k, c), b = max(k, c),
-instead: a few factorials and one short division beat the loop over the
+instead: a few factorials and one checked division beat the loop over the
 primes there.  `partitions.syt_count_hook`, the general O(rows^2)
 counter, is the test oracle of both.
 
@@ -22,6 +22,8 @@ times ((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
 from dataclasses import dataclass
 from itertools import compress
 from math import factorial, gcd, inf, isqrt, lgamma, log, perm, prod
+
+from .partitions import exact_quotient
 
 # Below this many cells the product form is faster than the prime powers
 # (measured crossover 700-1000 cells on CPython 3.11, x86-64).
@@ -50,24 +52,22 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     From PRIME_POWER_CELLS cells on, for each prime p <= kc the exponent
     is sum_j floor(kc / p^j) minus the multiplicities of the hooks
     h < k + c divisible by p^j.  A negative exponent, or a remainder in
-    the product form below that size, would mean the count is not an
-    integer and raises ArithmeticError.  A rectangle of at most one row or
+    the product form below that size, raises ArithmeticError: the count
+    did not come out integral.  A rectangle of at most one row or
     column has one tableau: G is then a point (d = 0 or d = r), a
     projective space or its dual, of degree 1, and no sieve is built.
     """
     k, c = shape.d, shape.r - shape.d
     if min(k, c) <= 1:
         return 1
-    cells = k * c
+    cells, what = k * c, f"tableau count of the {k} x {c} rectangle"
     if cells < PRIME_POWER_CELLS:
         a, b = sorted((k, c))
-        count, rem = divmod(
+        return exact_quotient(
             factorial(cells) * prod(map(factorial, range(a))),
             prod(factorial(b + i) for i in range(a)),
+            what,
         )
-        if rem:
-            raise ArithmeticError(f"tableau count of the {k} x {c} rectangle is not integral")
-        return count
     # mults[h] is the number of hooks of length h
     mults = [min(h, k, c, k + c - h) for h in range(k + c)]
     powers = []
@@ -78,7 +78,7 @@ def grassmann_degree(shape: GrassmannShape) -> int:
             exponent += cells // q - sum(mults[q::q])
             q *= p
         if exponent < 0:
-            raise ArithmeticError(f"tableau count of the {k} x {c} rectangle is not integral")
+            raise ArithmeticError(f"{what} did not come out integral")
         powers.append(p**exponent)
     return _balanced_product(powers)
 
@@ -111,21 +111,16 @@ def grassmann_degree_sweep(r: int):
     """deg G(k, r) for k = 0..r-1, in order: the k x (r-k) rectangles' tableau counts.
 
     Starts at D(0, r) = 1 and takes each next count from the last by one
-    `_sweep_factor`, whose denominator must divide the running count; a
-    remainder would mean a count is not an integer and raises
-    ArithmeticError.  No sieve and no prime-power product: each step costs
+    `_sweep_factor`, whose denominator must divide the running count (an
+    `exact_quotient`).  No sieve and no prime-power product: each step costs
     one division and one multiplication of the count by a short integer.
     """
     degree = 1
     for k in range(r):
         if k:
             num, den = _sweep_factor(k - 1, r - k + 1)
-            degree, rem = divmod(degree, den)
-            if rem:
-                raise ArithmeticError(
-                    f"tableau count of the {k} x {r - k} rectangle is not integral"
-                )
-            degree *= num
+            what = f"tableau count of the {k} x {r - k} rectangle"
+            degree = exact_quotient(degree, den, what) * num
         yield degree
 
 

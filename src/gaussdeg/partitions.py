@@ -32,6 +32,14 @@ def canonical(parts) -> Partition:
     return lam
 
 
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num // den, which the theory promises exact: a remainder raises ArithmeticError."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what} did not come out integral")
+    return quotient
+
+
 def pad(lam, length: int) -> Partition:
     """Zero-padded view with exactly `length` parts."""
     lam = canonical(lam)
@@ -148,13 +156,8 @@ def _syt_count_hook(lam: Partition) -> int:
     for i in range(e):
         for j in range(i + 1, e):
             num *= lam[i] - lam[j] + j - i
-    den = 1
-    for i in range(e):
-        den *= factorial(lam[i] + e - 1 - i)
-    count, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"tableau count for {lam} did not come out integral")
-    return count
+    den = prod(factorial(part + e - 1 - i) for i, part in enumerate(lam))
+    return exact_quotient(num, den, f"tableau count for {lam}")
 
 
 def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:

@@ -10,7 +10,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import comb, factorial
 
 from .partitions import (
@@ -18,6 +17,7 @@ from .partitions import (
     canonical,
     check_partition_terms,
     enumerate_partitions,
+    exact_quotient,
     falling_factorial_product,
     pad,
     partition_count,
@@ -130,8 +130,7 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
 
     Returns (d-1)^|lam| / |lam|! times the tableau count of `lam` times the
     product over rows i = 1..length of (n+i)! / (n+i-lam_i)!.  Shapes
-    heavier than n are rejected; anything the formula returns must be an integer,
-    and a non-integral value is an internal error.
+    heavier than n are rejected; the division must be exact (`exact_quotient`).
     """
     if length < 1:
         raise ValueError("length must be positive")
@@ -139,13 +138,11 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
     total = weight(padded)
     if total > v.n:
         raise ValueError(f"|lam| = {total} exceeds the variety dimension {v.n}")
-    value = Fraction(
+    return exact_quotient(
         (v.d - 1) ** total * syt_count_hook(padded) * falling_factorial_product(v.n, padded),
         factorial(total),
+        f"closed form for {padded}",
     )
-    if value.denominator != 1:
-        raise ArithmeticError(f"closed form for {padded} is not integral: {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)

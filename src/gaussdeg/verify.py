@@ -20,6 +20,7 @@ from .degrees import (
 )
 from .partitions import (
     DEFAULT_BRUTE_CAP,
+    check_partition_terms,
     enumerate_partitions,
     syt_count_bruteforce,
     syt_count_hook,
@@ -57,9 +58,10 @@ def _result(name: str, checks: int, failures: list[str]) -> SuiteResult:
 
 
 def run_identity_suite(max_n: int = 6) -> SuiteResult:
-    """Square-sum identity for n = 1..max_n."""
+    """Square-sum identity for n = 1..max_n; each n sums over its partitions."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    check_partition_terms(max_n)
     checks = 0
     failures = []
     for n in range(1, max_n + 1):

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import resource
 import subprocess
@@ -346,6 +347,28 @@ def _skew_ratio(monkeypatch):
     monkeypatch.setattr(gaussdeg.degrees, "binomial_ratio_product", skewed)
 
 
+def _skew_hook(monkeypatch):
+    # one-row tableau counts off by 5/7 leave the alternate sum over n!
+    # non-integral
+    hook = gaussdeg.degrees.syt_count_hook
+
+    def skewed(lam):
+        return hook(lam) * Fraction(5, 7) if len(lam) == 1 else hook(lam)
+
+    monkeypatch.setattr(gaussdeg.degrees, "syt_count_hook", skewed)
+
+
+def _skew_reference(monkeypatch):
+    # one more than the reference product is no multiple of the closed
+    # form's denominator
+    reference = gaussdeg.degrees.reference_product
+
+    def skewed(n, N, m, first):
+        return reference(n, N, m, first) + 1
+
+    monkeypatch.setattr(gaussdeg.degrees, "reference_product", skewed)
+
+
 def _skew_sweep_step(monkeypatch):
     # the step from the one-row rectangle, whose count is 1, gets a
     # denominator that cannot divide it
@@ -366,8 +389,21 @@ def _skew_sweep_step(monkeypatch):
         (["conjecture", "--n", "1", "--d", "4"], _skew_ratio),
         (["table", "--n", "1", "--d", "4"], _skew_sweep_step),
         (["conjecture", "--n", "1", "--d", "4"], _skew_sweep_step),
+        (["degree", "--n", "2", "--d", "3", "--m", "3", "--method", "alternate"], _skew_hook),
+        (
+            ["degree", "--n", "2", "--d", "3", "--m", "3", "--method", "surface_closed"],
+            _skew_reference,
+        ),
     ],
-    ids=["degree", "table", "conjecture", "table-sweep-step", "conjecture-sweep-step"],
+    ids=[
+        "degree",
+        "table",
+        "conjecture",
+        "table-sweep-step",
+        "conjecture-sweep-step",
+        "alternate-hook",
+        "surface-closed-reference",
+    ],
 )
 def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv, skew):
     # an exactness check that fails is an internal fault, not a
@@ -376,7 +412,7 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv, skew):
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: internal invariant failed: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.endswith(" did not come out integral\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["table", "conjecture"])
@@ -640,6 +676,8 @@ TOO_LARGE = "error: too large: "
 NOT_BOOLE = "error: method boole requires m = N - 1\n"
 # N = C(n + d, d) - 1 has about 40 million digits at n = 10^4000, d = 10,000
 HUGE, HUGER, PAST_MAXSIZE, WIDE_D = (str(10**e) for e in (4000, 4100, 20, 3000))
+# m = N - 1 at n = 10^8, d = 4, where Boole's (n+1)(d-1)^n has 47.7 million digits
+BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
 
 
 @pytest.mark.parametrize(
@@ -695,6 +733,11 @@ HUGE, HUGER, PAST_MAXSIZE, WIDE_D = (str(10**e) for e in (4000, 4100, 20, 3000))
             ("degree", "--n", HUGE, "--d", HUGE, "--m", HUGER, "--method", "boole"),
             NOT_BOOLE,
             id="huge-n-d-boole",
+        ),
+        pytest.param(
+            ("degree", "--n", "100000000", "--d", "4", "--m", BOOLE_M, "--method", "boole"),
+            "error: too large: Boole's degree at (n=100000000, d=4) would have over 1,000,000 ",
+            id="boole-power",
         ),
         pytest.param(("verify", "--max-n", PAST_MAXSIZE), TOO_LARGE, id="verify-past-maxsize"),
         pytest.param(("table", "--n", PAST_MAXSIZE, "--d", "2"), TOO_LARGE, id="table-past-maxsize"),
@@ -772,6 +815,8 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
         (("--n", "1", "--d", "1000000", "--m", "999999"), "1999998"),
         # the curve's (N-m)/(N-1) * C(N-1, 1) * 1 * 2(d-1) at N = d, m = 2
         (("--n", "1", "--d", "1000000", "--m", "2"), str(999998 * 1999998)),
+        # (d-1)^n = 1: Boole's degree n + 1 is short at any n
+        (("--n", "200000", "--d", "2", "--m", "20000299999", "--method", "boole"), "200001"),
     ],
 )
 def test_cost_guard_passes_cheap_cells(capsys, argv, degree):

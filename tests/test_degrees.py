@@ -15,6 +15,7 @@ from gaussdeg.degrees import (
     NotGenericallyFiniteError,
     binomial_ratio_product,
     boole_degree,
+    boole_digits,
     bounds,
     bounds_sweep,
     check_veronese_range,
@@ -218,6 +219,15 @@ def test_boole_degree_known():
         boole_degree(0, 3)
     with pytest.raises(ValueError):
         boole_degree(2, 1)
+
+
+def test_boole_digits():
+    for n, d in [(1, 2), (2, 4), (7, 3), (300, 9), (200000, 2)]:
+        exact = log10(boole_degree(n, d))
+        assert boole_digits(n, d) == pytest.approx(exact, rel=1e-12)
+    # (d-1)^n = 1 at d = 2 leaves n + 1, which is short at any n
+    assert boole_digits(10**400, 2) == pytest.approx(400)
+    assert boole_digits(10**400, 3) == inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

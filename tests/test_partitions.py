@@ -15,6 +15,7 @@ from gaussdeg.partitions import (
     canonical,
     check_partition_terms,
     enumerate_partitions,
+    exact_quotient,
     pad,
     partition_count,
     partition_counts,
@@ -106,6 +107,17 @@ def test_partition_counts_never_decrease():
     assert counts[60] <= 10**6 < counts[61]
     with pytest.raises(ValueError):
         partition_count(-1)
+
+
+def test_exact_quotient():
+    assert exact_quotient(factorial(6), factorial(4), "30") == 30
+    assert exact_quotient(-12, 4, "-3") == -3
+    assert exact_quotient(0, 7, "0") == 0
+    message = "^tableau count for \\(2, 1\\) did not come out integral$"
+    with pytest.raises(ArithmeticError, match=message):
+        exact_quotient(7, 2, "tableau count for (2, 1)")
+    with pytest.raises(ArithmeticError):
+        exact_quotient(-7, 2, "a negative quotient")
 
 
 def test_check_partition_terms_stops_at_the_first_count_past_the_bound():

@@ -1,6 +1,7 @@
 """The self-check suite harness itself."""
 
 import re
+import time
 
 import pytest
 
@@ -31,6 +32,14 @@ def test_identity_suite_counts():
     assert (result.passed, result.failed) == (5, 0)
     with pytest.raises(ValueError):
         run_identity_suite(max_n=0)
+
+
+def test_identity_suite_refuses_runaway_max_n_at_once():
+    # the suite would sum over the partitions of every n up to max_n
+    start = time.process_time()
+    with pytest.raises(ValueError, match="^too large: n = 61 has over 1,000,000 partitions"):
+        run_identity_suite(max_n=61)
+    assert time.process_time() - start < 1
 
 
 def test_syt_suite_counts():
