@@ -28,11 +28,13 @@ from functools import cache
 from pathlib import Path
 
 from .degrees import (
+    MAX_DIGITS,
     METHODS,
     NotGenericallyFiniteError,
     _message_int,
     boole_digits,
     bounds_sweep,
+    check_digits,
     check_veronese_range,
     conjecture_scan,
     degree_generic,
@@ -54,10 +56,6 @@ from .verify import SUITE_NAMES, run_suite
 
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
-# The cost guard: estimated decimal digits of the reference product
-# C(n + dim G, n) * deg G * first, of a Pluecker degree or of Boole's
-# degree; the partition sums are held to `partitions.MAX_PARTITIONS` terms.
-MAX_DIGITS = 10**6
 
 _DIGITS = re.compile("[0-9]+")
 
@@ -142,15 +140,7 @@ def _render_object(doc: dict, fmt: str) -> str:
 def _guard_digits(n: int, N: int, m: int, first_digits: float) -> None:
     digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
     where = f"(n={n}, N={_message_int(N)}, m={_message_int(m)})"
-    _refuse_digits(digits, f"the reference product at {where}")
-
-
-def _refuse_digits(digits: float, what: str) -> None:
-    if digits > MAX_DIGITS:
-        raise ValueError(
-            f"too large: {what} would have over {MAX_DIGITS:,} digits "
-            f"(estimated {digits:,.0f} or more)"
-        )
+    check_digits(digits, f"the reference product at {where}")
 
 
 def _guard_veronese(v: VeroneseVariety, m: int) -> None:
@@ -161,7 +151,7 @@ def _guard_veronese(v: VeroneseVariety, m: int) -> None:
     check_veronese_range(v, m)
     first = ordinary_gauss_digits(v)
     where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
-    _refuse_digits(first, f"the ordinary Gauss degree at {where}")
+    check_digits(first, f"the ordinary Gauss degree at {where}")
     _guard_digits(v.n, v.N, m, first)
 
 
@@ -185,7 +175,7 @@ def cmd_degree(args) -> int:
         _guard_veronese(v, args.m)
     else:
         where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
-        _refuse_digits(boole_digits(v.n, v.d), f"Boole's degree at {where}")
+        check_digits(boole_digits(v.n, v.d), f"Boole's degree at {where}")
     report = method.compute(v, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0
@@ -291,7 +281,7 @@ def cmd_syt(args) -> int:
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.d, args.r)
     digits = degree_digits(shape, MAX_DIGITS)
-    _refuse_digits(digits, f"the Pluecker degree of G({args.d}, {args.r})")
+    check_digits(digits, f"the Pluecker degree of G({args.d}, {args.r})")
     doc = {
         "d": args.d,
         "r": args.r,

@@ -18,11 +18,13 @@ is a `partitions.exact_quotient`, and every degree is checked positive.
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial, inf, log2, log10, perm
+from math import comb, factorial, inf, lgamma, log, log2, log10, perm
 
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
+    Partition,
     add_rectangle,
+    canonical,
     check_partition_terms,
     enumerate_partitions,
     exact_quotient,
@@ -95,9 +97,19 @@ class BoundsReport:
     degree: int
     product: int
     ratio: Fraction
-    lower: Fraction
-    upper: Fraction
     conjecture_upper: Fraction
+
+    @property
+    def lower(self) -> Fraction:
+        """The proved lower bound C(N-m, n) / C(N-n, n) of `ratio`."""
+        n, N = self.n, self.N
+        return Fraction(comb(N - self.m, n), comb(N - n, n))
+
+    @property
+    def upper(self) -> Fraction:
+        """The proved upper bound C(N-m+n-1, n) / C(N-1, n) of `ratio`."""
+        n, N = self.n, self.N
+        return Fraction(comb(N - self.m + n - 1, n), comb(N - 1, n))
 
     @property
     def within_conjecture(self) -> bool:
@@ -123,6 +135,14 @@ class BoundsReport:
         }
 
 
+# The cost guard: a number estimated to have more decimal digits than this
+# is refused, with a "too large" ValueError, before it is formed.  The
+# command line bounds the reference product C(n + dim G, n) * deg G * first,
+# a Pluecker degree and Boole's degree by it, and `degree_alternate` its
+# own (dim X_m)!; the partition sums are held to
+# `partitions.MAX_PARTITIONS` terms.
+MAX_DIGITS = 10**6
+
 # Longest integer an error message prints in decimal: CPython refuses str()
 # past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
 _MESSAGE_BITS = 13_000
@@ -133,6 +153,15 @@ def _message_int(value: int) -> str:
     if value.bit_length() <= _MESSAGE_BITS:
         return str(value)
     return f"an integer of {value.bit_length():,} bits"
+
+
+def check_digits(digits: float, what: str) -> None:
+    """Refuse `what`, estimated at `digits` decimal digits, past MAX_DIGITS."""
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"too large: {what} would have over {MAX_DIGITS:,} digits "
+            f"(estimated {digits:,.0f} or more)"
+        )
 
 
 def _range_error(n: int, upper: str, m: int) -> ValueError:
@@ -235,13 +264,17 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     is (N-m) wide and m-n tall, and the sum runs over k = 0..n with
     partitions of n-k in at most m-n parts (at m = n, only k = n).  Term k
     has weight 1/(n-k)! = perm(n, k)/n!, so the sum is kept in integers
-    and divided by n! once.
+    and divided by n! once.  The widest shape's tableau count forms
+    (dim X_m)!, so past MAX_DIGITS digits of it the cell is refused first.
     """
     n, N = v.n, v.N
     _check_range(n, N, m)
     check_partition_terms(n)
     e = m - n
     big_m = dim_xm(n, N, m)
+    digits = lgamma(big_m + 1) / log(10) if big_m.bit_length() < 1000 else inf
+    where = f"(n={n}, d={_message_int(v.d)}, m={_message_int(m)})"
+    check_digits(digits, f"(dim X_m)! of the alternate sum at {where}")
     total = 0
     for k in range(n + 1):
         inner = sum(
@@ -386,7 +419,8 @@ class Method:
     (to wrap or replace it) reaches calls made through the registry.
     `applies` never forms a huge N.  `guarded` is false only for Boole's
     formula, (n+1)(d-1)^n, which the command line's cost guard bounds by
-    `boole_digits`; it bounds every other method by the reference product.
+    `boole_digits`; it bounds every other method by the reference product,
+    and `degree_alternate` bounds its own (dim X_m)! too.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
@@ -454,15 +488,21 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
 
 
 def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
-    """`degree_generic`'s checked total; unit = `reference_product(n, N, m, 1)`."""
+    """`degree_generic`'s checked total; unit = `reference_product(n, N, m, 1)`.
+
+    The caller has checked the range of m, and the table's keys are
+    canonical, so each term is integer work only: one exact division of
+    unit * f(lam) times the unreduced row-binomial ratio, then T[lam].
+    """
     n, N = table.n, table.N
     rectangle = f"the {_message_int(m - n)}-wide rectangle of height {_message_int(N - m)}"
     total = 0
     for lam, integral in table.entries.items():
-        ratio = binomial_ratio_product(lam, n, N, m)
-        num = unit * syt_count_hook(lam) * ratio.numerator
-        what = f"tableau count of {lam} plus {rectangle}"
-        total += exact_quotient(num, ratio.denominator, what) * integral
+        num, den = _row_binomial_ratio(lam, n, N, m)
+        quotient = exact_quotient(
+            unit * syt_count_hook(lam) * num, den, "tableau count of %s plus %s", lam, rectangle
+        )
+        total += quotient * integral
     if total <= 0:
         raise NotGenericallyFiniteError(
             f"weighted total {total} <= 0 at m = {m}: the order-{m} Gauss map "
@@ -482,15 +522,22 @@ def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
     shape (1^n) (minimum) and the row shape (n) (maximum).
     """
     _check_range(n, N, m)
+    return Fraction(*_row_binomial_ratio(canonical(pad(lam, n)), n, N, m))
+
+
+def _row_binomial_ratio(lam: Partition, n: int, N: int, m: int) -> tuple[int, int]:
+    """`binomial_ratio_product` of a canonical lam as an unreduced (num, den).
+
+    (0, 1) when lam has more than N-m rows.  Neither lam nor the range of
+    m is checked: the weighted sum checks each once, outside its loop.
+    """
+    if len(lam) > N - m:
+        return 0, 1
     num = den = 1
-    for i, part in enumerate(pad(lam, n), start=1):
-        if not part:
-            break
-        if i > N - m:
-            return Fraction(0)
+    for i, part in enumerate(lam, start=1):
         num *= comb(N - m + part - i, part)
         den *= comb(N - n + part - i, part)
-    return Fraction(num, den)
+    return num, den
 
 
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
@@ -524,26 +571,27 @@ def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
     n, N = v.n, v.N
     degree = _weighted_total(v.integral_table, m, unit)
     product = unit * ordinary_gauss_degree(v)
-    ratio = Fraction(degree, product)
-    lower = Fraction(comb(N - m, n), comb(N - n, n))
-    upper = Fraction(comb(N - m + n - 1, n), comb(N - 1, n))
-    if not lower <= ratio <= upper:
-        raise ArithmeticError(
-            f"proved bounds violated at (n={n}, d={v.d}, m={m}): "
-            f"{lower} <= {ratio} <= {upper} fails"
-        )
-    return BoundsReport(
+    record = BoundsReport(
         n=n,
         d=v.d,
         N=N,
         m=m,
         degree=degree,
         product=product,
-        ratio=ratio,
-        lower=lower,
-        upper=upper,
-        conjecture_upper=Fraction(N - m, N - n) ** n,
+        ratio=Fraction(degree, product),
+        conjecture_upper=Fraction((N - m) ** n, (N - n) ** n),
     )
+    # lower <= degree / product <= upper, cross-multiplied: every
+    # denominator is a positive integer
+    if not (
+        comb(N - m, n) * product <= degree * comb(N - n, n)
+        and degree * comb(N - 1, n) <= comb(N - m + n - 1, n) * product
+    ):
+        raise ArithmeticError(
+            f"proved bounds violated at (n={n}, d={v.d}, m={m}): "
+            f"{record.lower} <= {record.ratio} <= {record.upper} fails"
+        )
+    return record
 
 
 def verify_identity(n: int, tableau_count=syt_count_hook) -> tuple[int, int, bool]:

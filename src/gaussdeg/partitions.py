@@ -9,6 +9,7 @@ All arithmetic is exact.
 from functools import lru_cache
 from itertools import islice
 from math import factorial, perm, prod
+from operator import lt
 
 Partition = tuple[int, ...]
 
@@ -21,22 +22,28 @@ HOOK_CACHE_SIZE = 4096
 
 def canonical(parts) -> Partition:
     """Validate weak decrease and non-negativity, strip trailing zeros."""
-    lam = tuple(int(p) for p in parts)
+    lam = tuple(map(int, parts))
     if lam and lam[-1] < 0:
         raise ValueError(f"negative part in {lam}")
-    for a, b in zip(lam, lam[1:]):
-        if a < b:
-            raise ValueError(f"parts not weakly decreasing: {lam}")
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
-    return lam
+    if any(map(lt, lam, lam[1:])):
+        raise ValueError(f"parts not weakly decreasing: {lam}")
+    return _strip_zeros(lam)
 
 
-def exact_quotient(num: int, den: int, what: str) -> int:
-    """num // den, which the theory promises exact: a remainder raises ArithmeticError."""
+def _strip_zeros(lam: Partition) -> Partition:
+    """A weakly decreasing, non-negative `lam` without its trailing zeros."""
+    return lam[: lam.index(0)] if lam and not lam[-1] else lam
+
+
+def exact_quotient(num: int, den: int, what: str, *args) -> int:
+    """num // den, which the theory promises exact: a remainder raises ArithmeticError.
+
+    The message names `what`, %-formatted with `args` only when it is
+    raised, so a hot loop builds no message for a division that is exact.
+    """
     quotient, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"{what} did not come out integral")
+        raise ArithmeticError(f"{what % args if args else what} did not come out integral")
     return quotient
 
 
@@ -127,12 +134,15 @@ def add_rectangle(lam, height: int, width: int) -> Partition:
     """Add `width` cells to each of the first `height` rows.
 
     `lam` must fit in `height` rows; the result is the partition
-    (lam_1 + width, ..., lam_height + width), canonicalized.
+    (lam_1 + width, ..., lam_height + width), canonicalized.  `lam` is
+    validated once, by `pad`: a positive width leaves no zero part.
     """
     if height < 0 or width < 0:
         raise ValueError("rectangle sides must be non-negative")
     padded = pad(lam, height)
-    return canonical(tuple(part + width for part in padded))
+    if not width:
+        return _strip_zeros(padded)
+    return tuple(part + width for part in padded)
 
 
 def syt_count_hook(lam) -> int:

@@ -336,15 +336,15 @@ def test_generic_zero_table_exits_3(tmp_path, capsys):
 
 
 def _skew_ratio(monkeypatch):
-    # a ratio skewed on one-row shapes leaves the rectangle's tableau count
-    # non-integral in the weighted sum
-    ratio = gaussdeg.degrees.binomial_ratio_product
+    # a row-binomial ratio skewed by 5/7 on one-row shapes leaves the
+    # rectangle's tableau count non-integral in the weighted sum
+    ratio = gaussdeg.degrees._row_binomial_ratio
 
     def skewed(lam, n, N, m):
-        value = ratio(lam, n, N, m)
-        return value * Fraction(5, 7) if len(lam) == 1 else value
+        num, den = ratio(lam, n, N, m)
+        return (5 * num, 7 * den) if len(lam) == 1 else (num, den)
 
-    monkeypatch.setattr(gaussdeg.degrees, "binomial_ratio_product", skewed)
+    monkeypatch.setattr(gaussdeg.degrees, "_row_binomial_ratio", skewed)
 
 
 def _skew_hook(monkeypatch):
@@ -413,6 +413,20 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv, skew):
     assert code == 4 and out == ""
     assert err.startswith("error: internal invariant failed: ")
     assert err.endswith(" did not come out integral\n") and err.count("\n") == 1
+
+
+def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
+    # at n = 1 the proved bounds meet (lower = ratio = upper), so a weighted
+    # total one too large breaks the sandwich at every m
+    total = gaussdeg.degrees._weighted_total
+    monkeypatch.setattr(
+        gaussdeg.degrees, "_weighted_total", lambda table, m, unit: total(table, m, unit) + 1
+    )
+    code, out, err = run_cli(capsys, "table", "--n", "1", "--d", "4")
+    assert code == 4 and out == ""
+    prefix = "error: internal invariant failed: proved bounds violated at (n=1, d=4, m=1): "
+    assert err.startswith(prefix)
+    assert err.endswith(" fails\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["table", "conjecture"])
@@ -689,6 +703,13 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
             TOO_LARGE,
             id="degree-alternate",
         ),
+        # the reference product is small, but the alternate sum would form
+        # (dim X_m)! = 999,999!, 5.6 million digits
+        pytest.param(
+            ("degree", "--n", "1", "--d", "1000000", "--m", "2", "--method", "alternate"),
+            "error: too large: (dim X_m)! of the alternate sum at (n=1, d=1000000, m=2) ",
+            id="degree-alternate-factorial",
+        ),
         pytest.param(("table", "--n", "12", "--d", "12"), TOO_LARGE, id="table"),
         pytest.param(("conjecture", "--n", "1..12", "--d", "12"), TOO_LARGE, id="conjecture"),
         pytest.param(("conjecture", "--n", "1..1000000000", "--d", "2"), TOO_LARGE, id="conjecture-n"),
@@ -815,6 +836,8 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
         (("--n", "1", "--d", "1000000", "--m", "999999"), "1999998"),
         # the curve's (N-m)/(N-1) * C(N-1, 1) * 1 * 2(d-1) at N = d, m = 2
         (("--n", "1", "--d", "1000000", "--m", "2"), str(999998 * 1999998)),
+        # 19,999! has 77,000 digits: the alternate sum still runs
+        (("--n", "1", "--d", "20000", "--m", "2", "--method", "alternate"), str(19998 * 39998)),
         # (d-1)^n = 1: Boole's degree n + 1 is short at any n
         (("--n", "200000", "--d", "2", "--m", "20000299999", "--method", "boole"), "200001"),
     ],

@@ -114,6 +114,17 @@ def test_alternate_agrees_with_main(n, d):
         assert degree_alternate(v, m).deg_xm == degree_main(v, m).deg_xm
 
 
+def test_alternate_refuses_its_factorial_past_the_digit_limit():
+    # the sum would form (dim X_m)!: 999,999! has 5.6 million digits, and
+    # at d = 10^400 the dimension is past the floats
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^too large: \(dim X_m\)! of the alternate sum at "):
+        degree_alternate(VeroneseVariety(1, 10**6), 2)
+    with pytest.raises(ValueError, match=r"1,000,000 digits \(estimated inf or more\)$"):
+        degree_alternate(VeroneseVariety(1, 10**400), 2)
+    assert time.process_time() - start < 1
+
+
 def test_degree_m_np1_known():
     assert degree_m_np1(VeroneseVariety(2, 2)).deg_xm == 21
     assert degree_m_np1(VeroneseVariety(1, 4)).deg_xm == 12
@@ -385,8 +396,12 @@ def test_bounds_at_m_equals_n():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_bounds_sandwich_sweep(n, d):
     v = VeroneseVariety(n, d)
-    for m in range(n, v.N):
+    N = v.N
+    for m in range(n, N):
         b = bounds(v, m)
+        assert b.lower == Fraction(comb(N - m, n), comb(N - n, n))
+        assert b.upper == Fraction(comb(N - m + n - 1, n), comb(N - 1, n))
+        assert b.conjecture_upper == Fraction(N - m, N - n) ** n
         assert b.lower <= b.ratio <= b.upper
         assert b.degree == degree_alternate(v, m).deg_xm
         if n == 1:

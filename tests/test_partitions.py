@@ -38,10 +38,17 @@ def test_canonical_strips_zeros_and_validates():
     assert canonical((3, 1, 0, 0)) == (3, 1)
     assert canonical(()) == ()
     assert canonical((0, 0)) == ()
-    with pytest.raises(ValueError):
+    assert canonical([4, 2, 2, 0]) == (4, 2, 2)
+    assert canonical(iter([3, 1, 1, 0, 0])) == (3, 1, 1)
+    with pytest.raises(ValueError, match=r"^negative part in \(2, -1\)$"):
+        canonical([2, -1])
+    with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(1, 2\)$"):
         canonical((1, 2))
-    with pytest.raises(ValueError):
-        canonical((2, -1))
+    # a negative last part is reported before any increase
+    with pytest.raises(ValueError, match=r"^negative part in \(1, 2, -1\)$"):
+        canonical((1, 2, -1))
+    with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(-1, 2\)$"):
+        canonical((-1, 2))
 
 
 def test_pad():
@@ -143,6 +150,19 @@ def test_add_rectangle():
     assert add_rectangle((), 2, 3) == (3, 3)
     with pytest.raises(ValueError):
         add_rectangle((1, 1, 1), 2, 5)
+    # width 0 adds nothing and strips the padding again
+    assert add_rectangle((2, 1), 4, 0) == (2, 1)
+    assert add_rectangle([3, 1, 0], 3, 0) == (3, 1)
+    assert add_rectangle((), 0, 7) == ()
+    assert add_rectangle((2, 0), 3, 2) == (4, 2, 2)
+    with pytest.raises(ValueError, match=r"^\(1, 1, 1\) has more than 2 nonzero parts$"):
+        add_rectangle((1, 1, 1), 2, 0)
+    with pytest.raises(ValueError, match=r"^\(2, 1\) has more than 0 nonzero parts$"):
+        add_rectangle((2, 1), 0, 3)
+    with pytest.raises(ValueError, match="^rectangle sides must be non-negative$"):
+        add_rectangle((1,), 1, -1)
+    with pytest.raises(ValueError, match="^parts not weakly decreasing"):
+        add_rectangle((1, 2), 2, 1)
 
 
 def test_syt_hook_known_values():
