@@ -18,11 +18,13 @@ is a `partitions.exact_quotient`, and every degree is checked positive.
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, inf, lgamma, log, log2, log10, perm
 
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
     Partition,
+    _syt_count_hook,
     add_rectangle,
     canonical,
     check_partition_terms,
@@ -30,7 +32,7 @@ from .partitions import (
     exact_quotient,
     falling_factorial_product,
     pad,
-    syt_count_hook,
+    syt_count_canonical,
 )
 from .schur import SegreIntegralTable, VeroneseVariety
 
@@ -264,8 +266,8 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     is (N-m) wide and m-n tall, and the sum runs over k = 0..n with
     partitions of n-k in at most m-n parts (at m = n, only k = n).  Term k
     has weight 1/(n-k)! = perm(n, k)/n!, so the sum is kept in integers
-    and divided by n! once.  The widest shape's tableau count forms
-    (dim X_m)!, so past MAX_DIGITS digits of it the cell is refused first.
+    and divided by n! once.  (dim X_m)! bounds the widest shape's tableau
+    count, so past MAX_DIGITS digits of it the cell is refused first.
     """
     n, N = v.n, v.N
     _check_range(n, N, m)
@@ -278,8 +280,8 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     total = 0
     for k in range(n + 1):
         inner = sum(
-            syt_count_hook(lam)
-            * syt_count_hook(add_rectangle(lam, e, N - m))
+            _syt_count_hook(lam)
+            * syt_count_canonical(add_rectangle(lam, e, N - m))
             * falling_factorial_product(n, lam)
             for lam in enumerate_partitions(n - k, e)
         )
@@ -352,13 +354,15 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
 
     The genus-0 general curve in P^d.  G(m-1, d-1) and its dual G(d-m, d-1)
     must have equal Pluecker degree, so the degree is compared with
-    2(d-m) * (1 + dim G) times the hook count of the dual's rectangle,
-    taken with its fewer rows: an independent route, since
-    `grassmann_degree` treats both orientations alike.
+    2(d-m) * (1 + dim G) times the degree of the one of the two with fewer
+    rows, read off `grassmann_degree_sweep(d - 1)`: an independent route,
+    since the sweep steps by short ratios and shares no code with the
+    tableau kernel behind `reference_product`.
     """
     report = degree_general_curve(d, d, 0, m)
-    rows, cols = sorted((m - 1, d - m))
-    if report.deg_xm != 2 * (d - m) * (1 + rows * cols) * syt_count_hook((cols,) * rows):
+    rows = min(m - 1, d - m)
+    pluecker = next(islice(grassmann_degree_sweep(d - 1), rows, None))
+    if report.deg_xm != 2 * (d - m) * (1 + rows * (d - 1 - rows)) * pluecker:
         raise ArithmeticError("dual Grassmannian degrees disagree")
     return replace(report, method="curve_closed", notes="")
 
@@ -500,7 +504,7 @@ def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
     for lam, integral in table.entries.items():
         num, den = _row_binomial_ratio(lam, n, N, m)
         quotient = exact_quotient(
-            unit * syt_count_hook(lam) * num, den, "tableau count of %s plus %s", lam, rectangle
+            unit * _syt_count_hook(lam) * num, den, "tableau count of %s plus %s", lam, rectangle
         )
         total += quotient * integral
     if total <= 0:
@@ -594,7 +598,7 @@ def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
     return record
 
 
-def verify_identity(n: int, tableau_count=syt_count_hook) -> tuple[int, int, bool]:
+def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bool]:
     """Weighted square-sum identity over partitions of n.
 
     Returns (lhs, rhs, lhs == rhs) where lhs sums f(lam)^2 times the

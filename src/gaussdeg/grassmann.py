@@ -3,31 +3,18 @@
 G(d, r) parametrizes rank-d quotient spaces of a fixed r-dimensional
 space.  Its Pluecker degree is the tableau count of the k x c rectangle,
 k = d and c = r - d; `degrees.reference_product` carries it into every
-degree.  By the hook length formula (Frame-Robinson-Thrall) that count is
-(kc)! over the product of the hooks, and hook h occurs
-min(h, k, c, k + c - h) times, so `grassmann_degree` forms it as a product
-of prime powers p^e, e = Legendre's exponent of p in (kc)! minus the
-exponent of p in the hooks.  No big division is made, and the cost is the
-same for the rectangle and its transpose.  Small rectangles take the
-product form (kc)! prod_{i<a} i! / (b+i)!, a = min(k, c), b = max(k, c),
-instead: a few factorials and one checked division beat the loop over the
-primes there.  `partitions.syt_count_hook`, the general O(rows^2)
-counter, is the test oracle of both.
+degree.
 
 A sweep over m keeps k + c fixed, and `grassmann_degree_sweep` steps from
-one rectangle to the next: by that product form, D(k+1, c-1) is D(k, c)
-times ((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
+one rectangle to the next: by the product form (kc)! prod_{i<a} i! / (b+i)!,
+a = min(k, c), b = max(k, c), D(k+1, c-1) is D(k, c) times
+((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
 """
 
 from dataclasses import dataclass
-from itertools import compress
-from math import factorial, gcd, inf, isqrt, lgamma, log, perm, prod
+from math import gcd, inf, lgamma, log, perm
 
-from .partitions import exact_quotient
-
-# Below this many cells the product form is faster than the prime powers
-# (measured crossover 700-1000 cells on CPython 3.11, x86-64).
-PRIME_POWER_CELLS = 800
+from .partitions import exact_quotient, syt_count_canonical
 
 
 @dataclass(frozen=True)
@@ -49,38 +36,12 @@ def grassmann_dim(shape: GrassmannShape) -> int:
 def grassmann_degree(shape: GrassmannShape) -> int:
     """Degree under the Pluecker embedding: tableaux of the k x c rectangle.
 
-    From PRIME_POWER_CELLS cells on, for each prime p <= kc the exponent
-    is sum_j floor(kc / p^j) minus the multiplicities of the hooks
-    h < k + c divisible by p^j.  A negative exponent, or a remainder in
-    the product form below that size, raises ArithmeticError: the count
-    did not come out integral.  A rectangle of at most one row or
-    column has one tableau: G is then a point (d = 0 or d = r), a
-    projective space or its dual, of degree 1, and no sieve is built.
+    `partitions.syt_count_canonical` of the orientation with fewer rows,
+    past the hook cache.  It is 1 at once for a point (d = 0 or d = r), a
+    projective space or its dual: a rectangle of at most one row or column.
     """
-    k, c = shape.d, shape.r - shape.d
-    if min(k, c) <= 1:
-        return 1
-    cells, what = k * c, f"tableau count of the {k} x {c} rectangle"
-    if cells < PRIME_POWER_CELLS:
-        a, b = sorted((k, c))
-        return exact_quotient(
-            factorial(cells) * prod(map(factorial, range(a))),
-            prod(factorial(b + i) for i in range(a)),
-            what,
-        )
-    # mults[h] is the number of hooks of length h
-    mults = [min(h, k, c, k + c - h) for h in range(k + c)]
-    powers = []
-    for p in _primes_upto(cells):
-        exponent = 0
-        q = p
-        while q <= cells:
-            exponent += cells // q - sum(mults[q::q])
-            q *= p
-        if exponent < 0:
-            raise ArithmeticError(f"{what} did not come out integral")
-        powers.append(p**exponent)
-    return _balanced_product(powers)
+    rows, cols = sorted((shape.d, shape.r - shape.d))
+    return syt_count_canonical((cols,) * rows)
 
 
 def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
@@ -139,23 +100,3 @@ def _sweep_factor(k: int, c: int) -> tuple[int, int]:
         num, den = perm(k, -steps), perm(cells, -steps)
     common = gcd(num, den)
     return num // common, den // common
-
-
-def _primes_upto(n: int):
-    """Primes p <= n (n >= 1), by a sieve of n + 1 bytes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return compress(range(n + 1), sieve)
-
-
-def _balanced_product(factors: list[int]) -> int:
-    """Product of `factors`, multiplying neighbours pairwise until one is left."""
-    while len(factors) > 1:
-        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0] if factors else 1

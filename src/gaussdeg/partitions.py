@@ -7,8 +7,8 @@ All arithmetic is exact.
 """
 
 from functools import lru_cache
-from itertools import islice
-from math import factorial, perm, prod
+from itertools import combinations, compress, islice, zip_longest
+from math import factorial, isqrt, perm, prod
 from operator import lt
 
 Partition = tuple[int, ...]
@@ -18,6 +18,9 @@ MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count pas
 # canonical shapes whose tableau counts `syt_count_hook` keeps; a seeded
 # `small_mixed` benchmark run asks for 857 distinct ones
 HOOK_CACHE_SIZE = 4096
+# Below this many cells one division is faster than the prime powers: measured
+# crossover 700-1000 cells for rectangles, fewer for many rows (CPython 3.11, x86-64).
+PRIME_POWER_CELLS = 800
 
 
 def canonical(parts) -> Partition:
@@ -146,28 +149,79 @@ def add_rectangle(lam, height: int, width: int) -> Partition:
 
 
 def syt_count_hook(lam) -> int:
-    """Number of standard Young tableaux of shape `lam`.
+    """Number of standard Young tableaux of shape `lam`; the empty shape counts 1.
 
-    Closed product form: |lam|! times the product of part differences
-    (lam_i - lam_j + j - i) over i < j, divided by the product of
-    (lam_i + e - i)! where e is the number of parts.  The value does not
-    change when zero parts are appended; the empty shape counts 1.
-    Validates `lam` on every call, then reads the count from a cache of
-    the HOOK_CACHE_SIZE canonical shapes used most recently.
+    Validates `lam` on every call, then reads `syt_count_canonical` of the
+    canonical shape from a cache of the HOOK_CACHE_SIZE used most recently.
     """
     return _syt_count_hook(canonical(lam))
 
 
-@lru_cache(maxsize=HOOK_CACHE_SIZE)
-def _syt_count_hook(lam: Partition) -> int:
-    """`syt_count_hook` of a canonical shape."""
-    e = len(lam)
-    num = factorial(weight(lam))
-    for i in range(e):
-        for j in range(i + 1, e):
-            num *= lam[i] - lam[j] + j - i
-    den = prod(factorial(part + e - 1 - i) for i, part in enumerate(lam))
-    return exact_quotient(num, den, f"tableau count for {lam}")
+def syt_count_canonical(lam: Partition) -> int:
+    """Tableau count of a canonical shape, neither validated nor cached.
+
+    The hook length formula (Frame-Robinson-Thrall) in Frobenius-Young
+    form: f = |lam|! prod_{i<j} (l_i - l_j) / prod_i l_i!, where
+    l_i = lam_i + e - 1 - i is the hook of the first cell of row i < e.
+    One row or one column counts 1 at once.  Below PRIME_POWER_CELLS cells
+    this is one checked division, from there on a product of prime powers.
+    A count that is not integral raises ArithmeticError.
+    """
+    if len(lam) <= 1 or lam[0] == 1:
+        return 1
+    count = _count_by_division if weight(lam) < PRIME_POWER_CELLS else _count_by_prime_powers
+    return count(lam)
+
+
+def _count_by_division(lam: Partition) -> int:
+    """`syt_count_canonical` as |lam|! prod_{i<j} (l_i - l_j) over prod l_i!."""
+    ells = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    num = factorial(weight(lam)) * prod(top - low for top, low in combinations(ells, 2))
+    return exact_quotient(num, prod(map(factorial, ells)), "tableau count for %s", lam)
+
+
+def _count_by_prime_powers(lam: Partition) -> int:
+    """`syt_count_canonical` of |lam| >= 1 cells as a product of prime powers p^x.
+
+    x is Legendre's exponent of p in |lam|! less that in the hooks: hook h
+    occurs mults[h] times, once per row with l_i >= h less once per row
+    pair with l_i - l_j = h, the pairs taken as they come.
+    """
+    ells, cells = [part + len(lam) - 1 - i for i, part in enumerate(lam)], weight(lam)
+    mults = [0]
+    for rows in range(len(ells), 0, -1):
+        mults += [rows] * (ells[rows - 1] + 1 - len(mults))
+    for top, low in combinations(ells, 2):
+        mults[top - low] -= 1
+    powers = []
+    for p in _primes_upto(cells):
+        exponent, q = 0, p
+        while q <= cells:
+            exponent += cells // q - sum(mults[q::q])
+            q *= p
+        if exponent < 0:
+            raise ArithmeticError(f"tableau count for {lam} did not come out integral")
+        powers.append(p**exponent)
+    return _balanced_product(powers)
+
+
+_syt_count_hook = lru_cache(maxsize=HOOK_CACHE_SIZE)(syt_count_canonical)
+
+
+def _primes_upto(n: int):
+    """Primes p <= n (n >= 1), by a sieve of n + 1 bytes."""
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)  # 0 and 1 are not prime
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return compress(range(n + 1), sieve)
+
+
+def _balanced_product(factors: list[int]) -> int:
+    """Product of `factors`, multiplying neighbours pairwise until one is left."""
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip_longest(factors[::2], factors[1::2], fillvalue=1)]
+    return factors[0] if factors else 1
 
 
 def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:

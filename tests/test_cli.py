@@ -349,13 +349,15 @@ def _skew_ratio(monkeypatch):
 
 def _skew_hook(monkeypatch):
     # one-row tableau counts off by 5/7 leave the alternate sum over n!
-    # non-integral
-    hook = gaussdeg.degrees.syt_count_hook
+    # non-integral; the sum counts its partitions through the hook cache
+    # and their shapes plus the rectangle through the uncached kernel
+    for name in ("_syt_count_hook", "syt_count_canonical"):
+        count = getattr(gaussdeg.degrees, name)
 
-    def skewed(lam):
-        return hook(lam) * Fraction(5, 7) if len(lam) == 1 else hook(lam)
+        def skewed(lam, _count=count):
+            return _count(lam) * Fraction(5, 7) if len(lam) == 1 else _count(lam)
 
-    monkeypatch.setattr(gaussdeg.degrees, "syt_count_hook", skewed)
+        monkeypatch.setattr(gaussdeg.degrees, name, skewed)
 
 
 def _skew_reference(monkeypatch):
@@ -464,18 +466,17 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
     ids=["degree", "table"],
 )
 def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
-    # the Grassmannian rectangle is counted by its own kernel; the general
-    # hook counter sees only the partitions of n in the weighted sum
+    # the Grassmannian rectangle goes to the tableau kernel past the hook
+    # cache; the cache sees only the partitions of n in the weighted sum
     weights = []
-    original = gaussdeg.partitions.syt_count_hook
+    original = gaussdeg.partitions._syt_count_hook
 
     def counted(lam):
         weights.append(sum(lam))
         return original(lam)
 
-    for module in (gaussdeg.partitions, gaussdeg.degrees, gaussdeg.schur):
-        monkeypatch.setattr(module, "syt_count_hook", counted)
-    monkeypatch.setattr(gaussdeg.grassmann, "syt_count_hook", counted, raising=False)
+    for module in (gaussdeg.partitions, gaussdeg.degrees):
+        monkeypatch.setattr(module, "_syt_count_hook", counted)
     run_cli(capsys, *argv)
     assert weights and max(weights) <= n
 
@@ -703,8 +704,8 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
             TOO_LARGE,
             id="degree-alternate",
         ),
-        # the reference product is small, but the alternate sum would form
-        # (dim X_m)! = 999,999!, 5.6 million digits
+        # the reference product is small, but the alternate sum is held to
+        # its counts' bound (dim X_m)! = 999,999!, 5.6 million digits
         pytest.param(
             ("degree", "--n", "1", "--d", "1000000", "--m", "2", "--method", "alternate"),
             "error: too large: (dim X_m)! of the alternate sum at (n=1, d=1000000, m=2) ",
@@ -788,6 +789,16 @@ def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
+def test_syt_counts_a_long_two_row_shape_as_a_process():
+    # the count of (2000000, 1) as prime powers, within the bound; as
+    # 2000001! over the rows' factorials it would run for minutes
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, out, _ = _run_process("syt", "--shape", "2000000,1", timeout=30)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
+    assert code == 0 and json.loads(out)["hook"] == "2000000"
+
+
 def test_cost_guard_comes_after_range_errors(capsys):
     code, _, err = run_cli(capsys, "degree", "--n", "12", "--d", "12", "--m", "5")
     assert (code, err) == (2, "error: m must satisfy 12 <= m <= 2704154, got 5\n")
@@ -838,7 +849,7 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
         (("--n", "1", "--d", "1000000", "--m", "2"), str(999998 * 1999998)),
         # (d-1)^n = 1: Boole's degree n + 1 is short at any n
         (("--n", "200000", "--d", "2", "--m", "20000299999", "--method", "boole"), "200001"),
-        # 19,999! has 77,000 digits: the alternate sum still runs
+        # 19,999! has 77,000 digits: the alternate sum's bound lets it run
         (("--n", "1", "--d", "20000", "--m", "2", "--method", "alternate"), str(19998 * 39998)),
     ],
 )

@@ -115,8 +115,8 @@ def test_alternate_agrees_with_main(n, d):
 
 
 def test_alternate_refuses_its_factorial_past_the_digit_limit():
-    # the sum would form (dim X_m)!: 999,999! has 5.6 million digits, and
-    # at d = 10^400 the dimension is past the floats
+    # (dim X_m)! bounds the sum's tableau counts: 999,999! has 5.6 million
+    # digits, and at d = 10^400 the dimension is past the floats
     start = time.process_time()
     with pytest.raises(ValueError, match=r"^too large: \(dim X_m\)! of the alternate sum at "):
         degree_alternate(VeroneseVariety(1, 10**6), 2)

@@ -6,15 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gaussdeg.grassmann
+import gaussdeg.partitions
 from gaussdeg.grassmann import (
-    PRIME_POWER_CELLS,
     GrassmannShape,
     grassmann_degree,
     grassmann_degree_sweep,
     grassmann_dim,
 )
-from gaussdeg.partitions import syt_count_bruteforce, syt_count_hook
+from gaussdeg.partitions import (
+    PRIME_POWER_CELLS,
+    _count_by_division,
+    _count_by_prime_powers,
+    syt_count_bruteforce,
+    syt_count_hook,
+)
 
 
 def test_shape_validation():
@@ -50,7 +55,7 @@ def test_thin_grassmannians_build_no_sieve(monkeypatch):
     def no_sieve(n):
         raise AssertionError(f"sieve of {n} built")
 
-    monkeypatch.setattr(gaussdeg.grassmann, "_primes_upto", no_sieve)
+    monkeypatch.setattr(gaussdeg.partitions, "_primes_upto", no_sieve)
     assert grassmann_degree(GrassmannShape(1, 10**6)) == 1
     assert grassmann_degree(GrassmannShape(10**6 - 1, 10**6)) == 1
 
@@ -65,9 +70,10 @@ def test_degree_duality(r, data):
 
 @given(r=st.integers(min_value=0, max_value=60), data=st.data())
 def test_degree_is_the_rectangle_hook_count(r, data):
-    # the kernel, in both of its forms, against the general O(rows^2) counter
+    # the tableau kernel against the sweep, which steps by short ratios and
+    # never counts hooks; the sweep stops before the point G(r, r)
     d = data.draw(st.integers(min_value=0, max_value=r))
-    assert grassmann_degree(GrassmannShape(d, r)) == syt_count_hook((r - d,) * d)
+    assert grassmann_degree(GrassmannShape(d, r)) == [*grassmann_degree_sweep(r), 1][d]
 
 
 def test_degree_is_the_bruteforce_count_up_to_weight_12():
@@ -79,15 +85,20 @@ def test_degree_is_the_bruteforce_count_up_to_weight_12():
 
 
 def test_degree_on_both_sides_of_the_prime_power_switch():
-    # the product form below PRIME_POWER_CELLS cells, the prime powers from it on
+    # the kernel divides below PRIME_POWER_CELLS cells and multiplies prime
+    # powers from there on; each rectangle there is counted by both branches
     for k in range(1, 41):
         for c in {-(-PRIME_POWER_CELLS // k) - 1, -(-PRIME_POWER_CELLS // k)}:
-            assert grassmann_degree(GrassmannShape(k, k + c)) == syt_count_hook((c,) * k)
-            assert grassmann_degree(GrassmannShape(c, k + c)) == syt_count_hook((c,) * k)
+            rectangle = (c,) * k
+            expected = _count_by_division(rectangle)
+            assert _count_by_prime_powers(rectangle) == expected
+            assert grassmann_degree(GrassmannShape(k, k + c)) == expected
+            assert grassmann_degree(GrassmannShape(c, k + c)) == expected
 
 
 def test_degree_large_square():
-    assert grassmann_degree(GrassmannShape(60, 120)) == syt_count_hook((60,) * 60)
+    # 3,600 cells, past the switch: the prime powers against one division
+    assert grassmann_degree(GrassmannShape(60, 120)) == _count_by_division((60,) * 60)
 
 
 @settings(max_examples=6, deadline=None)

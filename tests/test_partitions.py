@@ -2,7 +2,7 @@
 
 import time
 from itertools import islice
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from gaussdeg.partitions import (
     HOOK_CACHE_SIZE,
+    _count_by_division,
+    _count_by_prime_powers,
     _syt_count_hook,
     add_rectangle,
     canonical,
@@ -20,12 +22,17 @@ from gaussdeg.partitions import (
     partition_count,
     partition_counts,
     syt_count_bruteforce,
+    syt_count_canonical,
     syt_count_hook,
     weight,
 )
 
 # p(0)..p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def _transpose(shape):
+    return tuple(sum(1 for part in shape if part > i) for i in range(max(shape, default=0)))
 
 
 @st.composite
@@ -229,11 +236,35 @@ def test_hook_padding_invariance(lam, extra):
 
 @given(lam=partitions())
 def test_conjugate_involution_and_count_symmetry(lam):
-    def transpose(shape):
-        return tuple(sum(1 for part in shape if part > i) for i in range(max(shape, default=0)))
+    assert _transpose(_transpose(lam)) == lam
+    assert syt_count_hook(_transpose(lam)) == syt_count_hook(lam)
 
-    assert transpose(transpose(lam)) == lam
-    assert syt_count_hook(transpose(lam)) == syt_count_hook(lam)
+
+def test_kernel_branches_agree_on_every_shape_up_to_weight_20():
+    # one division and the prime powers, on all 2,713 shapes of weight 1..20
+    # and their transposes; the empty shape is counted at once
+    assert syt_count_canonical(()) == 1
+    for total in range(1, 21):
+        for lam in enumerate_partitions(total, total):
+            for shape in (lam, _transpose(lam)):
+                assert _count_by_division(shape) == _count_by_prime_powers(shape), shape
+
+
+def test_big_shapes_match_closed_forms_without_hooks():
+    # (k, k) counts the Catalan number C(2k, k)/(k+1); |lam|! over the rows'
+    # factorials takes seconds here, the prime powers well under one
+    k = 200_000
+    start = time.process_time()
+    catalan = syt_count_hook((k, k))
+    assert time.process_time() - start < 1
+    assert catalan == comb(2 * k, k) // (k + 1)
+    # (a, b) counts the ballot number C(a+b, b) - C(a+b, b-1)
+    a, b = 60_000, 20_000
+    assert syt_count_hook((a, b)) == comb(a + b, b) - comb(a + b, b - 1)
+    # the hook (a, 1^b) counts C(a+b-1, b): the first row holds 1 and any
+    # a-1 of the other a+b-1 values
+    for a, b in ((100_000, 2_000), (1_001, 1_500)):
+        assert syt_count_hook((a,) + (1,) * b) == comb(a + b - 1, b)
 
 
 def test_rsk_square_sum():
