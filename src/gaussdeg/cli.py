@@ -48,6 +48,7 @@ from .partitions import (
     canonical,
     check_partition_terms,
     syt_count_bruteforce,
+    syt_count_digits,
     syt_count_hook,
     weight,
 )
@@ -143,12 +144,16 @@ def _guard_digits(n: int, N: int, m: int, first_digits: float) -> None:
     check_digits(digits, f"the reference product at {where}")
 
 
-def _guard_veronese(v: VeroneseVariety, m: int) -> None:
+def _guard_veronese(v: VeroneseVariety, m: int, sums_partitions: bool = False) -> None:
     """Cost guard of a degree of `v` at m; range errors come first.
 
-    The reference product's first factor is refused before N is formed.
+    A method that sums over the partitions of n is held to their count
+    next, which needs no N; the reference product's first factor is
+    refused before N is formed.
     """
     check_veronese_range(v, m)
+    if sums_partitions:
+        check_partition_terms(v.n)
     first = ordinary_gauss_digits(v)
     where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
     check_digits(first, f"the ordinary Gauss degree at {where}")
@@ -172,7 +177,7 @@ def cmd_degree(args) -> int:
     if not method.applies(v, args.m):
         raise ValueError(f"method {args.method} requires {method.requires}")
     if method.guarded:
-        _guard_veronese(v, args.m)
+        _guard_veronese(v, args.m, method.sums_partitions)
     else:
         where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
         check_digits(boole_digits(v.n, v.d), f"Boole's degree at {where}")
@@ -260,18 +265,17 @@ def cmd_generic(args) -> int:
 
 def cmd_syt(args) -> int:
     lam = parse_partition(args.shape)
+    cells = weight(lam)
+    what = f"the tableau count of a shape of {_message_int(cells)} cells"
+    check_digits(syt_count_digits(lam, MAX_DIGITS), what)
     cap = effective_brute_cap()
-    doc: dict = {
-        "shape": list(lam),
-        "weight": weight(lam),
-        "hook": str(syt_count_hook(lam)),
-    }
-    if weight(lam) <= cap:
+    doc: dict = {"shape": list(lam), "weight": cells, "hook": str(syt_count_hook(lam))}
+    if cells <= cap:
         doc["bruteforce"] = str(syt_count_bruteforce(lam, cap=cap))
     else:
         doc["bruteforce"] = None
         doc["note"] = (
-            f"weight {weight(lam)} exceeds brute-force cap {cap}; "
+            f"weight {cells} exceeds brute-force cap {cap}; "
             f"set {ENV_BRUTE_CAP} to raise it"
         )
     print(_render_object(doc, args.format))

@@ -424,18 +424,21 @@ class Method:
     `applies` never forms a huge N.  `guarded` is false only for Boole's
     formula, (n+1)(d-1)^n, which the command line's cost guard bounds by
     `boole_digits`; it bounds every other method by the reference product,
-    and `degree_alternate` bounds its own (dim X_m)! too.
+    and `degree_alternate` bounds its own (dim X_m)! too.  `sums_partitions`
+    marks the methods that sum over the partitions of n, which the guard
+    holds to `partitions.MAX_PARTITIONS` terms before it forms N.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
     guarded: bool = True
+    sums_partitions: bool = False
 
 
 METHODS = {
-    "main": Method(lambda v, m: degree_main(v, m)),
-    "alternate": Method(lambda v, m: degree_alternate(v, m)),
+    "main": Method(lambda v, m: degree_main(v, m), sums_partitions=True),
+    "alternate": Method(lambda v, m: degree_alternate(v, m), sums_partitions=True),
     "curve_closed": Method(
         lambda v, m: degree_curve_closed(v.d, m), "n = 1", lambda v, m: v.n == 1
     ),

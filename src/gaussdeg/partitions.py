@@ -7,8 +7,8 @@ All arithmetic is exact.
 """
 
 from functools import lru_cache
-from itertools import combinations, compress, islice, zip_longest
-from math import factorial, isqrt, perm, prod
+from itertools import accumulate, combinations, compress, groupby, islice, zip_longest
+from math import factorial, inf, isqrt, lgamma, log, perm, prod
 from operator import lt
 
 Partition = tuple[int, ...]
@@ -18,8 +18,11 @@ MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count pas
 # canonical shapes whose tableau counts `syt_count_hook` keeps; a seeded
 # `small_mixed` benchmark run asks for 857 distinct ones
 HOOK_CACHE_SIZE = 4096
+# ln of Glaisher's constant A, the constant term of ln prod_{d<=n} d^d
+_LOG_GLAISHER = 0.2487544770337843
 # Below this many cells one division is faster than the prime powers: measured
-# crossover 700-1000 cells for rectangles, fewer for many rows (CPython 3.11, x86-64).
+# crossover near 850 cells for squares, more for a few long rows and fewer for
+# a shape plus a rectangle (CPython 3.11, x86-64).
 PRIME_POWER_CELLS = 800
 
 
@@ -183,38 +186,87 @@ def _count_by_division(lam: Partition) -> int:
 def _count_by_prime_powers(lam: Partition) -> int:
     """`syt_count_canonical` of |lam| >= 1 cells as a product of prime powers p^x.
 
-    x is Legendre's exponent of p in |lam|! less that in the hooks: hook h
-    occurs mults[h] times, once per row with l_i >= h less once per row
-    pair with l_i - l_j = h, the pairs taken as they come.
+    x is Legendre's exponent of p in |lam|! less that in the hooks, whose
+    multiplicities `_hook_mults` gives up to the largest hook l_1.  A prime
+    p > l_1 divides no hook, and as l_1 >= sqrt(|lam|) its x is |lam| // p:
+    those primes go in blocks, one product per value k of |lam| // p.
+    `_power_product` multiplies the powers.
     """
-    ells, cells = [part + len(lam) - 1 - i for i, part in enumerate(lam)], weight(lam)
-    mults = [0]
-    for rows in range(len(ells), 0, -1):
-        mults += [rows] * (ells[rows - 1] + 1 - len(mults))
-    for top, low in combinations(ells, 2):
-        mults[top - low] -= 1
+    cells, top = weight(lam), lam[0] + len(lam) - 1
+    mults, sieve = _hook_mults(lam), _prime_sieve(cells)
     powers = []
-    for p in _primes_upto(cells):
+    for p in compress(range(top + 1), sieve[: top + 1]):
         exponent, q = 0, p
         while q <= cells:
             exponent += cells // q - sum(mults[q::q])
             q *= p
         if exponent < 0:
             raise ArithmeticError(f"tableau count for {lam} did not come out integral")
-        powers.append(p**exponent)
-    return _balanced_product(powers)
+        if exponent:
+            powers.append((p, exponent))
+    for k in range(1, cells // (top + 1) + 1):
+        # the primes p > l_1 with |lam| // p == k
+        low, high = max(cells // (k + 1), top) + 1, cells // k
+        block = compress(range(low, high + 1), sieve[low : high + 1])
+        powers.append((_balanced_product(list(block)), k))
+    return _power_product(powers)
+
+
+def _hook_mults(lam: Partition) -> list[int]:
+    """mults[h], h = 1..l_1: rows with l_i >= h less row pairs with l_i - l_j = h.
+
+    Each run of `_runs` adds a ramp (its rows leave the count one by one)
+    and a triangle (its own pairs), and each pair of runs a trapezoid (the
+    differences of two ranges).  These are written as second differences
+    and summed by two `accumulate` passes: O(runs^2 + l_1) where the row
+    pairs cost O(rows^2).  mults[0] is 0.
+    """
+    rows, top = len(lam), lam[0] + len(lam) - 1
+    diff2 = [0] * (top + 3)
+    diff2[1], diff2[2] = rows, -rows
+    above: list[tuple[int, int]] = []  # (lowest l_i, rows) of the runs above
+    for high, length in _runs(lam):
+        low = high - length + 1
+        # its rows: row i leaves the count from h = l_i + 1 on
+        diff2[low + 1] -= 1
+        diff2[high + 2] += 1
+        # its own pairs: difference d = 1..length-1, length - d times
+        diff2[1] -= length - 1
+        diff2[2] += length
+        diff2[length + 1] -= 1
+        # its pairs with each run above: differences from `least` on
+        for other_low, other_length in above:
+            least = other_low - high
+            diff2[least] -= 1
+            diff2[least + other_length] += 1
+            diff2[least + length] += 1
+            diff2[least + other_length + length] -= 1
+        above.append((low, length))
+    return list(accumulate(accumulate(diff2[: top + 1])))
+
+
+def _runs(lam: Partition):
+    """(highest l_i, rows) of each run of equal parts of `lam`, top run first.
+
+    The l_i of a run are consecutive: highest l_i - rows + 1 up to it.
+    """
+    start = 0
+    for part, group in groupby(lam):
+        length = len(list(group))
+        yield part + len(lam) - 1 - start, length
+        start += length
 
 
 _syt_count_hook = lru_cache(maxsize=HOOK_CACHE_SIZE)(syt_count_canonical)
 
 
-def _primes_upto(n: int):
-    """Primes p <= n (n >= 1), by a sieve of n + 1 bytes."""
+def _prime_sieve(n: int) -> bytearray:
+    """n + 1 bytes, byte p set exactly when p is prime (n >= 1)."""
     sieve = bytearray(2) + bytearray([1]) * (n - 1)  # 0 and 1 are not prime
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return compress(range(n + 1), sieve)
+    return sieve
 
 
 def _balanced_product(factors: list[int]) -> int:
@@ -222,6 +274,68 @@ def _balanced_product(factors: list[int]) -> int:
     while len(factors) > 1:
         factors = [a * b for a, b in zip_longest(factors[::2], factors[1::2], fillvalue=1)]
     return factors[0] if factors else 1
+
+
+def _power_product(powers: list[tuple[int, int]]) -> int:
+    """prod b^e over the (b, e) of `powers`, e >= 0, one squaring per bit of e.
+
+    From the highest bit down: result <- result^2 times the product of the
+    bases whose exponent has that bit set.
+    """
+    result = 1
+    for bit in reversed(range(max((e for _, e in powers), default=0).bit_length())):
+        result = result * result * _balanced_product([b for b, e in powers if e >> bit & 1])
+    return result
+
+
+def syt_count_digits(lam: Partition, limit: float = inf) -> float:
+    """Estimated decimal digits of the tableau count of canonical `lam`, in floats.
+
+    ln f = ln |lam|! - sum_i ln l_i! + sum_{i<j} ln(l_i - l_j), taken run by
+    run of `_runs`: over one run, or a pair of runs, each sum is a
+    difference of `_log_superfactorial`s, so nothing l_1 long is built.
+    The pair terms are positive and come last, so the loop over pairs of
+    runs stops once past `limit` digits and returns that lower bound.  One
+    row or one column counts 1 at once; over 500-bit shapes estimate as inf.
+    """
+    if len(lam) <= 1 or lam[0] == 1:
+        return 0.0
+    cells = weight(lam)
+    if cells >> 500:
+        return inf
+    runs = list(_runs(lam))
+    log_f = lgamma(cells + 1) + sum(
+        _log_superfactorial(high - length) - _log_superfactorial(high)
+        + _log_superfactorial(length - 1)  # the run's own pairs
+        for high, length in runs
+    )
+    bound = limit * log(10)
+    for i, (high, length) in enumerate(runs):
+        low = high - length + 1
+        for other_high, other_length in runs[i + 1 :]:
+            other_low = other_high - other_length + 1
+            log_f += (
+                _log_superfactorial(high - other_low)
+                - _log_superfactorial(low - other_low - 1)
+                - _log_superfactorial(high - other_high - 1)
+                + _log_superfactorial(low - other_high - 2)
+            )
+        if log_f > bound:
+            break
+    return log_f / log(10)
+
+
+def _log_superfactorial(n: int) -> float:
+    """sum_{x<=n} ln x! = (n + 1) ln n! - sum_{d<=n} d ln d, 0 for n < 2.
+
+    The second sum is ln of the hyperfactorial, by its asymptotic series
+    (n^2/2 + n/2 + 1/12) ln n - n^2/4 + ln A + 1/(720 n^2), A Glaisher's
+    constant: within 1e-6 from n = 2 on.
+    """
+    if n < 2:
+        return 0.0
+    log_hyper = (n * n / 2 + n / 2 + 1 / 12) * log(n) - n * n / 4 + _LOG_GLAISHER
+    return (n + 1) * lgamma(n + 1) - log_hyper - 1 / (720 * n * n)
 
 
 def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:

@@ -775,6 +775,21 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
         pytest.param(("table", "--n", "2", "--d", WIDE_D), TOO_LARGE, id="table-wide-d"),
         pytest.param(("conjecture", "--n", "2", "--d", WIDE_D), TOO_LARGE, id="conjecture-wide-d"),
         pytest.param(("degree", "--n", "2", "--d", WIDE_D, "--m", "5"), TOO_LARGE, id="degree-wide-d"),
+        # the partition count comes before the digit guard, which would form
+        # N = C(180000, 90000) - 1, 54,000 digits, to refuse the product
+        pytest.param(
+            ("degree", "--n", "90000", "--d", "90000", "--m", "90001"),
+            "error: too large: n = 90000 has over 1,000,000 partitions",
+            id="partitions-before-digits",
+        ),
+        pytest.param(
+            ("degree", "--n", "90000", "--d", "90000", "--m", "90001", "--method", "alternate"),
+            "error: too large: n = 90000 has over 1,000,000 partitions",
+            id="partitions-before-digits-alternate",
+        ),
+        # a Catalan number of 6 million digits, refused before a hook list
+        # of 10 million entries and a 20 MB sieve are built
+        pytest.param(("syt", "--shape", "10000000,10000000"), TOO_LARGE, id="syt"),
     ],
 )
 def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):

@@ -1,8 +1,8 @@
 """Partition enumeration and tableau counting, checked against brute force."""
 
 import time
-from itertools import islice
-from math import comb, factorial
+from itertools import combinations, islice
+from math import comb, factorial, log10
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from gaussdeg.partitions import (
     HOOK_CACHE_SIZE,
+    PRIME_POWER_CELLS,
     _count_by_division,
     _count_by_prime_powers,
+    _hook_mults,
     _syt_count_hook,
     add_rectangle,
     canonical,
@@ -23,6 +25,7 @@ from gaussdeg.partitions import (
     partition_counts,
     syt_count_bruteforce,
     syt_count_canonical,
+    syt_count_digits,
     syt_count_hook,
     weight,
 )
@@ -248,6 +251,83 @@ def test_kernel_branches_agree_on_every_shape_up_to_weight_20():
         for lam in enumerate_partitions(total, total):
             for shape in (lam, _transpose(lam)):
                 assert _count_by_division(shape) == _count_by_prime_powers(shape), shape
+
+
+def _pair_mults(shape):
+    """Hook multiplicities of `shape` row by row and pair by pair, mults[0] = 0."""
+    ells = [part + len(shape) - 1 - i for i, part in enumerate(shape)]
+    mults = [0] * (ells[0] + 1)
+    for ell in ells:
+        for h in range(1, ell + 1):
+            mults[h] += 1
+    for top, low in combinations(ells, 2):
+        mults[top - low] -= 1
+    return mults
+
+
+# past PRIME_POWER_CELLS: two shapes of many rows, rectangles, shapes plus
+# a rectangle and a staircase
+BIG_SHAPES = [
+    (1_001,) + (1,) * 1_500,
+    (5, 4, 4, 3) + (1,) * 800,
+    (30,) * 30,
+    (41,) * 20,
+    (212,) * 70,
+    add_rectangle((3, 2, 1), 10, 90),
+    add_rectangle((5, 3, 3, 1), 12, 70),
+    add_rectangle((4, 4, 2, 2, 1), 40, 25),
+    tuple(range(45, 0, -1)),
+]
+
+
+def test_run_built_hook_mults_equal_the_row_pairs():
+    for total in range(1, 21):
+        for lam in enumerate_partitions(total, total):
+            for shape in (lam, _transpose(lam)):
+                assert _hook_mults(shape) == _pair_mults(shape), shape
+    for shape in BIG_SHAPES:
+        assert weight(shape) >= PRIME_POWER_CELLS
+        assert _hook_mults(shape) == _pair_mults(shape), shape
+
+
+def test_prime_powers_take_blocks_of_large_primes():
+    # the primes above the largest hook l_1 have exponent k = |lam| // p;
+    # each shape here has blocks of k >= 2, and one division agrees
+    for shape in BIG_SHAPES[2:]:
+        top = shape[0] + len(shape) - 1
+        assert weight(shape) // (top + 1) >= 2, shape
+        assert _count_by_prime_powers(shape) == _count_by_division(shape), shape
+
+
+def test_many_rows_of_few_parts_count_by_runs():
+    # (2, 1^20000) has 200 million row pairs but two runs; it counts 20001
+    start = time.process_time()
+    assert syt_count_hook((2,) + (1,) * 20_000) == 20_001
+    assert time.process_time() - start < 1
+
+
+def test_syt_count_digits_estimates_the_count():
+    for total in range(1, 17):
+        for lam in enumerate_partitions(total, total):
+            assert abs(syt_count_digits(lam) - log10(syt_count_hook(lam))) < 1e-3, lam
+    for shape in BIG_SHAPES + [(200_000, 200_000), (2, 1) + (1,) * 20_000]:
+        assert abs(syt_count_digits(shape) - log10(syt_count_hook(shape))) < 1e-3, shape
+    # one row or one column is 1; the shape of a 6-million-digit count is
+    # estimated without a list as long as its rows
+    assert syt_count_digits((10**9,)) == syt_count_digits((1,) * 10**6) == 0
+    assert 6_020_588 < syt_count_digits((10**7, 10**7)) < 6_020_590
+    assert syt_count_digits((10**9, 10**9, 1)) > 6e8
+    assert syt_count_digits((10**200, 1)) == float("inf")
+
+
+def test_syt_count_digits_stops_past_its_limit():
+    # the pair terms come last and are positive: a partial sum past the
+    # limit is a lower bound on the digits
+    staircase = tuple(range(60, 0, -1))
+    digits = syt_count_digits(staircase)
+    partial = syt_count_digits(staircase, limit=100)
+    assert 100 < partial < digits
+    assert syt_count_digits(staircase, limit=digits + 1) == digits
 
 
 def test_big_shapes_match_closed_forms_without_hooks():
