@@ -31,7 +31,6 @@ from .degrees import (
     MAX_DIGITS,
     METHODS,
     NotGenericallyFiniteError,
-    _message_int,
     boole_digits,
     bounds_sweep,
     check_digits,
@@ -45,6 +44,7 @@ from .degrees import (
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
+    _message_int,
     canonical,
     check_partition_terms,
     syt_count_bruteforce,

@@ -23,7 +23,9 @@ from math import comb, factorial, inf, lgamma, log, log2, log10, perm
 
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
+    _MESSAGE_BITS,
     Partition,
+    _message_int,
     _syt_count_hook,
     add_rectangle,
     canonical,
@@ -144,17 +146,6 @@ class BoundsReport:
 # own (dim X_m)!; the partition sums are held to
 # `partitions.MAX_PARTITIONS` terms.
 MAX_DIGITS = 10**6
-
-# Longest integer an error message prints in decimal: CPython refuses str()
-# past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
-_MESSAGE_BITS = 13_000
-
-
-def _message_int(value: int) -> str:
-    """`value` in decimal, or its size when the decimal would be too long."""
-    if value.bit_length() <= _MESSAGE_BITS:
-        return str(value)
-    return f"an integer of {value.bit_length():,} bits"
 
 
 def check_digits(digits: float, what: str) -> None:
@@ -302,7 +293,7 @@ def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
     for k in range(n + 1):
         total += term
         step = -term * ((n + 1) * (N - 1 - k) * (n - k))
-        term = exact_quotient(step, (k + 1) * (k + 2), f"term {k + 1} of the m = n+1 sum")
+        term = exact_quotient(step, (k + 1) * (k + 2), "term %s of the m = n+1 sum", k + 1)
     return _report(n, v.d, N, m, "m_eq_n_plus_1", (v.d - 1) ** n * total)
 
 
@@ -502,13 +493,11 @@ def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
     unit * f(lam) times the unreduced row-binomial ratio, then T[lam].
     """
     n, N = table.n, table.N
-    rectangle = f"the {_message_int(m - n)}-wide rectangle of height {_message_int(N - m)}"
+    what = "tableau count of %s plus the %s-wide rectangle of height %s"
     total = 0
     for lam, integral in table.entries.items():
         num, den = _row_binomial_ratio(lam, n, N, m)
-        quotient = exact_quotient(
-            unit * _syt_count_hook(lam) * num, den, "tableau count of %s plus %s", lam, rectangle
-        )
+        quotient = exact_quotient(unit * _syt_count_hook(lam) * num, den, what, lam, m - n, N - m)
         total += quotient * integral
     if total <= 0:
         raise NotGenericallyFiniteError(

@@ -76,12 +76,11 @@ def grassmann_degree_sweep(r: int):
     `exact_quotient`).  No sieve and no prime-power product: each step costs
     one division and one multiplication of the count by a short integer.
     """
-    degree = 1
+    degree, what = 1, "tableau count of the %s x %s rectangle"
     for k in range(r):
         if k:
             num, den = _sweep_factor(k - 1, r - k + 1)
-            what = f"tableau count of the {k} x {r - k} rectangle"
-            degree = exact_quotient(degree, den, what) * num
+            degree = exact_quotient(degree, den, what, k, r - k) * num
         yield degree
 
 

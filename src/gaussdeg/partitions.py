@@ -7,7 +7,7 @@ All arithmetic is exact.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations, compress, groupby, islice, zip_longest
+from itertools import accumulate, compress, groupby, islice, repeat, zip_longest
 from math import factorial, inf, isqrt, lgamma, log, perm, prod
 from operator import lt
 
@@ -20,10 +20,15 @@ MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count pas
 HOOK_CACHE_SIZE = 4096
 # ln of Glaisher's constant A, the constant term of ln prod_{d<=n} d^d
 _LOG_GLAISHER = 0.2487544770337843
-# Below this many cells one division is faster than the prime powers: measured
-# crossover near 850 cells for squares, more for a few long rows and fewer for
-# a shape plus a rectangle (CPython 3.11, x86-64).
+# Below this many cells the hooks multiplied block by block and one division
+# beat the prime powers on every shape measured.  They cross near 1,000 cells
+# for a staircase (a block per cell), between 1,200 and 1,600 for squares,
+# ten-row rectangles, (2, 1^k) and shapes plus a rectangle, and near 2,000 for
+# the hook (k, 1^k) (CPython 3.11, shared 2-core x86-64).
 PRIME_POWER_CELLS = 800
+# Longest integer an error message prints in decimal: CPython refuses str()
+# past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
+_MESSAGE_BITS = 13_000
 
 
 def canonical(parts) -> Partition:
@@ -45,12 +50,22 @@ def exact_quotient(num: int, den: int, what: str, *args) -> int:
     """num // den, which the theory promises exact: a remainder raises ArithmeticError.
 
     The message names `what`, %-formatted with `args` only when it is
-    raised, so a hot loop builds no message for a division that is exact.
+    raised, an int argument through `_message_int`, so a hot loop builds
+    no message for a division that is exact.
     """
     quotient, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"{what % args if args else what} did not come out integral")
+        if args:
+            what %= tuple(_message_int(arg) if isinstance(arg, int) else arg for arg in args)
+        raise ArithmeticError(f"{what} did not come out integral")
     return quotient
+
+
+def _message_int(value: int) -> str:
+    """`value` in decimal, or its size when the decimal would be too long."""
+    if value.bit_length() <= _MESSAGE_BITS:
+        return str(value)
+    return f"an integer of {value.bit_length():,} bits"
 
 
 def pad(lam, length: int) -> Partition:
@@ -163,12 +178,14 @@ def syt_count_hook(lam) -> int:
 def syt_count_canonical(lam: Partition) -> int:
     """Tableau count of a canonical shape, neither validated nor cached.
 
-    The hook length formula (Frame-Robinson-Thrall) in Frobenius-Young
-    form: f = |lam|! prod_{i<j} (l_i - l_j) / prod_i l_i!, where
+    The hook length formula (Frame-Robinson-Thrall), f = |lam|! over the
+    product of the hooks, in Frobenius-Young form
+    f = |lam|! prod_{i<j} (l_i - l_j) / prod_i l_i!, where
     l_i = lam_i + e - 1 - i is the hook of the first cell of row i < e.
     One row or one column counts 1 at once.  Below PRIME_POWER_CELLS cells
-    this is one checked division, from there on a product of prime powers.
-    A count that is not integral raises ArithmeticError.
+    the hooks are multiplied block by block and divided into |lam|! once;
+    from there on the count is a product of prime powers.  A count that is
+    not integral raises ArithmeticError.
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 1
@@ -177,10 +194,33 @@ def syt_count_canonical(lam: Partition) -> int:
 
 
 def _count_by_division(lam: Partition) -> int:
-    """`syt_count_canonical` as |lam|! prod_{i<j} (l_i - l_j) over prod l_i!."""
-    ells = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
-    num = factorial(weight(lam)) * prod(top - low for top, low in combinations(ells, 2))
-    return exact_quotient(num, prod(map(factorial, ells)), "tableau count for %s", lam)
+    """`syt_count_canonical` as |lam|! over the product of the hooks, block by block.
+
+    The runs of equal parts cut the rows, and the runs of equal column
+    lengths the columns, into r(r+1)/2 blocks for r runs.  In a block of k
+    rows and w columns the hooks are d + i + j (i < k, j < w), d the hook
+    of its bottom right cell, so they multiply to
+    prod_{i<s} (d+i+t-1)! / (d+i-1)!, s and t the lesser and greater of k
+    and w: s calls of `perm`.  The product never passes |lam|!, where
+    prod l_i! and the row differences grow with the rows squared.
+    The runs go bottom up.  Each meets the column blocks of itself and of
+    every run below, kept as (l of that run's lowest row, block width), and
+    d is 1 plus the difference of the two runs' l.
+    """
+    hooks, below, part_below, columns = 1, 0, 0, []
+    for part, group in groupby(reversed(lam)):
+        rows = len(list(group))
+        columns.append((part + below, part - part_below))
+        for ell, width in columns:
+            short, long = (rows, width) if rows < width else (width, rows)
+            first = part + below - ell + long  # d + t - 1
+            if short == 1:  # most blocks of a small shape: one call, no map
+                hooks *= perm(first, long)
+            else:
+                hooks *= prod(map(perm, range(first, first + short), repeat(long)))
+        below += rows
+        part_below = part
+    return exact_quotient(factorial(weight(lam)), hooks, "tableau count for %s", lam)
 
 
 def _count_by_prime_powers(lam: Partition) -> int:

@@ -417,6 +417,26 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv, skew):
     assert err.endswith(" did not come out integral\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("argv", "skew", "what"),
+    [
+        (
+            ["degree", "--n", "2", "--d", "3", "--m", "4"],
+            _skew_ratio,
+            "tableau count of (2,) plus the 2-wide rectangle of height 5",
+        ),
+        (["table", "--n", "1", "--d", "4"], _skew_sweep_step, "tableau count of the 2 x 1 rectangle"),
+    ],
+    ids=["weighted-sum", "sweep-step"],
+)
+def test_failed_division_names_its_shape(capsys, monkeypatch, argv, skew, what):
+    # the weighted sum and the sweep form this text only when a division fails
+    skew(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == f"error: internal invariant failed: {what} did not come out integral\n"
+
+
 def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
     # at n = 1 the proved bounds meet (lower = ratio = upper), so a weighted
     # total one too large breaks the sandwich at every m

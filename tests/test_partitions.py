@@ -135,6 +135,10 @@ def test_exact_quotient():
         exact_quotient(7, 2, "tableau count for (2, 1)")
     with pytest.raises(ArithmeticError):
         exact_quotient(-7, 2, "a negative quotient")
+    # arguments are formatted only on failure, an int past 13,000 bits as its size
+    message = "^count of \\(1,\\) plus the 2-wide rectangle of height an integer of 14,001 bits "
+    with pytest.raises(ArithmeticError, match=message):
+        exact_quotient(7, 2, "count of %s plus the %s-wide rectangle of height %s", (1,), 2, 2**14_000)
 
 
 def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
@@ -244,8 +248,9 @@ def test_conjugate_involution_and_count_symmetry(lam):
 
 
 def test_kernel_branches_agree_on_every_shape_up_to_weight_20():
-    # one division and the prime powers, on all 2,713 shapes of weight 1..20
-    # and their transposes; the empty shape is counted at once
+    # the hooks multiplied block by block against Legendre's exponents over
+    # the hook multiplicities, on all 2,713 shapes of weight 1..20 and their
+    # transposes; the empty shape is counted at once
     assert syt_count_canonical(()) == 1
     for total in range(1, 21):
         for lam in enumerate_partitions(total, total):
@@ -299,10 +304,39 @@ def test_prime_powers_take_blocks_of_large_primes():
         assert _count_by_prime_powers(shape) == _count_by_division(shape), shape
 
 
+# below PRIME_POWER_CELLS: shapes plus rectangles of 10..40 rows, squares,
+# many rows of two parts, and a staircase of 38 distinct parts
+DIVIDED_SHAPES = [
+    *(add_rectangle(lam, rows, width) for lam, rows, width in (
+        ((3, 2, 1), 10, 40),
+        ((4, 1, 1), 16, 30),
+        ((5, 3, 3, 1), 24, 20),
+        ((2, 2, 1, 1), 32, 12),
+        ((3, 1), 40, 9),
+        ((6, 4, 2), 40, 5),
+    )),
+    *((side,) * side for side in range(2, 29)),
+    (4,) * 199 + (3,),
+    (2,) * 200 + (1,) * 398,
+    tuple(range(38, 0, -1)),
+]
+
+
+def test_division_by_blocks_equals_the_prime_powers():
+    for shape in DIVIDED_SHAPES:
+        assert weight(shape) < PRIME_POWER_CELLS, shape
+        assert _count_by_division(shape) == _count_by_prime_powers(shape), shape
+
+
 def test_many_rows_of_few_parts_count_by_runs():
-    # (2, 1^20000) has 200 million row pairs but two runs; it counts 20001
+    # (2, 1^20000) has 200 million row pairs but two runs; it counts 20001.
+    # Below the switch (2, 1^797) counts 798 and the hook (399, 1^400)
+    # C(798, 400): two runs, so three blocks of hooks each, where the row
+    # pairs number 318,003 and 80,200
     start = time.process_time()
     assert syt_count_hook((2,) + (1,) * 20_000) == 20_001
+    assert syt_count_canonical((2,) + (1,) * 797) == 798
+    assert syt_count_canonical((399,) + (1,) * 400) == comb(798, 400)
     assert time.process_time() - start < 1
 
 
