@@ -12,9 +12,9 @@ a = min(k, c), b = max(k, c), D(k+1, c-1) is D(k, c) times
 """
 
 from dataclasses import dataclass
-from math import gcd, inf, lgamma, log, perm
+from math import gcd, inf, perm
 
-from .partitions import exact_quotient, syt_count_canonical
+from .partitions import _runs_digits, exact_quotient, syt_count_canonical
 
 
 @dataclass(frozen=True)
@@ -47,25 +47,13 @@ def grassmann_degree(shape: GrassmannShape) -> int:
 def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
     """Estimated decimal digits of `grassmann_degree(shape)`, in floats.
 
-    By the product form, log deg G(k, c) = lgamma(kc+1) + sum_{i<a}
-    [lgamma(i+1) - lgamma(b+i+1)], a = min(k, c), b = max(k, c), taken as
-    log deg G(i, b) for i = 2..a in turn (one row or none has degree 1).
-    These rise with i, so the loop stops once past `limit` digits and
-    returns that lower bound: at most O(a) steps.  Two rows or more whose
-    sizes pass the float range estimate as inf.
+    `partitions.syt_count_digits` of the a x b rectangle, a = min(k, c), read
+    off its one run (b, a): at most a steps, one per row, stopped once past
+    `limit` digits.  One row or none reads 0, two rows or more whose sizes
+    pass the float range inf.
     """
     a, b = sorted((shape.d, shape.r - shape.d))
-    log_g, ln10 = 0.0, log(10)
-    try:
-        partial = -lgamma(b + 1) if a > 1 else 0.0  # the i = 0 term
-        for i in range(2, a + 1):
-            partial += lgamma(i) - lgamma(b + i)
-            log_g = lgamma(i * b + 1) + partial
-            if log_g > limit * ln10:
-                break
-    except OverflowError:
-        return inf
-    return log_g / ln10
+    return _runs_digits(((b, a),), limit) if a > 1 else 0.0
 
 
 def grassmann_degree_sweep(r: int):

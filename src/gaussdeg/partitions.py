@@ -18,8 +18,6 @@ MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count pas
 # canonical shapes whose tableau counts `syt_count_hook` keeps; a seeded
 # `small_mixed` benchmark run asks for 857 distinct ones
 HOOK_CACHE_SIZE = 4096
-# ln of Glaisher's constant A, the constant term of ln prod_{d<=n} d^d
-_LOG_GLAISHER = 0.2487544770337843
 # Below this many cells the hooks multiplied block by block and one division
 # beat the prime powers on every shape measured.  They cross near 1,000 cells
 # for a staircase (a block per cell), between 1,200 and 1,600 for squares,
@@ -179,13 +177,11 @@ def syt_count_canonical(lam: Partition) -> int:
     """Tableau count of a canonical shape, neither validated nor cached.
 
     The hook length formula (Frame-Robinson-Thrall), f = |lam|! over the
-    product of the hooks, in Frobenius-Young form
-    f = |lam|! prod_{i<j} (l_i - l_j) / prod_i l_i!, where
-    l_i = lam_i + e - 1 - i is the hook of the first cell of row i < e.
-    One row or one column counts 1 at once.  Below PRIME_POWER_CELLS cells
-    the hooks are multiplied block by block and divided into |lam|! once;
-    from there on the count is a product of prime powers.  A count that is
-    not integral raises ArithmeticError.
+    product of the hooks, read off the blocks of `_hook_blocks`.  One row
+    or one column counts 1 at once.  Below PRIME_POWER_CELLS cells the
+    blocks are multiplied and divided into |lam|! once; from there on the
+    count is a product of prime powers.  A count that is not integral
+    raises ArithmeticError.
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 1
@@ -196,30 +192,19 @@ def syt_count_canonical(lam: Partition) -> int:
 def _count_by_division(lam: Partition) -> int:
     """`syt_count_canonical` as |lam|! over the product of the hooks, block by block.
 
-    The runs of equal parts cut the rows, and the runs of equal column
-    lengths the columns, into r(r+1)/2 blocks for r runs.  In a block of k
-    rows and w columns the hooks are d + i + j (i < k, j < w), d the hook
-    of its bottom right cell, so they multiply to
-    prod_{i<s} (d+i+t-1)! / (d+i-1)!, s and t the lesser and greater of k
-    and w: s calls of `perm`.  The product never passes |lam|!, where
-    prod l_i! and the row differences grow with the rows squared.
-    The runs go bottom up.  Each meets the column blocks of itself and of
-    every run below, kept as (l of that run's lowest row, block width), and
-    d is 1 plus the difference of the two runs' l.
+    A block of `_hook_blocks`, k rows by w columns of hooks d + i + j,
+    multiplies to prod_{i<s} (d+i+t-1)! / (d+i-1)!, s and t the lesser and
+    greater of k and w: s calls of `perm`.  The product never passes |lam|!.
     """
-    hooks, below, part_below, columns = 1, 0, 0, []
-    for part, group in groupby(reversed(lam)):
-        rows = len(list(group))
-        columns.append((part + below, part - part_below))
-        for ell, width in columns:
+    hooks = 1
+    for rows, blocks in _hook_blocks(_bottom_runs(lam)):
+        for d, width in blocks:
             short, long = (rows, width) if rows < width else (width, rows)
-            first = part + below - ell + long  # d + t - 1
+            first = d + long - 1
             if short == 1:  # most blocks of a small shape: one call, no map
                 hooks *= perm(first, long)
             else:
                 hooks *= prod(map(perm, range(first, first + short), repeat(long)))
-        below += rows
-        part_below = part
     return exact_quotient(factorial(weight(lam)), hooks, "tableau count for %s", lam)
 
 
@@ -227,10 +212,10 @@ def _count_by_prime_powers(lam: Partition) -> int:
     """`syt_count_canonical` of |lam| >= 1 cells as a product of prime powers p^x.
 
     x is Legendre's exponent of p in |lam|! less that in the hooks, whose
-    multiplicities `_hook_mults` gives up to the largest hook l_1.  A prime
-    p > l_1 divides no hook, and as l_1 >= sqrt(|lam|) its x is |lam| // p:
-    those primes go in blocks, one product per value k of |lam| // p.
-    `_power_product` multiplies the powers.
+    multiplicities `_hook_mults` gives up to the largest, l_1 = lam_1 + e - 1
+    for e rows.  A prime p > l_1 divides no hook, and as l_1 >= sqrt(|lam|)
+    its x is |lam| // p: those primes go in blocks, one product per value k
+    of |lam| // p.  `_power_product` multiplies the powers.
     """
     cells, top = weight(lam), lam[0] + len(lam) - 1
     mults, sieve = _hook_mults(lam), _prime_sieve(cells)
@@ -253,48 +238,47 @@ def _count_by_prime_powers(lam: Partition) -> int:
 
 
 def _hook_mults(lam: Partition) -> list[int]:
-    """mults[h], h = 1..l_1: rows with l_i >= h less row pairs with l_i - l_j = h.
+    """mults[h], h = 0..l_1: the cells of `lam` whose hook is h (mults[0] = 0).
 
-    Each run of `_runs` adds a ramp (its rows leave the count one by one)
-    and a triangle (its own pairs), and each pair of runs a trapezoid (the
-    differences of two ranges).  These are written as second differences
-    and summed by two `accumulate` passes: O(runs^2 + l_1) where the row
-    pairs cost O(rows^2).  mults[0] is 0.
+    In a block of `_hook_blocks` with k rows and w columns, hook d + s
+    stands on the min(s+1, k, w, k+w-1-s) cells with i + j = s: a
+    trapezoid, whose second differences are +1 at d and d + k + w and -1
+    at d + k and d + w.  Two `accumulate` passes sum them: O(blocks + l_1).
     """
-    rows, top = len(lam), lam[0] + len(lam) - 1
+    top = lam[0] + len(lam) - 1
     diff2 = [0] * (top + 3)
-    diff2[1], diff2[2] = rows, -rows
-    above: list[tuple[int, int]] = []  # (lowest l_i, rows) of the runs above
-    for high, length in _runs(lam):
-        low = high - length + 1
-        # its rows: row i leaves the count from h = l_i + 1 on
-        diff2[low + 1] -= 1
-        diff2[high + 2] += 1
-        # its own pairs: difference d = 1..length-1, length - d times
-        diff2[1] -= length - 1
-        diff2[2] += length
-        diff2[length + 1] -= 1
-        # its pairs with each run above: differences from `least` on
-        for other_low, other_length in above:
-            least = other_low - high
-            diff2[least] -= 1
-            diff2[least + other_length] += 1
-            diff2[least + length] += 1
-            diff2[least + other_length + length] -= 1
-        above.append((low, length))
+    for rows, blocks in _hook_blocks(_bottom_runs(lam)):
+        for d, width in blocks:
+            diff2[d] += 1
+            diff2[d + rows] -= 1
+            diff2[d + width] -= 1
+            diff2[d + rows + width] += 1
     return list(accumulate(accumulate(diff2[: top + 1])))
 
 
-def _runs(lam: Partition):
-    """(highest l_i, rows) of each run of equal parts of `lam`, top run first.
+def _bottom_runs(lam: Partition):
+    """(part, rows) of each run of equal parts of `lam`, bottom run first."""
+    return ((part, len(list(group))) for part, group in groupby(reversed(lam)))
 
-    The l_i of a run are consecutive: highest l_i - rows + 1 up to it.
+
+def _hook_blocks(runs):
+    """(rows, [(d, width), ...]) for each run of `runs`: a shape cut into blocks.
+
+    `runs` are the runs of equal parts as (part, rows), bottom run first.
+    A run's rows meet the column block of itself and of each run below, so
+    r runs make r(r+1)/2 blocks.  A block of k rows and w columns holds the
+    hooks d + i + j (i < k up from its bottom row, j < w left from its right
+    column); its bottom right cell's hook is d = 1 + (part + below) -
+    (part' + below'), part' the part of the run of its columns, `below` the
+    rows under a run.
     """
-    start = 0
-    for part, group in groupby(lam):
-        length = len(list(group))
-        yield part + len(lam) - 1 - start, length
-        start += length
+    below, part_below, columns = 0, 0, []  # columns: (part + below of a run, width)
+    for part, rows in runs:
+        columns.append((part + below, part - part_below))
+        corner = part + below + 1
+        yield rows, [(corner - ell, width) for ell, width in columns]
+        below += rows
+        part_below = part
 
 
 _syt_count_hook = lru_cache(maxsize=HOOK_CACHE_SIZE)(syt_count_canonical)
@@ -331,51 +315,40 @@ def _power_product(powers: list[tuple[int, int]]) -> int:
 def syt_count_digits(lam: Partition, limit: float = inf) -> float:
     """Estimated decimal digits of the tableau count of canonical `lam`, in floats.
 
-    ln f = ln |lam|! - sum_i ln l_i! + sum_{i<j} ln(l_i - l_j), taken run by
-    run of `_runs`: over one run, or a pair of runs, each sum is a
-    difference of `_log_superfactorial`s, so nothing l_1 long is built.
-    The pair terms are positive and come last, so the loop over pairs of
-    runs stops once past `limit` digits and returns that lower bound.  One
-    row or one column counts 1 at once; over 500-bit shapes estimate as inf.
+    One row or one column reads 0, a shape of over 500 bits inf, any other
+    `_runs_digits` of its runs.
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 0.0
-    cells = weight(lam)
-    if cells >> 500:
+    if weight(lam) >> 500:
         return inf
-    runs = list(_runs(lam))
-    log_f = lgamma(cells + 1) + sum(
-        _log_superfactorial(high - length) - _log_superfactorial(high)
-        + _log_superfactorial(length - 1)  # the run's own pairs
-        for high, length in runs
-    )
-    bound = limit * log(10)
-    for i, (high, length) in enumerate(runs):
-        low = high - length + 1
-        for other_high, other_length in runs[i + 1 :]:
-            other_low = other_high - other_length + 1
-            log_f += (
-                _log_superfactorial(high - other_low)
-                - _log_superfactorial(low - other_low - 1)
-                - _log_superfactorial(high - other_high - 1)
-                + _log_superfactorial(low - other_high - 2)
-            )
-        if log_f > bound:
-            break
-    return log_f / log(10)
+    return _runs_digits(_bottom_runs(lam), limit)
 
 
-def _log_superfactorial(n: int) -> float:
-    """sum_{x<=n} ln x! = (n + 1) ln n! - sum_{d<=n} d ln d, 0 for n < 2.
+def _runs_digits(runs, limit: float = inf) -> float:
+    """log10 of the tableau count of the shape of `runs`, by `_hook_blocks`, in floats.
 
-    The second sum is ln of the hyperfactorial, by its asymptotic series
-    (n^2/2 + n/2 + 1/12) ln n - n^2/4 + ln A + 1/(720 n^2), A Glaisher's
-    constant: within 1e-6 from n = 2 on.
+    ln f = lgamma(|lam| + 1) less the log-hooks, taken row by row bottom
+    up; a row of a block adds lgamma(d+i+w) - lgamma(d+i).  The rows
+    walked so far form a shape inside `lam` with the same hooks, and a
+    smaller shape has no more tableaux, so the partial estimate only rises:
+    the walk stops once past `limit` digits and returns that lower bound.
+    A part past the float range estimates as inf; past 10^13 cells a long
+    row's hooks cancel lgamma(|lam| + 1) only to its rounding: (10^16, 1) reads 0.
     """
-    if n < 2:
-        return 0.0
-    log_hyper = (n * n / 2 + n / 2 + 1 / 12) * log(n) - n * n / 4 + _LOG_GLAISHER
-    return (n + 1) * lgamma(n + 1) - log_hyper - 1 / (720 * n * n)
+    bound, cells, log_hooks, log_f = limit * log(10), 0, 0.0, 0.0
+    try:
+        for rows, blocks in _hook_blocks(runs):
+            part = sum(width for _, width in blocks)
+            for i in range(rows):
+                cells += part
+                log_hooks += sum(lgamma(d + i + width) - lgamma(d + i) for d, width in blocks)
+                log_f = lgamma(cells + 1) - log_hooks
+                if log_f > bound:
+                    return log_f / log(10)
+    except OverflowError:
+        return inf
+    return log_f / log(10)
 
 
 def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:

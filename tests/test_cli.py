@@ -218,6 +218,25 @@ def test_verify_max_weight_above_cap_exits_2(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("--suite", "syt", "--max-n", "0"), None),
+        (("--suite", "identity", "--max-weight", "-1"), None),
+        (("--suite", "identity"), "zero"),
+    ],
+    ids=["syt-max-n", "identity-max-weight", "identity-brute-cap"],
+)
+def test_verify_checks_only_the_options_of_the_suites_it_runs(capsys, monkeypatch, argv, cap):
+    # each suite validates its own options; one it never runs is not read
+    if cap is None:
+        monkeypatch.delenv("GAUSSDEG_BRUTE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", cap)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 BOOLE_FAILURES = [
     "boole (n=1, d=2, m=1): got 3, want 2",
     "boole (n=1, d=3, m=2): got 5, want 4",
@@ -810,6 +829,14 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
         # a Catalan number of 6 million digits, refused before a hook list
         # of 10 million entries and a 20 MB sieve are built
         pytest.param(("syt", "--shape", "10000000,10000000"), TOO_LARGE, id="syt"),
+        # a count of 9 digits, but a sieve and a hook list of 10^8 entries
+        # (2.3 GB): refused by its cells, not by its digits
+        pytest.param(
+            ("syt", "--shape", "100000000,1"),
+            "error: too large: the tableau count of a shape of 100000001 cells; "
+            "at most 4,000,000 cells are counted\n",
+            id="syt-cells",
+        ),
     ],
 )
 def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):
@@ -822,6 +849,17 @@ def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
     assert code == 2 and out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_syt_refuses_the_staircase_at_once(capsys):
+    # (1000, 999, ..., 1) counts a number of 1.3 million digits; the digit
+    # estimate walks its rows bottom up and stops once past the limit
+    shape = ",".join(map(str, range(1000, 0, -1)))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "syt", "--shape", shape)
+    assert time.process_time() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: too large: the tableau count of a shape of 500500 cells ")
 
 
 def test_syt_counts_a_long_two_row_shape_as_a_process():

@@ -1,6 +1,6 @@
 """Grassmannian invariants."""
 
-from math import isqrt
+from math import inf, isqrt, log10
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import gaussdeg.partitions
 from gaussdeg.grassmann import (
     GrassmannShape,
+    degree_digits,
     grassmann_degree,
     grassmann_degree_sweep,
     grassmann_dim,
@@ -18,6 +19,7 @@ from gaussdeg.partitions import (
     _count_by_division,
     _count_by_prime_powers,
     syt_count_bruteforce,
+    syt_count_digits,
     syt_count_hook,
 )
 
@@ -94,6 +96,20 @@ def test_degree_on_both_sides_of_the_prime_power_switch():
             assert _count_by_prime_powers(rectangle) == expected
             assert grassmann_degree(GrassmannShape(k, k + c)) == expected
             assert grassmann_degree(GrassmannShape(c, k + c)) == expected
+
+
+def test_degree_digits_is_the_estimate_of_the_rectangle():
+    # one run (b, a) read by the walk every shape's estimate reads
+    for r in range(60):
+        for d in range(r + 1):
+            shape = GrassmannShape(d, r)
+            rows, cols = sorted((d, r - d))
+            digits = degree_digits(shape)
+            assert digits == syt_count_digits((cols,) * rows), (d, r)
+            assert abs(digits - log10(grassmann_degree(shape))) < 1e-12, (d, r)
+    # one row is degree 1 however long; two rows past the float range are inf
+    assert degree_digits(GrassmannShape(1, 10**4000)) == 0
+    assert degree_digits(GrassmannShape(2, 10**4000)) == inf
 
 
 def test_degree_large_square():

@@ -286,6 +286,7 @@ BIG_SHAPES = [
 
 
 def test_run_built_hook_mults_equal_the_row_pairs():
+    # the trapezoids of the blocks against every row and row pair
     for total in range(1, 21):
         for lam in enumerate_partitions(total, total):
             for shape in (lam, _transpose(lam)):
@@ -343,9 +344,13 @@ def test_many_rows_of_few_parts_count_by_runs():
 def test_syt_count_digits_estimates_the_count():
     for total in range(1, 17):
         for lam in enumerate_partitions(total, total):
-            assert abs(syt_count_digits(lam) - log10(syt_count_hook(lam))) < 1e-3, lam
+            assert abs(syt_count_digits(lam) - log10(syt_count_hook(lam))) < 1e-12, lam
     for shape in BIG_SHAPES + [(200_000, 200_000), (2, 1) + (1,) * 20_000]:
-        assert abs(syt_count_digits(shape) - log10(syt_count_hook(shape))) < 1e-3, shape
+        assert abs(syt_count_digits(shape) - log10(syt_count_hook(shape))) < 1e-8, shape
+    # a hook (a, 1) counts a: the log-hooks of its long row cancel
+    # lgamma(a + 2) to within 0.01 digits up to a = 10^12
+    for a in (10**9, 10**12):
+        assert abs(syt_count_digits((a, 1)) - log10(a)) < 0.01, a
     # one row or one column is 1; the shape of a 6-million-digit count is
     # estimated without a list as long as its rows
     assert syt_count_digits((10**9,)) == syt_count_digits((1,) * 10**6) == 0
@@ -355,8 +360,8 @@ def test_syt_count_digits_estimates_the_count():
 
 
 def test_syt_count_digits_stops_past_its_limit():
-    # the pair terms come last and are positive: a partial sum past the
-    # limit is a lower bound on the digits
+    # the rows walked bottom up form a shape inside the staircase, with
+    # no more tableaux: a partial sum past the limit is a lower bound
     staircase = tuple(range(60, 0, -1))
     digits = syt_count_digits(staircase)
     partial = syt_count_digits(staircase, limit=100)
