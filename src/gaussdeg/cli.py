@@ -31,22 +31,19 @@ from .degrees import (
     MAX_DIGITS,
     METHODS,
     NotGenericallyFiniteError,
-    boole_digits,
     bounds_sweep,
     check_digits,
-    check_veronese_range,
     conjecture_scan,
     degree_generic,
     dim_xm,
-    ordinary_gauss_digits,
-    reference_digits,
+    guard_reference,
+    guard_sweep,
 )
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
     _message_int,
     canonical,
-    check_partition_terms,
     syt_count_bruteforce,
     syt_count_digits,
     syt_count_hook,
@@ -139,49 +136,12 @@ def _render_object(doc: dict, fmt: str) -> str:
     return _render_rows([doc], fmt, envelope=doc)
 
 
-def _guard_digits(n: int, N: int, m: int, first_digits: float) -> None:
-    digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
-    where = f"(n={n}, N={_message_int(N)}, m={_message_int(m)})"
-    check_digits(digits, f"the reference product at {where}")
-
-
-def _guard_veronese(v: VeroneseVariety, m: int, sums_partitions: bool = False) -> None:
-    """Cost guard of a degree of `v` at m; range errors come first.
-
-    A method that sums over the partitions of n is held to their count
-    next, which needs no N; the reference product's first factor is
-    refused before N is formed.
-    """
-    check_veronese_range(v, m)
-    if sums_partitions:
-        check_partition_terms(v.n)
-    first = ordinary_gauss_digits(v)
-    where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
-    check_digits(first, f"the ordinary Gauss degree at {where}")
-    _guard_digits(v.n, v.N, m, first)
-
-
-def _guard_sweep(v: VeroneseVariety) -> None:
-    """Cost guard of every m of `v` at once.
-
-    deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
-    least 1 there), and so does C(n + kc, n), so the central m bounds the
-    sweep.  The partition count comes first, before N is formed.
-    """
-    check_partition_terms(v.n)
-    _guard_veronese(v, v.n + (v.N - v.n) // 2)
-
-
 def cmd_degree(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     method = METHODS[args.method]
     if not method.applies(v, args.m):
         raise ValueError(f"method {args.method} requires {method.requires}")
-    if method.guarded:
-        _guard_veronese(v, args.m, method.sums_partitions)
-    else:
-        where = f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
-        check_digits(boole_digits(v.n, v.d), f"Boole's degree at {where}")
+    method.guard(v, args.m)
     report = method.compute(v, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0
@@ -189,7 +149,7 @@ def cmd_degree(args) -> int:
 
 def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
-    _guard_sweep(v)
+    guard_sweep(v)
     rows = [
         {
             "m": b.m,
@@ -239,7 +199,7 @@ def cmd_conjecture(args) -> int:
         # variety the guard refuses stays refused at every larger n and d,
         # so guarding the largest variety guards the box
         VeroneseVariety(n_values[0], d_values[0])
-        _guard_sweep(VeroneseVariety(n_values[-1], d_values[-1]))
+        guard_sweep(VeroneseVariety(n_values[-1], d_values[-1]))
     records = conjecture_scan(n_values, d_values)
     rows = [record.to_dict() for record in records]
     violations = sum(not record.within_conjecture for record in records)
@@ -253,7 +213,7 @@ def cmd_conjecture(args) -> int:
 def cmd_generic(args) -> int:
     text = Path(args.table).read_text(encoding="utf-8")
     table = SegreIntegralTable.from_json(text)
-    _guard_digits(table.n, table.N, args.m, 0.0)
+    guard_reference(table.n, table.N, args.m, 0.0)
     report = degree_generic(table, args.m)
     print(_render_object(report.to_dict(), args.format))
     return 0

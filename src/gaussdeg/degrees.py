@@ -140,11 +140,9 @@ class BoundsReport:
 
 
 # The cost guard: a number estimated to have more decimal digits than this
-# is refused, with a "too large" ValueError, before it is formed.  The
-# command line bounds the reference product C(n + dim G, n) * deg G * first,
-# a Pluecker degree and Boole's degree by it, and `degree_alternate` its
-# own (dim X_m)!; the partition sums are held to
-# `partitions.MAX_PARTITIONS` terms.
+# is refused, with a "too large" ValueError, before it is formed: by each
+# `Method.guard` and `guard_sweep`, by `degree_alternate` for its (dim X_m)!
+# and by the command line for a Pluecker degree or a tableau count.
 MAX_DIGITS = 10**6
 
 
@@ -330,6 +328,43 @@ def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float =
     return base + degree_digits(GrassmannShape(m - n, N - n), limit - base)
 
 
+def guard_reference(n: int, N: int, m: int, first_digits: float) -> None:
+    """Refuse a reference product past MAX_DIGITS; `first_digits` is log10 of `first`."""
+    digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
+    where = f"(n={n}, N={_message_int(N)}, m={_message_int(m)})"
+    check_digits(digits, f"the reference product at {where}")
+
+
+def guard_veronese(v: VeroneseVariety, m: int, sums_partitions: bool = False) -> None:
+    """Cost guard of a degree of `v` at m; range errors come first.
+
+    A method that sums over the partitions of n is held to their count
+    next, which needs no N; the reference product's first factor is
+    refused before N is formed.
+    """
+    check_veronese_range(v, m)
+    if sums_partitions:
+        check_partition_terms(v.n)
+    first = ordinary_gauss_digits(v)
+    check_digits(first, f"the ordinary Gauss degree at {_where(v)}")
+    guard_reference(v.n, v.N, m, first)
+
+
+def guard_sweep(v: VeroneseVariety) -> None:
+    """Cost guard of every m of `v` at once.
+
+    deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
+    least 1 there), and so does C(n + kc, n), so the central m bounds the
+    sweep.  The partition count comes first, before N is formed.
+    """
+    check_partition_terms(v.n)
+    guard_veronese(v, v.n + (v.N - v.n) // 2)
+
+
+def _where(v: VeroneseVariety) -> str:
+    return f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
+
+
 def _closed_form(
     n: int, N: int, m: int, first: int, ratio, method: str, d: int, notes: str = ""
 ) -> DegreeReport:
@@ -407,29 +442,31 @@ def degree_threefold_closed(d: int, m: int) -> DegreeReport:
 
 @dataclass(frozen=True)
 class Method:
-    """One `degree --method`: how it computes and where it applies.
+    """One `degree --method`: how it computes, where it applies, what it costs.
 
     `compute` is a `(v, m)` adapter that looks its formula up among this
     module's globals when called, so rebinding a formula's global name
     (to wrap or replace it) reaches calls made through the registry.
-    `applies` never forms a huge N.  `guarded` is false only for Boole's
-    formula, (n+1)(d-1)^n, which the command line's cost guard bounds by
-    `boole_digits`; it bounds every other method by the reference product,
-    and `degree_alternate` bounds its own (dim X_m)! too.  `sums_partitions`
-    marks the methods that sum over the partitions of n, which the guard
-    holds to `partitions.MAX_PARTITIONS` terms before it forms N.
+    `applies` never forms a huge N.  `guard(v, m)` raises a range error
+    or a "too large" ValueError before `compute` forms a big number: by
+    default `guard_veronese`, the reference product; the partition sums
+    hold n to `partitions.MAX_PARTITIONS` terms first, and Boole's
+    (n+1)(d-1)^n is bounded by `boole_digits` alone.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
-    guarded: bool = True
-    sums_partitions: bool = False
+    guard: Callable[[VeroneseVariety, int], None] = guard_veronese
+
+
+def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
+    guard_veronese(v, m, sums_partitions=True)
 
 
 METHODS = {
-    "main": Method(lambda v, m: degree_main(v, m), sums_partitions=True),
-    "alternate": Method(lambda v, m: degree_alternate(v, m), sums_partitions=True),
+    "main": Method(lambda v, m: degree_main(v, m), guard=_guard_partition_sum),
+    "alternate": Method(lambda v, m: degree_alternate(v, m), guard=_guard_partition_sum),
     "curve_closed": Method(
         lambda v, m: degree_curve_closed(v.d, m), "n = 1", lambda v, m: v.n == 1
     ),
@@ -447,7 +484,7 @@ METHODS = {
         "m = N - 1",
         # N - 1 >= n, and N = m + 1 has at most one bit more than m
         lambda v, m: v.n <= m and not _n_bits_exceed(v, m.bit_length() + 1) and m == v.N - 1,
-        guarded=False,
+        lambda v, m: check_digits(boole_digits(v.n, v.d), f"Boole's degree at {_where(v)}"),
     ),
 }
 

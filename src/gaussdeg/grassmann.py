@@ -47,10 +47,10 @@ def grassmann_degree(shape: GrassmannShape) -> int:
 def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
     """Estimated decimal digits of `grassmann_degree(shape)`, in floats.
 
-    `partitions.syt_count_digits` of the a x b rectangle, a = min(k, c), read
-    off its one run (b, a): at most a steps, one per row, stopped once past
-    `limit` digits.  One row or none reads 0, two rows or more whose sizes
-    pass the float range inf.
+    `partitions._runs_digits` of the a x b rectangle, a = min(k, c), read
+    off its one run (b, a), as `syt_count_digits` but with no cell bound:
+    at most a steps, one per row, stopped once past `limit` digits.  One
+    row or none reads 0, two rows or more whose sizes pass the floats inf.
     """
     a, b = sorted((shape.d, shape.r - shape.d))
     return _runs_digits(((b, a),), limit) if a > 1 else 0.0

@@ -315,12 +315,13 @@ def _power_product(powers: list[tuple[int, int]]) -> int:
 def syt_count_digits(lam: Partition, limit: float = inf) -> float:
     """Estimated decimal digits of the tableau count of canonical `lam`, in floats.
 
-    One row or one column reads 0, a shape of over 500 bits inf, any other
-    `_runs_digits` of its runs.
+    One row or one column reads 0, any other `_runs_digits` of its runs up
+    to 2^40 cells and inf from there, where a long row's log-hooks would
+    cancel lgamma(|lam| + 1) only to its rounding ((10^16, 1) would read 0).
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 0.0
-    if weight(lam) >> 500:
+    if weight(lam) >> 40:
         return inf
     return _runs_digits(_bottom_runs(lam), limit)
 
@@ -333,8 +334,8 @@ def _runs_digits(runs, limit: float = inf) -> float:
     walked so far form a shape inside `lam` with the same hooks, and a
     smaller shape has no more tableaux, so the partial estimate only rises:
     the walk stops once past `limit` digits and returns that lower bound.
-    A part past the float range estimates as inf; past 10^13 cells a long
-    row's hooks cancel lgamma(|lam| + 1) only to its rounding: (10^16, 1) reads 0.
+    A part past the float range estimates as inf.  Past about 2^44 cells a
+    long row's hooks cancel lgamma(|lam| + 1) only to its rounding.
     """
     bound, cells, log_hooks, log_f = limit * log(10), 0, 0.0, 0.0
     try:

@@ -150,7 +150,8 @@ class SegreIntegralTable:
     """Integrals of Schur values over an n-fold, keyed by partitions of n.
 
     `entries` must contain every partition of n (canonical keys, integer
-    values); `N` is the dimension of the ambient projective space.
+    values), at most `partitions.MAX_PARTITIONS` of them; `N` is the
+    dimension of the ambient projective space.
     """
 
     n: int
@@ -160,6 +161,7 @@ class SegreIntegralTable:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        check_partition_terms(self.n)  # before p(n) is formed
         if self.N <= self.n:
             raise ValueError("N must exceed n")
         cleaned: dict[Partition, int] = {}
@@ -237,8 +239,6 @@ class SegreIntegralTable:
             if lam in entries:
                 raise ValueError(f"duplicate entry for partition {lam}")
             entries[lam] = value
-        # the claimed n comes from outside: refuse a huge one before p(n)
-        check_partition_terms(n)
         return cls(n=n, N=big_n, entries=entries)
 
 

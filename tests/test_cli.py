@@ -894,7 +894,7 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
     # sound only if a refused (n, d) stays refused at n + 1 and at d + 1
     def refused(n, d):
         try:
-            gaussdeg.cli._guard_sweep(VeroneseVariety(n, d))
+            gaussdeg.degrees.guard_sweep(VeroneseVariety(n, d))
         except ValueError:
             return True
         return False

@@ -583,3 +583,38 @@ def test_veronese_range_forms_n_only_when_it_must():
     small = VeroneseVariety(2, 3)
     check_veronese_range(small, 8)
     assert small.N == 9 and vars(small)["N"] == 9
+
+
+PARTITIONS_61 = "^too large: n = 61 has over 1,000,000 partitions"
+
+
+@pytest.mark.parametrize(
+    ("name", "n", "d", "m", "refusal"),
+    [
+        # the partition sums hold n to 10^6 partitions; the closed sums need none
+        pytest.param("main", 61, 2, 61, PARTITIONS_61, id="main-61"),
+        pytest.param("alternate", 61, 2, 61, PARTITIONS_61, id="alternate-61"),
+        pytest.param("m_eq_n_plus_1", 61, 2, 62, None, id="m_eq_n_plus_1-61"),
+        # Boole's power is its whole cost: n + 1 at d = 2, 3^(10^8) at d = 4
+        pytest.param("boole", 200000, 2, 20000299999, None, id="boole-d2"),
+        pytest.param(
+            "boole", 10**8, 4, comb(10**8 + 4, 4) - 2, "^too large: Boole's degree at ",
+            id="boole-power",
+        ),
+        pytest.param("curve_closed", 1, 4, 2, None, id="curve_closed"),
+        pytest.param("surface_closed", 2, 2, 3, None, id="surface_closed"),
+        pytest.param("threefold_closed", 3, 2, 4, None, id="threefold_closed"),
+        pytest.param("m_eq_n_plus_1", 2, 2, 3, None, id="m_eq_n_plus_1"),
+        pytest.param("boole", 2, 2, 4, None, id="boole"),
+    ],
+)
+def test_method_guard_bounds_its_own_cost(name, n, d, m, refusal):
+    method, v = METHODS[name], VeroneseVariety(n, d)
+    assert method.applies(v, m)
+    start = time.process_time()
+    if refusal is None:
+        method.guard(v, m)
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            method.guard(v, m)
+    assert time.process_time() - start < 1

@@ -348,8 +348,8 @@ def test_syt_count_digits_estimates_the_count():
     for shape in BIG_SHAPES + [(200_000, 200_000), (2, 1) + (1,) * 20_000]:
         assert abs(syt_count_digits(shape) - log10(syt_count_hook(shape))) < 1e-8, shape
     # a hook (a, 1) counts a: the log-hooks of its long row cancel
-    # lgamma(a + 2) to within 0.01 digits up to a = 10^12
-    for a in (10**9, 10**12):
+    # lgamma(a + 2) to within 0.01 digits below 2^40 cells
+    for a in (10**9, 10**12, 2**40 - 2):
         assert abs(syt_count_digits((a, 1)) - log10(a)) < 0.01, a
     # one row or one column is 1; the shape of a 6-million-digit count is
     # estimated without a list as long as its rows
@@ -357,6 +357,10 @@ def test_syt_count_digits_estimates_the_count():
     assert 6_020_588 < syt_count_digits((10**7, 10**7)) < 6_020_590
     assert syt_count_digits((10**9, 10**9, 1)) > 6e8
     assert syt_count_digits((10**200, 1)) == float("inf")
+    # from 2^40 cells on it would cancel only to its rounding ((10^16, 1)
+    # read 0), so such a shape estimates as inf, never below its digits
+    for a in (2**40 - 1, 10**14, 10**16):
+        assert syt_count_digits((a, 1)) >= log10(a), a
 
 
 def test_syt_count_digits_stops_past_its_limit():

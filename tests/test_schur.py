@@ -1,10 +1,15 @@
 """Segre coefficients, Schur values two ways, and integral tables."""
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from itertools import combinations, permutations
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -215,9 +220,28 @@ def test_table_json_refuses_a_huge_claimed_n_before_counting():
     text = json.dumps({"n": 40, "N": 100, "entries": []})
     with pytest.raises(ValueError, match="^table is missing 37338 of the 37338 partitions of 40$"):
         SegreIntegralTable.from_json(text)
-    # a table built in the library is not held to the bound
-    with pytest.raises(ValueError, match="^table is missing 1121505 of the 1121505 partitions"):
+    # a table built in the library is held to the same bound
+    with pytest.raises(ValueError, match="^too large: n = 61 has over 1,000,000 partitions"):
         SegreIntegralTable(n=61, N=100, entries={})
+
+
+def test_a_library_table_refuses_a_huge_n_at_once():
+    # a child process with a time limit: p(10^6) unguarded runs for minutes
+    code = "from gaussdeg.schur import SegreIntegralTable as T; T(n=10**6, N=10**7, entries={})"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    # CPU of the whole child: interpreter start-up, import and the call
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    assert done.returncode == 1
+    assert done.stderr.rstrip().endswith(
+        "ValueError: too large: n = 1000000 has over 1,000,000 partitions, one term each"
+    )
 
 
 def test_table_json_big_integers():
