@@ -42,8 +42,8 @@ from .degrees import (
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
-    _message_int,
     canonical,
+    message,
     syt_count_bruteforce,
     syt_count_digits,
     syt_count_hook,
@@ -72,7 +72,7 @@ def effective_brute_cap() -> int:
     except ValueError as exc:
         raise ValueError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ValueError(f"{ENV_BRUTE_CAP} must be >= 1, got {cap}")
+        raise ValueError(message("%s must be >= 1, got %s", ENV_BRUTE_CAP, cap))
     return cap
 
 
@@ -222,10 +222,11 @@ def cmd_generic(args) -> int:
 def cmd_syt(args) -> int:
     lam = parse_partition(args.shape)
     cells = weight(lam)
-    what = f"the tableau count of a shape of {_message_int(cells)} cells"
+    what = "the tableau count of a shape of %s cells"
     if cells > MAX_SYT_CELLS:
-        raise ValueError(f"too large: {what}; at most {MAX_SYT_CELLS:,} cells are counted")
-    check_digits(syt_count_digits(lam, MAX_DIGITS), what)
+        limit = f"at most {MAX_SYT_CELLS:,} cells are counted"
+        raise ValueError(message(f"too large: {what}; {limit}", cells))
+    check_digits(syt_count_digits(lam, MAX_DIGITS), what, cells)
     cap = effective_brute_cap()
     doc: dict = {"shape": list(lam), "weight": cells, "hook": str(syt_count_hook(lam))}
     if cells <= cap:
@@ -243,7 +244,7 @@ def cmd_syt(args) -> int:
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.d, args.r)
     digits = degree_digits(shape, MAX_DIGITS)
-    check_digits(digits, f"the Pluecker degree of G({args.d}, {args.r})")
+    check_digits(digits, "the Pluecker degree of G(%s, %s)", args.d, args.r)
     doc = {
         "d": args.d,
         "r": args.r,

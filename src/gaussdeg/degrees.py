@@ -25,7 +25,6 @@ from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassman
 from .partitions import (
     _MESSAGE_BITS,
     Partition,
-    _message_int,
     _syt_count_hook,
     add_rectangle,
     canonical,
@@ -33,6 +32,7 @@ from .partitions import (
     enumerate_partitions,
     exact_quotient,
     falling_factorial_product,
+    message,
     pad,
     syt_count_canonical,
 )
@@ -146,24 +146,23 @@ class BoundsReport:
 MAX_DIGITS = 10**6
 
 
-def check_digits(digits: float, what: str) -> None:
-    """Refuse `what`, estimated at `digits` decimal digits, past MAX_DIGITS."""
+def check_digits(digits: float, template: str, *args) -> None:
+    """Refuse the number `message(template, *args)` names when `digits` pass MAX_DIGITS."""
     if digits > MAX_DIGITS:
         raise ValueError(
-            f"too large: {what} would have over {MAX_DIGITS:,} digits "
+            f"too large: {message(template, *args)} would have over {MAX_DIGITS:,} digits "
             f"(estimated {digits:,.0f} or more)"
         )
 
 
-def _range_error(n: int, upper: str, m: int) -> ValueError:
-    return ValueError(f"m must satisfy {_message_int(n)} <= m <= {upper}, got {_message_int(m)}")
+_RANGE = "m must satisfy %s <= m <= %s, got %s"
 
 
 def _check_range(n: int, N: int, m: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if not n <= m <= N - 1:
-        raise _range_error(n, _message_int(N - 1), m)
+        raise ValueError(message(_RANGE, n, N - 1, m))
 
 
 def _n_bits_exceed(v: VeroneseVariety, bits: int) -> bool:
@@ -191,7 +190,7 @@ def check_veronese_range(v: VeroneseVariety, m: int) -> None:
     if not _n_bits_exceed(v, m.bit_length() if m >= n else _MESSAGE_BITS):
         _check_range(n, v.N, m)
     elif m < n:
-        raise _range_error(n, f"C({_message_int(n + d)}, {_message_int(d)}) - 2", m)
+        raise ValueError(message(_RANGE, n, message("C(%s, %s) - 2", n + d, d), m))
 
 
 def dim_xm(n: int, N: int, m: int) -> int:
@@ -230,10 +229,10 @@ def _report(
     n: int, d: int, N: int, m: int, method: str, num: int, den: int = 1, notes: str = ""
 ) -> DegreeReport:
     """The report of degree num / den, an `exact_quotient` that must be positive."""
-    context = f"{method}(n={n}, d={d}, m={m})"
-    degree = exact_quotient(num, den, f"degree of {context}")
+    degree = exact_quotient(num, den, "degree of %s(n=%s, d=%s, m=%s)", method, n, d, m)
     if degree <= 0:
-        raise ArithmeticError(f"{context}: degree came out non-positive: {degree}")
+        template = "%s(n=%s, d=%s, m=%s): degree came out non-positive: %s"
+        raise ArithmeticError(message(template, method, n, d, m, degree))
     return DegreeReport(n=n, d=d, N=N, m=m, deg_xm=degree, method=method, notes=notes)
 
 
@@ -264,8 +263,7 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     e = m - n
     big_m = dim_xm(n, N, m)
     digits = lgamma(big_m + 1) / log(10) if big_m.bit_length() < 1000 else inf
-    where = f"(n={n}, d={_message_int(v.d)}, m={_message_int(m)})"
-    check_digits(digits, f"(dim X_m)! of the alternate sum at {where}")
+    check_digits(digits, "(dim X_m)! of the alternate sum at (n=%s, d=%s, m=%s)", n, v.d, m)
     total = 0
     for k in range(n + 1):
         inner = sum(
@@ -331,8 +329,7 @@ def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float =
 def guard_reference(n: int, N: int, m: int, first_digits: float) -> None:
     """Refuse a reference product past MAX_DIGITS; `first_digits` is log10 of `first`."""
     digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
-    where = f"(n={n}, N={_message_int(N)}, m={_message_int(m)})"
-    check_digits(digits, f"the reference product at {where}")
+    check_digits(digits, "the reference product at (n=%s, N=%s, m=%s)", n, N, m)
 
 
 def guard_veronese(v: VeroneseVariety, m: int, sums_partitions: bool = False) -> None:
@@ -346,7 +343,7 @@ def guard_veronese(v: VeroneseVariety, m: int, sums_partitions: bool = False) ->
     if sums_partitions:
         check_partition_terms(v.n)
     first = ordinary_gauss_digits(v)
-    check_digits(first, f"the ordinary Gauss degree at {_where(v)}")
+    check_digits(first, "the ordinary Gauss degree at (n=%s, d=%s)", v.n, v.d)
     guard_reference(v.n, v.N, m, first)
 
 
@@ -359,10 +356,6 @@ def guard_sweep(v: VeroneseVariety) -> None:
     """
     check_partition_terms(v.n)
     guard_veronese(v, v.n + (v.N - v.n) // 2)
-
-
-def _where(v: VeroneseVariety) -> str:
-    return f"(n={_message_int(v.n)}, d={_message_int(v.d)})"
 
 
 def _closed_form(
@@ -407,7 +400,7 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
         raise ValueError("curve degree must be >= 1")
     first = 2 * g - 2 + 2 * d
     if first <= 0:
-        raise ValueError(f"2g - 2 + 2d = {first} must be positive")
+        raise ValueError(message("2g - 2 + 2d = %s must be positive", first))
     return _closed_form(
         1, N, m, first, lambda e, N: Fraction(e, N - 1), "general_curve", d, f"genus {g}"
     )
@@ -484,7 +477,9 @@ METHODS = {
         "m = N - 1",
         # N - 1 >= n, and N = m + 1 has at most one bit more than m
         lambda v, m: v.n <= m and not _n_bits_exceed(v, m.bit_length() + 1) and m == v.N - 1,
-        lambda v, m: check_digits(boole_digits(v.n, v.d), f"Boole's degree at {_where(v)}"),
+        lambda v, m: check_digits(
+            boole_digits(v.n, v.d), "Boole's degree at (n=%s, d=%s)", v.n, v.d
+        ),
     ),
 }
 
@@ -537,11 +532,11 @@ def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
         quotient = exact_quotient(unit * _syt_count_hook(lam) * num, den, what, lam, m - n, N - m)
         total += quotient * integral
     if total <= 0:
-        raise NotGenericallyFiniteError(
-            f"weighted total {total} <= 0 at m = {m}: the order-{m} Gauss map "
-            "is not generically finite onto its image, or the table is not "
-            "the Segre data of a variety"
+        template = (
+            "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
+            "finite onto its image, or the table is not the Segre data of a variety"
         )
+        raise NotGenericallyFiniteError(message(template, total, m, m))
     return total
 
 
@@ -620,10 +615,10 @@ def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
         comb(N - m, n) * product <= degree * comb(N - n, n)
         and degree * comb(N - 1, n) <= comb(N - m + n - 1, n) * product
     ):
-        raise ArithmeticError(
-            f"proved bounds violated at (n={n}, d={v.d}, m={m}): "
-            f"{record.lower} <= {record.ratio} <= {record.upper} fails"
-        )
+        template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
+        ratio = record.ratio
+        args = (n, v.d, m, record.lower, ratio.numerator, ratio.denominator, record.upper)
+        raise ArithmeticError(message(template, *args))
     return record
 
 

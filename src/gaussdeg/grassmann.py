@@ -14,7 +14,7 @@ a = min(k, c), b = max(k, c), D(k+1, c-1) is D(k, c) times
 from dataclasses import dataclass
 from math import gcd, inf, perm
 
-from .partitions import _runs_digits, exact_quotient, syt_count_canonical
+from .partitions import _runs_digits, exact_quotient, message, syt_count_canonical
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class GrassmannShape:
 
     def __post_init__(self):
         if not 0 <= self.d <= self.r:
-            raise ValueError(f"need 0 <= d <= r, got d={self.d}, r={self.r}")
+            raise ValueError(message("need 0 <= d <= r, got d=%s, r=%s", self.d, self.r))
 
 
 def grassmann_dim(shape: GrassmannShape) -> int:

@@ -47,16 +47,18 @@ def _strip_zeros(lam: Partition) -> Partition:
 def exact_quotient(num: int, den: int, what: str, *args) -> int:
     """num // den, which the theory promises exact: a remainder raises ArithmeticError.
 
-    The message names `what`, %-formatted with `args` only when it is
-    raised, an int argument through `_message_int`, so a hot loop builds
-    no message for a division that is exact.
+    The message names `message(what, *args)`, built only when it is
+    raised, so a hot loop builds no message for a division that is exact.
     """
     quotient, rem = divmod(num, den)
     if rem:
-        if args:
-            what %= tuple(_message_int(arg) if isinstance(arg, int) else arg for arg in args)
-        raise ArithmeticError(f"{what} did not come out integral")
+        raise ArithmeticError(message(what, *args) + " did not come out integral")
     return quotient
+
+
+def message(template: str, *args) -> str:
+    """`template` %-formatted with `args`: how every error message writes an int."""
+    return template % tuple(_message_int(arg) if isinstance(arg, int) else arg for arg in args)
 
 
 def _message_int(value: int) -> str:
@@ -70,7 +72,7 @@ def pad(lam, length: int) -> Partition:
     """Zero-padded view with exactly `length` parts."""
     lam = canonical(lam)
     if len(lam) > length:
-        raise ValueError(f"{lam} has more than {length} nonzero parts")
+        raise ValueError(message("%s has more than %s nonzero parts", lam, length))
     return lam + (0,) * (length - len(lam))
 
 
@@ -138,7 +140,7 @@ def check_partition_terms(n: int) -> None:
     counts = zip(range(n + 1), partition_counts())
     if any(count > MAX_PARTITIONS for _, count in counts):
         raise ValueError(
-            f"too large: n = {n} has over {MAX_PARTITIONS:,} partitions, one term each"
+            message(f"too large: n = %s has over {MAX_PARTITIONS:,} partitions, one term each", n)
         )
 
 
@@ -369,7 +371,7 @@ def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if n > cap:
-        raise ValueError(f"|lam| = {n} exceeds brute-force cap {cap}")
+        raise ValueError(message("|lam| = %s exceeds brute-force cap %s", n, cap))
     rows = len(lam)
     # cells filled per row -> number of ways to place 1..k in exactly them
     layer = {(0,) * rows: 1}

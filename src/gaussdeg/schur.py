@@ -19,6 +19,7 @@ from .partitions import (
     enumerate_partitions,
     exact_quotient,
     falling_factorial_product,
+    message,
     pad,
     partition_count,
     syt_count_hook,
@@ -137,11 +138,12 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
     padded = pad(lam, length)
     total = weight(padded)
     if total > v.n:
-        raise ValueError(f"|lam| = {total} exceeds the variety dimension {v.n}")
+        raise ValueError(message("|lam| = %s exceeds the variety dimension %s", total, v.n))
     return exact_quotient(
         (v.d - 1) ** total * syt_count_hook(padded) * falling_factorial_product(v.n, padded),
         factorial(total),
-        f"closed form for {padded}",
+        "closed form for %s",
+        padded,
     )
 
 
@@ -168,7 +170,7 @@ class SegreIntegralTable:
         for key, value in self.entries.items():
             lam = canonical(key)
             if weight(lam) != self.n:
-                raise ValueError(f"entry {lam} does not have weight {self.n}")
+                raise ValueError(message("entry %s does not have weight %s", lam, self.n))
             if lam in cleaned:
                 raise ValueError(f"duplicate entry for partition {lam}")
             cleaned[lam] = int(value)
@@ -176,10 +178,8 @@ class SegreIntegralTable:
         # it has p(n) of them
         expected = partition_count(self.n)
         if len(cleaned) != expected:
-            raise ValueError(
-                f"table is missing {expected - len(cleaned)} of the {expected} "
-                f"partitions of {self.n}"
-            )
+            template = "table is missing %s of the %s partitions of %s"
+            raise ValueError(message(template, expected - len(cleaned), expected, self.n))
         object.__setattr__(self, "entries", cleaned)
 
     def lookup(self, lam) -> int:
@@ -203,7 +203,7 @@ class SegreIntegralTable:
     def from_json(cls, text: str) -> "SegreIntegralTable":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError("table document must be a JSON object")

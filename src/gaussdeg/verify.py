@@ -22,6 +22,7 @@ from .partitions import (
     DEFAULT_BRUTE_CAP,
     check_partition_terms,
     enumerate_partitions,
+    message,
     syt_count_bruteforce,
     syt_count_hook,
 )
@@ -77,9 +78,7 @@ def run_syt_suite(max_weight: int = 8, cap: int = DEFAULT_BRUTE_CAP) -> SuiteRes
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     if max_weight > cap:
-        raise ValueError(
-            f"max_weight {max_weight} exceeds the brute-force cap {cap}"
-        )
+        raise ValueError(message("max_weight %s exceeds the brute-force cap %s", max_weight, cap))
     checks = 0
     failures = []
     for k in range(max_weight + 1):

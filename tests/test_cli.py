@@ -354,6 +354,26 @@ def test_generic_zero_table_exits_3(tmp_path, capsys):
     assert "not generically finite" in err
 
 
+def test_generic_names_a_long_negative_total_by_size(tmp_path, capsys):
+    # the total -unit at m = 100 has 53,064 bits, past str()'s 4,300 digits
+    path = tmp_path / "negative.json"
+    doc = {"n": 1, "N": 200, "entries": [{"partition": [1], "integral": "-1"}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "generic", "--table", str(path), "--m", "100")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: weighted total an integer of 53,064 bits <= 0 at m = 100: ")
+    assert err.count("\n") == 1
+
+
+def test_generic_deep_table_exits_2_as_a_process(tmp_path):
+    # nested past the recursion limit, json.loads raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = _run_process("generic", "--table", str(path), "--m", "3", timeout=30)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
 def _skew_ratio(monkeypatch):
     # a row-binomial ratio skewed by 5/7 on one-row shapes leaves the
     # rectangle's tableau count non-integral in the weighted sum
@@ -468,6 +488,23 @@ def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
     prefix = "error: internal invariant failed: proved bounds violated at (n=1, d=4, m=1): "
     assert err.startswith(prefix)
     assert err.endswith(" fails\n") and err.count("\n") == 1
+
+
+def test_a_long_bounds_violation_exits_4(capsys, monkeypatch):
+    # a total of 1 at m = 100 puts 1 over a product of 53,073 bits; the
+    # scan forms every record before it prints, so no row's str() comes first
+    total = gaussdeg.degrees._weighted_total
+    monkeypatch.setattr(
+        gaussdeg.degrees,
+        "_weighted_total",
+        lambda table, m, unit: 1 if m == 100 else total(table, m, unit),
+    )
+    code, out, err = run_cli(capsys, "conjecture", "--n", "1", "--d", "200")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal invariant failed: proved bounds violated at (n=1, d=200, m=100): "
+        "100/199 <= 1/an integer of 53,073 bits <= 100/199 fails\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["table", "conjecture"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussdeg.degrees
 import gaussdeg.schur
 from gaussdeg.degrees import (
     METHODS,
@@ -560,6 +561,25 @@ def test_range_messages_render_at_any_size():
     message = "^m must satisfy 1 <= m <= an integer of 16,610 bits, got 0$"
     with pytest.raises(ValueError, match=message):
         dim_xm(1, 10**5000, 0)
+
+
+def test_degrees_past_the_str_limit_reach_their_report():
+    # n = 1 puts N = d = 10^5000: each report names d, m or N in no message
+    d = 10**5000
+    v = VeroneseVariety(1, d)
+    assert degree_m_np1(v).deg_xm == 2 * (d - 2) * (d - 1)
+    assert degree_general_curve(d, d, 0, 2).deg_xm == 2 * (d - 2) * (d - 1)
+    assert METHODS["boole"].compute(v, d - 1).deg_xm == 2 * (d - 1)
+
+
+def test_bounds_violation_names_a_long_ratio_by_its_size(monkeypatch):
+    monkeypatch.setattr(gaussdeg.degrees, "_weighted_total", lambda table, m, unit: 1)
+    message = (
+        r"^proved bounds violated at \(n=1, d=200, m=100\): "
+        r"100/199 <= 1/an integer of 53,073 bits <= 100/199 fails$"
+    )
+    with pytest.raises(ArithmeticError, match=message):
+        bounds(VeroneseVariety(1, 200), 100)
 
 
 def test_veronese_range_forms_n_only_when_it_must():

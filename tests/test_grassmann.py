@@ -29,6 +29,10 @@ def test_shape_validation():
         GrassmannShape(3, 2)
     with pytest.raises(ValueError):
         GrassmannShape(-1, 2)
+    # past CPython's 4,300-digit str() limit, r is named by its size
+    message = "^need 0 <= d <= r, got d=-1, r=an integer of 16,610 bits$"
+    with pytest.raises(ValueError, match=message):
+        GrassmannShape(-1, 10**5000)
     GrassmannShape(0, 0)
 
 

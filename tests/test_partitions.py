@@ -20,6 +20,7 @@ from gaussdeg.partitions import (
     check_partition_terms,
     enumerate_partitions,
     exact_quotient,
+    message,
     pad,
     partition_count,
     partition_counts,
@@ -141,6 +142,13 @@ def test_exact_quotient():
         exact_quotient(7, 2, "count of %s plus the %s-wide rectangle of height %s", (1,), 2, 2**14_000)
 
 
+def test_message_names_an_integer_past_13000_bits_by_its_size():
+    assert message("no arguments") == "no arguments"
+    assert message("%s of %s", (2, 1), -(2**12_999)) == f"(2, 1) of {-(2**12_999)}"
+    assert message("n = %s", 2**13_000) == "n = an integer of 13,001 bits"
+    assert message("%s/%s", 1, 10**5000) == "1/an integer of 16,610 bits"
+
+
 def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
     check_partition_terms(60)
     check_partition_terms(0)
@@ -154,6 +162,9 @@ def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
     # past sys.maxsize, where an islice over the counts cannot stop
     with pytest.raises(ValueError, match="^too large: n = 100000000000000000000 has over"):
         check_partition_terms(10**20)
+    # past CPython's 4,300-digit str() limit, n is named by its size
+    with pytest.raises(ValueError, match="^too large: n = an integer of 16,610 bits has over"):
+        check_partition_terms(10**5000)
     assert time.process_time() - start < 1
 
 
