@@ -9,7 +9,8 @@ table.
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 input schema, 3 non-positive table-driven total (no degree exists), 4 an
 internal invariant failed (an exactness or bounds check raised
-ArithmeticError: a bug, not a property of the input).
+ArithmeticError: a bug, not a property of the input).  Under `verify` such
+a failure is a failed check, so it exits 1.
 
 `main` may be called any number of times in one process; the parser is
 built on the first call and reused.  A cost guard refuses, with exit 2,
@@ -66,11 +67,11 @@ def effective_brute_cap() -> int:
         return DEFAULT_BRUTE_CAP
     # int() alone would also take spaces, '_', '+' and non-ASCII digits
     if not _DIGITS.fullmatch(raw):
-        raise ValueError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}")
+        raise ValueError(message("%s must be an integer, got %r", ENV_BRUTE_CAP, raw))
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{ENV_BRUTE_CAP} must be an integer, got {raw!r}") from exc
+        raise ValueError(message("%s must be an integer, got %r", ENV_BRUTE_CAP, raw)) from exc
     if cap < 1:
         raise ValueError(message("%s must be >= 1, got %s", ENV_BRUTE_CAP, cap))
     return cap

@@ -258,10 +258,9 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     count, so past MAX_DIGITS digits of it the cell is refused first.
     """
     n, N = v.n, v.N
-    _check_range(n, N, m)
+    big_m = dim_xm(n, N, m)
     check_partition_terms(n)
     e = m - n
-    big_m = dim_xm(n, N, m)
     digits = lgamma(big_m + 1) / log(10) if big_m.bit_length() < 1000 else inf
     check_digits(digits, "(dim X_m)! of the alternate sum at (n=%s, d=%s, m=%s)", n, v.d, m)
     total = 0
@@ -301,6 +300,7 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     Each closed form below is a rational ratio in e = N-m and N times this
     product, and `bounds` measures the degree against it.
     """
+    _check_range(n, N, m)
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
     return _reference_unit(n, N, m, pluecker) * first
 
@@ -332,16 +332,12 @@ def guard_reference(n: int, N: int, m: int, first_digits: float) -> None:
     check_digits(digits, "the reference product at (n=%s, N=%s, m=%s)", n, N, m)
 
 
-def guard_veronese(v: VeroneseVariety, m: int, sums_partitions: bool = False) -> None:
+def guard_veronese(v: VeroneseVariety, m: int) -> None:
     """Cost guard of a degree of `v` at m; range errors come first.
 
-    A method that sums over the partitions of n is held to their count
-    next, which needs no N; the reference product's first factor is
-    refused before N is formed.
+    The reference product's first factor is refused before N is formed.
     """
     check_veronese_range(v, m)
-    if sums_partitions:
-        check_partition_terms(v.n)
     first = ordinary_gauss_digits(v)
     check_digits(first, "the ordinary Gauss degree at (n=%s, d=%s)", v.n, v.d)
     guard_reference(v.n, v.N, m, first)
@@ -362,9 +358,9 @@ def _closed_form(
     n: int, N: int, m: int, first: int, ratio, method: str, d: int, notes: str = ""
 ) -> DegreeReport:
     """The closed forms' one step: `ratio(N-m, N) * reference_product(n, N, m, first)`."""
-    _check_range(n, N, m)
+    product = reference_product(n, N, m, first)
     r = ratio(N - m, N)
-    num = r.numerator * reference_product(n, N, m, first)
+    num = r.numerator * product
     return _report(n, d, N, m, method, num, r.denominator, notes)
 
 
@@ -454,7 +450,10 @@ class Method:
 
 
 def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
-    guard_veronese(v, m, sums_partitions=True)
+    """`guard_veronese`, with the partitions of n held to their count after the range."""
+    check_veronese_range(v, m)
+    check_partition_terms(v.n)
+    guard_veronese(v, m)
 
 
 METHODS = {
@@ -512,7 +511,6 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     NotGenericallyFiniteError.
     """
     n, N = table.n, table.N
-    _check_range(n, N, m)
     total = _weighted_total(table, m, reference_product(n, N, m, 1))
     return DegreeReport(n=n, N=N, m=m, deg_xm=total, method="generic")
 
@@ -578,7 +576,6 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     conjectural and is reported, never enforced.  `bounds_sweep` gives the
     same records for every m at once.
     """
-    _check_range(v.n, v.N, m)
     return _bounds_record(v, m, reference_product(v.n, v.N, m, 1))
 
 

@@ -27,15 +27,18 @@ PRIME_POWER_CELLS = 800
 # Longest integer an error message prints in decimal: CPython refuses str()
 # past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
 _MESSAGE_BITS = 13_000
+# Longest text of any other argument an error message echoes whole; CPython's
+# own int() message stops at 200 characters.
+_MESSAGE_CHARS = 200
 
 
 def canonical(parts) -> Partition:
     """Validate weak decrease and non-negativity, strip trailing zeros."""
     lam = tuple(map(int, parts))
     if lam and lam[-1] < 0:
-        raise ValueError(f"negative part in {lam}")
+        raise ValueError(message("negative part in %s", lam))
     if any(map(lt, lam, lam[1:])):
-        raise ValueError(f"parts not weakly decreasing: {lam}")
+        raise ValueError(message("parts not weakly decreasing: %s", lam))
     return _strip_zeros(lam)
 
 
@@ -57,15 +60,37 @@ def exact_quotient(num: int, den: int, what: str, *args) -> int:
 
 
 def message(template: str, *args) -> str:
-    """`template` %-formatted with `args`: how every error message writes an int."""
-    return template % tuple(_message_int(arg) if isinstance(arg, int) else arg for arg in args)
+    """`template` %-formatted with `args`: how every error message writes its values."""
+    return template % tuple(_message_int(a) if isinstance(a, int) else _Echo(a) for a in args)
 
 
 def _message_int(value: int) -> str:
-    """`value` in decimal, or its size when the decimal would be too long."""
+    """`value` in decimal, or its size when the decimal is too long or refused."""
     if value.bit_length() <= _MESSAGE_BITS:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # the interpreter's digit limit is set below its default
+            pass
     return f"an integer of {value.bit_length():,} bits"
+
+
+class _Echo:
+    """Any other message argument: its %s or %r text, cut to a prefix and its length."""
+
+    def __init__(self, arg):
+        self.arg = arg
+
+    def __str__(self) -> str:
+        return self._cut(str(self.arg))
+
+    def __repr__(self) -> str:
+        return self._cut(repr(self.arg))
+
+    def _cut(self, text: str) -> str:
+        if len(text) <= _MESSAGE_CHARS:
+            return text
+        size = len(self.arg) if hasattr(self.arg, "__len__") else len(text)
+        return f"{text[:_MESSAGE_CHARS]}... ({type(self.arg).__name__} of length {size:,})"
 
 
 def pad(lam, length: int) -> Partition:
@@ -228,7 +253,7 @@ def _count_by_prime_powers(lam: Partition) -> int:
             exponent += cells // q - sum(mults[q::q])
             q *= p
         if exponent < 0:
-            raise ArithmeticError(f"tableau count for {lam} did not come out integral")
+            raise ArithmeticError(message("tableau count for %s did not come out integral", lam))
         if exponent:
             powers.append((p, exponent))
     for k in range(1, cells // (top + 1) + 1):

@@ -172,7 +172,7 @@ class SegreIntegralTable:
             if weight(lam) != self.n:
                 raise ValueError(message("entry %s does not have weight %s", lam, self.n))
             if lam in cleaned:
-                raise ValueError(f"duplicate entry for partition {lam}")
+                raise ValueError(message("duplicate entry for partition %s", lam))
             cleaned[lam] = int(value)
         # the keys are distinct partitions of n, so the table is complete iff
         # it has p(n) of them
@@ -218,26 +218,26 @@ class SegreIntegralTable:
         entries: dict[Partition, int] = {}
         for item in raw_entries:
             if not isinstance(item, dict):
-                raise ValueError(f"entry is not an object: {item!r}")
+                raise ValueError(message("entry is not an object: %r", item))
             if "partition" not in item or "integral" not in item:
-                raise ValueError(f"entry needs 'partition' and 'integral': {item!r}")
+                raise ValueError(message("entry needs 'partition' and 'integral': %r", item))
             parts = item["partition"]
             if not isinstance(parts, list) or not all(_is_int(p) for p in parts):
-                raise ValueError(f"'partition' must be a list of integers: {parts!r}")
+                raise ValueError(message("'partition' must be a list of integers: %r", parts))
             raw = item["integral"]
             if not isinstance(raw, str):
-                raise ValueError(f"'integral' must be a decimal string: {raw!r}")
+                raise ValueError(message("'integral' must be a decimal string: %r", raw))
             # int() alone would also take spaces, '_', '+' and non-ASCII
             # digits; past the pattern it can still refuse the digit count
             if not _DECIMAL.fullmatch(raw):
-                raise ValueError(f"bad integral value {raw!r}")
+                raise ValueError(message("bad integral value %r", raw))
             try:
                 value = int(raw)
             except ValueError as exc:
-                raise ValueError(f"bad integral value {raw!r}") from exc
+                raise ValueError(message("bad integral value %r", raw)) from exc
             lam = canonical(parts)
             if lam in entries:
-                raise ValueError(f"duplicate entry for partition {lam}")
+                raise ValueError(message("duplicate entry for partition %s", lam))
             entries[lam] = value
         return cls(n=n, N=big_n, entries=entries)
 

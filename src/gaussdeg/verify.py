@@ -2,11 +2,15 @@
 
 These are the same cross-checks the test suite runs, packaged as plain
 functions returning structured results so the command line can execute
-them on demand.  A suite never raises on a mismatch; it records the
-failing tuple verbatim.
+them on demand.  Every suite runs its checks through one recorder with
+one failure rule: a check fails when its two values differ, or when
+computing them raises ArithmeticError (a route broke one of its own
+invariants).  The failure is recorded under the check's label and the
+suite goes on, so a failing check never stops a suite or its count.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .degrees import (
     METHODS,
@@ -49,13 +53,30 @@ class SuiteResult:
         return self.failed == 0
 
 
-def _result(name: str, checks: int, failures: list[str]) -> SuiteResult:
-    return SuiteResult(
-        name=name,
-        passed=checks - len(failures),
-        failed=len(failures),
-        failures=tuple(failures),
-    )
+class _Checks:
+    """A suite's recorder: `check(label, pair)` counts a check and computes pair().
+
+    Unequal (got, want) record `label: <mismatch.format(got, want)>`, an
+    ArithmeticError `label: <message>`; anything else (a guard's refusal) propagates.
+    """
+
+    def __init__(self, name: str, mismatch: str):
+        self.name, self.mismatch = name, mismatch
+        self.checks, self.failures = 0, []
+
+    def __call__(self, label: str, pair) -> None:
+        self.checks += 1
+        try:
+            got, want = pair()
+        except ArithmeticError as exc:
+            self.failures.append(f"{label}: {exc}")
+            return
+        if got != want:
+            self.failures.append(f"{label}: {self.mismatch.format(got, want)}")
+
+    def result(self) -> SuiteResult:
+        failed = len(self.failures)
+        return SuiteResult(self.name, self.checks - failed, failed, tuple(self.failures))
 
 
 def run_identity_suite(max_n: int = 6) -> SuiteResult:
@@ -63,14 +84,10 @@ def run_identity_suite(max_n: int = 6) -> SuiteResult:
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     check_partition_terms(max_n)
-    checks = 0
-    failures = []
+    check = _Checks("identity", "lhs={} rhs={}")
     for n in range(1, max_n + 1):
-        checks += 1
-        lhs, rhs, equal = verify_identity(n)
-        if not equal:
-            failures.append(f"identity n={n}: lhs={lhs} rhs={rhs}")
-    return _result("identity", checks, failures)
+        check(f"identity n={n}", lambda: verify_identity(n)[:2])
+    return check.result()
 
 
 def run_syt_suite(max_weight: int = 8, cap: int = DEFAULT_BRUTE_CAP) -> SuiteResult:
@@ -79,22 +96,16 @@ def run_syt_suite(max_weight: int = 8, cap: int = DEFAULT_BRUTE_CAP) -> SuiteRes
         raise ValueError("max_weight must be >= 0")
     if max_weight > cap:
         raise ValueError(message("max_weight %s exceeds the brute-force cap %s", max_weight, cap))
-    checks = 0
-    failures = []
+    check = _Checks("syt", "hook={} bruteforce={}")
     for k in range(max_weight + 1):
         for lam in enumerate_partitions(k, max(k, 1)):
-            checks += 1
-            by_hook = syt_count_hook(lam)
-            by_force = syt_count_bruteforce(lam, cap=cap)
-            if by_hook != by_force:
-                failures.append(f"syt {lam}: hook={by_hook} bruteforce={by_force}")
-    return _result("syt", checks, failures)
+            check(f"syt {lam}", lambda: (syt_count_hook(lam), syt_count_bruteforce(lam, cap=cap)))
+    return check.result()
 
 
 def run_schur_suite(max_n: int = 4, max_d: int = 5) -> SuiteResult:
     """Jacobi-Trudi determinants against the Veronese closed form."""
-    checks = 0
-    failures = []
+    check = _Checks("schur", "determinant={} closed={}")
     for n in range(1, max_n + 1):
         for d in range(2, max_d + 1):
             v = VeroneseVariety(n, d)
@@ -102,15 +113,14 @@ def run_schur_suite(max_n: int = 4, max_d: int = 5) -> SuiteResult:
             for k in range(n + 1):
                 for lam in enumerate_partitions(k, max(k, 1)):
                     for length in range(max(len(lam), 1), n + 1):
-                        checks += 1
-                        det = schur_delta_determinant(s, lam, length)
-                        closed = schur_delta_veronese_closed(v, lam, length)
-                        if det != closed:
-                            failures.append(
-                                f"schur (n={n}, d={d}, lam={lam}, length={length}): "
-                                f"determinant={det} closed={closed}"
-                            )
-    return _result("schur", checks, failures)
+                        check(
+                            f"schur (n={n}, d={d}, lam={lam}, length={length})",
+                            lambda: (
+                                schur_delta_determinant(s, lam, length),
+                                schur_delta_veronese_closed(v, lam, length),
+                            ),
+                        )
+    return check.result()
 
 
 def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
@@ -118,17 +128,10 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
 
     The routes are each applicable registry method, the generic sum over a
     Jacobi-Trudi integral table, the general-curve form at genus 0, and
-    the ordinary Gauss degree at m = n.
+    the ordinary Gauss degree at m = n.  If `degree_main` raises, every
+    check of its cell fails with its message.
     """
-    checks = 0
-    failures = []
-
-    def expect(context: str, got: int, want: int) -> None:
-        nonlocal checks
-        checks += 1
-        if got != want:
-            failures.append(f"{context}: got {got}, want {want}")
-
+    check = _Checks("crossform", "got {}, want {}")
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
@@ -139,52 +142,47 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
             )
             for m in range(n, v.N):
                 cell = f"(n={n}, d={d}, m={m})"
-                want = degree_main(v, m).deg_xm
+                # `cache` keeps no exception: if it raises, each check re-raises it
+                want = cache(lambda: degree_main(v, m).deg_xm)
                 for name, method in METHODS.items():
                     if name != "main" and method.applies(v, m):
-                        # a route's own invariant check (such as the curve
-                        # form's dual Grassmannian) fails as a mismatch
-                        try:
-                            expect(f"{name} {cell}", method.compute(v, m).deg_xm, want)
-                        except ArithmeticError as exc:
-                            checks += 1
-                            failures.append(f"{name} {cell}: {exc}")
-                try:
-                    generic = degree_generic(table, m).deg_xm
-                except NotGenericallyFiniteError:
-                    generic = 0
-                expect(f"generic {cell}", generic, want)
+                        check(f"{name} {cell}", lambda: (method.compute(v, m).deg_xm, want()))
+                check(f"generic {cell}", lambda: (_generic_degree(table, m), want()))
                 if n == 1:
-                    expect(
+                    check(
                         f"general_curve (N={d}, d={d}, g=0, m={m})",
-                        degree_general_curve(d, d, 0, m).deg_xm,
-                        want,
+                        lambda: (degree_general_curve(d, d, 0, m).deg_xm, want()),
                     )
                 if m == n:
-                    expect(f"ordinary {cell}", ordinary_gauss_degree(v), want)
-    return _result("crossform", checks, failures)
+                    check(f"ordinary {cell}", lambda: (ordinary_gauss_degree(v), want()))
+    return check.result()
+
+
+def _generic_degree(table, m: int) -> int:
+    """`degree_generic(table, m).deg_xm`, or 0 where no degree exists."""
+    try:
+        return degree_generic(table, m).deg_xm
+    except NotGenericallyFiniteError:
+        return 0
 
 
 def run_bounds_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
     """Sandwich bounds everywhere; exact equality throughout for curves."""
-    checks = 0
-    failures = []
+    check = _Checks("bounds", "expected equality, got lower={0[0]} ratio={0[1]} upper={0[2]}")
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
             for m in range(n, v.N):
-                checks += 1
-                try:
-                    b = bounds(v, m)
-                except ArithmeticError as exc:
-                    failures.append(f"bounds (n={n}, d={d}, m={m}): {exc}")
-                    continue
-                if n == 1 and not (b.lower == b.ratio == b.upper):
-                    failures.append(
-                        f"bounds (n=1, d={d}, m={m}): expected equality, "
-                        f"got lower={b.lower} ratio={b.ratio} upper={b.upper}"
-                    )
-    return _result("bounds", checks, failures)
+                check(f"bounds (n={n}, d={d}, m={m})", lambda: _bounds_pair(v, m))
+    return check.result()
+
+
+def _bounds_pair(v: VeroneseVariety, m: int) -> tuple:
+    """For a curve, `bounds(v, m)`'s (lower, ratio, upper) and its ratio thrice."""
+    b = bounds(v, m)
+    if v.n > 1:
+        return None, None  # `bounds` enforces the sandwich itself
+    return (b.lower, b.ratio, b.upper), (b.ratio,) * 3
 
 
 def run_suite(name: str, **kwargs) -> SuiteResult:

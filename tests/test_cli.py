@@ -41,9 +41,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _run_process(*argv, timeout=60):
-    """`python -m gaussdeg.cli *argv` in a child process: exit code, stdout, stderr."""
-    env = dict(os.environ)
+def _run_process(*argv, timeout=60, **environ):
+    """`python -m gaussdeg.cli *argv` in a child process: exit code, stdout, stderr.
+
+    `environ` adds to the child's environment.
+    """
+    env = dict(os.environ, **environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
@@ -372,6 +375,53 @@ def test_generic_deep_table_exits_2_as_a_process(tmp_path):
     code, out, err = _run_process("generic", "--table", str(path), "--m", "3", timeout=30)
     assert (code, out) == (2, "")
     assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
+# a table entry, and the type and length its error line must name: echoed
+# whole, each made one error line of 100,000 characters or more
+LONG_ENTRIES = {
+    "integral": ({"partition": [1], "integral": "1" * 100_000 + "x"}, "str of length 100,001"),
+    "partition": (
+        {"partition": [*range(50_000, 2, -1), 0, 5], "integral": "1"},
+        "tuple of length 50,000",
+    ),
+    "entry": (["a"] * 50_000, "list of length 50,000"),
+    "weight": ({"partition": [1] * 100_000, "integral": "1"}, "tuple of length 100,000"),
+}
+
+
+def _one_short_line(err: str, length: str) -> bool:
+    return err.count("\n") == 1 and len(err) <= 300 and f"... ({length})" in err
+
+
+@pytest.mark.parametrize("case", LONG_ENTRIES)
+def test_a_long_table_value_is_echoed_cut(tmp_path, case):
+    entry, length = LONG_ENTRIES[case]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 1, "N": 5, "entries": [entry]}), encoding="utf-8")
+    code, out, err = _run_process("generic", "--table", str(path), "--m", "2", timeout=30)
+    assert (code, out) == (2, "")
+    assert _one_short_line(err, length), err[:400]
+
+
+def test_a_long_brute_cap_is_echoed_cut():
+    cap = "9" * 100_000 + "x"
+    code, out, err = _run_process("verify", "--suite", "syt", timeout=30, GAUSSDEG_BRUTE_CAP=cap)
+    assert (code, out) == (2, "")
+    assert _one_short_line(err, "str of length 100,001"), err[:400]
+
+
+def test_a_lower_interpreter_digit_limit_keeps_exit_3(tmp_path):
+    # at m = 10 the total has 5,171 bits, 1,557 digits: over a 640-digit
+    # limit, so the message names its size, not CPython's refusal
+    path = tmp_path / "negative.json"
+    doc = {"n": 1, "N": 200, "entries": [{"partition": [1], "integral": "-1"}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run_process(
+        "generic", "--table", str(path), "--m", "10", timeout=30, PYTHONINTMAXSTRDIGITS="640"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: weighted total an integer of 5,171 bits <= 0 at m = 10: ")
 
 
 def _skew_ratio(monkeypatch):

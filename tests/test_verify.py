@@ -1,12 +1,16 @@
 """The self-check suite harness itself."""
 
+import json
 import re
 import time
 
 import pytest
 
 import gaussdeg.degrees
+import gaussdeg.partitions
 import gaussdeg.schur
+import gaussdeg.verify
+from gaussdeg.cli import main
 from gaussdeg.verify import (
     SUITE_NAMES,
     run_bounds_suite,
@@ -17,13 +21,14 @@ from gaussdeg.verify import (
     run_syt_suite,
 )
 
+DEFAULT_COUNTS = {"identity": 6, "syt": 67, "schur": 252, "crossform": 275, "bounds": 81}
+
 
 def test_all_suites_pass_at_defaults():
-    counts = {"identity": 6, "syt": 67, "schur": 252, "crossform": 275, "bounds": 81}
     for name in SUITE_NAMES:
         result = run_suite(name)
         assert result.ok, result.failures
-        assert result.passed == counts[name]
+        assert result.passed == DEFAULT_COUNTS[name]
         assert result.failed == 0
 
 
@@ -103,6 +108,88 @@ def test_bounds_suite_trimmed():
 
 def test_schur_suite():
     assert run_schur_suite(max_n=3, max_d=4).ok
+
+
+BROKEN = "tableau count for (2, 1) did not come out integral"
+
+
+@pytest.fixture
+def broken_count(monkeypatch):
+    """The cached tableau count raises ArithmeticError on (2, 1), as a broken kernel would."""
+    count = gaussdeg.partitions._syt_count_hook
+
+    def broken(lam):
+        if lam == (2, 1):
+            raise ArithmeticError(BROKEN)
+        return count(lam)
+
+    for module in (gaussdeg.partitions, gaussdeg.degrees):
+        monkeypatch.setattr(module, "_syt_count_hook", broken)
+
+
+def _verify(capsys, suite):
+    """`verify --suite suite` in process: exit code and its one suite record."""
+    code = main(["verify", "--suite", suite])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (record,) = json.loads(captured.out)["suites"]
+    return code, record
+
+
+@pytest.mark.parametrize("suite", ["syt", "schur", "crossform", "bounds"])
+def test_a_broken_invariant_is_a_failed_check(capsys, broken_count, suite):
+    # every check that reaches (2, 1) fails under its own label; the rest
+    # still run, so the suite counts as many checks as a passing run
+    code, record = _verify(capsys, suite)
+    assert code == 1
+    assert record["passed"] + record["failed"] == DEFAULT_COUNTS[suite]
+    assert record["failed"] == len(record["failures"]) > 0
+    assert all(failure.endswith(f": {BROKEN}") for failure in record["failures"])
+    if suite == "syt":
+        assert record["failures"] == [f"syt (2, 1): {BROKEN}"]
+
+
+def test_an_identity_route_that_raises_is_a_failed_check(capsys, monkeypatch):
+    identity = gaussdeg.verify.verify_identity
+
+    def broken(n):
+        if n == 3:
+            raise ArithmeticError("identity sum did not come out integral")
+        return identity(n)
+
+    monkeypatch.setattr(gaussdeg.verify, "verify_identity", broken)
+    code, record = _verify(capsys, "identity")
+    assert code == 1
+    assert (record["passed"], record["failed"]) == (5, 1)
+    assert record["failures"] == ["identity n=3: identity sum did not come out integral"]
+
+
+def test_a_failing_reference_fails_every_check_of_its_cell_only(monkeypatch):
+    main_degree = gaussdeg.verify.degree_main
+
+    def broken(v, m):
+        if (v.n, v.d, m) == (2, 3, 4):
+            raise ArithmeticError("degree of main(n=2, d=3, m=4) did not come out integral")
+        return main_degree(v, m)
+
+    monkeypatch.setattr(gaussdeg.verify, "degree_main", broken)
+    result = run_crossform_suite()
+    assert result.passed + result.failed == DEFAULT_COUNTS["crossform"]
+    # the cell's routes: alternate, surface_closed, generic
+    assert result.failures == tuple(
+        f"{route} (n=2, d=3, m=4): degree of main(n=2, d=3, m=4) did not come out integral"
+        for route in ("alternate", "surface_closed", "generic")
+    )
+
+
+def test_only_arithmetic_errors_are_recorded(monkeypatch):
+    # a ValueError is a bad option or a guard's refusal, not a failed check
+    def refused(n):
+        raise ValueError("too large: refused")
+
+    monkeypatch.setattr(gaussdeg.verify, "verify_identity", refused)
+    with pytest.raises(ValueError, match="^too large: refused$"):
+        run_identity_suite()
 
 
 def test_unknown_suite_rejected():
