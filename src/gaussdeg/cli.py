@@ -201,9 +201,8 @@ def cmd_conjecture(args) -> int:
         # so guarding the largest variety guards the box
         VeroneseVariety(n_values[0], d_values[0])
         guard_sweep(VeroneseVariety(n_values[-1], d_values[-1]))
-    records = conjecture_scan(n_values, d_values)
-    rows = [record.to_dict() for record in records]
-    violations = sum(not record.within_conjecture for record in records)
+    rows = [record.to_dict() for record in conjecture_scan(n_values, d_values)]
+    violations = sum(not row["within_conjecture"] for row in rows)
     text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})
     if args.format == "table":
         text += f"\nviolations: {violations}"
@@ -260,6 +259,13 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its error text cut as `message` cuts a long echo."""
+
+    def error(self, text):
+        super().error(message("%s", text))
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The `gaussdeg` parser, built on the first call and shared after it.
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     ten times as much as a parse, so every `main` call in a process
     reuses this one.  Being shared, it must not be changed by a caller.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaussdeg",
         description="Exact degrees of tangent m-plane varieties of Veronese embeddings.",
     )

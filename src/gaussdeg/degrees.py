@@ -15,10 +15,10 @@ Everything is exact: integers are unbounded, ratios are
 is a `partitions.exact_quotient`, and every degree is checked positive.
 """
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import comb, factorial, inf, lgamma, log, log2, log10, perm
 
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
@@ -637,22 +637,15 @@ def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bo
     return lhs, rhs, lhs == rhs
 
 
-def conjecture_scan(n_values, d_values) -> tuple[BoundsReport, ...]:
+def conjecture_scan(n_values, d_values) -> Iterator[BoundsReport]:
     """Evaluate the conjectured power bound over a parameter sweep.
 
-    For every n in `n_values` and d in `d_values`, collects `bounds_sweep(v)`,
-    the `bounds(v, m)` of every admissible m: the exact ratio, the
-    conjectured bound, and the conjectured virtual degree (bound times
-    reference product, rational in general).  A violation is a row with
-    `within_conjecture` false.
+    Yields the `BoundsReport` of every admissible m of every n in `n_values`
+    and d in `d_values`, each as `bounds_sweep` makes it; empty ranges are
+    refused at the call.  A violation is a record with `within_conjecture` false.
     """
-    n_values = tuple(n_values)
-    d_values = tuple(d_values)
+    n_values, d_values = tuple(n_values), tuple(d_values)
     if not n_values or not d_values:
         raise ValueError("scan ranges must be non-empty")
-    rows = []
-    for n in n_values:
-        for d in d_values:
-            v = VeroneseVariety(n, d)
-            rows.extend(bounds_sweep(v))
-    return tuple(rows)
+    varieties = (VeroneseVariety(n, d) for n in n_values for d in d_values)
+    return chain.from_iterable(map(bounds_sweep, varieties))

@@ -185,7 +185,7 @@ class SegreIntegralTable:
     def lookup(self, lam) -> int:
         key = canonical(lam)
         if key not in self.entries:
-            raise KeyError(f"no entry for partition {key}")
+            raise KeyError(message("no entry for partition %s", key))
         return self.entries[key]
 
     def to_json(self) -> str:

@@ -194,5 +194,5 @@ def run_suite(name: str, **kwargs) -> SuiteResult:
         "bounds": run_bounds_suite,
     }
     if name not in runners:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        raise ValueError(message("unknown suite %r; choose from %s", name, SUITE_NAMES))
     return runners[name](**kwargs)

@@ -193,7 +193,7 @@ def test_criterion_10():
 
 @criterion(11, "conjectured power bound scan (reported, not asserted)")
 def test_criterion_11():
-    rows = conjecture_scan((1, 2, 3), (2, 3, 4))
+    rows = tuple(conjecture_scan((1, 2, 3), (2, 3, 4)))
     violations = [row for row in rows if not row.within_conjecture]
     for row in rows:
         assert row.within_conjecture == (row.ratio <= row.conjecture_upper)

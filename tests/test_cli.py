@@ -321,6 +321,18 @@ def test_conjecture_empty_range_exits_2(capsys):
     assert code == 2 and "empty" in err
 
 
+def test_conjecture_stops_at_its_first_failing_row():
+    # (5, 7) passes the box guard, and its first rows past the str() limit
+    # come long before its last record: the scan stops there, as `table`
+    # does, not after forming every record of the box
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, out, err = _run_process("conjecture", "--n", "5", "--d", "7", timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_generic_round_trip(tmp_path, capsys):
     table = veronese_integral_table(VeroneseVariety(2, 2))
     path = tmp_path / "table.json"
@@ -540,20 +552,22 @@ def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
     assert err.endswith(" fails\n") and err.count("\n") == 1
 
 
-def test_a_long_bounds_violation_exits_4(capsys, monkeypatch):
-    # a total of 1 at m = 100 puts 1 over a product of 53,073 bits; the
-    # scan forms every record before it prints, so no row's str() comes first
+@pytest.mark.parametrize("command", ["table", "conjecture"])
+def test_a_long_bounds_violation_exits_4(capsys, monkeypatch, command):
+    # a total of 1 at m = 21 puts 1 over a product of 14,424 bits (4,343
+    # digits, past the str() limit); every earlier row has at most 13,570
+    # bits, so both sweeps print their rows up to it and stop there
     total = gaussdeg.degrees._weighted_total
     monkeypatch.setattr(
         gaussdeg.degrees,
         "_weighted_total",
-        lambda table, m, unit: 1 if m == 100 else total(table, m, unit),
+        lambda table, m, unit: 1 if m == 21 else total(table, m, unit),
     )
-    code, out, err = run_cli(capsys, "conjecture", "--n", "1", "--d", "200")
+    code, out, err = run_cli(capsys, command, "--n", "1", "--d", "200")
     assert (code, out) == (4, "")
     assert err == (
-        "error: internal invariant failed: proved bounds violated at (n=1, d=200, m=100): "
-        "100/199 <= 1/an integer of 53,073 bits <= 100/199 fails\n"
+        "error: internal invariant failed: proved bounds violated at (n=1, d=200, m=21): "
+        "179/199 <= 1/an integer of 14,424 bits <= 179/199 fails\n"
     )
 
 
@@ -764,6 +778,23 @@ def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
     assert exc.value.code == 2
     assert "invalid int value: 'x'" in capsys.readouterr().err
     assert run_cli(capsys, *argv) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "--n", "x" * 100_000, "--d", "2", "--m", "3"),
+        ("degree", "--n", "1", "--d", "2", "--m", "3", "--format", "x" * 100_000),
+    ],
+    ids=["int", "choice"],
+)
+def test_a_long_invalid_argument_is_echoed_cut(argv):
+    code, out, err = _run_process(*argv, timeout=30)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: gaussdeg degree ") and err.count("usage:") == 1
+    line = err.splitlines()[-1]
+    assert line.startswith("gaussdeg degree: error: argument --") and len(line) <= 300
+    assert "... (str of length " in line
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("degree", "--help")])

@@ -455,7 +455,7 @@ def test_binomial_ratio_product_below_2n():
 
 
 def test_conjecture_scan_small():
-    rows = conjecture_scan((1, 2), (2, 3))
+    rows = tuple(conjecture_scan((1, 2), (2, 3)))
     assert len(rows) == 13
     assert all(row.within_conjecture for row in rows)
     for row in rows:
@@ -471,6 +471,14 @@ def test_conjecture_scan_rejects_empty_ranges():
         conjecture_scan((), (2,))
     with pytest.raises(ValueError):
         conjecture_scan((1,), ())
+
+
+def test_conjecture_scan_yields_its_first_record_first():
+    # records are made as they are read: the n = 61 table, past the
+    # partition-count guard, is not built before (1, 2, 1) is returned
+    record = next(iter(conjecture_scan((1, 61), (2,))))
+    assert (record.n, record.d, record.m) == (1, 2, 1)
+    assert record == bounds(VeroneseVariety(1, 2), 1)
 
 
 def test_degree_report_invariants():

@@ -189,6 +189,14 @@ def test_table_lookup_pads():
         table.lookup((1,))
 
 
+def test_a_long_missing_key_is_echoed_cut():
+    table = veronese_integral_table(VeroneseVariety(2, 2))
+    with pytest.raises(KeyError) as exc:
+        table.lookup((1,) * 100_000)
+    (text,) = exc.value.args
+    assert len(text) <= 300 and text.endswith("... (tuple of length 100,000)")
+
+
 def test_table_validation():
     with pytest.raises(ValueError, match="^table is missing 1 of the 2 partitions of 2$"):
         SegreIntegralTable(n=2, N=5, entries={(2,): 3})  # (1,1) missing

@@ -195,3 +195,10 @@ def test_only_arithmetic_errors_are_recorded(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_a_long_unknown_suite_is_echoed_cut():
+    with pytest.raises(ValueError) as exc:
+        run_suite("x" * 100_000)
+    text = str(exc.value)
+    assert len(text) <= 400 and "... (str of length 100,000); choose from (" in text
