@@ -38,6 +38,7 @@ from .degrees import (
     degree_generic,
     dim_xm,
     guard_reference,
+    guard_scan,
     guard_sweep,
 )
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
@@ -155,7 +156,7 @@ def cmd_table(args) -> int:
         {
             "m": b.m,
             "dim": dim_xm(v.n, v.N, b.m),
-            "degree": str(b.degree),
+            "degree": b.degree_text,
             "ratio": str(b.ratio),
             "within_conjecture": b.within_conjecture,
         }
@@ -196,11 +197,7 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     n_values, d_values = parse_range(args.n), parse_range(args.d)
     if n_values and d_values:
-        # any range error of the box is one of its smallest variety, and a
-        # variety the guard refuses stays refused at every larger n and d,
-        # so guarding the largest variety guards the box
-        VeroneseVariety(n_values[0], d_values[0])
-        guard_sweep(VeroneseVariety(n_values[-1], d_values[-1]))
+        guard_scan(n_values, d_values)
     rows = [record.to_dict() for record in conjecture_scan(n_values, d_values)]
     violations = sum(not row["within_conjecture"] for row in rows)
     text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})

@@ -13,15 +13,24 @@ normalized degree, and a scan harness for a conjectured sharper bound.
 Everything is exact: integers are unbounded, ratios are
 `fractions.Fraction`, every quotient the theory promises to be an integer
 is a `partitions.exact_quotient`, and every degree is checked positive.
+A sweep's long integers are integral Decimals, under `grassmann.EXACT`.
 """
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
-from math import comb, factorial, inf, lgamma, log, log2, log10, perm
+from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm
 
-from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_degree_sweep
+from .grassmann import (
+    EXACT,
+    GrassmannShape,
+    degree_digits,
+    grassmann_degree,
+    grassmann_degree_sweep,
+)
 from .partitions import (
     _MESSAGE_BITS,
     Partition,
@@ -34,6 +43,7 @@ from .partitions import (
     falling_factorial_product,
     message,
     pad,
+    partition_count,
     syt_count_canonical,
 )
 from .schur import SegreIntegralTable, VeroneseVariety
@@ -92,16 +102,32 @@ class BoundsReport:
 
     `ratio` is degree / product.  `bounds` enforces the proved sandwich
     `lower <= ratio <= upper`; the conjectured power bound is only reported.
+    `_degree` and `_product` hold the two as the sweep carried them: ints,
+    or integral Decimals past `grassmann.DECIMAL_BITS`.  `degree` and
+    `product` read them as ints, formed on each read; `to_dict` and
+    `degree_text` write them in decimal straight from those values.
     """
 
     n: int
     d: int
     N: int
     m: int
-    degree: int
-    product: int
+    _degree: int | Decimal
+    _product: int | Decimal
     ratio: Fraction
     conjecture_upper: Fraction
+
+    @property
+    def degree(self) -> int:
+        return int(self._degree)
+
+    @property
+    def product(self) -> int:
+        return int(self._product)
+
+    @property
+    def degree_text(self) -> str:
+        return str(self._degree)
 
     @property
     def lower(self) -> Fraction:
@@ -124,17 +150,33 @@ class BoundsReport:
         """Conjectured virtual degree: the power bound times the reference product."""
         return self.conjecture_upper * self.product
 
+    def _conjecture_text(self) -> str:
+        """`str(self.conjecture_value)`, reduced and written from `_product`.
+
+        With a/b = `conjecture_upper` in lowest terms, a * product / b
+        reduces by gcd(product, b) alone, and b is short.  An int product
+        takes the `Fraction`, entering no context.
+        """
+        if type(self._product) is int:
+            return str(self.conjecture_value)
+        a, b = self.conjecture_upper.numerator, self.conjecture_upper.denominator
+        with localcontext(EXACT):
+            common = gcd(int(self._product % b), b)
+            num = self._product // common * a
+        b //= common
+        return str(num) if b == 1 else f"{num}/{b}"
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "d": self.d,
             "N": self.N,
             "m": self.m,
-            "degree": str(self.degree),
-            "product": str(self.product),
+            "degree": self.degree_text,
+            "product": str(self._product),
             "ratio": str(self.ratio),
             "conjecture_upper": str(self.conjecture_upper),
-            "conjecture_value": str(self.conjecture_value),
+            "conjecture_value": self._conjecture_text(),
             "within_conjecture": self.within_conjecture,
         }
 
@@ -305,8 +347,11 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     return _reference_unit(n, N, m, pluecker) * first
 
 
-def _reference_unit(n: int, N: int, m: int, pluecker: int) -> int:
-    """C(n + dim G, n) * deg G = C(dim X_m, n) * `pluecker`, G = G(m-n, N-n)."""
+def _reference_unit(n: int, N: int, m: int, pluecker: int | Decimal) -> int | Decimal:
+    """C(n + dim G, n) * deg G = C(dim X_m, n) * `pluecker`, G = G(m-n, N-n).
+
+    A Decimal `pluecker` needs the caller to have entered `grassmann.EXACT`.
+    """
     return comb(dim_xm(n, N, m), n) * pluecker
 
 
@@ -326,32 +371,93 @@ def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float =
     return base + degree_digits(GrassmannShape(m - n, N - n), limit - base)
 
 
-def guard_reference(n: int, N: int, m: int, first_digits: float) -> None:
-    """Refuse a reference product past MAX_DIGITS; `first_digits` is log10 of `first`."""
+def guard_reference(n: int, N: int, m: int, first_digits: float) -> float:
+    """Refuse a reference product past MAX_DIGITS; `first_digits` is log10 of `first`.
+
+    Returns the product's estimated digits.
+    """
     digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
     check_digits(digits, "the reference product at (n=%s, N=%s, m=%s)", n, N, m)
+    return digits
 
 
-def guard_veronese(v: VeroneseVariety, m: int) -> None:
+def guard_veronese(v: VeroneseVariety, m: int) -> float:
     """Cost guard of a degree of `v` at m; range errors come first.
 
     The reference product's first factor is refused before N is formed.
+    Returns the reference product's estimated digits.
     """
     check_veronese_range(v, m)
     first = ordinary_gauss_digits(v)
     check_digits(first, "the ordinary Gauss degree at (n=%s, d=%s)", v.n, v.d)
-    guard_reference(v.n, v.N, m, first)
+    return guard_reference(v.n, v.N, m, first)
+
+
+# A sweep holds every row before it prints them: `guard_sweep` and
+# `guard_scan` bound the digits of all its rows, rows x central digits, to
+# MAX_SWEEP_DIGITS, and the weighted sums' work, rows x p(n) x central
+# digits, to MAX_SWEEP_WORK.  As processes (CPython 3.11, shared 2-core
+# x86-64), `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7 digits,
+# held 234 MB to print 57 MB, and `table --n 20 --d 2`, 2.4 x 10^9
+# digit-terms, took 9.0 s of CPU.
+MAX_SWEEP_DIGITS = 2 * 10**7
+MAX_SWEEP_WORK = 5 * 10**9
 
 
 def guard_sweep(v: VeroneseVariety) -> None:
-    """Cost guard of every m of `v` at once.
+    """Cost guard of every m of `v` at once, by `_sweep_cost`."""
+    _refuse_past(*_sweep_cost(v), "the sweep over m of (n=%s, d=%s)", v.n, v.d)
+
+
+def guard_scan(n_values: range, d_values: range) -> None:
+    """Cost guard of `conjecture_scan(n_values, d_values)`, non-empty ranges.
+
+    Range errors come first, as the smallest variety's.  The box's cost is
+    the sum of its varieties' `_sweep_cost`.  The largest variety, the last
+    n with the last d, costs the most (a test holds the costs monotone in n
+    and in d), so it is estimated first, and the box passes at once when
+    its size times that cost does.  Otherwise the varieties are summed in
+    the scan's order and refused at the first one that takes either sum
+    past its bound, so a long box stops early.
+    """
+    smallest = VeroneseVariety(n_values[0], d_values[0])
+    count = len(n_values) * len(d_values)
+    if count == 1:
+        return guard_sweep(smallest)
+    digits, work = _sweep_cost(VeroneseVariety(n_values[-1], d_values[-1]))
+    if count * digits <= MAX_SWEEP_DIGITS and count * work <= MAX_SWEEP_WORK:
+        return
+    digits = work = 0.0
+    box = ((n, d) for n in n_values for d in d_values)
+    for done, (n, d) in enumerate(box, start=1):
+        more_digits, more_work = _sweep_cost(VeroneseVariety(n, d))
+        digits, work = digits + more_digits, work + more_work
+        _refuse_past(digits, work, "%s sweeps over m, up to (n=%s, d=%s),", done, n, d)
+
+
+def _refuse_past(digits: float, work: float, template: str, *args) -> None:
+    """Refuse the sweeps `message(template, *args)` names past either bound."""
+    if digits > MAX_SWEEP_DIGITS:
+        cost = f"print over {MAX_SWEEP_DIGITS:,} digits (estimated {digits:,.0f})"
+    elif work > MAX_SWEEP_WORK:
+        cost = f"take over {MAX_SWEEP_WORK:,} digit-terms (estimated {work:,.0f})"
+    else:
+        return
+    raise ValueError(f"too large: {message(template, *args)} would {cost}")
+
+
+def _sweep_cost(v: VeroneseVariety) -> tuple[float, float]:
+    """Estimated digits and work of every m of `v`: rows x central digits, times p(n).
 
     deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
-    least 1 there), and so does C(n + kc, n), so the central m bounds the
-    sweep.  The partition count comes first, before N is formed.
+    least 1 there), and so does C(n + kc, n), so the central m's reference
+    product bounds each row's numbers; it must pass `guard_veronese`.  The
+    partition count comes first, before N is formed.
     """
     check_partition_terms(v.n)
-    guard_veronese(v, v.n + (v.N - v.n) // 2)
+    rows = v.N - v.n
+    central = guard_veronese(v, v.n + rows // 2)
+    return rows * central, rows * partition_count(v.n) * central
 
 
 def _closed_form(
@@ -377,7 +483,9 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
     report = degree_general_curve(d, d, 0, m)
     rows = min(m - 1, d - m)
     pluecker = next(islice(grassmann_degree_sweep(d - 1), rows, None))
-    if report.deg_xm != 2 * (d - m) * (1 + rows * (d - 1 - rows)) * pluecker:
+    with localcontext(EXACT):  # the sweep's count may be a Decimal
+        expected = 2 * (d - m) * (1 + rows * (d - 1 - rows)) * pluecker
+    if report.deg_xm != expected:
         raise ArithmeticError("dual Grassmannian degrees disagree")
     return replace(report, method="curve_closed", notes="")
 
@@ -515,19 +623,21 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     return DegreeReport(n=n, N=N, m=m, deg_xm=total, method="generic")
 
 
-def _weighted_total(table: SegreIntegralTable, m: int, unit: int) -> int:
+def _weighted_total(table: SegreIntegralTable, m: int, unit: int | Decimal) -> int | Decimal:
     """`degree_generic`'s checked total; unit = `reference_product(n, N, m, 1)`.
 
     The caller has checked the range of m, and the table's keys are
     canonical, so each term is integer work only: one exact division of
-    unit * f(lam) times the unreduced row-binomial ratio, then T[lam].
+    unit * f(lam) times the unreduced row-binomial ratio, then T[lam].  A
+    Decimal unit, under `grassmann.EXACT`, gives a Decimal total.
     """
     n, N = table.n, table.N
     what = "tableau count of %s plus the %s-wide rectangle of height %s"
     total = 0
     for lam, integral in table.entries.items():
         num, den = _row_binomial_ratio(lam, n, N, m)
-        quotient = exact_quotient(unit * _syt_count_hook(lam) * num, den, what, lam, m - n, N - m)
+        term = unit * (_syt_count_hook(lam) * num)
+        quotient = exact_quotient(term, den, what, lam, m - n, N - m)
         total += quotient * integral
     if total <= 0:
         template = (
@@ -570,13 +680,14 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     """The degree at (v, m) against its reference product, with sandwich bounds.
 
     One evaluation of the cell: the degree (`degree_main`'s number) and the
-    reference product share one `reference_product(n, N, m, 1)`.  The ratio
+    reference product share one Grassmannian degree.  The ratio
     degree / product always lies in [C(N-m,n)/C(N-n,n), C(N-m+n-1,n)/C(N-1,n)]
     (a theorem, enforced); the sharper power bound ((N-m)/(N-n))^n is only
     conjectural and is reported, never enforced.  `bounds_sweep` gives the
     same records for every m at once.
     """
-    return _bounds_record(v, m, reference_product(v.n, v.N, m, 1))
+    _check_range(v.n, v.N, m)
+    return _bounds_record(v, m, grassmann_degree(GrassmannShape(m - v.n, v.N - v.n)))
 
 
 def bounds_sweep(v: VeroneseVariety):
@@ -585,38 +696,75 @@ def bounds_sweep(v: VeroneseVariety):
     Along m, G(m-n, N-n) keeps N - n fixed, so the Pluecker degrees come
     from `grassmann_degree_sweep(N - n)`, one short step per m, instead
     of one `grassmann_degree` per m.  Records are yielded as they are made.
+    A row whose Pluecker degree the sweep carries as a Decimal is made under
+    `grassmann.EXACT`; an int row enters no context.
     """
     n, N = v.n, v.N
     for m, pluecker in zip(range(n, N), grassmann_degree_sweep(N - n)):
-        yield _bounds_record(v, m, _reference_unit(n, N, m, pluecker))
+        if type(pluecker) is int:
+            yield _bounds_record(v, m, pluecker)
+        else:
+            with localcontext(EXACT):
+                record = _bounds_record(v, m, pluecker)
+            yield record
 
 
-def _bounds_record(v: VeroneseVariety, m: int, unit: int) -> BoundsReport:
-    """The `BoundsReport` at (v, m); unit = `reference_product(n, N, m, 1)`."""
+def _bounds_record(v: VeroneseVariety, m: int, pluecker: int | Decimal) -> BoundsReport:
+    """The `BoundsReport` at (v, m); `pluecker` is deg G(m-n, N-n).
+
+    A Decimal `pluecker` needs the caller to have entered `grassmann.EXACT`.
+    The unit, `reference_product(n, N, m, 1)`, is shared by the degree and
+    the reference product.  degree / unit is the table-weighted sum of
+    row-binomial ratios, whose denominators all divide L =
+    `_binomial_lcm(n, N)`, so S = degree * L / unit is an integer and
+    ratio = degree / product = S / (L * g), with g the ordinary Gauss
+    degree: the same reduced fraction, found and checked against the
+    proved bounds in short integers, never by a gcd of two long ones.  A
+    unit that does not divide degree * L means the degree is wrong: the
+    ratio is then degree / product itself, so the bounds name it.
+    """
     n, N = v.n, v.N
+    gauss, denominators = ordinary_gauss_degree(v), _binomial_lcm(n, N)
+    unit = _reference_unit(n, N, m, pluecker)
     degree = _weighted_total(v.integral_table, m, unit)
-    product = unit * ordinary_gauss_degree(v)
+    product = unit * gauss
+    scaled, rest = divmod(degree * denominators, unit)
+    if rest:
+        ratio = Fraction(int(degree), int(product))
+    else:
+        ratio = Fraction(int(scaled), denominators * gauss)
     record = BoundsReport(
         n=n,
         d=v.d,
         N=N,
         m=m,
-        degree=degree,
-        product=product,
-        ratio=Fraction(degree, product),
+        _degree=degree,
+        _product=product,
+        ratio=ratio,
         conjecture_upper=Fraction((N - m) ** n, (N - n) ** n),
     )
-    # lower <= degree / product <= upper, cross-multiplied: every
-    # denominator is a positive integer
+    # lower <= ratio <= upper, cross-multiplied: every denominator is a
+    # positive integer
+    num, den = ratio.numerator, ratio.denominator
     if not (
-        comb(N - m, n) * product <= degree * comb(N - n, n)
-        and degree * comb(N - 1, n) <= comb(N - m + n - 1, n) * product
+        comb(N - m, n) * den <= num * comb(N - n, n)
+        and num * comb(N - 1, n) <= comb(N - m + n - 1, n) * den
     ):
         template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
-        ratio = record.ratio
-        args = (n, v.d, m, record.lower, ratio.numerator, ratio.denominator, record.upper)
+        args = (n, v.d, m, record.lower, num, den, record.upper)
         raise ArithmeticError(message(template, *args))
     return record
+
+
+@lru_cache(maxsize=256)
+def _binomial_lcm(n: int, N: int) -> int:
+    """L(n, N): the lcm over lam |- n of the row-binomial denominators.
+
+    prod_i C(N-n+lam_i-i, lam_i) does not depend on m, so one L serves
+    every row of a sweep (the cache keeps the last 256 varieties' L); a
+    lam of more than N - n rows has none.
+    """
+    return lcm(*(_row_binomial_ratio(lam, n, N, n)[1] for lam in enumerate_partitions(n, n)))
 
 
 def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bool]:

@@ -9,12 +9,48 @@ A sweep over m keeps k + c fixed, and `grassmann_degree_sweep` steps from
 one rectangle to the next: by the product form (kc)! prod_{i<a} i! / (b+i)!,
 a = min(k, c), b = max(k, c), D(k+1, c-1) is D(k, c) times
 ((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
+
+Past `DECIMAL_BITS` the sweep carries its count in base 10, as an integral
+`decimal.Decimal` under `EXACT`: multiplying and exactly dividing by short
+integers costs O(digits) in either base, and only base 10 prints in
+O(digits), where CPython's `str()` of an int is quadratic and refused past
+4,300 digits.
 """
 
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from math import gcd, inf, perm
 
 from .partitions import _runs_digits, exact_quotient, message, syt_count_canonical
+
+# Past this many bits a sweep's running count turns into a Decimal.  Every
+# variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
+# only the central rows of (3, 5), N = 55, do (up to 2,319 bits).  At 2,000
+# bits (603 digits) the one conversion costs about 16 us (CPython 3.11,
+# shared 2-core x86-64).
+DECIMAL_BITS = 2_000
+# Exact integer arithmetic in base 10: precision and exponents as wide as
+# libmpdec allows, and any rounding raises instead of passing silently, as it
+# would under the default 28-digit context.  It is entered around arithmetic
+# only, never across a `yield`, so the caller's context is left as it was.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
 
 
 @dataclass(frozen=True)
@@ -63,12 +99,21 @@ def grassmann_degree_sweep(r: int):
     `_sweep_factor`, whose denominator must divide the running count (an
     `exact_quotient`).  No sieve and no prime-power product: each step costs
     one division and one multiplication of the count by a short integer.
+    From the first count past `DECIMAL_BITS` on, each is an integral
+    Decimal, stepped under `EXACT`; an int step enters no context, which
+    would cost about 1 us, more than the step itself.
     """
     degree, what = 1, "tableau count of the %s x %s rectangle"
     for k in range(r):
         if k:
             num, den = _sweep_factor(k - 1, r - k + 1)
-            degree = exact_quotient(degree, den, what, k, r - k) * num
+            if type(degree) is int:
+                degree = exact_quotient(degree, den, what, k, r - k) * num
+                if degree.bit_length() > DECIMAL_BITS:
+                    degree = Decimal(degree)
+            else:
+                with localcontext(EXACT):
+                    degree = exact_quotient(degree, den, what, k, r - k) * num
         yield degree
 
 

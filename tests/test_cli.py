@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, formats, and thin-wrapper fidelity."""
 
 import argparse
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import os
@@ -20,7 +23,7 @@ import gaussdeg.grassmann
 import gaussdeg.partitions
 import gaussdeg.schur
 from gaussdeg.cli import main, parse_partition, parse_range
-from gaussdeg.degrees import degree_main
+from gaussdeg.degrees import bounds, degree_main
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
 
 ZERO_TABLE = json.dumps(
@@ -322,9 +325,8 @@ def test_conjecture_empty_range_exits_2(capsys):
 
 
 def test_conjecture_stops_at_its_first_failing_row():
-    # (5, 7) passes the box guard, and its first rows past the str() limit
-    # come long before its last record: the scan stops there, as `table`
-    # does, not after forming every record of the box
+    # the sweep guard refuses (5, 7), whose rows would print an estimated
+    # 268 million digits, before the scan forms any record
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     code, out, err = _run_process("conjecture", "--n", "5", "--d", "7", timeout=60)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -1007,9 +1009,118 @@ def test_cost_guard_comes_after_range_errors(capsys):
     assert (code, err) == (2, "error: n must be >= 1\n")
 
 
+# every variety that `table_sweep` or tests/golden_cli.json sweeps, and the
+# ladder's varieties
+ADMITTED_SWEEPS = (
+    *((1, d) for d in range(80, 111)),
+    (2, 11), (2, 12), (2, 13), (3, 6), (3, 7), (4, 4), (5, 3),
+    (1, 5), (1, 60), (2, 3), (3, 2), (4, 2), (1, 40), (1, 41), (1, 42), (2, 2), (2, 4),
+    (3, 10), (2, 20), (1, 200), (4, 5), (6, 3),
+)
+
+
+def test_sweep_guard_admits_the_benchmark_and_golden_sweeps():
+    for n, d in ADMITTED_SWEEPS:
+        gaussdeg.degrees.guard_sweep(VeroneseVariety(n, d))
+
+
+@pytest.mark.parametrize(
+    ("argv", "cost"),
+    [
+        (("conjecture", "--n", "5", "--d", "7"), "print over 20,000,000 digits"),
+        (("table", "--n", "1", "--d", "1000"), "print over 20,000,000 digits"),
+        (("table", "--n", "30", "--d", "2"), "print over 20,000,000 digits"),
+        # 253 rows of 1,002 terms each
+        (("table", "--n", "22", "--d", "2"), "take over 5,000,000,000 digit-terms"),
+    ],
+)
+def test_sweep_guard_refuses_at_once(capsys, argv, cost):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 1
+    assert (code, out) == (2, "")
+    what = f"the sweep over m of (n={argv[2]}, d={argv[4]})"
+    assert err.startswith(f"error: too large: {what} would {cost} (estimated ")
+    assert err.count("\n") == 1
+
+
+def test_conjecture_guard_sums_its_box(capsys):
+    # each (1, d) up to d = 126 passes alone, and all of them print too much
+    for d in range(2, 127):
+        gaussdeg.degrees.guard_sweep(VeroneseVariety(1, d))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "conjecture", "--n", "1", "--d", "2..126")
+    assert time.process_time() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: too large: 125 sweeps over m, up to (n=1, d=126), would print ")
+    # 109 times the largest sweep's digits pass the bound, and their sum does not
+    digits, _ = gaussdeg.degrees._sweep_cost(VeroneseVariety(1, 110))
+    assert 109 * digits > gaussdeg.degrees.MAX_SWEEP_DIGITS
+    gaussdeg.degrees.guard_scan(range(1, 2), range(2, 111))
+
+
+def test_sweep_costs_are_monotone_in_n_and_d():
+    # the box guard reads its largest variety's cost as a bound on each other's
+    def cost(n, d):
+        try:
+            return gaussdeg.degrees._sweep_cost(VeroneseVariety(n, d))
+        except ValueError:
+            return None
+
+    grid = {(n, d): cost(n, d) for n in range(1, 23) for d in range(2, 130) if n * d <= 400}
+    for (n, d), here in grid.items():
+        for larger in (grid.get((n + 1, d)), grid.get((n, d + 1))):
+            if here and larger:
+                assert larger[0] >= here[0] and larger[1] >= here[1], (n, d)
+
+
+def _printed_rows(out: str, fmt: str) -> list[dict]:
+    """The rows of a `table` or `conjecture` output, every value as its text."""
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        return [{key: json.dumps(value).strip('"') for key, value in row.items()} for row in rows]
+    if fmt == "csv":
+        return list(csv.DictReader(io.StringIO(out)))
+    header, *lines = out.splitlines()
+    return [dict(zip(header.split(), line.split())) for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_table_prints_every_row_exactly(capsys, fmt):
+    # the benchmark's reference digests, written from ints with the digit
+    # limit lifted; 29 of (3, 7)'s degrees are longer than 4,300 digits
+    reference = Path(__file__).resolve().parents[1] / "bench" / "data" / "reference.json"
+    cells = json.loads(reference.read_text(encoding="ascii"))["cells"]
+    code, out, _ = run_cli(capsys, "table", "--n", "3", "--d", "7", "--format", fmt)
+    assert code == 0
+    rows = _printed_rows(out, fmt)
+    assert [row["m"] for row in rows] == [str(m) for m in range(3, 119)]
+    for row in rows:
+        text = "|".join(row[key] for key in ("dim", "degree", "ratio", "within_conjecture"))
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+        assert digest == cells[f"3,7,{row['m']}"]["row"], row["m"]
+    assert sum(len(row["degree"]) > 4300 for row in rows) == 29
+
+
+def test_conjecture_rows_are_the_single_cell_bounds(capsys):
+    code, out, _ = run_cli(capsys, "conjecture", "--n", "3", "--d", "7")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    v = VeroneseVariety(3, 7)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = {m: bounds(v, m).to_dict() for m in (3, 47, 61, 118)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected[118]["product"]) < 4300 < len(expected[61]["degree"])
+    for m, doc in expected.items():
+        assert rows[m - 3] == doc, m
+
+
 def test_sweep_guard_refusal_is_monotone_in_n_and_d():
-    # `conjecture` guards only the largest variety of its box, which is
-    # sound only if a refused (n, d) stays refused at n + 1 and at d + 1
+    # a refused (n, d) stays refused at n + 1 and at d + 1: a larger
+    # variety has more rows, longer numbers and no fewer terms a row
     def refused(n, d):
         try:
             gaussdeg.degrees.guard_sweep(VeroneseVariety(n, d))

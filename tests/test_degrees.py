@@ -1,7 +1,11 @@
 """Degree formulas, cross-checks, bounds, and the conjecture scan."""
 
+import sys
 import time
+from contextlib import contextmanager
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import comb, inf, log10
 
 import pytest
@@ -646,3 +650,61 @@ def test_method_guard_bounds_its_own_cost(name, n, d, m, refusal):
         with pytest.raises(ValueError, match=refusal):
             method.guard(v, m)
     assert time.process_time() - start < 1
+
+
+@contextmanager
+def no_digit_limit():
+    """CPython's 4,300-digit limit on int -> str lifted inside, restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_base10_rows_read_as_exact_ints():
+    # (1, 200) carries its rows in base 10 from m = 6 on; callers still get
+    # ints, the same as the single-cell integer path's, and `to_dict`
+    # writes the same decimal text
+    v = VeroneseVariety(1, 200)
+    rows = list(bounds_sweep(v))
+    assert isinstance(rows[4]._degree, int) and isinstance(rows[5]._degree, Decimal)
+    for m in (2, 6, 21, 100, 199):
+        row, cell = rows[m - 1], bounds(v, m)
+        assert type(row.degree) is int and type(row.product) is int
+        assert row.degree == cell.degree == degree_main(v, m).deg_xm
+        assert row.product == cell.product == reference_product(1, 200, m, 2 * 199)
+        assert row == cell
+        with no_digit_limit():
+            assert row.to_dict() == cell.to_dict()
+            assert row.degree_text == str(cell.degree)
+
+
+def test_curve_closed_multiplies_a_base10_sweep_value_exactly():
+    # G(99, 199) is read off the sweep past its switch to Decimals
+    assert degree_curve_closed(200, 100).deg_xm == degree_main(VeroneseVariety(1, 200), 100).deg_xm
+
+
+def test_base10_sweep_leaves_and_ignores_the_callers_context():
+    # a 5-digit context that rounds without trapping: a sweep computing in
+    # it would round silently, and one holding its own context across a
+    # yield would leave it in place while suspended
+    v = VeroneseVariety(1, 200)
+    with localcontext(Context(prec=5)) as caller:
+        sweep = bounds_sweep(v)
+        record = next(islice(sweep, 99, None))
+        assert getcontext() is caller and caller.prec == 5
+        assert not any(caller.flags.values())
+        assert isinstance(record._degree, Decimal)
+        next(sweep)
+        assert getcontext() is caller
+    assert record == bounds(v, 100)
+
+
+def test_bounds_ratio_is_the_reduced_degree_over_product():
+    # degree * L / unit over L * g is degree / product, reduced, on both
+    # sides of the base-10 switch
+    v = VeroneseVariety(3, 7)
+    for record in islice(bounds_sweep(v), 0, None, 9):
+        assert record.ratio == Fraction(record.degree, record.product)
