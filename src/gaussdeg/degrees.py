@@ -402,37 +402,32 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
 # digit-terms, took 9.0 s of CPU.
 MAX_SWEEP_DIGITS = 2 * 10**7
 MAX_SWEEP_WORK = 5 * 10**9
+_ONE_SWEEP = "the sweep over m of (n=%s, d=%s)"
 
 
 def guard_sweep(v: VeroneseVariety) -> None:
     """Cost guard of every m of `v` at once, by `_sweep_cost`."""
-    _refuse_past(*_sweep_cost(v), "the sweep over m of (n=%s, d=%s)", v.n, v.d)
+    _refuse_past(*_sweep_cost(v), _ONE_SWEEP, v.n, v.d)
 
 
 def guard_scan(n_values: range, d_values: range) -> None:
     """Cost guard of `conjecture_scan(n_values, d_values)`, non-empty ranges.
 
-    Range errors come first, as the smallest variety's.  The box's cost is
-    the sum of its varieties' `_sweep_cost`.  The largest variety, the last
-    n with the last d, costs the most (a test holds the costs monotone in n
-    and in d), so it is estimated first, and the box passes at once when
-    its size times that cost does.  Otherwise the varieties are summed in
-    the scan's order and refused at the first one that takes either sum
-    past its bound, so a long box stops early.
+    The box's cost is the sum of its varieties' `_sweep_cost`, added up in
+    the scan's order and refused at the first variety that takes either
+    sum past its bound, so a long box stops early.  The first variety is
+    the smallest: its range errors come first, and a box refused there is
+    named as its one sweep.
     """
-    smallest = VeroneseVariety(n_values[0], d_values[0])
-    count = len(n_values) * len(d_values)
-    if count == 1:
-        return guard_sweep(smallest)
-    digits, work = _sweep_cost(VeroneseVariety(n_values[-1], d_values[-1]))
-    if count * digits <= MAX_SWEEP_DIGITS and count * work <= MAX_SWEEP_WORK:
-        return
     digits = work = 0.0
     box = ((n, d) for n in n_values for d in d_values)
     for done, (n, d) in enumerate(box, start=1):
         more_digits, more_work = _sweep_cost(VeroneseVariety(n, d))
         digits, work = digits + more_digits, work + more_work
-        _refuse_past(digits, work, "%s sweeps over m, up to (n=%s, d=%s),", done, n, d)
+        if done == 1:
+            _refuse_past(digits, work, _ONE_SWEEP, n, d)
+        else:
+            _refuse_past(digits, work, "%s sweeps over m, up to (n=%s, d=%s),", done, n, d)
 
 
 def _refuse_past(digits: float, work: float, template: str, *args) -> None:

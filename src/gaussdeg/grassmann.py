@@ -101,7 +101,9 @@ def grassmann_degree_sweep(r: int):
     one division and one multiplication of the count by a short integer.
     From the first count past `DECIMAL_BITS` on, each is an integral
     Decimal, stepped under `EXACT`; an int step enters no context, which
-    would cost about 1 us, more than the step itself.
+    would cost about 1 us, more than the step itself.  `int()` of a
+    yielded Decimal is exact; any other arithmetic on it needs the caller
+    to enter `EXACT`, as the default 28-digit context rounds silently.
     """
     degree, what = 1, "tableau count of the %s x %s rectangle"
     for k in range(r):

@@ -1060,7 +1060,8 @@ def test_conjecture_guard_sums_its_box(capsys):
 
 
 def test_sweep_costs_are_monotone_in_n_and_d():
-    # the box guard reads its largest variety's cost as a bound on each other's
+    # a larger variety's sweep costs no less, so a box's running sum passes
+    # its bound no later than the guard of its largest variety alone would
     def cost(n, d):
         try:
             return gaussdeg.degrees._sweep_cost(VeroneseVariety(n, d))
