@@ -4,7 +4,9 @@ Each subcommand parses arguments, calls library functions, and prints the
 structured result; no numeric logic lives here.  Output is deterministic:
 JSON with big integers and rationals rendered as decimal strings ("p/q"
 for non-integral rationals), or the same fields as CSV or an aligned text
-table.
+table.  The JSON is `json.dumps(doc, indent=2)`'s text, written by
+`_json_text`, which copies a number's decimal text as it is where json's
+indenting encoder would escape it character by character.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 input schema, 3 non-positive table-driven total (no degree exists), 4 an
@@ -26,6 +28,7 @@ import os
 import re
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .degrees import (
@@ -44,6 +47,7 @@ from .degrees import (
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
+    Numeral,
     canonical,
     message,
     syt_count_bruteforce,
@@ -59,6 +63,7 @@ FORMATS = ("json", "csv", "table")
 MAX_SYT_CELLS = 4_000_000  # `syt`'s sieve and hook lists take about 23 bytes a cell
 
 _DIGITS = re.compile("[0-9]+")
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def effective_brute_cap() -> int:
@@ -126,9 +131,54 @@ def _table_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for a doc of str keys.
+
+    With an indent set, CPython runs json's pure-Python encoder, which passes
+    every string through `encode_basestring_ascii`: about 4 ns a character,
+    the digits of a long number included.  A `partitions.Numeral` needs no
+    escaping and is copied between quotes as it is; every other string is
+    escaped as json escapes it.  The text is gathered as one list of chunks
+    and joined once.
+    """
+    chunks: list[str] = []
+    _json_chunks(doc, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(value, newline: str, chunks: list[str]) -> None:
+    """Append `value`'s JSON to `chunks`; `newline` starts a line at its depth."""
+    if type(value) is Numeral:
+        chunks += ('"', value, '"')
+    elif isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        chunks.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            chunks += (opening, encode_basestring_ascii(key), ": ")
+            _json_chunks(item, inner, chunks)
+            opening = "," + inner
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        opening = "[" + inner
+        for item in value:
+            chunks.append(opening)
+            _json_chunks(item, inner, chunks)
+            opening = "," + inner
+        chunks.append(newline + "]")
+    else:  # an empty container or a float
+        chunks.append(json.dumps(value))
+
+
 def _render_rows(rows: list[dict], fmt: str, envelope: dict | None = None) -> str:
     if fmt == "json":
-        return json.dumps(envelope if envelope is not None else rows, indent=2)
+        return _json_text(envelope if envelope is not None else rows)
     if fmt == "csv":
         return _csv_text(rows)
     return _table_text(rows)
@@ -225,9 +275,9 @@ def cmd_syt(args) -> int:
         raise ValueError(message(f"too large: {what}; {limit}", cells))
     check_digits(syt_count_digits(lam, MAX_DIGITS), what, cells)
     cap = effective_brute_cap()
-    doc: dict = {"shape": list(lam), "weight": cells, "hook": str(syt_count_hook(lam))}
+    doc: dict = {"shape": list(lam), "weight": cells, "hook": Numeral(syt_count_hook(lam))}
     if cells <= cap:
-        doc["bruteforce"] = str(syt_count_bruteforce(lam, cap=cap))
+        doc["bruteforce"] = Numeral(syt_count_bruteforce(lam, cap=cap))
     else:
         doc["bruteforce"] = None
         doc["note"] = (
@@ -246,7 +296,7 @@ def cmd_grassmann(args) -> int:
         "d": args.d,
         "r": args.r,
         "dim": grassmann_dim(shape),
-        "degree": str(grassmann_degree(shape)),
+        "degree": Numeral(grassmann_degree(shape)),
     }
     print(_render_object(doc, args.format))
     return 0

@@ -13,14 +13,17 @@ normalized degree, and a scan harness for a conjectured sharper bound.
 Everything is exact: integers are unbounded, ratios are
 `fractions.Fraction`, every quotient the theory promises to be an integer
 is a `partitions.exact_quotient`, and every degree is checked positive.
-A sweep's long integers are integral Decimals, under `grassmann.EXACT`.
+The tableau-weighted sum runs in short integers: one long remainder per
+cell, one short checked division per term, and the degree formed last, by
+one long multiplication and one division by a short integer.  A sweep's
+long integers are integral Decimals, under `grassmann.EXACT`.
 """
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm
 
@@ -33,6 +36,8 @@ from .grassmann import (
 )
 from .partitions import (
     _MESSAGE_BITS,
+    HOOK_CACHE_SIZE,
+    Numeral,
     Partition,
     _syt_count_hook,
     add_rectangle,
@@ -89,7 +94,7 @@ class DegreeReport:
         doc["N"] = self.N
         doc["m"] = self.m
         doc["dim"] = self.dim_xm
-        doc["degree"] = str(self.deg_xm)
+        doc["degree"] = Numeral(self.deg_xm)
         doc["method"] = self.method
         if self.notes:
             doc["notes"] = self.notes
@@ -104,8 +109,9 @@ class BoundsReport:
     `lower <= ratio <= upper`; the conjectured power bound is only reported.
     `_degree` and `_product` hold the two as the sweep carried them: ints,
     or integral Decimals past `grassmann.DECIMAL_BITS`.  `degree` and
-    `product` read them as ints, formed on each read; `to_dict` and
-    `degree_text` write them in decimal straight from those values.
+    `product` read them as ints, converted on the first read and kept; that
+    first read of a Decimal is quadratic in its digits.  `to_dict` and
+    `degree_text` write them in decimal straight from the held values.
     """
 
     n: int
@@ -117,17 +123,17 @@ class BoundsReport:
     ratio: Fraction
     conjecture_upper: Fraction
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return int(self._degree)
 
-    @property
+    @cached_property
     def product(self) -> int:
         return int(self._product)
 
     @property
-    def degree_text(self) -> str:
-        return str(self._degree)
+    def degree_text(self) -> Numeral:
+        return Numeral(self._degree)
 
     @property
     def lower(self) -> Fraction:
@@ -150,7 +156,7 @@ class BoundsReport:
         """Conjectured virtual degree: the power bound times the reference product."""
         return self.conjecture_upper * self.product
 
-    def _conjecture_text(self) -> str:
+    def _conjecture_text(self) -> Numeral:
         """`str(self.conjecture_value)`, reduced and written from `_product`.
 
         With a/b = `conjecture_upper` in lowest terms, a * product / b
@@ -158,13 +164,13 @@ class BoundsReport:
         takes the `Fraction`, entering no context.
         """
         if type(self._product) is int:
-            return str(self.conjecture_value)
+            return Numeral(self.conjecture_value)
         a, b = self.conjecture_upper.numerator, self.conjecture_upper.denominator
         with localcontext(EXACT):
             common = gcd(int(self._product % b), b)
             num = self._product // common * a
         b //= common
-        return str(num) if b == 1 else f"{num}/{b}"
+        return Numeral(num if b == 1 else f"{num}/{b}")
 
     def to_dict(self) -> dict:
         return {
@@ -173,7 +179,7 @@ class BoundsReport:
             "N": self.N,
             "m": self.m,
             "degree": self.degree_text,
-            "product": str(self._product),
+            "product": Numeral(self._product),
             "ratio": str(self.ratio),
             "conjecture_upper": str(self.conjecture_upper),
             "conjecture_value": self._conjecture_text(),
@@ -396,12 +402,12 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
 # A sweep holds every row before it prints them: `guard_sweep` and
 # `guard_scan` bound the digits of all its rows, rows x central digits, to
 # MAX_SWEEP_DIGITS, and the weighted sums' work, rows x p(n) x central
-# digits, to MAX_SWEEP_WORK.  As processes (CPython 3.11, shared 2-core
-# x86-64), `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7 digits,
-# held 234 MB to print 57 MB, and `table --n 20 --d 2`, 2.4 x 10^9
-# digit-terms, took 9.0 s of CPU.
+# digits, to MAX_WORK.  As processes (CPython 3.11, shared 2-core x86-64),
+# `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7 digits, held 234 MB
+# to print 57 MB.  MAX_WORK also bounds the m = n+1 sum, terms x digits of
+# its largest term, about 0.8 ns each: 3.9 s for (n, d) = (20000, 3).
 MAX_SWEEP_DIGITS = 2 * 10**7
-MAX_SWEEP_WORK = 5 * 10**9
+MAX_WORK = 5 * 10**9
 _ONE_SWEEP = "the sweep over m of (n=%s, d=%s)"
 
 
@@ -434,8 +440,8 @@ def _refuse_past(digits: float, work: float, template: str, *args) -> None:
     """Refuse the sweeps `message(template, *args)` names past either bound."""
     if digits > MAX_SWEEP_DIGITS:
         cost = f"print over {MAX_SWEEP_DIGITS:,} digits (estimated {digits:,.0f})"
-    elif work > MAX_SWEEP_WORK:
-        cost = f"take over {MAX_SWEEP_WORK:,} digit-terms (estimated {work:,.0f})"
+    elif work > MAX_WORK:
+        cost = f"take over {MAX_WORK:,} digit-terms (estimated {work:,.0f})"
     else:
         return
     raise ValueError(f"too large: {message(template, *args)} would {cost}")
@@ -552,6 +558,20 @@ class Method:
     guard: Callable[[VeroneseVariety, int], None] = guard_veronese
 
 
+def _guard_m_np1(v: VeroneseVariety, m: int) -> None:
+    """`guard_veronese`, then the m = n+1 sum's n + 1 terms x digits of its largest.
+
+    Term k, (n+1)^k C(N-1, k) C(n+1, n-k), is at most (n+1)^n 2^(n+1)
+    C(N-1, n) once N - 1 >= 2n (every Veronese variety but (1, 2)): the
+    reference product at m = n+1 with that first factor.  Each step costs
+    O(digits).
+    """
+    guard_veronese(v, m)
+    n = v.n
+    largest = reference_digits(n, v.N, m, n * log10(n + 1) + (n + 1) * log10(2))
+    _refuse_past(0.0, (n + 1) * largest, "the m = n+1 sum at (n=%s, d=%s)", n, v.d)
+
+
 def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
     """`guard_veronese`, with the partitions of n held to their count after the range."""
     check_veronese_range(v, m)
@@ -572,7 +592,7 @@ METHODS = {
         lambda v, m: degree_threefold_closed(v.d, m), "n = 3", lambda v, m: v.n == 3
     ),
     "m_eq_n_plus_1": Method(
-        lambda v, m: degree_m_np1(v), "m = n + 1", lambda v, m: m == v.n + 1
+        lambda v, m: degree_m_np1(v), "m = n + 1", lambda v, m: m == v.n + 1, _guard_m_np1
     ),
     "boole": Method(
         lambda v, m: _report(v.n, v.d, v.N, m, "boole", boole_degree(v.n, v.d)),
@@ -610,37 +630,58 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     where the ratio vanishes when lam has more than e rows.  So the degree
     is the reference product times the table-weighted ratio sum, and the
     rectangle's tableau count is computed once, not once per partition.
-    A non-positive total is not a degree and raises
-    NotGenericallyFiniteError.
+    `_weighted_sum` adds the sum up in short integers.  A non-positive total
+    is not a degree and raises NotGenericallyFiniteError.
     """
     n, N = table.n, table.N
-    total = _weighted_total(table, m, reference_product(n, N, m, 1))
-    return DegreeReport(n=n, N=N, m=m, deg_xm=total, method="generic")
+    unit = reference_product(n, N, m, 1)
+    total, lcd = _weighted_sum(table, m, unit)
+    return DegreeReport(n=n, N=N, m=m, deg_xm=_degree_of(unit, total, lcd, m), method="generic")
 
 
-def _weighted_total(table: SegreIntegralTable, m: int, unit: int | Decimal) -> int | Decimal:
-    """`degree_generic`'s checked total; unit = `reference_product(n, N, m, 1)`.
+def _weighted_sum(table: SegreIntegralTable, m: int, unit: int | Decimal) -> tuple[int, int]:
+    """`degree_generic`'s sum as short integers (S, L): degree = unit * S / L.
 
-    The caller has checked the range of m, and the table's keys are
-    canonical, so each term is integer work only: one exact division of
-    unit * f(lam) times the unreduced row-binomial ratio, then T[lam].  A
-    Decimal unit, under `grassmann.EXACT`, gives a Decimal total.
+    unit = `reference_product(n, N, m, 1)`.  With L = `_binomial_lcm(n, N)`,
+    a multiple of every row-binomial denominator den, S sums
+    f(lam) * num * (L / den) * T[lam].  Each term's tableau count,
+    unit * f(lam) * num / den, is still checked integral on its own, as
+    (unit mod L) * f(lam) * num over den: one long remainder per cell, and
+    a short `exact_quotient` per term.  A den that L does not take (only a
+    skewed ratio has one) widens L to lcm(L, den), rescaling S.  The caller
+    has checked the range of m, and the table's keys are canonical.  A
+    Decimal unit needs the caller to have entered `grassmann.EXACT`.
     """
     n, N = table.n, table.N
     what = "tableau count of %s plus the %s-wide rectangle of height %s"
-    total = 0
+    lcd = _binomial_lcm(n, N)
+    residue, total = int(unit % lcd), 0
+    width, height = m - n, N - m
     for lam, integral in table.entries.items():
         num, den = _row_binomial_ratio(lam, n, N, m)
-        term = unit * (_syt_count_hook(lam) * num)
-        quotient = exact_quotient(term, den, what, lam, m - n, N - m)
-        total += quotient * integral
+        count = _syt_count_hook(lam) * num
+        cofactor, rest = divmod(lcd, den)
+        if rest:
+            wider = lcm(lcd, den)
+            total, lcd, cofactor = total * (wider // lcd), wider, wider // den
+            residue = int(unit % lcd)
+        exact_quotient(residue * count, den, what, lam, width, height)
+        total += count * cofactor * integral
     if total <= 0:
         template = (
             "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
             "finite onto its image, or the table is not the Segre data of a variety"
         )
-        raise NotGenericallyFiniteError(message(template, total, m, m))
-    return total
+        raise NotGenericallyFiniteError(message(template, _degree_of(unit, total, lcd, m), m, m))
+    return total, lcd
+
+
+def _degree_of(unit: int | Decimal, total: int, lcd: int, m: int) -> int | Decimal:
+    """The degree unit * S / L of `_weighted_sum`'s (S, L): one long product, one division.
+
+    Every term of S was checked, so the division is exact.
+    """
+    return exact_quotient(unit * total, lcd, "the weighted total at m = %s", m)
 
 
 def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
@@ -664,11 +705,19 @@ def _row_binomial_ratio(lam: Partition, n: int, N: int, m: int) -> tuple[int, in
     """
     if len(lam) > N - m:
         return 0, 1
-    num = den = 1
+    num = 1
     for i, part in enumerate(lam, start=1):
         num *= comb(N - m + part - i, part)
+    return num, _row_binomial_den(lam, n, N)
+
+
+@lru_cache(maxsize=HOOK_CACHE_SIZE)
+def _row_binomial_den(lam: Partition, n: int, N: int) -> int:
+    """prod_i C(N-n+lam_i-i, lam_i): it does not depend on m, so a sweep forms it once."""
+    den = 1
+    for i, part in enumerate(lam, start=1):
         den *= comb(N - n + part - i, part)
-    return num, den
+    return den
 
 
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
@@ -709,46 +758,36 @@ def _bounds_record(v: VeroneseVariety, m: int, pluecker: int | Decimal) -> Bound
 
     A Decimal `pluecker` needs the caller to have entered `grassmann.EXACT`.
     The unit, `reference_product(n, N, m, 1)`, is shared by the degree and
-    the reference product.  degree / unit is the table-weighted sum of
-    row-binomial ratios, whose denominators all divide L =
-    `_binomial_lcm(n, N)`, so S = degree * L / unit is an integer and
-    ratio = degree / product = S / (L * g), with g the ordinary Gauss
-    degree: the same reduced fraction, found and checked against the
-    proved bounds in short integers, never by a gcd of two long ones.  A
-    unit that does not divide degree * L means the degree is wrong: the
-    ratio is then degree / product itself, so the bounds name it.
+    the reference product.  With `_weighted_sum`'s degree = unit * S / L,
+    ratio = degree / product = S / (L * g), g the ordinary Gauss degree:
+    found and checked against the proved bounds in short integers, before
+    the degree is formed.
     """
     n, N = v.n, v.N
-    gauss, denominators = ordinary_gauss_degree(v), _binomial_lcm(n, N)
     unit = _reference_unit(n, N, m, pluecker)
-    degree = _weighted_total(v.integral_table, m, unit)
-    product = unit * gauss
-    scaled, rest = divmod(degree * denominators, unit)
-    if rest:
-        ratio = Fraction(int(degree), int(product))
-    else:
-        ratio = Fraction(int(scaled), denominators * gauss)
-    record = BoundsReport(
+    total, lcd = _weighted_sum(v.integral_table, m, unit)
+    gauss = ordinary_gauss_degree(v)
+    ratio = Fraction(total, lcd * gauss)
+    # `lower` <= ratio <= `upper`, cross-multiplied: every denominator is a
+    # positive integer
+    low, low_den = comb(N - m, n), comb(N - n, n)
+    up, up_den = comb(N - m + n - 1, n), comb(N - 1, n)
+    num, den = ratio.numerator, ratio.denominator
+    if not (low * den <= num * low_den and num * up_den <= up * den):
+        template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
+        lower, upper = Fraction(low, low_den), Fraction(up, up_den)
+        raise ArithmeticError(message(template, n, v.d, m, lower, num, den, upper))
+    return BoundsReport(
         n=n,
         d=v.d,
         N=N,
         m=m,
-        _degree=degree,
-        _product=product,
+        _degree=_degree_of(unit, total, lcd, m),
+        _product=unit * gauss,
         ratio=ratio,
         conjecture_upper=Fraction((N - m) ** n, (N - n) ** n),
     )
-    # lower <= ratio <= upper, cross-multiplied: every denominator is a
-    # positive integer
-    num, den = ratio.numerator, ratio.denominator
-    if not (
-        comb(N - m, n) * den <= num * comb(N - n, n)
-        and num * comb(N - 1, n) <= comb(N - m + n - 1, n) * den
-    ):
-        template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
-        args = (n, v.d, m, record.lower, num, den, record.upper)
-        raise ArithmeticError(message(template, *args))
-    return record
+
 
 
 @lru_cache(maxsize=256)
@@ -756,7 +795,7 @@ def _binomial_lcm(n: int, N: int) -> int:
     """L(n, N): the lcm over lam |- n of the row-binomial denominators.
 
     prod_i C(N-n+lam_i-i, lam_i) does not depend on m, so one L serves
-    every row of a sweep (the cache keeps the last 256 varieties' L); a
+    every m of `_weighted_sum` (the cache keeps the last 256 (n, N)' L); a
     lam of more than N - n rows has none.
     """
     return lcm(*(_row_binomial_ratio(lam, n, N, n)[1] for lam in enumerate_partitions(n, n)))

@@ -93,6 +93,15 @@ class _Echo:
         return f"{text[:_MESSAGE_CHARS]}... ({type(self.arg).__name__} of length {size:,})"
 
 
+class Numeral(str):
+    """`str()` of an int, Decimal or Fraction: `Numeral(value)` is that text, marked.
+
+    Such text holds no quote, backslash, control or non-ASCII character, so
+    JSON writes it as it is: `cli`'s JSON writer quotes it without escaping
+    it character by character.
+    """
+
+
 def pad(lam, length: int) -> Partition:
     """Zero-padded view with exactly `length` parts."""
     lam = canonical(lam)

@@ -16,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gaussdeg.cli
 import gaussdeg.degrees
@@ -24,6 +26,7 @@ import gaussdeg.partitions
 import gaussdeg.schur
 from gaussdeg.cli import main, parse_partition, parse_range
 from gaussdeg.degrees import bounds, degree_main
+from gaussdeg.partitions import Numeral
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
 
 ZERO_TABLE = json.dumps(
@@ -182,6 +185,37 @@ def test_table_text_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split() == ["m", "dim", "degree", "ratio", "within_conjecture"]
     assert len(lines) == 4
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text;
+# numbers' decimal text marked as `Numeral`; nested and empty containers
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é ∂ 😀"])
+    | st.integers().map(Numeral)
+    | st.fractions().map(Numeral)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_DOCS)
+def test_json_writer_is_json_dumps_with_indent_2(doc):
+    assert gaussdeg.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_escapes_a_plain_string_and_copies_a_numeral():
+    doc = {'say "1"\\': ['"1"', Numeral(-12), Numeral(Fraction(3, 4))]}
+    assert gaussdeg.cli._json_text(doc) == (
+        '{\n  "say \\"1\\"\\\\": [\n    "\\"1\\"",\n    "-12",\n    "3/4"\n  ]\n}'
+    )
 
 
 def test_verify_identity_suite(capsys):
@@ -542,11 +576,14 @@ def test_failed_division_names_its_shape(capsys, monkeypatch, argv, skew, what):
 
 def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
     # at n = 1 the proved bounds meet (lower = ratio = upper), so a weighted
-    # total one too large breaks the sandwich at every m
-    total = gaussdeg.degrees._weighted_total
-    monkeypatch.setattr(
-        gaussdeg.degrees, "_weighted_total", lambda table, m, unit: total(table, m, unit) + 1
-    )
+    # sum one too large breaks the sandwich at every m
+    weighted = gaussdeg.degrees._weighted_sum
+
+    def skewed(table, m, unit):
+        total, lcd = weighted(table, m, unit)
+        return total + 1, lcd
+
+    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", skewed)
     code, out, err = run_cli(capsys, "table", "--n", "1", "--d", "4")
     assert code == 4 and out == ""
     prefix = "error: internal invariant failed: proved bounds violated at (n=1, d=4, m=1): "
@@ -556,20 +593,21 @@ def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["table", "conjecture"])
 def test_a_long_bounds_violation_exits_4(capsys, monkeypatch, command):
-    # a total of 1 at m = 21 puts 1 over a product of 14,424 bits (4,343
-    # digits, past the str() limit); every earlier row has at most 13,570
-    # bits, so both sweeps print their rows up to it and stop there
-    total = gaussdeg.degrees._weighted_total
-    monkeypatch.setattr(
-        gaussdeg.degrees,
-        "_weighted_total",
-        lambda table, m, unit: 1 if m == 21 else total(table, m, unit),
-    )
+    # a weighted sum S of 1 at m = 21, whose product has 14,424 bits (4,343
+    # digits, past the str() limit), stops both sweeps there; the ratio is
+    # S / (L * g) = 1 / (199 * 398), short whatever the product's size
+    weighted = gaussdeg.degrees._weighted_sum
+
+    def skewed(table, m, unit):
+        total, lcd = weighted(table, m, unit)
+        return (1 if m == 21 else total), lcd
+
+    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", skewed)
     code, out, err = run_cli(capsys, command, "--n", "1", "--d", "200")
     assert (code, out) == (4, "")
     assert err == (
         "error: internal invariant failed: proved bounds violated at (n=1, d=200, m=21): "
-        "179/199 <= 1/an integer of 14,424 bits <= 179/199 fails\n"
+        "179/199 <= 1/79202 <= 179/199 fails\n"
     )
 
 
@@ -885,6 +923,14 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
             ("degree", "--n", "200000", "--d", "2", "--m", "200001", "--method", "m_eq_n_plus_1"),
             TOO_LARGE,
             id="m-eq-n-plus-1",
+        ),
+        # a reference product of 385,000 digits passes, but the alternating
+        # sum's 40,001 terms of up to that size would take about 12 s
+        pytest.param(
+            ("degree", "--n", "40000", "--d", "2", "--m", "40001", "--method", "m_eq_n_plus_1"),
+            "error: too large: the m = n+1 sum at (n=40000, d=2) would take over "
+            "5,000,000,000 digit-terms",
+            id="m-eq-n-plus-1-work",
         ),
         # N = C(400000, 200000) - 1 has 120,410 digits: refused before it is formed
         pytest.param(

@@ -44,6 +44,7 @@ from gaussdeg.degrees import (
 from gaussdeg.partitions import (
     add_rectangle,
     enumerate_partitions,
+    exact_quotient,
     syt_count_bruteforce,
     syt_count_hook,
 )
@@ -585,10 +586,12 @@ def test_degrees_past_the_str_limit_reach_their_report():
 
 
 def test_bounds_violation_names_a_long_ratio_by_its_size(monkeypatch):
-    monkeypatch.setattr(gaussdeg.degrees, "_weighted_total", lambda table, m, unit: 1)
+    # the product at m = 100 has 53,073 bits, but the ratio is the weighted
+    # sum S = 1 over L * g = 199 * 398: short whatever the product's size
+    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", lambda table, m, unit: (1, 199))
     message = (
         r"^proved bounds violated at \(n=1, d=200, m=100\): "
-        r"100/199 <= 1/an integer of 53,073 bits <= 100/199 fails$"
+        r"100/199 <= 1/79202 <= 100/199 fails$"
     )
     with pytest.raises(ArithmeticError, match=message):
         bounds(VeroneseVariety(1, 200), 100)
@@ -703,8 +706,84 @@ def test_base10_sweep_leaves_and_ignores_the_callers_context():
 
 
 def test_bounds_ratio_is_the_reduced_degree_over_product():
-    # degree * L / unit over L * g is degree / product, reduced, on both
+    # the weighted sum S over L * g is degree / product, reduced, on both
     # sides of the base-10 switch
     v = VeroneseVariety(3, 7)
     for record in islice(bounds_sweep(v), 0, None, 9):
         assert record.ratio == Fraction(record.degree, record.product)
+
+
+def test_bounds_records_convert_their_numbers_once():
+    record = next(islice(bounds_sweep(VeroneseVariety(1, 200)), 99, None))
+    assert isinstance(record._degree, Decimal)
+    assert record.degree is record.degree and record.product is record.product
+    assert type(vars(record)["degree"]) is int
+
+
+def _reference_degree(table: SegreIntegralTable, m: int) -> int:
+    """The weighted total term by term: each tableau count one long exact division."""
+    n, N = table.n, table.N
+    unit = reference_product(n, N, m, 1)
+    total = 0
+    for lam, integral in table.entries.items():
+        ratio = binomial_ratio_product(lam, n, N, m)
+        numerator = unit * syt_count_hook(lam) * ratio.numerator
+        total += exact_quotient(numerator, ratio.denominator, "the term of %s", lam) * integral
+    return total
+
+
+SMALL_VERONESE = [
+    VeroneseVariety(n, d)
+    for n in range(1, 7)
+    for d in range(2, 61)
+    if VeroneseVariety(n, d).N <= 60
+]
+
+
+@pytest.mark.parametrize("v", SMALL_VERONESE, ids=lambda v: f"{v.n}-{v.d}")
+def test_short_weighted_sum_is_the_term_by_term_total(v):
+    # every m of every Veronese variety with n <= 6 and N <= 60, through the
+    # sweep (Decimal rows past the base-10 switch) and the single cell
+    g = ordinary_gauss_degree(v)
+    for record in bounds_sweep(v):
+        m = record.m
+        expected = _reference_degree(v.integral_table, m)
+        assert record.degree == expected == degree_main(v, m).deg_xm, m
+        assert record.ratio == Fraction(expected, reference_product(v.n, v.N, m, g)), m
+
+
+def _golden_tables() -> list[SegreIntegralTable]:
+    """The golden file's `generic` tables that load, two of them with N < 2n."""
+    from test_golden_cli import _table_docs
+
+    tables = []
+    for text in _table_docs().values():
+        try:
+            tables.append(SegreIntegralTable.from_json(text))
+        except ValueError:
+            continue
+    return tables
+
+
+def test_short_weighted_sum_on_the_golden_generic_tables():
+    tables = _golden_tables()
+    assert any(table.N < 2 * table.n for table in tables)
+    for table in tables:
+        for m in range(table.n, table.N):
+            expected = _reference_degree(table, m)
+            if expected > 0:
+                assert degree_generic(table, m).deg_xm == expected, (table.n, table.N, m)
+            else:
+                with pytest.raises(NotGenericallyFiniteError):
+                    degree_generic(table, m)
+
+
+def test_each_term_is_checked_integral_on_its_own(monkeypatch):
+    # with a unit of 2 at (n, N, m) = (2, 5, 3) the term of (2) is
+    # 2 * 3/6 = 1 and that of (1, 1) is 2 * 2/6, not an integer; its integral
+    # 0 leaves the total 1, so only the term's own check finds it
+    monkeypatch.setattr(gaussdeg.degrees, "reference_product", lambda n, N, m, first: 2)
+    table = SegreIntegralTable(n=2, N=5, entries={(2,): 1, (1, 1): 0})
+    message = "^tableau count of \\(1, 1\\) plus the 1-wide rectangle of height 2 did not "
+    with pytest.raises(ArithmeticError, match=message):
+        degree_generic(table, 3)
