@@ -35,14 +35,13 @@ from .degrees import (
     MAX_DIGITS,
     METHODS,
     NotGenericallyFiniteError,
-    bounds_sweep,
     check_digits,
     conjecture_scan,
     degree_generic,
-    dim_xm,
     guard_reference,
     guard_scan,
     guard_sweep,
+    table_rows,
 )
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
 from .partitions import (
@@ -202,16 +201,7 @@ def cmd_degree(args) -> int:
 def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     guard_sweep(v)
-    rows = [
-        {
-            "m": b.m,
-            "dim": dim_xm(v.n, v.N, b.m),
-            "degree": b.degree_text,
-            "ratio": str(b.ratio),
-            "within_conjecture": b.within_conjecture,
-        }
-        for b in bounds_sweep(v)
-    ]
+    rows = list(table_rows(v))
     envelope = {"n": v.n, "d": v.d, "N": v.N, "rows": rows}
     print(_render_rows(rows, args.format, envelope=envelope))
     return 0

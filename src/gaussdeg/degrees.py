@@ -13,19 +13,21 @@ normalized degree, and a scan harness for a conjectured sharper bound.
 Everything is exact: integers are unbounded, ratios are
 `fractions.Fraction`, every quotient the theory promises to be an integer
 is a `partitions.exact_quotient`, and every degree is checked positive.
-The tableau-weighted sum runs in short integers: one long remainder per
-cell, one short checked division per term, and the degree formed last, by
-one long multiplication and one division by a short integer.  A sweep's
+The tableau-weighted sum is laid out once per table, as a `TermPlan`, and
+every cell and every sweep row reads it: per row, one long remainder, one
+short checked division per term, and the degree formed last, by one long
+division and one long multiplication, each by a short integer.  A sweep's
 long integers are integral Decimals, under `grassmann.EXACT`.
 """
 
 from collections.abc import Callable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, islice
-from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm
+from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm, prod
 
 from .grassmann import (
     EXACT,
@@ -36,7 +38,6 @@ from .grassmann import (
 )
 from .partitions import (
     _MESSAGE_BITS,
-    HOOK_CACHE_SIZE,
     Numeral,
     Partition,
     _syt_count_hook,
@@ -112,6 +113,8 @@ class BoundsReport:
     `product` read them as ints, converted on the first read and kept; that
     first read of a Decimal is quadratic in its digits.  `to_dict` and
     `degree_text` write them in decimal straight from the held values.
+    `bounds`, `bounds_sweep` and `conjecture_scan` make these records;
+    `table` writes its rows by `table_rows`, with no record.
     """
 
     n: int
@@ -350,15 +353,7 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     """
     _check_range(n, N, m)
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
-    return _reference_unit(n, N, m, pluecker) * first
-
-
-def _reference_unit(n: int, N: int, m: int, pluecker: int | Decimal) -> int | Decimal:
-    """C(n + dim G, n) * deg G = C(dim X_m, n) * `pluecker`, G = G(m-n, N-n).
-
-    A Decimal `pluecker` needs the caller to have entered `grassmann.EXACT`.
-    """
-    return comb(dim_xm(n, N, m), n) * pluecker
+    return comb(dim_xm(n, N, m), n) * pluecker * first
 
 
 def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float = inf) -> float:
@@ -401,13 +396,21 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
 
 # A sweep holds every row before it prints them: `guard_sweep` and
 # `guard_scan` bound the digits of all its rows, rows x central digits, to
-# MAX_SWEEP_DIGITS, and the weighted sums' work, rows x p(n) x central
-# digits, to MAX_WORK.  As processes (CPython 3.11, shared 2-core x86-64),
-# `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7 digits, held 234 MB
-# to print 57 MB.  MAX_WORK also bounds the m = n+1 sum, terms x digits of
-# its largest term, about 0.8 ns each: 3.9 s for (n, d) = (20000, 3).
+# MAX_SWEEP_DIGITS, and their work to MAX_WORK digit-terms, about 0.8 ns
+# each: one digit of a long operation.  A row makes p(n) short terms of its
+# weighted sum, priced at _SHORT_TERM_WORK each, and _ROW_LONG_OPS long
+# operations on its central digits (the sweep step, the remainder mod L,
+# the degree's division and product, and its decimal text).  In process
+# (CPython 3.11, shared 2-core x86-64) a term took 1.2-1.8 us from n = 5
+# to 25, and the long operations of a row of (3, 10) about 10 ns a digit.
+# As processes, `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7
+# digits, held 234 MB to print 57 MB, and `table --n 25 --d 2`, 2.0 x 10^9
+# digit-terms, took 1.8 s.  MAX_WORK also bounds the m = n+1 sum, terms x
+# digits of its largest term: 3.9 s for (n, d) = (20000, 3).
 MAX_SWEEP_DIGITS = 2 * 10**7
 MAX_WORK = 5 * 10**9
+_SHORT_TERM_WORK = 3_000
+_ROW_LONG_OPS = 8
 _ONE_SWEEP = "the sweep over m of (n=%s, d=%s)"
 
 
@@ -448,17 +451,19 @@ def _refuse_past(digits: float, work: float, template: str, *args) -> None:
 
 
 def _sweep_cost(v: VeroneseVariety) -> tuple[float, float]:
-    """Estimated digits and work of every m of `v`: rows x central digits, times p(n).
+    """Estimated digits and work of every m of `v`, from rows x central digits.
 
     deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
     least 1 there), and so does C(n + kc, n), so the central m's reference
     product bounds each row's numbers; it must pass `guard_veronese`.  The
-    partition count comes first, before N is formed.
+    work is rows x (p(n) _SHORT_TERM_WORK + _ROW_LONG_OPS x central digits).
+    The partition count comes first, before N is formed.
     """
     check_partition_terms(v.n)
     rows = v.N - v.n
     central = guard_veronese(v, v.n + rows // 2)
-    return rows * central, rows * partition_count(v.n) * central
+    row_work = partition_count(v.n) * _SHORT_TERM_WORK + _ROW_LONG_OPS * central
+    return rows * central, rows * row_work
 
 
 def _closed_form(
@@ -630,58 +635,122 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     where the ratio vanishes when lam has more than e rows.  So the degree
     is the reference product times the table-weighted ratio sum, and the
     rectangle's tableau count is computed once, not once per partition.
-    `_weighted_sum` adds the sum up in short integers.  A non-positive total
-    is not a degree and raises NotGenericallyFiniteError.
+    The table's `TermPlan` adds the sum up in short integers.  A
+    non-positive total is not a degree and raises NotGenericallyFiniteError.
     """
     n, N = table.n, table.N
-    unit = reference_product(n, N, m, 1)
-    total, lcd = _weighted_sum(table, m, unit)
-    return DegreeReport(n=n, N=N, m=m, deg_xm=_degree_of(unit, total, lcd, m), method="generic")
+    _check_range(n, N, m)
+    pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
+    plan = table.plan
+    coefficient = comb(dim_xm(n, N, m), n)
+    total = plan.total(m, coefficient, pluecker)
+    degree = plan.degree(m, coefficient, pluecker, total)
+    return DegreeReport(n=n, N=N, m=m, deg_xm=degree, method="generic")
 
 
-def _weighted_sum(table: SegreIntegralTable, m: int, unit: int | Decimal) -> tuple[int, int]:
-    """`degree_generic`'s sum as short integers (S, L): degree = unit * S / L.
+class TermPlan:
+    """The tableau-weighted sum of one table, laid out once for every m.
 
-    unit = `reference_product(n, N, m, 1)`.  With L = `_binomial_lcm(n, N)`,
-    a multiple of every row-binomial denominator den, S sums
-    f(lam) * num * (L / den) * T[lam].  Each term's tableau count,
-    unit * f(lam) * num / den, is still checked integral on its own, as
-    (unit mod L) * f(lam) * num over den: one long remainder per cell, and
-    a short `exact_quotient` per term.  A den that L does not take (only a
-    skewed ratio has one) widens L to lcm(L, den), rescaling S.  The caller
-    has checked the range of m, and the table's keys are canonical.  A
-    Decimal unit needs the caller to have entered `grassmann.EXACT`.
+    With unit = `reference_product(n, N, m, 1)` = C(dim X_m, n) * deg G,
+    G = G(m-n, N-n), the degree is unit * S / L, where S sums
+    f(lam) * num * (L / den) * T[lam] over the partitions lam of n:
+    num / den is `binomial_ratio_product(lam, n, N, m)`, with
+    num = prod_i C(N-m + lam_i-i, lam_i) and den the same at m = n, free
+    of m.  L = `lcd` is the lcm of the dens.  `pairs` holds every row
+    offset (lam_i - i, lam_i) once, and `terms`, for each lam, (lam,
+    f(lam), den, (L / den) * T[lam], the indices of its rows' offsets in
+    `pairs`).  A lam of more than N - n rows has a zero term at every m
+    and is left out.  A table builds its plan once, as
+    `SegreIntegralTable.plan`, and every m evaluated on it reads that plan.
     """
-    n, N = table.n, table.N
-    what = "tableau count of %s plus the %s-wide rectangle of height %s"
-    lcd = _binomial_lcm(n, N)
-    residue, total = int(unit % lcd), 0
-    width, height = m - n, N - m
-    for lam, integral in table.entries.items():
-        num, den = _row_binomial_ratio(lam, n, N, m)
-        count = _syt_count_hook(lam) * num
-        cofactor, rest = divmod(lcd, den)
-        if rest:
-            wider = lcm(lcd, den)
-            total, lcd, cofactor = total * (wider // lcd), wider, wider // den
-            residue = int(unit % lcd)
-        exact_quotient(residue * count, den, what, lam, width, height)
-        total += count * cofactor * integral
-    if total <= 0:
-        template = (
-            "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
-            "finite onto its image, or the table is not the Segre data of a variety"
-        )
-        raise NotGenericallyFiniteError(message(template, _degree_of(unit, total, lcd, m), m, m))
-    return total, lcd
+
+    def __init__(self, table: SegreIntegralTable):
+        n, N = table.n, table.N
+        index, terms = {}, []
+        for lam, integral in table.entries.items():
+            if len(lam) <= N - n:
+                rows = enumerate(lam, start=1)
+                indices = tuple([index.setdefault((part - i, part), len(index)) for i, part in rows])
+                terms.append((lam, integral, indices, *_plan_term(lam, n, N)))
+        self.n, self.N, self.pairs = n, N, list(index)
+        self.lcd = lcd = lcm(*[den for *_, den in terms])
+        self.terms = [
+            (lam, count, den, lcd // den * integral, indices)
+            for lam, integral, indices, count, den in terms
+        ]
+
+    def total(self, m: int, coefficient: int, pluecker: int | Decimal) -> int:
+        """S at m, unit = coefficient * pluecker; S <= 0 raises NotGenericallyFiniteError.
+
+        The unit is never formed: `_weighted_sum` needs only unit mod L,
+        (pluecker mod L) * coefficient mod L, one long remainder.  A Decimal
+        `pluecker` needs the caller to have entered `grassmann.EXACT`; the
+        caller has checked the range of m.
+        """
+        lcd = self.lcd
+        total = _weighted_sum(self, m, int(pluecker % lcd) * coefficient % lcd)
+        if total <= 0:
+            template = (
+                "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
+                "finite onto its image, or the table is not the Segre data of a variety"
+            )
+            degree = self.degree(m, coefficient, pluecker, total)
+            raise NotGenericallyFiniteError(message(template, degree, m, m))
+        return total
+
+    def degree(self, m: int, coefficient: int, pluecker: int | Decimal, total: int):
+        """unit * S / L = (pluecker / (L / k)) * (q / k), q = coefficient * S, k = gcd(q, L).
+
+        L / k is prime to q / k, so unit * S / L is an integer exactly when
+        L / k divides `pluecker`: one checked long division by a short
+        integer and one long multiplication by one.  Every term of S was
+        checked, so the division is exact.
+        """
+        q = coefficient * total
+        common = gcd(q, self.lcd)
+        what = "the weighted total at m = %s"
+        return exact_quotient(pluecker, self.lcd // common, what, m) * (q // common)
 
 
-def _degree_of(unit: int | Decimal, total: int, lcd: int, m: int) -> int | Decimal:
-    """The degree unit * S / L of `_weighted_sum`'s (S, L): one long product, one division.
+def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
+    """f(lam) and its row-binomial denominator prod_i C(N-n+lam_i-i, lam_i)."""
+    den = 1
+    for i, part in enumerate(lam, start=1):
+        den *= comb(N - n + part - i, part)
+    return _syt_count_hook(lam), den
 
-    Every term of S was checked, so the division is exact.
+
+def _row_binomials(pairs: list, height: int) -> list[int]:
+    """C(height + offset, part) for each (offset, part) of `pairs`, 0 where height + offset < 0.
+
+    A pair whose top is negative belongs only to shapes of more than
+    `height` rows, whose terms are 0 and are skipped.
     """
-    return exact_quotient(unit * total, lcd, "the weighted total at m = %s", m)
+    return [comb(height + offset, part) if height + offset >= 0 else 0 for offset, part in pairs]
+
+
+_TERM = "tableau count of %s plus the %s-wide rectangle of height %s"
+
+
+def _weighted_sum(plan: TermPlan, m: int, residue: int) -> int:
+    """S of `plan` at m, each term checked; `residue` is unit mod L.
+
+    The row's binomials are formed once, one per offset pair.  A term's
+    tableau count, unit * f(lam) * num / den, is checked integral on its
+    own as residue * f(lam) * num over den: a short `exact_quotient` per
+    term, made for a zero integral too.
+    """
+    height = plan.N - m
+    binomials = _row_binomials(plan.pairs, height)
+    total = 0
+    for lam, count, den, weight, indices in plan.terms:
+        if len(indices) > height:
+            continue
+        for k in indices:
+            count *= binomials[k]
+        exact_quotient(residue * count, den, _TERM, lam, m - plan.n, height)
+        total += count * weight
+    return total
 
 
 def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
@@ -694,30 +763,11 @@ def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
     shape (1^n) (minimum) and the row shape (n) (maximum).
     """
     _check_range(n, N, m)
-    return Fraction(*_row_binomial_ratio(canonical(pad(lam, n)), n, N, m))
-
-
-def _row_binomial_ratio(lam: Partition, n: int, N: int, m: int) -> tuple[int, int]:
-    """`binomial_ratio_product` of a canonical lam as an unreduced (num, den).
-
-    (0, 1) when lam has more than N-m rows.  Neither lam nor the range of
-    m is checked: the weighted sum checks each once, outside its loop.
-    """
+    lam = canonical(pad(lam, n))
     if len(lam) > N - m:
-        return 0, 1
-    num = 1
-    for i, part in enumerate(lam, start=1):
-        num *= comb(N - m + part - i, part)
-    return num, _row_binomial_den(lam, n, N)
-
-
-@lru_cache(maxsize=HOOK_CACHE_SIZE)
-def _row_binomial_den(lam: Partition, n: int, N: int) -> int:
-    """prod_i C(N-n+lam_i-i, lam_i): it does not depend on m, so a sweep forms it once."""
-    den = 1
-    for i, part in enumerate(lam, start=1):
-        den *= comb(N - n + part - i, part)
-    return den
+        return Fraction(0)
+    pairs = [(part - i, part) for i, part in enumerate(lam, start=1)]
+    return Fraction(prod(_row_binomials(pairs, N - m)), prod(_row_binomials(pairs, N - n)))
 
 
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
@@ -731,74 +781,94 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     same records for every m at once.
     """
     _check_range(v.n, v.N, m)
-    return _bounds_record(v, m, grassmann_degree(GrassmannShape(m - v.n, v.N - v.n)))
+    pluecker = grassmann_degree(GrassmannShape(m - v.n, v.N - v.n))
+    ((_, _, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker),))
+    return _bounds_report(v, m, pluecker, degree, num, den)
 
 
-def bounds_sweep(v: VeroneseVariety):
+def bounds_sweep(v: VeroneseVariety) -> Iterator[BoundsReport]:
     """`bounds(v, m)` for m = n..N-1, in order, from one Grassmannian sweep.
 
     Along m, G(m-n, N-n) keeps N - n fixed, so the Pluecker degrees come
     from `grassmann_degree_sweep(N - n)`, one short step per m, instead
     of one `grassmann_degree` per m.  Records are yielded as they are made.
-    A row whose Pluecker degree the sweep carries as a Decimal is made under
-    `grassmann.EXACT`; an int row enters no context.
+    """
+    for m, pluecker, degree, num, den, _ in _bounds_rows(v, _sweep_cells(v)):
+        yield _bounds_report(v, m, pluecker, degree, num, den)
+
+
+def table_rows(v: VeroneseVariety) -> Iterator[dict]:
+    """The rows `table` prints, m = n..N-1: m, dim, degree, ratio, within_conjecture.
+
+    `bounds_sweep`'s numbers, written as `BoundsReport` would write them,
+    with no record and no `Fraction` made per row.
     """
     n, N = v.n, v.N
-    for m, pluecker in zip(range(n, N), grassmann_degree_sweep(N - n)):
-        if type(pluecker) is int:
-            yield _bounds_record(v, m, pluecker)
-        else:
-            with localcontext(EXACT):
-                record = _bounds_record(v, m, pluecker)
-            yield record
+    for m, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(v)):
+        yield {
+            "m": m,
+            "dim": n + (N - m) * (m - n),
+            "degree": Numeral(degree),
+            "ratio": f"{num}/{den}" if den != 1 else str(num),
+            "within_conjecture": within,
+        }
 
 
-def _bounds_record(v: VeroneseVariety, m: int, pluecker: int | Decimal) -> BoundsReport:
-    """The `BoundsReport` at (v, m); `pluecker` is deg G(m-n, N-n).
+def _sweep_cells(v: VeroneseVariety):
+    """(m, deg G(m-n, N-n)) for m = n..N-1, from `grassmann_degree_sweep(N - n)`."""
+    return zip(range(v.n, v.N), grassmann_degree_sweep(v.N - v.n))
 
-    A Decimal `pluecker` needs the caller to have entered `grassmann.EXACT`.
-    The unit, `reference_product(n, N, m, 1)`, is shared by the degree and
-    the reference product.  With `_weighted_sum`'s degree = unit * S / L,
-    ratio = degree / product = S / (L * g), g the ordinary Gauss degree:
-    found and checked against the proved bounds in short integers, before
-    the degree is formed.
+
+_NO_CONTEXT = nullcontext()
+
+
+def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
+    """(m, pluecker, degree, ratio num, ratio den, within) for each (m, pluecker) of `cells`.
+
+    `pluecker` is deg G(m-n, N-n).  The `TermPlan` of `v.integral_table`
+    serves every cell.  With the plan's degree = unit * S / L, the ratio
+    degree / product is S / (L * g), g the ordinary Gauss degree: reduced
+    by one gcd of short integers, checked against the proved bounds and
+    measured against the power bound, each cross-multiplied, before the
+    degree is formed.  A Decimal row is made under `grassmann.EXACT`,
+    entered around its arithmetic only; an int row enters no context.
     """
     n, N = v.n, v.N
-    unit = _reference_unit(n, N, m, pluecker)
-    total, lcd = _weighted_sum(v.integral_table, m, unit)
-    gauss = ordinary_gauss_degree(v)
-    ratio = Fraction(total, lcd * gauss)
-    # `lower` <= ratio <= `upper`, cross-multiplied: every denominator is a
-    # positive integer
-    low, low_den = comb(N - m, n), comb(N - n, n)
-    up, up_den = comb(N - m + n - 1, n), comb(N - 1, n)
-    num, den = ratio.numerator, ratio.denominator
-    if not (low * den <= num * low_den and num * up_den <= up * den):
-        template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
-        lower, upper = Fraction(low, low_den), Fraction(up, up_den)
-        raise ArithmeticError(message(template, n, v.d, m, lower, num, den, upper))
+    plan = v.integral_table.plan
+    scale = plan.lcd * ordinary_gauss_degree(v)
+    low_den, up_den, power_den = comb(N - n, n), comb(N - 1, n), (N - n) ** n
+    for m, pluecker in cells:
+        with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
+            coefficient = comb(n + (N - m) * (m - n), n)
+            total = plan.total(m, coefficient, pluecker)
+            common = gcd(total, scale)
+            num, den = total // common, scale // common
+            low, up = comb(N - m, n), comb(N - m + n - 1, n)
+            if not (low * den <= num * low_den and num * up_den <= up * den):
+                template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
+                lower, upper = Fraction(low, low_den), Fraction(up, up_den)
+                raise ArithmeticError(message(template, n, v.d, m, lower, num, den, upper))
+            degree = plan.degree(m, coefficient, pluecker, total)
+        yield m, pluecker, degree, num, den, num * power_den <= (N - m) ** n * den
+
+
+def _bounds_report(
+    v: VeroneseVariety, m: int, pluecker: int | Decimal, degree: int | Decimal, num: int, den: int
+) -> BoundsReport:
+    """The `BoundsReport` of one `_bounds_rows` row; forms the reference product."""
+    n, N = v.n, v.N
+    with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
+        product = comb(dim_xm(n, N, m), n) * pluecker * ordinary_gauss_degree(v)
     return BoundsReport(
         n=n,
         d=v.d,
         N=N,
         m=m,
-        _degree=_degree_of(unit, total, lcd, m),
-        _product=unit * gauss,
-        ratio=ratio,
+        _degree=degree,
+        _product=product,
+        ratio=Fraction(num, den),
         conjecture_upper=Fraction((N - m) ** n, (N - n) ** n),
     )
-
-
-
-@lru_cache(maxsize=256)
-def _binomial_lcm(n: int, N: int) -> int:
-    """L(n, N): the lcm over lam |- n of the row-binomial denominators.
-
-    prod_i C(N-n+lam_i-i, lam_i) does not depend on m, so one L serves
-    every m of `_weighted_sum` (the cache keeps the last 256 (n, N)' L); a
-    lam of more than N - n rows has none.
-    """
-    return lcm(*(_row_binomial_ratio(lam, n, N, n)[1] for lam in enumerate_partitions(n, n)))
 
 
 def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bool]:

@@ -8,7 +8,9 @@ degree.
 A sweep over m keeps k + c fixed, and `grassmann_degree_sweep` steps from
 one rectangle to the next: by the product form (kc)! prod_{i<a} i! / (b+i)!,
 a = min(k, c), b = max(k, c), D(k+1, c-1) is D(k, c) times
-((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.
+((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.  It steps
+only up to k = c: D(k, c) = D(c, k), so the second half of a sweep is its
+first half read backwards.
 
 Past `DECIMAL_BITS` the sweep carries its count in base 10, as an integral
 `decimal.Decimal` under `EXACT`: multiplying and exactly dividing by short
@@ -95,18 +97,24 @@ def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
 def grassmann_degree_sweep(r: int):
     """deg G(k, r) for k = 0..r-1, in order: the k x (r-k) rectangles' tableau counts.
 
-    Starts at D(0, r) = 1 and takes each next count from the last by one
-    `_sweep_factor`, whose denominator must divide the running count (an
-    `exact_quotient`).  No sieve and no prime-power product: each step costs
-    one division and one multiplication of the count by a short integer.
-    From the first count past `DECIMAL_BITS` on, each is an integral
-    Decimal, stepped under `EXACT`; an int step enters no context, which
-    would cost about 1 us, more than the step itself.  `int()` of a
-    yielded Decimal is exact; any other arithmetic on it needs the caller
-    to enter `EXACT`, as the default 28-digit context rounds silently.
+    Starts at D(0, r) = 1 and, while k <= r/2, takes each next count from
+    the last by one `_sweep_factor`, whose denominator must divide the
+    running count (an `exact_quotient`).  Past r/2 it yields D(r-k, k),
+    the same rectangle turned over, from the counts already stepped.  No
+    sieve and no prime-power product: each step costs one division and one
+    multiplication of the count by a short integer.  From the first count
+    past `DECIMAL_BITS` on, each is an integral Decimal, stepped under
+    `EXACT`; an int step enters no context, which would cost about 1 us,
+    more than the step itself.  `int()` of a yielded Decimal is exact; any
+    other arithmetic on it needs the caller to enter `EXACT`, as the
+    default 28-digit context rounds silently.
     """
     degree, what = 1, "tableau count of the %s x %s rectangle"
+    stepped = []
     for k in range(r):
+        if 2 * k > r:
+            yield stepped[r - k]
+            continue
         if k:
             num, den = _sweep_factor(k - 1, r - k + 1)
             if type(degree) is int:
@@ -116,21 +124,18 @@ def grassmann_degree_sweep(r: int):
             else:
                 with localcontext(EXACT):
                     degree = exact_quotient(degree, den, what, k, r - k) * num
+        stepped.append(degree)
         yield degree
 
 
 def _sweep_factor(k: int, c: int) -> tuple[int, int]:
-    """D(k+1, c-1) / D(k, c) in lowest terms, as (numerator, denominator); c >= 1.
+    """D(k+1, c-1) / D(k, c) in lowest terms, as (numerator, denominator); c > k.
 
-    The ratio is ((k+1)(c-1))!/(kc)! * k!/(c-1)!.  Both quotients are
-    products of |c - k - 1| consecutive integers, the first up to
-    max(kc, (k+1)(c-1)), the second up to max(k, c-1); for c - k - 1 >= 0
-    the first is the numerator, otherwise the second.
+    The ratio is ((k+1)(c-1))!/(kc)! * k!/(c-1)!: with s = c - k - 1 >= 0,
+    the first quotient is the s integers up to kc + s and the second the s
+    integers up to c - 1.
     """
     cells, steps = k * c, c - k - 1
-    if steps >= 0:
-        num, den = perm(cells + steps, steps), perm(c - 1, steps)
-    else:
-        num, den = perm(k, -steps), perm(cells, -steps)
+    num, den = perm(cells + steps, steps), perm(c - 1, steps)
     common = gcd(num, den)
     return num // common, den // common

@@ -182,6 +182,13 @@ class SegreIntegralTable:
             raise ValueError(message(template, expected - len(cleaned), expected, self.n))
         object.__setattr__(self, "entries", cleaned)
 
+    @cached_property
+    def plan(self):
+        """The table's `degrees.TermPlan`, built on first use and kept with the table."""
+        from .degrees import TermPlan  # degrees imports this module
+
+        return TermPlan(self)
+
     def lookup(self, lam) -> int:
         key = canonical(lam)
         if key not in self.entries:

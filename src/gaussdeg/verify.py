@@ -54,25 +54,27 @@ class SuiteResult:
 
 
 class _Checks:
-    """A suite's recorder: `check(label, pair)` counts a check and computes pair().
+    """A suite's recorder: `check(template, *args, pair=...)` counts a check and computes pair().
 
     Unequal (got, want) record `label: <mismatch.format(got, want)>`, an
-    ArithmeticError `label: <message>`; anything else (a guard's refusal) propagates.
+    ArithmeticError `label: <message>`; anything else (a guard's refusal)
+    propagates.  The label, `template.format(*args)`, is formatted only
+    when the check fails, from the arguments as they were at the call.
     """
 
     def __init__(self, name: str, mismatch: str):
         self.name, self.mismatch = name, mismatch
         self.checks, self.failures = 0, []
 
-    def __call__(self, label: str, pair) -> None:
+    def __call__(self, template: str, *args, pair) -> None:
         self.checks += 1
         try:
             got, want = pair()
         except ArithmeticError as exc:
-            self.failures.append(f"{label}: {exc}")
+            self.failures.append(f"{template.format(*args)}: {exc}")
             return
         if got != want:
-            self.failures.append(f"{label}: {self.mismatch.format(got, want)}")
+            self.failures.append(f"{template.format(*args)}: {self.mismatch.format(got, want)}")
 
     def result(self) -> SuiteResult:
         failed = len(self.failures)
@@ -86,7 +88,7 @@ def run_identity_suite(max_n: int = 6) -> SuiteResult:
     check_partition_terms(max_n)
     check = _Checks("identity", "lhs={} rhs={}")
     for n in range(1, max_n + 1):
-        check(f"identity n={n}", lambda: verify_identity(n)[:2])
+        check("identity n={}", n, pair=lambda: verify_identity(n)[:2])
     return check.result()
 
 
@@ -99,7 +101,11 @@ def run_syt_suite(max_weight: int = 8, cap: int = DEFAULT_BRUTE_CAP) -> SuiteRes
     check = _Checks("syt", "hook={} bruteforce={}")
     for k in range(max_weight + 1):
         for lam in enumerate_partitions(k, max(k, 1)):
-            check(f"syt {lam}", lambda: (syt_count_hook(lam), syt_count_bruteforce(lam, cap=cap)))
+            check(
+                "syt {}",
+                lam,
+                pair=lambda: (syt_count_hook(lam), syt_count_bruteforce(lam, cap=cap)),
+            )
     return check.result()
 
 
@@ -114,8 +120,12 @@ def run_schur_suite(max_n: int = 4, max_d: int = 5) -> SuiteResult:
                 for lam in enumerate_partitions(k, max(k, 1)):
                     for length in range(max(len(lam), 1), n + 1):
                         check(
-                            f"schur (n={n}, d={d}, lam={lam}, length={length})",
-                            lambda: (
+                            "schur (n={}, d={}, lam={}, length={})",
+                            n,
+                            d,
+                            lam,
+                            length,
+                            pair=lambda: (
                                 schur_delta_determinant(s, lam, length),
                                 schur_delta_veronese_closed(v, lam, length),
                             ),
@@ -131,7 +141,7 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
     the ordinary Gauss degree at m = n.  If `degree_main` raises, every
     check of its cell fails with its message.
     """
-    check = _Checks("crossform", "got {}, want {}")
+    check, cell = _Checks("crossform", "got {}, want {}"), "{} (n={}, d={}, m={})"
     for n in n_values:
         for d in d_values:
             v = VeroneseVariety(n, d)
@@ -141,20 +151,26 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
                 v, lambda v, lam, length: schur_delta_determinant(s, lam, length)
             )
             for m in range(n, v.N):
-                cell = f"(n={n}, d={d}, m={m})"
                 # `cache` keeps no exception: if it raises, each check re-raises it
                 want = cache(lambda: degree_main(v, m).deg_xm)
                 for name, method in METHODS.items():
                     if name != "main" and method.applies(v, m):
-                        check(f"{name} {cell}", lambda: (method.compute(v, m).deg_xm, want()))
-                check(f"generic {cell}", lambda: (_generic_degree(table, m), want()))
+                        check(
+                            cell, name, n, d, m, pair=lambda: (method.compute(v, m).deg_xm, want())
+                        )
+                check(cell, "generic", n, d, m, pair=lambda: (_generic_degree(table, m), want()))
                 if n == 1:
                     check(
-                        f"general_curve (N={d}, d={d}, g=0, m={m})",
-                        lambda: (degree_general_curve(d, d, 0, m).deg_xm, want()),
+                        "general_curve (N={}, d={}, g=0, m={})",
+                        d,
+                        d,
+                        m,
+                        pair=lambda: (degree_general_curve(d, d, 0, m).deg_xm, want()),
                     )
                 if m == n:
-                    check(f"ordinary {cell}", lambda: (ordinary_gauss_degree(v), want()))
+                    check(
+                        cell, "ordinary", n, d, m, pair=lambda: (ordinary_gauss_degree(v), want())
+                    )
     return check.result()
 
 
@@ -173,7 +189,7 @@ def run_bounds_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
         for d in d_values:
             v = VeroneseVariety(n, d)
             for m in range(n, v.N):
-                check(f"bounds (n={n}, d={d}, m={m})", lambda: _bounds_pair(v, m))
+                check("bounds (n={}, d={}, m={})", n, d, m, pair=lambda: _bounds_pair(v, m))
     return check.result()
 
 

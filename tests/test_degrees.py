@@ -18,6 +18,7 @@ from gaussdeg.degrees import (
     METHODS,
     DegreeReport,
     NotGenericallyFiniteError,
+    TermPlan,
     binomial_ratio_product,
     boole_degree,
     boole_digits,
@@ -39,8 +40,10 @@ from gaussdeg.degrees import (
     ordinary_gauss_digits,
     reference_digits,
     reference_product,
+    table_rows,
     verify_identity,
 )
+from gaussdeg.grassmann import EXACT, GrassmannShape, grassmann_degree
 from gaussdeg.partitions import (
     add_rectangle,
     enumerate_partitions,
@@ -588,7 +591,7 @@ def test_degrees_past_the_str_limit_reach_their_report():
 def test_bounds_violation_names_a_long_ratio_by_its_size(monkeypatch):
     # the product at m = 100 has 53,073 bits, but the ratio is the weighted
     # sum S = 1 over L * g = 199 * 398: short whatever the product's size
-    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", lambda table, m, unit: (1, 199))
+    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", lambda plan, m, residue: 1)
     message = (
         r"^proved bounds violated at \(n=1, d=200, m=100\): "
         r"100/199 <= 1/79202 <= 100/199 fails$"
@@ -778,12 +781,52 @@ def test_short_weighted_sum_on_the_golden_generic_tables():
                     degree_generic(table, m)
 
 
-def test_each_term_is_checked_integral_on_its_own(monkeypatch):
-    # with a unit of 2 at (n, N, m) = (2, 5, 3) the term of (2) is
-    # 2 * 3/6 = 1 and that of (1, 1) is 2 * 2/6, not an integer; its integral
-    # 0 leaves the total 1, so only the term's own check finds it
-    monkeypatch.setattr(gaussdeg.degrees, "reference_product", lambda n, N, m, first: 2)
-    table = SegreIntegralTable(n=2, N=5, entries={(2,): 1, (1, 1): 0})
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_plan_row_is_the_term_by_term_total(data):
+    # random tables, N < 2n among them, with zero and negative integrals:
+    # the plan's total and degree, from an int and from a Decimal Pluecker
+    # degree, against one long exact division per term
+    n = data.draw(st.integers(min_value=1, max_value=6), label="n")
+    N = data.draw(st.integers(min_value=n + 1, max_value=3 * n + 6), label="N")
+    integrals = st.sampled_from((0, -1, 1)) | st.integers(min_value=-(10**30), max_value=10**30)
+    entries = {lam: data.draw(integrals) for lam in enumerate_partitions(n, n)}
+    table = SegreIntegralTable(n=n, N=N, entries=entries)
+    m = data.draw(st.integers(min_value=n, max_value=N - 1), label="m")
+    expected = _reference_degree(table, m)
+    plan, coefficient = TermPlan(table), comb(dim_xm(n, N, m), n)
+    pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
+    if expected <= 0:
+        with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {expected} <= 0 "):
+            degree_generic(table, m)
+        return
+    assert degree_generic(table, m).deg_xm == expected
+    with localcontext(EXACT):
+        total = plan.total(m, coefficient, Decimal(pluecker))
+        assert plan.degree(m, coefficient, Decimal(pluecker), total) == expected
+
+
+@pytest.mark.parametrize("v", [VeroneseVariety(1, 200), VeroneseVariety(3, 7)], ids=str)
+def test_table_rows_are_the_bounds_records_written_out(v):
+    # `table` writes its rows without records; they are the records' fields
+    rows = list(table_rows(v))
+    assert len(rows) == v.N - v.n
+    for row, record in zip(rows, bounds_sweep(v)):
+        assert row == {
+            "m": record.m,
+            "dim": dim_xm(v.n, v.N, record.m),
+            "degree": record.degree_text,
+            "ratio": str(record.ratio),
+            "within_conjecture": record.within_conjecture,
+        }
+
+
+def test_each_term_is_checked_integral_on_its_own():
+    # with a unit of 2 (coefficient 1, Pluecker degree 2) at (n, N, m) =
+    # (2, 5, 3) the term of (2) is 2 * 3/6 = 1 and that of (1, 1) is
+    # 2 * 2/6, not an integer; its integral 0 leaves the total 1, so only
+    # the term's own check finds it
+    plan = TermPlan(SegreIntegralTable(n=2, N=5, entries={(2,): 1, (1, 1): 0}))
     message = "^tableau count of \\(1, 1\\) plus the 1-wide rectangle of height 2 did not "
     with pytest.raises(ArithmeticError, match=message):
-        degree_generic(table, 3)
+        plan.total(3, 1, 2)

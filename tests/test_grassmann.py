@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gaussdeg.grassmann
 import gaussdeg.partitions
 from gaussdeg.grassmann import (
     GrassmannShape,
@@ -126,9 +127,33 @@ def test_degree_large_square():
 @example(r=2 * isqrt(PRIME_POWER_CELLS - 1))  # every rectangle in the product form
 @example(r=300)  # most rectangles in the prime-power form
 def test_sweep_is_the_single_cell_degree(r):
-    # each sweep steps with c - k - 1 >= 0 while k < r/2 and < 0 after
+    # the sweep steps up to k = r/2 and mirrors the rest; grassmann_degree
+    # counts the same sorted rectangle at k and r - k, so the stepped half
+    # is held to the single cells and the mirrored half to the stepped one
+    swept = list(grassmann_degree_sweep(r))
+    stepped = range(min(r, r // 2 + 1))
+    assert swept[: len(stepped)] == [grassmann_degree(GrassmannShape(k, r)) for k in stepped]
+    assert swept[len(stepped) :] == [swept[r - k] for k in range(len(stepped), r)]
+
+
+@given(r=st.integers(min_value=0, max_value=60))
+def test_sweep_is_every_cell_and_its_own_mirror(r):
     swept = list(grassmann_degree_sweep(r))
     assert swept == [grassmann_degree(GrassmannShape(k, r)) for k in range(r)]
+    assert swept[1:] == swept[1:][::-1]
+
+
+def test_sweep_steps_only_its_first_half(monkeypatch):
+    steps = []
+    factor = gaussdeg.grassmann._sweep_factor
+
+    def counted(k, c):
+        steps.append((k, c))
+        return factor(k, c)
+
+    monkeypatch.setattr(gaussdeg.grassmann, "_sweep_factor", counted)
+    assert list(grassmann_degree_sweep(7)) == [1, 1, 42, 462, 462, 42, 1]
+    assert steps == [(0, 7), (1, 6), (2, 5)]
 
 
 def test_sweep_is_the_rectangle_hook_count_up_to_r_40():

@@ -202,3 +202,28 @@ def test_a_long_unknown_suite_is_echoed_cut():
         run_suite("x" * 100_000)
     text = str(exc.value)
     assert len(text) <= 400 and "... (str of length 100,000); choose from (" in text
+
+
+def test_a_check_formats_its_label_only_when_it_fails(monkeypatch):
+    # the label is written as the suite's f-string labels were, from the
+    # arguments bound at the call, and only for a failing check
+    formatted = []
+
+    class Shape(tuple):
+        def __format__(self, spec):
+            formatted.append(tuple(self))
+            return super().__format__(spec)
+
+    def shapes(total, max_parts):
+        return [Shape(lam) for lam in gaussdeg.partitions.enumerate_partitions(total, max_parts)]
+
+    brute = gaussdeg.verify.syt_count_bruteforce
+
+    def off_at_21(lam, cap):
+        return brute(lam, cap=cap) + (tuple(lam) == (2, 1))
+
+    monkeypatch.setattr(gaussdeg.verify, "enumerate_partitions", shapes)
+    monkeypatch.setattr(gaussdeg.verify, "syt_count_bruteforce", off_at_21)
+    result = run_syt_suite(max_weight=4)
+    assert result.failures == ("syt (2, 1): hook=2 bruteforce=3",)
+    assert formatted == [(2, 1)]
