@@ -6,8 +6,9 @@ to a declared length work against the zero-padded view returned by `pad`.
 All arithmetic is exact.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, compress, groupby, islice, repeat, zip_longest
+from itertools import accumulate, compress, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, perm, prod
 from operator import lt
 
@@ -19,10 +20,13 @@ MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count pas
 # `small_mixed` benchmark run asks for 857 distinct ones
 HOOK_CACHE_SIZE = 4096
 # Below this many cells the hooks multiplied block by block and one division
-# beat the prime powers on every shape measured.  They cross near 1,000 cells
-# for a staircase (a block per cell), between 1,200 and 1,600 for squares,
-# ten-row rectangles, (2, 1^k) and shapes plus a rectangle, and near 2,000 for
-# the hook (k, 1^k) (CPython 3.11, shared 2-core x86-64).
+# beat the prime powers on most shapes measured.  They cross below 600 cells
+# for a staircase (a block per cell), between 800 and 1,000 for shapes plus a
+# rectangle, between 1,000 and 1,100 for rectangles of 3 to 32 rows, near
+# 1,500 for (2, 1^k) and past 2,000 for the hook (k, 1^k) (CPython 3.11,
+# shared 2-core x86-64).  Moving the switch to 1,000 would speed the 22 of
+# the `ladder_cold` ladder's 892 rectangles that lie between by 3-30% and slow
+# staircases there by up to a quarter.
 PRIME_POWER_CELLS = 800
 # Longest integer an error message prints in decimal: CPython refuses str()
 # past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
@@ -30,6 +34,9 @@ _MESSAGE_BITS = 13_000
 # Longest text of any other argument an error message echoes whole; CPython's
 # own int() message stops at 200 characters.
 _MESSAGE_CHARS = 200
+# Most primes `_balanced_product` hands to one C-level `prod`: from 16 to 64
+# its time fell by a tenth on the ladder's groups, and past 64 barely moved
+_CHUNK = 64
 
 
 def canonical(parts) -> Partition:
@@ -233,10 +240,10 @@ def _count_by_division(lam: Partition) -> int:
     greater of k and w: s calls of `perm`.  The product never passes |lam|!.
     """
     hooks = 1
-    for rows, blocks in _hook_blocks(_bottom_runs(lam)):
-        for d, width in blocks:
+    for rows, corner, columns in _hook_blocks(_bottom_runs(lam)):
+        for ell, width in columns:
             short, long = (rows, width) if rows < width else (width, rows)
-            first = d + long - 1
+            first = corner - ell + long - 1
             if short == 1:  # most blocks of a small shape: one call, no map
                 hooks *= perm(first, long)
             else:
@@ -250,13 +257,15 @@ def _count_by_prime_powers(lam: Partition) -> int:
     x is Legendre's exponent of p in |lam|! less that in the hooks, whose
     multiplicities `_hook_mults` gives up to the largest, l_1 = lam_1 + e - 1
     for e rows.  A prime p > l_1 divides no hook, and as l_1 >= sqrt(|lam|)
-    its x is |lam| // p: those primes go in blocks, one product per value k
-    of |lam| // p.  `_power_product` multiplies the powers.
+    its x is |lam| // p: those primes go in blocks, one slice of the prime
+    list per value k of |lam| // p, cut by bisection.  `_primes` lists the
+    primes up to |lam| once, and `_power_product` multiplies the powers.
     """
     cells, top = weight(lam), lam[0] + len(lam) - 1
-    mults, sieve = _hook_mults(lam), _prime_sieve(cells)
+    mults, primes = _hook_mults(lam), _primes(cells)
+    small = bisect_right(primes, top)
     powers = []
-    for p in compress(range(top + 1), sieve[: top + 1]):
+    for p in primes[:small]:
         exponent, q = 0, p
         while q <= cells:
             exponent += cells // q - sum(mults[q::q])
@@ -264,12 +273,13 @@ def _count_by_prime_powers(lam: Partition) -> int:
         if exponent < 0:
             raise ArithmeticError(message("tableau count for %s did not come out integral", lam))
         if exponent:
-            powers.append((p, exponent))
+            powers.append(([p], exponent))
+    high = len(primes)
     for k in range(1, cells // (top + 1) + 1):
-        # the primes p > l_1 with |lam| // p == k
-        low, high = max(cells // (k + 1), top) + 1, cells // k
-        block = compress(range(low, high + 1), sieve[low : high + 1])
-        powers.append((_balanced_product(list(block)), k))
+        # the primes p > l_1 with |lam| // p == k, just below the block of k - 1
+        low = bisect_right(primes, cells // (k + 1), small)
+        powers.append((primes[low:high], k))
+        high = low
     return _power_product(powers)
 
 
@@ -283,8 +293,9 @@ def _hook_mults(lam: Partition) -> list[int]:
     """
     top = lam[0] + len(lam) - 1
     diff2 = [0] * (top + 3)
-    for rows, blocks in _hook_blocks(_bottom_runs(lam)):
-        for d, width in blocks:
+    for rows, corner, columns in _hook_blocks(_bottom_runs(lam)):
+        for ell, width in columns:
+            d = corner - ell
             diff2[d] += 1
             diff2[d + rows] -= 1
             diff2[d + width] -= 1
@@ -298,21 +309,23 @@ def _bottom_runs(lam: Partition):
 
 
 def _hook_blocks(runs):
-    """(rows, [(d, width), ...]) for each run of `runs`: a shape cut into blocks.
+    """(rows, corner, columns) for each run of `runs`, each read before the next: a shape in blocks.
 
     `runs` are the runs of equal parts as (part, rows), bottom run first.
     A run's rows meet the column block of itself and of each run below, so
     r runs make r(r+1)/2 blocks.  A block of k rows and w columns holds the
     hooks d + i + j (i < k up from its bottom row, j < w left from its right
-    column); its bottom right cell's hook is d = 1 + (part + below) -
-    (part' + below'), part' the part of the run of its columns, `below` the
-    rows under a run.
+    column); its bottom right cell's hook is d = corner - ell, where corner
+    is 1 + part + below for the run's part and the rows below it, and
+    (ell, w) is the block's entry of `columns`: part' + below' and the
+    width of the run it takes its columns from.  `columns` is one list,
+    grown by an entry per run, so a caller reads it before the next run;
+    one that keeps a run's columns copies them.
     """
     below, part_below, columns = 0, 0, []  # columns: (part + below of a run, width)
     for part, rows in runs:
         columns.append((part + below, part - part_below))
-        corner = part + below + 1
-        yield rows, [(corner - ell, width) for ell, width in columns]
+        yield rows, part + below + 1, columns
         below += rows
         part_below = part
 
@@ -320,31 +333,44 @@ def _hook_blocks(runs):
 _syt_count_hook = lru_cache(maxsize=HOOK_CACHE_SIZE)(syt_count_canonical)
 
 
-def _prime_sieve(n: int) -> bytearray:
-    """n + 1 bytes, byte p set exactly when p is prime (n >= 1)."""
-    sieve = bytearray(2) + bytearray([1]) * (n - 1)  # 0 and 1 are not prime
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return sieve
+def _primes(n: int) -> list[int]:
+    """The primes up to n, in order, from a sieve of the odd numbers."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * ((n + 1) // 2)  # byte i: is 2i + 1 prime
+    sieve[0] = 0
+    # the sieve is read as it is cut, so only the primes up to sqrt(n) cut it
+    for i in compress(range((isqrt(n) + 1) // 2), sieve):
+        step = 2 * i + 1
+        start = step * step // 2
+        sieve[start::step] = bytes(len(range(start, len(sieve), step)))
+    return [2, *compress(range(1, n + 1, 2), sieve)]
 
 
 def _balanced_product(factors: list[int]) -> int:
-    """Product of `factors`, multiplying neighbours pairwise until one is left."""
-    while len(factors) > 1:
-        factors = [a * b for a, b in zip_longest(factors[::2], factors[1::2], fillvalue=1)]
-    return factors[0] if factors else 1
+    """Product of `factors`, its halves multiplied recursively down to C-level `prod`."""
+    if len(factors) <= _CHUNK:
+        return prod(factors)
+    half = len(factors) // 2
+    return _balanced_product(factors[:half]) * _balanced_product(factors[half:])
 
 
-def _power_product(powers: list[tuple[int, int]]) -> int:
-    """prod b^e over the (b, e) of `powers`, e >= 0, one squaring per bit of e.
+def _power_product(powers: list[tuple[list[int], int]]) -> int:
+    """prod b^e over the bases b of each (bases, e) of `powers`, e >= 1, one squaring per bit.
 
-    From the highest bit down: result <- result^2 times the product of the
-    bases whose exponent has that bit set.
+    One pass puts each base in the group of every bit set in its exponent;
+    then from the highest bit down: result <- result^2 times the product of
+    that bit's group.
     """
+    groups = [[] for _ in range(max((e for _, e in powers), default=0).bit_length())]
+    for bases, exponent in powers:
+        while exponent:  # its set bits, highest first
+            bit = exponent.bit_length() - 1
+            groups[bit] += bases
+            exponent ^= 1 << bit
     result = 1
-    for bit in reversed(range(max((e for _, e in powers), default=0).bit_length())):
-        result = result * result * _balanced_product([b for b, e in powers if e >> bit & 1])
+    for group in reversed(groups):
+        result = result * result * _balanced_product(group)
     return result
 
 
@@ -375,7 +401,8 @@ def _runs_digits(runs, limit: float = inf) -> float:
     """
     bound, cells, log_hooks, log_f = limit * log(10), 0, 0.0, 0.0
     try:
-        for rows, blocks in _hook_blocks(runs):
+        for rows, corner, columns in _hook_blocks(runs):
+            blocks = [(corner - ell, width) for ell, width in columns]
             part = sum(width for _, width in blocks)
             for i in range(rows):
                 cells += part

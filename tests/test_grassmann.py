@@ -62,7 +62,7 @@ def test_thin_grassmannians_build_no_sieve(monkeypatch):
     def no_sieve(n):
         raise AssertionError(f"sieve of {n} built")
 
-    monkeypatch.setattr(gaussdeg.partitions, "_prime_sieve", no_sieve)
+    monkeypatch.setattr(gaussdeg.partitions, "_primes", no_sieve)
     assert grassmann_degree(GrassmannShape(1, 10**6)) == 1
     assert grassmann_degree(GrassmannShape(10**6 - 1, 10**6)) == 1
 

@@ -1,18 +1,22 @@
 """Partition enumeration and tableau counting, checked against brute force."""
 
+import re
 import time
 from itertools import combinations, islice
 from math import comb, factorial, log10
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gaussdeg.partitions
 from gaussdeg.partitions import (
     HOOK_CACHE_SIZE,
     PRIME_POWER_CELLS,
+    _bottom_runs,
     _count_by_division,
     _count_by_prime_powers,
+    _hook_blocks,
     _hook_mults,
     _syt_count_hook,
     add_rectangle,
@@ -140,6 +144,23 @@ def test_exact_quotient():
     message = "^count of \\(1,\\) plus the 2-wide rectangle of height an integer of 14,001 bits "
     with pytest.raises(ArithmeticError, match=message):
         exact_quotient(7, 2, "count of %s plus the %s-wide rectangle of height %s", (1,), 2, 2**14_000)
+
+
+def test_prime_powers_refuse_a_count_that_is_not_integral(monkeypatch):
+    # |lam| hooks of 4 more than the shape has take the exponent of 2 below
+    # zero; the prime-power branch then names its shape as the division does
+    shape = (40,) * 40
+    assert weight(shape) >= PRIME_POWER_CELLS
+
+    def skewed(lam):
+        mults = _hook_mults(lam)
+        mults[4] += weight(lam)
+        return mults
+
+    monkeypatch.setattr(gaussdeg.partitions, "_hook_mults", skewed)
+    message = f"^tableau count for {re.escape(str(shape))} did not come out integral$"
+    with pytest.raises(ArithmeticError, match=message):
+        syt_count_canonical(shape)
 
 
 def test_message_names_an_integer_past_13000_bits_by_its_size():
@@ -307,6 +328,18 @@ def test_run_built_hook_mults_equal_the_row_pairs():
         assert _hook_mults(shape) == _pair_mults(shape), shape
 
 
+def test_hook_blocks_are_read_one_run_at_a_time():
+    # three runs, bottom first: (1, 2), (2, 1) and (4, 2); the walk grows one
+    # column list, so each run's columns are copied as they are read
+    shape = (4, 4, 2, 1, 1)
+    walk = [(rows, corner, list(columns)) for rows, corner, columns in _hook_blocks(_bottom_runs(shape))]
+    assert walk == [(2, 2, [(1, 1)]), (1, 5, [(1, 1), (4, 1)]), (2, 8, [(1, 1), (4, 1), (7, 2)])]
+    heights = _transpose(shape)
+    hooks = [part - j + heights[j] - i - 1 for i, part in enumerate(shape) for j in range(part)]
+    assert _hook_mults(shape) == [hooks.count(h) for h in range(max(hooks) + 1)]
+    assert _count_by_division(shape) == syt_count_bruteforce(shape) == 4_455
+
+
 def test_prime_powers_take_blocks_of_large_primes():
     # the primes above the largest hook l_1 have exponent k = |lam| // p;
     # each shape here has blocks of k >= 2, and one division agrees
@@ -314,6 +347,25 @@ def test_prime_powers_take_blocks_of_large_primes():
         top = shape[0] + len(shape) - 1
         assert weight(shape) // (top + 1) >= 2, shape
         assert _count_by_prime_powers(shape) == _count_by_division(shape), shape
+
+
+@st.composite
+def rectangles_plus(draw):
+    """A rectangle, or a small shape plus a rectangle, of 800..6,000 cells."""
+    lam = draw(st.one_of(st.just(()), partitions(max_weight=12)))
+    height = draw(st.integers(min_value=max(len(lam), 1), max_value=300))
+    low, high = -(-(800 - weight(lam)) // height), (6_000 - weight(lam)) // height
+    return add_rectangle(lam, height, draw(st.integers(min_value=low, max_value=high)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=rectangles_plus())
+@example(shape=(401,) + (1,) * 499)  # a hook: no prime above l_1 = |lam|
+@example(shape=(75,) * 80)  # 38 blocks of primes above l_1 = 154
+@example(shape=add_rectangle((4, 2, 1), 60, 99))  # 36 blocks above l_1 = 162
+def test_prime_powers_are_the_division_on_rectangles_plus(shape):
+    assert 800 <= weight(shape) <= 6_000
+    assert _count_by_prime_powers(shape) == _count_by_division(shape), shape
 
 
 # below PRIME_POWER_CELLS: shapes plus rectangles of 10..40 rows, squares,
