@@ -1,7 +1,8 @@
 """Command-line interface: thin wrappers over the library.
 
 Each subcommand parses arguments, calls library functions, and prints the
-structured result; no numeric logic lives here.  Output is deterministic:
+structured result, `table` and `conjecture` the rows the library writes;
+no numeric logic lives here.  Output is deterministic:
 JSON with big integers and rationals rendered as decimal strings ("p/q"
 for non-integral rationals), or the same fields as CSV or an aligned text
 table.  The JSON is `json.dumps(doc, indent=2)`'s text, written by
@@ -40,7 +41,6 @@ from .degrees import (
     degree_generic,
     guard_reference,
     guard_scan,
-    guard_sweep,
     table_rows,
 )
 from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
@@ -200,7 +200,7 @@ def cmd_degree(args) -> int:
 
 def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
-    guard_sweep(v)
+    guard_scan((v.n,), (v.d,))
     rows = list(table_rows(v))
     envelope = {"n": v.n, "d": v.d, "N": v.N, "rows": rows}
     print(_render_rows(rows, args.format, envelope=envelope))
@@ -236,9 +236,8 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     n_values, d_values = parse_range(args.n), parse_range(args.d)
-    if n_values and d_values:
-        guard_scan(n_values, d_values)
-    rows = [record.to_dict() for record in conjecture_scan(n_values, d_values)]
+    guard_scan(n_values, d_values)
+    rows = list(conjecture_scan(n_values, d_values))
     violations = sum(not row["within_conjecture"] for row in rows)
     text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})
     if args.format == "table":

@@ -17,7 +17,9 @@ The tableau-weighted sum is laid out once per table, as a `TermPlan`, and
 every cell and every sweep row reads it: per row, one long remainder, one
 short checked division per term, and the degree formed last, by one long
 division and one long multiplication, each by a short integer.  A sweep's
-long integers are integral Decimals, under `grassmann.EXACT`.
+long integers are integral Decimals, under `grassmann.EXACT`, and its rows
+are written as text (`table_rows`, `conjecture_scan`); `bounds` makes one
+cell's record, of ints.
 """
 
 from collections.abc import Callable, Iterator
@@ -25,7 +27,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, islice
 from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm, prod
 
@@ -106,37 +107,20 @@ class DegreeReport:
 class BoundsReport:
     """One (variety, m): the degree against its reference product, and bounds.
 
-    `ratio` is degree / product.  `bounds` enforces the proved sandwich
-    `lower <= ratio <= upper`; the conjectured power bound is only reported.
-    `_degree` and `_product` hold the two as the sweep carried them: ints,
-    or integral Decimals past `grassmann.DECIMAL_BITS`.  `degree` and
-    `product` read them as ints, converted on the first read and kept; that
-    first read of a Decimal is quadratic in its digits.  `to_dict` and
-    `degree_text` write them in decimal straight from the held values.
-    `bounds`, `bounds_sweep` and `conjecture_scan` make these records;
-    `table` writes its rows by `table_rows`, with no record.
+    `ratio` is degree / product.  `bounds` makes these records and enforces
+    the proved sandwich `lower <= ratio <= upper`; the conjectured power
+    bound is only reported.  `to_dict` is the row `conjecture` prints,
+    written by `_conjecture_row` as `conjecture_scan` writes it.
     """
 
     n: int
     d: int
     N: int
     m: int
-    _degree: int | Decimal
-    _product: int | Decimal
+    degree: int
+    product: int
     ratio: Fraction
     conjecture_upper: Fraction
-
-    @cached_property
-    def degree(self) -> int:
-        return int(self._degree)
-
-    @cached_property
-    def product(self) -> int:
-        return int(self._product)
-
-    @property
-    def degree_text(self) -> Numeral:
-        return Numeral(self._degree)
 
     @property
     def lower(self) -> Fraction:
@@ -159,40 +143,39 @@ class BoundsReport:
         """Conjectured virtual degree: the power bound times the reference product."""
         return self.conjecture_upper * self.product
 
-    def _conjecture_text(self) -> Numeral:
-        """`str(self.conjecture_value)`, reduced and written from `_product`.
-
-        With a/b = `conjecture_upper` in lowest terms, a * product / b
-        reduces by gcd(product, b) alone, and b is short.  An int product
-        takes the `Fraction`, entering no context.
-        """
-        if type(self._product) is int:
-            return Numeral(self.conjecture_value)
-        a, b = self.conjecture_upper.numerator, self.conjecture_upper.denominator
-        with localcontext(EXACT):
-            common = gcd(int(self._product % b), b)
-            num = self._product // common * a
-        b //= common
-        return Numeral(num if b == 1 else f"{num}/{b}")
-
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "N": self.N,
-            "m": self.m,
-            "degree": self.degree_text,
-            "product": Numeral(self._product),
-            "ratio": str(self.ratio),
-            "conjecture_upper": str(self.conjecture_upper),
-            "conjecture_value": self._conjecture_text(),
-            "within_conjecture": self.within_conjecture,
-        }
+        ratio, cell = self.ratio, (self.n, self.d, self.N, self.m, self.degree, self.product)
+        return _conjecture_row(*cell, ratio.numerator, ratio.denominator, self.within_conjecture)
+
+
+def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
+    """The row `conjecture` prints of one cell, whose ratio is num / den in lowest terms.
+
+    The power bound a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
+    reduced by gcd(product, b) alone, are written with no `Fraction`.  An integral
+    Decimal `degree` or `product` needs the caller to have entered `grassmann.EXACT`.
+    """
+    common = gcd(N - m, N - n)
+    a, b = ((N - m) // common) ** n, ((N - n) // common) ** n
+    common = gcd(int(product % b), b)
+    value, b_value = product // common * a, b // common
+    return {
+        "n": n,
+        "d": d,
+        "N": N,
+        "m": m,
+        "degree": Numeral(degree),
+        "product": Numeral(product),
+        "ratio": f"{num}/{den}" if den != 1 else str(num),
+        "conjecture_upper": f"{a}/{b}" if b != 1 else str(a),
+        "conjecture_value": Numeral(f"{value}/{b_value}" if b_value != 1 else value),
+        "within_conjecture": within,
+    }
 
 
 # The cost guard: a number estimated to have more decimal digits than this
 # is refused, with a "too large" ValueError, before it is formed: by each
-# `Method.guard` and `guard_sweep`, by `degree_alternate` for its (dim X_m)!
+# `Method.guard` and `guard_scan`, by `degree_alternate` for its (dim X_m)!
 # and by the command line for a Pluecker degree or a tableau count.
 MAX_DIGITS = 10**6
 
@@ -394,39 +377,38 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
     return guard_reference(v.n, v.N, m, first)
 
 
-# A sweep holds every row before it prints them: `guard_sweep` and
-# `guard_scan` bound the digits of all its rows, rows x central digits, to
-# MAX_SWEEP_DIGITS, and their work to MAX_WORK digit-terms, about 0.8 ns
-# each: one digit of a long operation.  A row makes p(n) short terms of its
-# weighted sum, priced at _SHORT_TERM_WORK each, and _ROW_LONG_OPS long
-# operations on its central digits (the sweep step, the remainder mod L,
-# the degree's division and product, and its decimal text).  In process
-# (CPython 3.11, shared 2-core x86-64) a term took 1.2-1.8 us from n = 5
-# to 25, and the long operations of a row of (3, 10) about 10 ns a digit.
-# As processes, `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7
-# digits, held 234 MB to print 57 MB, and `table --n 25 --d 2`, 2.0 x 10^9
-# digit-terms, took 1.8 s.  MAX_WORK also bounds the m = n+1 sum, terms x
-# digits of its largest term: 3.9 s for (n, d) = (20000, 3).
+# A sweep holds every row before it prints them: `guard_scan` bounds the
+# digits of all its rows, rows x central digits, to MAX_SWEEP_DIGITS, and
+# their work to MAX_WORK digit-terms, about 0.8 ns each: one digit of a long
+# operation.  A row makes p(n) short terms of its weighted sum, priced at
+# _SHORT_TERM_WORK each, and _ROW_LONG_OPS long operations on its central
+# digits (the sweep step, the remainder mod L, the degree's division and
+# product, and its decimal text).  In process (CPython 3.11, shared 2-core
+# x86-64) a term took 1.2-1.8 us from n = 5 to 25, and the long operations
+# of a row of (3, 10) about 10 ns a digit.  As processes,
+# `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7 digits, held 234 MB
+# to print 57 MB, and `table --n 25 --d 2`, 2.0 x 10^9 digit-terms, took
+# 1.8 s.  MAX_WORK also bounds the m = n+1 sum, terms x digits of its
+# largest term: 3.9 s for (n, d) = (20000, 3); and the check of
+# `degree_curve_closed`, rows x d x digits digit pairs for its sweep (each
+# step's factors have up to d short terms) plus digits^2 for comparing an
+# int with a Decimal: 1.4 s each at (1, 700, 350), 263,676 digits, 0.021 to
+# 0.030 ns a pair, so _CHECK_PAIRS pairs to a digit-term.
 MAX_SWEEP_DIGITS = 2 * 10**7
 MAX_WORK = 5 * 10**9
 _SHORT_TERM_WORK = 3_000
 _ROW_LONG_OPS = 8
-_ONE_SWEEP = "the sweep over m of (n=%s, d=%s)"
+_CHECK_PAIRS = 25
 
 
-def guard_sweep(v: VeroneseVariety) -> None:
-    """Cost guard of every m of `v` at once, by `_sweep_cost`."""
-    _refuse_past(*_sweep_cost(v), _ONE_SWEEP, v.n, v.d)
-
-
-def guard_scan(n_values: range, d_values: range) -> None:
-    """Cost guard of `conjecture_scan(n_values, d_values)`, non-empty ranges.
+def guard_scan(n_values, d_values) -> None:
+    """Cost guard of `conjecture_scan(n_values, d_values)`, or of `table` as a box of one.
 
     The box's cost is the sum of its varieties' `_sweep_cost`, added up in
     the scan's order and refused at the first variety that takes either
     sum past its bound, so a long box stops early.  The first variety is
     the smallest: its range errors come first, and a box refused there is
-    named as its one sweep.
+    named as its one sweep.  An empty box checks nothing.
     """
     digits = work = 0.0
     box = ((n, d) for n in n_values for d in d_values)
@@ -434,7 +416,7 @@ def guard_scan(n_values: range, d_values: range) -> None:
         more_digits, more_work = _sweep_cost(VeroneseVariety(n, d))
         digits, work = digits + more_digits, work + more_work
         if done == 1:
-            _refuse_past(digits, work, _ONE_SWEEP, n, d)
+            _refuse_past(digits, work, "the sweep over m of (n=%s, d=%s)", n, d)
         else:
             _refuse_past(digits, work, "%s sweeps over m, up to (n=%s, d=%s),", done, n, d)
 
@@ -553,8 +535,8 @@ class Method:
     `applies` never forms a huge N.  `guard(v, m)` raises a range error
     or a "too large" ValueError before `compute` forms a big number: by
     default `guard_veronese`, the reference product; the partition sums
-    hold n to `partitions.MAX_PARTITIONS` terms first, and Boole's
-    (n+1)(d-1)^n is bounded by `boole_digits` alone.
+    hold n to `partitions.MAX_PARTITIONS` terms first, `curve_closed` prices
+    its check too, and Boole's (n+1)(d-1)^n is bounded by `boole_digits` alone.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
@@ -577,6 +559,14 @@ def _guard_m_np1(v: VeroneseVariety, m: int) -> None:
     _refuse_past(0.0, (n + 1) * largest, "the m = n+1 sum at (n=%s, d=%s)", n, v.d)
 
 
+def _guard_curve_closed(v: VeroneseVariety, m: int) -> None:
+    """`guard_veronese`, then the check's (min(m-1, d-m) d + digits) digits pairs."""
+    digits = guard_veronese(v, m)
+    steps = min(min(m - 1, v.d - m) * v.d, MAX_WORK * _CHECK_PAIRS)  # keeps d out of floats
+    work = (steps + digits) * digits / _CHECK_PAIRS
+    _refuse_past(0.0, work, "the curve_closed check at (n=%s, d=%s, m=%s)", v.n, v.d, m)
+
+
 def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
     """`guard_veronese`, with the partitions of n held to their count after the range."""
     check_veronese_range(v, m)
@@ -588,7 +578,8 @@ METHODS = {
     "main": Method(lambda v, m: degree_main(v, m), guard=_guard_partition_sum),
     "alternate": Method(lambda v, m: degree_alternate(v, m), guard=_guard_partition_sum),
     "curve_closed": Method(
-        lambda v, m: degree_curve_closed(v.d, m), "n = 1", lambda v, m: v.n == 1
+        lambda v, m: degree_curve_closed(v.d, m), "n = 1", lambda v, m: v.n == 1,
+        _guard_curve_closed,
     ),
     "surface_closed": Method(
         lambda v, m: degree_surface_closed(v.d, m), "n = 2", lambda v, m: v.n == 2
@@ -777,31 +768,24 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     reference product share one Grassmannian degree.  The ratio
     degree / product always lies in [C(N-m,n)/C(N-n,n), C(N-m+n-1,n)/C(N-1,n)]
     (a theorem, enforced); the sharper power bound ((N-m)/(N-n))^n is only
-    conjectural and is reported, never enforced.  `bounds_sweep` gives the
-    same records for every m at once.
+    conjectural and is reported, never enforced.  `conjecture_scan` writes
+    the same cells' rows for every m at once.
     """
-    _check_range(v.n, v.N, m)
-    pluecker = grassmann_degree(GrassmannShape(m - v.n, v.N - v.n))
+    n, N = v.n, v.N
+    _check_range(n, N, m)
+    pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
     ((_, _, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker),))
-    return _bounds_report(v, m, pluecker, degree, num, den)
-
-
-def bounds_sweep(v: VeroneseVariety) -> Iterator[BoundsReport]:
-    """`bounds(v, m)` for m = n..N-1, in order, from one Grassmannian sweep.
-
-    Along m, G(m-n, N-n) keeps N - n fixed, so the Pluecker degrees come
-    from `grassmann_degree_sweep(N - n)`, one short step per m, instead
-    of one `grassmann_degree` per m.  Records are yielded as they are made.
-    """
-    for m, pluecker, degree, num, den, _ in _bounds_rows(v, _sweep_cells(v)):
-        yield _bounds_report(v, m, pluecker, degree, num, den)
+    product = comb(dim_xm(n, N, m), n) * pluecker * ordinary_gauss_degree(v)
+    power = Fraction((N - m) ** n, (N - n) ** n)
+    return BoundsReport(n, v.d, N, m, degree, product, Fraction(num, den), power)
 
 
 def table_rows(v: VeroneseVariety) -> Iterator[dict]:
     """The rows `table` prints, m = n..N-1: m, dim, degree, ratio, within_conjecture.
 
-    `bounds_sweep`'s numbers, written as `BoundsReport` would write them,
-    with no record and no `Fraction` made per row.
+    The numbers of `bounds(v, m)` at every m, from one Grassmannian sweep,
+    written as `conjecture_scan` writes them, with no record and no
+    `Fraction` made per row.
     """
     n, N = v.n, v.N
     for m, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(v)):
@@ -852,25 +836,6 @@ def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
         yield m, pluecker, degree, num, den, num * power_den <= (N - m) ** n * den
 
 
-def _bounds_report(
-    v: VeroneseVariety, m: int, pluecker: int | Decimal, degree: int | Decimal, num: int, den: int
-) -> BoundsReport:
-    """The `BoundsReport` of one `_bounds_rows` row; forms the reference product."""
-    n, N = v.n, v.N
-    with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
-        product = comb(dim_xm(n, N, m), n) * pluecker * ordinary_gauss_degree(v)
-    return BoundsReport(
-        n=n,
-        d=v.d,
-        N=N,
-        m=m,
-        _degree=degree,
-        _product=product,
-        ratio=Fraction(num, den),
-        conjecture_upper=Fraction((N - m) ** n, (N - n) ** n),
-    )
-
-
 def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bool]:
     """Weighted square-sum identity over partitions of n.
 
@@ -889,15 +854,27 @@ def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bo
     return lhs, rhs, lhs == rhs
 
 
-def conjecture_scan(n_values, d_values) -> Iterator[BoundsReport]:
-    """Evaluate the conjectured power bound over a parameter sweep.
+def conjecture_scan(n_values, d_values) -> Iterator[dict]:
+    """The rows `conjecture` prints, for every m of every n in `n_values` and d in `d_values`.
 
-    Yields the `BoundsReport` of every admissible m of every n in `n_values`
-    and d in `d_values`, each as `bounds_sweep` makes it; empty ranges are
-    refused at the call.  A violation is a record with `within_conjecture` false.
+    Each row is `bounds(v, m).to_dict()`, written by `_conjecture_row` from
+    the row kernel over one Grassmannian sweep per variety, with no record
+    made.  Rows are yielded as they are made; empty ranges are refused at
+    the call.  A violation is a row whose "within_conjecture" is false.
     """
     n_values, d_values = tuple(n_values), tuple(d_values)
     if not n_values or not d_values:
         raise ValueError("scan ranges must be non-empty")
     varieties = (VeroneseVariety(n, d) for n in n_values for d in d_values)
-    return chain.from_iterable(map(bounds_sweep, varieties))
+    return chain.from_iterable(map(_conjecture_rows, varieties))
+
+
+def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
+    """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product."""
+    n, d, N = v.n, v.d, v.N
+    first = ordinary_gauss_degree(v)
+    for m, pluecker, degree, num, den, within in _bounds_rows(v, _sweep_cells(v)):
+        with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
+            product = comb(n + (N - m) * (m - n), n) * pluecker * first
+            row = _conjecture_row(n, d, N, m, degree, product, num, den, within)
+        yield row

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -323,17 +322,16 @@ def test_conjecture_scan(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_conjecture_counts_violations(capsys, monkeypatch, fmt):
-    # halving the conjectured bound at m = n+1 makes those cells violate it;
-    # n = 1..2, d = 2..3 has three of them ((1,2) has no m = n+1 below N)
-    true_report = gaussdeg.degrees._bounds_report
+    # the row kernel reporting the cells at m = n+1 outside the conjectured
+    # bound makes them violations; n = 1..2, d = 2..3 has three of them
+    # ((1,2) has no m = n+1 below N)
+    true_rows = gaussdeg.degrees._bounds_rows
 
-    def halved(v, m, *row):
-        b = true_report(v, m, *row)
-        if m != v.n + 1:
-            return b
-        return dataclasses.replace(b, conjecture_upper=b.ratio / 2)
+    def flipped(v, cells):
+        for m, *row, within in true_rows(v, cells):
+            yield m, *row, within and m != v.n + 1
 
-    monkeypatch.setattr(gaussdeg.degrees, "_bounds_report", halved)
+    monkeypatch.setattr(gaussdeg.degrees, "_bounds_rows", flipped)
     code, out, _ = run_cli(
         capsys, "conjecture", "--n", "1..2", "--d", "2..3", "--format", fmt
     )
@@ -1068,7 +1066,7 @@ ADMITTED_SWEEPS = (
 
 def test_sweep_guard_admits_the_benchmark_and_golden_sweeps():
     for n, d in ADMITTED_SWEEPS:
-        gaussdeg.degrees.guard_sweep(VeroneseVariety(n, d))
+        gaussdeg.degrees.guard_scan((n,), (d,))
 
 
 @pytest.mark.parametrize(
@@ -1092,7 +1090,7 @@ def test_sweep_guard_refuses_at_once(capsys, argv, cost):
 def test_conjecture_guard_sums_its_box(capsys):
     # each (1, d) up to d = 126 passes alone, and all of them print too much
     for d in range(2, 127):
-        gaussdeg.degrees.guard_sweep(VeroneseVariety(1, d))
+        gaussdeg.degrees.guard_scan((1,), (d,))
     start = time.process_time()
     code, out, err = run_cli(capsys, "conjecture", "--n", "1", "--d", "2..126")
     assert time.process_time() - start < 1
@@ -1169,7 +1167,7 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
     # variety has more rows, longer numbers and no fewer terms a row
     def refused(n, d):
         try:
-            gaussdeg.degrees.guard_sweep(VeroneseVariety(n, d))
+            gaussdeg.degrees.guard_scan((n,), (d,))
         except ValueError:
             return True
         return False

@@ -1,5 +1,6 @@
 """Degree formulas, cross-checks, bounds, and the conjecture scan."""
 
+import dataclasses
 import sys
 import time
 from contextlib import contextmanager
@@ -16,6 +17,7 @@ import gaussdeg.degrees
 import gaussdeg.schur
 from gaussdeg.degrees import (
     METHODS,
+    BoundsReport,
     DegreeReport,
     NotGenericallyFiniteError,
     TermPlan,
@@ -23,7 +25,6 @@ from gaussdeg.degrees import (
     boole_degree,
     boole_digits,
     bounds,
-    bounds_sweep,
     check_veronese_range,
     conjecture_scan,
     degree_alternate,
@@ -465,13 +466,16 @@ def test_binomial_ratio_product_below_2n():
 def test_conjecture_scan_small():
     rows = tuple(conjecture_scan((1, 2), (2, 3)))
     assert len(rows) == 13
-    assert all(row.within_conjecture for row in rows)
+    assert all(row["within_conjecture"] for row in rows)
     for row in rows:
-        assert row.within_conjecture == (row.ratio <= row.conjecture_upper)
-        assert row.conjecture_value == row.conjecture_upper * row.product
-        assert row.degree == degree_main(VeroneseVariety(row.n, row.d), row.m).deg_xm
-        if row.n == 1:
-            assert row.ratio == row.conjecture_upper
+        ratio, power = Fraction(row["ratio"]), Fraction(row["conjecture_upper"])
+        assert row["within_conjecture"] == (ratio <= power)
+        assert Fraction(row["conjecture_value"]) == power * int(row["product"])
+        v = VeroneseVariety(row["n"], row["d"])
+        assert row["degree"] == str(degree_main(v, row["m"]).deg_xm)
+        assert row == bounds(v, row["m"]).to_dict()
+        if row["n"] == 1:
+            assert ratio == power
 
 
 def test_conjecture_scan_rejects_empty_ranges():
@@ -482,11 +486,11 @@ def test_conjecture_scan_rejects_empty_ranges():
 
 
 def test_conjecture_scan_yields_its_first_record_first():
-    # records are made as they are read: the n = 61 table, past the
+    # rows are made as they are read: the n = 61 table, past the
     # partition-count guard, is not built before (1, 2, 1) is returned
-    record = next(iter(conjecture_scan((1, 61), (2,))))
-    assert (record.n, record.d, record.m) == (1, 2, 1)
-    assert record == bounds(VeroneseVariety(1, 2), 1)
+    row = next(iter(conjecture_scan((1, 61), (2,))))
+    assert (row["n"], row["d"], row["m"]) == (1, 2, 1)
+    assert row == bounds(VeroneseVariety(1, 2), 1).to_dict()
 
 
 def test_degree_report_invariants():
@@ -531,8 +535,10 @@ def test_dimension_invariant_over_sweep():
     ],
 )
 def test_bounds_sweep_is_bounds_at_every_m(n, d):
+    # the sweep's rows are the single cells' records written out
     v = VeroneseVariety(n, d)
-    assert tuple(bounds_sweep(v)) == tuple(bounds(v, m) for m in range(v.n, v.N))
+    rows = tuple(conjecture_scan((n,), (d,)))
+    assert rows == tuple(bounds(v, m).to_dict() for m in range(v.n, v.N))
 
 
 @pytest.mark.parametrize(
@@ -640,6 +646,12 @@ PARTITIONS_61 = "^too large: n = 61 has over 1,000,000 partitions"
             id="boole-power",
         ),
         pytest.param("curve_closed", 1, 4, 2, None, id="curve_closed"),
+        # its check steps 99 rectangles at 16,000 digits; 599 at 860,000 is refused
+        pytest.param("curve_closed", 1, 200, 100, None, id="curve_closed-check"),
+        pytest.param(
+            "curve_closed", 1, 1200, 600, "^too large: the curve_closed check at ",
+            id="curve_closed-check-refused",
+        ),
         pytest.param("surface_closed", 2, 2, 3, None, id="surface_closed"),
         pytest.param("threefold_closed", 3, 2, 4, None, id="threefold_closed"),
         pytest.param("m_eq_n_plus_1", 2, 2, 3, None, id="m_eq_n_plus_1"),
@@ -670,21 +682,30 @@ def no_digit_limit():
 
 
 def test_base10_rows_read_as_exact_ints():
-    # (1, 200) carries its rows in base 10 from m = 6 on; callers still get
-    # ints, the same as the single-cell integer path's, and `to_dict`
-    # writes the same decimal text
+    # (1, 200) carries its rows in base 10 from m = 6 on; the single cell
+    # holds ints, and its `to_dict` writes the sweep's row on both sides
     v = VeroneseVariety(1, 200)
-    rows = list(bounds_sweep(v))
-    assert isinstance(rows[4]._degree, int) and isinstance(rows[5]._degree, Decimal)
-    for m in (2, 6, 21, 100, 199):
+    assert [type(p) for _, p in islice(gaussdeg.degrees._sweep_cells(v), 4, 6)] == [int, Decimal]
+    rows = list(conjecture_scan((1,), (200,)))
+    for m in (2, 5, 6, 21, 100, 199):
         row, cell = rows[m - 1], bounds(v, m)
-        assert type(row.degree) is int and type(row.product) is int
-        assert row.degree == cell.degree == degree_main(v, m).deg_xm
-        assert row.product == cell.product == reference_product(1, 200, m, 2 * 199)
-        assert row == cell
+        assert type(cell.degree) is int and type(cell.product) is int
+        assert cell.degree == degree_main(v, m).deg_xm
+        assert cell.product == reference_product(1, 200, m, 2 * 199)
         with no_digit_limit():
-            assert row.to_dict() == cell.to_dict()
-            assert row.degree_text == str(cell.degree)
+            assert row == cell.to_dict()
+            assert (row["degree"], row["product"]) == (str(cell.degree), str(cell.product))
+
+
+def test_bounds_report_is_a_plain_record():
+    record = bounds(VeroneseVariety(2, 3), 4)
+    assert type(record.degree) is int and type(record.product) is int
+    changed = dataclasses.replace(record, degree=record.degree + 1)
+    assert (changed.degree, changed.product) == (record.degree + 1, record.product)
+    fields = {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
+    assert BoundsReport(**fields) == record
+    assert f"degree={record.degree}, product={record.product}, ratio=Fraction(" in repr(record)
+    assert str(record.conjecture_value) == record.to_dict()["conjecture_value"]
 
 
 def test_curve_closed_multiplies_a_base10_sweep_value_exactly():
@@ -698,29 +719,22 @@ def test_base10_sweep_leaves_and_ignores_the_callers_context():
     # yield would leave it in place while suspended
     v = VeroneseVariety(1, 200)
     with localcontext(Context(prec=5)) as caller:
-        sweep = bounds_sweep(v)
-        record = next(islice(sweep, 99, None))
+        sweep = conjecture_scan((1,), (200,))
+        row = next(islice(sweep, 99, None))
         assert getcontext() is caller and caller.prec == 5
         assert not any(caller.flags.values())
-        assert isinstance(record._degree, Decimal)
         next(sweep)
         assert getcontext() is caller
-    assert record == bounds(v, 100)
+    with no_digit_limit():
+        assert row == bounds(v, 100).to_dict()
 
 
 def test_bounds_ratio_is_the_reduced_degree_over_product():
     # the weighted sum S over L * g is degree / product, reduced, on both
     # sides of the base-10 switch
-    v = VeroneseVariety(3, 7)
-    for record in islice(bounds_sweep(v), 0, None, 9):
-        assert record.ratio == Fraction(record.degree, record.product)
-
-
-def test_bounds_records_convert_their_numbers_once():
-    record = next(islice(bounds_sweep(VeroneseVariety(1, 200)), 99, None))
-    assert isinstance(record._degree, Decimal)
-    assert record.degree is record.degree and record.product is record.product
-    assert type(vars(record)["degree"]) is int
+    with no_digit_limit():
+        for row in islice(conjecture_scan((3,), (7,)), 0, None, 9):
+            assert row["ratio"] == str(Fraction(int(row["degree"]), int(row["product"])))
 
 
 def _reference_degree(table: SegreIntegralTable, m: int) -> int:
@@ -748,11 +762,11 @@ def test_short_weighted_sum_is_the_term_by_term_total(v):
     # every m of every Veronese variety with n <= 6 and N <= 60, through the
     # sweep (Decimal rows past the base-10 switch) and the single cell
     g = ordinary_gauss_degree(v)
-    for record in bounds_sweep(v):
-        m = record.m
+    for row in conjecture_scan((v.n,), (v.d,)):
+        m = row["m"]
         expected = _reference_degree(v.integral_table, m)
-        assert record.degree == expected == degree_main(v, m).deg_xm, m
-        assert record.ratio == Fraction(expected, reference_product(v.n, v.N, m, g)), m
+        assert row["degree"] == str(expected) and expected == degree_main(v, m).deg_xm, m
+        assert row["ratio"] == str(Fraction(expected, reference_product(v.n, v.N, m, g))), m
 
 
 def _golden_tables() -> list[SegreIntegralTable]:
@@ -808,17 +822,22 @@ def test_plan_row_is_the_term_by_term_total(data):
 
 @pytest.mark.parametrize("v", [VeroneseVariety(1, 200), VeroneseVariety(3, 7)], ids=str)
 def test_table_rows_are_the_bounds_records_written_out(v):
-    # `table` writes its rows without records; they are the records' fields
+    # `table` writes the fields of the `conjecture` rows, which are the
+    # single cells' records written out
     rows = list(table_rows(v))
     assert len(rows) == v.N - v.n
-    for row, record in zip(rows, bounds_sweep(v)):
+    for row, scanned in zip(rows, conjecture_scan((v.n,), (v.d,)), strict=True):
         assert row == {
-            "m": record.m,
-            "dim": dim_xm(v.n, v.N, record.m),
-            "degree": record.degree_text,
-            "ratio": str(record.ratio),
-            "within_conjecture": record.within_conjecture,
+            "m": scanned["m"],
+            "dim": dim_xm(v.n, v.N, scanned["m"]),
+            "degree": scanned["degree"],
+            "ratio": scanned["ratio"],
+            "within_conjecture": scanned["within_conjecture"],
         }
+    with no_digit_limit():
+        for row in rows[:: len(rows) // 4]:
+            cell = bounds(v, row["m"])
+            assert (row["degree"], row["ratio"]) == (str(cell.degree), str(cell.ratio))
 
 
 def test_each_term_is_checked_integral_on_its_own():

@@ -56,4 +56,4 @@ def test_readme_python_snippets():
     assert v.N == 5
     assert namespace["degree_main"](v, 3).deg_xm == 21
     assert namespace["bounds"](v, 3).ratio == Fraction(7, 18)
-    assert namespace["tightest"][0].within_conjecture
+    assert namespace["tightest"][0]["within_conjecture"]
