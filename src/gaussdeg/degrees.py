@@ -22,7 +22,8 @@ are written as text (`table_rows`, `conjecture_scan`); `bounds` makes one
 cell's record, of ints.
 """
 
-from collections.abc import Callable, Iterator
+import sys
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
@@ -51,7 +52,7 @@ from .partitions import (
     message,
     pad,
     partition_count,
-    syt_count_canonical,
+    syt_count,
 )
 from .schur import SegreIntegralTable, VeroneseVariety
 
@@ -275,8 +276,9 @@ def degree_main(v: VeroneseVariety, m: int) -> DegreeReport:
 
     This is `degree_generic` over the Veronese integral table, whose entry
     at lam is (d-1)^n / n! times the tableau count of lam times the
-    falling-factorial product of lam.  The variety builds that table once,
-    so a sweep over m pays for it once.
+    falling-factorial product of lam.  The process keeps that table, and
+    its plan, for each (n, d) (`VeroneseVariety.integral_table`), so a
+    sweep over m, or a later call, pays for it once.
     """
     return replace(degree_generic(v.integral_table, m), method="main", d=v.d)
 
@@ -301,7 +303,7 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     for k in range(n + 1):
         inner = sum(
             _syt_count_hook(lam)
-            * syt_count_canonical(add_rectangle(lam, e, N - m))
+            * syt_count(add_rectangle(lam, e, N - m), n - k + e * (N - m))
             * falling_factorial_product(n, lam)
             for lam in enumerate_partitions(n - k, e)
         )
@@ -393,12 +395,21 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
 # `degree_curve_closed`, rows x d x digits digit pairs for its sweep (each
 # step's factors have up to d short terms) plus digits^2 for comparing an
 # int with a Decimal: 1.4 s each at (1, 700, 350), 263,676 digits, 0.021 to
-# 0.030 ns a pair, so _CHECK_PAIRS pairs to a digit-term.
+# 0.030 ns a pair, so _CHECK_PAIRS pairs to a digit-term.  Each step of that
+# sweep first forms its factor's two products of short integers and their
+# gcd, quadratic in their digits: 5.1 s for the 2.1 million digits of the
+# second step at d = 200,000, 1.2 to 1.8 ps a pair from 0.46 to 2.1 million
+# digits, priced at _FACTOR_PAIRS pairs a digit-term (2.7 ps a pair).  A
+# partition sum of one cell prices each of its p(n) terms cold, at
+# _COLD_TERM_WORK: its entry, its tableau count and its plan term took 57 us
+# at n = 30 and 83 us at n = 40.
 MAX_SWEEP_DIGITS = 2 * 10**7
 MAX_WORK = 5 * 10**9
 _SHORT_TERM_WORK = 3_000
 _ROW_LONG_OPS = 8
 _CHECK_PAIRS = 25
+_FACTOR_PAIRS = 300
+_COLD_TERM_WORK = 125_000
 
 
 def guard_scan(n_values, d_values) -> None:
@@ -560,18 +571,69 @@ def _guard_m_np1(v: VeroneseVariety, m: int) -> None:
 
 
 def _guard_curve_closed(v: VeroneseVariety, m: int) -> None:
-    """`guard_veronese`, then the check's (min(m-1, d-m) d + digits) digits pairs."""
+    """`guard_veronese`, then the check's (min(m-1, d-m) d + digits) digits pairs.
+
+    Added to them, the sweep's steps, each its factor's digits squared over
+    _FACTOR_PAIRS (`_sweep_factor_work`).
+    """
     digits = guard_veronese(v, m)
-    steps = min(min(m - 1, v.d - m) * v.d, MAX_WORK * _CHECK_PAIRS)  # keeps d out of floats
-    work = (steps + digits) * digits / _CHECK_PAIRS
+    rows = min(m - 1, v.d - m)
+    steps = min(rows * v.d, MAX_WORK * _CHECK_PAIRS)  # keeps d out of floats
+    work = (steps + digits) * digits / _CHECK_PAIRS + _sweep_factor_work(v.d - 1, rows)
     _refuse_past(0.0, work, "the curve_closed check at (n=%s, d=%s, m=%s)", v.n, v.d, m)
 
 
+def _sweep_factor_work(r: int, rows: int) -> float:
+    """Digit-terms of the factors of `grassmann_degree_sweep(r)`'s first `rows` steps.
+
+    Step k forms perm(kc + s, s) and perm(c - 1, s), c = r - k and s = c - k - 1,
+    and their gcd: their digits squared over _FACTOR_PAIRS.  The step from
+    the empty rectangle, k = 0, forms nothing.  The sum stops once past
+    MAX_WORK.  A sweep that `guard_veronese` passed has c < 2 x 10^6 from
+    k = 1 on, where deg G(2, c), about 0.6c digits, is still within MAX_DIGITS.
+    """
+    work = 0.0
+    for k in range(1, rows):
+        c = r - k
+        cells, steps = k * c, c - k - 1
+        num = lgamma(cells + steps + 1) - lgamma(cells + 1)
+        den = lgamma(c) - lgamma(k + 1)
+        work += ((num + den) / log(10)) ** 2 / _FACTOR_PAIRS
+        if work > MAX_WORK:
+            break
+    return work
+
+
 def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
-    """`guard_veronese`, with the partitions of n held to their count after the range."""
+    """`guard_veronese`, with the partitions of n held to their count after the range.
+
+    Past both, its p(n) terms are priced cold, _COLD_TERM_WORK each, as when
+    the table is first built, and refused past MAX_WORK only where the
+    degree could not be printed anyway: where its proved lower bound has
+    more digits than the interpreter converts to a string.  A degree that
+    can be printed runs: p(60) terms are priced at under two minutes.
+    """
     check_veronese_range(v, m)
     check_partition_terms(v.n)
-    guard_veronese(v, m)
+    digits = guard_veronese(v, m)
+    limit = sys.get_int_max_str_digits()
+    if limit and _lower_digits(v, m, digits) > limit:
+        terms = partition_count(v.n) * _COLD_TERM_WORK
+        template = "the partition sum at (n=%s, d=%s, m=%s), of over %s digits,"
+        _refuse_past(0.0, terms, template, v.n, v.d, m, limit)
+
+
+def _lower_digits(v: VeroneseVariety, m: int, product_digits: float) -> float:
+    """Digits of the degree's proved lower bound, `BoundsReport.lower` times the product.
+
+    `product_digits` estimates the reference product's digits; one digit
+    is taken off for the estimate.  Where N - m < n the bound is 0: -inf.
+    """
+    n, N = v.n, v.N
+    if N - m < n:
+        return -inf
+    ratio = sum(log10(N - m - j) - log10(N - n - j) for j in range(n))
+    return product_digits + ratio - 1
 
 
 METHODS = {
@@ -663,12 +725,12 @@ class TermPlan:
                 rows = enumerate(lam, start=1)
                 indices = tuple([index.setdefault((part - i, part), len(index)) for i, part in rows])
                 terms.append((lam, integral, indices, *_plan_term(lam, n, N)))
-        self.n, self.N, self.pairs = n, N, list(index)
+        self.n, self.N, self.pairs = n, N, tuple(index)
         self.lcd = lcd = lcm(*[den for *_, den in terms])
-        self.terms = [
+        self.terms = tuple(
             (lam, count, den, lcd // den * integral, indices)
             for lam, integral, indices, count, den in terms
-        ]
+        )
 
     def total(self, m: int, coefficient: int, pluecker: int | Decimal) -> int:
         """S at m, unit = coefficient * pluecker; S <= 0 raises NotGenericallyFiniteError.
@@ -711,7 +773,7 @@ def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
     return _syt_count_hook(lam), den
 
 
-def _row_binomials(pairs: list, height: int) -> list[int]:
+def _row_binomials(pairs: Sequence, height: int) -> list[int]:
     """C(height + offset, part) for each (offset, part) of `pairs`, 0 where height + offset < 0.
 
     A pair whose top is negative belongs only to shapes of more than

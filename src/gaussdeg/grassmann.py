@@ -35,7 +35,7 @@ from decimal import (
 )
 from math import gcd, inf, perm
 
-from .partitions import _runs_digits, exact_quotient, message, syt_count_canonical
+from .partitions import _runs_digits, exact_quotient, message, syt_count
 
 # Past this many bits a sweep's running count turns into a Decimal.  Every
 # variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
@@ -74,12 +74,13 @@ def grassmann_dim(shape: GrassmannShape) -> int:
 def grassmann_degree(shape: GrassmannShape) -> int:
     """Degree under the Pluecker embedding: tableaux of the k x c rectangle.
 
-    `partitions.syt_count_canonical` of the orientation with fewer rows,
-    past the hook cache.  It is 1 at once for a point (d = 0 or d = r), a
-    projective space or its dual: a rectangle of at most one row or column.
+    `partitions.syt_count` of the orientation with fewer rows, through the
+    hook cache below `partitions.PRIME_POWER_CELLS` cells.  It is 1 at once
+    for a point (d = 0 or d = r), a projective space or its dual: a
+    rectangle of at most one row or column.
     """
     rows, cols = sorted((shape.d, shape.r - shape.d))
-    return syt_count_canonical((cols,) * rows)
+    return syt_count((cols,) * rows, rows * cols)
 
 
 def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
@@ -133,8 +134,11 @@ def _sweep_factor(k: int, c: int) -> tuple[int, int]:
 
     The ratio is ((k+1)(c-1))!/(kc)! * k!/(c-1)!: with s = c - k - 1 >= 0,
     the first quotient is the s integers up to kc + s and the second the s
-    integers up to c - 1.
+    integers up to c - 1.  From the empty rectangle, k = 0, the ratio is 1:
+    both quotients would be (c-1)!.
     """
+    if not k:
+        return 1, 1
     cells, steps = k * c, c - k - 1
     num, den = perm(cells + steps, steps), perm(c - 1, steps)
     common = gcd(num, den)

@@ -16,8 +16,9 @@ Partition = tuple[int, ...]
 
 DEFAULT_BRUTE_CAP = 12
 MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count past it
-# canonical shapes whose tableau counts `syt_count_hook` keeps; a seeded
-# `small_mixed` benchmark run asks for 857 distinct ones
+# canonical shapes of fewer than PRIME_POWER_CELLS cells whose tableau counts
+# `syt_count` keeps for the life of the process; a seeded `small_mixed`
+# benchmark run asks for 857 distinct ones
 HOOK_CACHE_SIZE = 4096
 # Below this many cells the hooks multiplied block by block and one division
 # beat the prime powers on most shapes measured.  They cross below 600 cells
@@ -210,10 +211,22 @@ def add_rectangle(lam, height: int, width: int) -> Partition:
 def syt_count_hook(lam) -> int:
     """Number of standard Young tableaux of shape `lam`; the empty shape counts 1.
 
-    Validates `lam` on every call, then reads `syt_count_canonical` of the
-    canonical shape from a cache of the HOOK_CACHE_SIZE used most recently.
+    Validates `lam` on every call, then counts the canonical shape by `syt_count`.
     """
-    return _syt_count_hook(canonical(lam))
+    lam = canonical(lam)
+    return syt_count(lam, weight(lam))
+
+
+def syt_count(lam: Partition, cells: int) -> int:
+    """Tableau count of the canonical shape `lam` of `cells` cells, not validated.
+
+    Below PRIME_POWER_CELLS cells the count is read from `_syt_count_hook`,
+    the cache of the HOOK_CACHE_SIZE shapes used most recently, so the cache
+    holds no count past 799!, 1,974 digits.  From there on it is
+    `syt_count_canonical`, formed on every call and never kept.  The caller
+    gives `cells`, for a rectangle rows x columns, so the switch costs O(1).
+    """
+    return (_syt_count_hook if cells < PRIME_POWER_CELLS else syt_count_canonical)(lam)
 
 
 def syt_count_canonical(lam: Partition) -> int:

@@ -9,11 +9,13 @@ collected in tables keyed by partitions, with a JSON interchange format.
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 from .partitions import (
     Partition,
+    _syt_count_hook,
     canonical,
     check_partition_terms,
     enumerate_partitions,
@@ -50,8 +52,15 @@ class VeroneseVariety:
 
     @cached_property
     def integral_table(self) -> "SegreIntegralTable":
-        """`veronese_integral_table` of this variety, built once per instance."""
-        return veronese_integral_table(self)
+        """`veronese_integral_table` of this variety, built once per instance.
+
+        A small table, n <= KEPT_TABLE_N and d < 2^64, is read from
+        `_kept_table`: every variety of the same (n, d) shares it, and its
+        `plan`, while the process keeps it.
+        """
+        if self.n > KEPT_TABLE_N or self.d >> 64:
+            return veronese_integral_table(self)
+        return _kept_table(self.n, self.d)
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,9 @@ class SegreIntegralTable:
 
     `entries` must contain every partition of n (canonical keys, integer
     values), at most `partitions.MAX_PARTITIONS` of them; `N` is the
-    dimension of the ambient projective space.
+    dimension of the ambient projective space.  The table keeps them as a
+    read-only mapping: a table, and the plan made from it, may be shared
+    by every caller in the process (`VeroneseVariety.integral_table`).
     """
 
     n: int
@@ -180,7 +191,7 @@ class SegreIntegralTable:
         if len(cleaned) != expected:
             template = "table is missing %s of the %s partitions of %s"
             raise ValueError(message(template, expected - len(cleaned), expected, self.n))
-        object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "entries", MappingProxyType(cleaned))
 
     @cached_property
     def plan(self):
@@ -266,3 +277,30 @@ def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegr
     value = schur_value or schur_delta_veronese_closed
     entries = {lam: value(v, lam, v.n) for lam in enumerate_partitions(v.n, v.n)}
     return SegreIntegralTable(n=v.n, N=v.N, entries=entries)
+
+
+# Veronese tables, with their plans, kept for the life of the process: the
+# KEPT_TABLES of (n, d) used most recently, each of n <= KEPT_TABLE_N, so at
+# most p(13) = 101 terms, and of d < 2^64, so no entry passes 864 bits, its
+# size at (13, 2^64 - 1): a kept table holds at most about 14 kB of entries.
+# A seeded `small_mixed` benchmark run asks for 29 distinct (n, d); every
+# variety of the benchmark and of the golden file has n <= 6.
+KEPT_TABLE_N = 13
+KEPT_TABLES = 32
+
+
+@lru_cache(maxsize=KEPT_TABLES)
+def _kept_table(n: int, d: int) -> SegreIntegralTable:
+    """`veronese_integral_table` of the variety (n, d), kept (`VeroneseVariety.integral_table`)."""
+    return veronese_integral_table(VeroneseVariety(n, d))
+
+
+def cache_clear() -> None:
+    """Empty both caches the process keeps: the Veronese tables and the small tableau counts.
+
+    A library caller who replaces a formula behind them (the closed form,
+    the tableau kernel, a term of the plan) calls this first, so that no
+    value made before reaches a later call.
+    """
+    _kept_table.cache_clear()
+    _syt_count_hook.cache_clear()

@@ -486,12 +486,14 @@ def _skew_ratio(monkeypatch):
 def _skew_hook(monkeypatch):
     # one-row tableau counts off by 5/7 leave the alternate sum over n!
     # non-integral; the sum counts its partitions through the hook cache
-    # and their shapes plus the rectangle through the uncached kernel
-    for name in ("_syt_count_hook", "syt_count_canonical"):
+    # and their shapes plus the rectangle through `syt_count`, which is
+    # given their cells
+    for name in ("_syt_count_hook", "syt_count"):
         count = getattr(gaussdeg.degrees, name)
 
-        def skewed(lam, _count=count):
-            return _count(lam) * Fraction(5, 7) if len(lam) == 1 else _count(lam)
+        def skewed(lam, *cells, _count=count):
+            value = _count(lam, *cells)
+            return value * Fraction(5, 7) if len(lam) == 1 else value
 
         monkeypatch.setattr(gaussdeg.degrees, name, skewed)
 
@@ -644,8 +646,9 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
     ids=["degree", "table"],
 )
 def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
-    # the Grassmannian rectangle goes to the tableau kernel past the hook
-    # cache; the cache sees only the partitions of n in the weighted sum
+    # the Grassmannian rectangle, of 3,580 cells here, goes to the tableau
+    # kernel past the hook cache, and the sweep steps its rectangles; the
+    # cache sees only the partitions of n in the weighted sum
     weights = []
     original = gaussdeg.partitions._syt_count_hook
 
@@ -657,6 +660,28 @@ def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
         monkeypatch.setattr(module, "_syt_count_hook", counted)
     run_cli(capsys, *argv)
     assert weights and max(weights) <= n
+
+
+def test_hook_cache_keeps_no_count_past_the_prime_power_switch(capsys, monkeypatch):
+    # a two-row shape of 2,000,001 cells and a ladder cell whose 5 x 194
+    # rectangle has 970 cells are counted afresh; only shapes below the
+    # switch reach the cache, and everything it holds came from them
+    reached = []
+    cache = gaussdeg.partitions._syt_count_hook
+
+    def recorded(lam):
+        reached.append(lam)
+        return cache(lam)
+
+    for module in (gaussdeg.partitions, gaussdeg.degrees):
+        monkeypatch.setattr(module, "_syt_count_hook", recorded)
+    code, out, _ = run_cli(capsys, "syt", "--shape", "2000000,1")
+    assert code == 0 and json.loads(out)["hook"] == "2000000"
+    assert reached == [] and cache.cache_info().currsize == 0
+    code, _, _ = run_cli(capsys, "degree", "--n", "1", "--d", "200", "--m", "6")
+    assert code == 0
+    assert reached and max(map(sum, reached)) < gaussdeg.partitions.PRIME_POWER_CELLS
+    assert cache.cache_info().currsize == len(set(reached))
 
 
 @pytest.mark.parametrize("integral", [" 1_0 ", "+7", "\u0666"])
@@ -1197,6 +1222,11 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
         (("--n", "200000", "--d", "2", "--m", "20000299999", "--method", "boole"), "200001"),
         # 19,999! has 77,000 digits: the alternate sum's bound lets it run
         (("--n", "1", "--d", "20000", "--m", "2", "--method", "alternate"), str(19998 * 39998)),
+        # the check's one sweep step, from the empty rectangle, forms no factorial
+        (
+            ("--n", "1", "--d", "400000", "--m", "2", "--method", "curve_closed"),
+            str(399998 * 799998),
+        ),
     ],
 )
 def test_cost_guard_passes_cheap_cells(capsys, argv, degree):

@@ -630,6 +630,7 @@ def test_veronese_range_forms_n_only_when_it_must():
 
 
 PARTITIONS_61 = "^too large: n = 61 has over 1,000,000 partitions"
+COLD_TERMS = "^too large: the partition sum at "
 
 
 @pytest.mark.parametrize(
@@ -638,6 +639,19 @@ PARTITIONS_61 = "^too large: n = 61 has over 1,000,000 partitions"
         # the partition sums hold n to 10^6 partitions; the closed sums need none
         pytest.param("main", 61, 2, 61, PARTITIONS_61, id="main-61"),
         pytest.param("alternate", 61, 2, 61, PARTITIONS_61, id="alternate-61"),
+        # and price their p(n) terms cold: 204,226 at n = 50 (about 20 s of
+        # CPU) for a degree past the output limit are refused, 37,338 at
+        # n = 40 (about 3 s) are not, nor is any degree that can be printed:
+        # 46^45, the 75 digits of (45, 2, 45), from 89,134 terms
+        pytest.param("main", 50, 2, 60, COLD_TERMS, id="main-cold-terms"),
+        pytest.param("alternate", 50, 2, 60, COLD_TERMS, id="alternate-cold-terms"),
+        pytest.param("main", 40, 2, 50, None, id="main-40"),
+        pytest.param("main", 45, 2, 45, None, id="main-45-printable"),
+        pytest.param("alternate", 60, 2, 60, None, id="alternate-60-printable"),
+        # the bound is 0 where N - m < n, whatever the product's 69,945
+        # digits; and a cheap sum past the output limit is left to str()
+        pytest.param("main", 45, 2, 1036, None, id="main-45-lower-bound-zero"),
+        pytest.param("main", 2, 20, 116, None, id="main-cheap-past-output-limit"),
         pytest.param("m_eq_n_plus_1", 61, 2, 62, None, id="m_eq_n_plus_1-61"),
         # Boole's power is its whole cost: n + 1 at d = 2, 3^(10^8) at d = 4
         pytest.param("boole", 200000, 2, 20000299999, None, id="boole-d2"),
@@ -652,6 +666,13 @@ PARTITIONS_61 = "^too large: n = 61 has over 1,000,000 partitions"
             "curve_closed", 1, 1200, 600, "^too large: the curve_closed check at ",
             id="curve_closed-check-refused",
         ),
+        # its second step's factors have 2.1 million digits and take about
+        # 5 s to form and reduce; its first, from the empty rectangle, is free
+        pytest.param(
+            "curve_closed", 1, 200000, 3, "^too large: the curve_closed check at ",
+            id="curve_closed-step-refused",
+        ),
+        pytest.param("curve_closed", 1, 400000, 2, None, id="curve_closed-first-step"),
         pytest.param("surface_closed", 2, 2, 3, None, id="surface_closed"),
         pytest.param("threefold_closed", 3, 2, 4, None, id="threefold_closed"),
         pytest.param("m_eq_n_plus_1", 2, 2, 3, None, id="m_eq_n_plus_1"),
@@ -679,6 +700,29 @@ def no_digit_limit():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_cold_terms_are_refused_only_past_the_output_limit():
+    # with the interpreter's digit limit lifted, (50, 2, 60) can be printed
+    # and so runs; the limit restored, it is refused again
+    method, v = METHODS["main"], VeroneseVariety(50, 2)
+    with no_digit_limit():
+        method.guard(v, 60)
+    with pytest.raises(ValueError, match=COLD_TERMS + r".*, of over 4300 digits, would take"):
+        method.guard(v, 60)
+
+
+def test_lower_digits_bound_the_degree_from_below():
+    # the partition-sum guard reads a degree's digits off its proved lower
+    # bound times the product's estimate, less one digit for the estimate
+    for n, d, m in ((2, 3, 4), (3, 4, 20), (1, 200, 100)):
+        v = VeroneseVariety(n, d)
+        record = bounds(v, m)
+        lower = record.lower * record.product
+        exact = log10(lower.numerator) - log10(lower.denominator)
+        estimate = gaussdeg.degrees._lower_digits(v, m, gaussdeg.degrees.guard_veronese(v, m))
+        assert exact - 1.01 < estimate < exact - 0.99
+        assert estimate < log10(record.degree)
 
 
 def test_base10_rows_read_as_exact_ints():

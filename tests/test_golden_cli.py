@@ -178,6 +178,16 @@ def test_cli_output_matches_golden(group, golden, tmp_path, monkeypatch):
     assert mismatches == []
 
 
+def test_every_command_prints_the_same_bytes_when_run_again(golden, tmp_path, monkeypatch):
+    # the first pass fills the process's Veronese tables and small tableau
+    # counts; the second reads them and must print exactly what it did
+    monkeypatch.delenv("GAUSSDEG_BRUTE_CAP", raising=False)
+    write_tables(tmp_path)
+    commands = [argv for group in golden_commands().values() for argv in group]
+    first, second = ([run_command(argv, tmp_path) for argv in commands] for _ in range(2))
+    assert first == second == [golden[" ".join(argv)] for argv in commands]
+
+
 def test_golden_file_pins_exactly_the_commands():
     keys = {" ".join(argv) for group in golden_commands().values() for argv in group}
     assert keys == set(json.loads(GOLDEN.read_text(encoding="utf-8")))

@@ -1,5 +1,6 @@
 """Segre coefficients, Schur values two ways, and integral tables."""
 
+import dataclasses
 import json
 import os
 import random
@@ -15,8 +16,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gaussdeg.schur
 from gaussdeg.partitions import enumerate_partitions
 from gaussdeg.schur import (
+    KEPT_TABLE_N,
+    KEPT_TABLES,
     SegreIntegralTable,
     SegreSequence,
     VeroneseVariety,
@@ -180,6 +184,44 @@ def test_integral_table_positivity():
         for d in range(2, 5):
             table = veronese_integral_table(VeroneseVariety(n, d))
             assert all(value > 0 for value in table.entries.values())
+
+
+def test_veronese_tables_are_kept_within_their_bound():
+    # every variety of one (n, d) reads one table while it is kept; the
+    # process keeps the KEPT_TABLES used most recently, and never a table
+    # past n = KEPT_TABLE_N or of a d of 64 bits or more
+    kept = gaussdeg.schur._kept_table
+    first = VeroneseVariety(2, 3).integral_table
+    assert VeroneseVariety(2, 3).integral_table is first
+    for d in range(2, KEPT_TABLES + 2):
+        VeroneseVariety(1, d).integral_table
+        assert kept.cache_info().currsize <= KEPT_TABLES
+    assert VeroneseVariety(2, 3).integral_table is not first
+    largest = VeroneseVariety(KEPT_TABLE_N, 2).integral_table
+    assert VeroneseVariety(KEPT_TABLE_N, 2).integral_table is largest
+    for n, d in ((KEPT_TABLE_N + 1, 2), (1, 2**64)):
+        assert VeroneseVariety(n, d).integral_table is not VeroneseVariety(n, d).integral_table
+    assert kept.cache_info().currsize == KEPT_TABLES
+
+
+def test_a_kept_table_cannot_be_changed():
+    # a table may be shared by every caller in the process, and so may its
+    # plan: neither can be written through
+    table = VeroneseVariety(2, 3).integral_table
+    with pytest.raises(TypeError):
+        table.entries[(2,)] = 0
+    with pytest.raises(TypeError):
+        del table.entries[(2,)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.entries = {(2,): 0, (1, 1): 0}
+    plan = table.plan
+    with pytest.raises(TypeError):
+        plan.terms[0] = plan.terms[1]
+    with pytest.raises(TypeError):
+        plan.pairs[0] = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.plan = None
+    assert VeroneseVariety(2, 3).integral_table.entries == {(2,): 12, (1, 1): 24}
 
 
 def test_table_lookup_pads():
