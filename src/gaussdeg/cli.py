@@ -17,8 +17,8 @@ a failure is a failed check, so it exits 1.
 
 `main` may be called any number of times in one process; the parser is
 built on the first call and reused.  A cost guard refuses, with exit 2,
-inputs whose numbers would be too large to compute, before any big-integer
-work starts.
+inputs whose numbers would be too large to compute, or, but for `generic`,
+to print, before any big-integer work starts.
 """
 
 import argparse
@@ -37,6 +37,7 @@ from .degrees import (
     METHODS,
     NotGenericallyFiniteError,
     check_digits,
+    check_printable,
     conjecture_scan,
     degree_generic,
     guard_reference,
@@ -262,7 +263,9 @@ def cmd_syt(args) -> int:
     if cells > MAX_SYT_CELLS:
         limit = f"at most {MAX_SYT_CELLS:,} cells are counted"
         raise ValueError(message(f"too large: {what}; {limit}", cells))
-    check_digits(syt_count_digits(lam, MAX_DIGITS), what, cells)
+    digits = syt_count_digits(lam, MAX_DIGITS)
+    check_digits(digits, what, cells)
+    check_printable(digits - 1, what, cells)
     cap = effective_brute_cap()
     doc: dict = {"shape": list(lam), "weight": cells, "hook": Numeral(syt_count_hook(lam))}
     if cells <= cap:
@@ -279,8 +282,9 @@ def cmd_syt(args) -> int:
 
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.d, args.r)
-    digits = degree_digits(shape, MAX_DIGITS)
-    check_digits(digits, "the Pluecker degree of G(%s, %s)", args.d, args.r)
+    digits, what = degree_digits(shape, MAX_DIGITS), "the Pluecker degree of G(%s, %s)"
+    check_digits(digits, what, args.d, args.r)
+    check_printable(digits - 1, what, args.d, args.r)
     doc = {
         "d": args.d,
         "r": args.r,

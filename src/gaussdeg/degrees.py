@@ -190,6 +190,22 @@ def check_digits(digits: float, template: str, *args) -> None:
         )
 
 
+def check_printable(digits: float, template: str, *args) -> None:
+    """Refuse the number `message(template, *args)` names when `digits` pass the str() limit.
+
+    The interpreter converts an int of at most `sys.get_int_max_str_digits()`
+    digits to a string (4300 unless `PYTHONINTMAXSTRDIGITS` sets it), any
+    int when that limit is 0.  `digits` must be a proved lower bound of the
+    number's log10, so that no number that can be printed is refused.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(
+            f"too large: {message(template, *args)} would have over {limit} digits, more "
+            f"than the interpreter converts to a string (estimated {digits:,.0f} or more)"
+        )
+
+
 _RANGE = "m must satisfy %s <= m <= %s, got %s"
 
 
@@ -379,6 +395,30 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
     return guard_reference(v.n, v.N, m, first)
 
 
+def guard_degree(v: VeroneseVariety, m: int) -> None:
+    """The default `Method.guard`: `guard_veronese`, then the degree must be printable."""
+    _check_degree_printable(v, m, guard_veronese(v, m))
+
+
+def _check_degree_printable(v: VeroneseVariety, m: int, product_digits: float) -> None:
+    """`check_printable` of the degree at (v, m), by its proved lower bound, `_lower_digits`."""
+    digits = _lower_digits(v, m, product_digits)
+    check_printable(digits, "the degree at (n=%s, d=%s, m=%s)", v.n, v.d, m)
+
+
+def _lower_digits(v: VeroneseVariety, m: int, product_digits: float) -> float:
+    """Digits of the degree's proved lower bound, `BoundsReport.lower` times the product.
+
+    `product_digits` estimates the reference product's digits; one digit
+    is taken off for the estimate.  Where N - m < n the bound is 0: -inf.
+    """
+    n, N = v.n, v.N
+    if N - m < n:
+        return -inf
+    ratio = sum(log10(N - m - j) - log10(N - n - j) for j in range(n))
+    return product_digits + ratio - 1
+
+
 # A sweep holds every row before it prints them: `guard_scan` bounds the
 # digits of all its rows, rows x central digits, to MAX_SWEEP_DIGITS, and
 # their work to MAX_WORK digit-terms, about 0.8 ns each: one digit of a long
@@ -399,17 +439,13 @@ def guard_veronese(v: VeroneseVariety, m: int) -> float:
 # sweep first forms its factor's two products of short integers and their
 # gcd, quadratic in their digits: 5.1 s for the 2.1 million digits of the
 # second step at d = 200,000, 1.2 to 1.8 ps a pair from 0.46 to 2.1 million
-# digits, priced at _FACTOR_PAIRS pairs a digit-term (2.7 ps a pair).  A
-# partition sum of one cell prices each of its p(n) terms cold, at
-# _COLD_TERM_WORK: its entry, its tableau count and its plan term took 57 us
-# at n = 30 and 83 us at n = 40.
+# digits, priced at _FACTOR_PAIRS pairs a digit-term (2.7 ps a pair).
 MAX_SWEEP_DIGITS = 2 * 10**7
 MAX_WORK = 5 * 10**9
 _SHORT_TERM_WORK = 3_000
 _ROW_LONG_OPS = 8
 _CHECK_PAIRS = 25
 _FACTOR_PAIRS = 300
-_COLD_TERM_WORK = 125_000
 
 
 def guard_scan(n_values, d_values) -> None:
@@ -545,33 +581,36 @@ class Method:
     (to wrap or replace it) reaches calls made through the registry.
     `applies` never forms a huge N.  `guard(v, m)` raises a range error
     or a "too large" ValueError before `compute` forms a big number: by
-    default `guard_veronese`, the reference product; the partition sums
-    hold n to `partitions.MAX_PARTITIONS` terms first, `curve_closed` prices
-    its check too, and Boole's (n+1)(d-1)^n is bounded by `boole_digits` alone.
+    default `guard_degree`, the reference product and a degree that can be
+    printed; the partition sums hold n to `partitions.MAX_PARTITIONS` terms
+    first, the m = n+1 sum and `curve_closed` price their work before the
+    degree's digits, and Boole's (n+1)(d-1)^n is bounded by `boole_digits`
+    alone.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
-    guard: Callable[[VeroneseVariety, int], None] = guard_veronese
+    guard: Callable[[VeroneseVariety, int], None] = guard_degree
 
 
 def _guard_m_np1(v: VeroneseVariety, m: int) -> None:
-    """`guard_veronese`, then the m = n+1 sum's n + 1 terms x digits of its largest.
+    """`guard_degree`, with the m = n+1 sum's n + 1 terms x digits of its largest first.
 
     Term k, (n+1)^k C(N-1, k) C(n+1, n-k), is at most (n+1)^n 2^(n+1)
     C(N-1, n) once N - 1 >= 2n (every Veronese variety but (1, 2)): the
     reference product at m = n+1 with that first factor.  Each step costs
     O(digits).
     """
-    guard_veronese(v, m)
+    digits = guard_veronese(v, m)
     n = v.n
     largest = reference_digits(n, v.N, m, n * log10(n + 1) + (n + 1) * log10(2))
     _refuse_past(0.0, (n + 1) * largest, "the m = n+1 sum at (n=%s, d=%s)", n, v.d)
+    _check_degree_printable(v, m, digits)
 
 
 def _guard_curve_closed(v: VeroneseVariety, m: int) -> None:
-    """`guard_veronese`, then the check's (min(m-1, d-m) d + digits) digits pairs.
+    """`guard_degree`, with the check's (min(m-1, d-m) d + digits) digits pairs first.
 
     Added to them, the sweep's steps, each its factor's digits squared over
     _FACTOR_PAIRS (`_sweep_factor_work`).
@@ -581,6 +620,7 @@ def _guard_curve_closed(v: VeroneseVariety, m: int) -> None:
     steps = min(rows * v.d, MAX_WORK * _CHECK_PAIRS)  # keeps d out of floats
     work = (steps + digits) * digits / _CHECK_PAIRS + _sweep_factor_work(v.d - 1, rows)
     _refuse_past(0.0, work, "the curve_closed check at (n=%s, d=%s, m=%s)", v.n, v.d, m)
+    _check_degree_printable(v, m, digits)
 
 
 def _sweep_factor_work(r: int, rows: int) -> float:
@@ -605,35 +645,21 @@ def _sweep_factor_work(r: int, rows: int) -> float:
 
 
 def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
-    """`guard_veronese`, with the partitions of n held to their count after the range.
+    """`guard_degree`, with the partitions of n held to their count after the range.
 
-    Past both, its p(n) terms are priced cold, _COLD_TERM_WORK each, as when
-    the table is first built, and refused past MAX_WORK only where the
-    degree could not be printed anyway: where its proved lower bound has
-    more digits than the interpreter converts to a string.  A degree that
-    can be printed runs: p(60) terms are priced at under two minutes.
+    A degree that can be printed is not priced by its terms: at the 57 to
+    83 us a term measured at n = 30 and 40, p(60) terms take under two minutes.
     """
     check_veronese_range(v, m)
     check_partition_terms(v.n)
-    digits = guard_veronese(v, m)
-    limit = sys.get_int_max_str_digits()
-    if limit and _lower_digits(v, m, digits) > limit:
-        terms = partition_count(v.n) * _COLD_TERM_WORK
-        template = "the partition sum at (n=%s, d=%s, m=%s), of over %s digits,"
-        _refuse_past(0.0, terms, template, v.n, v.d, m, limit)
+    guard_degree(v, m)
 
 
-def _lower_digits(v: VeroneseVariety, m: int, product_digits: float) -> float:
-    """Digits of the degree's proved lower bound, `BoundsReport.lower` times the product.
-
-    `product_digits` estimates the reference product's digits; one digit
-    is taken off for the estimate.  Where N - m < n the bound is 0: -inf.
-    """
-    n, N = v.n, v.N
-    if N - m < n:
-        return -inf
-    ratio = sum(log10(N - m - j) - log10(N - n - j) for j in range(n))
-    return product_digits + ratio - 1
+def _guard_boole(v: VeroneseVariety, m: int) -> None:
+    """Boole's degree, its method's whole cost, by `boole_digits`, less one digit to print."""
+    digits, what = boole_digits(v.n, v.d), "Boole's degree at (n=%s, d=%s)"
+    check_digits(digits, what, v.n, v.d)
+    check_printable(digits - 1, what, v.n, v.d)
 
 
 METHODS = {
@@ -657,9 +683,7 @@ METHODS = {
         "m = N - 1",
         # N - 1 >= n, and N = m + 1 has at most one bit more than m
         lambda v, m: v.n <= m and not _n_bits_exceed(v, m.bit_length() + 1) and m == v.N - 1,
-        lambda v, m: check_digits(
-            boole_digits(v.n, v.d), "Boole's degree at (n=%s, d=%s)", v.n, v.d
-        ),
+        _guard_boole,
     ),
 }
 

@@ -642,13 +642,14 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize(
     ("argv", "n"),
-    [(("degree", "--n", "1", "--d", "200", "--m", "180"), 1), (("table", "--n", "2", "--d", "4"), 2)],
+    [(("degree", "--n", "1", "--d", "200", "--m", "12"), 1), (("table", "--n", "2", "--d", "4"), 2)],
     ids=["degree", "table"],
 )
 def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
-    # the Grassmannian rectangle, of 3,580 cells here, goes to the tableau
-    # kernel past the hook cache, and the sweep steps its rectangles; the
-    # cache sees only the partitions of n in the weighted sum
+    # the Grassmannian rectangle, of 2,068 cells here (a degree of 2,047
+    # digits), goes to the tableau kernel past the hook cache, and the
+    # sweep steps its rectangles; the cache sees only the partitions of n
+    # in the weighted sum
     weights = []
     original = gaussdeg.partitions._syt_count_hook
 
@@ -658,8 +659,8 @@ def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
 
     for module in (gaussdeg.partitions, gaussdeg.degrees):
         monkeypatch.setattr(module, "_syt_count_hook", counted)
-    run_cli(capsys, *argv)
-    assert weights and max(weights) <= n
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and weights and max(weights) <= n
 
 
 def test_hook_cache_keeps_no_count_past_the_prime_power_switch(capsys, monkeypatch):
@@ -1026,6 +1027,30 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
             "at most 4,000,000 cells are counted\n",
             id="syt-cells",
         ),
+        # past the interpreter's limit on printing an int, by a lower bound
+        # of the number's digits: 8,146 at (40, 2, 50) (3 s of CPU to
+        # compute), 4,557 at (30, 2, 40) (10 s by alternate), 76,646 for
+        # G(200, 400) and 6,013 for the Catalan number C_10000
+        pytest.param(
+            ("degree", "--n", "40", "--d", "2", "--m", "50"),
+            "error: too large: the degree at (n=40, d=2, m=50) would have over ",
+            id="degree-unprintable",
+        ),
+        pytest.param(
+            ("degree", "--n", "30", "--d", "2", "--m", "40", "--method", "alternate"),
+            "error: too large: the degree at (n=30, d=2, m=40) would have over ",
+            id="alternate-unprintable",
+        ),
+        pytest.param(
+            ("grassmann", "--d", "200", "--r", "400"),
+            "error: too large: the Pluecker degree of G(200, 400) would have over ",
+            id="grassmann-unprintable",
+        ),
+        pytest.param(
+            ("syt", "--shape", "10000,10000"),
+            "error: too large: the tableau count of a shape of 20000 cells would have over ",
+            id="syt-unprintable",
+        ),
     ],
 )
 def test_cost_guard_rejects_runaway_inputs_at_once(tmp_path, argv, message):
@@ -1049,6 +1074,23 @@ def test_syt_refuses_the_staircase_at_once(capsys):
     assert time.process_time() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: too large: the tableau count of a shape of 500500 cells ")
+
+
+def test_syt_prints_a_count_under_the_digit_limit(capsys):
+    # the Catalan number C_3000 has 1,801 digits
+    code, out, _ = run_cli(capsys, "syt", "--shape", "3000,3000")
+    assert code == 0 and json.loads(out)["hook"] == str(math.comb(6000, 3000) // 3001)
+
+
+def test_a_lower_digit_limit_refuses_at_once_as_a_process():
+    # PYTHONINTMAXSTRDIGITS sets the limit the guards read: 2,047 digits
+    # pass the default and are refused under 640
+    argv = ("degree", "--n", "1", "--d", "200", "--m", "12")
+    code, out, err = _run_process(*argv, timeout=30, PYTHONINTMAXSTRDIGITS="640")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: too large: the degree at (n=1, d=200, m=12) would have over 640 ")
+    code, out, _ = _run_process(*argv, timeout=30)
+    assert code == 0 and len(json.loads(out)["degree"]) == 2047
 
 
 def test_syt_counts_a_long_two_row_shape_as_a_process():

@@ -25,6 +25,7 @@ from gaussdeg.degrees import (
     boole_degree,
     boole_digits,
     bounds,
+    check_printable,
     check_veronese_range,
     conjecture_scan,
     degree_alternate,
@@ -630,7 +631,7 @@ def test_veronese_range_forms_n_only_when_it_must():
 
 
 PARTITIONS_61 = "^too large: n = 61 has over 1,000,000 partitions"
-COLD_TERMS = "^too large: the partition sum at "
+UNPRINTABLE = "^too large: the degree at .* would have over 4300 digits, more than the interpreter "
 
 
 @pytest.mark.parametrize(
@@ -639,29 +640,44 @@ COLD_TERMS = "^too large: the partition sum at "
         # the partition sums hold n to 10^6 partitions; the closed sums need none
         pytest.param("main", 61, 2, 61, PARTITIONS_61, id="main-61"),
         pytest.param("alternate", 61, 2, 61, PARTITIONS_61, id="alternate-61"),
-        # and price their p(n) terms cold: 204,226 at n = 50 (about 20 s of
-        # CPU) for a degree past the output limit are refused, 37,338 at
-        # n = 40 (about 3 s) are not, nor is any degree that can be printed:
+        # and refuse, before any term, a degree past the output limit by its
+        # proved lower bound: (50, 2, 60), of 12,739 digits or more (about
+        # 20 s of CPU for 204,226 terms), (40, 2, 50), 8,146 (about 3 s), and
+        # the cheap (2, 20, 116), 21,741; a degree that can be printed runs:
         # 46^45, the 75 digits of (45, 2, 45), from 89,134 terms
-        pytest.param("main", 50, 2, 60, COLD_TERMS, id="main-cold-terms"),
-        pytest.param("alternate", 50, 2, 60, COLD_TERMS, id="alternate-cold-terms"),
-        pytest.param("main", 40, 2, 50, None, id="main-40"),
+        pytest.param("main", 50, 2, 60, UNPRINTABLE, id="main-cold-terms"),
+        pytest.param("alternate", 50, 2, 60, UNPRINTABLE, id="alternate-cold-terms"),
+        pytest.param("main", 40, 2, 50, UNPRINTABLE, id="main-40"),
         pytest.param("main", 45, 2, 45, None, id="main-45-printable"),
         pytest.param("alternate", 60, 2, 60, None, id="alternate-60-printable"),
         # the bound is 0 where N - m < n, whatever the product's 69,945
-        # digits; and a cheap sum past the output limit is left to str()
+        # digits: such a cell is left to str()
         pytest.param("main", 45, 2, 1036, None, id="main-45-lower-bound-zero"),
-        pytest.param("main", 2, 20, 116, None, id="main-cheap-past-output-limit"),
+        pytest.param("main", 2, 20, 116, UNPRINTABLE, id="main-cheap-past-output-limit"),
+        # every method's guard ends in the same check
+        pytest.param("surface_closed", 2, 20, 116, UNPRINTABLE, id="surface_closed-unprintable"),
+        pytest.param("threefold_closed", 3, 10, 144, UNPRINTABLE, id="threefold_closed-unprintable"),
         pytest.param("m_eq_n_plus_1", 61, 2, 62, None, id="m_eq_n_plus_1-61"),
+        # 13,470 digits, from 2,001 terms its work bound admits
+        pytest.param("m_eq_n_plus_1", 2000, 2, 2001, UNPRINTABLE, id="m_eq_n_plus_1-unprintable"),
         # Boole's power is its whole cost: n + 1 at d = 2, 3^(10^8) at d = 4
         pytest.param("boole", 200000, 2, 20000299999, None, id="boole-d2"),
         pytest.param(
             "boole", 10**8, 4, comb(10**8 + 4, 4) - 2, "^too large: Boole's degree at ",
             id="boole-power",
         ),
+        # 20001 x 2^20000 has 6,025 digits
+        pytest.param(
+            "boole", 20000, 3, comb(20003, 3) - 2,
+            r"^too large: Boole's degree at \(n=20000, d=3\) would have over 4300 digits",
+            id="boole-unprintable",
+        ),
         pytest.param("curve_closed", 1, 4, 2, None, id="curve_closed"),
-        # its check steps 99 rectangles at 16,000 digits; 599 at 860,000 is refused
-        pytest.param("curve_closed", 1, 200, 100, None, id="curve_closed-check"),
+        # its check, 99 rectangles at 16,000 digits, passes its work bound
+        # (`test_unprintable_degrees_pass_with_the_limit_lifted`), and then
+        # the degree, 15,975 digits or more, is refused; 599 rectangles at
+        # 860,000 digits are refused by the work bound
+        pytest.param("curve_closed", 1, 200, 100, UNPRINTABLE, id="curve_closed-check"),
         pytest.param(
             "curve_closed", 1, 1200, 600, "^too large: the curve_closed check at ",
             id="curve_closed-check-refused",
@@ -704,16 +720,47 @@ def no_digit_limit():
 
 def test_cold_terms_are_refused_only_past_the_output_limit():
     # with the interpreter's digit limit lifted, (50, 2, 60) can be printed
-    # and so runs; the limit restored, it is refused again
+    # and so runs; the limit restored, it is refused again, before any term
     method, v = METHODS["main"], VeroneseVariety(50, 2)
     with no_digit_limit():
         method.guard(v, 60)
-    with pytest.raises(ValueError, match=COLD_TERMS + r".*, of over 4300 digits, would take"):
+    with pytest.raises(ValueError, match=r"^too large: the degree at \(n=50, d=2, m=60\) "):
         method.guard(v, 60)
 
 
+def test_unprintable_degrees_pass_with_the_limit_lifted():
+    # a limit of 0 refuses nothing; what is left is each method's cost
+    with no_digit_limit():
+        check_printable(inf, "the number %s", 1)
+        for name, n, d, m in (
+            ("main", 2, 20, 116), ("alternate", 50, 2, 60), ("surface_closed", 2, 20, 116),
+            ("threefold_closed", 3, 10, 144), ("m_eq_n_plus_1", 2000, 2, 2001),
+            ("curve_closed", 1, 200, 100), ("boole", 20000, 3, comb(20003, 3) - 2),
+        ):
+            METHODS[name].guard(VeroneseVariety(n, d), m)
+
+
+def test_the_guard_refuses_exactly_the_unprintable_ladder_cells():
+    # the sweep prints every row; its degrees' lengths, read apart from the
+    # guard, decide which of the 907 cells of the five ladder varieties the
+    # guard must refuse: 650, with no printable cell among them
+    long_rows, refused = set(), set()
+    for n, d in ((1, 200), (2, 20), (3, 10), (4, 5), (6, 3)):
+        v = VeroneseVariety(n, d)
+        for row in table_rows(v):
+            m = row["m"]
+            if len(row["degree"]) > 4300:
+                long_rows.add((n, d, m))
+            try:
+                METHODS["main"].guard(v, m)
+            except ValueError as exc:
+                assert str(exc).startswith("too large: the degree at "), exc
+                refused.add((n, d, m))
+    assert len(refused) == 650 and refused == long_rows
+
+
 def test_lower_digits_bound_the_degree_from_below():
-    # the partition-sum guard reads a degree's digits off its proved lower
+    # every degree guard reads a degree's digits off its proved lower
     # bound times the product's estimate, less one digit for the estimate
     for n, d, m in ((2, 3, 4), (3, 4, 20), (1, 200, 100)):
         v = VeroneseVariety(n, d)
