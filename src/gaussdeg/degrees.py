@@ -14,12 +14,12 @@ Everything is exact: integers are unbounded, ratios are
 `fractions.Fraction`, every quotient the theory promises to be an integer
 is a `partitions.exact_quotient`, and every degree is checked positive.
 The tableau-weighted sum is laid out once per table, as a `TermPlan`, and
-every cell and every sweep row reads it: per row, one long remainder, one
-short checked division per term, and the degree formed last, by one long
-division and one long multiplication, each by a short integer.  A sweep's
-long integers are integral Decimals, under `grassmann.EXACT`, and its rows
-are written as text (`table_rows`, `conjecture_scan`); `bounds` makes one
-cell's record, of ints.
+one method, `TermPlan.row`, evaluates it for every cell and every sweep
+row: one long remainder, one short checked division per term, and the
+degree, by one long division and one long multiplication, each by a short
+integer.  A sweep's long integers are integral Decimals, under
+`grassmann.EXACT`, and its rows are written as text (`table_rows`,
+`conjecture_scan`); `bounds` makes one cell's record, of ints.
 """
 
 import sys
@@ -712,16 +712,12 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     where the ratio vanishes when lam has more than e rows.  So the degree
     is the reference product times the table-weighted ratio sum, and the
     rectangle's tableau count is computed once, not once per partition.
-    The table's `TermPlan` adds the sum up in short integers.  A
-    non-positive total is not a degree and raises NotGenericallyFiniteError.
+    `TermPlan.row` adds the sum up in short integers and forms the degree;
+    a non-positive total is not a degree and raises NotGenericallyFiniteError.
     """
     n, N = table.n, table.N
     _check_range(n, N, m)
-    pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
-    plan = table.plan
-    coefficient = comb(dim_xm(n, N, m), n)
-    total = plan.total(m, coefficient, pluecker)
-    degree = plan.degree(m, coefficient, pluecker, total)
+    _, _, degree = table.plan.row(m, grassmann_degree(GrassmannShape(m - n, N - n)))
     return DegreeReport(n=n, N=N, m=m, deg_xm=degree, method="generic")
 
 
@@ -738,7 +734,8 @@ class TermPlan:
     f(lam), den, (L / den) * T[lam], the indices of its rows' offsets in
     `pairs`).  A lam of more than N - n rows has a zero term at every m
     and is left out.  A table builds its plan once, as
-    `SegreIntegralTable.plan`, and every m evaluated on it reads that plan.
+    `SegreIntegralTable.plan`; `row` evaluates it at one m, the one
+    evaluator of the sum for a single cell and for every sweep row.
     """
 
     def __init__(self, table: SegreIntegralTable):
@@ -756,37 +753,31 @@ class TermPlan:
             for lam, integral, indices, count, den in terms
         )
 
-    def total(self, m: int, coefficient: int, pluecker: int | Decimal) -> int:
-        """S at m, unit = coefficient * pluecker; S <= 0 raises NotGenericallyFiniteError.
+    def row(self, m: int, pluecker: int | Decimal) -> tuple[int, int, int | Decimal]:
+        """(C(dim X_m, n), S, degree) at an m in range; `pluecker` is deg G.
 
-        The unit is never formed: `_weighted_sum` needs only unit mod L,
-        (pluecker mod L) * coefficient mod L, one long remainder.  A Decimal
-        `pluecker` needs the caller to have entered `grassmann.EXACT`; the
-        caller has checked the range of m.
+        unit = C(dim X_m, n) * pluecker is never formed: `_weighted_sum`
+        needs unit mod L, one long remainder.  With q = C(dim X_m, n) * S
+        and k = gcd(q, L), the degree is (pluecker / (L / k)) * (q / k): one
+        checked long division and one long multiplication, each by a short
+        integer.  A Decimal `pluecker` is worked under `grassmann.EXACT`,
+        entered here.  S <= 0 raises NotGenericallyFiniteError.
         """
-        lcd = self.lcd
-        total = _weighted_sum(self, m, int(pluecker % lcd) * coefficient % lcd)
+        n, lcd = self.n, self.lcd
+        coefficient = comb(n + (self.N - m) * (m - n), n)
+        with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
+            total = _weighted_sum(self, m, int(pluecker % lcd) * coefficient % lcd)
+            q = coefficient * total
+            common = gcd(q, lcd)
+            what = "the weighted total at m = %s"
+            degree = exact_quotient(pluecker, lcd // common, what, m) * (q // common)
         if total <= 0:
             template = (
                 "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
                 "finite onto its image, or the table is not the Segre data of a variety"
             )
-            degree = self.degree(m, coefficient, pluecker, total)
             raise NotGenericallyFiniteError(message(template, degree, m, m))
-        return total
-
-    def degree(self, m: int, coefficient: int, pluecker: int | Decimal, total: int):
-        """unit * S / L = (pluecker / (L / k)) * (q / k), q = coefficient * S, k = gcd(q, L).
-
-        L / k is prime to q / k, so unit * S / L is an integer exactly when
-        L / k divides `pluecker`: one checked long division by a short
-        integer and one long multiplication by one.  Every term of S was
-        checked, so the division is exact.
-        """
-        q = coefficient * total
-        common = gcd(q, self.lcd)
-        what = "the weighted total at m = %s"
-        return exact_quotient(pluecker, self.lcd // common, what, m) * (q // common)
+        return coefficient, total, degree
 
 
 def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
@@ -860,8 +851,8 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     n, N = v.n, v.N
     _check_range(n, N, m)
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
-    ((_, _, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker),))
-    product = comb(dim_xm(n, N, m), n) * pluecker * ordinary_gauss_degree(v)
+    ((_, _, coefficient, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker),))
+    product = coefficient * pluecker * ordinary_gauss_degree(v)
     power = Fraction((N - m) ** n, (N - n) ** n)
     return BoundsReport(n, v.d, N, m, degree, product, Fraction(num, den), power)
 
@@ -874,7 +865,7 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
     `Fraction` made per row.
     """
     n, N = v.n, v.N
-    for m, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(v)):
+    for m, _, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(n, N)):
         yield {
             "m": m,
             "dim": n + (N - m) * (m - n),
@@ -884,42 +875,38 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
         }
 
 
-def _sweep_cells(v: VeroneseVariety):
+def _sweep_cells(n: int, N: int):
     """(m, deg G(m-n, N-n)) for m = n..N-1, from `grassmann_degree_sweep(N - n)`."""
-    return zip(range(v.n, v.N), grassmann_degree_sweep(v.N - v.n))
+    return zip(range(n, N), grassmann_degree_sweep(N - n))
 
 
 _NO_CONTEXT = nullcontext()
 
 
 def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
-    """(m, pluecker, degree, ratio num, ratio den, within) for each (m, pluecker) of `cells`.
+    """(m, pluecker, coefficient, degree, ratio num, ratio den, within) for each (m, pluecker).
 
-    `pluecker` is deg G(m-n, N-n).  The `TermPlan` of `v.integral_table`
-    serves every cell.  With the plan's degree = unit * S / L, the ratio
-    degree / product is S / (L * g), g the ordinary Gauss degree: reduced
-    by one gcd of short integers, checked against the proved bounds and
-    measured against the power bound, each cross-multiplied, before the
-    degree is formed.  A Decimal row is made under `grassmann.EXACT`,
-    entered around its arithmetic only; an int row enters no context.
+    `pluecker` is deg G(m-n, N-n).  The Veronese layer over `TermPlan.row`
+    of `v.integral_table`'s plan, which gives each cell's C(dim X_m, n), S
+    and degree = unit * S / L.  The ratio degree / product is S / (L * g),
+    g the ordinary Gauss degree: reduced by one gcd of short integers,
+    checked against the proved bounds and measured against the power
+    bound, each cross-multiplied, in short ints and no decimal context.
     """
     n, N = v.n, v.N
     plan = v.integral_table.plan
     scale = plan.lcd * ordinary_gauss_degree(v)
     low_den, up_den, power_den = comb(N - n, n), comb(N - 1, n), (N - n) ** n
     for m, pluecker in cells:
-        with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
-            coefficient = comb(n + (N - m) * (m - n), n)
-            total = plan.total(m, coefficient, pluecker)
-            common = gcd(total, scale)
-            num, den = total // common, scale // common
-            low, up = comb(N - m, n), comb(N - m + n - 1, n)
-            if not (low * den <= num * low_den and num * up_den <= up * den):
-                template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
-                lower, upper = Fraction(low, low_den), Fraction(up, up_den)
-                raise ArithmeticError(message(template, n, v.d, m, lower, num, den, upper))
-            degree = plan.degree(m, coefficient, pluecker, total)
-        yield m, pluecker, degree, num, den, num * power_den <= (N - m) ** n * den
+        coefficient, total, degree = plan.row(m, pluecker)
+        common = gcd(total, scale)
+        num, den = total // common, scale // common
+        low, up = comb(N - m, n), comb(N - m + n - 1, n)
+        if not (low * den <= num * low_den and num * up_den <= up * den):
+            template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
+            lower, upper = Fraction(low, low_den), Fraction(up, up_den)
+            raise ArithmeticError(message(template, n, v.d, m, lower, num, den, upper))
+        yield m, pluecker, coefficient, degree, num, den, num * power_den <= (N - m) ** n * den
 
 
 def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bool]:
@@ -959,8 +946,8 @@ def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
     """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product."""
     n, d, N = v.n, v.d, v.N
     first = ordinary_gauss_degree(v)
-    for m, pluecker, degree, num, den, within in _bounds_rows(v, _sweep_cells(v)):
+    for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, _sweep_cells(n, N)):
         with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
-            product = comb(n + (N - m) * (m - n), n) * pluecker * first
+            product = coefficient * pluecker * first
             row = _conjecture_row(n, d, N, m, degree, product, num, den, within)
         yield row

@@ -38,9 +38,6 @@ from .schur import (
     veronese_segre_sequence,
 )
 
-SUITE_NAMES = ("identity", "syt", "schur", "crossform", "bounds")
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -201,14 +198,18 @@ def _bounds_pair(v: VeroneseVariety, m: int) -> tuple:
     return (b.lower, b.ratio, b.upper), (b.ratio,) * 3
 
 
+# The suites, in the order `verify` runs them; the keys are its --suite choices.
+SUITES = {
+    "identity": run_identity_suite,
+    "syt": run_syt_suite,
+    "schur": run_schur_suite,
+    "crossform": run_crossform_suite,
+    "bounds": run_bounds_suite,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, **kwargs) -> SuiteResult:
-    runners = {
-        "identity": run_identity_suite,
-        "syt": run_syt_suite,
-        "schur": run_schur_suite,
-        "crossform": run_crossform_suite,
-        "bounds": run_bounds_suite,
-    }
-    if name not in runners:
+    if name not in SUITES:
         raise ValueError(message("unknown suite %r; choose from %s", name, SUITE_NAMES))
-    return runners[name](**kwargs)
+    return SUITES[name](**kwargs)

@@ -577,11 +577,12 @@ def test_failed_division_names_its_shape(capsys, monkeypatch, argv, skew, what):
 
 def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
     # at n = 1 the proved bounds meet (lower = ratio = upper), so a weighted
-    # sum one too large breaks the sandwich at every m
+    # sum too large breaks the sandwich at every m; raised by L, the degree
+    # unit * S / L still comes out integral, so the bounds check is what fails
     weighted = gaussdeg.degrees._weighted_sum
 
     def skewed(plan, m, residue):
-        return weighted(plan, m, residue) + 1
+        return weighted(plan, m, residue) + plan.lcd
 
     monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", skewed)
     code, out, err = run_cli(capsys, "table", "--n", "1", "--d", "4")

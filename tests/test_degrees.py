@@ -1,6 +1,7 @@
 """Degree formulas, cross-checks, bounds, and the conjecture scan."""
 
 import dataclasses
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -45,7 +46,7 @@ from gaussdeg.degrees import (
     table_rows,
     verify_identity,
 )
-from gaussdeg.grassmann import EXACT, GrassmannShape, grassmann_degree
+from gaussdeg.grassmann import GrassmannShape, grassmann_degree
 from gaussdeg.partitions import (
     add_rectangle,
     enumerate_partitions,
@@ -776,7 +777,8 @@ def test_base10_rows_read_as_exact_ints():
     # (1, 200) carries its rows in base 10 from m = 6 on; the single cell
     # holds ints, and its `to_dict` writes the sweep's row on both sides
     v = VeroneseVariety(1, 200)
-    assert [type(p) for _, p in islice(gaussdeg.degrees._sweep_cells(v), 4, 6)] == [int, Decimal]
+    cells = gaussdeg.degrees._sweep_cells(v.n, v.N)
+    assert [type(p) for _, p in islice(cells, 4, 6)] == [int, Decimal]
     rows = list(conjecture_scan((1,), (200,)))
     for m in (2, 5, 6, 21, 100, 199):
         row, cell = rows[m - 1], bounds(v, m)
@@ -890,8 +892,8 @@ def test_short_weighted_sum_on_the_golden_generic_tables():
 @given(data=st.data())
 def test_plan_row_is_the_term_by_term_total(data):
     # random tables, N < 2n among them, with zero and negative integrals:
-    # the plan's total and degree, from an int and from a Decimal Pluecker
-    # degree, against one long exact division per term
+    # the plan's row, from an int and from a Decimal Pluecker degree, which
+    # enters its own exact context, against one long exact division per term
     n = data.draw(st.integers(min_value=1, max_value=6), label="n")
     N = data.draw(st.integers(min_value=n + 1, max_value=3 * n + 6), label="N")
     integrals = st.sampled_from((0, -1, 1)) | st.integers(min_value=-(10**30), max_value=10**30)
@@ -904,11 +906,55 @@ def test_plan_row_is_the_term_by_term_total(data):
     if expected <= 0:
         with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {expected} <= 0 "):
             degree_generic(table, m)
+        with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {expected} <= 0 "):
+            plan.row(m, Decimal(pluecker))
         return
     assert degree_generic(table, m).deg_xm == expected
-    with localcontext(EXACT):
-        total = plan.total(m, coefficient, Decimal(pluecker))
-        assert plan.degree(m, coefficient, Decimal(pluecker), total) == expected
+    row = plan.row(m, Decimal(pluecker))
+    assert row[0] == coefficient and row[2] == expected and type(row[2]) is Decimal
+
+
+def _scaled_veronese(n: int, d: int, scale: int) -> SegreIntegralTable:
+    """The Veronese integral table of (n, d), every integral times `scale`."""
+    v = VeroneseVariety(n, d)
+    entries = {lam: scale * integral for lam, integral in v.integral_table.entries.items()}
+    return SegreIntegralTable(n=n, N=v.N, entries=entries)
+
+
+def _random_table(n: int, N: int, seed: int) -> SegreIntegralTable:
+    """A table of integrals from -3 to 3, zero and negative ones among them."""
+    rng = random.Random(seed)
+    entries = {lam: rng.randint(-3, 3) for lam in enumerate_partitions(n, n)}
+    return SegreIntegralTable(n=n, N=N, entries=entries)
+
+
+@pytest.mark.parametrize(
+    ("make", "args"),
+    [
+        *[(_scaled_veronese, args) for args in ((1, 60, 3), (2, 10, 2), (3, 6, 5), (4, 3, 2))],
+        # the first m with no degree: every m, 56, 2, 3, 50, 4, 55, 52
+        *[(_random_table, args) for args in ((1, 55, 1), (2, 57, 9), (2, 57, 26), (3, 12, 10))],
+        *[(_random_table, args) for args in ((3, 57, 3), (4, 20, 9), (4, 57, 12), (4, 57, 21))],
+    ],
+    ids=lambda arg: getattr(arg, "__name__", None) or "-".join(map(str, arg)),
+)
+def test_a_sweep_over_any_table_is_degree_generic_row_by_row(make, args):
+    # the sweep's kernel over tables that are not Veronese: at every m,
+    # `TermPlan.row` of the swept Pluecker degree (an int, or past the
+    # base-10 switch, at N - n >= 52 here, a Decimal) is the single cell's
+    # degree, or both find no degree
+    table = make(*args)
+    kinds = set()
+    for m, pluecker in gaussdeg.degrees._sweep_cells(table.n, table.N):
+        kinds.add(type(pluecker))
+        try:
+            expected = degree_generic(table, m).deg_xm
+        except NotGenericallyFiniteError:
+            with pytest.raises(NotGenericallyFiniteError):
+                table.plan.row(m, pluecker)
+            continue
+        assert table.plan.row(m, pluecker)[2] == expected, m
+    assert kinds == ({int, Decimal} if table.N - table.n >= 52 else {int})
 
 
 @pytest.mark.parametrize("v", [VeroneseVariety(1, 200), VeroneseVariety(3, 7)], ids=str)
@@ -932,11 +978,12 @@ def test_table_rows_are_the_bounds_records_written_out(v):
 
 
 def test_each_term_is_checked_integral_on_its_own():
-    # with a unit of 2 (coefficient 1, Pluecker degree 2) at (n, N, m) =
-    # (2, 5, 3) the term of (2) is 2 * 3/6 = 1 and that of (1, 1) is
-    # 2 * 2/6, not an integer; its integral 0 leaves the total 1, so only
-    # the term's own check finds it
-    plan = TermPlan(SegreIntegralTable(n=2, N=5, entries={(2,): 1, (1, 1): 0}))
-    message = "^tableau count of \\(1, 1\\) plus the 1-wide rectangle of height 2 did not "
+    # with a unit of 45 (C(dim X_m, 2) = C(10, 2), Pluecker degree 1) at
+    # (n, N, m) = (2, 8, 4) the term of (2) is 45 * 10/21, not an integer,
+    # and that of (1, 1) is 45 * 12/30 = 18; the integral 0 of (2) leaves
+    # S = 84 and the degree 45 * 84 / 210 = 18 exact, so only the term's
+    # own check finds it
+    plan = TermPlan(SegreIntegralTable(n=2, N=8, entries={(2,): 0, (1, 1): 1}))
+    message = "^tableau count of \\(2,\\) plus the 2-wide rectangle of height 4 did not "
     with pytest.raises(ArithmeticError, match=message):
-        plan.total(3, 1, 2)
+        plan.row(4, 1)
