@@ -28,6 +28,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice
 from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm, prod
 
@@ -43,7 +44,6 @@ from .partitions import (
     Numeral,
     Partition,
     _syt_count_hook,
-    add_rectangle,
     canonical,
     check_partition_terms,
     enumerate_partitions,
@@ -54,7 +54,7 @@ from .partitions import (
     partition_count,
     syt_count,
 )
-from .schur import SegreIntegralTable, VeroneseVariety
+from .schur import KEPT_TABLE_N, SegreIntegralTable, VeroneseVariety
 
 
 class NotGenericallyFiniteError(Exception):
@@ -304,27 +304,58 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
 
     Independent of `degree_main` and of `reference_product`: the rectangle
     is (N-m) wide and m-n tall, and the sum runs over k = 0..n with
-    partitions of n-k in at most m-n parts (at m = n, only k = n).  Term k
-    has weight 1/(n-k)! = perm(n, k)/n!, so the sum is kept in integers
-    and divided by n! once.  (dim X_m)! bounds the widest shape's tableau
-    count, so past MAX_DIGITS digits of it the cell is refused first.
+    partitions lam of n-k in at most m-n parts (at m = n, only k = n),
+    each weighted by f(lam) times its falling-factorial product and by the
+    tableau count of itself plus the rectangle.  Term k has weight
+    1/(n-k)! = perm(n, k)/n!, so the sum is kept in integers and divided
+    by n! once.  (dim X_m)! bounds the widest shape's tableau count, so
+    past MAX_DIGITS digits of it the cell is refused first.
     """
     n, N = v.n, v.N
     big_m = dim_xm(n, N, m)
     check_partition_terms(n)
-    e = m - n
+    e, width = m - n, N - m
     digits = lgamma(big_m + 1) / log(10) if big_m.bit_length() < 1000 else inf
     check_digits(digits, "(dim X_m)! of the alternate sum at (n=%s, d=%s, m=%s)", n, v.d, m)
     total = 0
-    for k in range(n + 1):
-        inner = sum(
-            _syt_count_hook(lam)
-            * syt_count(add_rectangle(lam, e, N - m), n - k + e * (N - m))
-            * falling_factorial_product(n, lam)
-            for lam in enumerate_partitions(n - k, e)
-        )
+    # the weights depend on n alone: kept for a small n, else built for the
+    # lam of at most e rows
+    weights = _kept_alternate_weights(n) if n <= KEPT_TABLE_N else _alternate_weights(n, e)
+    for k, pairs in enumerate(weights):
+        cells = n - k + e * width
+        inner = 0
+        for lam, weight in pairs:
+            if len(lam) <= e:
+                # lam comes from `enumerate_partitions`: the shifted shape is
+                # canonical as built, and width >= 1 leaves no zero part
+                shape = tuple([part + width for part in lam]) + (width,) * (e - len(lam))
+                inner += weight * syt_count(shape, cells)
         total += (-1) ** (n - k) * (n + 1) ** k * perm(n, k) * comb(big_m, k) * inner
     return _report(n, v.d, N, m, "alternate", (v.d - 1) ** n * total, factorial(n))
+
+
+def _alternate_weights(n: int, rows: int) -> tuple:
+    """For k = 0..n, the pairs (lam, f(lam) * `falling_factorial_product(n, lam)`), lam |- n-k.
+
+    Only the lam of at most `rows` rows are built, on every call.
+    """
+    return tuple(
+        tuple(
+            (lam, _syt_count_hook(lam) * falling_factorial_product(n, lam))
+            for lam in enumerate_partitions(n - k, rows)
+        )
+        for k in range(n + 1)
+    )
+
+
+@cache
+def _kept_alternate_weights(n: int) -> tuple:
+    """`_alternate_weights(n, n)`, every pair, kept for n <= KEPT_TABLE_N.
+
+    At most sum_{j <= 13} p(j) = 373 pairs an n; `schur.cache_clear`
+    empties them.
+    """
+    return _alternate_weights(n, n)
 
 
 def degree_m_np1(v: VeroneseVariety) -> DegreeReport:

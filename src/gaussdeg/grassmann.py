@@ -20,22 +20,10 @@ O(digits), where CPython's `str()` of an int is quadratic and refused past
 """
 
 from dataclasses import dataclass
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    DivisionByZero,
-    Inexact,
-    InvalidOperation,
-    Overflow,
-    Rounded,
-    localcontext,
-)
+from decimal import Decimal, localcontext
 from math import gcd, inf, perm
 
-from .partitions import _runs_digits, exact_quotient, message, syt_count
+from .partitions import EXACT, _runs_digits, exact_quotient, message, syt_count
 
 # Past this many bits a sweep's running count turns into a Decimal.  Every
 # variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
@@ -43,18 +31,6 @@ from .partitions import _runs_digits, exact_quotient, message, syt_count
 # bits (603 digits) the one conversion costs about 16 us (CPython 3.11,
 # shared 2-core x86-64).
 DECIMAL_BITS = 2_000
-# Exact integer arithmetic in base 10: precision and exponents as wide as
-# libmpdec allows, and any rounding raises instead of passing silently, as it
-# would under the default 28-digit context.  It is entered around arithmetic
-# only, never across a `yield`, so the caller's context is left as it was.
-EXACT = Context(
-    prec=MAX_PREC,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
-)
-
-
 @dataclass(frozen=True)
 class GrassmannShape:
     """Grassmannian of rank-`d` quotients of a rank-`r` space."""

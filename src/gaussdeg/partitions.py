@@ -7,6 +7,21 @@ All arithmetic is exact.
 """
 
 from bisect import bisect_right
+from collections import deque
+from collections.abc import Iterator
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from functools import lru_cache
 from itertools import accumulate, compress, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, perm, prod
@@ -32,12 +47,27 @@ PRIME_POWER_CELLS = 800
 # Longest integer an error message prints in decimal: CPython refuses str()
 # past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
 _MESSAGE_BITS = 13_000
+# Least number of decimal digits that no int of _MESSAGE_BITS bits reaches:
+# 10^3914 passes 2^13000, which is about 10^3913.4.
+_MESSAGE_DIGITS = 3_914
 # Longest text of any other argument an error message echoes whole; CPython's
 # own int() message stops at 200 characters.
 _MESSAGE_CHARS = 200
 # Most primes `_balanced_product` hands to one C-level `prod`: from 16 to 64
 # its time fell by a tenth on the ladder's groups, and past 64 barely moved
 _CHUNK = 64
+# Exact integer arithmetic in base 10: precision and exponents as wide as
+# libmpdec allows, and any rounding raises instead of passing silently, as it
+# would under the default 28-digit context.  It is entered around arithmetic
+# only, never across a `yield`, so the caller's context is left as it was.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+# Enough digits for a logarithm that places a bit length to within one
+_ROUGH = Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def canonical(parts) -> Partition:
@@ -68,8 +98,20 @@ def exact_quotient(num: int, den: int, what: str, *args) -> int:
 
 
 def message(template: str, *args) -> str:
-    """`template` %-formatted with `args`: how every error message writes its values."""
-    return template % tuple(_message_int(a) if isinstance(a, int) else _Echo(a) for a in args)
+    """`template` %-formatted with `args`: how every error message writes its values.
+
+    An int, and an integral Decimal as the int of its value, is written by
+    `_message_int`; any other argument is echoed by `_Echo`.
+    """
+    return template % tuple(map(_message_arg, args))
+
+
+def _message_arg(arg):
+    if isinstance(arg, int):
+        return _message_int(arg)
+    if isinstance(arg, Decimal) and arg.is_finite() and arg == arg.to_integral_value():
+        return _message_decimal(arg)
+    return _Echo(arg)
 
 
 def _message_int(value: int) -> str:
@@ -80,6 +122,27 @@ def _message_int(value: int) -> str:
         except ValueError:  # the interpreter's digit limit is set below its default
             pass
     return f"an integer of {value.bit_length():,} bits"
+
+
+def _message_decimal(value: Decimal) -> str:
+    """`_message_int` of the int an integral Decimal holds, without int() of a long one.
+
+    Below 10^_MESSAGE_DIGITS the int is formed and written.  From there on
+    it has more than _MESSAGE_BITS bits, which int() would take quadratic
+    time to show, so only its bit length is written: read off a 20-digit
+    log2 and put right against powers of 2, formed exactly in base 10.
+    """
+    size = value.copy_abs()
+    if size.adjusted() < _MESSAGE_DIGITS:
+        return _message_int(int(value))
+    bits = int(_ROUGH.divide(size.ln(_ROUGH), _ROUGH.ln(2))) + 1
+    with localcontext(EXACT):
+        power = Decimal(2) ** (bits - 1)  # 2^(bits-1) <= size < 2^bits once put right
+        while power > size:
+            power, bits = power / 2, bits - 1
+        while 2 * power <= size:
+            power, bits = 2 * power, bits + 1
+    return f"an integer of {bits:,} bits"
 
 
 class _Echo:
@@ -434,11 +497,10 @@ def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:
     A standard filling of `lam` places 1, 2, ..., |lam| one cell at a
     time, each value at a cell that keeps rows and columns strictly
     increasing, so the cells holding 1..k always form a sub-diagram of
-    `lam`.  The count keeps, for every sub-diagram of k cells, the number
-    of fillings that reach it, and grows the sub-diagrams by one cell per
-    placed value.  It never uses the product formula.  The work is about
-    |lam| times the rows times the sub-diagrams of one size, so `cap`
-    bounds the weight of the shape.
+    `lam`: the count is the last layer of `_young_layers(lam)`.  It never
+    uses the product formula.  The work is about |lam| times the rows
+    times the sub-diagrams of one size, so `cap` bounds the weight of the
+    shape.
     """
     lam = canonical(lam)
     n = weight(lam)
@@ -446,21 +508,35 @@ def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:
         raise ValueError("cap must be >= 1")
     if n > cap:
         raise ValueError(message("|lam| = %s exceeds brute-force cap %s", n, cap))
-    rows = len(lam)
-    # cells filled per row -> number of ways to place 1..k in exactly them
-    layer = {(0,) * rows: 1}
-    for _ in range(n):
-        grown: dict[Partition, int] = {}
-        for filled, ways in layer.items():
-            for i in range(rows):
-                # a new cell at (i, filled[i]) is admissible iff the row still
-                # has room and the cell above it is already occupied
-                if filled[i] < lam[i] and (i == 0 or filled[i - 1] > filled[i]):
-                    key = filled[:i] + (filled[i] + 1,) + filled[i + 1 :]
-                    grown[key] = grown.get(key, 0) + ways
-        layer = grown
     # the only sub-diagram of lam with |lam| cells is lam itself
-    return layer[lam]
+    return deque(_young_layers(lam), maxlen=1)[0][lam]
+
+
+def _young_layers(bound: Partition) -> Iterator[dict[Partition, int]]:
+    """Layer k = 0, 1, ..., |bound| of Young's lattice inside canonical `bound`.
+
+    Layer k maps each canonical sub-diagram mu of `bound` with k cells to
+    the number of paths from the empty shape to mu, one cell a step: the
+    standard fillings of mu.  It is grown from layer k - 1 by adding a
+    cell at the end of a row that has room and is shorter than the row
+    above, or as a new row.  A caller that needs only the first layers
+    stops iterating; the product formula is never used.
+    """
+    rows = len(bound)
+    layer = {(): 1}
+    yield layer
+    for _ in range(weight(bound)):
+        grown: dict[Partition, int] = {}
+        for mu, ways in layer.items():
+            for i, part in enumerate(mu):
+                if part < bound[i] and (i == 0 or mu[i - 1] > part):
+                    key = mu[:i] + (part + 1,) + mu[i + 1 :]
+                    grown[key] = grown.get(key, 0) + ways
+            if len(mu) < rows:
+                key = mu + (1,)
+                grown[key] = grown.get(key, 0) + ways
+        layer = grown
+        yield layer
 
 
 def falling_factorial_product(n: int, lam) -> int:

@@ -296,11 +296,16 @@ def _kept_table(n: int, d: int) -> SegreIntegralTable:
 
 
 def cache_clear() -> None:
-    """Empty both caches the process keeps: the Veronese tables and the small tableau counts.
+    """Empty the caches the process keeps: tables, tableau counts, alternate-sum weights.
 
-    A library caller who replaces a formula behind them (the closed form,
-    the tableau kernel, a term of the plan) calls this first, so that no
-    value made before reaches a later call.
+    They are the Veronese tables, the small tableau counts and the
+    alternate sum's partition weights.  A library caller who replaces a
+    formula behind them (the closed form, the tableau kernel, a term of the
+    plan) calls this first, so that no value made before reaches a later
+    call.
     """
+    from .degrees import _kept_alternate_weights  # degrees imports this module
+
     _kept_table.cache_clear()
     _syt_count_hook.cache_clear()
+    _kept_alternate_weights.cache_clear()

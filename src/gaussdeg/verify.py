@@ -24,10 +24,10 @@ from .degrees import (
 )
 from .partitions import (
     DEFAULT_BRUTE_CAP,
+    _young_layers,
     check_partition_terms,
     enumerate_partitions,
     message,
-    syt_count_bruteforce,
     syt_count_hook,
 )
 from .schur import (
@@ -90,19 +90,21 @@ def run_identity_suite(max_n: int = 6) -> SuiteResult:
 
 
 def run_syt_suite(max_weight: int = 8, cap: int = DEFAULT_BRUTE_CAP) -> SuiteResult:
-    """Hook-formula tableau counts against the brute-force path count."""
+    """Hook-formula tableau counts against the brute-force path count.
+
+    One walk of Young's lattice inside the max_weight x max_weight square,
+    which holds every shape of weight up to max_weight, counts the paths
+    to all of them; each shape's hook count is checked against its entry.
+    """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     if max_weight > cap:
         raise ValueError(message("max_weight %s exceeds the brute-force cap %s", max_weight, cap))
     check = _Checks("syt", "hook={} bruteforce={}")
-    for k in range(max_weight + 1):
+    square = (max_weight,) * max_weight
+    for k, paths in zip(range(max_weight + 1), _young_layers(square)):
         for lam in enumerate_partitions(k, max(k, 1)):
-            check(
-                "syt {}",
-                lam,
-                pair=lambda: (syt_count_hook(lam), syt_count_bruteforce(lam, cap=cap)),
-            )
+            check("syt {}", lam, pair=lambda: (syt_count_hook(lam), paths[lam]))
     return check.result()
 
 

@@ -126,6 +126,35 @@ def test_alternate_agrees_with_main(n, d):
         assert degree_alternate(v, m).deg_xm == degree_main(v, m).deg_xm
 
 
+def test_alternate_agrees_with_main_above_the_kept_weights():
+    # n = 14 > KEPT_TABLE_N: the partition weights are built per call, for
+    # the shapes of at most m - n rows only
+    assert gaussdeg.schur.KEPT_TABLE_N < 14
+    v = VeroneseVariety(14, 2)
+    for m in range(14, 18):
+        assert degree_alternate(v, m).deg_xm == degree_main(v, m).deg_xm
+    assert gaussdeg.degrees._kept_alternate_weights.cache_info().currsize == 0
+
+
+def test_cache_clear_lets_a_patched_hook_reach_the_alternate_sum(monkeypatch):
+    # the weights of n = 3 are kept once made; after cache_clear a replaced
+    # tableau kernel makes them again
+    v = VeroneseVariety(3, 2)
+    want = degree_alternate(v, 5).deg_xm
+    seen = []
+
+    def counted(lam):
+        seen.append(lam)
+        return syt_count_hook(lam)
+
+    monkeypatch.setattr(gaussdeg.degrees, "_syt_count_hook", counted)
+    assert degree_alternate(v, 5).deg_xm == want
+    assert seen == []
+    gaussdeg.schur.cache_clear()
+    assert degree_alternate(v, 5).deg_xm == want
+    assert sorted(seen) == sorted(lam for k in range(4) for lam in enumerate_partitions(k, k))
+
+
 def test_alternate_refuses_its_factorial_past_the_digit_limit():
     # (dim X_m)! bounds the sum's tableau counts: 999,999! has 5.6 million
     # digits, and at d = 10^400 the dimension is past the floats
@@ -912,6 +941,20 @@ def test_plan_row_is_the_term_by_term_total(data):
     assert degree_generic(table, m).deg_xm == expected
     row = plan.row(m, Decimal(pluecker))
     assert row[0] == coefficient and row[2] == expected and type(row[2]) is Decimal
+
+
+def test_a_decimal_row_names_its_total_as_the_int_row_does():
+    # at m = 100 of a (1, 200) table with integral -2 the total has 53,065
+    # bits: both rows name it by its size, not the Decimal by a cut prefix
+    table = SegreIntegralTable(n=1, N=200, entries={(1,): -2})
+    pluecker = grassmann_degree(GrassmannShape(99, 199))
+    messages = []
+    for argument in (pluecker, Decimal(pluecker)):
+        with pytest.raises(NotGenericallyFiniteError) as exc:
+            table.plan.row(100, argument)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("weighted total an integer of 53,065 bits <= 0 at m = 100: ")
 
 
 def _scaled_veronese(n: int, d: int, scale: int) -> SegreIntegralTable:

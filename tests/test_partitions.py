@@ -2,6 +2,7 @@
 
 import re
 import time
+from decimal import Decimal, localcontext
 from itertools import combinations, islice
 from math import comb, factorial, log10
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import gaussdeg.partitions
 from gaussdeg.partitions import (
+    EXACT,
     HOOK_CACHE_SIZE,
     PRIME_POWER_CELLS,
     _bottom_runs,
@@ -19,6 +21,7 @@ from gaussdeg.partitions import (
     _hook_blocks,
     _hook_mults,
     _syt_count_hook,
+    _young_layers,
     add_rectangle,
     canonical,
     check_partition_terms,
@@ -170,6 +173,32 @@ def test_message_names_an_integer_past_13000_bits_by_its_size():
     assert message("%s/%s", 1, 10**5000) == "1/an integer of 16,610 bits"
 
 
+@pytest.mark.parametrize(
+    "value",
+    [0, -7, 10**3913, 10**3914 - 1, 2**13_000 - 1, 2**13_000, -(2**13_001), 10**3914, 3**30_000],
+    ids=lambda value: f"{value.bit_length()}-bits",
+)
+def test_an_integral_decimal_is_written_as_its_int(value):
+    # a sweep's long integers are Decimals; their messages must read as the
+    # int's do, digits below 13,001 bits and the exact size from there on
+    with localcontext(EXACT):
+        decimal = Decimal(value)
+    assert message("total %s", decimal) == message("total %s", value)
+
+
+def test_a_long_integral_decimal_is_sized_without_int():
+    # int() of a 400,000-digit Decimal takes seconds; its size takes less
+    with localcontext(EXACT):
+        decimal = -Decimal(7) ** 473_000
+    start = time.process_time()
+    assert message("%s", decimal) == f"an integer of {(7**473_000).bit_length():,} bits"
+    assert time.process_time() - start < 1
+
+
+def test_any_other_decimal_is_echoed():
+    assert message("%s %s %s", Decimal("1.5"), Decimal("NaN"), Decimal("-5.00")) == "1.5 NaN -5"
+
+
 def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
     check_partition_terms(60)
     check_partition_terms(0)
@@ -250,6 +279,22 @@ def test_bruteforce_equals_hook_on_every_shape_up_to_weight_16():
     for total in range(17):
         for lam in enumerate_partitions(total, max(total, 1)):
             assert syt_count_bruteforce(lam, cap=16) == syt_count_hook(lam), lam
+
+
+def test_the_walk_counts_every_shape_up_to_weight_12():
+    # one walk inside the 12 x 12 square reaches every shape of weight <= 12
+    square = (12,) * 12
+    for k, paths in zip(range(13), _young_layers(square)):
+        shapes = enumerate_partitions(k, max(k, 1))
+        assert sorted(paths) == sorted(shapes)
+        for lam in shapes:
+            assert paths[lam] == syt_count_bruteforce(lam) == syt_count_hook(lam), lam
+
+
+def test_the_walk_stays_inside_its_bound():
+    layers = list(_young_layers((2, 1)))
+    assert layers == [{(): 1}, {(1,): 1}, {(2,): 1, (1, 1): 1}, {(2, 1): 2}]
+    assert list(_young_layers(())) == [{(): 1}]
 
 
 def test_syt_hook_reads_shapes_in_any_form():

@@ -217,13 +217,35 @@ def test_a_check_formats_its_label_only_when_it_fails(monkeypatch):
     def shapes(total, max_parts):
         return [Shape(lam) for lam in gaussdeg.partitions.enumerate_partitions(total, max_parts)]
 
-    brute = gaussdeg.verify.syt_count_bruteforce
-
-    def off_at_21(lam, cap):
-        return brute(lam, cap=cap) + (tuple(lam) == (2, 1))
-
     monkeypatch.setattr(gaussdeg.verify, "enumerate_partitions", shapes)
-    monkeypatch.setattr(gaussdeg.verify, "syt_count_bruteforce", off_at_21)
+    _walk_off_by_one_at(monkeypatch, (2, 1))
     result = run_syt_suite(max_weight=4)
     assert result.failures == ("syt (2, 1): hook=2 bruteforce=3",)
     assert formatted == [(2, 1)]
+
+
+def _walk_off_by_one_at(monkeypatch, shape):
+    """The suite's walk of Young's lattice counts one path too many to `shape`."""
+    walk = gaussdeg.verify._young_layers
+
+    def off_by_one(bound):
+        for layer in walk(bound):
+            if shape in layer:
+                layer = {**layer, shape: layer[shape] + 1}
+            yield layer
+
+    monkeypatch.setattr(gaussdeg.verify, "_young_layers", off_by_one)
+
+
+def test_syt_suite_checks_every_shape_up_to_weight_20():
+    # sum of p(k) for k = 0..20; one walk counts them all
+    result = run_syt_suite(max_weight=20, cap=20)
+    assert (result.passed, result.failed) == (2714, 0)
+
+
+def test_a_fault_in_the_walk_fails_that_shape_only(monkeypatch):
+    _walk_off_by_one_at(monkeypatch, (3, 2, 1))
+    result = run_syt_suite(max_weight=8)
+    assert (result.passed, result.failed) == (DEFAULT_COUNTS["syt"] - 1, 1)
+    assert result.failures == ("syt (3, 2, 1): hook=16 bruteforce=17",)
+
