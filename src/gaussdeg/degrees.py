@@ -43,7 +43,6 @@ from .partitions import (
     _MESSAGE_BITS,
     Numeral,
     Partition,
-    _syt_count_hook,
     canonical,
     check_partition_terms,
     enumerate_partitions,
@@ -322,14 +321,13 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     # lam of at most e rows
     weights = _kept_alternate_weights(n) if n <= KEPT_TABLE_N else _alternate_weights(n, e)
     for k, pairs in enumerate(weights):
-        cells = n - k + e * width
         inner = 0
         for lam, weight in pairs:
             if len(lam) <= e:
                 # lam comes from `enumerate_partitions`: the shifted shape is
                 # canonical as built, and width >= 1 leaves no zero part
                 shape = tuple([part + width for part in lam]) + (width,) * (e - len(lam))
-                inner += weight * syt_count(shape, cells)
+                inner += weight * syt_count(shape)
         total += (-1) ** (n - k) * (n + 1) ** k * perm(n, k) * comb(big_m, k) * inner
     return _report(n, v.d, N, m, "alternate", (v.d - 1) ** n * total, factorial(n))
 
@@ -341,7 +339,7 @@ def _alternate_weights(n: int, rows: int) -> tuple:
     """
     return tuple(
         tuple(
-            (lam, _syt_count_hook(lam) * falling_factorial_product(n, lam))
+            (lam, syt_count(lam) * falling_factorial_product(n, lam))
             for lam in enumerate_partitions(n - k, rows)
         )
         for k in range(n + 1)
@@ -816,7 +814,7 @@ def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
     den = 1
     for i, part in enumerate(lam, start=1):
         den *= comb(N - n + part - i, part)
-    return _syt_count_hook(lam), den
+    return syt_count(lam), den
 
 
 def _row_binomials(pairs: Sequence, height: int) -> list[int]:
@@ -940,7 +938,7 @@ def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
         yield m, pluecker, coefficient, degree, num, den, num * power_den <= (N - m) ** n * den
 
 
-def verify_identity(n: int, tableau_count=_syt_count_hook) -> tuple[int, int, bool]:
+def verify_identity(n: int, tableau_count=syt_count) -> tuple[int, int, bool]:
     """Weighted square-sum identity over partitions of n.
 
     Returns (lhs, rhs, lhs == rhs) where lhs sums f(lam)^2 times the

@@ -50,13 +50,14 @@ def grassmann_dim(shape: GrassmannShape) -> int:
 def grassmann_degree(shape: GrassmannShape) -> int:
     """Degree under the Pluecker embedding: tableaux of the k x c rectangle.
 
-    `partitions.syt_count` of the orientation with fewer rows, through the
-    hook cache below `partitions.PRIME_POWER_CELLS` cells.  It is 1 at once
-    for a point (d = 0 or d = r), a projective space or its dual: a
-    rectangle of at most one row or column.
+    `partitions.syt_count`, the one counting path, of the orientation with
+    fewer rows: kept below `partitions.PRIME_POWER_CELLS` cells and formed
+    as prime powers from there on.  It is 1 at once for a point (d = 0 or
+    d = r), a projective space or its dual: a rectangle of at most one row
+    or column.
     """
     rows, cols = sorted((shape.d, shape.r - shape.d))
-    return syt_count((cols,) * rows, rows * cols)
+    return syt_count((cols,) * rows)
 
 
 def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:

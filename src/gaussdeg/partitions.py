@@ -31,9 +31,10 @@ Partition = tuple[int, ...]
 
 DEFAULT_BRUTE_CAP = 12
 MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count past it
-# canonical shapes of fewer than PRIME_POWER_CELLS cells whose tableau counts
-# `syt_count` keeps for the life of the process; a seeded `small_mixed`
-# benchmark run asks for 857 distinct ones
+# canonical shapes of two rows and two columns or more, and of fewer than
+# PRIME_POWER_CELLS cells, whose tableau counts `syt_count` keeps for the
+# life of the process; a seeded `small_mixed` benchmark run asks for about
+# 870 distinct ones
 HOOK_CACHE_SIZE = 4096
 # Below this many cells the hooks multiplied block by block and one division
 # beat the prime powers on most shapes measured.  They cross below 600 cells
@@ -274,42 +275,33 @@ def add_rectangle(lam, height: int, width: int) -> Partition:
 def syt_count_hook(lam) -> int:
     """Number of standard Young tableaux of shape `lam`; the empty shape counts 1.
 
-    Validates `lam` on every call, then counts the canonical shape by `syt_count`.
+    Validates `lam` on every call, then counts the canonical shape by
+    `syt_count`, the one counting path.
     """
-    lam = canonical(lam)
-    return syt_count(lam, weight(lam))
+    return syt_count(canonical(lam))
 
 
-def syt_count(lam: Partition, cells: int) -> int:
-    """Tableau count of the canonical shape `lam` of `cells` cells, not validated.
-
-    Below PRIME_POWER_CELLS cells the count is read from `_syt_count_hook`,
-    the cache of the HOOK_CACHE_SIZE shapes used most recently, so the cache
-    holds no count past 799!, 1,974 digits.  From there on it is
-    `syt_count_canonical`, formed on every call and never kept.  The caller
-    gives `cells`, for a rectangle rows x columns, so the switch costs O(1).
-    """
-    return (_syt_count_hook if cells < PRIME_POWER_CELLS else syt_count_canonical)(lam)
-
-
-def syt_count_canonical(lam: Partition) -> int:
-    """Tableau count of a canonical shape, neither validated nor cached.
+def syt_count(lam: Partition) -> int:
+    """Tableau count of the canonical shape `lam`, not validated: the one counting path.
 
     The hook length formula (Frame-Robinson-Thrall), f = |lam|! over the
     product of the hooks, read off the blocks of `_hook_blocks`.  One row
-    or one column counts 1 at once.  Below PRIME_POWER_CELLS cells the
-    blocks are multiplied and divided into |lam|! once; from there on the
-    count is a product of prime powers.  A count that is not integral
-    raises ArithmeticError.
+    or one column counts 1 at once.  One switch picks kernel and cache:
+    below PRIME_POWER_CELLS cells the count is `_count_by_division`, read
+    through `_kept_count`, the cache of the HOOK_CACHE_SIZE shapes used most
+    recently, so the cache holds no count past 799!, 1,974 digits.  From
+    there on it is `_count_by_prime_powers`, formed on every call and never
+    kept.  A count that is not integral raises ArithmeticError.
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 1
-    count = _count_by_division if weight(lam) < PRIME_POWER_CELLS else _count_by_prime_powers
-    return count(lam)
+    if weight(lam) < PRIME_POWER_CELLS:
+        return _kept_count(lam)
+    return _count_by_prime_powers(lam)
 
 
 def _count_by_division(lam: Partition) -> int:
-    """`syt_count_canonical` as |lam|! over the product of the hooks, block by block.
+    """`syt_count` as |lam|! over the product of the hooks, block by block.
 
     A block of `_hook_blocks`, k rows by w columns of hooks d + i + j,
     multiplies to prod_{i<s} (d+i+t-1)! / (d+i-1)!, s and t the lesser and
@@ -327,8 +319,11 @@ def _count_by_division(lam: Partition) -> int:
     return exact_quotient(factorial(weight(lam)), hooks, "tableau count for %s", lam)
 
 
+_kept_count = lru_cache(maxsize=HOOK_CACHE_SIZE)(_count_by_division)
+
+
 def _count_by_prime_powers(lam: Partition) -> int:
-    """`syt_count_canonical` of |lam| >= 1 cells as a product of prime powers p^x.
+    """`syt_count` of |lam| >= 1 cells as a product of prime powers p^x.
 
     x is Legendre's exponent of p in |lam|! less that in the hooks, whose
     multiplicities `_hook_mults` gives up to the largest, l_1 = lam_1 + e - 1
@@ -404,9 +399,6 @@ def _hook_blocks(runs):
         yield rows, part + below + 1, columns
         below += rows
         part_below = part
-
-
-_syt_count_hook = lru_cache(maxsize=HOOK_CACHE_SIZE)(syt_count_canonical)
 
 
 def _primes(n: int) -> list[int]:

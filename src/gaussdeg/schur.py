@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 from .partitions import (
     Partition,
-    _syt_count_hook,
+    _kept_count,
     canonical,
     check_partition_terms,
     enumerate_partitions,
@@ -307,5 +307,5 @@ def cache_clear() -> None:
     from .degrees import _kept_alternate_weights  # degrees imports this module
 
     _kept_table.cache_clear()
-    _syt_count_hook.cache_clear()
+    _kept_count.cache_clear()
     _kept_alternate_weights.cache_clear()

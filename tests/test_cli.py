@@ -485,17 +485,15 @@ def _skew_ratio(monkeypatch):
 
 def _skew_hook(monkeypatch):
     # one-row tableau counts off by 5/7 leave the alternate sum over n!
-    # non-integral; the sum counts its partitions through the hook cache
-    # and their shapes plus the rectangle through `syt_count`, which is
-    # given their cells
-    for name in ("_syt_count_hook", "syt_count"):
-        count = getattr(gaussdeg.degrees, name)
+    # non-integral; the sum counts its partitions and their shapes plus the
+    # rectangle through `syt_count`, the one counting path
+    count = gaussdeg.degrees.syt_count
 
-        def skewed(lam, *cells, _count=count):
-            value = _count(lam, *cells)
-            return value * Fraction(5, 7) if len(lam) == 1 else value
+    def skewed(lam):
+        value = count(lam)
+        return value * Fraction(5, 7) if len(lam) == 1 else value
 
-        monkeypatch.setattr(gaussdeg.degrees, name, skewed)
+    monkeypatch.setattr(gaussdeg.degrees, "syt_count", skewed)
 
 
 def _skew_reference(monkeypatch):
@@ -643,44 +641,42 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize(
     ("argv", "n"),
-    [(("degree", "--n", "1", "--d", "200", "--m", "12"), 1), (("table", "--n", "2", "--d", "4"), 2)],
+    [(("degree", "--n", "3", "--d", "10", "--m", "6"), 3), (("table", "--n", "3", "--d", "3"), 3)],
     ids=["degree", "table"],
 )
 def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
-    # the Grassmannian rectangle, of 2,068 cells here (a degree of 2,047
+    # the Grassmannian rectangle, 3 x 279 = 837 cells here (a degree of 402
     # digits), goes to the tableau kernel past the hook cache, and the
     # sweep steps its rectangles; the cache sees only the partitions of n
-    # in the weighted sum
+    # in the weighted sum (of n = 3, only (2, 1) has two rows and columns)
     weights = []
-    original = gaussdeg.partitions._syt_count_hook
+    original = gaussdeg.partitions._kept_count
 
     def counted(lam):
         weights.append(sum(lam))
         return original(lam)
 
-    for module in (gaussdeg.partitions, gaussdeg.degrees):
-        monkeypatch.setattr(module, "_syt_count_hook", counted)
+    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", counted)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and weights and max(weights) <= n
 
 
 def test_hook_cache_keeps_no_count_past_the_prime_power_switch(capsys, monkeypatch):
-    # a two-row shape of 2,000,001 cells and a ladder cell whose 5 x 194
-    # rectangle has 970 cells are counted afresh; only shapes below the
+    # a two-row shape of 2,000,001 cells and a ladder cell whose 3 x 279
+    # rectangle has 837 cells are counted afresh; only shapes below the
     # switch reach the cache, and everything it holds came from them
     reached = []
-    cache = gaussdeg.partitions._syt_count_hook
+    cache = gaussdeg.partitions._kept_count
 
     def recorded(lam):
         reached.append(lam)
         return cache(lam)
 
-    for module in (gaussdeg.partitions, gaussdeg.degrees):
-        monkeypatch.setattr(module, "_syt_count_hook", recorded)
+    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", recorded)
     code, out, _ = run_cli(capsys, "syt", "--shape", "2000000,1")
     assert code == 0 and json.loads(out)["hook"] == "2000000"
     assert reached == [] and cache.cache_info().currsize == 0
-    code, _, _ = run_cli(capsys, "degree", "--n", "1", "--d", "200", "--m", "6")
+    code, _, _ = run_cli(capsys, "degree", "--n", "3", "--d", "10", "--m", "6")
     assert code == 0
     assert reached and max(map(sum, reached)) < gaussdeg.partitions.PRIME_POWER_CELLS
     assert cache.cache_info().currsize == len(set(reached))

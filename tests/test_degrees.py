@@ -137,22 +137,28 @@ def test_alternate_agrees_with_main_above_the_kept_weights():
 
 
 def test_cache_clear_lets_a_patched_hook_reach_the_alternate_sum(monkeypatch):
-    # the weights of n = 3 are kept once made; after cache_clear a replaced
-    # tableau kernel makes them again
-    v = VeroneseVariety(3, 2)
-    want = degree_alternate(v, 5).deg_xm
+    # the weights of n = 4 are kept once made; after cache_clear a replaced
+    # tableau kernel makes them again.  The kernel sees the shapes of two
+    # rows and two columns or more: the shifted shapes, of more than n
+    # cells, on every call, and the weights' partitions once they are remade
+    v = VeroneseVariety(4, 2)
+    want = degree_alternate(v, 6).deg_xm
     seen = []
+    count = gaussdeg.partitions._kept_count
 
     def counted(lam):
         seen.append(lam)
-        return syt_count_hook(lam)
+        return count(lam)
 
-    monkeypatch.setattr(gaussdeg.degrees, "_syt_count_hook", counted)
-    assert degree_alternate(v, 5).deg_xm == want
-    assert seen == []
+    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", counted)
+    assert degree_alternate(v, 6).deg_xm == want
+    shifted = seen[:]
+    assert shifted and min(map(sum, shifted)) > 4
+    seen.clear()
     gaussdeg.schur.cache_clear()
-    assert degree_alternate(v, 5).deg_xm == want
-    assert sorted(seen) == sorted(lam for k in range(4) for lam in enumerate_partitions(k, k))
+    assert degree_alternate(v, 6).deg_xm == want
+    remade = [(2, 1), (3, 1), (2, 2), (2, 1, 1)]  # the partitions of 0..4 past one row or column
+    assert sorted(seen) == sorted(shifted + remade)
 
 
 def test_alternate_refuses_its_factorial_past_the_digit_limit():

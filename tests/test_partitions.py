@@ -20,7 +20,7 @@ from gaussdeg.partitions import (
     _count_by_prime_powers,
     _hook_blocks,
     _hook_mults,
-    _syt_count_hook,
+    _kept_count,
     _young_layers,
     add_rectangle,
     canonical,
@@ -32,7 +32,7 @@ from gaussdeg.partitions import (
     partition_count,
     partition_counts,
     syt_count_bruteforce,
-    syt_count_canonical,
+    syt_count,
     syt_count_digits,
     syt_count_hook,
     weight,
@@ -163,7 +163,7 @@ def test_prime_powers_refuse_a_count_that_is_not_integral(monkeypatch):
     monkeypatch.setattr(gaussdeg.partitions, "_hook_mults", skewed)
     message = f"^tableau count for {re.escape(str(shape))} did not come out integral$"
     with pytest.raises(ArithmeticError, match=message):
-        syt_count_canonical(shape)
+        syt_count(shape)
 
 
 def test_message_names_an_integer_past_13000_bits_by_its_size():
@@ -309,8 +309,28 @@ def test_syt_hook_rejects_an_invalid_shape_on_every_call():
 
 
 def test_syt_hook_cache_is_bounded():
-    maxsize = _syt_count_hook.cache_info().maxsize
+    maxsize = _kept_count.cache_info().maxsize
     assert maxsize is not None and maxsize == HOOK_CACHE_SIZE
+
+
+def test_one_switch_picks_kernel_and_cache(monkeypatch):
+    # 799 cells are divided and kept, 800 are formed as prime powers and
+    # never kept; one row or one column counts 1 before any cache
+    formed = []
+
+    def recorded(lam):
+        formed.append(lam)
+        return _count_by_prime_powers(lam)
+
+    monkeypatch.setattr(gaussdeg.partitions, "_count_by_prime_powers", recorded)
+    assert syt_count((400, 399)) == comb(799, 399) * 2 // 401
+    assert formed == [] and _kept_count.cache_info().currsize == 1
+    assert syt_count((400, 400)) == comb(800, 400) // 401
+    assert formed == [(400, 400)] and _kept_count.cache_info().currsize == 1
+    start = time.process_time()
+    assert syt_count((10**6,)) == syt_count((1,) * 5000) == 1
+    assert time.process_time() - start < 0.1
+    assert formed == [(400, 400)] and _kept_count.cache_info().currsize == 1
 
 
 @given(lam=partitions(), extra=st.integers(min_value=0, max_value=5))
@@ -328,7 +348,7 @@ def test_kernel_branches_agree_on_every_shape_up_to_weight_20():
     # the hooks multiplied block by block against Legendre's exponents over
     # the hook multiplicities, on all 2,713 shapes of weight 1..20 and their
     # transposes; the empty shape is counted at once
-    assert syt_count_canonical(()) == 1
+    assert syt_count(()) == 1
     for total in range(1, 21):
         for lam in enumerate_partitions(total, total):
             for shape in (lam, _transpose(lam)):
@@ -444,8 +464,8 @@ def test_many_rows_of_few_parts_count_by_runs():
     # pairs number 318,003 and 80,200
     start = time.process_time()
     assert syt_count_hook((2,) + (1,) * 20_000) == 20_001
-    assert syt_count_canonical((2,) + (1,) * 797) == 798
-    assert syt_count_canonical((399,) + (1,) * 400) == comb(798, 400)
+    assert syt_count((2,) + (1,) * 797) == 798
+    assert syt_count((399,) + (1,) * 400) == comb(798, 400)
     assert time.process_time() - start < 1
 
 

@@ -116,15 +116,14 @@ BROKEN = "tableau count for (2, 1) did not come out integral"
 @pytest.fixture
 def broken_count(monkeypatch):
     """The cached tableau count raises ArithmeticError on (2, 1), as a broken kernel would."""
-    count = gaussdeg.partitions._syt_count_hook
+    count = gaussdeg.partitions._kept_count
 
     def broken(lam):
         if lam == (2, 1):
             raise ArithmeticError(BROKEN)
         return count(lam)
 
-    for module in (gaussdeg.partitions, gaussdeg.degrees):
-        monkeypatch.setattr(module, "_syt_count_hook", broken)
+    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", broken)
 
 
 def _verify(capsys, suite):
