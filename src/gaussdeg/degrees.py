@@ -391,7 +391,8 @@ def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float =
 
     `first_digits` is log10 of `first`.  log C(n + kc, n) (k = m-n,
     c = N-m) in O(n) steps, plus `first_digits`, plus
-    `grassmann.degree_digits` of G(k, N-n), stopped once past `limit`.
+    `grassmann.degree_digits` of G(k, N-n), the rectangle's one block of
+    hooks in closed form, O(1) at any size.
     """
     _check_range(n, N, m)
     kc = (m - n) * (N - m)

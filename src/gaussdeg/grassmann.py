@@ -65,8 +65,9 @@ def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
 
     `partitions._runs_digits` of the a x b rectangle, a = min(k, c), read
     off its one run (b, a), as `syt_count_digits` but with no cell bound:
-    at most a steps, one per row, stopped once past `limit` digits.  One
-    row or none reads 0, two rows or more whose sizes pass the floats inf.
+    one block of hooks, priced in closed form in O(1) whatever a and b,
+    so `limit` is passed on but stops nothing.  One row or none reads 0,
+    two rows or more whose sizes pass the floats inf.
     """
     a, b = sorted((shape.d, shape.r - shape.d))
     return _runs_digits(((b, a),), limit) if a > 1 else 0.0

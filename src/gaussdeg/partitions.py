@@ -24,7 +24,7 @@ from decimal import (
 )
 from functools import lru_cache
 from itertools import accumulate, compress, groupby, islice, repeat
-from math import factorial, inf, isqrt, lgamma, log, perm, prod
+from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
 from operator import lt
 
 Partition = tuple[int, ...]
@@ -45,6 +45,14 @@ HOOK_CACHE_SIZE = 4096
 # the `ladder_cold` ladder's 892 rectangles that lie between by 3-30% and slow
 # staircases there by up to a quarter.
 PRIME_POWER_CELLS = 800
+# Blocks of hooks with a side of at most this many cells are summed along
+# that side, an lgamma pair a step; any other block is priced by Barnes G
+_DIRECT_SIDE = 16
+# ln G(z) for z <= _LOG_G_TABLE as prefix sums of lgamma, G(z+1) = G(z) Gamma(z)
+# (index 0 unused); from there on ln G is read off its asymptotic expansion
+_LOG_G_TABLE = 40
+_LOG_G = [0.0, 0.0, *accumulate(map(lgamma, range(1, _LOG_G_TABLE)))]
+_HALF_LOG_2PI = log(2 * pi) / 2
 # Longest integer an error message prints in decimal: CPython refuses str()
 # past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
 _MESSAGE_BITS = 13_000
@@ -238,13 +246,16 @@ def partition_counts():
         yield total
 
 
+# The largest n of at most MAX_PARTITIONS partitions: 60
+MAX_PARTITION_N = next(n for n, p in enumerate(partition_counts()) if p > MAX_PARTITIONS) - 1
+
+
 def check_partition_terms(n: int) -> None:
     """Raise ValueError when n has over MAX_PARTITIONS partitions, one term each.
 
-    Stops at n or at the first count past the bound, so any n costs at most p(61).
+    One comparison with MAX_PARTITION_N, so any n, however large, costs O(1).
     """
-    counts = zip(range(n + 1), partition_counts())
-    if any(count > MAX_PARTITIONS for _, count in counts):
+    if n > MAX_PARTITION_N:
         raise ValueError(
             message(f"too large: n = %s has over {MAX_PARTITIONS:,} partitions, one term each", n)
         )
@@ -448,6 +459,8 @@ def syt_count_digits(lam: Partition, limit: float = inf) -> float:
     One row or one column reads 0, any other `_runs_digits` of its runs up
     to 2^40 cells and inf from there, where a long row's log-hooks would
     cancel lgamma(|lam| + 1) only to its rounding ((10^16, 1) would read 0).
+    Each block of hooks costs O(1) and the stop past `limit` is tested
+    once a run, so r runs cost r(r+1)/2 steps however long the rows.
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 0.0
@@ -459,28 +472,78 @@ def syt_count_digits(lam: Partition, limit: float = inf) -> float:
 def _runs_digits(runs, limit: float = inf) -> float:
     """log10 of the tableau count of the shape of `runs`, by `_hook_blocks`, in floats.
 
-    ln f = lgamma(|lam| + 1) less the log-hooks, taken row by row bottom
-    up; a row of a block adds lgamma(d+i+w) - lgamma(d+i).  The rows
+    ln f = lgamma(|lam| + 1) less the log-hooks, priced block by block,
+    run by run bottom up: a block one row or one column wide is one lgamma
+    pair, any other `_block_log_hooks`, O(1) at any size.  The runs
     walked so far form a shape inside `lam` with the same hooks, and a
     smaller shape has no more tableaux, so the partial estimate only rises:
-    the walk stops once past `limit` digits and returns that lower bound.
-    A part past the float range estimates as inf.  Past about 2^44 cells a
-    long row's hooks cancel lgamma(|lam| + 1) only to its rounding.
+    the walk stops once a run takes it past `limit` digits and returns that
+    lower bound.  A part past the float range estimates as inf.  Past
+    about 2^44 cells a long row's hooks cancel lgamma(|lam| + 1) only to
+    its rounding.
     """
     bound, cells, log_hooks, log_f = limit * log(10), 0, 0.0, 0.0
     try:
         for rows, corner, columns in _hook_blocks(runs):
-            blocks = [(corner - ell, width) for ell, width in columns]
-            part = sum(width for _, width in blocks)
-            for i in range(rows):
-                cells += part
-                log_hooks += sum(lgamma(d + i + width) - lgamma(d + i) for d, width in blocks)
-                log_f = lgamma(cells + 1) - log_hooks
-                if log_f > bound:
-                    return log_f / log(10)
+            for ell, width in columns:
+                cells += rows * width
+                d = corner - ell
+                if rows == 1 or width == 1:  # hooks d up to d + rows + width - 2
+                    log_hooks += lgamma(d + rows + width - 1) - lgamma(d)
+                else:
+                    log_hooks += _block_log_hooks(rows, d, width)
+            log_f = lgamma(cells + 1) - log_hooks
+            if log_f > bound:
+                break
     except OverflowError:
         return inf
     return log_f / log(10)
+
+
+def _block_log_hooks(rows: int, d: int, width: int) -> float:
+    """ln of the product of the hooks d + i + j, i < rows, j < width, of one block.
+
+    Row by row it is sum_{i<rows} lgamma(d+i+width) - lgamma(d+i), which
+    telescopes in the Barnes G-function to ln G(d+rows+width) - ln G(d+width)
+    - ln G(d+rows) + ln G(d).  A block with a side of at most _DIRECT_SIDE
+    is summed along that side, the sum being symmetric in rows and width;
+    any other is the difference of two `_log_g_steps` along its shorter
+    side, whose cancellation is no worse than the row walk's.
+    """
+    short, long = (rows, width) if rows < width else (width, rows)
+    if short <= _DIRECT_SIDE:
+        return sum(lgamma(d + i + long) - lgamma(d + i) for i in range(short))
+    return _log_g_steps(d + long, short) - _log_g_steps(d, short)
+
+
+def _log_g_steps(z: int, steps: int) -> float:
+    """ln G(z + steps) - ln G(z) = sum_{i<steps} lgamma(z + i), z >= 1, in O(1).
+
+    Below _LOG_G_TABLE the prefix sums `_LOG_G` hold ln G; from there on,
+    with x = z - 1 and y = x + steps, the asymptotic expansion (DLMF 5.17.5)
+    ln G(x+1) = x^2/2 ln x - 3x^2/4 + x/2 ln 2pi - ln(x)/12 + zeta'(-1)
+    - 1/(240 x^2) + 1/(1008 x^4), whose next term is below 2e-13 from
+    x = 39, is differenced in a form with no large terms that cancel: the
+    x^2 ln x terms as (y^2 - x^2)/2 ln y - x^2/2 ln(x/y); zeta'(-1) cancels.
+    """
+    top = z + steps
+    if top <= _LOG_G_TABLE:
+        return _LOG_G[top] - _LOG_G[z]
+    if z < _LOG_G_TABLE:
+        return _log_g_steps(_LOG_G_TABLE, top - _LOG_G_TABLE) + _LOG_G[_LOG_G_TABLE] - _LOG_G[z]
+    x, y = float(z - 1), float(top - 1)
+    squares = steps * (2 * (z - 1) + steps) / 2  # (y^2 - x^2)/2, formed in integers
+    # ln(x/y): log1p keeps it accurate near 0, where log(x/y) would round x/y to 1
+    ratio = log1p(-steps / y) if 2 * steps < y else log(x / y)
+    inv_x, inv_y = 1 / (x * x), 1 / (y * y)
+    return (
+        squares * (log(y) - 1.5)
+        - x * (x * ratio) / 2
+        + steps * _HALF_LOG_2PI
+        + ratio / 12
+        - (inv_y - inv_x) / 240
+        + (inv_y * inv_y - inv_x * inv_x) / 1008
+    )
 
 
 def syt_count_bruteforce(lam, cap: int = DEFAULT_BRUTE_CAP) -> int:

@@ -1,6 +1,6 @@
 """Grassmannian invariants."""
 
-from math import inf, isqrt, log10
+from math import comb, inf, isqrt, lgamma, log, log10
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +115,53 @@ def test_degree_digits_is_the_estimate_of_the_rectangle():
     # one row is degree 1 however long; two rows past the float range are inf
     assert degree_digits(GrassmannShape(1, 10**4000)) == 0
     assert degree_digits(GrassmannShape(2, 10**4000)) == inf
+
+
+def _ladder_rectangles() -> list[tuple[int, int]]:
+    """(rows, columns) of the smallest, central and largest-a rectangles of the ladder.
+
+    The ladder's varieties (n, d) put deg G(m - n, N - n) in every degree,
+    N = C(n + d, d) - 1, for n <= m < N; k = m - n rows of N - m columns.
+    """
+    rectangles = []
+    for n, d in ((1, 200), (2, 20), (3, 10), (4, 5), (6, 3)):
+        r = comb(n + d, d) - 1 - n
+        rectangles += [(1, r - 1), (2, r - 2), (r // 2, r - r // 2), (r - 2, 2)]
+    return rectangles
+
+
+# both sides just below, at and just above the 16 cells up to which a block
+# is summed along a side
+CUT_RECTANGLES = [(15, 15), (16, 16), (16, 17), (17, 16), (17, 17), (17, 18), (16, 40), (17, 40)]
+RECTANGLES = _ladder_rectangles() + CUT_RECTANGLES
+
+
+@pytest.mark.parametrize("rows, cols", RECTANGLES)
+def test_degree_digits_matches_the_exact_degree(rows, cols):
+    shape = GrassmannShape(rows, rows + cols)
+    exact = log10(grassmann_degree(shape))
+    assert degree_digits(shape) == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+def _row_walk_digits(rows: int, cols: int) -> float:
+    """log10 of the rectangle's tableau count, hook row by hook row, as it was priced.
+
+    Row i from the bottom holds the hooks 1 + i + j, j < cols, and adds
+    lgamma(1 + i + cols) - lgamma(1 + i) to the log-hooks.
+    """
+    log_hooks, log_f = 0.0, 0.0
+    for i in range(rows):
+        log_hooks += lgamma(1 + i + cols) - lgamma(1 + i)
+        log_f = lgamma((i + 1) * cols + 1) - log_hooks
+    return log_f / log(10)
+
+
+@pytest.mark.parametrize("rows, cols", RECTANGLES)
+def test_the_row_walk_agrees_with_the_closed_form(rows, cols):
+    # the reference the per-block closed form replaces, on each rectangle
+    walked = _row_walk_digits(rows, cols)
+    assert degree_digits(GrassmannShape(rows, rows + cols)) == pytest.approx(walked, rel=1e-12)
+    assert syt_count_digits((cols,) * rows) == pytest.approx(walked, rel=1e-12)
 
 
 def test_degree_large_square():

@@ -14,6 +14,8 @@ import gaussdeg.partitions
 from gaussdeg.partitions import (
     EXACT,
     HOOK_CACHE_SIZE,
+    MAX_PARTITION_N,
+    MAX_PARTITIONS,
     PRIME_POWER_CELLS,
     _bottom_runs,
     _count_by_division,
@@ -216,6 +218,23 @@ def test_check_partition_terms_stops_at_the_first_count_past_the_bound():
     with pytest.raises(ValueError, match="^too large: n = an integer of 16,610 bits has over"):
         check_partition_terms(10**5000)
     assert time.process_time() - start < 1
+
+
+def test_check_partition_terms_compares_with_one_constant(monkeypatch):
+    # 60 is the largest n of at most 10^6 partitions, found once at import
+    assert MAX_PARTITION_N == 60
+    assert partition_count(60) <= MAX_PARTITIONS < partition_count(61)
+
+    def recount():
+        raise AssertionError("the counts are walked again")
+
+    monkeypatch.setattr(gaussdeg.partitions, "partition_counts", recount)
+    check_partition_terms(60)
+    start = time.process_time()
+    for n in (61, 10**100):
+        with pytest.raises(ValueError, match="^too large: n = [0-9]+ has over 1,000,000 partitions"):
+            check_partition_terms(n)
+    assert time.process_time() - start < 0.1
 
 
 def test_add_rectangle():
