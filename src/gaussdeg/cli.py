@@ -282,7 +282,7 @@ def cmd_syt(args) -> int:
 
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.d, args.r)
-    digits, what = degree_digits(shape, MAX_DIGITS), "the Pluecker degree of G(%s, %s)"
+    digits, what = degree_digits(shape), "the Pluecker degree of G(%s, %s)"
     check_digits(digits, what, args.d, args.r)
     check_printable(digits - 1, what, args.d, args.r)
     doc = {

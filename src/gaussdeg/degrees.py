@@ -18,24 +18,23 @@ one method, `TermPlan.row`, evaluates it for every cell and every sweep
 row: one long remainder, one short checked division per term, and the
 degree, by one long division and one long multiplication, each by a short
 integer.  A sweep's long integers are integral Decimals, under
-`grassmann.EXACT`, and its rows are written as text (`table_rows`,
+`grassmann.exact_context`, and its rows are written as text (`table_rows`,
 `conjecture_scan`); `bounds` makes one cell's record, of ints.
 """
 
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
 from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm, prod
 
 from .grassmann import (
-    EXACT,
     GrassmannShape,
     degree_digits,
+    exact_context,
     grassmann_degree,
     grassmann_degree_sweep,
 )
@@ -153,7 +152,8 @@ def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
 
     The power bound a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
     reduced by gcd(product, b) alone, are written with no `Fraction`.  An integral
-    Decimal `degree` or `product` needs the caller to have entered `grassmann.EXACT`.
+    Decimal `degree` or `product` needs `grassmann.EXACT`, which `_conjecture_rows`,
+    its caller with Decimals, enters by `grassmann.exact_context`.
     """
     common = gcd(N - m, N - n)
     a, b = ((N - m) // common) ** n, ((N - n) // common) ** n
@@ -386,7 +386,7 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     return comb(dim_xm(n, N, m), n) * pluecker * first
 
 
-def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float = inf) -> float:
+def reference_digits(n: int, N: int, m: int, first_digits: float) -> float:
     """Estimated decimal digits of `reference_product(n, N, m, first)`, in floats.
 
     `first_digits` is log10 of `first`.  log C(n + kc, n) (k = m-n,
@@ -400,7 +400,7 @@ def reference_digits(n: int, N: int, m: int, first_digits: float, limit: float =
     # float reads kc + j as kc, so a long kc is not added to n times
     big = kc >> 64 > 0
     base = sum(log10(kc if big else kc + j) - log10(j) for j in range(1, n + 1)) + first_digits
-    return base + degree_digits(GrassmannShape(m - n, N - n), limit - base)
+    return base + degree_digits(GrassmannShape(m - n, N - n))
 
 
 def guard_reference(n: int, N: int, m: int, first_digits: float) -> float:
@@ -408,7 +408,7 @@ def guard_reference(n: int, N: int, m: int, first_digits: float) -> float:
 
     Returns the product's estimated digits.
     """
-    digits = reference_digits(n, N, m, first_digits, MAX_DIGITS)
+    digits = reference_digits(n, N, m, first_digits)
     check_digits(digits, "the reference product at (n=%s, N=%s, m=%s)", n, N, m)
     return digits
 
@@ -548,7 +548,7 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
     report = degree_general_curve(d, d, 0, m)
     rows = min(m - 1, d - m)
     pluecker = next(islice(grassmann_degree_sweep(d - 1), rows, None))
-    with localcontext(EXACT):  # the sweep's count may be a Decimal
+    with exact_context(pluecker):  # the sweep's count may be a Decimal
         expected = 2 * (d - m) * (1 + rows * (d - 1 - rows)) * pluecker
     if report.deg_xm != expected:
         raise ArithmeticError("dual Grassmannian degrees disagree")
@@ -787,26 +787,28 @@ class TermPlan:
         """(C(dim X_m, n), S, degree) at an m in range; `pluecker` is deg G.
 
         unit = C(dim X_m, n) * pluecker is never formed: `_weighted_sum`
-        needs unit mod L, one long remainder.  With q = C(dim X_m, n) * S
-        and k = gcd(q, L), the degree is (pluecker / (L / k)) * (q / k): one
-        checked long division and one long multiplication, each by a short
-        integer.  A Decimal `pluecker` is worked under `grassmann.EXACT`,
-        entered here.  S <= 0 raises NotGenericallyFiniteError.
+        needs unit mod L, one long remainder.  The sign of S decides
+        whether a degree exists: S <= 0 raises NotGenericallyFiniteError,
+        naming S, an int, before the degree is formed.  Otherwise, with
+        q = C(dim X_m, n) * S and k = gcd(q, L), the degree is
+        (pluecker / (L / k)) * (q / k): one checked long division and one
+        long multiplication, each by a short integer, under
+        `grassmann.exact_context(pluecker)`, entered here.
         """
         n, lcd = self.n, self.lcd
         coefficient = comb(n + (self.N - m) * (m - n), n)
-        with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
+        with exact_context(pluecker):
             total = _weighted_sum(self, m, int(pluecker % lcd) * coefficient % lcd)
+            if total <= 0:
+                template = (
+                    "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
+                    "finite onto its image, or the table is not the Segre data of a variety"
+                )
+                raise NotGenericallyFiniteError(message(template, total, m, m))
             q = coefficient * total
             common = gcd(q, lcd)
             what = "the weighted total at m = %s"
             degree = exact_quotient(pluecker, lcd // common, what, m) * (q // common)
-        if total <= 0:
-            template = (
-                "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
-                "finite onto its image, or the table is not the Segre data of a variety"
-            )
-            raise NotGenericallyFiniteError(message(template, degree, m, m))
         return coefficient, total, degree
 
 
@@ -910,9 +912,6 @@ def _sweep_cells(n: int, N: int):
     return zip(range(n, N), grassmann_degree_sweep(N - n))
 
 
-_NO_CONTEXT = nullcontext()
-
-
 def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
     """(m, pluecker, coefficient, degree, ratio num, ratio den, within) for each (m, pluecker).
 
@@ -977,7 +976,7 @@ def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
     n, d, N = v.n, v.d, v.N
     first = ordinary_gauss_degree(v)
     for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, _sweep_cells(n, N)):
-        with _NO_CONTEXT if type(pluecker) is int else localcontext(EXACT):
+        with exact_context(pluecker):
             product = coefficient * pluecker * first
             row = _conjecture_row(n, d, N, m, degree, product, num, den, within)
         yield row

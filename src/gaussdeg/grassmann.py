@@ -16,14 +16,29 @@ Past `DECIMAL_BITS` the sweep carries its count in base 10, as an integral
 `decimal.Decimal` under `EXACT`: multiplying and exactly dividing by short
 integers costs O(digits) in either base, and only base 10 prints in
 O(digits), where CPython's `str()` of an int is quadratic and refused past
-4,300 digits.
+4,300 digits.  This module is the one that knows the choice: it defines
+`EXACT`, and `exact_context(count)` is the context that arithmetic on a
+swept count enters, `EXACT` for a Decimal and none for an int.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from math import gcd, inf, perm
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
+from math import gcd, perm
 
-from .partitions import EXACT, _runs_digits, exact_quotient, message, syt_count
+from .partitions import _runs_digits, exact_quotient, message, syt_count
 
 # Past this many bits a sweep's running count turns into a Decimal.  Every
 # variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
@@ -31,6 +46,28 @@ from .partitions import EXACT, _runs_digits, exact_quotient, message, syt_count
 # bits (603 digits) the one conversion costs about 16 us (CPython 3.11,
 # shared 2-core x86-64).
 DECIMAL_BITS = 2_000
+# Exact integer arithmetic in base 10: precision and exponents as wide as
+# libmpdec allows, and any rounding raises instead of passing silently, as it
+# would under the default 28-digit context.  It is entered around arithmetic
+# only, never across a `yield`, so the caller's context is left as it was.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+_NO_CONTEXT = nullcontext()
+
+
+def exact_context(count: int | Decimal):
+    """The context arithmetic on `count` enters: `EXACT` for a Decimal, none for an int.
+
+    Every int shares one `nullcontext()`, so int arithmetic makes no
+    context and enters none.
+    """
+    return _NO_CONTEXT if type(count) is int else localcontext(EXACT)
+
+
 @dataclass(frozen=True)
 class GrassmannShape:
     """Grassmannian of rank-`d` quotients of a rank-`r` space."""
@@ -60,17 +97,17 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     return syt_count((cols,) * rows)
 
 
-def degree_digits(shape: GrassmannShape, limit: float = inf) -> float:
+def degree_digits(shape: GrassmannShape) -> float:
     """Estimated decimal digits of `grassmann_degree(shape)`, in floats.
 
     `partitions._runs_digits` of the a x b rectangle, a = min(k, c), read
     off its one run (b, a), as `syt_count_digits` but with no cell bound:
-    one block of hooks, priced in closed form in O(1) whatever a and b,
-    so `limit` is passed on but stops nothing.  One row or none reads 0,
-    two rows or more whose sizes pass the floats inf.
+    one block of hooks, priced whole in closed form in O(1) whatever a
+    and b, so no limit could stop it early.  One row or none reads 0, two
+    rows or more whose sizes pass the floats inf.
     """
     a, b = sorted((shape.d, shape.r - shape.d))
-    return _runs_digits(((b, a),), limit) if a > 1 else 0.0
+    return _runs_digits(((b, a),)) if a > 1 else 0.0
 
 
 def grassmann_degree_sweep(r: int):

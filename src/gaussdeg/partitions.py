@@ -9,19 +9,6 @@ All arithmetic is exact.
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    DivisionByZero,
-    Inexact,
-    InvalidOperation,
-    Overflow,
-    Rounded,
-    localcontext,
-)
 from functools import lru_cache
 from itertools import accumulate, compress, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
@@ -56,27 +43,12 @@ _HALF_LOG_2PI = log(2 * pi) / 2
 # Longest integer an error message prints in decimal: CPython refuses str()
 # past 4,300 digits by default, and 13,000 bits is about 3,900 digits.
 _MESSAGE_BITS = 13_000
-# Least number of decimal digits that no int of _MESSAGE_BITS bits reaches:
-# 10^3914 passes 2^13000, which is about 10^3913.4.
-_MESSAGE_DIGITS = 3_914
 # Longest text of any other argument an error message echoes whole; CPython's
 # own int() message stops at 200 characters.
 _MESSAGE_CHARS = 200
 # Most primes `_balanced_product` hands to one C-level `prod`: from 16 to 64
 # its time fell by a tenth on the ladder's groups, and past 64 barely moved
 _CHUNK = 64
-# Exact integer arithmetic in base 10: precision and exponents as wide as
-# libmpdec allows, and any rounding raises instead of passing silently, as it
-# would under the default 28-digit context.  It is entered around arithmetic
-# only, never across a `yield`, so the caller's context is left as it was.
-EXACT = Context(
-    prec=MAX_PREC,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
-)
-# Enough digits for a logarithm that places a bit length to within one
-_ROUGH = Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def canonical(parts) -> Partition:
@@ -109,18 +81,13 @@ def exact_quotient(num: int, den: int, what: str, *args) -> int:
 def message(template: str, *args) -> str:
     """`template` %-formatted with `args`: how every error message writes its values.
 
-    An int, and an integral Decimal as the int of its value, is written by
-    `_message_int`; any other argument is echoed by `_Echo`.
+    An int is written by `_message_int`; any other argument, a Decimal
+    included, is echoed by `_Echo`.  A sweep's long Decimals reach no
+    message: a row with no degree is named by its S, an int
+    (`degrees.TermPlan.row`).
     """
-    return template % tuple(map(_message_arg, args))
-
-
-def _message_arg(arg):
-    if isinstance(arg, int):
-        return _message_int(arg)
-    if isinstance(arg, Decimal) and arg.is_finite() and arg == arg.to_integral_value():
-        return _message_decimal(arg)
-    return _Echo(arg)
+    args = tuple(_message_int(arg) if isinstance(arg, int) else _Echo(arg) for arg in args)
+    return template % args
 
 
 def _message_int(value: int) -> str:
@@ -131,27 +98,6 @@ def _message_int(value: int) -> str:
         except ValueError:  # the interpreter's digit limit is set below its default
             pass
     return f"an integer of {value.bit_length():,} bits"
-
-
-def _message_decimal(value: Decimal) -> str:
-    """`_message_int` of the int an integral Decimal holds, without int() of a long one.
-
-    Below 10^_MESSAGE_DIGITS the int is formed and written.  From there on
-    it has more than _MESSAGE_BITS bits, which int() would take quadratic
-    time to show, so only its bit length is written: read off a 20-digit
-    log2 and put right against powers of 2, formed exactly in base 10.
-    """
-    size = value.copy_abs()
-    if size.adjusted() < _MESSAGE_DIGITS:
-        return _message_int(int(value))
-    bits = int(_ROUGH.divide(size.ln(_ROUGH), _ROUGH.ln(2))) + 1
-    with localcontext(EXACT):
-        power = Decimal(2) ** (bits - 1)  # 2^(bits-1) <= size < 2^bits once put right
-        while power > size:
-            power, bits = power / 2, bits - 1
-        while 2 * power <= size:
-            power, bits = 2 * power, bits + 1
-    return f"an integer of {bits:,} bits"
 
 
 class _Echo:

@@ -403,14 +403,15 @@ def test_generic_zero_table_exits_3(tmp_path, capsys):
     assert "not generically finite" in err
 
 
-def test_generic_names_a_long_negative_total_by_size(tmp_path, capsys):
-    # the total -unit at m = 100 has 53,064 bits, past str()'s 4,300 digits
+def test_generic_names_s_where_the_degree_is_long(tmp_path, capsys):
+    # the degree -unit at m = 100 would have 53,064 bits, past str()'s 4,300
+    # digits; S = -(N - m) is tested and named before the degree is formed
     path = tmp_path / "negative.json"
     doc = {"n": 1, "N": 200, "entries": [{"partition": [1], "integral": "-1"}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "generic", "--table", str(path), "--m", "100")
     assert (code, out) == (3, "")
-    assert err.startswith("error: weighted total an integer of 53,064 bits <= 0 at m = 100: ")
+    assert err.startswith("error: weighted total -100 <= 0 at m = 100: ")
     assert err.count("\n") == 1
 
 
@@ -458,8 +459,8 @@ def test_a_long_brute_cap_is_echoed_cut():
 
 
 def test_a_lower_interpreter_digit_limit_keeps_exit_3(tmp_path):
-    # at m = 10 the total has 5,171 bits, 1,557 digits: over a 640-digit
-    # limit, so the message names its size, not CPython's refusal
+    # at m = 10 the degree would have 5,171 bits, 1,557 digits: over a
+    # 640-digit limit, but the message names S = -190, not the degree
     path = tmp_path / "negative.json"
     doc = {"n": 1, "N": 200, "entries": [{"partition": [1], "integral": "-1"}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -467,7 +468,7 @@ def test_a_lower_interpreter_digit_limit_keeps_exit_3(tmp_path):
         "generic", "--table", str(path), "--m", "10", timeout=30, PYTHONINTMAXSTRDIGITS="640"
     )
     assert (code, out) == (3, "")
-    assert err.startswith("error: weighted total an integer of 5,171 bits <= 0 at m = 10: ")
+    assert err.startswith("error: weighted total -190 <= 0 at m = 10: ")
 
 
 def _skew_ratio(monkeypatch):

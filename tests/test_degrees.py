@@ -593,11 +593,9 @@ def test_reference_digits_estimates_the_product(n, d, m):
 
 def test_reference_digits_stops_past_the_limit():
     # N = 2,704,155 for (12, 12): deg G(8, N - 20) alone has millions of digits;
-    # its rectangle is one run, priced whole before the stop is tested
+    # its rectangle is one run, priced whole, so no limit could stop it sooner
     N = comb(24, 12) - 1
-    full = reference_digits(12, N, 20, 0.0)
-    partial = reference_digits(12, N, 20, 0.0, limit=10**6)
-    assert 10**6 < partial <= full
+    assert 10**6 < reference_digits(12, N, 20, 0.0)
 
 
 def test_reference_digits_of_huge_cells():
@@ -939,20 +937,23 @@ def test_plan_row_is_the_term_by_term_total(data):
     expected = _reference_degree(table, m)
     plan, coefficient = TermPlan(table), comb(dim_xm(n, N, m), n)
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
+    # degree = unit * S / L, so S is the degree times L over the unit, exactly
+    total, rem = divmod(expected * plan.lcd, reference_product(n, N, m, 1))
+    assert not rem
     if expected <= 0:
-        with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {expected} <= 0 "):
+        with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {total} <= 0 "):
             degree_generic(table, m)
-        with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {expected} <= 0 "):
+        with pytest.raises(NotGenericallyFiniteError, match=f"^weighted total {total} <= 0 "):
             plan.row(m, Decimal(pluecker))
         return
     assert degree_generic(table, m).deg_xm == expected
     row = plan.row(m, Decimal(pluecker))
-    assert row[0] == coefficient and row[2] == expected and type(row[2]) is Decimal
+    assert row[:2] == (coefficient, total) and row[2] == expected and type(row[2]) is Decimal
 
 
 def test_a_decimal_row_names_its_total_as_the_int_row_does():
-    # at m = 100 of a (1, 200) table with integral -2 the total has 53,065
-    # bits: both rows name it by its size, not the Decimal by a cut prefix
+    # at m = 100 of a (1, 200) table with integral -2 the degree would have
+    # 53,065 bits: both rows name S = -2 (N - m), an int, in the same words
     table = SegreIntegralTable(n=1, N=200, entries={(1,): -2})
     pluecker = grassmann_degree(GrassmannShape(99, 199))
     messages = []
@@ -961,7 +962,25 @@ def test_a_decimal_row_names_its_total_as_the_int_row_does():
             table.plan.row(100, argument)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith("weighted total an integer of 53,065 bits <= 0 at m = 100: ")
+    assert messages[0].startswith("weighted total -200 <= 0 at m = 100: ")
+
+
+def test_a_non_positive_row_forms_no_degree(monkeypatch):
+    # the sign of S decides the row before the Pluecker degree is divided:
+    # no exact quotient, of an int or a Decimal, is taken of it
+    table = SegreIntegralTable(n=1, N=200, entries={(1,): -1})
+    pluecker = grassmann_degree(GrassmannShape(99, 199))
+    quotient, dividends = gaussdeg.degrees.exact_quotient, []
+
+    def recorded(num, *rest):
+        dividends.append(num)
+        return quotient(num, *rest)
+
+    monkeypatch.setattr(gaussdeg.degrees, "exact_quotient", recorded)
+    for argument in (pluecker, Decimal(pluecker)):
+        with pytest.raises(NotGenericallyFiniteError):
+            table.plan.row(100, argument)
+        assert all(num != argument for num in dividends)
 
 
 def _scaled_veronese(n: int, d: int, scale: int) -> SegreIntegralTable:

@@ -19,8 +19,9 @@ from gaussdeg.cli import FORMATS, main
 from gaussdeg.degrees import METHODS
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
 
-# n = 1 in P^200 with a negative integral: its weighted total has about
-# 53,000 bits at m = 100, past CPython's 4,300-digit str() limit
+# n = 1 in P^200 with a negative integral: its degree would have about
+# 53,000 bits at m = 100, past CPython's 4,300-digit str() limit, but the
+# row is refused on its weighted total S = -(200 - m), before the degree
 NEGATIVE_TABLE = {"n": 1, "N": 200, "entries": [{"partition": [1], "integral": "-1"}]}
 DEPTH = 100_000  # nested lists past the interpreter's recursion limit
 
@@ -131,8 +132,10 @@ def test_every_exit_keeps_its_meaning(tables, argv):
 
 
 def test_a_negative_table_exits_3_at_every_m(tables):
-    # at m = 21..180 the total has over 4,300 digits and is named by its size
+    # at m = 21..180 the degree would have over 4,300 digits; each row is
+    # named by its S = m - 200 instead, a short int
     for m in range(1, 200):
         code, out, err, _ = run(["generic", "--table", str(tables["negative"]), "--m", str(m)])
         assert (code, out) == (3, ""), m
-        assert err.startswith("error: weighted total ") and err.count("\n") == 1
+        assert err.startswith(f"error: weighted total {m - 200} <= 0 at m = {m}: "), m
+        assert err.count("\n") == 1
