@@ -7,7 +7,8 @@ exact arithmetic, along with several independent closed forms, sandwich
 bounds, and combinatorial oracles used to cross-check every formula.
 
 The package exports what users call; every other name is imported from
-its submodule (`partitions`, `grassmann`, `schur`, `degrees`, `verify`).
+its submodule (`partitions`, `grassmann`, `schur`, `cost`, `degrees`,
+`verify`).
 """
 
 from .degrees import (

@@ -2,7 +2,8 @@
 
 Each subcommand parses arguments, calls library functions, and prints the
 structured result, `table` and `conjecture` the rows the library writes;
-no numeric logic lives here.  Output is deterministic:
+no numeric logic lives here, and no digit arithmetic: each command's cost
+guard is one call into `cost`.  Output is deterministic:
 JSON with big integers and rationals rendered as decimal strings ("p/q"
 for non-integral rationals), or the same fields as CSV or an aligned text
 table.  The JSON is `json.dumps(doc, indent=2)`'s text, written by
@@ -32,26 +33,21 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from .cost import guard_grassmann, guard_reference, guard_scan, guard_syt
 from .degrees import (
-    MAX_DIGITS,
     METHODS,
     NotGenericallyFiniteError,
-    check_digits,
-    check_printable,
     conjecture_scan,
     degree_generic,
-    guard_reference,
-    guard_scan,
     table_rows,
 )
-from .grassmann import GrassmannShape, degree_digits, grassmann_degree, grassmann_dim
+from .grassmann import GrassmannShape, grassmann_degree, grassmann_dim
 from .partitions import (
     DEFAULT_BRUTE_CAP,
     Numeral,
     canonical,
     message,
     syt_count_bruteforce,
-    syt_count_digits,
     syt_count_hook,
     weight,
 )
@@ -60,7 +56,6 @@ from .verify import SUITE_NAMES, run_suite
 
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
-MAX_SYT_CELLS = 4_000_000  # `syt`'s sieve and hook lists take about 23 bytes a cell
 
 _DIGITS = re.compile("[0-9]+")
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -258,14 +253,8 @@ def cmd_generic(args) -> int:
 
 def cmd_syt(args) -> int:
     lam = parse_partition(args.shape)
+    guard_syt(lam)
     cells = weight(lam)
-    what = "the tableau count of a shape of %s cells"
-    if cells > MAX_SYT_CELLS:
-        limit = f"at most {MAX_SYT_CELLS:,} cells are counted"
-        raise ValueError(message(f"too large: {what}; {limit}", cells))
-    digits = syt_count_digits(lam, MAX_DIGITS)
-    check_digits(digits, what, cells)
-    check_printable(digits - 1, what, cells)
     cap = effective_brute_cap()
     doc: dict = {"shape": list(lam), "weight": cells, "hook": Numeral(syt_count_hook(lam))}
     if cells <= cap:
@@ -282,9 +271,7 @@ def cmd_syt(args) -> int:
 
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.d, args.r)
-    digits, what = degree_digits(shape), "the Pluecker degree of G(%s, %s)"
-    check_digits(digits, what, args.d, args.r)
-    check_printable(digits - 1, what, args.d, args.r)
+    guard_grassmann(shape)
     doc = {
         "d": args.d,
         "r": args.r,

@@ -20,26 +20,32 @@ degree, by one long division and one long multiplication, each by a short
 integer.  A sweep's long integers are integral Decimals, under
 `grassmann.exact_context`, and its rows are written as text (`table_rows`,
 `conjecture_scan`); `bounds` makes one cell's record, of ints.
+
+This module prices nothing: every refusal made before a number is formed,
+the registry's guards and `degree_alternate`'s bound on (dim X_m)!
+included, lives in `cost`.
 """
 
-import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
-from math import comb, factorial, gcd, inf, lcm, lgamma, log, log2, log10, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 
-from .grassmann import (
-    GrassmannShape,
-    degree_digits,
-    exact_context,
-    grassmann_degree,
-    grassmann_degree_sweep,
+from .cost import (
+    _check_range,
+    _guard_boole,
+    _guard_curve_closed,
+    _guard_m_np1,
+    _guard_partition_sum,
+    _n_bits_exceed,
+    check_factorial,
+    guard_degree,
 )
+from .grassmann import GrassmannShape, exact_context, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
-    _MESSAGE_BITS,
     Numeral,
     Partition,
     canonical,
@@ -49,7 +55,6 @@ from .partitions import (
     falling_factorial_product,
     message,
     pad,
-    partition_count,
     syt_count,
 )
 from .schur import KEPT_TABLE_N, SegreIntegralTable, VeroneseVariety
@@ -173,76 +178,6 @@ def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
     }
 
 
-# The cost guard: a number estimated to have more decimal digits than this
-# is refused, with a "too large" ValueError, before it is formed: by each
-# `Method.guard` and `guard_scan`, by `degree_alternate` for its (dim X_m)!
-# and by the command line for a Pluecker degree or a tableau count.
-MAX_DIGITS = 10**6
-
-
-def check_digits(digits: float, template: str, *args) -> None:
-    """Refuse the number `message(template, *args)` names when `digits` pass MAX_DIGITS."""
-    if digits > MAX_DIGITS:
-        raise ValueError(
-            f"too large: {message(template, *args)} would have over {MAX_DIGITS:,} digits "
-            f"(estimated {digits:,.0f} or more)"
-        )
-
-
-def check_printable(digits: float, template: str, *args) -> None:
-    """Refuse the number `message(template, *args)` names when `digits` pass the str() limit.
-
-    The interpreter converts an int of at most `sys.get_int_max_str_digits()`
-    digits to a string (4300 unless `PYTHONINTMAXSTRDIGITS` sets it), any
-    int when that limit is 0.  `digits` must be a proved lower bound of the
-    number's log10, so that no number that can be printed is refused.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and digits > limit:
-        raise ValueError(
-            f"too large: {message(template, *args)} would have over {limit} digits, more "
-            f"than the interpreter converts to a string (estimated {digits:,.0f} or more)"
-        )
-
-
-_RANGE = "m must satisfy %s <= m <= %s, got %s"
-
-
-def _check_range(n: int, N: int, m: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not n <= m <= N - 1:
-        raise ValueError(message(_RANGE, n, N - 1, m))
-
-
-def _n_bits_exceed(v: VeroneseVariety, bits: int) -> bool:
-    """Whether N = C(n+d, d) - 1 has more than `bits` bits, forming N only if cheap.
-
-    C(n+d, k) >= ((n+d)/k)^k with k = min(n, d), so N has more than `bits`
-    bits once k log2((n+d)/k) passes bits + 2; the two are compared in
-    logarithms so that no k overflows a float.  Short of that, N has at
-    most about 2.5 times `bits` bits, as C(n+d, k) <= (e(n+d)/k)^k, and is
-    formed.
-    """
-    k = min(v.n, v.d)
-    log_bound_bits = log2(k) + log2(log2(v.n + v.d) - log2(k))
-    return log_bound_bits > log2(bits + 2) or v.N.bit_length() > bits
-
-
-def check_veronese_range(v: VeroneseVariety, m: int) -> None:
-    """`_check_range(v.n, v.N, m)`, forming N only where the answer needs it.
-
-    N = C(n+d, d) - 1 can have millions of digits.  An m from n up with
-    fewer bits than N is in range.  Below n the message names N - 1 in
-    decimal only if N fits in a message, and C(n+d, d) - 2 otherwise.
-    """
-    n, d = v.n, v.d
-    if not _n_bits_exceed(v, m.bit_length() if m >= n else _MESSAGE_BITS):
-        _check_range(n, v.N, m)
-    elif m < n:
-        raise ValueError(message(_RANGE, n, message("C(%s, %s) - 2", n + d, d), m))
-
-
 def dim_xm(n: int, N: int, m: int) -> int:
     """Dimension n + (N-m)(m-n) of the variety of tangent m-planes."""
     _check_range(n, N, m)
@@ -254,11 +189,6 @@ def ordinary_gauss_degree(v: VeroneseVariety) -> int:
     return (v.n + 1) ** v.n * (v.d - 1) ** v.n
 
 
-def ordinary_gauss_digits(v: VeroneseVariety) -> float:
-    """log10 of `ordinary_gauss_degree(v)`, without forming it; inf past the floats."""
-    return v.n * log10((v.n + 1) * (v.d - 1)) if v.n.bit_length() < 1000 else inf
-
-
 def boole_degree(n: int, d: int) -> int:
     """Degree (n+1)(d-1)^n of the variety dual to the degree-d Veronese n-fold."""
     if n < 1:
@@ -266,13 +196,6 @@ def boole_degree(n: int, d: int) -> int:
     if d < 2:
         raise ValueError("d must be >= 2")
     return (n + 1) * (d - 1) ** n
-
-
-def boole_digits(n: int, d: int) -> float:
-    """log10 of `boole_degree(n, d)`, without forming it; inf past the floats."""
-    if d == 2:
-        return log10(n + 1)
-    return log10(n + 1) + n * log10(d - 1) if n.bit_length() < 1000 else inf
 
 
 def _report(
@@ -308,14 +231,13 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     tableau count of itself plus the rectangle.  Term k has weight
     1/(n-k)! = perm(n, k)/n!, so the sum is kept in integers and divided
     by n! once.  (dim X_m)! bounds the widest shape's tableau count, so
-    past MAX_DIGITS digits of it the cell is refused first.
+    past `cost.MAX_DIGITS` digits of it the cell is refused first.
     """
     n, N = v.n, v.N
     big_m = dim_xm(n, N, m)
     check_partition_terms(n)
     e, width = m - n, N - m
-    digits = lgamma(big_m + 1) / log(10) if big_m.bit_length() < 1000 else inf
-    check_digits(digits, "(dim X_m)! of the alternate sum at (n=%s, d=%s, m=%s)", n, v.d, m)
+    check_factorial(big_m, "(dim X_m)! of the alternate sum at (n=%s, d=%s, m=%s)", n, v.d, m)
     total = 0
     # the weights depend on n alone: kept for a small n, else built for the
     # lam of at most e rows
@@ -384,145 +306,6 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
     _check_range(n, N, m)
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
     return comb(dim_xm(n, N, m), n) * pluecker * first
-
-
-def reference_digits(n: int, N: int, m: int, first_digits: float) -> float:
-    """Estimated decimal digits of `reference_product(n, N, m, first)`, in floats.
-
-    `first_digits` is log10 of `first`.  log C(n + kc, n) (k = m-n,
-    c = N-m) in O(n) steps, plus `first_digits`, plus
-    `grassmann.degree_digits` of G(k, N-n), the rectangle's one block of
-    hooks in closed form, O(1) at any size.
-    """
-    _check_range(n, N, m)
-    kc = (m - n) * (N - m)
-    # C(n + kc, n) * first, one factor (kc + j) / j at a time; past 2^64 a
-    # float reads kc + j as kc, so a long kc is not added to n times
-    big = kc >> 64 > 0
-    base = sum(log10(kc if big else kc + j) - log10(j) for j in range(1, n + 1)) + first_digits
-    return base + degree_digits(GrassmannShape(m - n, N - n))
-
-
-def guard_reference(n: int, N: int, m: int, first_digits: float) -> float:
-    """Refuse a reference product past MAX_DIGITS; `first_digits` is log10 of `first`.
-
-    Returns the product's estimated digits.
-    """
-    digits = reference_digits(n, N, m, first_digits)
-    check_digits(digits, "the reference product at (n=%s, N=%s, m=%s)", n, N, m)
-    return digits
-
-
-def guard_veronese(v: VeroneseVariety, m: int) -> float:
-    """Cost guard of a degree of `v` at m; range errors come first.
-
-    The reference product's first factor is refused before N is formed.
-    Returns the reference product's estimated digits.
-    """
-    check_veronese_range(v, m)
-    first = ordinary_gauss_digits(v)
-    check_digits(first, "the ordinary Gauss degree at (n=%s, d=%s)", v.n, v.d)
-    return guard_reference(v.n, v.N, m, first)
-
-
-def guard_degree(v: VeroneseVariety, m: int) -> None:
-    """The default `Method.guard`: `guard_veronese`, then the degree must be printable."""
-    _check_degree_printable(v, m, guard_veronese(v, m))
-
-
-def _check_degree_printable(v: VeroneseVariety, m: int, product_digits: float) -> None:
-    """`check_printable` of the degree at (v, m), by its proved lower bound, `_lower_digits`."""
-    digits = _lower_digits(v, m, product_digits)
-    check_printable(digits, "the degree at (n=%s, d=%s, m=%s)", v.n, v.d, m)
-
-
-def _lower_digits(v: VeroneseVariety, m: int, product_digits: float) -> float:
-    """Digits of the degree's proved lower bound, `BoundsReport.lower` times the product.
-
-    `product_digits` estimates the reference product's digits; one digit
-    is taken off for the estimate.  Where N - m < n the bound is 0: -inf.
-    """
-    n, N = v.n, v.N
-    if N - m < n:
-        return -inf
-    ratio = sum(log10(N - m - j) - log10(N - n - j) for j in range(n))
-    return product_digits + ratio - 1
-
-
-# A sweep holds every row before it prints them: `guard_scan` bounds the
-# digits of all its rows, rows x central digits, to MAX_SWEEP_DIGITS, and
-# their work to MAX_WORK digit-terms, about 0.8 ns each: one digit of a long
-# operation.  A row makes p(n) short terms of its weighted sum, priced at
-# _SHORT_TERM_WORK each, and _ROW_LONG_OPS long operations on its central
-# digits (the sweep step, the remainder mod L, the degree's division and
-# product, and its decimal text).  In process (CPython 3.11, shared 2-core
-# x86-64) a term took 1.2-1.8 us from n = 5 to 25, and the long operations
-# of a row of (3, 10) about 10 ns a digit.  As processes,
-# `conjecture --n 1 --d 400`, an estimate of 3.0 x 10^7 digits, held 234 MB
-# to print 57 MB, and `table --n 25 --d 2`, 2.0 x 10^9 digit-terms, took
-# 1.8 s.  MAX_WORK also bounds the m = n+1 sum, terms x digits of its
-# largest term: 3.9 s for (n, d) = (20000, 3); and the check of
-# `degree_curve_closed`, rows x d x digits digit pairs for its sweep (each
-# step's factors have up to d short terms) plus digits^2 for comparing an
-# int with a Decimal: 1.4 s each at (1, 700, 350), 263,676 digits, 0.021 to
-# 0.030 ns a pair, so _CHECK_PAIRS pairs to a digit-term.  Each step of that
-# sweep first forms its factor's two products of short integers and their
-# gcd, quadratic in their digits: 5.1 s for the 2.1 million digits of the
-# second step at d = 200,000, 1.2 to 1.8 ps a pair from 0.46 to 2.1 million
-# digits, priced at _FACTOR_PAIRS pairs a digit-term (2.7 ps a pair).
-MAX_SWEEP_DIGITS = 2 * 10**7
-MAX_WORK = 5 * 10**9
-_SHORT_TERM_WORK = 3_000
-_ROW_LONG_OPS = 8
-_CHECK_PAIRS = 25
-_FACTOR_PAIRS = 300
-
-
-def guard_scan(n_values, d_values) -> None:
-    """Cost guard of `conjecture_scan(n_values, d_values)`, or of `table` as a box of one.
-
-    The box's cost is the sum of its varieties' `_sweep_cost`, added up in
-    the scan's order and refused at the first variety that takes either
-    sum past its bound, so a long box stops early.  The first variety is
-    the smallest: its range errors come first, and a box refused there is
-    named as its one sweep.  An empty box checks nothing.
-    """
-    digits = work = 0.0
-    box = ((n, d) for n in n_values for d in d_values)
-    for done, (n, d) in enumerate(box, start=1):
-        more_digits, more_work = _sweep_cost(VeroneseVariety(n, d))
-        digits, work = digits + more_digits, work + more_work
-        if done == 1:
-            _refuse_past(digits, work, "the sweep over m of (n=%s, d=%s)", n, d)
-        else:
-            _refuse_past(digits, work, "%s sweeps over m, up to (n=%s, d=%s),", done, n, d)
-
-
-def _refuse_past(digits: float, work: float, template: str, *args) -> None:
-    """Refuse the sweeps `message(template, *args)` names past either bound."""
-    if digits > MAX_SWEEP_DIGITS:
-        cost = f"print over {MAX_SWEEP_DIGITS:,} digits (estimated {digits:,.0f})"
-    elif work > MAX_WORK:
-        cost = f"take over {MAX_WORK:,} digit-terms (estimated {work:,.0f})"
-    else:
-        return
-    raise ValueError(f"too large: {message(template, *args)} would {cost}")
-
-
-def _sweep_cost(v: VeroneseVariety) -> tuple[float, float]:
-    """Estimated digits and work of every m of `v`, from rows x central digits.
-
-    deg G(k, r - k) rises up to k = r/2 (`grassmann._sweep_factor` is at
-    least 1 there), and so does C(n + kc, n), so the central m's reference
-    product bounds each row's numbers; it must pass `guard_veronese`.  The
-    work is rows x (p(n) _SHORT_TERM_WORK + _ROW_LONG_OPS x central digits).
-    The partition count comes first, before N is formed.
-    """
-    check_partition_terms(v.n)
-    rows = v.N - v.n
-    central = guard_veronese(v, v.n + rows // 2)
-    row_work = partition_count(v.n) * _SHORT_TERM_WORK + _ROW_LONG_OPS * central
-    return rows * central, rows * row_work
 
 
 def _closed_form(
@@ -609,87 +392,19 @@ class Method:
     `compute` is a `(v, m)` adapter that looks its formula up among this
     module's globals when called, so rebinding a formula's global name
     (to wrap or replace it) reaches calls made through the registry.
-    `applies` never forms a huge N.  `guard(v, m)` raises a range error
-    or a "too large" ValueError before `compute` forms a big number: by
-    default `guard_degree`, the reference product and a degree that can be
-    printed; the partition sums hold n to `partitions.MAX_PARTITIONS` terms
-    first, the m = n+1 sum and `curve_closed` price their work before the
-    degree's digits, and Boole's (n+1)(d-1)^n is bounded by `boole_digits`
-    alone.
+    `applies` never forms a huge N.  `guard(v, m)`, one of `cost`'s
+    guards, raises a range error or a "too large" ValueError before
+    `compute` forms a big number: by default `cost.guard_degree`, the
+    reference product and a degree that can be printed; the partition sums
+    hold n to `partitions.MAX_PARTITIONS` terms first, the m = n+1 sum and
+    `curve_closed` price their work before the degree's digits, and
+    Boole's (n+1)(d-1)^n is bounded by `cost.boole_digits` alone.
     """
 
     compute: Callable[[VeroneseVariety, int], DegreeReport]
     requires: str = ""
     applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
     guard: Callable[[VeroneseVariety, int], None] = guard_degree
-
-
-def _guard_m_np1(v: VeroneseVariety, m: int) -> None:
-    """`guard_degree`, with the m = n+1 sum's n + 1 terms x digits of its largest first.
-
-    Term k, (n+1)^k C(N-1, k) C(n+1, n-k), is at most (n+1)^n 2^(n+1)
-    C(N-1, n) once N - 1 >= 2n (every Veronese variety but (1, 2)): the
-    reference product at m = n+1 with that first factor.  Each step costs
-    O(digits).
-    """
-    digits = guard_veronese(v, m)
-    n = v.n
-    largest = reference_digits(n, v.N, m, n * log10(n + 1) + (n + 1) * log10(2))
-    _refuse_past(0.0, (n + 1) * largest, "the m = n+1 sum at (n=%s, d=%s)", n, v.d)
-    _check_degree_printable(v, m, digits)
-
-
-def _guard_curve_closed(v: VeroneseVariety, m: int) -> None:
-    """`guard_degree`, with the check's (min(m-1, d-m) d + digits) digits pairs first.
-
-    Added to them, the sweep's steps, each its factor's digits squared over
-    _FACTOR_PAIRS (`_sweep_factor_work`).
-    """
-    digits = guard_veronese(v, m)
-    rows = min(m - 1, v.d - m)
-    steps = min(rows * v.d, MAX_WORK * _CHECK_PAIRS)  # keeps d out of floats
-    work = (steps + digits) * digits / _CHECK_PAIRS + _sweep_factor_work(v.d - 1, rows)
-    _refuse_past(0.0, work, "the curve_closed check at (n=%s, d=%s, m=%s)", v.n, v.d, m)
-    _check_degree_printable(v, m, digits)
-
-
-def _sweep_factor_work(r: int, rows: int) -> float:
-    """Digit-terms of the factors of `grassmann_degree_sweep(r)`'s first `rows` steps.
-
-    Step k forms perm(kc + s, s) and perm(c - 1, s), c = r - k and s = c - k - 1,
-    and their gcd: their digits squared over _FACTOR_PAIRS.  The step from
-    the empty rectangle, k = 0, forms nothing.  The sum stops once past
-    MAX_WORK.  A sweep that `guard_veronese` passed has c < 2 x 10^6 from
-    k = 1 on, where deg G(2, c), about 0.6c digits, is still within MAX_DIGITS.
-    """
-    work = 0.0
-    for k in range(1, rows):
-        c = r - k
-        cells, steps = k * c, c - k - 1
-        num = lgamma(cells + steps + 1) - lgamma(cells + 1)
-        den = lgamma(c) - lgamma(k + 1)
-        work += ((num + den) / log(10)) ** 2 / _FACTOR_PAIRS
-        if work > MAX_WORK:
-            break
-    return work
-
-
-def _guard_partition_sum(v: VeroneseVariety, m: int) -> None:
-    """`guard_degree`, with the partitions of n held to their count after the range.
-
-    A degree that can be printed is not priced by its terms: at the 57 to
-    83 us a term measured at n = 30 and 40, p(60) terms take under two minutes.
-    """
-    check_veronese_range(v, m)
-    check_partition_terms(v.n)
-    guard_degree(v, m)
-
-
-def _guard_boole(v: VeroneseVariety, m: int) -> None:
-    """Boole's degree, its method's whole cost, by `boole_digits`, less one digit to print."""
-    digits, what = boole_digits(v.n, v.d), "Boole's degree at (n=%s, d=%s)"
-    check_digits(digits, what, v.n, v.d)
-    check_printable(digits - 1, what, v.n, v.d)
 
 
 METHODS = {
@@ -720,11 +435,6 @@ METHODS = {
 # Every tag a DegreeReport may carry: the registry's Veronese methods plus
 # the two table- and curve-driven forms that take other inputs.
 METHOD_TAGS = (*METHODS, "generic", "general_curve")
-
-
-def katz_kleiman(table: SegreIntegralTable) -> int:
-    """Degree of the dual variety: the table entry at the one-row partition (n)."""
-    return table.lookup((table.n,))
 
 
 def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:

@@ -38,7 +38,7 @@ from decimal import (
 )
 from math import gcd, perm
 
-from .partitions import _runs_digits, exact_quotient, message, syt_count
+from .partitions import exact_quotient, message, syt_count
 
 # Past this many bits a sweep's running count turns into a Decimal.  Every
 # variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
@@ -95,19 +95,6 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     """
     rows, cols = sorted((shape.d, shape.r - shape.d))
     return syt_count((cols,) * rows)
-
-
-def degree_digits(shape: GrassmannShape) -> float:
-    """Estimated decimal digits of `grassmann_degree(shape)`, in floats.
-
-    `partitions._runs_digits` of the a x b rectangle, a = min(k, c), read
-    off its one run (b, a), as `syt_count_digits` but with no cell bound:
-    one block of hooks, priced whole in closed form in O(1) whatever a
-    and b, so no limit could stop it early.  One row or none reads 0, two
-    rows or more whose sizes pass the floats inf.
-    """
-    a, b = sorted((shape.d, shape.r - shape.d))
-    return _runs_digits(((b, a),)) if a > 1 else 0.0
 
 
 def grassmann_degree_sweep(r: int):

@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gaussdeg.cli
+import gaussdeg.cost
 import gaussdeg.degrees
 import gaussdeg.grassmann
 import gaussdeg.partitions
@@ -1014,9 +1015,17 @@ BOOLE_M = str(math.comb(10**8 + 4, 4) - 2)
             "error: too large: n = 90000 has over 1,000,000 partitions",
             id="partitions-before-digits-alternate",
         ),
-        # a Catalan number of 6 million digits, refused before a hook list
-        # of 10 million entries and a 20 MB sieve are built
+        # a Catalan number of 6 million digits, but 20 million cells: refused
+        # by its cells before a hook list and a sieve of that size are built
         pytest.param(("syt", "--shape", "10000000,10000000"), TOO_LARGE, id="syt"),
+        # 4,000,000 cells, within the cell bound: refused by the estimated
+        # digits of its count, a Catalan number of 1.2 million digits
+        pytest.param(
+            ("syt", "--shape", "2000000,2000000"),
+            "error: too large: the tableau count of a shape of 4000000 cells would have over "
+            "1,000,000 digits (estimated 1,204,110 or more)\n",
+            id="syt-digits",
+        ),
         # a count of 9 digits, but a sieve and a hook list of 10^8 entries
         # (2.3 GB): refused by its cells, not by its digits
         pytest.param(
@@ -1131,7 +1140,7 @@ ADMITTED_SWEEPS = (
 
 def test_sweep_guard_admits_the_benchmark_and_golden_sweeps():
     for n, d in ADMITTED_SWEEPS:
-        gaussdeg.degrees.guard_scan((n,), (d,))
+        gaussdeg.cost.guard_scan((n,), (d,))
 
 
 @pytest.mark.parametrize(
@@ -1155,16 +1164,16 @@ def test_sweep_guard_refuses_at_once(capsys, argv, cost):
 def test_conjecture_guard_sums_its_box(capsys):
     # each (1, d) up to d = 126 passes alone, and all of them print too much
     for d in range(2, 127):
-        gaussdeg.degrees.guard_scan((1,), (d,))
+        gaussdeg.cost.guard_scan((1,), (d,))
     start = time.process_time()
     code, out, err = run_cli(capsys, "conjecture", "--n", "1", "--d", "2..126")
     assert time.process_time() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: too large: 125 sweeps over m, up to (n=1, d=126), would print ")
     # 109 times the largest sweep's digits pass the bound, and their sum does not
-    digits, _ = gaussdeg.degrees._sweep_cost(VeroneseVariety(1, 110))
-    assert 109 * digits > gaussdeg.degrees.MAX_SWEEP_DIGITS
-    gaussdeg.degrees.guard_scan(range(1, 2), range(2, 111))
+    digits, _ = gaussdeg.cost._sweep_cost(VeroneseVariety(1, 110))
+    assert 109 * digits > gaussdeg.cost.MAX_SWEEP_DIGITS
+    gaussdeg.cost.guard_scan(range(1, 2), range(2, 111))
 
 
 def test_sweep_costs_are_monotone_in_n_and_d():
@@ -1172,7 +1181,7 @@ def test_sweep_costs_are_monotone_in_n_and_d():
     # its bound no later than the guard of its largest variety alone would
     def cost(n, d):
         try:
-            return gaussdeg.degrees._sweep_cost(VeroneseVariety(n, d))
+            return gaussdeg.cost._sweep_cost(VeroneseVariety(n, d))
         except ValueError:
             return None
 
@@ -1232,7 +1241,7 @@ def test_sweep_guard_refusal_is_monotone_in_n_and_d():
     # variety has more rows, longer numbers and no fewer terms a row
     def refused(n, d):
         try:
-            gaussdeg.degrees.guard_scan((n,), (d,))
+            gaussdeg.cost.guard_scan((n,), (d,))
         except ValueError:
             return True
         return False

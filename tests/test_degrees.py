@@ -14,8 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussdeg.cost
 import gaussdeg.degrees
 import gaussdeg.schur
+from gaussdeg.cost import (
+    boole_digits,
+    check_printable,
+    check_veronese_range,
+    ordinary_gauss_digits,
+    reference_digits,
+)
 from gaussdeg.degrees import (
     METHODS,
     BoundsReport,
@@ -24,10 +32,7 @@ from gaussdeg.degrees import (
     TermPlan,
     binomial_ratio_product,
     boole_degree,
-    boole_digits,
     bounds,
-    check_printable,
-    check_veronese_range,
     conjecture_scan,
     degree_alternate,
     degree_curve_closed,
@@ -38,10 +43,7 @@ from gaussdeg.degrees import (
     degree_surface_closed,
     degree_threefold_closed,
     dim_xm,
-    katz_kleiman,
     ordinary_gauss_degree,
-    ordinary_gauss_digits,
-    reference_digits,
     reference_product,
     table_rows,
     verify_identity,
@@ -297,12 +299,13 @@ def test_endpoints_boole_and_ordinary(n, d):
 
 
 def test_katz_kleiman_known():
-    assert katz_kleiman(veronese_integral_table(VeroneseVariety(2, 2))) == 3
-    assert katz_kleiman(veronese_integral_table(VeroneseVariety(2, 3))) == 12
-    assert katz_kleiman(veronese_integral_table(VeroneseVariety(3, 2))) == 4
+    # the dual variety's degree (Katz-Kleiman) is the table entry at the one-row (n)
+    for n, d, dual in ((2, 2, 3), (2, 3, 12), (3, 2, 4)):
+        table = veronese_integral_table(VeroneseVariety(n, d))
+        assert table.lookup((table.n,)) == dual == boole_degree(n, d)
     # pass-through: the result is exactly the table entry at (n)
     custom = SegreIntegralTable(n=2, N=5, entries={(2,): 1, (1, 1): 7})
-    assert katz_kleiman(custom) == 1
+    assert custom.lookup((custom.n,)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -315,7 +318,7 @@ def test_generic_round_trip(n, d):
         assert report.deg_xm == degree_main(v, m).deg_xm
         assert report.method == "generic"
         assert report.d is None
-    assert degree_generic(table, v.N - 1).deg_xm == katz_kleiman(table)
+    assert degree_generic(table, v.N - 1).deg_xm == table.lookup((table.n,))
 
 
 def test_generic_curve_table_matches_general_curve():
@@ -591,7 +594,7 @@ def test_reference_digits_estimates_the_product(n, d, m):
     assert abs(estimate - exact) < 1e-6 * max(1.0, exact)
 
 
-def test_reference_digits_stops_past_the_limit():
+def test_reference_digits_prices_a_long_rectangle_whole():
     # N = 2,704,155 for (12, 12): deg G(8, N - 20) alone has millions of digits;
     # its rectangle is one run, priced whole, so no limit could stop it sooner
     N = comb(24, 12) - 1
@@ -802,7 +805,7 @@ def test_lower_digits_bound_the_degree_from_below():
         record = bounds(v, m)
         lower = record.lower * record.product
         exact = log10(lower.numerator) - log10(lower.denominator)
-        estimate = gaussdeg.degrees._lower_digits(v, m, gaussdeg.degrees.guard_veronese(v, m))
+        estimate = gaussdeg.cost._lower_digits(v, m, gaussdeg.cost.guard_veronese(v, m))
         assert exact - 1.01 < estimate < exact - 0.99
         assert estimate < log10(record.degree)
 

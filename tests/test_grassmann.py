@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import gaussdeg.grassmann
 import gaussdeg.partitions
+from gaussdeg.cost import degree_digits
 from gaussdeg.grassmann import (
     GrassmannShape,
-    degree_digits,
     grassmann_degree,
     grassmann_degree_sweep,
     grassmann_dim,
