@@ -16,10 +16,15 @@ internal invariant failed (an exactness or bounds check raised
 ArithmeticError: a bug, not a property of the input).  Under `verify` such
 a failure is a failed check, so it exits 1.
 
-`main` may be called any number of times in one process; the parser is
-built on the first call and reused.  A cost guard refuses, with exit 2,
-inputs whose numbers would be too large to compute, or, but for `generic`,
-to print, before any big-integer work starts.
+`main` may be called any number of times in one process.  Each subcommand
+and its options are declared once, in `COMMANDS`.  A canonical argv, the
+subcommand and then `--flag value` pairs, is read straight from that table
+with no parser built (`read_canonical`); argparse's parser, built from the
+same table on first use and reused, handles the rest: help, abbreviated
+flags, `--flag=value` forms, repeated flags, negative numbers and every
+error.  A cost guard refuses, with exit 2, inputs whose numbers would be
+too large to compute, or, but for `generic`, to print, before any
+big-integer work starts.
 """
 
 import argparse
@@ -29,9 +34,11 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .cost import guard_grassmann, guard_reference, guard_scan, guard_syt
 from .degrees import (
@@ -282,8 +289,81 @@ def cmd_grassmann(args) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="json")
+REQUIRED = object()  # an `Option` default: the flag must be given
+
+
+class Option(NamedTuple):
+    """One `--flag value` option of a subcommand."""
+
+    flag: str
+    type: Callable[[str], object] | None = None
+    default: object = None  # or REQUIRED
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+FORMAT = Option("--format", choices=FORMATS, default="json")
+
+
+class Command:
+    """One subcommand: its handler, its help line and its options, `--format` last."""
+
+    def __init__(self, handler, help: str, *options: Option):
+        self.handler = handler
+        self.help = help
+        self.options = (*options, FORMAT)
+        self.by_flag = {option.flag: option for option in self.options}
+        self.defaults = {
+            option.dest: option.default for option in self.options if option.default is not REQUIRED
+        }
+        self.required = {option.flag for option in self.options if option.default is REQUIRED}
+
+
+# The one declaration of the command line: `build_parser` builds argparse's
+# parser from it and `read_canonical` reads a canonical argv by it.
+COMMANDS = {
+    "degree": Command(
+        cmd_degree, "degree and dimension at one (n, d, m)",
+        Option("--n", int, REQUIRED, help="dimension of the source space"),
+        Option("--d", int, REQUIRED, help="degree of the embedding forms"),
+        Option("--m", int, REQUIRED, help="tangent plane dimension"),
+        Option("--method", choices=tuple(METHODS), default="main"),
+    ),
+    "table": Command(
+        cmd_table, "sweep all m for one variety",
+        Option("--n", int, REQUIRED),
+        Option("--d", int, REQUIRED),
+    ),
+    "verify": Command(
+        cmd_verify, "run self-check suites",
+        Option("--suite", choices=SUITE_NAMES),
+        Option("--max-n", int, 6, help="identity suite range"),
+        Option("--max-weight", int, 8, help="syt suite range"),
+    ),
+    "conjecture": Command(
+        cmd_conjecture, "scan the conjectured power bound",
+        Option("--n", default=REQUIRED, help="value or inclusive range, e.g. 1..3"),
+        Option("--d", default=REQUIRED, help="value or inclusive range, e.g. 2..4"),
+    ),
+    "generic": Command(
+        cmd_generic, "degree from a Schur integral table file",
+        Option("--table", default=REQUIRED, help="path to a table JSON file"),
+        Option("--m", int, REQUIRED),
+    ),
+    "syt": Command(
+        cmd_syt, "standard tableau count, both ways",
+        Option("--shape", default=REQUIRED, help="comma-separated parts, e.g. 3,1"),
+    ),
+    "grassmann": Command(
+        cmd_grassmann, "Grassmannian dimension and degree",
+        Option("--d", int, REQUIRED, help="quotient rank"),
+        Option("--r", int, REQUIRED, help="ambient rank"),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,68 +375,74 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `gaussdeg` parser, built on the first call and shared after it.
+    """The `gaussdeg` parser, built from `COMMANDS` on first use and shared after it.
 
     `parse_args` leaves a parser as it was, and building one costs over
-    ten times as much as a parse, so every `main` call in a process
-    reuses this one.  Being shared, it must not be changed by a caller.
+    ten times as much as a parse, so every `main` call in a process that
+    needs it reuses this one.  Being shared, it must not be changed by a
+    caller.
     """
     parser = _Parser(
         prog="gaussdeg",
         description="Exact degrees of tangent m-plane varieties of Veronese embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    degree = sub.add_parser("degree", help="degree and dimension at one (n, d, m)")
-    degree.add_argument("--n", type=int, required=True, help="dimension of the source space")
-    degree.add_argument("--d", type=int, required=True, help="degree of the embedding forms")
-    degree.add_argument("--m", type=int, required=True, help="tangent plane dimension")
-    degree.add_argument("--method", choices=tuple(METHODS), default="main")
-    _add_format(degree)
-    degree.set_defaults(func=cmd_degree)
-
-    table = sub.add_parser("table", help="sweep all m for one variety")
-    table.add_argument("--n", type=int, required=True)
-    table.add_argument("--d", type=int, required=True)
-    _add_format(table)
-    table.set_defaults(func=cmd_table)
-
-    verify = sub.add_parser("verify", help="run self-check suites")
-    verify.add_argument("--suite", choices=SUITE_NAMES)
-    verify.add_argument("--max-n", type=int, default=6, help="identity suite range")
-    verify.add_argument("--max-weight", type=int, default=8, help="syt suite range")
-    _add_format(verify)
-    verify.set_defaults(func=cmd_verify)
-
-    conjecture = sub.add_parser("conjecture", help="scan the conjectured power bound")
-    conjecture.add_argument("--n", required=True, help="value or inclusive range, e.g. 1..3")
-    conjecture.add_argument("--d", required=True, help="value or inclusive range, e.g. 2..4")
-    _add_format(conjecture)
-    conjecture.set_defaults(func=cmd_conjecture)
-
-    generic = sub.add_parser("generic", help="degree from a Schur integral table file")
-    generic.add_argument("--table", required=True, help="path to a table JSON file")
-    generic.add_argument("--m", type=int, required=True)
-    _add_format(generic)
-    generic.set_defaults(func=cmd_generic)
-
-    syt = sub.add_parser("syt", help="standard tableau count, both ways")
-    syt.add_argument("--shape", required=True, help="comma-separated parts, e.g. 3,1")
-    _add_format(syt)
-    syt.set_defaults(func=cmd_syt)
-
-    grassmann = sub.add_parser("grassmann", help="Grassmannian dimension and degree")
-    grassmann.add_argument("--d", type=int, required=True, help="quotient rank")
-    grassmann.add_argument("--r", type=int, required=True, help="ambient rank")
-    _add_format(grassmann)
-    grassmann.set_defaults(func=cmd_grassmann)
-
+    for name, command in COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            subparser.add_argument(
+                option.flag,
+                dest=option.dest,
+                type=option.type,
+                required=option.default is REQUIRED,
+                default=None if option.default is REQUIRED else option.default,
+                choices=option.choices,
+                help=option.help,
+            )
+        subparser.set_defaults(func=command.handler)
     return parser
 
 
+def read_canonical(argv) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` for a canonical argv, else None.
+
+    Canonical is a subcommand of `COMMANDS`, then `--flag value` pairs:
+    each flag the subcommand's, spelt in full and given once, no value
+    starting with "-", every required flag present, and each value of its
+    option's type and among its choices.  Anything else, help, an
+    abbreviated flag, `--flag=value`, a repeated flag, a negative number
+    or an error, is argparse's to read, and gets None here.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or not len(argv) % 2:
+        return None
+    values = {"command": argv[0], "func": command.handler, **command.defaults}
+    given = set()
+    for i in range(1, len(argv), 2):
+        flag, value = argv[i], argv[i + 1]
+        option = command.by_flag.get(flag)
+        if option is None or flag in given or type(value) is not str or value[:1] == "-":
+            return None
+        given.add(flag)
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if not command.required <= given:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotGenericallyFiniteError as exc:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, and thin-wrapper fidelity."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -24,10 +25,12 @@ import gaussdeg.degrees
 import gaussdeg.grassmann
 import gaussdeg.partitions
 import gaussdeg.schur
-from gaussdeg.cli import main, parse_partition, parse_range
+from gaussdeg.cli import main, parse_partition, parse_range, read_canonical
 from gaussdeg.degrees import bounds, degree_main
 from gaussdeg.partitions import Numeral
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
+from test_exit_codes import ARGV as EXIT_CODE_ARGV
+from test_golden_cli import golden_commands
 
 ZERO_TABLE = json.dumps(
     {
@@ -831,6 +834,16 @@ def test_a_second_call_builds_no_parser(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2")
     assert code == 0 and json.loads(out)["degree"] == "12"
     assert built == []
+    # a canonical argv is read from the command table: no parser is built
+    # at all, not even the first time
+    gaussdeg.cli.build_parser.cache_clear()
+    code, out, _ = run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2", "--format", "csv")
+    assert code == 0 and built == []
+    # an abbreviated flag falls back to argparse and prints the same bytes
+    assert run_cli(capsys, "degree", "--form", "csv", "--n", "1", "--d", "4", "--m", "2") == (
+        code, out, ""
+    )
+    assert built and built[0] == "gaussdeg"
 
 
 def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
@@ -858,6 +871,82 @@ def test_a_long_invalid_argument_is_echoed_cut(argv):
     line = err.splitlines()[-1]
     assert line.startswith("gaussdeg degree: error: argument --") and len(line) <= 300
     assert "... (str of length " in line
+
+
+@pytest.fixture(scope="module")
+def fresh_parser():
+    # a parser of its own, not the one `main` shares
+    return gaussdeg.cli.build_parser.__wrapped__()
+
+
+def _argparse_reads(parser, argv):
+    """`parser`'s Namespace for `argv`, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _reads_as_argparse(parser, argv) -> bool:
+    read = read_canonical(argv)
+    return read is None or read == _argparse_reads(parser, argv)
+
+
+def _pairs_reversed(argv):
+    pairs = [argv[i : i + 2] for i in range(1, len(argv), 2)]
+    return [argv[0], *(item for pair in reversed(pairs) for item in pair)]
+
+
+def test_the_reader_agrees_with_argparse_on_every_golden_command(fresh_parser):
+    commands = [argv for group in golden_commands().values() for argv in group]
+    read = [argv for argv in commands if read_canonical(argv) is not None]
+    assert len(read) > 0.9 * len(commands)
+    assert [argv for argv in read if read_canonical(_pairs_reversed(argv)) is None] == []
+    for form in (list, tuple, _pairs_reversed):
+        assert [argv for argv in commands if not _reads_as_argparse(fresh_parser, form(argv))] == []
+
+
+@given(argv=EXIT_CODE_ARGV)
+def test_the_reader_agrees_with_argparse_on_generated_argv(fresh_parser, argv):
+    assert _reads_as_argparse(fresh_parser, argv)
+    assert _reads_as_argparse(fresh_parser, tuple(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "--n=1", "--d", "4", "--m", "2"),
+        ("degree", "--n", "1", "--d", "4", "--m", "2", "--form", "csv"),
+        ("degree", "--n", "1", "--n", "1", "--d", "4", "--m", "2"),
+        ("degree", "--n", "1", "--d", "-1", "--m", "2"),
+        ("degree", "--", "--n", "1", "--d", "4", "--m", "2"),
+        ("degree", "--n", "1", "--d", "4", "--m", "2", "--"),
+        ("degree", "-h"),
+        ("degree", "--help"),
+        ("--help",),
+        ("degree", "--n", "1", "--d", "4"),
+        ("degree", "--n", "1", "--d", "4", "--m"),
+        ("degree", "--n", "1", "--d", "4", "--m", "2", "--method", "bogus"),
+        ("degree", "--n", "1", "--d", "4", "--m", "2", "--format", "xml"),
+        ("verify", "--suite", "bogus"),
+        ("degree", "--n", "x", "--d", "4", "--m", "2"),
+        ("degree", "--n", "1.0", "--d", "4", "--m", "2"),
+        (),
+        ("frobnicate", "--n", "1"),
+        ("degree", "2", "--n", "1", "--d", "4", "--m", "2"),
+        ("verify", "--n", "1"),
+    ],
+    ids=[
+        "equals", "abbreviation", "repeated", "negative", "double-dash-first",
+        "double-dash-last", "short-help", "help", "top-help", "missing", "no-value",
+        "method", "format", "suite", "not-int", "float", "empty", "unknown-command",
+        "positional", "foreign-flag",
+    ],
+)
+def test_the_reader_leaves_every_other_form_to_argparse(argv):
+    assert read_canonical(argv) is None
+    assert read_canonical(list(argv)) is None
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("degree", "--help")])
