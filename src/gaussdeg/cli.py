@@ -6,9 +6,12 @@ no numeric logic lives here, and no digit arithmetic: each command's cost
 guard is one call into `cost`.  Output is deterministic:
 JSON with big integers and rationals rendered as decimal strings ("p/q"
 for non-integral rationals), or the same fields as CSV or an aligned text
-table.  The JSON is `json.dumps(doc, indent=2)`'s text, written by
-`_json_text`, which copies a number's decimal text as it is where json's
-indenting encoder would escape it character by character.
+table.  The JSON is `json.dumps(doc, indent=2)`'s text and the CSV
+`csv.writer`'s, byte for byte, each written by one writer here
+(`_json_text`, `_csv_text`, `_table_text`) that copies a number's decimal
+text as it is, where json's indenting encoder would escape it and csv
+would scan it character by character.  Integer options, and the numbers
+of a shape or a range, are ASCII `-?[0-9]+` (`integer`).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 input schema, 3 non-positive table-driven total (no degree exists), 4 an
@@ -64,8 +67,25 @@ from .verify import SUITE_NAMES, run_suite
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
 
-_DIGITS = re.compile("[0-9]+")
+# what `csv.writer` quotes: its delimiter, its quote and line breaks, here
+# with every control character, a superset over CPython 3.11 to 3.13
+_CSV_QUOTED = re.compile(r'[,"\x00-\x1f\x7f]')
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def integer(text: str) -> int:
+    """An integer as the command line writes it: ASCII `-?[0-9]+`, nothing else.
+
+    The type of every integer option, and of each number `parse_range`,
+    `parse_partition` and `effective_brute_cap` read.  `int()` alone would
+    also take spaces, '_', '+' and non-ASCII digits, so `--n 1_0` would be
+    read as 10.  Two string tests, not a regex match: it runs for every
+    integer option of every command.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(message("expected an integer of ASCII digits, got %r", text))
+    return int(text)
 
 
 def effective_brute_cap() -> int:
@@ -73,11 +93,8 @@ def effective_brute_cap() -> int:
     raw = os.environ.get(ENV_BRUTE_CAP)
     if raw is None:
         return DEFAULT_BRUTE_CAP
-    # int() alone would also take spaces, '_', '+' and non-ASCII digits
-    if not _DIGITS.fullmatch(raw):
-        raise ValueError(message("%s must be an integer, got %r", ENV_BRUTE_CAP, raw))
     try:
-        cap = int(raw)
+        cap = integer(raw)
     except ValueError as exc:
         raise ValueError(message("%s must be an integer, got %r", ENV_BRUTE_CAP, raw)) from exc
     if cap < 1:
@@ -85,20 +102,31 @@ def effective_brute_cap() -> int:
     return cap
 
 
-def parse_range(text: str) -> range:
-    """Parse '3' or '1..4' (inclusive endpoints) into a range of integers."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        return range(int(lo_text), int(hi_text) + 1)
-    return range(int(text), int(text) + 1)
+def parse_range(text: str, flag: str = "a range") -> range:
+    """Parse '3' or '1..4' (inclusive endpoints) into a range of integers.
+
+    Anything else raises a ValueError naming `flag` and the a..b form.
+    """
+    lo, dots, hi = text.partition("..")
+    try:
+        lo = integer(lo)
+        hi = integer(hi) if dots else lo
+    except ValueError:
+        template = "%s must be an integer or an inclusive range a..b, got %r"
+        raise ValueError(message(template, flag, text)) from None
+    return range(lo, hi + 1)
 
 
 def parse_partition(text: str):
+    """Comma-separated `integer` parts, spaces around each ignored, as a partition."""
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    return canonical(int(piece) for piece in items)
+    return canonical(integer(piece) for piece in items)
 
 
-def _fmt_cell(value) -> str:
+def _cell(value) -> str:
+    """The text of one csv or table cell; a string, a `Numeral` included, is its own."""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -108,29 +136,39 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    headers = list(rows[0].keys())
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_fmt_cell(row.get(h)) for h in headers])
-    return buffer.getvalue().rstrip("\n")
+def _csv_text(lines: list) -> str:
+    """`csv.writer(lineterminator="\\n")`'s text of `lines`, less its last newlines.
+
+    The writer quotes a cell that holds its delimiter, its quote or a line
+    break, and the lone empty cell of a line; it scans every character to
+    find them, the digits of a long number included.  A line of two or more
+    cells none of which, but for its `Numeral`s, holds a comma, a quote or
+    a control character is written as the writer writes it, its cells
+    joined by commas; any other line goes through the writer itself.
+    """
+    writer, out = None, []
+    for cells in lines:
+        plain = "".join([cell for cell in cells if type(cell) is not Numeral])
+        if len(cells) > 1 and not _CSV_QUOTED.search(plain):
+            out.append(",".join(cells))
+            continue
+        if writer is None:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(cells)
+        out.append(buffer.getvalue()[:-1])
+    return "\n".join(out).rstrip("\n")
 
 
-def _table_text(rows: list[dict]) -> str:
-    headers = list(rows[0].keys())
-    cells = [[_fmt_cell(row.get(h)) for h in headers] for row in rows]
-    widths = [
-        max(len(header), max(len(line[i]) for line in cells))
-        for i, header in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for line in cells:
-        lines.append(
-            "  ".join(line[i].ljust(widths[i]) for i in range(len(headers))).rstrip()
-        )
-    return "\n".join(lines)
+def _table_text(lines: list) -> str:
+    """`lines` as an aligned text table: each cell left-justified to its column's width."""
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    return "\n".join(
+        "  ".join([cell.ljust(width) for cell, width in zip(line, widths)]).rstrip()
+        for line in lines
+    )
 
 
 def _json_text(doc) -> str:
@@ -138,19 +176,50 @@ def _json_text(doc) -> str:
 
     With an indent set, CPython runs json's pure-Python encoder, which passes
     every string through `encode_basestring_ascii`: about 4 ns a character,
-    the digits of a long number included.  A `partitions.Numeral` needs no
-    escaping and is copied between quotes as it is; every other string is
-    escaped as json escapes it.  The text is gathered as one list of chunks
-    and joined once.
+    the digits of a long number included, and every key of every object
+    again.  A `partitions.Numeral` needs no escaping and is copied between
+    quotes as it is; every other string is escaped as json escapes it.  The
+    objects of one list, a command's rows, share the text before each of
+    their values, made once per key tuple.  The text is gathered as one
+    list of chunks and joined once.
     """
     chunks: list[str] = []
-    _json_chunks(doc, "\n", chunks)
+    _json_chunks(doc, "\n", chunks, None)
     return "".join(chunks)
 
 
-def _json_chunks(value, newline: str, chunks: list[str]) -> None:
-    """Append `value`'s JSON to `chunks`; `newline` starts a line at its depth."""
-    if type(value) is Numeral:
+def _json_chunks(value, newline: str, chunks: list[str], layouts: dict | None) -> None:
+    """Append `value`'s JSON to `chunks`; `newline` starts a line at its depth.
+
+    `layouts` maps the key tuple of an object of the list holding `value`
+    to the text before each of its values, the key included; it is None
+    for a value outside a list, whose text is made each time.
+    """
+    if isinstance(value, dict) and value:
+        inner, keys = newline + "  ", tuple(value)
+        openings = layouts.get(keys) if layouts is not None else None
+        if openings is None:
+            opening, separator, openings = "{" + inner, "," + inner, []
+            for key in keys:
+                openings.append(opening + encode_basestring_ascii(key) + ": ")
+                opening = separator
+            if layouts is not None:
+                layouts[keys] = openings
+        for opening, item in zip(openings, value.values()):
+            kind = type(item)
+            if kind is Numeral:
+                chunks += (opening, '"', item, '"')
+            elif kind is str:
+                chunks += (opening, encode_basestring_ascii(item))
+            elif kind is int:
+                chunks += (opening, int.__repr__(item))
+            elif kind is bool or item is None:
+                chunks += (opening, _JSON_CONSTANTS[item])
+            else:
+                chunks.append(opening)
+                _json_chunks(item, inner, chunks, None)
+        chunks.append(newline + "}")
+    elif type(value) is Numeral:
         chunks += ('"', value, '"')
     elif isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
@@ -158,20 +227,12 @@ def _json_chunks(value, newline: str, chunks: list[str]) -> None:
         chunks.append(_JSON_CONSTANTS[value])
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
-    elif isinstance(value, dict) and value:
-        inner = newline + "  "
-        opening = "{" + inner
-        for key, item in value.items():
-            chunks += (opening, encode_basestring_ascii(key), ": ")
-            _json_chunks(item, inner, chunks)
-            opening = "," + inner
-        chunks.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        opening = "[" + inner
+        opening, layouts = "[" + inner, {}
         for item in value:
             chunks.append(opening)
-            _json_chunks(item, inner, chunks)
+            _json_chunks(item, inner, chunks, layouts)
             opening = "," + inner
         chunks.append(newline + "]")
     else:  # an empty container or a float
@@ -179,11 +240,16 @@ def _json_chunks(value, newline: str, chunks: list[str]) -> None:
 
 
 def _render_rows(rows: list[dict], fmt: str, envelope: dict | None = None) -> str:
+    """JSON of `envelope`, or of `rows`, or `rows` as csv or table lines.
+
+    A csv or table line holds a row's cells under the first row's keys,
+    each made once by `_cell`, below a line of those keys.
+    """
     if fmt == "json":
         return _json_text(envelope if envelope is not None else rows)
-    if fmt == "csv":
-        return _csv_text(rows)
-    return _table_text(rows)
+    headers = tuple(rows[0])
+    lines = [headers, *([_cell(row.get(key)) for key in headers] for row in rows)]
+    return _csv_text(lines) if fmt == "csv" else _table_text(lines)
 
 
 def _render_object(doc: dict, fmt: str) -> str:
@@ -238,7 +304,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    n_values, d_values = parse_range(args.n), parse_range(args.d)
+    n_values, d_values = parse_range(args.n, "--n"), parse_range(args.d, "--d")
     guard_scan(n_values, d_values)
     rows = list(conjecture_scan(n_values, d_values))
     violations = sum(not row["within_conjecture"] for row in rows)
@@ -328,21 +394,21 @@ class Command:
 COMMANDS = {
     "degree": Command(
         cmd_degree, "degree and dimension at one (n, d, m)",
-        Option("--n", int, REQUIRED, help="dimension of the source space"),
-        Option("--d", int, REQUIRED, help="degree of the embedding forms"),
-        Option("--m", int, REQUIRED, help="tangent plane dimension"),
+        Option("--n", integer, REQUIRED, help="dimension of the source space"),
+        Option("--d", integer, REQUIRED, help="degree of the embedding forms"),
+        Option("--m", integer, REQUIRED, help="tangent plane dimension"),
         Option("--method", choices=tuple(METHODS), default="main"),
     ),
     "table": Command(
         cmd_table, "sweep all m for one variety",
-        Option("--n", int, REQUIRED),
-        Option("--d", int, REQUIRED),
+        Option("--n", integer, REQUIRED),
+        Option("--d", integer, REQUIRED),
     ),
     "verify": Command(
         cmd_verify, "run self-check suites",
         Option("--suite", choices=SUITE_NAMES),
-        Option("--max-n", int, 6, help="identity suite range"),
-        Option("--max-weight", int, 8, help="syt suite range"),
+        Option("--max-n", integer, 6, help="identity suite range"),
+        Option("--max-weight", integer, 8, help="syt suite range"),
     ),
     "conjecture": Command(
         cmd_conjecture, "scan the conjectured power bound",
@@ -352,7 +418,7 @@ COMMANDS = {
     "generic": Command(
         cmd_generic, "degree from a Schur integral table file",
         Option("--table", default=REQUIRED, help="path to a table JSON file"),
-        Option("--m", int, REQUIRED),
+        Option("--m", integer, REQUIRED),
     ),
     "syt": Command(
         cmd_syt, "standard tableau count, both ways",
@@ -360,8 +426,8 @@ COMMANDS = {
     ),
     "grassmann": Command(
         cmd_grassmann, "Grassmannian dimension and degree",
-        Option("--d", int, REQUIRED, help="quotient rank"),
-        Option("--r", int, REQUIRED, help="ambient rank"),
+        Option("--d", integer, REQUIRED, help="quotient rank"),
+        Option("--r", integer, REQUIRED, help="ambient rank"),
     ),
 }
 

@@ -15,10 +15,13 @@ Everything is exact: integers are unbounded, ratios are
 is a `partitions.exact_quotient`, and every degree is checked positive.
 The tableau-weighted sum is laid out once per table, as a `TermPlan`, and
 one method, `TermPlan.row`, evaluates it for every cell and every sweep
-row: one long remainder, one short checked division per term, and the
-degree, by one long division and one long multiplication, each by a short
-integer.  A sweep's long integers are integral Decimals, under
-`grassmann.exact_context`, and its rows are written as text (`table_rows`,
+row from the Pluecker degree split once by L, `TermPlan.split`: one short
+checked division per term and one for the degree, which then costs one
+long fused multiply-add.  A cell costs two long operations, the split and
+the degree; a sweep splits each count it steps once, and a row of its
+mirrored second half reuses its count's split, so costs one.  A sweep's
+long integers are integral Decimals, worked by `grassmann.EXACT`'s own
+methods, and its rows are written as text (`table_rows`,
 `conjecture_scan`); `bounds` makes one cell's record, of ints.
 
 This module prices nothing: every refusal made before a number is formed,
@@ -27,7 +30,7 @@ included, lives in `cost`.
 """
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -44,7 +47,13 @@ from .cost import (
     check_factorial,
     guard_degree,
 )
-from .grassmann import GrassmannShape, exact_context, grassmann_degree, grassmann_degree_sweep
+from .grassmann import (
+    EXACT,
+    GrassmannShape,
+    exact_context,
+    grassmann_degree,
+    grassmann_degree_sweep,
+)
 from .partitions import (
     Numeral,
     Partition,
@@ -216,9 +225,11 @@ def degree_main(v: VeroneseVariety, m: int) -> DegreeReport:
     at lam is (d-1)^n / n! times the tableau count of lam times the
     falling-factorial product of lam.  The process keeps that table, and
     its plan, for each (n, d) (`VeroneseVariety.integral_table`), so a
-    sweep over m, or a later call, pays for it once.
+    sweep over m, or a later call, pays for it once.  The report is built
+    once, with its method and d.
     """
-    return replace(degree_generic(v.integral_table, m), method="main", d=v.d)
+    degree = _table_degree(v.integral_table, m)
+    return DegreeReport(n=v.n, d=v.d, N=v.N, m=m, deg_xm=degree, method="main")
 
 
 def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
@@ -328,14 +339,14 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
     since the sweep steps by short ratios and shares no code with the
     tableau kernel behind `reference_product`.
     """
-    report = degree_general_curve(d, d, 0, m)
+    report = _general_curve(d, d, 0, m, "curve_closed")
     rows = min(m - 1, d - m)
     pluecker = next(islice(grassmann_degree_sweep(d - 1), rows, None))
     with exact_context(pluecker):  # the sweep's count may be a Decimal
         expected = 2 * (d - m) * (1 + rows * (d - 1 - rows)) * pluecker
     if report.deg_xm != expected:
         raise ArithmeticError("dual Grassmannian degrees disagree")
-    return replace(report, method="curve_closed", notes="")
+    return report
 
 
 def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
@@ -344,6 +355,11 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
     (N-m)/(N-1) times the reference product of the first-stage degree
     2g - 2 + 2d, which must be positive.
     """
+    return _general_curve(N, d, g, m, "general_curve", f"genus {g}")
+
+
+def _general_curve(N: int, d: int, g: int, m: int, method: str, notes: str = "") -> DegreeReport:
+    """`degree_general_curve`'s degree, reported under `method` with `notes`."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if g < 0:
@@ -353,9 +369,7 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
     first = 2 * g - 2 + 2 * d
     if first <= 0:
         raise ValueError(message("2g - 2 + 2d = %s must be positive", first))
-    return _closed_form(
-        1, N, m, first, lambda e, N: Fraction(e, N - 1), "general_curve", d, f"genus {g}"
-    )
+    return _closed_form(1, N, m, first, lambda e, N: Fraction(e, N - 1), method, d, notes)
 
 
 def degree_surface_closed(d: int, m: int) -> DegreeReport:
@@ -455,10 +469,16 @@ def degree_generic(table: SegreIntegralTable, m: int) -> DegreeReport:
     `TermPlan.row` adds the sum up in short integers and forms the degree;
     a non-positive total is not a degree and raises NotGenericallyFiniteError.
     """
+    degree = _table_degree(table, m)
+    return DegreeReport(n=table.n, N=table.N, m=m, deg_xm=degree, method="generic")
+
+
+def _table_degree(table: SegreIntegralTable, m: int) -> int:
+    """The degree `degree_generic` reports: one cell of the table's plan."""
     n, N = table.n, table.N
     _check_range(n, N, m)
     _, _, degree = table.plan.row(m, grassmann_degree(GrassmannShape(m - n, N - n)))
-    return DegreeReport(n=n, N=N, m=m, deg_xm=degree, method="generic")
+    return degree
 
 
 class TermPlan:
@@ -493,33 +513,50 @@ class TermPlan:
             for lam, integral, indices, count, den in terms
         )
 
-    def row(self, m: int, pluecker: int | Decimal) -> tuple[int, int, int | Decimal]:
+    def split(self, pluecker: int | Decimal) -> tuple[int | Decimal, int]:
+        """(pluecker // L, pluecker % L), the remainder an int: one long operation.
+
+        A Decimal is divided by `grassmann.EXACT.divmod`, with no context
+        entered, and its quotient stays a Decimal.
+        """
+        if type(pluecker) is int:
+            return divmod(pluecker, self.lcd)
+        quotient, rest = EXACT.divmod(pluecker, self.lcd)
+        return quotient, int(rest)
+
+    def row(
+        self, m: int, pluecker: int | Decimal, split: tuple | None = None
+    ) -> tuple[int, int, int | Decimal]:
         """(C(dim X_m, n), S, degree) at an m in range; `pluecker` is deg G.
 
-        unit = C(dim X_m, n) * pluecker is never formed: `_weighted_sum`
-        needs unit mod L, one long remainder.  The sign of S decides
-        whether a degree exists: S <= 0 raises NotGenericallyFiniteError,
-        naming S, an int, before the degree is formed.  Otherwise, with
-        q = C(dim X_m, n) * S and k = gcd(q, L), the degree is
-        (pluecker / (L / k)) * (q / k): one checked long division and one
-        long multiplication, each by a short integer, under
-        `grassmann.exact_context(pluecker)`, entered here.
+        `split` is `self.split(pluecker)`, made here when not given: a
+        sweep passes the split it made once for a count it yields twice.
+        With pluecker = quot * L + rest, unit = C(dim X_m, n) * pluecker is
+        never formed: `_weighted_sum` needs only unit mod L, from the short
+        rest.  The sign of S decides whether a degree exists: S <= 0 raises
+        NotGenericallyFiniteError, naming S, an int, before any long
+        operation on the degree.  Otherwise, with q = C(dim X_m, n) * S,
+        the degree pluecker * q / L is quot * q + (rest * q) / L: the short
+        division is the checked `exact_quotient`, and the degree one long
+        fused multiply-add, `EXACT.fma` for a Decimal.  The check is the
+        one the degree needs: with k = gcd(q, L), gcd(q/k, L/k) = 1, so L
+        divides rest * q, or pluecker * q, exactly when L/k divides pluecker.
         """
         n, lcd = self.n, self.lcd
+        quotient, rest = self.split(pluecker) if split is None else split
         coefficient = comb(n + (self.N - m) * (m - n), n)
-        with exact_context(pluecker):
-            total = _weighted_sum(self, m, int(pluecker % lcd) * coefficient % lcd)
-            if total <= 0:
-                template = (
-                    "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
-                    "finite onto its image, or the table is not the Segre data of a variety"
-                )
-                raise NotGenericallyFiniteError(message(template, total, m, m))
-            q = coefficient * total
-            common = gcd(q, lcd)
-            what = "the weighted total at m = %s"
-            degree = exact_quotient(pluecker, lcd // common, what, m) * (q // common)
-        return coefficient, total, degree
+        total = _weighted_sum(self, m, rest * coefficient % lcd)
+        if total <= 0:
+            template = (
+                "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
+                "finite onto its image, or the table is not the Segre data of a variety"
+            )
+            raise NotGenericallyFiniteError(message(template, total, m, m))
+        q = coefficient * total
+        low = exact_quotient(rest * q, lcd, "the weighted total at m = %s", m)
+        if type(quotient) is int:
+            return coefficient, total, quotient * q + low
+        return coefficient, total, EXACT.fma(quotient, q, low)
 
 
 def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
@@ -547,8 +584,9 @@ def _weighted_sum(plan: TermPlan, m: int, residue: int) -> int:
 
     The row's binomials are formed once, one per offset pair.  A term's
     tableau count, unit * f(lam) * num / den, is checked integral on its
-    own as residue * f(lam) * num over den: a short `exact_quotient` per
-    term, made for a zero integral too.
+    own as residue * f(lam) * num over den: one short remainder per term,
+    made for a zero integral too, and a remainder raises as
+    `exact_quotient` does.
     """
     height = plan.N - m
     binomials = _row_binomials(plan.pairs, height)
@@ -558,7 +596,8 @@ def _weighted_sum(plan: TermPlan, m: int, residue: int) -> int:
             continue
         for k in indices:
             count *= binomials[k]
-        exact_quotient(residue * count, den, _TERM, lam, m - plan.n, height)
+        if residue * count % den:
+            exact_quotient(residue * count, den, _TERM, lam, m - plan.n, height)
         total += count * weight
     return total
 
@@ -593,7 +632,7 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     n, N = v.n, v.N
     _check_range(n, N, m)
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
-    ((_, _, coefficient, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker),))
+    ((_, _, coefficient, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker, None),))
     product = coefficient * pluecker * ordinary_gauss_degree(v)
     power = Fraction((N - m) ** n, (N - n) ** n)
     return BoundsReport(n, v.d, N, m, degree, product, Fraction(num, den), power)
@@ -607,7 +646,7 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
     `Fraction` made per row.
     """
     n, N = v.n, v.N
-    for m, _, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(n, N)):
+    for m, _, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(v.integral_table.plan)):
         yield {
             "m": m,
             "dim": n + (N - m) * (m - n),
@@ -617,27 +656,43 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
         }
 
 
-def _sweep_cells(n: int, N: int):
-    """(m, deg G(m-n, N-n)) for m = n..N-1, from `grassmann_degree_sweep(N - n)`."""
-    return zip(range(n, N), grassmann_degree_sweep(N - n))
+def _sweep_cells(plan: TermPlan) -> Iterator[tuple]:
+    """(m, deg G(m-n, N-n), its `plan.split`) for m = n..N-1, of `plan`'s n and N.
+
+    The counts come from `grassmann_degree_sweep(N - n)`, which yields its
+    second half, D(r-k, k) = D(k, r-k), r = N - n, from the counts it
+    stepped in the first: each stepped count is split once, and the row
+    that yields it again reuses that split.
+    """
+    n, r = plan.n, plan.N - plan.n
+    splits = []
+    for k, pluecker in enumerate(grassmann_degree_sweep(r)):
+        if 2 * k > r:
+            split = splits[r - k]
+        else:
+            split = plan.split(pluecker)
+            splits.append(split)
+        yield n + k, pluecker, split
 
 
 def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
-    """(m, pluecker, coefficient, degree, ratio num, ratio den, within) for each (m, pluecker).
+    """(m, pluecker, coefficient, degree, ratio num, ratio den, within) for each cell.
 
-    `pluecker` is deg G(m-n, N-n).  The Veronese layer over `TermPlan.row`
-    of `v.integral_table`'s plan, which gives each cell's C(dim X_m, n), S
-    and degree = unit * S / L.  The ratio degree / product is S / (L * g),
-    g the ordinary Gauss degree: reduced by one gcd of short integers,
-    checked against the proved bounds and measured against the power
-    bound, each cross-multiplied, in short ints and no decimal context.
+    A cell is (m, pluecker, split): `pluecker` is deg G(m-n, N-n) and
+    `split` its `TermPlan.split`, or None to make it.  The Veronese layer
+    over `TermPlan.row` of `v.integral_table`'s plan, which gives each
+    cell's C(dim X_m, n), S and degree = unit * S / L.  The ratio
+    degree / product is S / (L * g), g the ordinary Gauss degree: reduced
+    by one gcd of short integers, checked against the proved bounds and
+    measured against the power bound, each cross-multiplied, in short ints
+    and no decimal context.
     """
     n, N = v.n, v.N
     plan = v.integral_table.plan
     scale = plan.lcd * ordinary_gauss_degree(v)
     low_den, up_den, power_den = comb(N - n, n), comb(N - 1, n), (N - n) ** n
-    for m, pluecker in cells:
-        coefficient, total, degree = plan.row(m, pluecker)
+    for m, pluecker, split in cells:
+        coefficient, total, degree = plan.row(m, pluecker, split)
         common = gcd(total, scale)
         num, den = total // common, scale // common
         low, up = comb(N - m, n), comb(N - m + n - 1, n)
@@ -685,8 +740,9 @@ def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
     """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product."""
     n, d, N = v.n, v.d, v.N
     first = ordinary_gauss_degree(v)
-    for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, _sweep_cells(n, N)):
+    cells = _sweep_cells(v.integral_table.plan)
+    for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells):
         with exact_context(pluecker):
-            product = coefficient * pluecker * first
+            product = pluecker * (coefficient * first)
             row = _conjecture_row(n, d, N, m, degree, product, num, den, within)
         yield row

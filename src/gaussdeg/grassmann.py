@@ -17,8 +17,11 @@ Past `DECIMAL_BITS` the sweep carries its count in base 10, as an integral
 integers costs O(digits) in either base, and only base 10 prints in
 O(digits), where CPython's `str()` of an int is quadratic and refused past
 4,300 digits.  This module is the one that knows the choice: it defines
-`EXACT`, and `exact_context(count)` is the context that arithmetic on a
-swept count enters, `EXACT` for a Decimal and none for an int.
+`EXACT`, whose own methods (`EXACT.divmod`, `EXACT.multiply`,
+`EXACT.fma`) step a swept count and form a row's degree from it with no
+context entered, and `exact_context(count)`, the context that any other
+arithmetic on a swept count enters, `EXACT` for a Decimal and none for an
+int.
 """
 
 from contextlib import nullcontext
@@ -48,8 +51,9 @@ from .partitions import exact_quotient, message, syt_count
 DECIMAL_BITS = 2_000
 # Exact integer arithmetic in base 10: precision and exponents as wide as
 # libmpdec allows, and any rounding raises instead of passing silently, as it
-# would under the default 28-digit context.  It is entered around arithmetic
-# only, never across a `yield`, so the caller's context is left as it was.
+# would under the default 28-digit context.  Its methods are called directly,
+# or it is entered around arithmetic only, never across a `yield`, so the
+# caller's context is neither used nor changed.
 EXACT = Context(
     prec=MAX_PREC,
     Emax=MAX_EMAX,
@@ -106,11 +110,11 @@ def grassmann_degree_sweep(r: int):
     the same rectangle turned over, from the counts already stepped.  No
     sieve and no prime-power product: each step costs one division and one
     multiplication of the count by a short integer.  From the first count
-    past `DECIMAL_BITS` on, each is an integral Decimal, stepped under
-    `EXACT`; an int step enters no context, which would cost about 1 us,
-    more than the step itself.  `int()` of a yielded Decimal is exact; any
-    other arithmetic on it needs the caller to enter `EXACT`, as the
-    default 28-digit context rounds silently.
+    past `DECIMAL_BITS` on, each is an integral Decimal, stepped by
+    `EXACT.divmod`, its remainder checked, and `EXACT.multiply`, with no
+    context entered.  `int()` of a yielded Decimal is exact; any other
+    arithmetic on it needs `EXACT`, as the default 28-digit context rounds
+    silently.
     """
     degree, what = 1, "tableau count of the %s x %s rectangle"
     stepped = []
@@ -125,8 +129,8 @@ def grassmann_degree_sweep(r: int):
                 if degree.bit_length() > DECIMAL_BITS:
                     degree = Decimal(degree)
             else:
-                with localcontext(EXACT):
-                    degree = exact_quotient(degree, den, what, k, r - k) * num
+                degree = exact_quotient(degree, den, what, k, r - k, divide=EXACT.divmod)
+                degree = EXACT.multiply(degree, num)
         stepped.append(degree)
         yield degree
 

@@ -66,13 +66,15 @@ def _strip_zeros(lam: Partition) -> Partition:
     return lam[: lam.index(0)] if lam and not lam[-1] else lam
 
 
-def exact_quotient(num: int, den: int, what: str, *args) -> int:
+def exact_quotient(num: int, den: int, what: str, *args, divide=divmod) -> int:
     """num // den, which the theory promises exact: a remainder raises ArithmeticError.
 
     The message names `message(what, *args)`, built only when it is
     raised, so a hot loop builds no message for a division that is exact.
+    `divide` makes the quotient and remainder: `grassmann.EXACT.divmod`
+    for an integral Decimal `num`, which needs no context entered.
     """
-    quotient, rem = divmod(num, den)
+    quotient, rem = divide(num, den)
     if rem:
         raise ArithmeticError(message(what, *args) + " did not come out integral")
     return quotient

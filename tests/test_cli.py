@@ -558,6 +558,58 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv, skew):
     assert err.endswith(" did not come out integral\n") and err.count("\n") == 1
 
 
+def _pluecker_off_by_one(monkeypatch):
+    # every Grassmannian degree the row kernel reads, swept (an int, or past
+    # the base-10 switch a Decimal) or single, one more than it is
+    sweep, single = gaussdeg.degrees.grassmann_degree_sweep, gaussdeg.degrees.grassmann_degree
+
+    def swept(r):
+        for count in sweep(r):
+            yield count + 1 if type(count) is int else gaussdeg.grassmann.EXACT.add(count, 1)
+
+    monkeypatch.setattr(gaussdeg.degrees, "grassmann_degree_sweep", swept)
+    monkeypatch.setattr(gaussdeg.degrees, "grassmann_degree", lambda shape: single(shape) + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "2", "--d", "12"],
+        ["conjecture", "--n", "2", "--d", "12"],
+        ["table", "--n", "1", "--d", "200"],
+        ["degree", "--n", "2", "--d", "12", "--m", "45"],
+        ["degree", "--n", "1", "--d", "60", "--m", "30"],
+    ],
+    ids=["table", "conjecture", "decimal-table", "degree", "curve-degree"],
+)
+def test_a_pluecker_degree_off_by_one_exits_4(capsys, monkeypatch, argv):
+    # the split count's short rest feeds every term's check, in a sweep row
+    # and in a single cell alike
+    _pluecker_off_by_one(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal invariant failed: ")
+    assert err.endswith(" did not come out integral\n") and err.count("\n") == 1
+
+
+def test_a_base10_sweep_step_checks_its_remainder(capsys, monkeypatch):
+    # (1, 200) steps its count in base 10 from k = 5 on: a denominator that
+    # does not divide the count at k = 21 ends the sweep there
+    factor = gaussdeg.grassmann._sweep_factor
+
+    def skewed(k, c):
+        num, den = factor(k, c)
+        return (num, 1_000_000_007 * den) if k == 20 else (num, den)
+
+    monkeypatch.setattr(gaussdeg.grassmann, "_sweep_factor", skewed)
+    code, out, err = run_cli(capsys, "table", "--n", "1", "--d", "200")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal invariant failed: "
+        "tableau count of the 21 x 178 rectangle did not come out integral\n"
+    )
+
+
 @pytest.mark.parametrize(
     ("argv", "skew", "what"),
     [
@@ -846,13 +898,72 @@ def test_a_second_call_builds_no_parser(capsys, monkeypatch):
     assert built and built[0] == "gaussdeg"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "--n", "1_0", "--d", "2", "--m", "10"),
+        ("degree", "--n", "1", "--d", "2", "--m", "+3"),
+        ("degree", "--n", " 1", "--d", "2", "--m", "1"),
+        ("degree", "--n", "\u0661", "--d", "2", "--m", "1"),
+        ("table", "--n", "1", "--d", "0x4"),
+        ("grassmann", "--d", "1", "--r", "4.0"),
+        ("verify", "--suite", "identity", "--max-n", "6_0"),
+        ("generic", "--table", "t.json", "--m", "+2"),
+    ],
+    ids=["underscore", "plus", "space", "arabic-indic", "hex", "float", "verify", "generic"],
+)
+def test_an_integer_option_takes_ascii_digits_only(capsys, argv):
+    # int() reads the first four and the last two; the command line's one
+    # integer type reads -?[0-9]+ and nothing else, in the command table
+    # and in argparse
+    assert read_canonical(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("syt", "--shape", "1_0"),
+        ("syt", "--shape", "1_0,+2"),
+        ("syt", "--shape", "3,+1"),
+        ("conjecture", "--n", "1", "--d", "+2"),
+    ],
+)
+def test_a_shape_or_range_takes_ascii_digits_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1..", "..3", "1...3", "a..b", "1..2..3", "", "1_0"])
+def test_a_bad_range_names_its_flag_and_the_range_form(capsys, text):
+    code, out, err = run_cli(capsys, "conjecture", "--n", text, "--d", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: --n must be an integer or an inclusive range a..b, got {text!r}\n"
+    with pytest.raises(ValueError, match="^a range must be an integer or an inclusive range"):
+        parse_range(text)
+
+
+def test_a_negative_integer_still_reaches_the_range_checks(capsys):
+    # "-1" is no canonical value; argparse reads it with the same type
+    assert read_canonical(["degree", "--n", "-1", "--d", "2", "--m", "1"]) is None
+    code, out, err = run_cli(capsys, "degree", "--n", "-1", "--d", "2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "n must be" in err
+    assert tuple(parse_range("-3..-1")) == (-3, -2, -1)
+    assert parse_partition(" 4 , 2 ") == (4, 2)
+
+
 def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
     argv = ("degree", "--n", "1", "--d", "4", "--m", "2")
     before = run_cli(capsys, *argv)
     with pytest.raises(SystemExit) as exc:
         main(["degree", "--n", "x", "--d", "4", "--m", "2"])
     assert exc.value.code == 2
-    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert "argument --n: invalid integer value: 'x'" in capsys.readouterr().err
     assert run_cli(capsys, *argv) == before
 
 

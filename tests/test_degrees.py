@@ -814,8 +814,8 @@ def test_base10_rows_read_as_exact_ints():
     # (1, 200) carries its rows in base 10 from m = 6 on; the single cell
     # holds ints, and its `to_dict` writes the sweep's row on both sides
     v = VeroneseVariety(1, 200)
-    cells = gaussdeg.degrees._sweep_cells(v.n, v.N)
-    assert [type(p) for _, p in islice(cells, 4, 6)] == [int, Decimal]
+    cells = gaussdeg.degrees._sweep_cells(v.integral_table.plan)
+    assert [type(p) for _, p, _ in islice(cells, 4, 6)] == [int, Decimal]
     rows = list(conjecture_scan((1,), (200,)))
     for m in (2, 5, 6, 21, 100, 199):
         row, cell = rows[m - 1], bounds(v, m)
@@ -1013,19 +1013,19 @@ def _random_table(n: int, N: int, seed: int) -> SegreIntegralTable:
 def test_a_sweep_over_any_table_is_degree_generic_row_by_row(make, args):
     # the sweep's kernel over tables that are not Veronese: at every m,
     # `TermPlan.row` of the swept Pluecker degree (an int, or past the
-    # base-10 switch, at N - n >= 52 here, a Decimal) is the single cell's
-    # degree, or both find no degree
+    # base-10 switch, at N - n >= 52 here, a Decimal) and the split the
+    # sweep made of it is the single cell's degree, or both find no degree
     table = make(*args)
     kinds = set()
-    for m, pluecker in gaussdeg.degrees._sweep_cells(table.n, table.N):
+    for m, pluecker, split in gaussdeg.degrees._sweep_cells(table.plan):
         kinds.add(type(pluecker))
         try:
             expected = degree_generic(table, m).deg_xm
         except NotGenericallyFiniteError:
             with pytest.raises(NotGenericallyFiniteError):
-                table.plan.row(m, pluecker)
+                table.plan.row(m, pluecker, split)
             continue
-        assert table.plan.row(m, pluecker)[2] == expected, m
+        assert table.plan.row(m, pluecker, split)[2] == expected, m
     assert kinds == ({int, Decimal} if table.N - table.n >= 52 else {int})
 
 
@@ -1059,3 +1059,82 @@ def test_each_term_is_checked_integral_on_its_own():
     message = "^tableau count of \\(2,\\) plus the 2-wide rectangle of height 4 did not "
     with pytest.raises(ArithmeticError, match=message):
         plan.row(4, 1)
+
+
+@pytest.mark.parametrize(("n", "d"), [(2, 12), (1, 60)])
+def test_every_mirrored_row_is_degree_main(n, d):
+    # past the middle the sweep yields its counts again, D(k, c) = D(c, k),
+    # and each such row reuses its count's split by L: the very same pair
+    v = VeroneseVariety(n, d)
+    r = v.N - n
+    cells = list(gaussdeg.degrees._sweep_cells(v.integral_table.plan))
+    mirrored = [k for k in range(r) if 2 * k > r]
+    assert len(mirrored) == (r - 1) // 2
+    for k in mirrored:
+        assert cells[k][2] is cells[r - k][2]
+        assert cells[k][1] == grassmann_degree(GrassmannShape(k, r))
+    rows = list(table_rows(v))
+    with no_digit_limit():
+        for k in mirrored:
+            m = n + k
+            assert rows[k]["m"] == m
+            assert rows[k]["degree"] == str(degree_main(v, m).deg_xm), m
+
+
+def test_a_sweep_splits_each_stepped_count_once(monkeypatch):
+    # one long split per count the sweep steps, none for a mirrored row,
+    # and one for a single cell
+    v = VeroneseVariety(2, 12)
+    r = v.N - v.n
+    split, counts = gaussdeg.degrees.TermPlan.split, []
+
+    def counted(plan, pluecker):
+        counts.append(pluecker)
+        return split(plan, pluecker)
+
+    monkeypatch.setattr(gaussdeg.degrees.TermPlan, "split", counted)
+    assert len(list(table_rows(v))) == r
+    assert len(counts) == r // 2 + 1
+    counts.clear()
+    degree_main(v, 40)
+    assert len(counts) == 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 50, 89])
+def test_a_decimal_row_checks_the_degree_as_the_int_row_does(monkeypatch, m):
+    # a weighted total skewed by one skips the terms' own checks; the
+    # degree's short division, rest * q over L, then finds the row with no
+    # degree (at m = 2, 3 and 89 of (2, 12)) for an int and a Decimal alike
+    weighted = gaussdeg.degrees._weighted_sum
+    monkeypatch.setattr(
+        gaussdeg.degrees, "_weighted_sum", lambda plan, m, residue: weighted(plan, m, residue) + 1
+    )
+    plan = VeroneseVariety(2, 12).integral_table.plan
+    pluecker = grassmann_degree(GrassmannShape(m - 2, 88))
+    outcomes = []
+    for argument in (pluecker, Decimal(pluecker)):
+        try:
+            outcomes.append(plan.row(m, argument)[2])
+        except ArithmeticError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if m != 50:
+        assert outcomes[0] == f"the weighted total at m = {m} did not come out integral"
+
+
+def test_degree_main_builds_one_report(monkeypatch):
+    # the report is made with its method and d, not remade by `replace`
+    made = []
+    post_init = DegreeReport.__post_init__
+
+    def counted(report):
+        made.append(report.method)
+        post_init(report)
+
+    monkeypatch.setattr(DegreeReport, "__post_init__", counted)
+    v = VeroneseVariety(2, 3)
+    report = degree_main(v, 4)
+    assert (report.method, report.d, made) == ("main", 3, ["main"])
+    made.clear()
+    report = degree_curve_closed(6, 3)
+    assert (report.method, report.notes, made) == ("curve_closed", "", ["curve_closed"])
