@@ -27,7 +27,11 @@ MAX_SYT_CELLS = 4_000_000  # `syt`'s sieve and hook lists take about 23 bytes a 
 # A sweep holds its rows, rows x central digits, to MAX_SWEEP_DIGITS, and its
 # work to MAX_WORK digit-terms of about 0.8 ns: p(n) short terms a row at
 # _SHORT_TERM_WORK (1.2-1.8 us from n = 5 to 25) and _ROW_LONG_OPS long steps
-# on its central digits.  On a shared 2-core x86-64 (CPython 3.11)
+# on its central digits.  A `table` row makes at most four (the sweep step,
+# the split, the degree's multiply-add and its text) and a mirrored row two,
+# so 8 is twice a `table` row's count, kept as slack; a `conjecture` row makes
+# 7 to 9, its product, a division with remainder, a multiply-add and two more
+# texts on top.  On a shared 2-core x86-64 (CPython 3.11)
 # `table --n 25 --d 2`, 2.0 x 10^9 digit-terms, took 1.8 s, and `conjecture
 # --n 1 --d 400`, 3.0 x 10^7 digits, held 234 MB.  MAX_WORK also bounds the
 # m = n+1 sum (3.9 s at (20000, 3)) and `degree_curve_closed`'s check: its

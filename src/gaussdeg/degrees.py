@@ -165,14 +165,22 @@ def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
     """The row `conjecture` prints of one cell, whose ratio is num / den in lowest terms.
 
     The power bound a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
-    reduced by gcd(product, b) alone, are written with no `Fraction`.  An integral
-    Decimal `degree` or `product` needs `grassmann.EXACT`, which `_conjecture_rows`,
-    its caller with Decimals, enters by `grassmann.exact_context`.
+    reduced by gcd(product, b) alone, are written with no `Fraction`.  An int
+    `product` takes a remainder, a division and a multiplication.  An integral
+    Decimal `product`, a sweep's, takes two long operations of `grassmann.EXACT`,
+    with no context entered: with product = quot * b + rest and k = gcd(rest, b),
+    the value is quot * (b/k * a) + rest/k * a, one fused multiply-add.
     """
     common = gcd(N - m, N - n)
     a, b = ((N - m) // common) ** n, ((N - n) // common) ** n
-    common = gcd(int(product % b), b)
-    value, b_value = product // common * a, b // common
+    if type(product) is int:
+        common = gcd(product % b, b)
+        value = product // common * a
+    else:
+        quotient, rest = EXACT.divmod(product, b)
+        common = gcd(int(rest), b)
+        value = EXACT.fma(quotient, b // common * a, int(rest) // common * a)
+    b_value = b // common
     return {
         "n": n,
         "d": d,
@@ -737,12 +745,18 @@ def conjecture_scan(n_values, d_values) -> Iterator[dict]:
 
 
 def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
-    """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product."""
+    """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product.
+
+    The product is one long multiplication, `grassmann.EXACT.multiply` for
+    a sweep's Decimal count, with no context entered.
+    """
     n, d, N = v.n, v.d, v.N
     first = ordinary_gauss_degree(v)
     cells = _sweep_cells(v.integral_table.plan)
     for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells):
-        with exact_context(pluecker):
-            product = pluecker * (coefficient * first)
-            row = _conjecture_row(n, d, N, m, degree, product, num, den, within)
-        yield row
+        scale = coefficient * first
+        if type(pluecker) is int:
+            product = pluecker * scale
+        else:
+            product = EXACT.multiply(pluecker, scale)
+        yield _conjecture_row(n, d, N, m, degree, product, num, den, within)

@@ -23,14 +23,16 @@ MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count pas
 # life of the process; a seeded `small_mixed` benchmark run asks for about
 # 870 distinct ones
 HOOK_CACHE_SIZE = 4096
-# Below this many cells the hooks multiplied block by block and one division
-# beat the prime powers on most shapes measured.  They cross below 600 cells
-# for a staircase (a block per cell), between 800 and 1,000 for shapes plus a
-# rectangle, between 1,000 and 1,100 for rectangles of 3 to 32 rows, near
-# 1,500 for (2, 1^k) and past 2,000 for the hook (k, 1^k) (CPython 3.11,
-# shared 2-core x86-64).  Moving the switch to 1,000 would speed the 22 of
-# the `ladder_cold` ladder's 892 rectangles that lie between by 3-30% and slow
-# staircases there by up to a quarter.
+# The switch between the hooks multiplied block by block with one division
+# and the prime powers, with the primes read from the kept list (best of 9,
+# CPython 3.11, shared 2-core x86-64).  On rectangles of 3 to 28 rows the two
+# tie at 600 cells (33-35 us against 31-42 us); at 700-800 the prime powers
+# win (39-57 us against 47-63 us) but on three rows, where they tie, and at
+# 900 they take 46-62 us against 79-84 us.  Shapes plus a rectangle cross
+# near 600 cells and staircases below it, but (2, 1^k) crosses between 800
+# and 1,000 and the hook (k, 1^k) between 1,500 and 2,000: at 800 cells the
+# hook divides in 75 us and takes 178 us as prime powers.  So the switch
+# stays at 800, below which counts are also kept (`_kept_count`).
 PRIME_POWER_CELLS = 800
 # Blocks of hooks with a side of at most this many cells are summed along
 # that side, an lgamma pair a step; any other block is priced by Barnes G
@@ -49,6 +51,12 @@ _MESSAGE_CHARS = 200
 # Most primes `_balanced_product` hands to one C-level `prod`: from 16 to 64
 # its time fell by a tenth on the ladder's groups, and past 64 barely moved
 _CHUNK = 64
+# `_primes` keeps the primes up to a power of two at most this, 12,251 of
+# them in about 0.45 MB at the most; past it each call sieves and keeps nothing
+PRIME_CAP = 1 << 17
+# (bound, the primes up to bound): replaced whole, never changed in place,
+# so a reader never pairs a bound with a shorter list.  Empty at import.
+_kept_primes: tuple[int, list[int]] = (1, [])
 
 
 def canonical(parts) -> Partition:
@@ -288,8 +296,11 @@ def _count_by_prime_powers(lam: Partition) -> int:
     multiplicities `_hook_mults` gives up to the largest, l_1 = lam_1 + e - 1
     for e rows.  A prime p > l_1 divides no hook, and as l_1 >= sqrt(|lam|)
     its x is |lam| // p: those primes go in blocks, one slice of the prime
-    list per value k of |lam| // p, cut by bisection.  `_primes` lists the
-    primes up to |lam| once, and `_power_product` multiplies the powers.
+    list per value k of |lam| // p, cut by bisection.  For p <= l_1,
+    Legendre's loop sums the multiplicities of the multiples of p^j only
+    while p^j <= l_1, and adds |lam| // p^j alone from there.  `_primes`
+    gives the primes up to |lam|, below PRIME_CAP from the list the process
+    keeps, and `_power_product` multiplies the powers.
     """
     cells, top = weight(lam), lam[0] + len(lam) - 1
     mults, primes = _hook_mults(lam), _primes(cells)
@@ -297,8 +308,11 @@ def _count_by_prime_powers(lam: Partition) -> int:
     powers = []
     for p in primes[:small]:
         exponent, q = 0, p
-        while q <= cells:
+        while q <= top:
             exponent += cells // q - sum(mults[q::q])
+            q *= p
+        while q <= cells:  # no hook is a multiple of q > l_1
+            exponent += cells // q
             q *= p
         if exponent < 0:
             raise ArithmeticError(message("tableau count for %s did not come out integral", lam))
@@ -361,6 +375,32 @@ def _hook_blocks(runs):
 
 
 def _primes(n: int) -> list[int]:
+    """The primes up to n, in order: a new list, cut from the one the process keeps.
+
+    Up to PRIME_CAP the process keeps one list of primes, `_kept_primes`,
+    empty at import.  A call past its bound sieves once up to the next
+    power of two at or above n and replaces the bound and the list
+    together; past PRIME_CAP a call sieves up to n and keeps nothing.
+    `schur.cache_clear` empties the list.
+    """
+    global _kept_primes
+    bound, primes = _kept_primes
+    if n > bound:
+        if n > PRIME_CAP:
+            return _sieve(n)
+        bound = 1 << (n - 1).bit_length()
+        primes = _sieve(bound)
+        _kept_primes = (bound, primes)
+    return primes[: bisect_right(primes, n)]
+
+
+def _clear_primes() -> None:
+    """Empty the list of primes `_primes` keeps."""
+    global _kept_primes
+    _kept_primes = (1, [])
+
+
+def _sieve(n: int) -> list[int]:
     """The primes up to n, in order, from a sieve of the odd numbers."""
     if n < 2:
         return []

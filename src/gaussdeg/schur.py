@@ -15,6 +15,7 @@ from types import MappingProxyType
 
 from .partitions import (
     Partition,
+    _clear_primes,
     _kept_count,
     canonical,
     check_partition_terms,
@@ -296,16 +297,18 @@ def _kept_table(n: int, d: int) -> SegreIntegralTable:
 
 
 def cache_clear() -> None:
-    """Empty the caches the process keeps: tables, tableau counts, alternate-sum weights.
+    """Empty what the process keeps: tables, tableau counts, alternate-sum weights, primes.
 
-    They are the Veronese tables, the small tableau counts and the
-    alternate sum's partition weights.  A library caller who replaces a
-    formula behind them (the closed form, the tableau kernel, a term of the
-    plan) calls this first, so that no value made before reaches a later
-    call.
+    They are the Veronese tables, the small tableau counts, the alternate
+    sum's partition weights and the list of primes below
+    `partitions.PRIME_CAP` that the prime-power kernel reads
+    (`partitions._primes`).  A library caller who replaces a formula
+    behind them (the closed form, the tableau kernel, a term of the plan)
+    calls this first, so that no value made before reaches a later call.
     """
     from .degrees import _kept_alternate_weights  # degrees imports this module
 
     _kept_table.cache_clear()
     _kept_count.cache_clear()
     _kept_alternate_weights.cache_clear()
+    _clear_primes()

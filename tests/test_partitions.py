@@ -1,10 +1,16 @@
 """Partition enumeration and tableau counting, checked against brute force."""
 
+import os
 import re
+import subprocess
+import sys
+import threading
 import time
+from bisect import bisect_right
 from decimal import Decimal
 from itertools import combinations, islice
-from math import comb, factorial, log10
+from math import comb, factorial, isqrt, log10
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +21,7 @@ from gaussdeg.partitions import (
     HOOK_CACHE_SIZE,
     MAX_PARTITION_N,
     MAX_PARTITIONS,
+    PRIME_CAP,
     PRIME_POWER_CELLS,
     _bottom_runs,
     _count_by_division,
@@ -22,6 +29,7 @@ from gaussdeg.partitions import (
     _hook_blocks,
     _hook_mults,
     _kept_count,
+    _primes,
     _young_layers,
     add_rectangle,
     canonical,
@@ -38,6 +46,7 @@ from gaussdeg.partitions import (
     syt_count_hook,
     weight,
 )
+from gaussdeg.schur import cache_clear
 
 # p(0)..p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -453,6 +462,101 @@ def test_division_by_blocks_equals_the_prime_powers():
     for shape in DIVIDED_SHAPES:
         assert weight(shape) < PRIME_POWER_CELLS, shape
         assert _count_by_division(shape) == _count_by_prime_powers(shape), shape
+
+
+def _fresh_sieve(n):
+    """The primes up to n by a sieve of every number, sharing no code with `_primes`."""
+    is_prime = bytearray([0, 0]) + bytearray([1]) * max(n - 1, 0)
+    for p in range(2, isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if is_prime[p]]
+
+
+def _kept_within_cap():
+    bound, primes = gaussdeg.partitions._kept_primes
+    return bound <= PRIME_CAP and (not primes or primes[-1] <= bound)
+
+
+def test_primes_equal_a_fresh_sieve_however_they_are_asked():
+    # below, at and past each power of two the kept list grows to, and
+    # around the cap past which each call sieves and keeps nothing
+    sizes = {0, 1, 2, 3, 4, PRIME_CAP - 1, PRIME_CAP, PRIME_CAP + 1}
+    sizes |= {2**k + step for k in range(2, 17) for step in (-1, 0, 1)}
+    expected = _fresh_sieve(PRIME_CAP + 1)
+    upto = {n: expected[: bisect_right(expected, n)] for n in sizes}
+    for order in (sorted(sizes), sorted(sizes, reverse=True)):
+        cache_clear()
+        for n in order:
+            assert _primes(n) == upto[n], n
+            assert _kept_within_cap(), n
+    cache_clear()
+    assert gaussdeg.partitions._kept_primes == (1, [])
+    assert _primes(PRIME_CAP + 1) == upto[PRIME_CAP + 1]
+    assert gaussdeg.partitions._kept_primes == (1, [])
+    # a caller's list is its own: changing it leaves the kept list as it was
+    _primes(1_000).clear()
+    assert _primes(1_000) == _fresh_sieve(1_000)
+
+
+def test_primes_grown_and_cleared_from_threads_stay_whole():
+    # one reader never pairs a bound with a shorter list, whatever another
+    # thread grows or clears between its steps
+    expected = _fresh_sieve(2**14)
+    errors = []
+
+    def ask(seed):
+        try:
+            for i in range(300):
+                n = (seed * 7919 + i * 104_729) % 2**14
+                if i % 50 == seed:
+                    cache_clear()
+                if _primes(n) != expected[: bisect_right(expected, n)]:
+                    errors.append(n)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    assert _kept_within_cap()
+
+
+# rectangles of 800..6,000 cells, of 2 to 77 rows
+PRIME_POWER_RECTANGLES = [
+    (400,) * 2, (267,) * 3, (100,) * 8, (41,) * 20, (29,) * 29, (52,) * 33,
+    (77,) * 40, (1_000,) * 3, (64,) * 64, (120,) * 50, (77,) * 77,
+]
+
+
+def test_prime_powers_from_the_kept_list_are_the_division():
+    # counted largest first the list is sieved once, smallest first it
+    # grows a power of two at a time
+    assert all(800 <= weight(shape) <= 6_000 for shape in PRIME_POWER_RECTANGLES)
+    for order in (True, False):
+        cache_clear()
+        for shape in sorted(PRIME_POWER_RECTANGLES, key=weight, reverse=order):
+            assert _count_by_prime_powers(shape) == _count_by_division(shape), shape
+
+
+def test_import_sieves_nothing():
+    code = "import gaussdeg.cli, gaussdeg.partitions as p; print(p._kept_primes)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "(1, [])\n", "")
 
 
 def test_many_rows_of_few_parts_count_by_runs():
