@@ -330,11 +330,14 @@ def reference_product(n: int, N: int, m: int, first: int) -> int:
 def _closed_form(
     n: int, N: int, m: int, first: int, ratio, method: str, d: int, notes: str = ""
 ) -> DegreeReport:
-    """The closed forms' one step: `ratio(N-m, N) * reference_product(n, N, m, first)`."""
+    """The closed forms' one step: `ratio(N-m, N) * reference_product(n, N, m, first)`.
+
+    `ratio` gives its value as two ints, num and den > 0, not reduced: the
+    degree is one checked division of num times the product by den.
+    """
     product = reference_product(n, N, m, first)
-    r = ratio(N - m, N)
-    num = r.numerator * product
-    return _report(n, d, N, m, method, num, r.denominator, notes)
+    num, den = ratio(N - m, N)
+    return _report(n, d, N, m, method, num * product, den, notes)
 
 
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
@@ -377,15 +380,15 @@ def _general_curve(N: int, d: int, g: int, m: int, method: str, notes: str = "")
     first = 2 * g - 2 + 2 * d
     if first <= 0:
         raise ValueError(message("2g - 2 + 2d = %s must be positive", first))
-    return _closed_form(1, N, m, first, lambda e, N: Fraction(e, N - 1), method, d, notes)
+    return _closed_form(1, N, m, first, lambda e, N: (e, N - 1), method, d, notes)
 
 
 def degree_surface_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the degree-d Veronese surface (n = 2)."""
     v = VeroneseVariety(2, d)
 
-    def ratio(e: int, N: int) -> Fraction:
-        return Fraction(e * (3 * e * N - N - 5 * e - 1), 3 * (N - 1) * (N - 2) * (N - 3))
+    def ratio(e: int, N: int) -> tuple[int, int]:
+        return e * (3 * e * N - N - 5 * e - 1), 3 * (N - 1) * (N - 2) * (N - 3)
 
     return _closed_form(2, v.N, m, ordinary_gauss_degree(v), ratio, "surface_closed", d)
 
@@ -394,8 +397,8 @@ def degree_threefold_closed(d: int, m: int) -> DegreeReport:
     """Closed form for the degree-d Veronese threefold (n = 3)."""
     v = VeroneseVariety(3, d)
 
-    def ratio(e: int, N: int) -> Fraction:
-        return Fraction(
+    def ratio(e: int, N: int) -> tuple[int, int]:
+        return (
             e * (
                 (8 * e * e - 6 * e + 1) * N * N
                 + (-42 * e * e + 9 * e + 6) * N

@@ -10,7 +10,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, compress, groupby, islice, repeat
+from itertools import accumulate, compress, count, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
 from operator import lt
 
@@ -588,4 +588,4 @@ def falling_factorial_product(n: int, lam) -> int:
     Every part must satisfy lam_i <= n+i, which holds whenever |lam| <= n;
     zero parts contribute 1.
     """
-    return prod(perm(n + i, part) for i, part in enumerate(lam, start=1))
+    return prod(map(perm, count(n + 1), lam))

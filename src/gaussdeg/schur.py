@@ -8,15 +8,18 @@ collected in tables keyed by partitions, with a JSON interchange format.
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
+from operator import sub
 from types import MappingProxyType
 
 from .partitions import (
     Partition,
     _clear_primes,
     _kept_count,
+    _strip_zeros,
     canonical,
     check_partition_terms,
     enumerate_partitions,
@@ -25,7 +28,7 @@ from .partitions import (
     message,
     pad,
     partition_count,
-    syt_count_hook,
+    syt_count,
     weight,
 )
 
@@ -66,18 +69,13 @@ class VeroneseVariety:
 
 @dataclass(frozen=True)
 class SegreSequence:
-    """Coefficients s_0..s_K of a Segre series; out-of-range indices read 0."""
+    """Coefficients s_0..s_K of a Segre series; s_i = 0 outside 0 <= i <= K."""
 
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coefficients or self.coefficients[0] != 1:
             raise ValueError("Segre sequence must start with s_0 = 1")
-
-    def at(self, i: int) -> int:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return 0
 
 
 def veronese_segre(v: VeroneseVariety, i: int) -> int:
@@ -95,12 +93,22 @@ def veronese_segre_sequence(v: VeroneseVariety) -> SegreSequence:
     return SegreSequence(tuple(veronese_segre(v, i) for i in range(v.n + 2)))
 
 
-def _det_int(matrix: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+def _det_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, its rows any sequences.
+
+    Sizes 0-3 are expanded directly, a handful of products; from size 4 on
+    it is fraction-free Gaussian elimination (Bareiss), on a copy.
+    """
     size = len(matrix)
-    if size == 0:
-        return 1
-    m = [row[:] for row in matrix]
+    if size <= 3:
+        if size == 3:
+            (a, b, c), (d, e, f), (g, h, i) = matrix
+            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if size == 2:
+            (a, b), (c, d) = matrix
+            return a * d - b * c
+        return matrix[0][0] if size else 1
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(size - 1):
@@ -124,16 +132,21 @@ def schur_delta_determinant(s: SegreSequence, lam, length: int) -> int:
     """Jacobi-Trudi value det[ s_(lam_i + j - i) ] of the given size.
 
     `lam` is zero-padded to `length` rows; the empty shape gives 1 at any
-    positive length.
+    positive length.  Row i, s_(lam_i - i) .. s_(lam_i - i + length - 1),
+    is one slice of the coefficients with length - 1 zeros on each side.
     """
     if length < 1:
         raise ValueError("length must be positive")
     padded = pad(lam, length)
-    matrix = [
-        [s.at(padded[i] + j - i) for j in range(length)]
-        for i in range(length)
-    ]
-    return _det_int(matrix)
+    coefficients = s.coefficients
+    if padded[0] >= len(coefficients):
+        return 0  # the first row reads past s_K: all zeros
+    # s_i sits at index i + length - 1; row i starts at s_(lam_i - i), at
+    # most s_K, so it ends within the zeros after s_K
+    zeros = (0,) * (length - 1)
+    shifted = zeros + coefficients + zeros
+    starts = map(sub, padded, range(1 - length, 1))
+    return _det_int([shifted[start : start + length] for start in starts])
 
 
 def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
@@ -146,11 +159,12 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
     if length < 1:
         raise ValueError("length must be positive")
     padded = pad(lam, length)
-    total = weight(padded)
+    shape = _strip_zeros(padded)
+    total = weight(shape)
     if total > v.n:
         raise ValueError(message("|lam| = %s exceeds the variety dimension %s", total, v.n))
     return exact_quotient(
-        (v.d - 1) ** total * syt_count_hook(padded) * falling_factorial_product(v.n, padded),
+        (v.d - 1) ** total * syt_count(shape) * falling_factorial_product(v.n, shape),
         factorial(total),
         "closed form for %s",
         padded,

@@ -10,7 +10,6 @@ suite goes on, so a failing check never stops a suite or its count.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 from .degrees import (
     METHODS,
@@ -137,8 +136,9 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
 
     The routes are each applicable registry method, the generic sum over a
     Jacobi-Trudi integral table, the general-curve form at genus 0, and
-    the ordinary Gauss degree at m = n.  If `degree_main` raises, every
-    check of its cell fails with its message.
+    the ordinary Gauss degree at m = n.  Each cell's `degree_main` value
+    is made at most once; if it raises, every check of its cell fails
+    with its message.
     """
     check, cell = _Checks("crossform", "got {}, want {}"), "{} (n={}, d={}, m={})"
     for n in n_values:
@@ -149,9 +149,19 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
             table = veronese_integral_table(
                 v, lambda v, lam, length: schur_delta_determinant(s, lam, length)
             )
+            memo = {}  # m -> degree_main's degree, or the ArithmeticError it raised
+
+            def want():
+                if m not in memo:
+                    try:
+                        memo[m] = degree_main(v, m).deg_xm
+                    except ArithmeticError as exc:
+                        memo[m] = exc
+                if isinstance(memo[m], ArithmeticError):
+                    raise memo[m]
+                return memo[m]
+
             for m in range(n, v.N):
-                # `cache` keeps no exception: if it raises, each check re-raises it
-                want = cache(lambda: degree_main(v, m).deg_xm)
                 for name, method in METHODS.items():
                     if name != "main" and method.applies(v, m):
                         check(

@@ -78,11 +78,7 @@ def test_veronese_segre_against_expansion():
 
 
 def test_segre_sequence_validation_and_indexing():
-    s = SegreSequence((1, 3, 3, 1))
-    assert s.at(0) == 1
-    assert s.at(3) == 1
-    assert s.at(4) == 0
-    assert s.at(-1) == 0
+    assert SegreSequence((1, 3, 3, 1)).coefficients == (1, 3, 3, 1)
     with pytest.raises(ValueError):
         SegreSequence((2, 3))
     with pytest.raises(ValueError):
@@ -96,6 +92,12 @@ def test_determinant_known():
     assert schur_delta_determinant(s, (2,), 2) == 3
     for length in range(1, 5):
         assert schur_delta_determinant(s, (), length) == 1
+    # rows reaching past s_3 read zeros there: [[1, 0], [0, 1]], [[1, 0], [3, 1]]
+    assert schur_delta_determinant(s, (3,), 2) == 1
+    assert schur_delta_determinant(s, (3, 3), 2) == 1
+    # a first row starting past s_3 is all zeros
+    assert schur_delta_determinant(s, (4,), 1) == 0
+    assert schur_delta_determinant(s, (4, 1), 3) == 0
     with pytest.raises(ValueError):
         schur_delta_determinant(s, (1, 1), 1)
     with pytest.raises(ValueError):
@@ -123,13 +125,21 @@ def test_det_int_pivot_search():
 
 
 def test_det_int_matches_leibniz_on_sparse_matrices():
+    # sizes 1-3 are expanded directly, 4 and 5 eliminated: each size meets
+    # the definition on sparse matrices, on full ones, and on full ones
+    # whose first pivot is zero
     rng = random.Random(20151)
-    for _ in range(2000):
-        size = rng.randint(1, 5)
-        matrix = [
-            [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(size)]
-            for _ in range(size)
-        ]
+    sparse = [
+        [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(size)] for _ in range(size)]
+        for size in (rng.randint(1, 5) for _ in range(2000))
+    ]
+    dense = [
+        [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(size)] for _ in range(size)]
+        for size in range(1, 6)
+        for _ in range(40)
+    ]
+    zero_pivot = [[[0, *row[1:]], *rest] for (row, *rest) in dense]
+    for matrix in sparse + dense + zero_pivot:
         assert _det_int(matrix) == _leibniz(matrix), matrix
 
 

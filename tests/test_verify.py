@@ -110,6 +110,23 @@ def test_schur_suite():
     assert run_schur_suite(max_n=3, max_d=4).ok
 
 
+def test_a_wrong_3_row_determinant_fails_the_length_3_checks_only(monkeypatch):
+    # the suite evaluates the Jacobi-Trudi determinant at every padded
+    # length, so a fault in the 3 x 3 case shows at each check of length 3
+    det = gaussdeg.schur._det_int
+    monkeypatch.setattr(gaussdeg.schur, "_det_int", lambda rows: det(rows) + (len(rows) == 3))
+    result = run_schur_suite()
+    assert result.passed + result.failed == DEFAULT_COUNTS["schur"]
+    length_3 = [
+        f"schur (n={n}, d={d}, lam={lam}, length=3)"
+        for n in range(3, 5)
+        for d in range(2, 6)
+        for k in range(n + 1)
+        for lam in gaussdeg.partitions.enumerate_partitions(k, 3)
+    ]
+    assert [failure.split(": ")[0] for failure in result.failures] == length_3
+
+
 BROKEN = "tableau count for (2, 1) did not come out integral"
 
 
