@@ -18,11 +18,13 @@ one method, `TermPlan.row`, evaluates it for every cell and every sweep
 row from the Pluecker degree split once by L, `TermPlan.split`: one short
 checked division per term and one for the degree, which then costs one
 long fused multiply-add.  A cell costs two long operations, the split and
-the degree; a sweep splits each count it steps once, and a row of its
-mirrored second half reuses its count's split, so costs one.  A sweep's
-long integers are integral Decimals, worked by `grassmann.EXACT`'s own
-methods, and its rows are written as text (`table_rows`,
-`conjecture_scan`); `bounds` makes one cell's record, of ints.
+the degree.  A sweep steps only the first half of its Grassmannian counts;
+`_sweep_cells`, the one mirror, splits each once and hands a row of the
+second half its stepped row's count and split, so that row costs one.  A
+count may be an int or, past the sweep's base-10 switch, a Decimal: this
+module never asks which, and works it by `grassmann`'s `count_divmod`,
+`count_multiply` and `count_fma`.  A sweep's rows are written as text
+(`table_rows`, `conjecture_scan`); `bounds` makes one cell's record, of ints.
 
 This module prices nothing: every refusal made before a number is formed,
 the registry's guards and `degree_alternate`'s bound on (dim X_m)!
@@ -31,7 +33,6 @@ included, lives in `cost`.
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
@@ -48,9 +49,11 @@ from .cost import (
     guard_degree,
 )
 from .grassmann import (
-    EXACT,
+    Count,
     GrassmannShape,
-    exact_context,
+    count_divmod,
+    count_fma,
+    count_multiply,
     grassmann_degree,
     grassmann_degree_sweep,
 )
@@ -165,21 +168,16 @@ def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
     """The row `conjecture` prints of one cell, whose ratio is num / den in lowest terms.
 
     The power bound a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
-    reduced by gcd(product, b) alone, are written with no `Fraction`.  An int
-    `product` takes a remainder, a division and a multiplication.  An integral
-    Decimal `product`, a sweep's, takes two long operations of `grassmann.EXACT`,
-    with no context entered: with product = quot * b + rest and k = gcd(rest, b),
-    the value is quot * (b/k * a) + rest/k * a, one fused multiply-add.
+    reduced by gcd(product, b) alone, are written with no `Fraction`.  The
+    product, an int or a sweep's Decimal, takes two long operations: with
+    product = quot * b + rest (`count_divmod`) and k = gcd(rest, b), the value
+    is quot * (b/k * a) + rest/k * a, one `count_fma`.
     """
     common = gcd(N - m, N - n)
     a, b = ((N - m) // common) ** n, ((N - n) // common) ** n
-    if type(product) is int:
-        common = gcd(product % b, b)
-        value = product // common * a
-    else:
-        quotient, rest = EXACT.divmod(product, b)
-        common = gcd(int(rest), b)
-        value = EXACT.fma(quotient, b // common * a, int(rest) // common * a)
+    quotient, rest = count_divmod(product, b)
+    common = gcd(rest, b)
+    value = count_fma(quotient, b // common * a, rest // common * a)
     b_value = b // common
     return {
         "n": n,
@@ -346,15 +344,15 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
     The genus-0 general curve in P^d.  G(m-1, d-1) and its dual G(d-m, d-1)
     must have equal Pluecker degree, so the degree is compared with
     2(d-m) * (1 + dim G) times the degree of the one of the two with fewer
-    rows, read off `grassmann_degree_sweep(d - 1)`: an independent route,
-    since the sweep steps by short ratios and shares no code with the
-    tableau kernel behind `reference_product`.
+    rows, read off `grassmann_degree_sweep(d - 1)`: rows <= (d-1)/2, so
+    inside the half it steps.  An independent route, since the sweep steps
+    by short ratios and shares no code with the tableau kernel behind
+    `reference_product`.
     """
     report = _general_curve(d, d, 0, m, "curve_closed")
     rows = min(m - 1, d - m)
     pluecker = next(islice(grassmann_degree_sweep(d - 1), rows, None))
-    with exact_context(pluecker):  # the sweep's count may be a Decimal
-        expected = 2 * (d - m) * (1 + rows * (d - 1 - rows)) * pluecker
+    expected = count_multiply(pluecker, 2 * (d - m) * (1 + rows * (d - 1 - rows)))
     if report.deg_xm != expected:
         raise ArithmeticError("dual Grassmannian degrees disagree")
     return report
@@ -524,24 +522,15 @@ class TermPlan:
             for lam, integral, indices, count, den in terms
         )
 
-    def split(self, pluecker: int | Decimal) -> tuple[int | Decimal, int]:
-        """(pluecker // L, pluecker % L), the remainder an int: one long operation.
+    def split(self, pluecker: Count) -> tuple[Count, int]:
+        """(pluecker // L, pluecker % L), the remainder an int: one long `count_divmod`."""
+        return count_divmod(pluecker, self.lcd)
 
-        A Decimal is divided by `grassmann.EXACT.divmod`, with no context
-        entered, and its quotient stays a Decimal.
-        """
-        if type(pluecker) is int:
-            return divmod(pluecker, self.lcd)
-        quotient, rest = EXACT.divmod(pluecker, self.lcd)
-        return quotient, int(rest)
-
-    def row(
-        self, m: int, pluecker: int | Decimal, split: tuple | None = None
-    ) -> tuple[int, int, int | Decimal]:
+    def row(self, m: int, pluecker: Count, split: tuple | None = None) -> tuple[int, int, Count]:
         """(C(dim X_m, n), S, degree) at an m in range; `pluecker` is deg G.
 
         `split` is `self.split(pluecker)`, made here when not given: a
-        sweep passes the split it made once for a count it yields twice.
+        sweep passes the split it made once for a count it reads twice.
         With pluecker = quot * L + rest, unit = C(dim X_m, n) * pluecker is
         never formed: `_weighted_sum` needs only unit mod L, from the short
         rest.  The sign of S decides whether a degree exists: S <= 0 raises
@@ -549,9 +538,9 @@ class TermPlan:
         operation on the degree.  Otherwise, with q = C(dim X_m, n) * S,
         the degree pluecker * q / L is quot * q + (rest * q) / L: the short
         division is the checked `exact_quotient`, and the degree one long
-        fused multiply-add, `EXACT.fma` for a Decimal.  The check is the
-        one the degree needs: with k = gcd(q, L), gcd(q/k, L/k) = 1, so L
-        divides rest * q, or pluecker * q, exactly when L/k divides pluecker.
+        fused multiply-add, `count_fma`.  The check is the one the degree
+        needs: with k = gcd(q, L), gcd(q/k, L/k) = 1, so L divides rest * q,
+        or pluecker * q, exactly when L/k divides pluecker.
         """
         n, lcd = self.n, self.lcd
         quotient, rest = self.split(pluecker) if split is None else split
@@ -565,9 +554,7 @@ class TermPlan:
             raise NotGenericallyFiniteError(message(template, total, m, m))
         q = coefficient * total
         low = exact_quotient(rest * q, lcd, "the weighted total at m = %s", m)
-        if type(quotient) is int:
-            return coefficient, total, quotient * q + low
-        return coefficient, total, EXACT.fma(quotient, q, low)
+        return coefficient, total, count_fma(quotient, q, low)
 
 
 def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
@@ -670,20 +657,18 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
 def _sweep_cells(plan: TermPlan) -> Iterator[tuple]:
     """(m, deg G(m-n, N-n), its `plan.split`) for m = n..N-1, of `plan`'s n and N.
 
-    The counts come from `grassmann_degree_sweep(N - n)`, which yields its
-    second half, D(r-k, k) = D(k, r-k), r = N - n, from the counts it
-    stepped in the first: each stepped count is split once, and the row
-    that yields it again reuses that split.
+    The sweep's one mirror.  `grassmann_degree_sweep(r)`, r = N - n, yields
+    the counts of its first half, each split here once; the rows past them
+    read D(k, r-k) = D(r-k, k) back, each the very count and split of its
+    stepped row.
     """
     n, r = plan.n, plan.N - plan.n
-    splits = []
+    stepped = []
     for k, pluecker in enumerate(grassmann_degree_sweep(r)):
-        if 2 * k > r:
-            split = splits[r - k]
-        else:
-            split = plan.split(pluecker)
-            splits.append(split)
-        yield n + k, pluecker, split
+        stepped.append((pluecker, plan.split(pluecker)))
+        yield n + k, *stepped[k]
+    for k in range(len(stepped), r):
+        yield n + k, *stepped[r - k]
 
 
 def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
@@ -695,8 +680,7 @@ def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
     cell's C(dim X_m, n), S and degree = unit * S / L.  The ratio
     degree / product is S / (L * g), g the ordinary Gauss degree: reduced
     by one gcd of short integers, checked against the proved bounds and
-    measured against the power bound, each cross-multiplied, in short ints
-    and no decimal context.
+    measured against the power bound, each cross-multiplied, in short ints.
     """
     n, N = v.n, v.N
     plan = v.integral_table.plan
@@ -750,16 +734,11 @@ def conjecture_scan(n_values, d_values) -> Iterator[dict]:
 def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
     """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product.
 
-    The product is one long multiplication, `grassmann.EXACT.multiply` for
-    a sweep's Decimal count, with no context entered.
+    The product is one long `count_multiply` of the swept count.
     """
     n, d, N = v.n, v.d, v.N
     first = ordinary_gauss_degree(v)
     cells = _sweep_cells(v.integral_table.plan)
     for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells):
-        scale = coefficient * first
-        if type(pluecker) is int:
-            product = pluecker * scale
-        else:
-            product = EXACT.multiply(pluecker, scale)
+        product = count_multiply(pluecker, coefficient * first)
         yield _conjecture_row(n, d, N, m, degree, product, num, den, within)

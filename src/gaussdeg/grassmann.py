@@ -8,23 +8,23 @@ degree.
 A sweep over m keeps k + c fixed, and `grassmann_degree_sweep` steps from
 one rectangle to the next: by the product form (kc)! prod_{i<a} i! / (b+i)!,
 a = min(k, c), b = max(k, c), D(k+1, c-1) is D(k, c) times
-((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.  It steps
-only up to k = c: D(k, c) = D(c, k), so the second half of a sweep is its
-first half read backwards.
+((k+1)(c-1))!/(kc)! * k!/(c-1)!, a ratio of two short products.  It yields
+only the counts it steps, up to k = c: D(k, c) = D(c, k), so the rest of a
+sweep is its stepped half read backwards, and `degrees._sweep_cells`, the
+one mirror, reads it so.
 
 Past `DECIMAL_BITS` the sweep carries its count in base 10, as an integral
 `decimal.Decimal` under `EXACT`: multiplying and exactly dividing by short
 integers costs O(digits) in either base, and only base 10 prints in
 O(digits), where CPython's `str()` of an int is quadratic and refused past
-4,300 digits.  This module is the one that knows the choice: it defines
-`EXACT`, whose own methods (`EXACT.divmod`, `EXACT.multiply`,
-`EXACT.fma`) step a swept count and form a row's degree from it with no
-context entered, and `exact_context(count)`, the context that any other
-arithmetic on a swept count enters, `EXACT` for a Decimal and none for an
-int.
+4,300 digits.  This is the one module that imports `decimal` and knows the
+choice: a `Count` of either kind is worked by `count_divmod`,
+`count_multiply` and `count_fma`, an int's operators or `EXACT`'s own
+methods, which enter no context, so a caller's context is neither used
+nor changed.
 """
 
-from contextlib import nullcontext
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -37,7 +37,6 @@ from decimal import (
     InvalidOperation,
     Overflow,
     Rounded,
-    localcontext,
 )
 from math import gcd, perm
 
@@ -51,25 +50,35 @@ from .partitions import exact_quotient, message, syt_count
 DECIMAL_BITS = 2_000
 # Exact integer arithmetic in base 10: precision and exponents as wide as
 # libmpdec allows, and any rounding raises instead of passing silently, as it
-# would under the default 28-digit context.  Its methods are called directly,
-# or it is entered around arithmetic only, never across a `yield`, so the
-# caller's context is neither used nor changed.
+# would under the default 28-digit context.  Only its methods are called, so
+# the caller's context is neither used nor changed.
 EXACT = Context(
     prec=MAX_PREC,
     Emax=MAX_EMAX,
     Emin=MIN_EMIN,
     traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
 )
-_NO_CONTEXT = nullcontext()
+
+# A swept count: an int, or past `DECIMAL_BITS` an integral Decimal.
+Count = int | Decimal
 
 
-def exact_context(count: int | Decimal):
-    """The context arithmetic on `count` enters: `EXACT` for a Decimal, none for an int.
+def count_divmod(count: Count, den: int) -> tuple[Count, int]:
+    """(count // den, count % den), den > 0: the quotient of `count`'s kind, the rest an int."""
+    if type(count) is int:
+        return divmod(count, den)
+    quotient, rest = EXACT.divmod(count, den)
+    return quotient, int(rest)
 
-    Every int shares one `nullcontext()`, so int arithmetic makes no
-    context and enters none.
-    """
-    return _NO_CONTEXT if type(count) is int else localcontext(EXACT)
+
+def count_multiply(count: Count, factor: int) -> Count:
+    """count * factor, of `count`'s kind."""
+    return count * factor if type(count) is int else EXACT.multiply(count, factor)
+
+
+def count_fma(count: Count, factor: int, addend: int) -> Count:
+    """count * factor + addend, of `count`'s kind: one fused multiply-add for a Decimal."""
+    return count * factor + addend if type(count) is int else EXACT.fma(count, factor, addend)
 
 
 @dataclass(frozen=True)
@@ -101,37 +110,27 @@ def grassmann_degree(shape: GrassmannShape) -> int:
     return syt_count((cols,) * rows)
 
 
-def grassmann_degree_sweep(r: int):
-    """deg G(k, r) for k = 0..r-1, in order: the k x (r-k) rectangles' tableau counts.
+def grassmann_degree_sweep(r: int) -> Iterator[Count]:
+    """deg G(k, r) for k = 0..min(r-1, r/2), in order: the k x (r-k) rectangles' tableau counts.
 
-    Starts at D(0, r) = 1 and, while k <= r/2, takes each next count from
-    the last by one `_sweep_factor`, whose denominator must divide the
-    running count (an `exact_quotient`).  Past r/2 it yields D(r-k, k),
-    the same rectangle turned over, from the counts already stepped.  No
-    sieve and no prime-power product: each step costs one division and one
-    multiplication of the count by a short integer.  From the first count
-    past `DECIMAL_BITS` on, each is an integral Decimal, stepped by
-    `EXACT.divmod`, its remainder checked, and `EXACT.multiply`, with no
-    context entered.  `int()` of a yielded Decimal is exact; any other
-    arithmetic on it needs `EXACT`, as the default 28-digit context rounds
-    silently.
+    The stepped half of the sweep; deg G(k, r) = deg G(r-k, r) gives the
+    rest.  Starts at D(0, r) = 1 and takes each next count from the last by
+    one `_sweep_factor`, whose denominator must divide the running count
+    (an `exact_quotient` by `count_divmod`).  No sieve and no prime-power
+    product: each step costs one division and one multiplication of the
+    count by a short integer.  From the first count past `DECIMAL_BITS` on,
+    each is an integral Decimal.  `int()` of a yielded Decimal is exact;
+    any other arithmetic on it goes through the `count_*` functions, as the
+    default 28-digit context rounds silently.
     """
     degree, what = 1, "tableau count of the %s x %s rectangle"
-    stepped = []
-    for k in range(r):
-        if 2 * k > r:
-            yield stepped[r - k]
-            continue
+    for k in range(min(r, r // 2 + 1)):
         if k:
             num, den = _sweep_factor(k - 1, r - k + 1)
-            if type(degree) is int:
-                degree = exact_quotient(degree, den, what, k, r - k) * num
-                if degree.bit_length() > DECIMAL_BITS:
-                    degree = Decimal(degree)
-            else:
-                degree = exact_quotient(degree, den, what, k, r - k, divide=EXACT.divmod)
-                degree = EXACT.multiply(degree, num)
-        stepped.append(degree)
+            degree = exact_quotient(degree, den, what, k, r - k, divide=count_divmod)
+            degree = count_multiply(degree, num)
+            if type(degree) is int and degree.bit_length() > DECIMAL_BITS:
+                degree = Decimal(degree)
         yield degree
 
 

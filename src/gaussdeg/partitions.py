@@ -79,8 +79,8 @@ def exact_quotient(num: int, den: int, what: str, *args, divide=divmod) -> int:
 
     The message names `message(what, *args)`, built only when it is
     raised, so a hot loop builds no message for a division that is exact.
-    `divide` makes the quotient and remainder: `grassmann.EXACT.divmod`
-    for an integral Decimal `num`, which needs no context entered.
+    `divide` makes the quotient and remainder: `grassmann.count_divmod`
+    for a sweep's count, which past its base-10 switch is an integral Decimal.
     """
     quotient, rem = divide(num, den)
     if rem:

@@ -1081,6 +1081,22 @@ def test_every_mirrored_row_is_degree_main(n, d):
             assert rows[k]["degree"] == str(degree_main(v, m).deg_xm), m
 
 
+@pytest.mark.parametrize("d", [20, 21, 200, 201])
+def test_sweep_cells_mirror_the_stepped_rows(d):
+    # r = d - 1 odd and even, all ints at d = 20, 21 and past the base-10
+    # switch at d = 200, 201: one row a variety's m, in order, and each row
+    # past the stepped half the very count and split of its stepped row
+    plan = VeroneseVariety(1, d).integral_table.plan
+    r = d - 1
+    cells = list(gaussdeg.degrees._sweep_cells(plan))
+    assert [m for m, _, _ in cells] == list(range(1, d))
+    assert {type(count) for _, count, _ in cells} == ({int} if d < 200 else {int, Decimal})
+    stepped = min(r, r // 2 + 1)
+    for k in range(stepped, r):
+        assert cells[k][1] is cells[r - k][1] and cells[k][2] is cells[r - k][2], k
+    assert len({id(split) for _, _, split in cells}) == stepped
+
+
 def test_a_sweep_splits_each_stepped_count_once(monkeypatch):
     # one long split per count the sweep steps, none for a mirrored row,
     # and one for a single cell

@@ -1,6 +1,6 @@
 """Grassmannian invariants."""
 
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from functools import cache
 from math import comb, inf, isqrt, lgamma, log, log10
 
@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 import gaussdeg.grassmann
 import gaussdeg.partitions
 from gaussdeg.cost import degree_digits
+from gaussdeg.degrees import _sweep_cells
 from gaussdeg.grassmann import (
     GrassmannShape,
+    count_divmod,
+    count_fma,
+    count_multiply,
     grassmann_degree,
     grassmann_degree_sweep,
     grassmann_dim,
@@ -21,10 +25,12 @@ from gaussdeg.partitions import (
     PRIME_POWER_CELLS,
     _count_by_division,
     _count_by_prime_powers,
+    exact_quotient,
     syt_count_bruteforce,
     syt_count_digits,
     syt_count_hook,
 )
+from gaussdeg.schur import SegreIntegralTable
 
 
 def test_shape_validation():
@@ -80,9 +86,10 @@ def test_degree_duality(r, data):
 @given(r=st.integers(min_value=0, max_value=60), data=st.data())
 def test_degree_is_the_rectangle_hook_count(r, data):
     # the tableau kernel against the sweep, which steps by short ratios and
-    # never counts hooks; the sweep stops before the point G(r, r)
+    # never counts hooks; the sweep yields only its stepped half, k <= r/2,
+    # so a d past it is read at r - d, the same rectangle turned over
     d = data.draw(st.integers(min_value=0, max_value=r))
-    assert grassmann_degree(GrassmannShape(d, r)) == [*grassmann_degree_sweep(r), 1][d]
+    assert grassmann_degree(GrassmannShape(d, r)) == [*grassmann_degree_sweep(r), 1][min(d, r - d)]
 
 
 def test_degree_is_the_bruteforce_count_up_to_weight_12():
@@ -176,18 +183,16 @@ def test_degree_large_square():
 @example(r=2 * isqrt(PRIME_POWER_CELLS - 1))  # every rectangle in the product form
 @example(r=300)  # most rectangles in the prime-power form
 def test_sweep_is_the_single_cell_degree(r):
-    # the sweep steps up to k = r/2 and mirrors the rest; grassmann_degree
-    # counts the same sorted rectangle at k and r - k, so the stepped half
-    # is held to the single cells and the mirrored half to the stepped one
+    # the sweep yields only the counts it steps, k = 0..min(r-1, r/2), each
+    # held to the single cell
     swept = list(grassmann_degree_sweep(r))
     stepped = range(min(r, r // 2 + 1))
     # a swept Decimal is compared with the count in base 10: Decimal == int
     # would convert the int by CPython's quadratic route (2.5 s at r = 300,
     # CPython 3.11 on a shared 2-core x86-64)
-    assert swept[: len(stepped)] == [
+    assert swept == [
         _in_base_of(swept[k], grassmann_degree(GrassmannShape(k, r))) for k in stepped
     ]
-    assert swept[len(stepped) :] == [swept[r - k] for k in range(len(stepped), r)]
 
 
 def _in_base_of(like, count: int):
@@ -224,9 +229,12 @@ def test_the_split_conversion_is_decimal_of_the_int(count):
     assert _decimal_of(count) == Decimal(count)
 
 
-@given(r=st.integers(min_value=0, max_value=60))
+@given(r=st.integers(min_value=1, max_value=60))
 def test_sweep_is_every_cell_and_its_own_mirror(r):
-    swept = list(grassmann_degree_sweep(r))
+    # `degrees._sweep_cells`, the sweep's one mirror, over a table of n = 1
+    # in P^(r+1): every deg G(k, r), k = 0..r-1, a palindrome past k = 0
+    plan = SegreIntegralTable(n=1, N=r + 1, entries={(1,): 1}).plan
+    swept = [count for _, count, _ in _sweep_cells(plan)]
     assert swept == [grassmann_degree(GrassmannShape(k, r)) for k in range(r)]
     assert swept[1:] == swept[1:][::-1]
 
@@ -240,12 +248,38 @@ def test_sweep_steps_only_its_first_half(monkeypatch):
         return factor(k, c)
 
     monkeypatch.setattr(gaussdeg.grassmann, "_sweep_factor", counted)
-    assert list(grassmann_degree_sweep(7)) == [1, 1, 42, 462, 462, 42, 1]
+    assert list(grassmann_degree_sweep(7)) == [1, 1, 42, 462]
     assert steps == [(0, 7), (1, 6), (2, 5)]
 
 
 def test_sweep_is_the_rectangle_hook_count_up_to_r_40():
+    # no rectangle at r = 0; k = 0 at r = 1; k = 0, 1 at r = 2
+    assert [list(grassmann_degree_sweep(r)) for r in range(3)] == [[], [1], [1, 1]]
     for r in range(41):
         assert list(grassmann_degree_sweep(r)) == [
-            syt_count_hook((r - k,) * k) for k in range(r)
+            syt_count_hook((r - k,) * k) for k in range(min(r, r // 2 + 1))
         ]
+
+
+# 3^100 + 17, 48 digits, past the default context's 28: 263 modulo 1009
+COUNT = 3**100 + 17
+
+
+@pytest.mark.parametrize("count", [COUNT, Decimal(COUNT)], ids=["int", "Decimal"])
+def test_count_arithmetic_keeps_the_counts_kind(count):
+    # a caller's 5-digit context that rounds without trapping: a function
+    # computing in it would round the 48 digits and set the caller's flags
+    kind, factor = type(count), 10**6 + 3
+    with localcontext(Context(prec=5)) as caller:
+        quotient, rest = count_divmod(count, 1009)
+        product = count_multiply(count, factor)
+        fused = count_fma(count, factor, 12_345)
+        message = "^the count over 1009 did not come out integral$"
+        with pytest.raises(ArithmeticError, match=message):
+            exact_quotient(count, 1009, "the count over %s", 1009, divide=count_divmod)
+        assert getcontext() is caller and caller.prec == 5
+        assert not any(caller.flags.values())
+    assert (type(quotient), type(rest), type(product), type(fused)) == (kind, int, kind, kind)
+    assert (quotient, rest) == divmod(COUNT, 1009) and rest == 263
+    assert product == COUNT * factor
+    assert fused == COUNT * factor + 12_345
