@@ -51,6 +51,7 @@ from .cost import (
 from .grassmann import (
     Count,
     GrassmannShape,
+    count_digits,
     count_divmod,
     count_fma,
     count_multiply,
@@ -160,14 +161,16 @@ class BoundsReport:
         return self.conjecture_upper * self.product
 
     def to_dict(self) -> dict:
-        ratio, cell = self.ratio, (self.n, self.d, self.N, self.m, self.degree, self.product)
+        ratio, degree = self.ratio, Numeral(self.degree)
+        cell = self.n, self.d, self.N, self.m, degree, self.product
         return _conjecture_row(*cell, ratio.numerator, ratio.denominator, self.within_conjecture)
 
 
-def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
+def _conjecture_row(n, d, N, m, degree: Numeral, product, num, den, within) -> dict:
     """The row `conjecture` prints of one cell, whose ratio is num / den in lowest terms.
 
-    The power bound a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
+    `degree` comes as its text, made once.  The power bound
+    a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
     reduced by gcd(product, b) alone, are written with no `Fraction`.  The
     product, an int or a sweep's Decimal, takes two long operations: with
     product = quot * b + rest (`count_divmod`) and k = gcd(rest, b), the value
@@ -184,7 +187,7 @@ def _conjecture_row(n, d, N, m, degree, product, num, den, within) -> dict:
         "d": d,
         "N": N,
         "m": m,
-        "degree": Numeral(degree),
+        "degree": degree,
         "product": Numeral(product),
         "ratio": f"{num}/{den}" if den != 1 else str(num),
         "conjecture_upper": f"{a}/{b}" if b != 1 else str(a),
@@ -639,19 +642,79 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
 def table_rows(v: VeroneseVariety) -> Iterator[dict]:
     """The rows `table` prints, m = n..N-1: m, dim, degree, ratio, within_conjecture.
 
-    The numbers of `bounds(v, m)` at every m, from one Grassmannian sweep,
-    written as `conjecture_scan` writes them, with no record and no
-    `Fraction` made per row.
+    The numbers of `bounds(v, m)` at every m, read off `v`'s swept records
+    (`_swept_records`: one Grassmannian sweep, or the one the process
+    kept), written as `conjecture_scan` writes them, with no `Fraction`
+    made.  Each row is a new dict, the caller's to change.
     """
     n, N = v.n, v.N
-    for m, _, _, degree, num, den, within in _bounds_rows(v, _sweep_cells(v.integral_table.plan)):
+    for m, _, _, degree, num, den, within in _swept_records(v):
         yield {
             "m": m,
             "dim": n + (N - m) * (m - n),
-            "degree": Numeral(degree),
+            "degree": degree,
             "ratio": f"{num}/{den}" if den != 1 else str(num),
             "within_conjecture": within,
         }
+
+
+# Swept records kept for the life of the process, by (n, d), as the tables
+# are: of n <= KEPT_TABLE_N and d < 2^64 only, least recently used first.
+# Each holds its records and their digits, the degrees' text and each
+# distinct stepped count (`count_digits`); the least recently used go until
+# all kept hold at most KEPT_SWEEP_DIGITS.  `table_sweep`'s seven fixed
+# varieties hold 1.38 M (917 K of them degree text) and each of its curves
+# 0.14-0.40 M, so the budget holds a round of it and the next round's two
+# curves: at 2 M, 0-5 of the seven were evicted before their second use.
+# `small_mixed`'s 14 conjecture varieties hold 46 K in all.  A sweep past
+# the budget on its own, such as (2, 20) at 4.6 M or (3, 10) at 9.3 M, is
+# never kept.
+KEPT_SWEEP_DIGITS = 3_000_000
+_kept_sweeps: dict[tuple[int, int], tuple[tuple, int]] = {}
+
+
+def _swept_records(v: VeroneseVariety) -> Iterator[tuple]:
+    """(m, pluecker, coefficient, degree text, num, den, within) for m = n..N-1.
+
+    `_bounds_rows` over `_sweep_cells` of `v`'s plan, each degree made a
+    `Numeral` once, or the same records as the process kept them.  A
+    sweep is recorded as it streams while its digits stay within
+    KEPT_SWEEP_DIGITS, and kept only once it has run to its end: one past
+    the budget, one that raises and one left unfinished keep nothing.
+    """
+    key = v.n, v.d
+    kept = _kept_sweeps.pop(key, None)
+    if kept is not None:
+        _kept_sweeps[key] = kept
+        yield from kept[0]
+        return
+    records = [] if v.n <= KEPT_TABLE_N and not v.d >> 64 else None
+    digits, counts = 0, set()
+    cells = _sweep_cells(v.integral_table.plan)
+    for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells):
+        text = Numeral(degree)
+        record = m, pluecker, coefficient, text, num, den, within
+        if records is not None:
+            digits += len(text)
+            if id(pluecker) not in counts:  # a mirrored row's count is its stepped row's
+                counts.add(id(pluecker))
+                digits += count_digits(pluecker)
+            records.append(record)
+            if digits > KEPT_SWEEP_DIGITS:
+                records = None
+        yield record
+    if records is not None:
+        _keep_sweep(key, tuple(records), digits)
+
+
+def _keep_sweep(key: tuple[int, int], records: tuple, digits: int) -> None:
+    """Keep `records` under `key` as used last; drop the least recently used past the budget."""
+    _kept_sweeps.pop(key, None)
+    _kept_sweeps[key] = records, digits
+    total = sum(held for _, held in _kept_sweeps.values())
+    while total > KEPT_SWEEP_DIGITS:
+        _, held = _kept_sweeps.pop(next(iter(_kept_sweeps)))
+        total -= held
 
 
 def _sweep_cells(plan: TermPlan) -> Iterator[tuple]:
@@ -720,9 +783,10 @@ def conjecture_scan(n_values, d_values) -> Iterator[dict]:
     """The rows `conjecture` prints, for every m of every n in `n_values` and d in `d_values`.
 
     Each row is `bounds(v, m).to_dict()`, written by `_conjecture_row` from
-    the row kernel over one Grassmannian sweep per variety, with no record
-    made.  Rows are yielded as they are made; empty ranges are refused at
-    the call.  A violation is a row whose "within_conjecture" is false.
+    each variety's swept records, made by one Grassmannian sweep or kept
+    from an earlier one (`_swept_records`).  Rows are yielded as they are
+    made; empty ranges are refused at the call.  A violation is a row whose
+    "within_conjecture" is false.
     """
     n_values, d_values = tuple(n_values), tuple(d_values)
     if not n_values or not d_values:
@@ -732,13 +796,14 @@ def conjecture_scan(n_values, d_values) -> Iterator[dict]:
 
 
 def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
-    """`conjecture_scan`'s rows of `v`, m = n..N-1, each forming its reference product.
+    """`conjecture_scan`'s rows of `v`, m = n..N-1, read off `v`'s swept records.
 
-    The product is one long `count_multiply` of the swept count.
+    The records are `_swept_records(v)`, the ones `table_rows` reads.  Each
+    row forms its reference product, one long `count_multiply` of the
+    swept count, and its conjectured value from it.
     """
     n, d, N = v.n, v.d, v.N
     first = ordinary_gauss_degree(v)
-    cells = _sweep_cells(v.integral_table.plan)
-    for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells):
+    for m, pluecker, coefficient, degree, num, den, within in _swept_records(v):
         product = count_multiply(pluecker, coefficient * first)
         yield _conjecture_row(n, d, N, m, degree, product, num, den, within)

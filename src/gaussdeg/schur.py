@@ -299,7 +299,9 @@ def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegr
 # most p(13) = 101 terms, and of d < 2^64, so no entry passes 864 bits, its
 # size at (13, 2^64 - 1): a kept table holds at most about 14 kB of entries.
 # A seeded `small_mixed` benchmark run asks for 29 distinct (n, d); every
-# variety of the benchmark and of the golden file has n <= 6.
+# variety of the benchmark and of the golden file has n <= 6.  The same two
+# bounds pick the varieties whose swept records may be kept, within their
+# own digit budget (`degrees.KEPT_SWEEP_DIGITS`).
 KEPT_TABLE_N = 13
 KEPT_TABLES = 32
 
@@ -311,18 +313,21 @@ def _kept_table(n: int, d: int) -> SegreIntegralTable:
 
 
 def cache_clear() -> None:
-    """Empty what the process keeps: tables, tableau counts, alternate-sum weights, primes.
+    """Empty what the process keeps: tables, tableau counts, alternate-sum weights, primes, sweeps.
 
     They are the Veronese tables, the small tableau counts, the alternate
-    sum's partition weights and the list of primes below
+    sum's partition weights, the list of primes below
     `partitions.PRIME_CAP` that the prime-power kernel reads
-    (`partitions._primes`).  A library caller who replaces a formula
-    behind them (the closed form, the tableau kernel, a term of the plan)
-    calls this first, so that no value made before reaches a later call.
+    (`partitions._primes`) and the swept records that `table` and
+    `conjecture` read (`degrees._swept_records`).  A library caller who
+    replaces a formula behind them (the closed form, the tableau kernel, a
+    term of the plan, the sweep's step, a row's bounds) calls this first,
+    so that no value made before reaches a later call.
     """
-    from .degrees import _kept_alternate_weights  # degrees imports this module
+    from .degrees import _kept_alternate_weights, _kept_sweeps  # degrees imports this module
 
     _kept_table.cache_clear()
     _kept_count.cache_clear()
     _kept_alternate_weights.cache_clear()
     _clear_primes()
+    _kept_sweeps.clear()

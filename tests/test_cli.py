@@ -1507,3 +1507,58 @@ def test_cli_runs_as_a_process(tmp_path):
     assert err.startswith("error: too large: ") and err.count("\n") == 1
     code, out, err = run("generic", "--table", str(zero), "--m", "3")
     assert code == 3 and out == "" and "not generically finite" in err
+
+
+def _count_sweep_work(monkeypatch) -> dict:
+    """Wrap the sweep's step and the plan's row; return their running call counts."""
+    calls = {"steps": 0, "rows": 0}
+    factor, row = gaussdeg.grassmann._sweep_factor, gaussdeg.degrees.TermPlan.row
+
+    def counted_step(*args):
+        calls["steps"] += 1
+        return factor(*args)
+
+    def counted_row(*args):
+        calls["rows"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(gaussdeg.grassmann, "_sweep_factor", counted_step)
+    monkeypatch.setattr(gaussdeg.degrees.TermPlan, "row", counted_row)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--n", "3", "--d", "7"), ("conjecture", "--n", "1..2", "--d", "2..3")],
+    ids=["table", "conjecture"],
+)
+def test_a_repeated_sweep_prints_what_a_fresh_process_prints(capsys, monkeypatch, argv, fmt):
+    # (3, 7) crosses DECIMAL_BITS; a second call in the process reads the
+    # records the first kept, with no sweep step and no row made, and prints
+    # the bytes of the first and of a process of its own
+    argv = (*argv, "--format", fmt)
+    first = run_cli(capsys, *argv)
+    calls = _count_sweep_work(monkeypatch)
+    second = run_cli(capsys, *argv)
+    assert calls == {"steps": 0, "rows": 0}
+    assert second == first == _run_process(*argv)
+    assert first[0] == 0 and first[1]
+
+
+@pytest.mark.parametrize("command", ["table", "conjecture"])
+def test_a_sweep_that_raises_keeps_nothing(capsys, monkeypatch, command):
+    # a row that fails part-way through the sweep of (2, 4) stops it with
+    # exit 4 on every call: no record of the rows before it is kept
+    row = gaussdeg.degrees.TermPlan.row
+
+    def failing(plan, m, pluecker, split=None):
+        if m == 7:
+            raise ArithmeticError("row 7 failed")
+        return row(plan, m, pluecker, split)
+
+    monkeypatch.setattr(gaussdeg.degrees.TermPlan, "row", failing)
+    for _ in range(2):
+        code, out, err = run_cli(capsys, command, "--n", "2", "--d", "4")
+        assert (code, out, err) == (4, "", "error: internal invariant failed: row 7 failed\n")
+    assert not gaussdeg.degrees._kept_sweeps

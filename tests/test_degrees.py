@@ -1154,3 +1154,79 @@ def test_degree_main_builds_one_report(monkeypatch):
     made.clear()
     report = degree_curve_closed(6, 3)
     assert (report.method, report.notes, made) == ("curve_closed", "", ["curve_closed"])
+
+
+def _kept_digits(records) -> int:
+    """The digits a kept sweep holds, counted from its text: degrees and distinct counts."""
+    counts = {id(pluecker): pluecker for _, pluecker, *_ in records}
+    return sum(len(degree) for _, _, _, degree, *_ in records) + sum(
+        len(str(count)) for count in counts.values()
+    )
+
+
+def _sweeps_made(monkeypatch) -> list:
+    """Record the plan of every sweep `_sweep_cells` starts."""
+    made, cells = [], gaussdeg.degrees._sweep_cells
+
+    def counted(plan):
+        made.append((plan.n, plan.N))
+        return cells(plan)
+
+    monkeypatch.setattr(gaussdeg.degrees, "_sweep_cells", counted)
+    return made
+
+
+def test_a_table_row_changed_by_its_caller_changes_no_later_call():
+    v = VeroneseVariety(2, 5)
+    rows = list(table_rows(v))
+    fresh = [dict(row) for row in rows]
+    rows[0]["degree"], rows[1]["ratio"] = "0", "1/2"
+    del rows[2]["within_conjecture"]
+    assert list(table_rows(v)) == fresh
+    assert list(conjecture_scan((2,), (5,)))[0]["degree"] == fresh[0]["degree"]
+
+
+def test_a_sweep_past_the_digit_budget_is_streamed_and_never_kept(monkeypatch):
+    # (2, 12) holds about 198,000 digits: under a budget of 10,000 it is
+    # written as it streams, the same rows as when kept, and swept again
+    v = VeroneseVariety(2, 12)
+    kept = list(table_rows(v))
+    assert _kept_digits(gaussdeg.degrees._kept_sweeps[2, 12][0]) > 10_000
+    gaussdeg.schur.cache_clear()
+    monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", 10_000)
+    made = _sweeps_made(monkeypatch)
+    assert list(table_rows(v)) == kept
+    assert list(table_rows(v)) == kept
+    assert made == [(2, 90), (2, 90)] and not gaussdeg.degrees._kept_sweeps
+
+
+def test_kept_sweeps_stay_within_the_digit_budget_least_recent_first(monkeypatch):
+    # curves (1, d), d = 10..24, of 67-1,855 digits each, under a budget of
+    # 4,000, then four of them again: after every call the kept sweeps are
+    # the ones used last, in the order of their last use, as many as the
+    # budget holds, so the least recently used went first and no more
+    budget, sizes = 4_000, {}
+    monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", budget)
+    kept, used = gaussdeg.degrees._kept_sweeps, []
+    for d in [*range(10, 25), 20, 23, 12, 21]:
+        rows = list(table_rows(VeroneseVariety(1, d)))
+        records, sizes[1, d] = kept[1, d]
+        assert 0 <= sizes[1, d] - _kept_digits(records) <= len(records)
+        assert [row["degree"] for row in rows] == [record[3] for record in records]
+        used = [key for key in used if key != (1, d)] + [(1, d)]
+        first = len(used) - len(kept)
+        assert list(kept) == used[first:]
+        assert sum(sizes[key] for key in kept) <= budget
+        assert first == 0 or sizes[used[first - 1]] + sum(map(sizes.get, kept)) > budget
+    # (1, 20), used again after (1, 24), outlives it
+    assert list(kept) == [(1, 20), (1, 23), (1, 12), (1, 21)]
+
+
+def test_cache_clear_empties_the_kept_sweeps(monkeypatch):
+    made = _sweeps_made(monkeypatch)
+    for _ in range(2):
+        rows = list(conjecture_scan((1, 2), (3,)))
+    assert made == [(1, 3), (2, 9)] and len(gaussdeg.degrees._kept_sweeps) == 2
+    gaussdeg.schur.cache_clear()
+    assert not gaussdeg.degrees._kept_sweeps
+    assert list(conjecture_scan((1, 2), (3,))) == rows and len(made) == 4

@@ -14,6 +14,7 @@ from gaussdeg.cost import degree_digits
 from gaussdeg.degrees import _sweep_cells
 from gaussdeg.grassmann import (
     GrassmannShape,
+    count_digits,
     count_divmod,
     count_fma,
     count_multiply,
@@ -283,3 +284,8 @@ def test_count_arithmetic_keeps_the_counts_kind(count):
     assert (quotient, rest) == divmod(COUNT, 1009) and rest == 263
     assert product == COUNT * factor
     assert fused == COUNT * factor + 12_345
+    # sized with no text made: a Decimal exactly, an int never short and at
+    # most one over, across powers of ten and of two
+    for k in (1, 2, 47, 48, 602, 603, 700):
+        for value, digits in ((10**k - 1, k), (10**k, k + 1), (2**k, len(str(2**k)))):
+            assert 0 <= count_digits(kind(value)) - digits <= (kind is int)
