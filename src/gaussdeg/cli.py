@@ -23,11 +23,11 @@ a failure is a failed check, so it exits 1.
 and its options are declared once, in `COMMANDS`.  A canonical argv, the
 subcommand and then `--flag value` pairs, is read straight from that table
 with no parser built (`read_canonical`); argparse's parser, built from the
-same table on first use and reused, handles the rest: help, abbreviated
-flags, `--flag=value` forms, repeated flags, negative numbers and every
-error.  A cost guard refuses, with exit 2, inputs whose numbers would be
-too large to compute, or, but for `generic`, to print, before any
-big-integer work starts.
+same table for each argv that needs it and kept by nothing, handles the
+rest: help, abbreviated flags, `--flag=value` forms, repeated flags,
+negative numbers and every error.  A cost guard refuses, with exit 2,
+inputs whose numbers would be too large to compute, or, but for
+`generic`, to print, before any big-integer work starts.
 """
 
 import argparse
@@ -38,7 +38,6 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -56,6 +55,7 @@ from .partitions import (
     DEFAULT_BRUTE_CAP,
     Numeral,
     canonical,
+    integer,
     message,
     syt_count_bruteforce,
     syt_count_hook,
@@ -71,21 +71,6 @@ FORMATS = ("json", "csv", "table")
 # with every control character, a superset over CPython 3.11 to 3.13
 _CSV_QUOTED = re.compile(r'[,"\x00-\x1f\x7f]')
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def integer(text: str) -> int:
-    """An integer as the command line writes it: ASCII `-?[0-9]+`, nothing else.
-
-    The type of every integer option, and of each number `parse_range`,
-    `parse_partition` and `effective_brute_cap` read.  `int()` alone would
-    also take spaces, '_', '+' and non-ASCII digits, so `--n 1_0` would be
-    read as 10.  Two string tests, not a regex match: it runs for every
-    integer option of every command.
-    """
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(message("expected an integer of ASCII digits, got %r", text))
-    return int(text)
 
 
 def effective_brute_cap() -> int:
@@ -439,14 +424,11 @@ class _Parser(argparse.ArgumentParser):
         super().error(message("%s", text))
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `gaussdeg` parser, built from `COMMANDS` on first use and shared after it.
+    """A new `gaussdeg` parser, built from `COMMANDS`.
 
-    `parse_args` leaves a parser as it was, and building one costs over
-    ten times as much as a parse, so every `main` call in a process that
-    needs it reuses this one.  Being shared, it must not be changed by a
-    caller.
+    `main` builds one only for an argv that `read_canonical` declines,
+    so no canonical command pays for it.
     """
     parser = _Parser(
         prog="gaussdeg",

@@ -643,9 +643,10 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
     """The rows `table` prints, m = n..N-1: m, dim, degree, ratio, within_conjecture.
 
     The numbers of `bounds(v, m)` at every m, read off `v`'s swept records
-    (`_swept_records`: one Grassmannian sweep, or the one the process
-    kept), written as `conjecture_scan` writes them, with no `Fraction`
-    made.  Each row is a new dict, the caller's to change.
+    (`_swept_records`: one Grassmannian sweep made whole before the first
+    row, or the one the process kept), written as `conjecture_scan` writes
+    them, with no `Fraction` made.  Each row is a new dict, the caller's to
+    change.
     """
     n, N = v.n, v.N
     for m, _, _, degree, num, den, within in _swept_records(v):
@@ -658,80 +659,72 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
         }
 
 
-# Swept records kept for the life of the process, by (n, d), as the tables
-# are: of n <= KEPT_TABLE_N and d < 2^64 only, least recently used first.
-# Each holds its records and their digits, the degrees' text and each
-# distinct stepped count (`count_digits`); the least recently used go until
+# Swept records kept for the life of the process, by (n, d), of the
+# varieties whose tables are kept (`VeroneseVariety.kept`), least recently
+# used first.  Each holds its records and their digits, the degrees' text
+# and the stepped counts (`count_digits`); the least recently used go until
 # all kept hold at most KEPT_SWEEP_DIGITS.  `table_sweep`'s seven fixed
 # varieties hold 1.38 M (917 K of them degree text) and each of its curves
 # 0.14-0.40 M, so the budget holds a round of it and the next round's two
 # curves: at 2 M, 0-5 of the seven were evicted before their second use.
 # `small_mixed`'s 14 conjecture varieties hold 46 K in all.  A sweep past
 # the budget on its own, such as (2, 20) at 4.6 M or (3, 10) at 9.3 M, is
-# never kept.
+# never kept.  The dict is replaced whole, never changed in place, so a
+# thread walks a store no other thread changes; a race loses at most an
+# update, which a later call sweeps again.  Empty at import.
 KEPT_SWEEP_DIGITS = 3_000_000
 _kept_sweeps: dict[tuple[int, int], tuple[tuple, int]] = {}
 
 
-def _swept_records(v: VeroneseVariety) -> Iterator[tuple]:
+def _swept_records(v: VeroneseVariety) -> tuple:
     """(m, pluecker, coefficient, degree text, num, den, within) for m = n..N-1.
 
-    `_bounds_rows` over `_sweep_cells` of `v`'s plan, each degree made a
-    `Numeral` once, or the same records as the process kept them.  A
-    sweep is recorded as it streams while its digits stay within
-    KEPT_SWEEP_DIGITS, and kept only once it has run to its end: one past
-    the budget, one that raises and one left unfinished keep nothing.
+    The records the process kept of `v`, or `_bounds_rows` over
+    `_sweep_cells` of `v`'s plan, made whole, each degree made a `Numeral`
+    once.  A made sweep is kept, as used last, when `v` is kept and its
+    digits are within KEPT_SWEEP_DIGITS; a sweep that raises keeps nothing.
     """
-    key = v.n, v.d
-    kept = _kept_sweeps.pop(key, None)
-    if kept is not None:
-        _kept_sweeps[key] = kept
-        yield from kept[0]
-        return
-    records = [] if v.n <= KEPT_TABLE_N and not v.d >> 64 else None
-    digits, counts = 0, set()
-    cells = _sweep_cells(v.integral_table.plan)
-    for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells):
-        text = Numeral(degree)
-        record = m, pluecker, coefficient, text, num, den, within
-        if records is not None:
-            digits += len(text)
-            if id(pluecker) not in counts:  # a mirrored row's count is its stepped row's
-                counts.add(id(pluecker))
-                digits += count_digits(pluecker)
-            records.append(record)
-            if digits > KEPT_SWEEP_DIGITS:
-                records = None
-        yield record
-    if records is not None:
-        _keep_sweep(key, tuple(records), digits)
-
-
-def _keep_sweep(key: tuple[int, int], records: tuple, digits: int) -> None:
-    """Keep `records` under `key` as used last; drop the least recently used past the budget."""
-    _kept_sweeps.pop(key, None)
-    _kept_sweeps[key] = records, digits
-    total = sum(held for _, held in _kept_sweeps.values())
+    global _kept_sweeps
+    key, kept = (v.n, v.d), _kept_sweeps
+    entry = kept.get(key)
+    if entry is None:
+        cells = _sweep_cells(v.integral_table.plan)
+        records = tuple([
+            (m, pluecker, coefficient, Numeral(degree), num, den, within)
+            for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells)
+        ])
+        # a mirrored row's count is one of the stepped half's
+        stepped = records[: len(records) // 2 + 1]
+        digits = sum(len(record[3]) for record in records)
+        digits += sum(count_digits(record[1]) for record in stepped)
+        if not v.kept or digits > KEPT_SWEEP_DIGITS:
+            return records
+        entry = records, digits
+    entries = [item for item in kept.items() if item[0] != key] + [(key, entry)]
+    total = sum(held for _, (_, held) in entries)
     while total > KEPT_SWEEP_DIGITS:
-        _, held = _kept_sweeps.pop(next(iter(_kept_sweeps)))
-        total -= held
+        total -= entries.pop(0)[1][1]
+    _kept_sweeps = dict(entries)
+    return entry[0]
 
 
-def _sweep_cells(plan: TermPlan) -> Iterator[tuple]:
-    """(m, deg G(m-n, N-n), its `plan.split`) for m = n..N-1, of `plan`'s n and N.
+def _clear_sweeps() -> None:
+    """Empty the swept records `_swept_records` keeps."""
+    global _kept_sweeps
+    _kept_sweeps = {}
+
+
+def _sweep_cells(plan: TermPlan) -> list[tuple]:
+    """The cells (m, deg G(m-n, N-n), its `plan.split`), m = n..N-1, of `plan`'s n and N.
 
     The sweep's one mirror.  `grassmann_degree_sweep(r)`, r = N - n, yields
-    the counts of its first half, each split here once; the rows past them
-    read D(k, r-k) = D(r-k, k) back, each the very count and split of its
-    stepped row.
+    the counts of its first half, each split here once; the row of k past
+    them reads D(k, r-k) = D(r-k, k) back, the very count and split of its
+    stepped row r - k.
     """
     n, r = plan.n, plan.N - plan.n
-    stepped = []
-    for k, pluecker in enumerate(grassmann_degree_sweep(r)):
-        stepped.append((pluecker, plan.split(pluecker)))
-        yield n + k, *stepped[k]
-    for k in range(len(stepped), r):
-        yield n + k, *stepped[r - k]
+    stepped = [(pluecker, plan.split(pluecker)) for pluecker in grassmann_degree_sweep(r)]
+    return [(n + k, *stepped[min(k, r - k)]) for k in range(r)]
 
 
 def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
@@ -783,10 +776,10 @@ def conjecture_scan(n_values, d_values) -> Iterator[dict]:
     """The rows `conjecture` prints, for every m of every n in `n_values` and d in `d_values`.
 
     Each row is `bounds(v, m).to_dict()`, written by `_conjecture_row` from
-    each variety's swept records, made by one Grassmannian sweep or kept
-    from an earlier one (`_swept_records`).  Rows are yielded as they are
-    made; empty ranges are refused at the call.  A violation is a row whose
-    "within_conjecture" is false.
+    each variety's swept records, made whole by one Grassmannian sweep or
+    kept from an earlier one (`_swept_records`).  A variety's rows are
+    yielded once its sweep is made; empty ranges are refused at the call.
+    A violation is a row whose "within_conjecture" is false.
     """
     n_values, d_values = tuple(n_values), tuple(d_values)
     if not n_values or not d_values:

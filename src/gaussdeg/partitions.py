@@ -88,6 +88,22 @@ def exact_quotient(num: int, den: int, what: str, *args, divide=divmod) -> int:
     return quotient
 
 
+def integer(text: str) -> int:
+    """An integer as the package reads one from text: ASCII `-?[0-9]+`, nothing else.
+
+    The type of every integer option of `cli`, of each number of its ranges,
+    shapes and brute-force cap, and of a table file's integrals
+    (`schur.SegreIntegralTable.from_json`).  `int()` alone would also take
+    spaces, '_', '+' and non-ASCII digits, so `--n 1_0` would be read as 10.
+    Two string tests, not a regex match: it runs for every integer option
+    of every command.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(message("expected an integer of ASCII digits, got %r", text))
+    return int(text)
+
+
 def message(template: str, *args) -> str:
     """`template` %-formatted with `args`: how every error message writes its values.
 

@@ -7,7 +7,6 @@ collected in tables keyed by partitions, with a JSON interchange format.
 """
 
 import json
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,6 +24,7 @@ from .partitions import (
     enumerate_partitions,
     exact_quotient,
     falling_factorial_product,
+    integer,
     message,
     pad,
     partition_count,
@@ -54,17 +54,19 @@ class VeroneseVariety:
         """C(n+d, d) - 1, formed on first use: at large n and d a slow binomial."""
         return comb(self.n + self.d, self.d) - 1
 
+    @property
+    def kept(self) -> bool:
+        """Whether the process keeps its table and swept records: n <= KEPT_TABLE_N, d < 2^64."""
+        return self.n <= KEPT_TABLE_N and not self.d >> 64
+
     @cached_property
     def integral_table(self) -> "SegreIntegralTable":
         """`veronese_integral_table` of this variety, built once per instance.
 
-        A small table, n <= KEPT_TABLE_N and d < 2^64, is read from
-        `_kept_table`: every variety of the same (n, d) shares it, and its
-        `plan`, while the process keeps it.
+        A kept variety's table is read from `_kept_table`: every variety of
+        the same (n, d) shares it, and its `plan`, while the process keeps it.
         """
-        if self.n > KEPT_TABLE_N or self.d >> 64:
-            return veronese_integral_table(self)
-        return _kept_table(self.n, self.d)
+        return _kept_table(self.n, self.d) if self.kept else veronese_integral_table(self)
 
 
 @dataclass(frozen=True)
@@ -260,12 +262,8 @@ class SegreIntegralTable:
             raw = item["integral"]
             if not isinstance(raw, str):
                 raise ValueError(message("'integral' must be a decimal string: %r", raw))
-            # int() alone would also take spaces, '_', '+' and non-ASCII
-            # digits; past the pattern it can still refuse the digit count
-            if not _DECIMAL.fullmatch(raw):
-                raise ValueError(message("bad integral value %r", raw))
             try:
-                value = int(raw)
+                value = integer(raw)
             except ValueError as exc:
                 raise ValueError(message("bad integral value %r", raw)) from exc
             lam = canonical(parts)
@@ -273,9 +271,6 @@ class SegreIntegralTable:
                 raise ValueError(message("duplicate entry for partition %s", lam))
             entries[lam] = value
         return cls(n=n, N=big_n, entries=entries)
-
-
-_DECIMAL = re.compile("-?[0-9]+")
 
 
 def _is_int(value) -> bool:
@@ -300,8 +295,9 @@ def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegr
 # size at (13, 2^64 - 1): a kept table holds at most about 14 kB of entries.
 # A seeded `small_mixed` benchmark run asks for 29 distinct (n, d); every
 # variety of the benchmark and of the golden file has n <= 6.  The same two
-# bounds pick the varieties whose swept records may be kept, within their
-# own digit budget (`degrees.KEPT_SWEEP_DIGITS`).
+# bounds, read once as `VeroneseVariety.kept`, pick the varieties whose
+# swept records may be kept, within their own digit budget
+# (`degrees.KEPT_SWEEP_DIGITS`).
 KEPT_TABLE_N = 13
 KEPT_TABLES = 32
 
@@ -319,15 +315,16 @@ def cache_clear() -> None:
     sum's partition weights, the list of primes below
     `partitions.PRIME_CAP` that the prime-power kernel reads
     (`partitions._primes`) and the swept records that `table` and
-    `conjecture` read (`degrees._swept_records`).  A library caller who
-    replaces a formula behind them (the closed form, the tableau kernel, a
-    term of the plan, the sweep's step, a row's bounds) calls this first,
-    so that no value made before reaches a later call.
+    `conjecture` read (`degrees._swept_records`); the last two stores are
+    replaced whole, so a call from another thread is safe.  A library
+    caller who replaces a formula behind them (the closed form, the
+    tableau kernel, a term of the plan, the sweep's step, a row's bounds)
+    calls this first, so that no value made before reaches a later call.
     """
-    from .degrees import _kept_alternate_weights, _kept_sweeps  # degrees imports this module
+    from .degrees import _clear_sweeps, _kept_alternate_weights  # degrees imports this module
 
     _kept_table.cache_clear()
     _kept_count.cache_clear()
     _kept_alternate_weights.cache_clear()
     _clear_primes()
-    _kept_sweeps.clear()
+    _clear_sweeps()

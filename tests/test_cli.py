@@ -739,7 +739,9 @@ def test_hook_cache_keeps_no_count_past_the_prime_power_switch(capsys, monkeypat
     assert cache.cache_info().currsize == len(set(reached))
 
 
-@pytest.mark.parametrize("integral", [" 1_0 ", "+7", "\u0666"])
+@pytest.mark.parametrize(
+    "integral", [" 1_0 ", "+7", "\u0666", "1_0", "+3", " 3", "\u0663", "", "-"]
+)
 def test_generic_non_decimal_integral_exits_2(tmp_path, capsys, integral):
     # only what to_json writes, ASCII -?[0-9]+, is an integral value
     path = tmp_path / "loose.json"
@@ -887,8 +889,6 @@ def test_a_second_call_builds_no_parser(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["degree"] == "12"
     assert built == []
     # a canonical argv is read from the command table: no parser is built
-    # at all, not even the first time
-    gaussdeg.cli.build_parser.cache_clear()
     code, out, _ = run_cli(capsys, "degree", "--n", "1", "--d", "4", "--m", "2", "--format", "csv")
     assert code == 0 and built == []
     # an abbreviated flag falls back to argparse and prints the same bytes
@@ -986,8 +986,8 @@ def test_a_long_invalid_argument_is_echoed_cut(argv):
 
 @pytest.fixture(scope="module")
 def fresh_parser():
-    # a parser of its own, not the one `main` shares
-    return gaussdeg.cli.build_parser.__wrapped__()
+    # a parser of its own, not the one `main` builds
+    return gaussdeg.cli.build_parser()
 
 
 def _argparse_reads(parser, argv):
@@ -1068,7 +1068,7 @@ def test_help_matches_a_fresh_parser(capsys, argv):
     assert exc.value.code == 0
     printed = capsys.readouterr().out
     with pytest.raises(SystemExit):
-        gaussdeg.cli.build_parser.__wrapped__().parse_args(list(argv))
+        gaussdeg.cli.build_parser().parse_args(list(argv))
     assert capsys.readouterr().out == printed
     assert printed.startswith("usage: gaussdeg")
 

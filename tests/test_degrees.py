@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from decimal import Context, Decimal, getcontext, localcontext
@@ -1186,9 +1187,9 @@ def test_a_table_row_changed_by_its_caller_changes_no_later_call():
     assert list(conjecture_scan((2,), (5,)))[0]["degree"] == fresh[0]["degree"]
 
 
-def test_a_sweep_past_the_digit_budget_is_streamed_and_never_kept(monkeypatch):
+def test_a_sweep_past_the_digit_budget_is_made_whole_and_never_kept(monkeypatch):
     # (2, 12) holds about 198,000 digits: under a budget of 10,000 it is
-    # written as it streams, the same rows as when kept, and swept again
+    # made whole and written, the same rows as when kept, and swept again
     v = VeroneseVariety(2, 12)
     kept = list(table_rows(v))
     assert _kept_digits(gaussdeg.degrees._kept_sweeps[2, 12][0]) > 10_000
@@ -1205,11 +1206,11 @@ def test_kept_sweeps_stay_within_the_digit_budget_least_recent_first(monkeypatch
     # 4,000, then four of them again: after every call the kept sweeps are
     # the ones used last, in the order of their last use, as many as the
     # budget holds, so the least recently used went first and no more
-    budget, sizes = 4_000, {}
+    budget, sizes, used = 4_000, {}, []
     monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", budget)
-    kept, used = gaussdeg.degrees._kept_sweeps, []
     for d in [*range(10, 25), 20, 23, 12, 21]:
         rows = list(table_rows(VeroneseVariety(1, d)))
+        kept = gaussdeg.degrees._kept_sweeps
         records, sizes[1, d] = kept[1, d]
         assert 0 <= sizes[1, d] - _kept_digits(records) <= len(records)
         assert [row["degree"] for row in rows] == [record[3] for record in records]
@@ -1230,3 +1231,49 @@ def test_cache_clear_empties_the_kept_sweeps(monkeypatch):
     gaussdeg.schur.cache_clear()
     assert not gaussdeg.degrees._kept_sweeps
     assert list(conjecture_scan((1, 2), (3,))) == rows and len(made) == 4
+
+
+def test_kept_sweeps_from_threads_stay_whole(monkeypatch):
+    # four threads read, sweep, keep and clear the sweeps of the curves
+    # (1, 10..39) under a budget of 3,000 digits, which holds a few of them:
+    # no call raises, each gives the rows of a single thread, and the store
+    # never holds more than its budget
+    budget, degrees = 3_000, range(10, 40)
+    monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", budget)
+    expected = {
+        d: (list(table_rows(VeroneseVariety(1, d))), list(conjecture_scan((1,), (d,))))
+        for d in degrees
+    }
+    gaussdeg.schur.cache_clear()
+    errors = []
+
+    def ask(seed):
+        try:
+            for i in range(300):
+                d = degrees[(seed * 7 + i * 11) % len(degrees)]
+                if i % 50 == seed:
+                    gaussdeg.schur.cache_clear()
+                if i % 2:
+                    rows = list(conjecture_scan((1,), (d,)))
+                else:
+                    rows = list(table_rows(VeroneseVariety(1, d)))
+                if rows != expected[d][i % 2]:
+                    errors.append((seed, i, d))
+                kept = gaussdeg.degrees._kept_sweeps
+                if sum(digits for _, digits in kept.values()) > budget:
+                    errors.append((seed, i, "over budget"))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
