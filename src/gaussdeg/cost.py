@@ -8,6 +8,7 @@ or calls a layer `bench/tracing.py` times.
 
 import sys
 from math import inf, lgamma, log, log2, log10
+from operator import index
 
 from .grassmann import GrassmannShape
 from .partitions import (
@@ -91,6 +92,7 @@ _RANGE = "m must satisfy %s <= m <= %s, got %s"
 
 
 def _check_range(n: int, N: int, m: int) -> None:
+    n, N, m = index(n), index(N), index(m)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not n <= m <= N - 1:

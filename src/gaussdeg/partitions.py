@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, compress, count, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
-from operator import lt
+from operator import index, lt
 
 Partition = tuple[int, ...]
 
@@ -60,8 +60,8 @@ _kept_primes: tuple[int, list[int]] = (1, [])
 
 
 def canonical(parts) -> Partition:
-    """Validate weak decrease and non-negativity, strip trailing zeros."""
-    lam = tuple(map(int, parts))
+    """Validate weak decrease and non-negativity, strip trailing zeros; parts read by `index`."""
+    lam = tuple(map(index, parts))
     if lam and lam[-1] < 0:
         raise ValueError(message("negative part in %s", lam))
     if any(map(lt, lam, lam[1:])):

@@ -7,11 +7,11 @@ collected in tables keyed by partitions, with a JSON interchange format.
 """
 
 import json
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from operator import sub
+from operator import index, sub
 from types import MappingProxyType
 
 from .partitions import (
@@ -175,33 +175,36 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
 
 @dataclass(frozen=True)
 class SegreIntegralTable:
-    """Integrals of Schur values over an n-fold, keyed by partitions of n.
+    """Integrals of Schur values over an n-fold, keyed by partitions of n: the one table check.
 
-    `entries` must contain every partition of n (canonical keys, integer
-    values), at most `partitions.MAX_PARTITIONS` of them; `N` is the
-    dimension of the ambient projective space.  The table keeps them as a
-    read-only mapping: a table, and the plan made from it, may be shared
-    by every caller in the process (`VeroneseVariety.integral_table`).
+    n and N are ints, not bools, 1 <= n < N, N the ambient dimension; `entries`, a mapping or
+    (partition, integral) pairs, holds each partition of n once (keys read by `canonical`), at
+    most `partitions.MAX_PARTITIONS`, each integral read by `operator.index`: a float, Fraction,
+    Decimal or str raises TypeError.  The table keeps them read-only: it, and the plan made from
+    it, may be shared by every caller in the process (`VeroneseVariety.integral_table`).
     """
 
     n: int
     N: int
-    entries: dict[Partition, int]
+    entries: Mapping[Partition, int]
 
     def __post_init__(self):
+        if not _is_int(self.n) or not _is_int(self.N):
+            raise ValueError("'n' and 'N' must be integers")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         check_partition_terms(self.n)  # before p(n) is formed
         if self.N <= self.n:
             raise ValueError("N must exceed n")
         cleaned: dict[Partition, int] = {}
-        for key, value in self.entries.items():
+        entries = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
+        for key, value in entries:
             lam = canonical(key)
             if weight(lam) != self.n:
                 raise ValueError(message("entry %s does not have weight %s", lam, self.n))
             if lam in cleaned:
                 raise ValueError(message("duplicate entry for partition %s", lam))
-            cleaned[lam] = int(value)
+            cleaned[lam] = index(value)
         # the keys are distinct partitions of n, so the table is complete iff
         # it has p(n) of them
         expected = partition_count(self.n)
@@ -236,6 +239,8 @@ class SegreIntegralTable:
 
     @classmethod
     def from_json(cls, text: str) -> "SegreIntegralTable":
+        """Check the document's and entries' shapes and read each integral by `partitions.integer`;
+        the constructor, given the (partition, integral) pairs, checks the rest."""
         try:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -245,13 +250,10 @@ class SegreIntegralTable:
         for key in ("n", "N", "entries"):
             if key not in doc:
                 raise ValueError(f"table document is missing '{key}'")
-        n, big_n, raw_entries = doc["n"], doc["N"], doc["entries"]
-        if not _is_int(n) or not _is_int(big_n):
-            raise ValueError("'n' and 'N' must be integers")
-        if not isinstance(raw_entries, list):
+        if not isinstance(doc["entries"], list):
             raise ValueError("'entries' must be a list")
-        entries: dict[Partition, int] = {}
-        for item in raw_entries:
+        entries: list[tuple[list[int], int]] = []
+        for item in doc["entries"]:
             if not isinstance(item, dict):
                 raise ValueError(message("entry is not an object: %r", item))
             if "partition" not in item or "integral" not in item:
@@ -263,14 +265,10 @@ class SegreIntegralTable:
             if not isinstance(raw, str):
                 raise ValueError(message("'integral' must be a decimal string: %r", raw))
             try:
-                value = integer(raw)
+                entries.append((parts, integer(raw)))
             except ValueError as exc:
                 raise ValueError(message("bad integral value %r", raw)) from exc
-            lam = canonical(parts)
-            if lam in entries:
-                raise ValueError(message("duplicate entry for partition %s", lam))
-            entries[lam] = value
-        return cls(n=n, N=big_n, entries=entries)
+        return cls(n=doc["n"], N=doc["N"], entries=entries)
 
 
 def _is_int(value) -> bool:

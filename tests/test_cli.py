@@ -816,6 +816,33 @@ def test_syt_bad_env_var_exits_2(capsys, monkeypatch):
     assert code == 2 and "GAUSSDEG_BRUTE_CAP" in err
 
 
+def test_syt_zero_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", "0")
+    code, _, err = run_cli(capsys, "syt", "--shape", "2,1")
+    assert (code, err) == (2, "error: GAUSSDEG_BRUTE_CAP must be >= 1, got 0\n")
+
+
+def test_syt_refuses_a_shape_by_its_cells_in_process(capsys):
+    code, _, err = run_cli(capsys, "syt", "--shape", "10000000,10000000")
+    assert (code, err) == (
+        2,
+        "error: too large: the tableau count of a shape of 20000000 cells; "
+        "at most 4,000,000 cells are counted\n",
+    )
+
+
+def test_a_non_positive_degree_exits_4(capsys, monkeypatch):
+    # no input reaches this: Boole's degree is replaced by 0
+    monkeypatch.setattr(gaussdeg.degrees, "boole_degree", lambda n, d: 0)
+    argv = ("degree", "--n", "1", "--d", "2", "--m", "1", "--method", "boole")
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (
+        4,
+        "error: internal invariant failed: "
+        "boole(n=1, d=2, m=1): degree came out non-positive: 0\n",
+    )
+
+
 # int() reads each of these as a number; the cap must be ASCII digits
 @pytest.mark.parametrize("raw", [" 1_0 ", "+5", "\u0661\u0662", "1_0", "7 "])
 def test_brute_cap_must_be_ascii_digits(capsys, monkeypatch, raw):

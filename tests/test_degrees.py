@@ -72,6 +72,13 @@ def test_dim_known():
     assert dim_xm(3, 19, 18) == 18
 
 
+@pytest.mark.parametrize("n, N, m", [(1, 4, 2.5), (1.0, 4, 2), (1, 4.5, 2)])
+def test_dim_refuses_a_number_that_is_not_an_integer(n, N, m):
+    # read as given, n + (N - m)(m - n) at (1, 4, 2.5) would be 3.25
+    with pytest.raises(TypeError):
+        dim_xm(n, N, m)
+
+
 def test_dim_range_validation():
     with pytest.raises(ValueError):
         dim_xm(2, 5, 1)
@@ -243,6 +250,15 @@ def test_degree_general_curve_validation():
         degree_general_curve(4, 4, -1, 2)
     with pytest.raises(ValueError):
         degree_general_curve(1, 4, 0, 1)
+
+
+def test_a_general_curve_of_degree_zero_is_refused():
+    with pytest.raises(ValueError, match="^curve degree must be >= 1$"):
+        degree_general_curve(4, 0, 0, 2)
+
+
+def test_a_general_curve_report_writes_its_notes():
+    assert degree_general_curve(5, 6, 2, 3).to_dict()["notes"] == "genus 2"
 
 
 def test_degree_surface_closed_known():
@@ -463,6 +479,11 @@ def test_verify_identity_known():
     assert verify_identity(1) == (2, 2, True)
     assert verify_identity(2) == (18, 18, True)
     assert verify_identity(3)[0] == 384
+
+
+def test_verify_identity_refuses_n_below_one():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        verify_identity(0)
 
 
 def test_verify_identity_range():

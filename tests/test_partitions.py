@@ -79,6 +79,21 @@ def test_canonical_strips_zeros_and_validates():
         canonical((-1, 2))
 
 
+@pytest.mark.parametrize("parts", [[2.5, 1], ["3", "1"], [Decimal(2), 1]])
+def test_a_part_that_is_not_an_integer_is_refused(parts):
+    # int() would read [2.5, 1] as (2, 1) and ["3", "1"] as (3, 1)
+    with pytest.raises(TypeError):
+        syt_count_hook(parts)
+
+
+def test_a_part_with_index_is_kept():
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert canonical([Two(), 1]) == (2, 1)
+
+
 def test_pad():
     assert pad((2, 1), 4) == (2, 1, 0, 0)
     assert pad((), 2) == (0, 0)
@@ -181,6 +196,15 @@ def test_message_names_an_integer_past_13000_bits_by_its_size():
     assert message("%s of %s", (2, 1), -(2**12_999)) == f"(2, 1) of {-(2**12_999)}"
     assert message("n = %s", 2**13_000) == "n = an integer of 13,001 bits"
     assert message("%s/%s", 1, 10**5000) == "1/an integer of 16,610 bits"
+
+
+def test_message_names_an_integer_by_its_size_under_a_lowered_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert message("n = %s", 10**700) == "n = an integer of 2,326 bits"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_any_other_decimal_is_echoed():

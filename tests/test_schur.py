@@ -8,6 +8,8 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 from pathlib import Path
@@ -341,6 +343,76 @@ def test_table_json_big_integers():
 def test_table_json_schema_violations(text):
     with pytest.raises(ValueError):
         SegreIntegralTable.from_json(text)
+
+
+# One fault each, as (n, N, (partition, integral) pairs, the message both
+# the constructor and `from_json` give)
+ONE_FAULT_TABLES = [
+    pytest.param("2", 5, [([2], 3), ([1, 1], 6)], "'n' and 'N' must be integers", id="n-str"),
+    pytest.param(1.5, 5, [([1], 3)], "'n' and 'N' must be integers", id="n-float"),
+    pytest.param(True, 5, [([1], 3)], "'n' and 'N' must be integers", id="n-bool"),
+    pytest.param(2, 5.0, [([2], 3), ([1, 1], 6)], "'n' and 'N' must be integers", id="N-float"),
+    pytest.param(0, 5, [], "n must be >= 1", id="n-zero"),
+    pytest.param(
+        2, 5, [([1, 2], 3), ([1, 1], 6)], "parts not weakly decreasing: (1, 2)", id="order"
+    ),
+    pytest.param(2, 5, [([3, -1], 3), ([1, 1], 6)], "negative part in (3, -1)", id="negative"),
+    pytest.param(
+        2, 5, [([2], 3), ([1, 1], 6), ([1], 1)], "entry (1,) does not have weight 2", id="weight"
+    ),
+    pytest.param(
+        2, 5, [([2], 3), ([2], 3), ([1, 1], 6)], "duplicate entry for partition (2,)", id="repeat"
+    ),
+    pytest.param(
+        2,
+        5,
+        [([2, 0], 3), ([2], 3), ([1, 1], 6)],
+        "duplicate entry for partition (2,)",
+        id="repeat-padded",
+    ),
+    pytest.param(2, 5, [([2], 3)], "table is missing 1 of the 2 partitions of 2", id="missing"),
+]
+
+
+@pytest.mark.parametrize("n, big_n, pairs, expected", ONE_FAULT_TABLES)
+def test_the_constructor_and_from_json_refuse_a_fault_alike(n, big_n, pairs, expected):
+    doc = {
+        "n": n,
+        "N": big_n,
+        "entries": [{"partition": parts, "integral": str(value)} for parts, value in pairs],
+    }
+    tried = [
+        lambda: SegreIntegralTable.from_json(json.dumps(doc)),
+        lambda: SegreIntegralTable(n=n, N=big_n, entries=pairs),
+    ]
+    mapping = {tuple(parts): value for parts, value in pairs}
+    if len(mapping) == len(pairs):
+        tried.append(lambda: SegreIntegralTable(n=n, N=big_n, entries=mapping))
+    for make in tried:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("value", [Fraction(7, 2), 2.0, Decimal(3), "3"])
+def test_the_constructor_refuses_an_integral_that_is_not_an_integer(value):
+    with pytest.raises(TypeError):
+        SegreIntegralTable(n=1, N=4, entries={(1,): value})
+
+
+def test_the_constructor_keeps_an_integral_with_index():
+    class Seven:
+        def __index__(self):
+            return 7
+
+    table = SegreIntegralTable(n=1, N=4, entries=[((1,), Seven())])
+    assert table == SegreIntegralTable(n=1, N=4, entries={(1,): 7})
+    assert type(table.entries[(1,)]) is int
+
+
+def test_the_closed_form_refuses_a_length_below_one():
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        schur_delta_veronese_closed(VeroneseVariety(2, 2), (), 0)
 
 
 @given(

@@ -78,6 +78,11 @@ def test_crossform_generic_check_is_independent_of_the_closed_form(monkeypatch):
     assert any(failure.startswith("generic ") for failure in result.failures)
 
 
+def test_crossform_reads_a_table_with_no_degree_as_zero():
+    zero = gaussdeg.schur.SegreIntegralTable(n=2, N=5, entries={(2,): 0, (1, 1): 0})
+    assert gaussdeg.verify._generic_degree(zero, 3) == 0
+
+
 def test_crossform_catches_a_wrong_reference_product_in_every_cell(monkeypatch):
     # a doubled reference product must be caught at every (n, d, m): the
     # routes that do not go through it (at least `alternate`) have to
