@@ -25,13 +25,15 @@ subcommand and then `--flag value` pairs, is read straight from that table
 with no parser built (`read_canonical`); argparse's parser, built from the
 same table for each argv that needs it and kept by nothing, handles the
 rest: help, abbreviated flags, `--flag=value` forms, repeated flags,
-negative numbers and every error.  A cost guard refuses, with exit 2,
+negative numbers and every error.  What not every command needs is
+imported on first use, so a one-command process loads only its own:
+`argparse` with an argv the table does not read, `verify` with the
+`verify` command or a parser, and `csv` with a cell that needs quoting.
+A cost guard refuses, with exit 2,
 inputs whose numbers would be too large to compute, or, but for
 `generic`, to print, before any big-integer work starts.
 """
 
-import argparse
-import csv
 import io
 import json
 import os
@@ -39,8 +41,7 @@ import re
 import sys
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import NamedTuple
+from types import SimpleNamespace
 
 from .cost import guard_grassmann, guard_reference, guard_scan, guard_syt
 from .degrees import (
@@ -62,7 +63,6 @@ from .partitions import (
     weight,
 )
 from .schur import SegreIntegralTable, VeroneseVariety
-from .verify import SUITE_NAMES, run_suite
 
 ENV_BRUTE_CAP = "GAUSSDEG_BRUTE_CAP"
 FORMATS = ("json", "csv", "table")
@@ -129,7 +129,8 @@ def _csv_text(lines: list) -> str:
     find them, the digits of a long number included.  A line of two or more
     cells none of which, but for its `Numeral`s, holds a comma, a quote or
     a control character is written as the writer writes it, its cells
-    joined by commas; any other line goes through the writer itself.
+    joined by commas; any other line goes through the writer itself, and
+    only such a line imports `csv`.
     """
     writer, out = None, []
     for cells in lines:
@@ -138,6 +139,8 @@ def _csv_text(lines: list) -> str:
             out.append(",".join(cells))
             continue
         if writer is None:
+            import csv
+
             buffer = io.StringIO()
             writer = csv.writer(buffer, lineterminator="\n")
         buffer.seek(0)
@@ -262,6 +265,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITE_NAMES, run_suite  # the one command that needs the suites
+
     names = [args.suite] if args.suite else list(SUITE_NAMES)
     options = {"identity": {"max_n": args.max_n}}
     if "syt" in names:
@@ -301,7 +306,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_generic(args) -> int:
-    text = Path(args.table).read_text(encoding="utf-8")
+    with open(args.table, encoding="utf-8") as file:
+        text = file.read()
     table = SegreIntegralTable.from_json(text)
     guard_reference(table.n, table.N, args.m, 0.0)
     report = degree_generic(table, args.m)
@@ -343,18 +349,35 @@ def cmd_grassmann(args) -> int:
 REQUIRED = object()  # an `Option` default: the flag must be given
 
 
-class Option(NamedTuple):
-    """One `--flag value` option of a subcommand."""
+class Option:
+    """One `--flag value` option of a subcommand; `default` may be REQUIRED."""
 
-    flag: str
-    type: Callable[[str], object] | None = None
-    default: object = None  # or REQUIRED
-    choices: tuple[str, ...] | None = None
-    help: str | None = None
+    def __init__(
+        self,
+        flag: str,
+        type: Callable[[str], object] | None = None,
+        default: object = None,
+        choices=None,
+        help: str | None = None,
+    ):
+        self.flag = flag
+        self.type = type
+        self.default = default
+        self.choices = choices
+        self.help = help
+        self.dest = flag[2:].replace("-", "_")
 
-    @property
-    def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")
+
+class _SuiteNames:
+    """`verify.SUITE_NAMES`, the `--suite` choices, read on first use, not at import."""
+
+    def __iter__(self):
+        from .verify import SUITE_NAMES
+
+        return iter(SUITE_NAMES)
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
 
 
 FORMAT = Option("--format", choices=FORMATS, default="json")
@@ -391,7 +414,7 @@ COMMANDS = {
     ),
     "verify": Command(
         cmd_verify, "run self-check suites",
-        Option("--suite", choices=SUITE_NAMES),
+        Option("--suite", choices=_SuiteNames()),
         Option("--max-n", integer, 6, help="identity suite range"),
         Option("--max-weight", integer, 8, help="syt suite range"),
     ),
@@ -417,20 +440,20 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with its error text cut as `message` cuts a long echo."""
-
-    def error(self, text):
-        super().error(message("%s", text))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A new `gaussdeg` parser, built from `COMMANDS`.
+def build_parser() -> "argparse.ArgumentParser":
+    """A new `gaussdeg` parser, built from `COMMANDS`; its errors cut as `message` cuts an echo.
 
     `main` builds one only for an argv that `read_canonical` declines,
-    so no canonical command pays for it.
+    so no canonical command pays for it or imports `argparse`.  Its
+    `verify --suite` choices import `verify`.
     """
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, text):
+            super().error(message("%s", text))
+
+    parser = Parser(
         prog="gaussdeg",
         description="Exact degrees of tangent m-plane varieties of Veronese embeddings.",
     )
@@ -451,7 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_canonical(argv) -> argparse.Namespace | None:
+class Arguments(SimpleNamespace):
+    """A canonical argv's arguments, equal as argparse's Namespace is: by their attributes."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if hasattr(other, "__dict__") else NotImplemented
+
+
+def read_canonical(argv) -> Arguments | None:
     """`build_parser().parse_args(argv)` for a canonical argv, else None.
 
     Canonical is a subcommand of `COMMANDS`, then `--flag value` pairs:
@@ -482,7 +512,7 @@ def read_canonical(argv) -> argparse.Namespace | None:
         values[option.dest] = value
     if not command.required <= given:
         return None
-    return argparse.Namespace(**values)
+    return Arguments(**values)
 
 
 def main(argv=None) -> int:

@@ -32,11 +32,10 @@ included, lives in `cost`.
 """
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
 from math import comb, factorial, gcd, lcm, perm, prod
+from operator import index
 
 from .cost import (
     _check_range,
@@ -61,6 +60,7 @@ from .grassmann import (
 from .partitions import (
     Numeral,
     Partition,
+    Record,
     canonical,
     check_partition_terms,
     enumerate_partitions,
@@ -84,23 +84,20 @@ class NotGenericallyFiniteError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(Record):
     """Dimension and degree of one tangent-plane variety, with provenance."""
 
-    n: int
-    N: int
-    m: int
-    deg_xm: int
-    method: str
-    d: int | None = None
-    notes: str = ""
+    _fields = ("n", "N", "m", "deg_xm", "method", "d", "notes")
 
-    def __post_init__(self):
-        if self.method not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.deg_xm <= 0:
+    def __init__(
+        self, n: int, N: int, m: int, deg_xm: int, method: str, d: int | None = None,
+        notes: str = "",
+    ):
+        if method not in METHOD_TAGS:
+            raise ValueError(f"unknown method tag {method!r}")
+        if deg_xm <= 0:
             raise ValueError("degree must be positive")
+        self._set(n=n, N=N, m=m, deg_xm=deg_xm, method=method, d=d, notes=notes)
 
     @property
     def dim_xm(self) -> int:
@@ -120,43 +117,42 @@ class DegreeReport:
         return doc
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """One (variety, m): the degree against its reference product, and bounds.
 
-    `ratio` is degree / product.  `bounds` makes these records and enforces
-    the proved sandwich `lower <= ratio <= upper`; the conjectured power
-    bound is only reported.  `to_dict` is the row `conjecture` prints,
-    written by `_conjecture_row` as `conjecture_scan` writes it.
+    `ratio` is degree / product and `conjecture_upper` the power bound, each
+    a `Fraction`.  `bounds` makes these records and enforces the proved
+    sandwich `lower <= ratio <= upper`; the conjectured power bound is only
+    reported.  `to_dict` is the row `conjecture` prints, written by
+    `_conjecture_row` as `conjecture_scan` writes it.
     """
 
-    n: int
-    d: int
-    N: int
-    m: int
-    degree: int
-    product: int
-    ratio: Fraction
-    conjecture_upper: Fraction
+    _fields = ("n", "d", "N", "m", "degree", "product", "ratio", "conjecture_upper")
+
+    def __init__(self, n, d, N, m, degree, product, ratio, conjecture_upper):
+        self._set(
+            n=n, d=d, N=N, m=m, degree=degree, product=product, ratio=ratio,
+            conjecture_upper=conjecture_upper,
+        )
 
     @property
-    def lower(self) -> Fraction:
+    def lower(self) -> "Fraction":
         """The proved lower bound C(N-m, n) / C(N-n, n) of `ratio`."""
         n, N = self.n, self.N
-        return Fraction(comb(N - self.m, n), comb(N - n, n))
+        return _fraction(comb(N - self.m, n), comb(N - n, n))
 
     @property
-    def upper(self) -> Fraction:
+    def upper(self) -> "Fraction":
         """The proved upper bound C(N-m+n-1, n) / C(N-1, n) of `ratio`."""
         n, N = self.n, self.N
-        return Fraction(comb(N - self.m + n - 1, n), comb(N - 1, n))
+        return _fraction(comb(N - self.m + n - 1, n), comb(N - 1, n))
 
     @property
     def within_conjecture(self) -> bool:
         return self.ratio <= self.conjecture_upper
 
     @property
-    def conjecture_value(self) -> Fraction:
+    def conjecture_value(self) -> "Fraction":
         """Conjectured virtual degree: the power bound times the reference product."""
         return self.conjecture_upper * self.product
 
@@ -164,6 +160,13 @@ class BoundsReport:
         ratio, degree = self.ratio, Numeral(self.degree)
         cell = self.n, self.d, self.N, self.m, degree, self.product
         return _conjecture_row(*cell, ratio.numerator, ratio.denominator, self.within_conjecture)
+
+
+def _fraction(num: int, den: int = 1) -> "Fraction":
+    """`fractions.Fraction(num, den)`, the module imported on first use (`bounds`, not a sweep)."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def _conjecture_row(n, d, N, m, degree: Numeral, product, num, den, within) -> dict:
@@ -209,6 +212,7 @@ def ordinary_gauss_degree(v: VeroneseVariety) -> int:
 
 def boole_degree(n: int, d: int) -> int:
     """Degree (n+1)(d-1)^n of the variety dual to the degree-d Veronese n-fold."""
+    n, d = index(n), index(d)
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 2:
@@ -342,7 +346,7 @@ def _closed_form(
 
 
 def degree_curve_closed(d: int, m: int) -> DegreeReport:
-    """Closed form for the rational normal curve of degree d (n = 1, N = d).
+    """Closed form for the rational normal curve of degree d (n = 1, N = d); d, m read by `index`.
 
     The genus-0 general curve in P^d.  G(m-1, d-1) and its dual G(d-m, d-1)
     must have equal Pluecker degree, so the degree is compared with
@@ -352,6 +356,7 @@ def degree_curve_closed(d: int, m: int) -> DegreeReport:
     by short ratios and shares no code with the tableau kernel behind
     `reference_product`.
     """
+    d, m = index(d), index(m)
     report = _general_curve(d, d, 0, m, "curve_closed")
     rows = min(m - 1, d - m)
     pluecker = next(islice(grassmann_degree_sweep(d - 1), rows, None))
@@ -365,13 +370,15 @@ def degree_general_curve(N: int, d: int, g: int, m: int) -> DegreeReport:
     """Closed form for any smooth non-degenerate curve of degree d, genus g in P^N.
 
     (N-m)/(N-1) times the reference product of the first-stage degree
-    2g - 2 + 2d, which must be positive.
+    2g - 2 + 2d, which must be positive.  N, d, g and m are read by
+    `operator.index`: a float raises TypeError.
     """
+    N, d, g, m = index(N), index(d), index(g), index(m)
     return _general_curve(N, d, g, m, "general_curve", f"genus {g}")
 
 
 def _general_curve(N: int, d: int, g: int, m: int, method: str, notes: str = "") -> DegreeReport:
-    """`degree_general_curve`'s degree, reported under `method` with `notes`."""
+    """`degree_general_curve`'s degree of ints, reported under `method` with `notes`."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if g < 0:
@@ -411,8 +418,7 @@ def degree_threefold_closed(d: int, m: int) -> DegreeReport:
     return _closed_form(3, v.N, m, ordinary_gauss_degree(v), ratio, "threefold_closed", d)
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Record):
     """One `degree --method`: how it computes, where it applies, what it costs.
 
     `compute` is a `(v, m)` adapter that looks its formula up among this
@@ -427,10 +433,16 @@ class Method:
     Boole's (n+1)(d-1)^n is bounded by `cost.boole_digits` alone.
     """
 
-    compute: Callable[[VeroneseVariety, int], DegreeReport]
-    requires: str = ""
-    applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True
-    guard: Callable[[VeroneseVariety, int], None] = guard_degree
+    _fields = ("compute", "requires", "applies", "guard")
+
+    def __init__(
+        self,
+        compute: Callable[[VeroneseVariety, int], DegreeReport],
+        requires: str = "",
+        applies: Callable[[VeroneseVariety, int], bool] = lambda v, m: True,
+        guard: Callable[[VeroneseVariety, int], None] = guard_degree,
+    ):
+        self._set(compute=compute, requires=requires, applies=applies, guard=guard)
 
 
 METHODS = {
@@ -512,13 +524,13 @@ class TermPlan:
 
     def __init__(self, table: SegreIntegralTable):
         n, N = table.n, table.N
-        index, terms = {}, []
+        offsets, terms = {}, []
         for lam, integral in table.entries.items():
             if len(lam) <= N - n:
                 rows = enumerate(lam, start=1)
-                indices = tuple([index.setdefault((part - i, part), len(index)) for i, part in rows])
+                indices = tuple([offsets.setdefault((p - i, p), len(offsets)) for i, p in rows])
                 terms.append((lam, integral, indices, *_plan_term(lam, n, N)))
-        self.n, self.N, self.pairs = n, N, tuple(index)
+        self.n, self.N, self.pairs = n, N, tuple(offsets)
         self.lcd = lcd = lcm(*[den for *_, den in terms])
         self.terms = tuple(
             (lam, count, den, lcd // den * integral, indices)
@@ -603,7 +615,7 @@ def _weighted_sum(plan: TermPlan, m: int, residue: int) -> int:
     return total
 
 
-def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
+def binomial_ratio_product(lam, n: int, N: int, m: int) -> "Fraction":
     """Row-wise product of C(N-m+lam_i-i, lam_i) / C(N-n+lam_i-i, lam_i).
 
     Zero rows contribute 1.  Row i's numerator, as the rising product
@@ -615,9 +627,9 @@ def binomial_ratio_product(lam, n: int, N: int, m: int) -> Fraction:
     _check_range(n, N, m)
     lam = canonical(pad(lam, n))
     if len(lam) > N - m:
-        return Fraction(0)
+        return _fraction(0)
     pairs = [(part - i, part) for i, part in enumerate(lam, start=1)]
-    return Fraction(prod(_row_binomials(pairs, N - m)), prod(_row_binomials(pairs, N - n)))
+    return _fraction(prod(_row_binomials(pairs, N - m)), prod(_row_binomials(pairs, N - n)))
 
 
 def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
@@ -635,8 +647,8 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     pluecker = grassmann_degree(GrassmannShape(m - n, N - n))
     ((_, _, coefficient, degree, num, den, _),) = _bounds_rows(v, ((m, pluecker, None),))
     product = coefficient * pluecker * ordinary_gauss_degree(v)
-    power = Fraction((N - m) ** n, (N - n) ** n)
-    return BoundsReport(n, v.d, N, m, degree, product, Fraction(num, den), power)
+    power = _fraction((N - m) ** n, (N - n) ** n)
+    return BoundsReport(n, v.d, N, m, degree, product, _fraction(num, den), power)
 
 
 def table_rows(v: VeroneseVariety) -> Iterator[dict]:
@@ -749,7 +761,7 @@ def _bounds_rows(v: VeroneseVariety, cells) -> Iterator[tuple]:
         low, up = comb(N - m, n), comb(N - m + n - 1, n)
         if not (low * den <= num * low_den and num * up_den <= up * den):
             template = "proved bounds violated at (n=%s, d=%s, m=%s): %s <= %s/%s <= %s fails"
-            lower, upper = Fraction(low, low_den), Fraction(up, up_den)
+            lower, upper = _fraction(low, low_den), _fraction(up, up_den)
             raise ArithmeticError(message(template, n, v.d, m, lower, num, den, upper))
         yield m, pluecker, coefficient, degree, num, den, num * power_den <= (N - m) ** n * den
 

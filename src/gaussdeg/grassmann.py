@@ -25,7 +25,6 @@ nor changed, and sized by `count_digits`.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -40,7 +39,7 @@ from decimal import (
 )
 from math import gcd, perm
 
-from .partitions import exact_quotient, message, syt_count
+from .partitions import Record, exact_quotient, message, syt_count
 
 # Past this many bits a sweep's running count turns into a Decimal.  Every
 # variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
@@ -93,16 +92,15 @@ def count_digits(count: Count) -> int:
     return count.adjusted() + 1
 
 
-@dataclass(frozen=True)
-class GrassmannShape:
+class GrassmannShape(Record):
     """Grassmannian of rank-`d` quotients of a rank-`r` space."""
 
-    d: int
-    r: int
+    _fields = ("d", "r")
 
-    def __post_init__(self):
-        if not 0 <= self.d <= self.r:
-            raise ValueError(message("need 0 <= d <= r, got d=%s, r=%s", self.d, self.r))
+    def __init__(self, d: int, r: int):
+        if not 0 <= d <= r:
+            raise ValueError(message("need 0 <= d <= r, got d=%s, r=%s", d, r))
+        self._set(d=d, r=r)
 
 
 def grassmann_dim(shape: GrassmannShape) -> int:

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
 from operator import index, lt
+from types import MappingProxyType
 
 Partition = tuple[int, ...]
 
@@ -152,6 +153,55 @@ class Numeral(str):
     JSON writes it as it is: `cli`'s JSON writer quotes it without escaping
     it character by character.
     """
+
+
+class Record:
+    """A frozen record of named fields: what `dataclass(frozen=True)` gave the package's records.
+
+    A subclass names its fields, in order, in `_fields`; its `__init__`
+    checks them and stores them by name with `_set`, past `__setattr__`.
+    Records of one class are equal when their fields are, and equal
+    records hash equal: a field that is a read-only mapping hashes as the
+    frozenset of its items.  The repr is the dataclass's,
+    `Name(field=value, ...)`.  Setting or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`, whose module is imported then; a
+    `functools.cached_property` writes the instance's `__dict__` itself
+    and still works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def _values(self) -> tuple:
+        fields = vars(self)
+        return tuple([fields[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(tuple([
+            frozenset(value.items()) if type(value) is MappingProxyType else value
+            for value in self._values()
+        ]))
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={value!r}" for name, value in zip(self._fields, self._values())]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def pad(lam, length: int) -> Partition:

@@ -8,7 +8,6 @@ collected in tables keyed by partitions, with a JSON interchange format.
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
 from operator import index, sub
@@ -16,6 +15,7 @@ from types import MappingProxyType
 
 from .partitions import (
     Partition,
+    Record,
     _clear_primes,
     _kept_count,
     _strip_zeros,
@@ -33,21 +33,23 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class VeroneseVariety:
+class VeroneseVariety(Record):
     """Image of projective n-space under the embedding by forms of degree d.
 
-    The ambient projective space has dimension N = C(n+d, d) - 1.
+    The ambient projective space has dimension N = C(n+d, d) - 1.  n and d
+    are read as a table reads n and N (`_integers`).
     """
 
-    n: int
-    d: int
+    _fields = ("n", "d")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, d: int):
+        if type(n) is not int or type(d) is not int:
+            n, d = _integers("'n' and 'd'", n, d)
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("d must be >= 2 (d = 1 embeds nothing new)")
+        self._set(n=n, d=d)
 
     @cached_property
     def N(self) -> int:
@@ -69,15 +71,15 @@ class VeroneseVariety:
         return _kept_table(self.n, self.d) if self.kept else veronese_integral_table(self)
 
 
-@dataclass(frozen=True)
-class SegreSequence:
+class SegreSequence(Record):
     """Coefficients s_0..s_K of a Segre series; s_i = 0 outside 0 <= i <= K."""
 
-    coefficients: tuple[int, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __init__(self, coefficients: tuple[int, ...]):
+        if not coefficients or coefficients[0] != 1:
             raise ValueError("Segre sequence must start with s_0 = 1")
+        self._set(coefficients=coefficients)
 
 
 def veronese_segre(v: VeroneseVariety, i: int) -> int:
@@ -173,45 +175,42 @@ def schur_delta_veronese_closed(v: VeroneseVariety, lam, length: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class SegreIntegralTable:
+class SegreIntegralTable(Record):
     """Integrals of Schur values over an n-fold, keyed by partitions of n: the one table check.
 
-    n and N are ints, not bools, 1 <= n < N, N the ambient dimension; `entries`, a mapping or
-    (partition, integral) pairs, holds each partition of n once (keys read by `canonical`), at
-    most `partitions.MAX_PARTITIONS`, each integral read by `operator.index`: a float, Fraction,
-    Decimal or str raises TypeError.  The table keeps them read-only: it, and the plan made from
-    it, may be shared by every caller in the process (`VeroneseVariety.integral_table`).
+    n and N are integers read by `_integers`, 1 <= n < N, N the ambient dimension; `entries`, a
+    mapping or (partition, integral) pairs, holds each partition of n once (keys read by
+    `canonical`), at most `partitions.MAX_PARTITIONS`, each integral read by `operator.index`: a
+    float, Fraction, Decimal or str raises TypeError.  The table keeps them read-only: it, and the
+    plan made from it, may be shared by every caller in the process
+    (`VeroneseVariety.integral_table`).  Equal tables hash equal.
     """
 
-    n: int
-    N: int
-    entries: Mapping[Partition, int]
+    _fields = ("n", "N", "entries")
 
-    def __post_init__(self):
-        if not _is_int(self.n) or not _is_int(self.N):
-            raise ValueError("'n' and 'N' must be integers")
-        if self.n < 1:
+    def __init__(self, n: int, N: int, entries):
+        if type(n) is not int or type(N) is not int:
+            n, N = _integers("'n' and 'N'", n, N)
+        if n < 1:
             raise ValueError("n must be >= 1")
-        check_partition_terms(self.n)  # before p(n) is formed
-        if self.N <= self.n:
+        check_partition_terms(n)  # before p(n) is formed
+        if N <= n:
             raise ValueError("N must exceed n")
         cleaned: dict[Partition, int] = {}
-        entries = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
-        for key, value in entries:
+        for key, value in entries.items() if isinstance(entries, Mapping) else entries:
             lam = canonical(key)
-            if weight(lam) != self.n:
-                raise ValueError(message("entry %s does not have weight %s", lam, self.n))
+            if weight(lam) != n:
+                raise ValueError(message("entry %s does not have weight %s", lam, n))
             if lam in cleaned:
                 raise ValueError(message("duplicate entry for partition %s", lam))
             cleaned[lam] = index(value)
         # the keys are distinct partitions of n, so the table is complete iff
         # it has p(n) of them
-        expected = partition_count(self.n)
+        expected = partition_count(n)
         if len(cleaned) != expected:
             template = "table is missing %s of the %s partitions of %s"
-            raise ValueError(message(template, expected - len(cleaned), expected, self.n))
-        object.__setattr__(self, "entries", MappingProxyType(cleaned))
+            raise ValueError(message(template, expected - len(cleaned), expected, n))
+        self._set(n=n, N=N, entries=MappingProxyType(cleaned))
 
     @cached_property
     def plan(self):
@@ -273,6 +272,16 @@ class SegreIntegralTable:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integers(names: str, *values) -> tuple[int, ...]:
+    """`values` read by `operator.index`, none a bool, or ValueError "<names> must be integers"."""
+    if bool not in map(type, values):
+        try:
+            return tuple(map(index, values))
+        except TypeError:
+            pass
+    raise ValueError(f"{names} must be integers")
 
 
 def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegralTable:

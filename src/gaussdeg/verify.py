@@ -9,8 +9,6 @@ invariants).  The failure is recorded under the check's label and the
 suite goes on, so a failing check never stops a suite or its count.
 """
 
-from dataclasses import dataclass
-
 from .degrees import (
     METHODS,
     NotGenericallyFiniteError,
@@ -23,6 +21,7 @@ from .degrees import (
 )
 from .partitions import (
     DEFAULT_BRUTE_CAP,
+    Record,
     _young_layers,
     check_partition_terms,
     enumerate_partitions,
@@ -37,12 +36,14 @@ from .schur import (
     veronese_segre_sequence,
 )
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: int
-    failed: int
-    failures: tuple[str, ...]
+
+class SuiteResult(Record):
+    """One suite's counts of passed and failed checks, and each failure's line."""
+
+    _fields = ("name", "passed", "failed", "failures")
+
+    def __init__(self, name: str, passed: int, failed: int, failures: tuple[str, ...]):
+        self._set(name=name, passed=passed, failed=failed, failures=failures)
 
     @property
     def ok(self) -> bool:

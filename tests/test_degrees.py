@@ -1,6 +1,5 @@
 """Degree formulas, cross-checks, bounds, and the conjecture scan."""
 
-import dataclasses
 import random
 import sys
 import threading
@@ -250,6 +249,28 @@ def test_degree_general_curve_validation():
         degree_general_curve(4, 4, -1, 2)
     with pytest.raises(ValueError):
         degree_general_curve(1, 4, 0, 1)
+
+
+@pytest.mark.parametrize("position", range(4), ids=["N", "d", "g", "m"])
+def test_a_general_curve_refuses_an_input_that_is_not_an_integer(position):
+    # read as given, genus 0.5 at (4, 4, 0.5, 2) reported the degree 14.0
+    args = [4, 4, 0, 2]
+    args[position] += 0.5
+    with pytest.raises(TypeError):
+        degree_general_curve(*args)
+
+
+@pytest.mark.parametrize("args", [(4.0, 2), (4, 2.0)], ids=["d", "m"])
+def test_the_rational_normal_curve_refuses_an_input_that_is_not_an_integer(args):
+    with pytest.raises(TypeError):
+        degree_curve_closed(*args)
+
+
+@pytest.mark.parametrize("args", [(1.0, 3), (1, 2.5)], ids=["n", "d"])
+def test_boole_refuses_an_input_that_is_not_an_integer(args):
+    # read as given, (1, 2.5) returned the degree 3.0
+    with pytest.raises(TypeError):
+        boole_degree(*args)
 
 
 def test_a_general_curve_of_degree_zero_is_refused():
@@ -852,9 +873,9 @@ def test_base10_rows_read_as_exact_ints():
 def test_bounds_report_is_a_plain_record():
     record = bounds(VeroneseVariety(2, 3), 4)
     assert type(record.degree) is int and type(record.product) is int
-    changed = dataclasses.replace(record, degree=record.degree + 1)
+    fields = {name: getattr(record, name) for name in record._fields}
+    changed = BoundsReport(**{**fields, "degree": record.degree + 1})
     assert (changed.degree, changed.product) == (record.degree + 1, record.product)
-    fields = {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
     assert BoundsReport(**fields) == record
     assert f"degree={record.degree}, product={record.product}, ratio=Fraction(" in repr(record)
     assert str(record.conjecture_value) == record.to_dict()["conjecture_value"]
@@ -1163,13 +1184,13 @@ def test_a_decimal_row_checks_the_degree_as_the_int_row_does(monkeypatch, m):
 def test_degree_main_builds_one_report(monkeypatch):
     # the report is made with its method and d, not remade by `replace`
     made = []
-    post_init = DegreeReport.__post_init__
+    init = DegreeReport.__init__
 
-    def counted(report):
+    def counted(report, *args, **kwargs):
+        init(report, *args, **kwargs)
         made.append(report.method)
-        post_init(report)
 
-    monkeypatch.setattr(DegreeReport, "__post_init__", counted)
+    monkeypatch.setattr(DegreeReport, "__init__", counted)
     v = VeroneseVariety(2, 3)
     report = degree_main(v, 4)
     assert (report.method, report.d, made) == ("main", 3, ["main"])

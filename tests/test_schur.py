@@ -59,6 +59,42 @@ def test_veronese_variety_derived_fields():
         VeroneseVariety(2, 1)
 
 
+@pytest.mark.parametrize("n, d", [(1, 4.0), (1.0, 4), (True, 4), (1, False), ("1", 4)])
+def test_a_variety_refuses_n_or_d_that_is_not_an_integer(n, d):
+    # (1, 4.0) used to fail in `kept`'s shift and (True, 4) at its table's own check
+    with pytest.raises(ValueError, match="^'n' and 'd' must be integers$"):
+        VeroneseVariety(n, d)
+
+
+def test_a_variety_keeps_n_and_d_read_by_index():
+    class Two:
+        def __index__(self):
+            return 2
+
+    v = VeroneseVariety(Two(), 3)
+    assert v == VeroneseVariety(2, 3) and type(v.n) is int and v.N == 9
+
+
+def test_a_record_compares_hashes_and_prints_as_a_frozen_dataclass():
+    v = VeroneseVariety(2, 3)
+    assert v.N == 9  # a cached field is not a field
+    assert v == VeroneseVariety(2, 3) and hash(v) == hash(VeroneseVariety(2, 3))
+    assert v != VeroneseVariety(2, 4) and v != (2, 3)
+    assert repr(v) == "VeroneseVariety(n=2, d=3)"
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'n'$"):
+        v.n = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'd'$"):
+        del v.d
+
+
+def test_equal_tables_built_apart_hash_equal():
+    built = veronese_integral_table(VeroneseVariety(1, 3))
+    given_ = SegreIntegralTable(n=1, N=3, entries=[((1,), built.entries[(1,)])])
+    assert built is not given_ and hash(built) == hash(given_)
+    assert len({built, given_}) == 1
+    assert len({built, veronese_integral_table(VeroneseVariety(1, 4))}) == 2
+
+
 def test_veronese_segre_known():
     v = VeroneseVariety(2, 2)
     assert veronese_segre(v, 0) == 1

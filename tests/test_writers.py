@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gaussdeg.cli
+import gaussdeg.verify
 from gaussdeg.cli import main
 from gaussdeg.partitions import Numeral
 from gaussdeg.verify import SuiteResult
@@ -128,7 +129,7 @@ def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys)
     # csv quotes the joined failures, doubling each quote; json lists them
     failures = ('a, "quoted" one', "two\nlines", 'plain', 'carriage\r, return "')
     result = SuiteResult("crossform", 3, len(failures), failures)
-    monkeypatch.setattr(gaussdeg.cli, "run_suite", lambda name, **options: result)
+    monkeypatch.setattr(gaussdeg.verify, "run_suite", lambda name, **options: result)
     calls = _recorded(monkeypatch, capsys, ["verify", "--suite", "crossform"])
     for rows, envelope in calls:
         assert rows[0]["failures"] == "; ".join(failures)
