@@ -32,7 +32,6 @@ included, lives in `cost`.
 """
 
 from collections.abc import Callable, Iterator, Sequence
-from functools import cache
 from itertools import chain, islice
 from math import comb, factorial, gcd, lcm, perm, prod
 from operator import index
@@ -58,10 +57,12 @@ from .grassmann import (
     grassmann_degree_sweep,
 )
 from .partitions import (
+    KEPT,
     Numeral,
     Partition,
     Record,
     canonical,
+    charge,
     check_partition_terms,
     enumerate_partitions,
     exact_quotient,
@@ -70,7 +71,7 @@ from .partitions import (
     pad,
     syt_count,
 )
-from .schur import KEPT_TABLE_N, SegreIntegralTable, VeroneseVariety
+from .schur import SegreIntegralTable, VeroneseVariety
 
 
 class NotGenericallyFiniteError(Exception):
@@ -263,9 +264,10 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
     e, width = m - n, N - m
     check_factorial(big_m, "(dim X_m)! of the alternate sum at (n=%s, d=%s, m=%s)", n, v.d, m)
     total = 0
-    # the weights depend on n alone: kept for a small n, else built for the
-    # lam of at most e rows
-    weights = _kept_alternate_weights(n) if n <= KEPT_TABLE_N else _alternate_weights(n, e)
+    # the weights depend on n alone: every pair for a kept variety, kept once
+    # a sum over them checks out, else only the lam of at most e rows
+    kept = KEPT.get(("weights", n)) if v.kept else None
+    weights = kept or _alternate_weights(n, n if v.kept else e)
     for k, pairs in enumerate(weights):
         inner = 0
         for lam, weight in pairs:
@@ -275,7 +277,11 @@ def degree_alternate(v: VeroneseVariety, m: int) -> DegreeReport:
                 shape = tuple([part + width for part in lam]) + (width,) * (e - len(lam))
                 inner += weight * syt_count(shape)
         total += (-1) ** (n - k) * (n + 1) ** k * perm(n, k) * comb(big_m, k) * inner
-    return _report(n, v.d, N, m, "alternate", (v.d - 1) ** n * total, factorial(n))
+    report = _report(n, v.d, N, m, "alternate", (v.d - 1) ** n * total, factorial(n))
+    if v.kept and kept is None:
+        held = [weight for pairs in weights for _, weight in pairs]
+        KEPT.keep(("weights", n), weights, charge(held))
+    return report
 
 
 def _alternate_weights(n: int, rows: int) -> tuple:
@@ -290,16 +296,6 @@ def _alternate_weights(n: int, rows: int) -> tuple:
         )
         for k in range(n + 1)
     )
-
-
-@cache
-def _kept_alternate_weights(n: int) -> tuple:
-    """`_alternate_weights(n, n)`, every pair, kept for n <= KEPT_TABLE_N.
-
-    At most sum_{j <= 13} p(j) = 373 pairs an n; `schur.cache_clear`
-    empties them.
-    """
-    return _alternate_weights(n, n)
 
 
 def degree_m_np1(v: VeroneseVariety) -> DegreeReport:
@@ -671,59 +667,30 @@ def table_rows(v: VeroneseVariety) -> Iterator[dict]:
         }
 
 
-# Swept records kept for the life of the process, by (n, d), of the
-# varieties whose tables are kept (`VeroneseVariety.kept`), least recently
-# used first.  Each holds its records and their digits, the degrees' text
-# and the stepped counts (`count_digits`); the least recently used go until
-# all kept hold at most KEPT_SWEEP_DIGITS.  `table_sweep`'s seven fixed
-# varieties hold 1.38 M (917 K of them degree text) and each of its curves
-# 0.14-0.40 M, so the budget holds a round of it and the next round's two
-# curves: at 2 M, 0-5 of the seven were evicted before their second use.
-# `small_mixed`'s 14 conjecture varieties hold 46 K in all.  A sweep past
-# the budget on its own, such as (2, 20) at 4.6 M or (3, 10) at 9.3 M, is
-# never kept.  The dict is replaced whole, never changed in place, so a
-# thread walks a store no other thread changes; a race loses at most an
-# update, which a later call sweeps again.  Empty at import.
-KEPT_SWEEP_DIGITS = 3_000_000
-_kept_sweeps: dict[tuple[int, int], tuple[tuple, int]] = {}
-
-
 def _swept_records(v: VeroneseVariety) -> tuple:
     """(m, pluecker, coefficient, degree text, num, den, within) for m = n..N-1.
 
     The records the process kept of `v`, or `_bounds_rows` over
     `_sweep_cells` of `v`'s plan, made whole, each degree made a `Numeral`
-    once.  A made sweep is kept, as used last, when `v` is kept and its
-    digits are within KEPT_SWEEP_DIGITS; a sweep that raises keeps nothing.
+    once, and kept in `partitions.KEPT` if `v` is, charged the digits of its
+    degrees' text and stepped counts: (3, 10) at 9.3 M passes the budget
+    alone, and a sweep that raises keeps nothing.
     """
-    global _kept_sweeps
-    key, kept = (v.n, v.d), _kept_sweeps
-    entry = kept.get(key)
-    if entry is None:
+    key = ("sweep", v.n, v.d)
+    records = KEPT.get(key)
+    if records is None:
         cells = _sweep_cells(v.integral_table.plan)
         records = tuple([
             (m, pluecker, coefficient, Numeral(degree), num, den, within)
             for m, pluecker, coefficient, degree, num, den, within in _bounds_rows(v, cells)
         ])
-        # a mirrored row's count is one of the stepped half's
-        stepped = records[: len(records) // 2 + 1]
-        digits = sum(len(record[3]) for record in records)
-        digits += sum(count_digits(record[1]) for record in stepped)
-        if not v.kept or digits > KEPT_SWEEP_DIGITS:
-            return records
-        entry = records, digits
-    entries = [item for item in kept.items() if item[0] != key] + [(key, entry)]
-    total = sum(held for _, (_, held) in entries)
-    while total > KEPT_SWEEP_DIGITS:
-        total -= entries.pop(0)[1][1]
-    _kept_sweeps = dict(entries)
-    return entry[0]
-
-
-def _clear_sweeps() -> None:
-    """Empty the swept records `_swept_records` keeps."""
-    global _kept_sweeps
-    _kept_sweeps = {}
+        if v.kept:
+            # a mirrored row's count is one of the stepped half's
+            stepped = records[: len(records) // 2 + 1]
+            digits = sum(len(record[3]) for record in records)
+            digits += sum(count_digits(record[1]) for record in stepped)
+            KEPT.keep(key, records, digits)
+    return records
 
 
 def _sweep_cells(plan: TermPlan) -> list[tuple]:

@@ -3,11 +3,13 @@
 Partitions are plain tuples of weakly decreasing non-negative integers.
 The canonical form carries no trailing zeros; formulas that index parts up
 to a declared length work against the zero-padded view returned by `pad`.
-All arithmetic is exact.
+All arithmetic is exact.  Every other module imports this one, so it also
+holds the one store of values the process keeps, `KEPT`.
 """
 
+from _thread import allocate_lock
 from bisect import bisect_right
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, compress, count, groupby, islice, repeat
@@ -52,12 +54,14 @@ _MESSAGE_CHARS = 200
 # Most primes `_balanced_product` hands to one C-level `prod`: from 16 to 64
 # its time fell by a tenth on the ladder's groups, and past 64 barely moved
 _CHUNK = 64
-# `_primes` keeps the primes up to a power of two at most this, 12,251 of
-# them in about 0.45 MB at the most; past it each call sieves and keeps nothing
-PRIME_CAP = 1 << 17
-# (bound, the primes up to bound): replaced whole, never changed in place,
-# so a reader never pairs a bound with a shorter list.  Empty at import.
-_kept_primes: tuple[int, list[int]] = (1, [])
+# Bytes the process keeps across calls (`KEPT`): a `table_sweep` round's seven
+# fixed sweeps charge 1.38 M and each curve 0.14-0.40 M, so a round and the
+# next round's two curves fit (at 2 M, 0-5 of the seven went before reuse)
+KEPT_BYTES = 3_000_000
+# Bytes charged a kept integer beyond its bits (`charge`): a `sys.getsizeof`
+# walk finds 100-170, in a table with its plan and in the alternate weights
+_INTEGER_BYTES = 150
+_PRIME_BYTES = 36  # a kept prime: a small int and its slot in the list
 
 
 def canonical(parts) -> Partition:
@@ -202,6 +206,55 @@ class Record:
         from dataclasses import FrozenInstanceError
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Store:
+    """Values kept for the life of the process by (kind, key...), least recently used first.
+
+    Each value is a pure function of its key, charged in bytes by its maker
+    from sizes it already has.  `keep` keeps nothing charged past KEPT_BYTES
+    alone, and evicts the least recently used until the total is at most
+    KEPT_BYTES.  One lock guards the map and its total only: a value is made
+    outside it, since making a sweep reads its table through the store.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()  # key -> (value, charge)
+        self._lock = allocate_lock()
+        self.total = 0
+
+    def get(self, key: tuple):
+        """The value kept under `key`, now the most recently used, or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def keep(self, key: tuple, value, charge: int) -> None:
+        """Keep `value` under `key` as the most recently used, if `charge` fits the budget."""
+        if charge > KEPT_BYTES:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            self.total += charge - (old[1] if old else 0)
+            self._entries[key] = value, charge
+            while self.total > KEPT_BYTES:
+                self.total -= self._entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.total = 0
+
+
+KEPT = Store()
+
+
+def charge(integers: list[int]) -> int:
+    """The bytes `KEPT` charges a value of these integers: bits / 8, plus _INTEGER_BYTES each."""
+    return sum(map(int.bit_length, integers)) // 8 + _INTEGER_BYTES * len(integers)
 
 
 def pad(lam, length: int) -> Partition:
@@ -365,8 +418,8 @@ def _count_by_prime_powers(lam: Partition) -> int:
     list per value k of |lam| // p, cut by bisection.  For p <= l_1,
     Legendre's loop sums the multiplicities of the multiples of p^j only
     while p^j <= l_1, and adds |lam| // p^j alone from there.  `_primes`
-    gives the primes up to |lam|, below PRIME_CAP from the list the process
-    keeps, and `_power_product` multiplies the powers.
+    gives the primes up to |lam|, from the list the process keeps, and
+    `_power_product` multiplies the powers.
     """
     cells, top = weight(lam), lam[0] + len(lam) - 1
     mults, primes = _hook_mults(lam), _primes(cells)
@@ -443,27 +496,16 @@ def _hook_blocks(runs):
 def _primes(n: int) -> list[int]:
     """The primes up to n, in order: a new list, cut from the one the process keeps.
 
-    Up to PRIME_CAP the process keeps one list of primes, `_kept_primes`,
-    empty at import.  A call past its bound sieves once up to the next
-    power of two at or above n and replaces the bound and the list
-    together; past PRIME_CAP a call sieves up to n and keeps nothing.
-    `schur.cache_clear` empties the list.
+    The list and its bound, a power of two, are kept together in `KEPT`,
+    charged _PRIME_BYTES a prime: 0.44 MB up to 2^17, and past 2^20 no list
+    fits.  A call past the bound sieves once, up to the next power of two.
     """
-    global _kept_primes
-    bound, primes = _kept_primes
+    bound, primes = KEPT.get(("primes",)) or (1, [])
     if n > bound:
-        if n > PRIME_CAP:
-            return _sieve(n)
         bound = 1 << (n - 1).bit_length()
         primes = _sieve(bound)
-        _kept_primes = (bound, primes)
+        KEPT.keep(("primes",), (bound, primes), _PRIME_BYTES * len(primes))
     return primes[: bisect_right(primes, n)]
-
-
-def _clear_primes() -> None:
-    """Empty the list of primes `_primes` keeps."""
-    global _kept_primes
-    _kept_primes = (1, [])
 
 
 def _sieve(n: int) -> list[int]:

@@ -8,18 +8,19 @@ collected in tables keyed by partitions, with a JSON interchange format.
 
 import json
 from collections.abc import Mapping, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, factorial
 from operator import index, sub
 from types import MappingProxyType
 
 from .partitions import (
+    KEPT,
     Partition,
     Record,
-    _clear_primes,
     _kept_count,
     _strip_zeros,
     canonical,
+    charge,
     check_partition_terms,
     enumerate_partitions,
     exact_quotient,
@@ -58,17 +59,29 @@ class VeroneseVariety(Record):
 
     @property
     def kept(self) -> bool:
-        """Whether the process keeps its table and swept records: n <= KEPT_TABLE_N, d < 2^64."""
-        return self.n <= KEPT_TABLE_N and not self.d >> 64
+        """Whether the process may keep this variety's values: n <= KEPT_TABLE_N."""
+        return self.n <= KEPT_TABLE_N
 
     @cached_property
     def integral_table(self) -> "SegreIntegralTable":
         """`veronese_integral_table` of this variety, built once per instance.
 
-        A kept variety's table is read from `_kept_table`: every variety of
-        the same (n, d) shares it, and its `plan`, while the process keeps it.
+        A kept variety's table is read from `partitions.KEPT`, made with its
+        `plan` and charged for the integers of both: every variety of the
+        same (n, d) shares them while the process keeps them.
         """
-        return _kept_table(self.n, self.d) if self.kept else veronese_integral_table(self)
+        if not self.kept:
+            return veronese_integral_table(self)
+        key = ("table", self.n, self.d)
+        table = KEPT.get(key)
+        if table is None:
+            table = veronese_integral_table(self)
+            plan = table.plan
+            held = [*table.entries.values(), plan.lcd]
+            for _, count, den, scaled, _ in plan.terms:
+                held += count, den, scaled
+            KEPT.keep(key, table, charge(held))
+        return table
 
 
 class SegreSequence(Record):
@@ -296,42 +309,18 @@ def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegr
     return SegreIntegralTable(n=v.n, N=v.N, entries=entries)
 
 
-# Veronese tables, with their plans, kept for the life of the process: the
-# KEPT_TABLES of (n, d) used most recently, each of n <= KEPT_TABLE_N, so at
-# most p(13) = 101 terms, and of d < 2^64, so no entry passes 864 bits, its
-# size at (13, 2^64 - 1): a kept table holds at most about 14 kB of entries.
-# A seeded `small_mixed` benchmark run asks for 29 distinct (n, d); every
-# variety of the benchmark and of the golden file has n <= 6.  The same two
-# bounds, read once as `VeroneseVariety.kept`, pick the varieties whose
-# swept records may be kept, within their own digit budget
-# (`degrees.KEPT_SWEEP_DIGITS`).
-KEPT_TABLE_N = 13
-KEPT_TABLES = 32
-
-
-@lru_cache(maxsize=KEPT_TABLES)
-def _kept_table(n: int, d: int) -> SegreIntegralTable:
-    """`veronese_integral_table` of the variety (n, d), kept (`VeroneseVariety.integral_table`)."""
-    return veronese_integral_table(VeroneseVariety(n, d))
+KEPT_TABLE_N = 13  # `VeroneseVariety.kept`: a kept table has at most p(13) = 101 terms
 
 
 def cache_clear() -> None:
-    """Empty what the process keeps: tables, tableau counts, alternate-sum weights, primes, sweeps.
+    """Empty what the process keeps: `partitions.KEPT` and the small tableau counts.
 
-    They are the Veronese tables, the small tableau counts, the alternate
-    sum's partition weights, the list of primes below
-    `partitions.PRIME_CAP` that the prime-power kernel reads
-    (`partitions._primes`) and the swept records that `table` and
-    `conjecture` read (`degrees._swept_records`); the last two stores are
-    replaced whole, so a call from another thread is safe.  A library
-    caller who replaces a formula behind them (the closed form, the
+    `KEPT` holds the Veronese tables with their plans, the swept records,
+    the alternate weights and the primes; the counts below
+    `partitions.PRIME_POWER_CELLS` cells stay on their `lru_cache`.  A
+    library caller who replaces a formula behind them (the closed form, the
     tableau kernel, a term of the plan, the sweep's step, a row's bounds)
     calls this first, so that no value made before reaches a later call.
     """
-    from .degrees import _clear_sweeps, _kept_alternate_weights  # degrees imports this module
-
-    _kept_table.cache_clear()
+    KEPT.clear()
     _kept_count.cache_clear()
-    _kept_alternate_weights.cache_clear()
-    _clear_primes()
-    _clear_sweeps()

@@ -1588,4 +1588,47 @@ def test_a_sweep_that_raises_keeps_nothing(capsys, monkeypatch, command):
     for _ in range(2):
         code, out, err = run_cli(capsys, command, "--n", "2", "--d", "4")
         assert (code, out, err) == (4, "", "error: internal invariant failed: row 7 failed\n")
-    assert not gaussdeg.degrees._kept_sweeps
+    assert gaussdeg.partitions.KEPT.get(("sweep", 2, 4)) is None
+
+
+# one argv of each kind of value the process keeps: a table's sweep, a
+# conjecture box of four varieties, the alternate sum's weights and a
+# rectangle of 1,710 cells counted by prime powers
+TRAFFIC_ARGVS = (
+    ["table", "--n", "2", "--d", "5"],
+    ["conjecture", "--n", "1..2", "--d", "2..3"],
+    ["degree", "--n", "3", "--d", "3", "--m", "5", "--method", "alternate"],
+    ["degree", "--n", "1", "--d", "200", "--m", "10"],
+)
+
+
+def test_a_repeated_argv_list_makes_each_kept_value_once(capsys, monkeypatch):
+    # run twice in one process, the list builds its six tables, makes its
+    # five sweeps, builds one set of weights and sieves once, all on the
+    # first pass; the second prints the same bytes from what the first kept
+    made = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            made.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(gaussdeg.schur, "veronese_integral_table")
+    counted(gaussdeg.degrees, "_sweep_cells")
+    counted(gaussdeg.degrees, "_alternate_weights")
+    counted(gaussdeg.partitions, "_sieve")
+    passes = []
+    for _ in range(2):
+        made.clear()
+        outputs = [run_cli(capsys, *argv) for argv in TRAFFIC_ARGVS]
+        assert all(code == 0 and out and not err for code, out, err in outputs)
+        passes.append(({name: made.count(name) for name in set(made)}, outputs))
+    (first, printed), (second, again) = passes
+    assert first == {
+        "veronese_integral_table": 6, "_sweep_cells": 5, "_alternate_weights": 1, "_sieve": 1
+    }
+    assert second == {} and again == printed

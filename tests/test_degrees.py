@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import gaussdeg.cost
 import gaussdeg.degrees
+import gaussdeg.partitions
 import gaussdeg.schur
 from gaussdeg.cost import (
     boole_digits,
@@ -50,6 +51,7 @@ from gaussdeg.degrees import (
 )
 from gaussdeg.grassmann import GrassmannShape, grassmann_degree
 from gaussdeg.partitions import (
+    KEPT,
     add_rectangle,
     enumerate_partitions,
     exact_quotient,
@@ -142,7 +144,7 @@ def test_alternate_agrees_with_main_above_the_kept_weights():
     v = VeroneseVariety(14, 2)
     for m in range(14, 18):
         assert degree_alternate(v, m).deg_xm == degree_main(v, m).deg_xm
-    assert gaussdeg.degrees._kept_alternate_weights.cache_info().currsize == 0
+    assert KEPT.get(("weights", 14)) is None and not KEPT._entries
 
 
 def test_cache_clear_lets_a_patched_hook_reach_the_alternate_sum(monkeypatch):
@@ -1199,14 +1201,6 @@ def test_degree_main_builds_one_report(monkeypatch):
     assert (report.method, report.notes, made) == ("curve_closed", "", ["curve_closed"])
 
 
-def _kept_digits(records) -> int:
-    """The digits a kept sweep holds, counted from its text: degrees and distinct counts."""
-    counts = {id(pluecker): pluecker for _, pluecker, *_ in records}
-    return sum(len(degree) for _, _, _, degree, *_ in records) + sum(
-        len(str(count)) for count in counts.values()
-    )
-
-
 def _sweeps_made(monkeypatch) -> list:
     """Record the plan of every sweep `_sweep_cells` starts."""
     made, cells = [], gaussdeg.degrees._sweep_cells
@@ -1230,58 +1224,38 @@ def test_a_table_row_changed_by_its_caller_changes_no_later_call():
 
 
 def test_a_sweep_past_the_digit_budget_is_made_whole_and_never_kept(monkeypatch):
-    # (2, 12) holds about 198,000 digits: under a budget of 10,000 it is
-    # made whole and written, the same rows as when kept, and swept again
+    # (2, 12) is charged about 198,000 digits: under a budget of 10,000
+    # bytes it is made whole and written, the same rows as when kept, and
+    # swept again
     v = VeroneseVariety(2, 12)
     kept = list(table_rows(v))
-    assert _kept_digits(gaussdeg.degrees._kept_sweeps[2, 12][0]) > 10_000
+    assert KEPT._entries["sweep", 2, 12][1] > 10_000
     gaussdeg.schur.cache_clear()
-    monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", 10_000)
+    monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", 10_000)
     made = _sweeps_made(monkeypatch)
     assert list(table_rows(v)) == kept
     assert list(table_rows(v)) == kept
-    assert made == [(2, 90), (2, 90)] and not gaussdeg.degrees._kept_sweeps
-
-
-def test_kept_sweeps_stay_within_the_digit_budget_least_recent_first(monkeypatch):
-    # curves (1, d), d = 10..24, of 67-1,855 digits each, under a budget of
-    # 4,000, then four of them again: after every call the kept sweeps are
-    # the ones used last, in the order of their last use, as many as the
-    # budget holds, so the least recently used went first and no more
-    budget, sizes, used = 4_000, {}, []
-    monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", budget)
-    for d in [*range(10, 25), 20, 23, 12, 21]:
-        rows = list(table_rows(VeroneseVariety(1, d)))
-        kept = gaussdeg.degrees._kept_sweeps
-        records, sizes[1, d] = kept[1, d]
-        assert 0 <= sizes[1, d] - _kept_digits(records) <= len(records)
-        assert [row["degree"] for row in rows] == [record[3] for record in records]
-        used = [key for key in used if key != (1, d)] + [(1, d)]
-        first = len(used) - len(kept)
-        assert list(kept) == used[first:]
-        assert sum(sizes[key] for key in kept) <= budget
-        assert first == 0 or sizes[used[first - 1]] + sum(map(sizes.get, kept)) > budget
-    # (1, 20), used again after (1, 24), outlives it
-    assert list(kept) == [(1, 20), (1, 23), (1, 12), (1, 21)]
+    assert made == [(2, 90), (2, 90)] and KEPT.get(("sweep", 2, 12)) is None
 
 
 def test_cache_clear_empties_the_kept_sweeps(monkeypatch):
     made = _sweeps_made(monkeypatch)
     for _ in range(2):
         rows = list(conjecture_scan((1, 2), (3,)))
-    assert made == [(1, 3), (2, 9)] and len(gaussdeg.degrees._kept_sweeps) == 2
+    assert made == [(1, 3), (2, 9)]
+    assert [key for key in KEPT._entries if key[0] == "sweep"] == [("sweep", 1, 3), ("sweep", 2, 3)]
     gaussdeg.schur.cache_clear()
-    assert not gaussdeg.degrees._kept_sweeps
+    assert not KEPT._entries and KEPT.total == 0
     assert list(conjecture_scan((1, 2), (3,))) == rows and len(made) == 4
 
 
 def test_kept_sweeps_from_threads_stay_whole(monkeypatch):
     # four threads read, sweep, keep and clear the sweeps of the curves
-    # (1, 10..39) under a budget of 3,000 digits, which holds a few of them:
+    # (1, 10..39) under a budget of 30,000 bytes, which holds a few of them:
     # no call raises, each gives the rows of a single thread, and the store
     # never holds more than its budget
-    budget, degrees = 3_000, range(10, 40)
-    monkeypatch.setattr(gaussdeg.degrees, "KEPT_SWEEP_DIGITS", budget)
+    budget, degrees = 30_000, range(10, 40)
+    monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", budget)
     expected = {
         d: (list(table_rows(VeroneseVariety(1, d))), list(conjecture_scan((1,), (d,))))
         for d in degrees
@@ -1301,8 +1275,10 @@ def test_kept_sweeps_from_threads_stay_whole(monkeypatch):
                     rows = list(table_rows(VeroneseVariety(1, d)))
                 if rows != expected[d][i % 2]:
                     errors.append((seed, i, d))
-                kept = gaussdeg.degrees._kept_sweeps
-                if sum(digits for _, digits in kept.values()) > budget:
+                with KEPT._lock:
+                    held = sum(charge for _, charge in KEPT._entries.values())
+                    total = KEPT.total
+                if held != total or total > budget:
                     errors.append((seed, i, "over budget"))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)

@@ -20,9 +20,10 @@ import gaussdeg.partitions
 from gaussdeg.partitions import (
     HOOK_CACHE_SIZE,
     MAX_PARTITION_N,
+    KEPT,
     MAX_PARTITIONS,
-    PRIME_CAP,
     PRIME_POWER_CELLS,
+    _PRIME_BYTES,
     _bottom_runs,
     _count_by_division,
     _count_by_prime_powers,
@@ -497,27 +498,30 @@ def _fresh_sieve(n):
     return [p for p in range(n + 1) if is_prime[p]]
 
 
-def _kept_within_cap():
-    bound, primes = gaussdeg.partitions._kept_primes
-    return bound <= PRIME_CAP and (not primes or primes[-1] <= bound)
+def _kept_within_cap(cap):
+    bound, primes = KEPT.get(("primes",)) or (1, [])
+    return bound <= cap and (not primes or primes[-1] <= bound)
 
 
-def test_primes_equal_a_fresh_sieve_however_they_are_asked():
+def test_primes_equal_a_fresh_sieve_however_they_are_asked(monkeypatch):
     # below, at and past each power of two the kept list grows to, and
-    # around the cap past which each call sieves and keeps nothing
-    sizes = {0, 1, 2, 3, 4, PRIME_CAP - 1, PRIME_CAP, PRIME_CAP + 1}
+    # around the cap past which each call sieves and keeps nothing: under a
+    # budget that holds the primes up to 2^17 and no more, that is 2^17
+    cap = 2**17
+    expected = _fresh_sieve(cap + 1)
+    budget = _PRIME_BYTES * bisect_right(expected, cap)
+    monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", budget)
+    sizes = {0, 1, 2, 3, 4, cap - 1, cap, cap + 1}
     sizes |= {2**k + step for k in range(2, 17) for step in (-1, 0, 1)}
-    expected = _fresh_sieve(PRIME_CAP + 1)
     upto = {n: expected[: bisect_right(expected, n)] for n in sizes}
     for order in (sorted(sizes), sorted(sizes, reverse=True)):
         cache_clear()
         for n in order:
             assert _primes(n) == upto[n], n
-            assert _kept_within_cap(), n
+            assert _kept_within_cap(cap), n
     cache_clear()
-    assert gaussdeg.partitions._kept_primes == (1, [])
-    assert _primes(PRIME_CAP + 1) == upto[PRIME_CAP + 1]
-    assert gaussdeg.partitions._kept_primes == (1, [])
+    assert _primes(cap + 1) == upto[cap + 1]
+    assert KEPT.get(("primes",)) is None
     # a caller's list is its own: changing it leaves the kept list as it was
     _primes(1_000).clear()
     assert _primes(1_000) == _fresh_sieve(1_000)
@@ -525,7 +529,7 @@ def test_primes_equal_a_fresh_sieve_however_they_are_asked():
 
 def test_primes_grown_and_cleared_from_threads_stay_whole():
     # one reader never pairs a bound with a shorter list, whatever another
-    # thread grows or clears between its steps
+    # thread grows or clears between its steps, and a caller's list is its own
     expected = _fresh_sieve(2**14)
     errors = []
 
@@ -535,8 +539,10 @@ def test_primes_grown_and_cleared_from_threads_stay_whole():
                 n = (seed * 7919 + i * 104_729) % 2**14
                 if i % 50 == seed:
                     cache_clear()
-                if _primes(n) != expected[: bisect_right(expected, n)]:
+                asked = _primes(n)
+                if asked != expected[: bisect_right(expected, n)]:
                     errors.append(n)
+                asked.append(-1)  # the caller's to change
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -552,7 +558,7 @@ def test_primes_grown_and_cleared_from_threads_stay_whole():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert errors == []
-    assert _kept_within_cap()
+    assert _kept_within_cap(2**14)
 
 
 # rectangles of 800..6,000 cells, of 2 to 77 rows
@@ -573,14 +579,14 @@ def test_prime_powers_from_the_kept_list_are_the_division():
 
 
 def test_import_sieves_nothing():
-    code = "import gaussdeg.cli, gaussdeg.partitions as p; print(p._kept_primes)"
+    code = "import gaussdeg.cli, gaussdeg.partitions as p; print(p.KEPT.get(('primes',)))"
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "(1, [])\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "None\n", "")
 
 
 def test_many_rows_of_few_parts_count_by_runs():

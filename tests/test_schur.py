@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gaussdeg.partitions
 import gaussdeg.schur
-from gaussdeg.partitions import enumerate_partitions
+from gaussdeg.partitions import KEPT, enumerate_partitions
 from gaussdeg.schur import (
     KEPT_TABLE_N,
-    KEPT_TABLES,
     SegreIntegralTable,
     SegreSequence,
     VeroneseVariety,
@@ -234,22 +234,28 @@ def test_integral_table_positivity():
             assert all(value > 0 for value in table.entries.values())
 
 
-def test_veronese_tables_are_kept_within_their_bound():
-    # every variety of one (n, d) reads one table while it is kept; the
-    # process keeps the KEPT_TABLES used most recently, and never a table
-    # past n = KEPT_TABLE_N or of a d of 64 bits or more
-    kept = gaussdeg.schur._kept_table
+def test_veronese_tables_are_kept_within_their_bound(monkeypatch):
+    # every variety of one (n, d) reads one table, made with its plan, while
+    # it is kept: a table of n <= KEPT_TABLE_N, of any d, that fits the byte
+    # budget.  A table past n = KEPT_TABLE_N, or charged past the budget on
+    # its own, is built on every read and kept nowhere
     first = VeroneseVariety(2, 3).integral_table
     assert VeroneseVariety(2, 3).integral_table is first
-    for d in range(2, KEPT_TABLES + 2):
-        VeroneseVariety(1, d).integral_table
-        assert kept.cache_info().currsize <= KEPT_TABLES
-    assert VeroneseVariety(2, 3).integral_table is not first
-    largest = VeroneseVariety(KEPT_TABLE_N, 2).integral_table
-    assert VeroneseVariety(KEPT_TABLE_N, 2).integral_table is largest
-    for n, d in ((KEPT_TABLE_N + 1, 2), (1, 2**64)):
-        assert VeroneseVariety(n, d).integral_table is not VeroneseVariety(n, d).integral_table
-    assert kept.cache_info().currsize == KEPT_TABLES
+    assert KEPT.get(("table", 2, 3)) is first and "plan" in vars(first)
+    for n, d in ((KEPT_TABLE_N, 2**64 - 1), (1, 2**64)):
+        assert VeroneseVariety(n, d).integral_table is VeroneseVariety(n, d).integral_table
+    largest = KEPT._entries["table", KEPT_TABLE_N, 2**64 - 1][1]
+    assert KEPT.total <= gaussdeg.partitions.KEPT_BYTES
+    over = VeroneseVariety(KEPT_TABLE_N + 1, 2)
+    assert over.integral_table is not VeroneseVariety(KEPT_TABLE_N + 1, 2).integral_table
+    assert KEPT.get(("table", KEPT_TABLE_N + 1, 2)) is None
+    gaussdeg.schur.cache_clear()
+    monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", largest - 1)
+    first = VeroneseVariety(2, 3).integral_table
+    table = VeroneseVariety(KEPT_TABLE_N, 2**64 - 1).integral_table
+    again = VeroneseVariety(KEPT_TABLE_N, 2**64 - 1).integral_table
+    assert again == table and again is not table
+    assert list(KEPT._entries) == [("table", 2, 3)] and KEPT.get(("table", 2, 3)) is first
 
 
 def test_a_kept_table_cannot_be_changed():

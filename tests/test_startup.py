@@ -1,11 +1,12 @@
 """What a one-command process imports: what every command needs, and the rest on first use.
 
 `import gaussdeg.cli` loads the package's modules less `verify`, plus
-`json` and `decimal`.  `argparse` comes with an argv the command table
-does not read, `csv` with a cell that needs quoting, `fractions` with the
-first `Fraction`, `verify` with the `verify` command (or a parser, which
-lists its suites), and `dataclasses` only when a record refuses an
-assignment.  Each step below runs in one bare interpreter (`python -S`,
+`json` and `decimal`; the store of kept values takes its lock from the
+builtin `_thread`, so keeping a table and its sweep loads nothing more.
+`argparse` comes with an argv the command table does not read, `csv`
+with a cell that needs quoting, `fractions` with the first `Fraction`,
+`verify` with the `verify` command (or a parser, which lists its
+suites), and `dataclasses` only when a record refuses an assignment.  Each step below runs in one bare interpreter (`python -S`,
 so no site hook loads anything first) and prints what the same call
 prints in a process that has loaded everything.
 """
@@ -25,7 +26,7 @@ from gaussdeg.verify import SuiteResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY = (
-    "argparse", "csv", "dataclasses", "fractions", "inspect", "pathlib", "typing",
+    "argparse", "csv", "dataclasses", "fractions", "inspect", "pathlib", "threading", "typing",
     "gaussdeg.verify",
 )
 CURVE = {"n": 1, "N": 5, "entries": [{"partition": [1], "integral": "8"}]}
@@ -35,6 +36,7 @@ CANONICAL = ["degree", "--n", "1", "--d", "4", "--m", "2"]
 # (step name, argv); "{table}" is the table file's path
 STEPS = (
     ("degree", CANONICAL),
+    ("table", ["table", "--n", "2", "--d", "3"]),
     ("generic", ["generic", "--table", "{table}", "--m", "3"]),
     ("verify", ["verify", "--suite", "identity"]),
     ("quoted", ["verify", "--suite", "crossform", "--format", "csv"]),
@@ -110,6 +112,7 @@ def test_the_package_imports_none_of_what_a_command_loads_on_first_use(child):
         ("quoted", ("csv",)),
         ("equals", ("argparse",)),
         ("help", ()),
+        ("table", ()),
     ],
 )
 def test_each_command_loads_what_it_needs_and_prints_the_same_bytes(child, step, loads,
