@@ -115,7 +115,7 @@ def message(template: str, *args) -> str:
     An int is written by `_message_int`; any other argument, a Decimal
     included, is echoed by `_Echo`.  A sweep's long Decimals reach no
     message: a row with no degree is named by its S, an int
-    (`degrees.TermPlan.row`).
+    (`schur.TermPlan.row`).
     """
     args = tuple(_message_int(arg) if isinstance(arg, int) else _Echo(arg) for arg in args)
     return template % args

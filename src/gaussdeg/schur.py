@@ -1,18 +1,23 @@
-"""Schur polynomial values in Segre classes, exactly.
+"""Schur polynomial values in Segre classes, exactly, and the sum a table of them feeds.
 
 Two independent routes to the same number: a Jacobi-Trudi determinant over
 the raw Segre coefficients, and a factorial closed form special to
 Veronese varieties.  Integrals of these values over the variety are
 collected in tables keyed by partitions, with a JSON interchange format.
+
+A table owns the tableau-weighted sum that pushes its integrals forward to
+a degree: its `plan`, a `TermPlan` laid out once, whose `row` is the one
+evaluator of the sum for every cell and every sweep row.
 """
 
 import json
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import index, sub
 from types import MappingProxyType
 
+from .grassmann import Count, count_divmod, count_fma
 from .partitions import (
     KEPT,
     Partition,
@@ -227,9 +232,7 @@ class SegreIntegralTable(Record):
 
     @cached_property
     def plan(self):
-        """The table's `degrees.TermPlan`, built on first use and kept with the table."""
-        from .degrees import TermPlan  # degrees imports this module
-
+        """The table's `TermPlan`, built on first use and kept with the table."""
         return TermPlan(self)
 
     def lookup(self, lam) -> int:
@@ -295,6 +298,125 @@ def _integers(names: str, *values) -> tuple[int, ...]:
         except TypeError:
             pass
     raise ValueError(f"{names} must be integers")
+
+
+class NotGenericallyFiniteError(Exception):
+    """Raised when a table-driven degree comes out non-positive.
+
+    A vanishing total means the order-m Gauss map is not generically
+    finite onto its image (the fibres are positive-dimensional), so no
+    degree exists; a negative total means the table itself is not the
+    Segre data of any variety.  Either way the number must not be
+    reported as a degree.
+    """
+
+
+class TermPlan:
+    """The tableau-weighted sum of one table, laid out once for every m.
+
+    With unit = `degrees.reference_product(n, N, m, 1)` = C(dim X_m, n) * deg G,
+    G = G(m-n, N-n), the degree is unit * S / L, where S sums
+    f(lam) * num * (L / den) * T[lam] over the partitions lam of n:
+    num / den is `degrees.binomial_ratio_product(lam, n, N, m)`, with
+    num = prod_i C(N-m + lam_i-i, lam_i) and den the same at m = n, free
+    of m.  L = `lcd` is the lcm of the dens.  `pairs` holds every row
+    offset (lam_i - i, lam_i) once, and `terms`, for each lam, (lam,
+    f(lam), den, (L / den) * T[lam], the indices of its rows' offsets in
+    `pairs`).  A lam of more than N - n rows has a zero term at every m
+    and is left out.  `row` evaluates the plan at one m.
+    """
+
+    def __init__(self, table: SegreIntegralTable):
+        n, N = table.n, table.N
+        offsets, terms = {}, []
+        for lam, integral in table.entries.items():
+            if len(lam) <= N - n:
+                rows = enumerate(lam, start=1)
+                indices = tuple([offsets.setdefault((p - i, p), len(offsets)) for i, p in rows])
+                terms.append((lam, integral, indices, *_plan_term(lam, n, N)))
+        self.n, self.N, self.pairs = n, N, tuple(offsets)
+        self.lcd = lcd = lcm(*[den for *_, den in terms])
+        self.terms = tuple(
+            (lam, count, den, lcd // den * integral, indices)
+            for lam, integral, indices, count, den in terms
+        )
+
+    def split(self, pluecker: Count) -> tuple[Count, int]:
+        """(pluecker // L, pluecker % L), the remainder an int: one long `count_divmod`."""
+        return count_divmod(pluecker, self.lcd)
+
+    def row(self, m: int, pluecker: Count, split: tuple | None = None) -> tuple[int, int, Count]:
+        """(C(dim X_m, n), S, degree) at an m in range; `pluecker` is deg G.
+
+        `split` is `self.split(pluecker)`, made here when not given: a
+        sweep passes the split it made once for a count it reads twice.
+        With pluecker = quot * L + rest, unit = C(dim X_m, n) * pluecker is
+        never formed: `_weighted_sum` needs only unit mod L, from the short
+        rest.  The sign of S decides whether a degree exists: S <= 0 raises
+        NotGenericallyFiniteError, naming S, an int, before any long
+        operation on the degree.  Otherwise, with q = C(dim X_m, n) * S,
+        the degree pluecker * q / L is quot * q + (rest * q) / L: the short
+        division is the checked `exact_quotient`, and the degree one long
+        fused multiply-add, `count_fma`.  The check is the one the degree
+        needs: with k = gcd(q, L), gcd(q/k, L/k) = 1, so L divides rest * q,
+        or pluecker * q, exactly when L/k divides pluecker.
+        """
+        n, lcd = self.n, self.lcd
+        quotient, rest = self.split(pluecker) if split is None else split
+        coefficient = comb(n + (self.N - m) * (m - n), n)
+        total = _weighted_sum(self, m, rest * coefficient % lcd)
+        if total <= 0:
+            template = (
+                "weighted total %s <= 0 at m = %s: the order-%s Gauss map is not generically "
+                "finite onto its image, or the table is not the Segre data of a variety"
+            )
+            raise NotGenericallyFiniteError(message(template, total, m, m))
+        q = coefficient * total
+        low = exact_quotient(rest * q, lcd, "the weighted total at m = %s", m)
+        return coefficient, total, count_fma(quotient, q, low)
+
+
+def _plan_term(lam: Partition, n: int, N: int) -> tuple[int, int]:
+    """f(lam) and its row-binomial denominator prod_i C(N-n+lam_i-i, lam_i)."""
+    den = 1
+    for i, part in enumerate(lam, start=1):
+        den *= comb(N - n + part - i, part)
+    return syt_count(lam), den
+
+
+def _row_binomials(pairs: Sequence, height: int) -> list[int]:
+    """C(height + offset, part) for each (offset, part) of `pairs`, 0 where height + offset < 0.
+
+    A pair whose top is negative belongs only to shapes of more than
+    `height` rows, whose terms are 0 and are skipped.
+    """
+    return [comb(height + offset, part) if height + offset >= 0 else 0 for offset, part in pairs]
+
+
+_TERM = "tableau count of %s plus the %s-wide rectangle of height %s"
+
+
+def _weighted_sum(plan: TermPlan, m: int, residue: int) -> int:
+    """S of `plan` at m, each term checked; `residue` is unit mod L.
+
+    The row's binomials are formed once, one per offset pair.  A term's
+    tableau count, unit * f(lam) * num / den, is checked integral on its
+    own as residue * f(lam) * num over den: one short remainder per term,
+    made for a zero integral too, and a remainder raises as
+    `exact_quotient` does.
+    """
+    height = plan.N - m
+    binomials = _row_binomials(plan.pairs, height)
+    total = 0
+    for lam, count, den, weight, indices in plan.terms:
+        if len(indices) > height:
+            continue
+        for k in indices:
+            count *= binomials[k]
+        if residue * count % den:
+            exact_quotient(residue * count, den, _TERM, lam, m - plan.n, height)
+        total += count * weight
+    return total
 
 
 def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegralTable:

@@ -54,9 +54,11 @@ class _Checks:
     """A suite's recorder: `check(template, *args, pair=...)` counts a check and computes pair().
 
     Unequal (got, want) record `label: <mismatch.format(got, want)>`, an
-    ArithmeticError `label: <message>`; anything else (a guard's refusal)
-    propagates.  The label, `template.format(*args)`, is formatted only
-    when the check fails, from the arguments as they were at the call.
+    ArithmeticError `label: <message>`, raised by pair() or given as its
+    want (a reference that raised when it was made); anything else (a
+    guard's refusal) propagates.  The label, `template.format(*args)`, is
+    formatted only when the check fails, from the arguments as they were
+    at the call.
     """
 
     def __init__(self, name: str, mismatch: str):
@@ -67,6 +69,8 @@ class _Checks:
         self.checks += 1
         try:
             got, want = pair()
+            if isinstance(want, ArithmeticError):
+                raise want
         except ArithmeticError as exc:
             self.failures.append(f"{template.format(*args)}: {exc}")
             return
@@ -138,8 +142,8 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
     The routes are each applicable registry method, the generic sum over a
     Jacobi-Trudi integral table, the general-curve form at genus 0, and
     the ordinary Gauss degree at m = n.  Each cell's `degree_main` value
-    is made at most once; if it raises, every check of its cell fails
-    with its message.
+    is made once, before its checks; if it raises, every check of its cell
+    fails with its message.
     """
     check, cell = _Checks("crossform", "got {}, want {}"), "{} (n={}, d={}, m={})"
     for n in n_values:
@@ -150,36 +154,28 @@ def run_crossform_suite(n_values=(1, 2, 3), d_values=(2, 3, 4)) -> SuiteResult:
             table = veronese_integral_table(
                 v, lambda v, lam, length: schur_delta_determinant(s, lam, length)
             )
-            memo = {}  # m -> degree_main's degree, or the ArithmeticError it raised
-
-            def want():
-                if m not in memo:
-                    try:
-                        memo[m] = degree_main(v, m).deg_xm
-                    except ArithmeticError as exc:
-                        memo[m] = exc
-                if isinstance(memo[m], ArithmeticError):
-                    raise memo[m]
-                return memo[m]
-
             for m in range(n, v.N):
+                try:
+                    want = degree_main(v, m).deg_xm
+                except ArithmeticError as exc:
+                    want = exc
                 for name, method in METHODS.items():
                     if name != "main" and method.applies(v, m):
                         check(
-                            cell, name, n, d, m, pair=lambda: (method.compute(v, m).deg_xm, want())
+                            cell, name, n, d, m, pair=lambda: (method.compute(v, m).deg_xm, want)
                         )
-                check(cell, "generic", n, d, m, pair=lambda: (_generic_degree(table, m), want()))
+                check(cell, "generic", n, d, m, pair=lambda: (_generic_degree(table, m), want))
                 if n == 1:
                     check(
                         "general_curve (N={}, d={}, g=0, m={})",
                         d,
                         d,
                         m,
-                        pair=lambda: (degree_general_curve(d, d, 0, m).deg_xm, want()),
+                        pair=lambda: (degree_general_curve(d, d, 0, m).deg_xm, want),
                     )
                 if m == n:
                     check(
-                        cell, "ordinary", n, d, m, pair=lambda: (ordinary_gauss_degree(v), want())
+                        cell, "ordinary", n, d, m, pair=lambda: (ordinary_gauss_degree(v), want)
                     )
     return check.result()
 

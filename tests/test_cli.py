@@ -479,13 +479,13 @@ def _skew_ratio(monkeypatch):
     # a row-binomial ratio skewed by 5/7 on one-row shapes, as the term
     # plan's count and denominator, leaves the rectangle's tableau count
     # non-integral in the weighted sum
-    term = gaussdeg.degrees._plan_term
+    term = gaussdeg.schur._plan_term
 
     def skewed(lam, *row):
         count, den = term(lam, *row)
         return (5 * count, 7 * den) if len(lam) == 1 else (count, den)
 
-    monkeypatch.setattr(gaussdeg.degrees, "_plan_term", skewed)
+    monkeypatch.setattr(gaussdeg.schur, "_plan_term", skewed)
 
 
 def _skew_hook(monkeypatch):
@@ -634,12 +634,12 @@ def test_proved_bounds_violation_exits_4(capsys, monkeypatch):
     # at n = 1 the proved bounds meet (lower = ratio = upper), so a weighted
     # sum too large breaks the sandwich at every m; raised by L, the degree
     # unit * S / L still comes out integral, so the bounds check is what fails
-    weighted = gaussdeg.degrees._weighted_sum
+    weighted = gaussdeg.schur._weighted_sum
 
     def skewed(plan, m, residue):
         return weighted(plan, m, residue) + plan.lcd
 
-    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", skewed)
+    monkeypatch.setattr(gaussdeg.schur, "_weighted_sum", skewed)
     code, out, err = run_cli(capsys, "table", "--n", "1", "--d", "4")
     assert code == 4 and out == ""
     prefix = "error: internal invariant failed: proved bounds violated at (n=1, d=4, m=1): "
@@ -652,12 +652,12 @@ def test_a_long_bounds_violation_exits_4(capsys, monkeypatch, command):
     # a weighted sum S of 1 at m = 21, whose product has 14,424 bits (4,343
     # digits, past the str() limit), stops both sweeps there; the ratio is
     # S / (L * g) = 1 / (199 * 398), short whatever the product's size
-    weighted = gaussdeg.degrees._weighted_sum
+    weighted = gaussdeg.schur._weighted_sum
 
     def skewed(plan, m, residue):
         return 1 if m == 21 else weighted(plan, m, residue)
 
-    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", skewed)
+    monkeypatch.setattr(gaussdeg.schur, "_weighted_sum", skewed)
     code, out, err = run_cli(capsys, command, "--n", "1", "--d", "200")
     assert (code, out) == (4, "")
     assert err == (

@@ -681,7 +681,7 @@ def test_degrees_past_the_str_limit_reach_their_report():
 def test_bounds_violation_names_a_long_ratio_by_its_size(monkeypatch):
     # the product at m = 100 has 53,073 bits, but the ratio is the weighted
     # sum S = 1 over L * g = 199 * 398: short whatever the product's size
-    monkeypatch.setattr(gaussdeg.degrees, "_weighted_sum", lambda plan, m, residue: 1)
+    monkeypatch.setattr(gaussdeg.schur, "_weighted_sum", lambda plan, m, residue: 1)
     message = (
         r"^proved bounds violated at \(n=1, d=200, m=100\): "
         r"100/199 <= 1/79202 <= 100/199 fails$"
@@ -1166,9 +1166,9 @@ def test_a_decimal_row_checks_the_degree_as_the_int_row_does(monkeypatch, m):
     # a weighted total skewed by one skips the terms' own checks; the
     # degree's short division, rest * q over L, then finds the row with no
     # degree (at m = 2, 3 and 89 of (2, 12)) for an int and a Decimal alike
-    weighted = gaussdeg.degrees._weighted_sum
+    weighted = gaussdeg.schur._weighted_sum
     monkeypatch.setattr(
-        gaussdeg.degrees, "_weighted_sum", lambda plan, m, residue: weighted(plan, m, residue) + 1
+        gaussdeg.schur, "_weighted_sum", lambda plan, m, residue: weighted(plan, m, residue) + 1
     )
     plan = VeroneseVariety(2, 12).integral_table.plan
     pluecker = grassmann_degree(GrassmannShape(m - 2, 88))

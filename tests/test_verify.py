@@ -1,8 +1,10 @@
 """The self-check suite harness itself."""
 
+import ast
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,20 +23,45 @@ from gaussdeg.verify import (
     run_syt_suite,
 )
 
-DEFAULT_COUNTS = {"identity": 6, "syt": 67, "schur": 252, "crossform": 275, "bounds": 81}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+CONTRACT = (
+    "verify's default run is the benchmark's contract: bench/check.py judges every verify "
+    "command against its SUITES, the default run, and the counts of bench/data/reference.json"
+)
+
+
+def _benchmark_suites() -> tuple:
+    """`SUITES` of `bench/check.py`, read from its source."""
+    tree = ast.parse((BENCH / "check.py").read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["SUITES"]
+    ]
+    return ast.literal_eval(value)
+
+
+# the benchmark's passed count of each suite, keyed "identity/<max-n>",
+# "syt/<max-weight>" or the suite's name, as `bench/check.py` reads them
+REFERENCE_COUNTS = json.loads((BENCH / "data" / "reference.json").read_text())["verify_checks"]
+DEFAULT_KEYS = {"identity": "identity/6", "syt": "syt/8"}  # --max-n 6, --max-weight 8
+DEFAULT_COUNTS = {
+    name: REFERENCE_COUNTS[DEFAULT_KEYS.get(name, name)] for name in _benchmark_suites()
+}
 
 
 def test_all_suites_pass_at_defaults():
+    assert SUITE_NAMES == _benchmark_suites(), CONTRACT
     for name in SUITE_NAMES:
         result = run_suite(name)
         assert result.ok, result.failures
-        assert result.passed == DEFAULT_COUNTS[name]
+        assert result.passed == DEFAULT_COUNTS[name], CONTRACT
         assert result.failed == 0
 
 
 def test_identity_suite_counts():
     result = run_identity_suite(max_n=5)
-    assert (result.passed, result.failed) == (5, 0)
+    assert (result.passed, result.failed) == (REFERENCE_COUNTS["identity/5"], 0), CONTRACT
     with pytest.raises(ValueError):
         run_identity_suite(max_n=0)
 
@@ -51,6 +78,8 @@ def test_syt_suite_counts():
     # shapes of weight 0..6: 1+1+2+3+5+7+11
     result = run_syt_suite(max_weight=6)
     assert (result.passed, result.failed) == (30, 0)
+    result = run_syt_suite(max_weight=10)
+    assert (result.passed, result.failed) == (REFERENCE_COUNTS["syt/10"], 0), CONTRACT
 
 
 def test_syt_suite_respects_cap():
