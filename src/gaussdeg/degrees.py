@@ -19,7 +19,7 @@ degree.  A sweep steps only the first half of its Grassmannian counts;
 `_sweep_cells`, the one mirror, splits each once and hands a row of the
 second half its stepped row's count and split, so that row costs one.  A
 count may be an int or, past the sweep's base-10 switch, a Decimal: this
-module never asks which, and works it by `grassmann`'s `count_divmod`,
+module never asks which, and works it by `partitions`' `count_divmod`,
 `count_multiply` and `count_fma`.  A sweep's rows are written as text
 (`table_rows`, `conjecture_scan`); `bounds` makes one cell's record, of ints.
 
@@ -43,15 +43,7 @@ from .cost import (
     check_factorial,
     guard_degree,
 )
-from .grassmann import (
-    GrassmannShape,
-    count_digits,
-    count_divmod,
-    count_fma,
-    count_multiply,
-    grassmann_degree,
-    grassmann_degree_sweep,
-)
+from .grassmann import GrassmannShape, grassmann_degree, grassmann_degree_sweep
 from .partitions import (
     KEPT,
     Numeral,
@@ -59,6 +51,10 @@ from .partitions import (
     canonical,
     charge,
     check_partition_terms,
+    count_digits,
+    count_divmod,
+    count_fma,
+    count_multiply,
     enumerate_partitions,
     exact_quotient,
     falling_factorial_product,

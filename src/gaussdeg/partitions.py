@@ -4,13 +4,32 @@ Partitions are plain tuples of weakly decreasing non-negative integers.
 The canonical form carries no trailing zeros; formulas that index parts up
 to a declared length work against the zero-padded view returned by `pad`.
 All arithmetic is exact.  Every other module imports this one, so it also
-holds the one store of values the process keeps, `KEPT`.
+holds the one store of values the process keeps, `KEPT`, and the kinds a
+long count takes, `Count`: an int or, past `DECIMAL_BITS` (`as_count`, the
+one rule), an integral `decimal.Decimal` under `EXACT`.  Multiplying and
+exactly dividing by short integers costs O(digits) in either base, and only
+base 10 prints in O(digits): CPython's `str()` of an int is quadratic and
+refused past 4,300 digits.  This is the one module that imports `decimal`;
+a count of either kind is worked by `count_divmod`, `count_multiply` and
+`count_fma`, which enter no context, and sized by `count_digits`.
 """
 
 from _thread import allocate_lock
 from bisect import bisect_right
 from collections import OrderedDict, deque
 from collections.abc import Iterator
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+)
 from functools import lru_cache
 from itertools import accumulate, compress, count, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
@@ -62,6 +81,25 @@ KEPT_BYTES = 3_000_000
 # walk finds 100-170, in a table with its plan and in the alternate weights
 _INTEGER_BYTES = 150
 _PRIME_BYTES = 36  # a kept prime: a small int and its slot in the list
+# Past this many bits a long count turns into a Decimal (`as_count`).  Every
+# variety of the `table_sweep` benchmark passes it; of `small_mixed`'s sweeps
+# only the central rows of (3, 5), N = 55, do (up to 2,319 bits).  At 2,000
+# bits (603 digits) the one conversion costs about 16 us (CPython 3.11,
+# shared 2-core x86-64).
+DECIMAL_BITS = 2_000
+# Exact integer arithmetic in base 10: precision and exponents as wide as
+# libmpdec allows, and any rounding raises instead of passing silently, as it
+# would under the default 28-digit context.  Only its methods are called, so
+# the caller's context is neither used nor changed.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+# A long count: an int, or past `DECIMAL_BITS` an integral Decimal.
+Count = int | Decimal
 
 
 def canonical(parts) -> Partition:
@@ -79,15 +117,51 @@ def _strip_zeros(lam: Partition) -> Partition:
     return lam[: lam.index(0)] if lam and not lam[-1] else lam
 
 
-def exact_quotient(num: int, den: int, what: str, *args, divide=divmod) -> int:
+def as_count(count: Count) -> Count:
+    """`count`, but an int past `DECIMAL_BITS` bits as its equal integral Decimal."""
+    if type(count) is int and count.bit_length() > DECIMAL_BITS:
+        return Decimal(count)
+    return count
+
+
+def count_divmod(count: Count, den: int) -> tuple[Count, int]:
+    """(count // den, count % den), den > 0: the quotient of `count`'s kind, the rest an int."""
+    if type(count) is Decimal:
+        quotient, rest = EXACT.divmod(count, den)
+        return quotient, int(rest)
+    return divmod(count, den)
+
+
+def count_multiply(count: Count, factor: int) -> Count:
+    """count * factor, of `count`'s kind."""
+    return EXACT.multiply(count, factor) if type(count) is Decimal else count * factor
+
+
+def count_fma(count: Count, factor: int, addend: int) -> Count:
+    """count * factor + addend, of `count`'s kind: one fused multiply-add for a Decimal."""
+    return EXACT.fma(count, factor, addend) if type(count) is Decimal else count * factor + addend
+
+
+def count_digits(count: Count) -> int:
+    """The decimal digits of a count >= 1, from its size: exact for a Decimal.
+
+    For an int, bits * 30,103 // 10^5 + 1: 30,103 / 10^5 exceeds log10(2)
+    by under 5 x 10^-9 a bit, so it is never short, and below 10^8 bits at
+    most one over.
+    """
+    if type(count) is int:
+        return count.bit_length() * 30_103 // 100_000 + 1
+    return count.adjusted() + 1
+
+
+def exact_quotient(num: Count, den: int, what: str, *args) -> Count:
     """num // den, which the theory promises exact: a remainder raises ArithmeticError.
 
     The message names `message(what, *args)`, built only when it is
     raised, so a hot loop builds no message for a division that is exact.
-    `divide` makes the quotient and remainder: `grassmann.count_divmod`
-    for a sweep's count, which past its base-10 switch is an integral Decimal.
+    The division is `count_divmod`'s, so a count keeps its kind.
     """
-    quotient, rem = divide(num, den)
+    quotient, rem = count_divmod(num, den)
     if rem:
         raise ArithmeticError(message(what, *args) + " did not come out integral")
     return quotient

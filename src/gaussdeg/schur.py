@@ -17,9 +17,9 @@ from math import comb, factorial, lcm
 from operator import index, sub
 from types import MappingProxyType
 
-from .grassmann import Count, count_divmod, count_fma
 from .partitions import (
     KEPT,
+    Count,
     Partition,
     Record,
     _kept_count,
@@ -27,6 +27,8 @@ from .partitions import (
     canonical,
     charge,
     check_partition_terms,
+    count_divmod,
+    count_fma,
     enumerate_partitions,
     exact_quotient,
     falling_factorial_product,

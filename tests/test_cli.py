@@ -565,7 +565,7 @@ def _pluecker_off_by_one(monkeypatch):
 
     def swept(r):
         for count in sweep(r):
-            yield count + 1 if type(count) is int else gaussdeg.grassmann.EXACT.add(count, 1)
+            yield count + 1 if type(count) is int else gaussdeg.partitions.EXACT.add(count, 1)
 
     monkeypatch.setattr(gaussdeg.degrees, "grassmann_degree_sweep", swept)
     monkeypatch.setattr(gaussdeg.degrees, "grassmann_degree", lambda shape: single(shape) + 1)

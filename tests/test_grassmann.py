@@ -1,6 +1,7 @@
 """Grassmannian invariants."""
 
 from decimal import Context, Decimal, getcontext, localcontext
+from fractions import Fraction
 from functools import cache
 from math import comb, inf, isqrt, lgamma, log, log10
 
@@ -14,18 +15,20 @@ from gaussdeg.cost import degree_digits
 from gaussdeg.degrees import _sweep_cells
 from gaussdeg.grassmann import (
     GrassmannShape,
-    count_digits,
-    count_divmod,
-    count_fma,
-    count_multiply,
     grassmann_degree,
     grassmann_degree_sweep,
     grassmann_dim,
 )
 from gaussdeg.partitions import (
+    DECIMAL_BITS,
     PRIME_POWER_CELLS,
     _count_by_division,
     _count_by_prime_powers,
+    as_count,
+    count_digits,
+    count_divmod,
+    count_fma,
+    count_multiply,
     exact_quotient,
     syt_count_bruteforce,
     syt_count_digits,
@@ -203,7 +206,7 @@ def _in_base_of(like, count: int):
 
 @cache
 def _two_to(bits: int) -> Decimal:
-    with localcontext(gaussdeg.grassmann.EXACT):
+    with localcontext(gaussdeg.partitions.EXACT):
         return Decimal(2) ** bits
 
 
@@ -217,7 +220,7 @@ def _decimal_of(count: int) -> Decimal:
     if bits <= 4096:
         return Decimal(count)
     half = 1 << (bits - 1).bit_length() - 1
-    with localcontext(gaussdeg.grassmann.EXACT):
+    with localcontext(gaussdeg.partitions.EXACT):
         return _decimal_of(count >> half) * _two_to(half) + _decimal_of(count & (1 << half) - 1)
 
 
@@ -266,10 +269,16 @@ def test_sweep_is_the_rectangle_hook_count_up_to_r_40():
 COUNT = 3**100 + 17
 
 
-@pytest.mark.parametrize("count", [COUNT, Decimal(COUNT)], ids=["int", "Decimal"])
-def test_count_arithmetic_keeps_the_counts_kind(count):
+@pytest.mark.parametrize(
+    "count, kinds",
+    [(COUNT, (int, int)), (Decimal(COUNT), (Decimal, int)), (Fraction(COUNT), (int, Fraction))],
+    ids=["int", "Decimal", "Fraction"],
+)
+def test_count_arithmetic_keeps_the_counts_kind(count, kinds):
     # a caller's 5-digit context that rounds without trapping: a function
-    # computing in it would round the 48 digits and set the caller's flags
+    # computing in it would round the 48 digits and set the caller's flags.
+    # Anything but a Decimal takes its own operators: a Fraction, as a
+    # patched alternate sum feeds `exact_quotient`, goes through `divmod`.
     kind, factor = type(count), 10**6 + 3
     with localcontext(Context(prec=5)) as caller:
         quotient, rest = count_divmod(count, 1009)
@@ -277,15 +286,39 @@ def test_count_arithmetic_keeps_the_counts_kind(count):
         fused = count_fma(count, factor, 12_345)
         message = "^the count over 1009 did not come out integral$"
         with pytest.raises(ArithmeticError, match=message):
-            exact_quotient(count, 1009, "the count over %s", 1009, divide=count_divmod)
+            exact_quotient(count, 1009, "the count over %s", 1009)
+        assert exact_quotient(count_multiply(count, 1009), 1009, "the product") == COUNT
         assert getcontext() is caller and caller.prec == 5
         assert not any(caller.flags.values())
-    assert (type(quotient), type(rest), type(product), type(fused)) == (kind, int, kind, kind)
+    assert (type(quotient), type(rest), type(product), type(fused)) == (*kinds, kind, kind)
     assert (quotient, rest) == divmod(COUNT, 1009) and rest == 263
     assert product == COUNT * factor
     assert fused == COUNT * factor + 12_345
+
+
+@pytest.mark.parametrize("kind", [int, Decimal])
+def test_count_digits_is_never_short_and_at_most_one_over(kind):
     # sized with no text made: a Decimal exactly, an int never short and at
     # most one over, across powers of ten and of two
     for k in (1, 2, 47, 48, 602, 603, 700):
         for value, digits in ((10**k - 1, k), (10**k, k + 1), (2**k, len(str(2**k)))):
             assert 0 <= count_digits(kind(value)) - digits <= (kind is int)
+
+
+def test_a_count_turns_decimal_past_decimal_bits():
+    at, past = 2**DECIMAL_BITS - 1, 2**DECIMAL_BITS
+    assert at.bit_length() == DECIMAL_BITS and as_count(at) is at
+    assert type(as_count(past)) is Decimal and as_count(past) == past
+    # anything else comes back as it is
+    for other in (Decimal(past), Decimal(7), Fraction(past)):
+        assert as_count(other) is other
+
+
+def test_the_sweep_switches_base_at_its_first_count_past_decimal_bits():
+    # r = 52, the central rows of (3, 5), N = 55: small_mixed's one sweep
+    # that crosses the switch
+    swept = list(grassmann_degree_sweep(52))
+    first = next(k for k, count in enumerate(swept) if type(count) is not int)
+    assert all(count.bit_length() <= DECIMAL_BITS for count in swept[:first])
+    assert int(swept[first]).bit_length() > DECIMAL_BITS
+    assert {type(count) for count in swept[first:]} == {Decimal}

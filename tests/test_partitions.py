@@ -8,6 +8,7 @@ import threading
 import time
 from bisect import bisect_right
 from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, islice
 from math import comb, factorial, isqrt, log10
 from pathlib import Path
@@ -169,6 +170,10 @@ def test_exact_quotient():
         exact_quotient(7, 2, "tableau count for (2, 1)")
     with pytest.raises(ArithmeticError):
         exact_quotient(-7, 2, "a negative quotient")
+    # any number but a Decimal goes through divmod: a non-integral Fraction raises
+    assert exact_quotient(Fraction(12), 4, "3") == 3
+    with pytest.raises(ArithmeticError):
+        exact_quotient(Fraction(1, 2), 1, "a half")
     # arguments are formatted only on failure, an int past 13,000 bits as its size
     message = "^count of \\(1,\\) plus the 2-wide rectangle of height an integer of 14,001 bits "
     with pytest.raises(ArithmeticError, match=message):
