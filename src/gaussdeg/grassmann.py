@@ -20,15 +20,26 @@ Past `partitions.DECIMAL_BITS` the sweep carries its count in base 10, as
 from collections.abc import Iterator
 from math import gcd, perm
 
-from .partitions import Count, Record, as_count, count_multiply, exact_quotient, message, syt_count
+from .partitions import (
+    Count,
+    Record,
+    _integers,
+    as_count,
+    count_multiply,
+    exact_quotient,
+    message,
+    syt_count,
+)
 
 
 class GrassmannShape(Record):
-    """Grassmannian of rank-`d` quotients of a rank-`r` space."""
+    """Grassmannian of rank-`d` quotients of a rank-`r` space; d and r read by `_integers`."""
 
     _fields = ("d", "r")
 
     def __init__(self, d: int, r: int):
+        if type(d) is not int or type(r) is not int:
+            d, r = _integers("'d' and 'r'", d, r)
         if not 0 <= d <= r:
             raise ValueError(message("need 0 <= d <= r, got d=%s, r=%s", d, r))
         self._set(d=d, r=r)

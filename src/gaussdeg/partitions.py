@@ -4,9 +4,10 @@ Partitions are plain tuples of weakly decreasing non-negative integers.
 The canonical form carries no trailing zeros; formulas that index parts up
 to a declared length work against the zero-padded view returned by `pad`.
 All arithmetic is exact.  Every other module imports this one, so it also
-holds the one store of values the process keeps, `KEPT`, and the kinds a
-long count takes, `Count`: an int or, past `DECIMAL_BITS` (`as_count`, the
-one rule), an integral `decimal.Decimal` under `EXACT`.  Multiplying and
+holds the one store of values the process keeps, `KEPT` (the tableau counts
+below PRIME_POWER_CELLS cells among them), and the kinds a long count
+takes, `Count`: an int or, past `DECIMAL_BITS` (`as_count`, the one rule),
+an integral `decimal.Decimal` under `EXACT`.  Multiplying and
 exactly dividing by short integers costs O(digits) in either base, and only
 base 10 prints in O(digits): CPython's `str()` of an int is quadratic and
 refused past 4,300 digits.  This is the one module that imports `decimal`;
@@ -30,7 +31,6 @@ from decimal import (
     Overflow,
     Rounded,
 )
-from functools import lru_cache
 from itertools import accumulate, compress, count, groupby, islice, repeat
 from math import factorial, inf, isqrt, lgamma, log, log1p, perm, pi, prod
 from operator import index, lt
@@ -40,11 +40,6 @@ Partition = tuple[int, ...]
 
 DEFAULT_BRUTE_CAP = 12
 MAX_PARTITIONS = 10**6  # terms of a partition sum; p(61) is the first count past it
-# canonical shapes of two rows and two columns or more, and of fewer than
-# PRIME_POWER_CELLS cells, whose tableau counts `syt_count` keeps for the
-# life of the process; a seeded `small_mixed` benchmark run asks for about
-# 870 distinct ones
-HOOK_CACHE_SIZE = 4096
 # The switch between the hooks multiplied block by block with one division
 # and the prime powers, with the primes read from the kept list (best of 9,
 # CPython 3.11, shared 2-core x86-64).  On rectangles of 3 to 28 rows the two
@@ -54,7 +49,7 @@ HOOK_CACHE_SIZE = 4096
 # near 600 cells and staircases below it, but (2, 1^k) crosses between 800
 # and 1,000 and the hook (k, 1^k) between 1,500 and 2,000: at 800 cells the
 # hook divides in 75 us and takes 178 us as prime powers.  So the switch
-# stays at 800, below which counts are also kept (`_kept_count`).
+# stays at 800, below which counts are also kept in `KEPT`.
 PRIME_POWER_CELLS = 800
 # Blocks of hooks with a side of at most this many cells are summed along
 # that side, an lgamma pair a step; any other block is priced by Barnes G
@@ -110,6 +105,16 @@ def canonical(parts) -> Partition:
     if any(map(lt, lam, lam[1:])):
         raise ValueError(message("parts not weakly decreasing: %s", lam))
     return _strip_zeros(lam)
+
+
+def _integers(names: str, *values) -> tuple[int, ...]:
+    """`values` read by `operator.index`, none a bool, or ValueError "<names> must be integers"."""
+    if bool not in map(type, values):
+        try:
+            return tuple(map(index, values))
+        except TypeError:
+            pass
+    raise ValueError(f"{names} must be integers")
 
 
 def _strip_zeros(lam: Partition) -> Partition:
@@ -446,17 +451,23 @@ def syt_count(lam: Partition) -> int:
 
     The hook length formula (Frame-Robinson-Thrall), f = |lam|! over the
     product of the hooks, read off the blocks of `_hook_blocks`.  One row
-    or one column counts 1 at once.  One switch picks kernel and cache:
-    below PRIME_POWER_CELLS cells the count is `_count_by_division`, read
-    through `_kept_count`, the cache of the HOOK_CACHE_SIZE shapes used most
-    recently, so the cache holds no count past 799!, 1,974 digits.  From
-    there on it is `_count_by_prime_powers`, formed on every call and never
-    kept.  A count that is not integral raises ArithmeticError.
+    or one column counts 1 at once.  One switch picks kernel and keeping:
+    below PRIME_POWER_CELLS cells the count is `_count_by_division`, kept in
+    `KEPT` under ("count", lam) and charged as an integer plus 8 bytes a
+    part (its slot in the key), so the store holds no count past 799!,
+    1,974 digits.  From there on it is `_count_by_prime_powers`, formed on
+    every call and never kept.  A count that is not integral raises
+    ArithmeticError.
     """
     if len(lam) <= 1 or lam[0] == 1:
         return 1
     if weight(lam) < PRIME_POWER_CELLS:
-        return _kept_count(lam)
+        key = "count", lam
+        count = KEPT.get(key)
+        if count is None:
+            count = _count_by_division(lam)
+            KEPT.keep(key, count, charge((count,)) + 8 * len(lam))
+        return count
     return _count_by_prime_powers(lam)
 
 
@@ -477,9 +488,6 @@ def _count_by_division(lam: Partition) -> int:
             else:
                 hooks *= prod(map(perm, range(first, first + short), repeat(long)))
     return exact_quotient(factorial(weight(lam)), hooks, "tableau count for %s", lam)
-
-
-_kept_count = lru_cache(maxsize=HOOK_CACHE_SIZE)(_count_by_division)
 
 
 def _count_by_prime_powers(lam: Partition) -> int:

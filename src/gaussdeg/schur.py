@@ -22,7 +22,7 @@ from .partitions import (
     Count,
     Partition,
     Record,
-    _kept_count,
+    _integers,
     _strip_zeros,
     canonical,
     charge,
@@ -292,16 +292,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integers(names: str, *values) -> tuple[int, ...]:
-    """`values` read by `operator.index`, none a bool, or ValueError "<names> must be integers"."""
-    if bool not in map(type, values):
-        try:
-            return tuple(map(index, values))
-        except TypeError:
-            pass
-    raise ValueError(f"{names} must be integers")
-
-
 class NotGenericallyFiniteError(Exception):
     """Raised when a table-driven degree comes out non-positive.
 
@@ -434,17 +424,3 @@ def veronese_integral_table(v: VeroneseVariety, schur_value=None) -> SegreIntegr
 
 
 KEPT_TABLE_N = 13  # `VeroneseVariety.kept`: a kept table has at most p(13) = 101 terms
-
-
-def cache_clear() -> None:
-    """Empty what the process keeps: `partitions.KEPT` and the small tableau counts.
-
-    `KEPT` holds the Veronese tables with their plans, the swept records,
-    the alternate weights and the primes; the counts below
-    `partitions.PRIME_POWER_CELLS` cells stay on their `lru_cache`.  A
-    library caller who replaces a formula behind them (the closed form, the
-    tableau kernel, a term of the plan, the sweep's step, a row's bounds)
-    calls this first, so that no value made before reaches a later call.
-    """
-    KEPT.clear()
-    _kept_count.cache_clear()

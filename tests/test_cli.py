@@ -27,7 +27,7 @@ import gaussdeg.partitions
 import gaussdeg.schur
 from gaussdeg.cli import main, parse_partition, parse_range, read_canonical
 from gaussdeg.degrees import bounds, degree_main
-from gaussdeg.partitions import Numeral
+from gaussdeg.partitions import KEPT, Numeral
 from gaussdeg.schur import VeroneseVariety, veronese_integral_table
 from test_exit_codes import ARGV as EXIT_CODE_ARGV
 from test_golden_cli import golden_commands
@@ -703,17 +703,17 @@ def test_each_row_computes_the_grassmannian_once(capsys, monkeypatch, command):
 )
 def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
     # the Grassmannian rectangle, 3 x 279 = 837 cells here (a degree of 402
-    # digits), goes to the tableau kernel past the hook cache, and the
-    # sweep steps its rectangles; the cache sees only the partitions of n
+    # digits), goes to the prime-power kernel past the kept counts, and the
+    # sweep steps its rectangles; the division sees only the partitions of n
     # in the weighted sum (of n = 3, only (2, 1) has two rows and columns)
     weights = []
-    original = gaussdeg.partitions._kept_count
+    original = gaussdeg.partitions._count_by_division
 
     def counted(lam):
         weights.append(sum(lam))
         return original(lam)
 
-    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", counted)
+    monkeypatch.setattr(gaussdeg.partitions, "_count_by_division", counted)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and weights and max(weights) <= n
 
@@ -721,22 +721,25 @@ def test_hook_counts_only_shapes_of_weight_n(capsys, monkeypatch, argv, n):
 def test_hook_cache_keeps_no_count_past_the_prime_power_switch(capsys, monkeypatch):
     # a two-row shape of 2,000,001 cells and a ladder cell whose 3 x 279
     # rectangle has 837 cells are counted afresh; only shapes below the
-    # switch reach the cache, and everything it holds came from them
+    # switch are divided and kept, and every count kept came from them
     reached = []
-    cache = gaussdeg.partitions._kept_count
+    divide = gaussdeg.partitions._count_by_division
 
     def recorded(lam):
         reached.append(lam)
-        return cache(lam)
+        return divide(lam)
 
-    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", recorded)
+    def kept_counts():
+        return [key[1] for key in KEPT._entries if key[0] == "count"]
+
+    monkeypatch.setattr(gaussdeg.partitions, "_count_by_division", recorded)
     code, out, _ = run_cli(capsys, "syt", "--shape", "2000000,1")
     assert code == 0 and json.loads(out)["hook"] == "2000000"
-    assert reached == [] and cache.cache_info().currsize == 0
+    assert reached == [] and kept_counts() == []
     code, _, _ = run_cli(capsys, "degree", "--n", "3", "--d", "10", "--m", "6")
     assert code == 0
     assert reached and max(map(sum, reached)) < gaussdeg.partitions.PRIME_POWER_CELLS
-    assert cache.cache_info().currsize == len(set(reached))
+    assert sorted(kept_counts()) == sorted(reached)
 
 
 @pytest.mark.parametrize(
@@ -1604,8 +1607,9 @@ TRAFFIC_ARGVS = (
 
 def test_a_repeated_argv_list_makes_each_kept_value_once(capsys, monkeypatch):
     # run twice in one process, the list builds its six tables, makes its
-    # five sweeps, builds one set of weights and sieves once, all on the
-    # first pass; the second prints the same bytes from what the first kept
+    # five sweeps, builds one set of weights, sieves once and divides seven
+    # tableau counts, all on the first pass; the second prints the same
+    # bytes from what the first kept
     made = []
 
     def counted(module, name):
@@ -1621,6 +1625,7 @@ def test_a_repeated_argv_list_makes_each_kept_value_once(capsys, monkeypatch):
     counted(gaussdeg.degrees, "_sweep_cells")
     counted(gaussdeg.degrees, "_alternate_weights")
     counted(gaussdeg.partitions, "_sieve")
+    counted(gaussdeg.partitions, "_count_by_division")
     passes = []
     for _ in range(2):
         made.clear()
@@ -1629,6 +1634,7 @@ def test_a_repeated_argv_list_makes_each_kept_value_once(capsys, monkeypatch):
         passes.append(({name: made.count(name) for name in set(made)}, outputs))
     (first, printed), (second, again) = passes
     assert first == {
-        "veronese_integral_table": 6, "_sweep_cells": 5, "_alternate_weights": 1, "_sieve": 1
+        "veronese_integral_table": 6, "_sweep_cells": 5, "_alternate_weights": 1, "_sieve": 1,
+        "_count_by_division": 7,
     }
     assert second == {} and again == printed

@@ -52,6 +52,7 @@ from gaussdeg.degrees import (
 from gaussdeg.grassmann import GrassmannShape, grassmann_degree
 from gaussdeg.partitions import (
     KEPT,
+    _count_by_prime_powers,
     add_rectangle,
     enumerate_partitions,
     exact_quotient,
@@ -139,37 +140,43 @@ def test_alternate_agrees_with_main(n, d):
 
 def test_alternate_agrees_with_main_above_the_kept_weights():
     # n = 14 > KEPT_TABLE_N: the partition weights are built per call, for
-    # the shapes of at most m - n rows only
+    # the shapes of at most m - n rows only; the tableau counts they read
+    # are kept, each the prime-power kernel's count of its shape
     assert gaussdeg.schur.KEPT_TABLE_N < 14
     v = VeroneseVariety(14, 2)
     for m in range(14, 18):
         assert degree_alternate(v, m).deg_xm == degree_main(v, m).deg_xm
-    assert KEPT.get(("weights", 14)) is None and not KEPT._entries
+    assert KEPT.get(("weights", 14)) is None
+    assert [key for key in KEPT._entries if key[0] != "count"] == []
+    counts = [(key[1], value) for key, (value, _) in KEPT._entries.items()]
+    assert counts and all(_count_by_prime_powers(lam) == value for lam, value in counts)
 
 
 def test_cache_clear_lets_a_patched_hook_reach_the_alternate_sum(monkeypatch):
-    # the weights of n = 4 are kept once made; after cache_clear a replaced
-    # tableau kernel makes them again.  The kernel sees the shapes of two
-    # rows and two columns or more: the shifted shapes, of more than n
-    # cells, on every call, and the weights' partitions once they are remade
+    # the weights of n = 4 and every tableau count are kept once made; after
+    # KEPT.clear() a replaced tableau kernel makes them again.  The kernel
+    # sees the shapes of two rows and two columns or more: the shifted
+    # shapes, of more than n cells, and the weights' partitions
     v = VeroneseVariety(4, 2)
     want = degree_alternate(v, 6).deg_xm
     seen = []
-    count = gaussdeg.partitions._kept_count
+    count = gaussdeg.partitions._count_by_division
 
     def counted(lam):
         seen.append(lam)
         return count(lam)
 
-    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", counted)
+    monkeypatch.setattr(gaussdeg.partitions, "_count_by_division", counted)
     assert degree_alternate(v, 6).deg_xm == want
-    shifted = seen[:]
-    assert shifted and min(map(sum, shifted)) > 4
-    seen.clear()
-    gaussdeg.schur.cache_clear()
+    assert seen == []
+    KEPT.clear()
     assert degree_alternate(v, 6).deg_xm == want
     remade = [(2, 1), (3, 1), (2, 2), (2, 1, 1)]  # the partitions of 0..4 past one row or column
-    assert sorted(seen) == sorted(shifted + remade)
+    shifted = [lam for lam in seen if sum(lam) > 4]
+    assert shifted and sorted(seen) == sorted(shifted + remade) and len(set(seen)) == len(seen)
+    seen.clear()
+    assert degree_alternate(v, 6).deg_xm == want
+    assert seen == []
 
 
 def test_alternate_refuses_its_factorial_past_the_digit_limit():
@@ -1230,7 +1237,7 @@ def test_a_sweep_past_the_digit_budget_is_made_whole_and_never_kept(monkeypatch)
     v = VeroneseVariety(2, 12)
     kept = list(table_rows(v))
     assert KEPT._entries["sweep", 2, 12][1] > 10_000
-    gaussdeg.schur.cache_clear()
+    KEPT.clear()
     monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", 10_000)
     made = _sweeps_made(monkeypatch)
     assert list(table_rows(v)) == kept
@@ -1244,7 +1251,7 @@ def test_cache_clear_empties_the_kept_sweeps(monkeypatch):
         rows = list(conjecture_scan((1, 2), (3,)))
     assert made == [(1, 3), (2, 9)]
     assert [key for key in KEPT._entries if key[0] == "sweep"] == [("sweep", 1, 3), ("sweep", 2, 3)]
-    gaussdeg.schur.cache_clear()
+    KEPT.clear()
     assert not KEPT._entries and KEPT.total == 0
     assert list(conjecture_scan((1, 2), (3,))) == rows and len(made) == 4
 
@@ -1260,7 +1267,7 @@ def test_kept_sweeps_from_threads_stay_whole(monkeypatch):
         d: (list(table_rows(VeroneseVariety(1, d))), list(conjecture_scan((1,), (d,))))
         for d in degrees
     }
-    gaussdeg.schur.cache_clear()
+    KEPT.clear()
     errors = []
 
     def ask(seed):
@@ -1268,7 +1275,7 @@ def test_kept_sweeps_from_threads_stay_whole(monkeypatch):
             for i in range(300):
                 d = degrees[(seed * 7 + i * 11) % len(degrees)]
                 if i % 50 == seed:
-                    gaussdeg.schur.cache_clear()
+                    KEPT.clear()
                 if i % 2:
                     rows = list(conjecture_scan((1,), (d,)))
                 else:

@@ -49,6 +49,27 @@ def test_shape_validation():
     GrassmannShape(0, 0)
 
 
+@pytest.mark.parametrize(
+    ("d", "r"),
+    [(1.5, 3), (Fraction(3, 2), 3), (1, 3.0), (True, 2), ("1", 3)],
+    ids=["float", "Fraction", "float-r", "bool", "str"],
+)
+def test_shape_coerces_no_integer(d, r):
+    # G(1.5, 3) would have dim 2.25, G(True, 2) would be read as G(1, 2)
+    with pytest.raises(ValueError, match="^'d' and 'r' must be integers$"):
+        GrassmannShape(d, r)
+
+
+def test_shape_reads_an_index_as_an_int():
+    class Index:
+        def __index__(self):
+            return 2
+
+    shape = GrassmannShape(Index(), 5)
+    assert type(shape.d) is int and shape == GrassmannShape(2, 5)
+    assert grassmann_dim(shape) == 6 and grassmann_degree(shape) == 5
+
+
 def test_dim_known():
     assert grassmann_dim(GrassmannShape(1, 3)) == 2
     assert grassmann_dim(GrassmannShape(2, 4)) == 4

@@ -7,7 +7,8 @@ that order, at the top or inside a function, and none at or after it;
 bottom, is the one module that imports `decimal`: it holds the kinds a
 long count takes.  Beyond itself the package imports the standard
 library alone, and the tests add pytest and hypothesis, the `test` extra
-of pyproject.toml.
+of pyproject.toml.  No module keeps values in a `functools` cache: the
+one store is `partitions.KEPT`.
 """
 
 import ast
@@ -19,13 +20,18 @@ PACKAGE = TESTS.parent / "src" / "gaussdeg"
 ORDER = ("partitions", "grassmann", "schur", "cost", "degrees", "verify", "cli", "__init__")
 
 
+def _nodes(path: Path):
+    """Every node of the file's syntax tree."""
+    return ast.walk(ast.parse(path.read_text(), str(path)))
+
+
 def _imports(path: Path) -> list[tuple[int, int, str]]:
     """(line, level, top-level module) for each import of the file, at any depth.
 
     Level 0 is an absolute import.
     """
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Import):
             found += [(node.lineno, 0, alias.name.split(".")[0]) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -55,6 +61,26 @@ def test_partitions_is_the_one_module_that_imports_decimal():
         if (0, "decimal") in {(level, module) for _, level, module in _imports(path)}
     ]
     assert importers == ["partitions"], "a count's kinds and EXACT live in partitions"
+
+
+def test_no_module_keeps_values_outside_the_one_store():
+    # `partitions.KEPT` holds every value kept across calls, under one byte
+    # budget and one clear; a per-instance `cached_property` goes with its
+    # instance and stays allowed
+    caches = {"cache", "lru_cache"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _nodes(path)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "functools"
+        and caches & {alias.name for alias in node.names}
+        or isinstance(node, ast.Attribute)
+        and node.attr in caches
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    ]
+    assert found == [], "keep values in partitions.KEPT, not in a functools cache"
 
 
 def test_the_package_imports_only_the_standard_library():

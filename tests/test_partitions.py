@@ -19,18 +19,18 @@ from hypothesis import strategies as st
 
 import gaussdeg.partitions
 from gaussdeg.partitions import (
-    HOOK_CACHE_SIZE,
     MAX_PARTITION_N,
     KEPT,
     MAX_PARTITIONS,
     PRIME_POWER_CELLS,
+    Partition,
+    _INTEGER_BYTES,
     _PRIME_BYTES,
     _bottom_runs,
     _count_by_division,
     _count_by_prime_powers,
     _hook_blocks,
     _hook_mults,
-    _kept_count,
     _primes,
     _young_layers,
     add_rectangle,
@@ -48,7 +48,6 @@ from gaussdeg.partitions import (
     syt_count_hook,
     weight,
 )
-from gaussdeg.schur import cache_clear
 
 # p(0)..p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -339,20 +338,40 @@ def test_syt_hook_reads_shapes_in_any_form():
 
 
 def test_syt_hook_rejects_an_invalid_shape_on_every_call():
-    # the shape is checked before the cache is consulted
+    # the shape is checked before the store is read
     for _ in range(3):
         with pytest.raises(ValueError, match="weakly decreasing"):
             syt_count_hook((1, 2))
 
 
-def test_syt_hook_cache_is_bounded():
-    maxsize = _kept_count.cache_info().maxsize
-    assert maxsize is not None and maxsize == HOOK_CACHE_SIZE
+def _kept_counts() -> list[Partition]:
+    """The shapes whose tableau counts `KEPT` holds, least recently used first."""
+    return [key[1] for key in KEPT._entries if key[0] == "count"]
+
+
+def test_syt_hook_cache_is_bounded(monkeypatch):
+    # the counts share the store's one byte budget: each is charged its bits
+    # / 8, plus _INTEGER_BYTES, plus 8 bytes a part, and under 2,000 bytes
+    # the 75 shapes of 12 cells past one row or column keep only the last
+    # counted, a count read again becoming the most recently used
+    budget = 2_000
+    monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", budget)
+    shapes = [lam for lam in enumerate_partitions(12, 12) if len(lam) > 1 and lam[0] > 1]
+    assert [syt_count(lam) for lam in shapes] == list(map(syt_count_bruteforce, shapes))
+    kept = _kept_counts()
+    assert 0 < len(kept) < len(shapes) and kept == shapes[len(shapes) - len(kept) :]
+    for lam in kept:
+        count, charge = KEPT._entries["count", lam]
+        assert count == _count_by_division(lam)
+        assert charge == count.bit_length() // 8 + _INTEGER_BYTES + 8 * len(lam)
+    assert KEPT.total == sum(charge for _, charge in KEPT._entries.values()) <= budget
+    syt_count(kept[0])
+    assert _kept_counts() == kept[1:] + kept[:1]
 
 
 def test_one_switch_picks_kernel_and_cache(monkeypatch):
     # 799 cells are divided and kept, 800 are formed as prime powers and
-    # never kept; one row or one column counts 1 before any cache
+    # never kept; one row or one column counts 1 before the store is read
     formed = []
 
     def recorded(lam):
@@ -361,13 +380,13 @@ def test_one_switch_picks_kernel_and_cache(monkeypatch):
 
     monkeypatch.setattr(gaussdeg.partitions, "_count_by_prime_powers", recorded)
     assert syt_count((400, 399)) == comb(799, 399) * 2 // 401
-    assert formed == [] and _kept_count.cache_info().currsize == 1
+    assert formed == [] and _kept_counts() == [(400, 399)]
     assert syt_count((400, 400)) == comb(800, 400) // 401
-    assert formed == [(400, 400)] and _kept_count.cache_info().currsize == 1
+    assert formed == [(400, 400)] and _kept_counts() == [(400, 399)]
     start = time.process_time()
     assert syt_count((10**6,)) == syt_count((1,) * 5000) == 1
     assert time.process_time() - start < 0.1
-    assert formed == [(400, 400)] and _kept_count.cache_info().currsize == 1
+    assert formed == [(400, 400)] and _kept_counts() == [(400, 399)]
 
 
 @given(lam=partitions(), extra=st.integers(min_value=0, max_value=5))
@@ -520,11 +539,11 @@ def test_primes_equal_a_fresh_sieve_however_they_are_asked(monkeypatch):
     sizes |= {2**k + step for k in range(2, 17) for step in (-1, 0, 1)}
     upto = {n: expected[: bisect_right(expected, n)] for n in sizes}
     for order in (sorted(sizes), sorted(sizes, reverse=True)):
-        cache_clear()
+        KEPT.clear()
         for n in order:
             assert _primes(n) == upto[n], n
             assert _kept_within_cap(cap), n
-    cache_clear()
+    KEPT.clear()
     assert _primes(cap + 1) == upto[cap + 1]
     assert KEPT.get(("primes",)) is None
     # a caller's list is its own: changing it leaves the kept list as it was
@@ -543,7 +562,7 @@ def test_primes_grown_and_cleared_from_threads_stay_whole():
             for i in range(300):
                 n = (seed * 7919 + i * 104_729) % 2**14
                 if i % 50 == seed:
-                    cache_clear()
+                    KEPT.clear()
                 asked = _primes(n)
                 if asked != expected[: bisect_right(expected, n)]:
                     errors.append(n)
@@ -578,7 +597,7 @@ def test_prime_powers_from_the_kept_list_are_the_division():
     # grows a power of two at a time
     assert all(800 <= weight(shape) <= 6_000 for shape in PRIME_POWER_RECTANGLES)
     for order in (True, False):
-        cache_clear()
+        KEPT.clear()
         for shape in sorted(PRIME_POWER_RECTANGLES, key=weight, reverse=order):
             assert _count_by_prime_powers(shape) == _count_by_division(shape), shape
 

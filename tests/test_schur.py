@@ -249,13 +249,18 @@ def test_veronese_tables_are_kept_within_their_bound(monkeypatch):
     over = VeroneseVariety(KEPT_TABLE_N + 1, 2)
     assert over.integral_table is not VeroneseVariety(KEPT_TABLE_N + 1, 2).integral_table
     assert KEPT.get(("table", KEPT_TABLE_N + 1, 2)) is None
-    gaussdeg.schur.cache_clear()
+    KEPT.clear()
     monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", largest - 1)
     first = VeroneseVariety(2, 3).integral_table
     table = VeroneseVariety(KEPT_TABLE_N, 2**64 - 1).integral_table
     again = VeroneseVariety(KEPT_TABLE_N, 2**64 - 1).integral_table
     assert again == table and again is not table
-    assert list(KEPT._entries) == [("table", 2, 3)] and KEPT.get(("table", 2, 3)) is first
+    assert [key for key in KEPT._entries if key[0] != "count"] == [("table", 2, 3)]
+    assert KEPT.get(("table", 2, 3)) is first
+    # the unkept table's plan still kept the tableau counts it read, each of
+    # the partitions of 13 past one row or column
+    counted = {lam for lam in enumerate_partitions(13, 13) if len(lam) > 1 and lam[0] > 1}
+    assert {key[1] for key in KEPT._entries if key[0] == "count"} == counted
 
 
 def test_a_kept_table_cannot_be_changed():

@@ -166,15 +166,15 @@ BROKEN = "tableau count for (2, 1) did not come out integral"
 
 @pytest.fixture
 def broken_count(monkeypatch):
-    """The cached tableau count raises ArithmeticError on (2, 1), as a broken kernel would."""
-    count = gaussdeg.partitions._kept_count
+    """The divided tableau count raises ArithmeticError on (2, 1), as a broken kernel would."""
+    count = gaussdeg.partitions._count_by_division
 
     def broken(lam):
         if lam == (2, 1):
             raise ArithmeticError(BROKEN)
         return count(lam)
 
-    monkeypatch.setattr(gaussdeg.partitions, "_kept_count", broken)
+    monkeypatch.setattr(gaussdeg.partitions, "_count_by_division", broken)
 
 
 def _verify(capsys, suite):
