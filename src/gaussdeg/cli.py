@@ -1,17 +1,21 @@
 """Command-line interface: thin wrappers over the library.
 
 Each subcommand parses arguments, calls library functions, and prints the
-structured result, `table` and `conjecture` the rows the library writes;
-no numeric logic lives here, and no digit arithmetic: each command's cost
-guard is one call into `cost`.  Output is deterministic:
-JSON with big integers and rationals rendered as decimal strings ("p/q"
-for non-integral rationals), or the same fields as CSV or an aligned text
-table.  The JSON is `json.dumps(doc, indent=2)`'s text and the CSV
-`csv.writer`'s, byte for byte, each written by one writer here
-(`_json_text`, `_csv_text`, `_table_text`) that copies a number's decimal
-text as it is, where json's indenting encoder would escape it and csv
-would scan it character by character.  Integer options, and the numbers
-of a shape or a range, are ASCII `-?[0-9]+` (`integer`).
+structured result, `table`, `conjecture` and `verify` the row tuples the
+library writes under one header per command; no numeric logic lives here,
+and no digit arithmetic: each command's cost guard is one call into
+`cost`.  Output is deterministic: JSON with big integers and rationals
+rendered as decimal strings ("p/q" for non-integral rationals), or the
+same fields as CSV or an aligned text table.  The JSON is
+`json.dumps(doc, indent=2)`'s text and the CSV `csv.writer`'s, byte for
+byte, each written by one writer here (`_json_text`, `_csv_text`,
+`_table_text`).  A writer takes a header and its rows and works a column
+at a time: a column of one kind is made text in one C-level pass, and a
+number's decimal text is copied as it is, where json's indenting encoder
+would escape it and csv would scan it character by character; JSON makes
+the text around its values once for all rows and copies each number
+once, by the one join that makes the output.  Integer options, and the
+numbers of a shape or a range, are ASCII `-?[0-9]+` (`integer`).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 input schema, 3 non-positive table-driven total (no degree exists), 4 an
@@ -40,12 +44,15 @@ import os
 import re
 import sys
 from collections.abc import Callable
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .cost import guard_grassmann, guard_reference, guard_scan, guard_syt
 from .degrees import (
+    CONJECTURE_COLUMNS,
     METHODS,
+    TABLE_COLUMNS,
     NotGenericallyFiniteError,
     conjecture_scan,
     degree_generic,
@@ -71,6 +78,7 @@ FORMATS = ("json", "csv", "table")
 # with every control character, a superset over CPython 3.11 to 3.13
 _CSV_QUOTED = re.compile(r'[,"\x00-\x1f\x7f]')
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_TEXT_CONSTANTS = {None: "", True: "true", False: "false"}
 
 
 def effective_brute_cap() -> int:
@@ -108,140 +116,202 @@ def parse_partition(text: str):
     return canonical(integer(piece) for piece in items)
 
 
-def _cell(value) -> str:
-    """The text of one csv or table cell; a string, a `Numeral` included, is its own."""
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return " ".join(str(item) for item in value)
-    return str(value)
+class Rows:
+    """Row tuples under one header: JSON writes them as a list of objects, one a row."""
+
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header: tuple, rows: list):
+        self.header, self.rows = header, rows
 
 
-def _csv_text(lines: list) -> str:
-    """`csv.writer(lineterminator="\\n")`'s text of `lines`, less its last newlines.
+# A csv or table cell's text by its kind, and a value's JSON by its kind: any
+# other kind's text is its str(), and its JSON the recursive writer's.  A
+# string, a `Numeral` included, is its own text; a `Numeral`'s JSON is it,
+# quoted.
+_TEXT = {
+    type(None): _TEXT_CONSTANTS.__getitem__,
+    bool: _TEXT_CONSTANTS.__getitem__,
+    int: int.__repr__,
+    list: lambda items: " ".join(map(str, items)),
+}
+_TEXT_KINDS = frozenset((str, Numeral))
+_JSON = {
+    type(None): _JSON_CONSTANTS.__getitem__,
+    bool: _JSON_CONSTANTS.__getitem__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _text_column(column: tuple):
+    """The csv or table text of `column`'s cells: one kind in one C-level pass, mixed one by one."""
+    kinds = set(map(type, column))
+    if kinds <= _TEXT_KINDS:
+        return column
+    if len(kinds) == 1:
+        return list(map(_TEXT.get(kinds.pop(), str), column))
+    return [_TEXT.get(type(cell), str)(cell) for cell in column]
+
+
+def _csv_text(header: tuple, columns: list) -> str:
+    """`csv.writer(lineterminator="\\n")`'s text of `header` over `columns`, less its last newline.
 
     The writer quotes a cell that holds its delimiter, its quote or a line
     break, and the lone empty cell of a line; it scans every character to
-    find them, the digits of a long number included.  A line of two or more
-    cells none of which, but for its `Numeral`s, holds a comma, a quote or
-    a control character is written as the writer writes it, its cells
-    joined by commas; any other line goes through the writer itself, and
-    only such a line imports `csv`.
+    find them, the digits of a long number included.  Here the header and
+    every column not of `Numeral`s alone are scanned at once for a comma, a
+    quote or a control character.  Each line is its cells joined by commas
+    unless it has one cell, or, if the scan finds one, a cell not a
+    `Numeral` that holds one: such a line is the writer's own, and only
+    such a line imports `csv`.
     """
-    writer, out = None, []
-    for cells in lines:
-        plain = "".join([cell for cell in cells if type(cell) is not Numeral])
-        if len(cells) > 1 and not _CSV_QUOTED.search(plain):
-            out.append(",".join(cells))
-            continue
-        if writer is None:
-            import csv
+    rows = [header, *zip(*columns)]
+    lines = list(map(",".join, rows))
+    if len(header) == 1:
+        quoted = range(len(rows))
+    else:
+        scanned = [
+            column for column in columns
+            if type(column[0]) is not Numeral or set(map(type, column)) != {Numeral}
+        ]
+        quoted = ()
+        if _CSV_QUOTED.search("".join(chain(header, *scanned))):
+            quoted = [
+                i for i, row in enumerate(rows)
+                if _CSV_QUOTED.search("".join([cell for cell in row if type(cell) is not Numeral]))
+            ]
+    if quoted:
+        import csv
 
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow(cells)
-        out.append(buffer.getvalue()[:-1])
-    return "\n".join(out).rstrip("\n")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        for i in quoted:
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow(rows[i])
+            lines[i] = buffer.getvalue()[:-1]
+    return "\n".join(lines)
 
 
-def _table_text(lines: list) -> str:
-    """`lines` as an aligned text table: each cell left-justified to its column's width."""
-    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
-    return "\n".join(
-        "  ".join([cell.ljust(width) for cell, width in zip(line, widths)]).rstrip()
-        for line in lines
-    )
+def _table_text(header: tuple, columns: list) -> str:
+    """`header` over `columns` aligned: each cell left-justified to its column's widest.
+
+    Two spaces part the columns and each line ends at its last non-blank
+    character, so the last column needs no padding.
+    """
+    *padded, last = [(key, *column) for key, column in zip(header, columns)]
+    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in padded]
+    return "\n".join(map(str.rstrip, map("  ".join, zip(*padded, last))))
 
 
-def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte, for a doc of str keys.
+def _json_text(doc, newline: str = "\n") -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for a doc of str keys nested at `newline`.
 
     With an indent set, CPython runs json's pure-Python encoder, which passes
     every string through `encode_basestring_ascii`: about 4 ns a character,
     the digits of a long number included, and every key of every object
     again.  A `partitions.Numeral` needs no escaping and is copied between
-    quotes as it is; every other string is escaped as json escapes it.  The
-    objects of one list, a command's rows, share the text before each of
-    their values, made once per key tuple.  The text is gathered as one
-    list of chunks and joined once.
+    quotes as it is; every other string is escaped as json escapes it.  A
+    `Rows` is written a column at a time (`_json_rows`).  The text is
+    gathered as one list of chunks and joined once.
     """
     chunks: list[str] = []
-    _json_chunks(doc, "\n", chunks, None)
+    _json_chunks(doc, newline, chunks)
     return "".join(chunks)
 
 
-def _json_chunks(value, newline: str, chunks: list[str], layouts: dict | None) -> None:
-    """Append `value`'s JSON to `chunks`; `newline` starts a line at its depth.
-
-    `layouts` maps the key tuple of an object of the list holding `value`
-    to the text before each of its values, the key included; it is None
-    for a value outside a list, whose text is made each time.
-    """
+def _json_chunks(value, newline: str, chunks: list[str]) -> None:
+    """Append `value`'s JSON to `chunks`; `newline` starts a line at its depth."""
     if isinstance(value, dict) and value:
-        inner, keys = newline + "  ", tuple(value)
-        openings = layouts.get(keys) if layouts is not None else None
-        if openings is None:
-            opening, separator, openings = "{" + inner, "," + inner, []
-            for key in keys:
-                openings.append(opening + encode_basestring_ascii(key) + ": ")
-                opening = separator
-            if layouts is not None:
-                layouts[keys] = openings
-        for opening, item in zip(openings, value.values()):
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            opening += encode_basestring_ascii(key) + ": "
             kind = type(item)
             if kind is Numeral:
                 chunks += (opening, '"', item, '"')
-            elif kind is str:
-                chunks += (opening, encode_basestring_ascii(item))
-            elif kind is int:
-                chunks += (opening, int.__repr__(item))
-            elif kind is bool or item is None:
-                chunks += (opening, _JSON_CONSTANTS[item])
+            elif kind in _JSON:
+                chunks += (opening, _JSON[kind](item))
             else:
                 chunks.append(opening)
-                _json_chunks(item, inner, chunks, None)
+                _json_chunks(item, inner, chunks)
+            opening = "," + inner
         chunks.append(newline + "}")
     elif type(value) is Numeral:
         chunks += ('"', value, '"')
+    elif type(value) in _JSON:
+        chunks.append(_JSON[type(value)](value))
     elif isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        chunks.append(_JSON_CONSTANTS[value])
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
+    elif type(value) is Rows:
+        _json_rows(value, newline, chunks)
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        opening, layouts = "[" + inner, {}
+        opening = "[" + inner
         for item in value:
             chunks.append(opening)
-            _json_chunks(item, inner, chunks, layouts)
+            _json_chunks(item, inner, chunks)
             opening = "," + inner
         chunks.append(newline + "]")
     else:  # an empty container or a float
         chunks.append(json.dumps(value))
 
 
-def _render_rows(rows: list[dict], fmt: str, envelope: dict | None = None) -> str:
-    """JSON of `envelope`, or of `rows`, or `rows` as csv or table lines.
+def _json_rows(table: Rows, newline: str, chunks: list[str]) -> None:
+    """Append the JSON of `table`, a list of objects under its header, to `chunks`.
 
-    A csv or table line holds a row's cells under the first row's keys,
-    each made once by `_cell`, below a line of those keys.
+    Each column is one stream of its values' JSON: of a column of one kind,
+    one C-level pass (`int.__repr__`, the null/false/true map,
+    `encode_basestring_ascii`, or a `Numeral` as it is); of a column of mixed
+    kinds, the recursive writer's cell by cell.  The text between two values
+    of a row, a key with the quotes of the `Numeral`s on either side, is made
+    once for all rows, and the streams are interleaved row by row into
+    `chunks`: each value one chunk, copied only by the final join.
+    """
+    inner, deeper = newline + "  ", newline + "    "
+    streams, quotes = [], []
+    for column in zip(*table.rows):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is Numeral:
+            streams.append(column)
+            quotes.append('"')
+        else:
+            convert = _JSON.get(kind)
+            streams.append(
+                map(convert, column) if convert else [_json_text(cell, deeper) for cell in column]
+            )
+            quotes.append("")
+    keys = [encode_basestring_ascii(key) + ": " for key in table.header]
+    start, end = "{" + deeper + keys[0] + quotes[0], quotes[-1] + inner + "}"
+    interleaved = [chain(("[" + inner + start,), repeat(end + "," + inner + start)), streams[0]]
+    for before, key, quote, stream in zip(quotes, keys[1:], quotes[1:], streams[1:]):
+        interleaved += (repeat(before + "," + deeper + key + quote), stream)
+    chunks += chain.from_iterable(zip(*interleaved))
+    chunks.append(end + newline + "]")
+
+
+def _render_rows(header: tuple, rows: list[tuple], fmt: str, envelope: dict | None = None) -> str:
+    """JSON of `envelope`, or of `rows` under `header`; or csv or table lines of them.
+
+    `rows` holds one tuple or more, each of `header`'s length.  Every writer
+    works a column at a time: a column's cells are made text together
+    (`_text_column`) and its values JSON together (`_json_rows`).
     """
     if fmt == "json":
-        return _json_text(envelope if envelope is not None else rows)
-    headers = tuple(rows[0])
-    lines = [headers, *([_cell(row.get(key)) for key in headers] for row in rows)]
-    return _csv_text(lines) if fmt == "csv" else _table_text(lines)
+        return _json_text(envelope if envelope is not None else Rows(header, rows))
+    if len(rows) == 1:  # a single object: its row made text as one column
+        columns = [(text,) for text in _text_column(rows[0])]
+    else:
+        columns = [_text_column(column) for column in zip(*rows)]
+    return _csv_text(header, columns) if fmt == "csv" else _table_text(header, columns)
 
 
 def _render_object(doc: dict, fmt: str) -> str:
-    return _render_rows([doc], fmt, envelope=doc)
+    return _render_rows(tuple(doc), [tuple(doc.values())], fmt, envelope=doc)
 
 
 def cmd_degree(args) -> int:
@@ -259,13 +329,13 @@ def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     guard_scan((v.n,), (v.d,))
     rows = list(table_rows(v))
-    envelope = {"n": v.n, "d": v.d, "N": v.N, "rows": rows}
-    print(_render_rows(rows, args.format, envelope=envelope))
+    envelope = {"n": v.n, "d": v.d, "N": v.N, "rows": Rows(TABLE_COLUMNS, rows)}
+    print(_render_rows(TABLE_COLUMNS, rows, args.format, envelope))
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .verify import SUITE_NAMES, run_suite  # the one command that needs the suites
+    from .verify import SUITE_COLUMNS, SUITE_NAMES, run_suite  # the one command that needs them
 
     names = [args.suite] if args.suite else list(SUITE_NAMES)
     options = {"identity": {"max_n": args.max_n}}
@@ -279,17 +349,10 @@ def cmd_verify(args) -> int:
             for failure in result.failures:
                 print(f"  FAIL {failure}")
     else:
-        rows = [
-            {
-                "suite": result.name,
-                "passed": result.passed,
-                "failed": result.failed,
-                "failures": result.failures,
-            }
-            for result in results
-        ]
-        flat = [{**row, "failures": "; ".join(row["failures"])} for row in rows]
-        print(_render_rows(flat, args.format, envelope={"suites": rows, "ok": ok}))
+        rows = [(result.name, result.passed, result.failed, result.failures) for result in results]
+        flat = [(*row[:-1], "; ".join(row[-1])) for row in rows]
+        envelope = {"suites": Rows(SUITE_COLUMNS, rows), "ok": ok}
+        print(_render_rows(SUITE_COLUMNS, flat, args.format, envelope))
     return 0 if ok else 1
 
 
@@ -297,8 +360,9 @@ def cmd_conjecture(args) -> int:
     n_values, d_values = parse_range(args.n, "--n"), parse_range(args.d, "--d")
     guard_scan(n_values, d_values)
     rows = list(conjecture_scan(n_values, d_values))
-    violations = sum(not row["within_conjecture"] for row in rows)
-    text = _render_rows(rows, args.format, envelope={"rows": rows, "violations": violations})
+    violations = [row[-1] for row in rows].count(False)  # the last column, within_conjecture
+    envelope = {"rows": Rows(CONJECTURE_COLUMNS, rows), "violations": violations}
+    text = _render_rows(CONJECTURE_COLUMNS, rows, args.format, envelope)
     if args.format == "table":
         text += f"\nviolations: {violations}"
     print(text)

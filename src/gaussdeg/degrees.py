@@ -20,8 +20,10 @@ degree.  A sweep steps only the first half of its Grassmannian counts;
 second half its stepped row's count and split, so that row costs one.  A
 count may be an int or, past the sweep's base-10 switch, a Decimal: this
 module never asks which, and works it by `partitions`' `count_divmod`,
-`count_multiply` and `count_fma`.  A sweep's rows are written as text
-(`table_rows`, `conjecture_scan`); `bounds` makes one cell's record, of ints.
+`count_multiply` and `count_fma`.  A sweep's rows are tuples under one
+header per command, `table_rows`' under `TABLE_COLUMNS` and
+`conjecture_scan`'s under `CONJECTURE_COLUMNS`, their long numbers written
+as text; `bounds` makes one cell's record, of ints.
 
 This module prices nothing: every refusal made before a number is formed,
 the registry's guards and `degree_alternate`'s bound on (dim X_m)!
@@ -71,6 +73,14 @@ from .schur import (
 )
 
 
+# The headers of the rows `table_rows` and `conjecture_scan` yield, in order.
+TABLE_COLUMNS = ("m", "dim", "degree", "ratio", "within_conjecture")
+CONJECTURE_COLUMNS = (
+    "n", "d", "N", "m", "degree", "product", "ratio", "conjecture_upper", "conjecture_value",
+    "within_conjecture",
+)
+
+
 class DegreeReport(Record):
     """Dimension and degree of one tangent-plane variety, with provenance."""
 
@@ -110,8 +120,9 @@ class BoundsReport(Record):
     `ratio` is degree / product and `conjecture_upper` the power bound, each
     a `Fraction`.  `bounds` makes these records and enforces the proved
     sandwich `lower <= ratio <= upper`; the conjectured power bound is only
-    reported.  `to_dict` is the row `conjecture` prints, written by
-    `_conjecture_row` as `conjecture_scan` writes it.
+    reported.  `to_dict` is the row `conjecture` prints under its header,
+    `CONJECTURE_COLUMNS`, written by `_conjecture_row` as `conjecture_scan`
+    writes it.
     """
 
     _fields = ("n", "d", "N", "m", "degree", "product", "ratio", "conjecture_upper")
@@ -146,7 +157,8 @@ class BoundsReport(Record):
     def to_dict(self) -> dict:
         ratio, degree = self.ratio, Numeral(self.degree)
         cell = self.n, self.d, self.N, self.m, degree, self.product
-        return _conjecture_row(*cell, ratio.numerator, ratio.denominator, self.within_conjecture)
+        row = _conjecture_row(*cell, ratio.numerator, ratio.denominator, self.within_conjecture)
+        return dict(zip(CONJECTURE_COLUMNS, row))
 
 
 def _fraction(num: int, den: int = 1) -> "Fraction":
@@ -156,9 +168,11 @@ def _fraction(num: int, den: int = 1) -> "Fraction":
     return Fraction(num, den)
 
 
-def _conjecture_row(n, d, N, m, degree: Numeral, product, num, den, within) -> dict:
+def _conjecture_row(n, d, N, m, degree: Numeral, product, num, den, within) -> tuple:
     """The row `conjecture` prints of one cell, whose ratio is num / den in lowest terms.
 
+    A tuple in the order of `CONJECTURE_COLUMNS`: n, d, N and m as ints,
+    within as a bool, every other field as text, each number's a `Numeral`.
     `degree` comes as its text, made once.  The power bound
     a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
     reduced by gcd(product, b) alone, are written with no `Fraction`.  The
@@ -172,18 +186,18 @@ def _conjecture_row(n, d, N, m, degree: Numeral, product, num, den, within) -> d
     common = gcd(rest, b)
     value = count_fma(quotient, b // common * a, rest // common * a)
     b_value = b // common
-    return {
-        "n": n,
-        "d": d,
-        "N": N,
-        "m": m,
-        "degree": degree,
-        "product": Numeral(product),
-        "ratio": f"{num}/{den}" if den != 1 else str(num),
-        "conjecture_upper": f"{a}/{b}" if b != 1 else str(a),
-        "conjecture_value": Numeral(f"{value}/{b_value}" if b_value != 1 else value),
-        "within_conjecture": within,
-    }
+    return (
+        n,
+        d,
+        N,
+        m,
+        degree,
+        Numeral(product),
+        f"{num}/{den}" if den != 1 else str(num),
+        f"{a}/{b}" if b != 1 else str(a),
+        Numeral(f"{value}/{b_value}" if b_value != 1 else value),
+        within,
+    )
 
 
 def dim_xm(n: int, N: int, m: int) -> int:
@@ -523,24 +537,19 @@ def bounds(v: VeroneseVariety, m: int) -> BoundsReport:
     return BoundsReport(n, v.d, N, m, degree, product, _fraction(num, den), power)
 
 
-def table_rows(v: VeroneseVariety) -> Iterator[dict]:
-    """The rows `table` prints, m = n..N-1: m, dim, degree, ratio, within_conjecture.
+def table_rows(v: VeroneseVariety) -> Iterator[tuple]:
+    """The rows `table` prints, m = n..N-1, each a tuple under `TABLE_COLUMNS`.
 
-    The numbers of `bounds(v, m)` at every m, read off `v`'s swept records
-    (`_swept_records`: one Grassmannian sweep made whole before the first
-    row, or the one the process kept), written as `conjecture_scan` writes
-    them, with no `Fraction` made.  Each row is a new dict, the caller's to
-    change.
+    (m, dim, degree, ratio, within_conjecture): the numbers of `bounds(v, m)`
+    at every m, read off `v`'s swept records (`_swept_records`: one
+    Grassmannian sweep made whole before the first row, or the one the
+    process kept), written as `conjecture_scan` writes them, with no
+    `Fraction` made: the degree is the record's `Numeral` and the ratio
+    "num/den" text.
     """
     n, N = v.n, v.N
     for m, _, _, degree, num, den, within in _swept_records(v):
-        yield {
-            "m": m,
-            "dim": n + (N - m) * (m - n),
-            "degree": degree,
-            "ratio": f"{num}/{den}" if den != 1 else str(num),
-            "within_conjecture": within,
-        }
+        yield m, n + (N - m) * (m - n), degree, f"{num}/{den}" if den != 1 else str(num), within
 
 
 def _swept_records(v: VeroneseVariety) -> tuple:
@@ -627,14 +636,16 @@ def verify_identity(n: int, tableau_count=syt_count) -> tuple[int, int, bool]:
     return lhs, rhs, lhs == rhs
 
 
-def conjecture_scan(n_values, d_values) -> Iterator[dict]:
+def conjecture_scan(n_values, d_values) -> Iterator[tuple]:
     """The rows `conjecture` prints, for every m of every n in `n_values` and d in `d_values`.
 
-    Each row is `bounds(v, m).to_dict()`, written by `_conjecture_row` from
-    each variety's swept records, made whole by one Grassmannian sweep or
-    kept from an earlier one (`_swept_records`).  A variety's rows are
-    yielded once its sweep is made; empty ranges are refused at the call.
-    A violation is a row whose "within_conjecture" is false.
+    Each row is a tuple under `CONJECTURE_COLUMNS`, written by
+    `_conjecture_row` from each variety's swept records, made whole by one
+    Grassmannian sweep or kept from an earlier one (`_swept_records`):
+    `dict(zip(CONJECTURE_COLUMNS, row))` is `bounds(v, m).to_dict()`.  A
+    variety's rows are yielded once its sweep is made; empty ranges are
+    refused at the call.  A violation is a row whose last field,
+    "within_conjecture", is false.
     """
     n_values, d_values = tuple(n_values), tuple(d_values)
     if not n_values or not d_values:
@@ -643,7 +654,7 @@ def conjecture_scan(n_values, d_values) -> Iterator[dict]:
     return chain.from_iterable(map(_conjecture_rows, varieties))
 
 
-def _conjecture_rows(v: VeroneseVariety) -> Iterator[dict]:
+def _conjecture_rows(v: VeroneseVariety) -> Iterator[tuple]:
     """`conjecture_scan`'s rows of `v`, m = n..N-1, read off `v`'s swept records.
 
     The records are `_swept_records(v)`, the ones `table_rows` reads.  Each

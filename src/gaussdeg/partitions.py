@@ -293,8 +293,9 @@ class Store:
     Each value is a pure function of its key, charged in bytes by its maker
     from sizes it already has.  `keep` keeps nothing charged past KEPT_BYTES
     alone, and evicts the least recently used until the total is at most
-    KEPT_BYTES.  One lock guards the map and its total only: a value is made
-    outside it, since making a sweep reads its table through the store.
+    KEPT_BYTES.  One lock guards the changes to the map and its total, and
+    only them: `get` reads with no lock, and a value is made outside it,
+    since making a sweep reads its table through the store.
     """
 
     def __init__(self):
@@ -303,13 +304,20 @@ class Store:
         self.total = 0
 
     def get(self, key: tuple):
-        """The value kept under `key`, now the most recently used, or None."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
+        """The value kept under `key`, now the most recently used, or None.
+
+        A read takes no lock: the map's `get` and `move_to_end` are each one
+        step under the interpreter's lock, and an entry evicted or cleared
+        between the two is still the value of its key.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        try:
             self._entries.move_to_end(key)
-            return entry[0]
+        except KeyError:  # evicted or cleared since it was read
+            pass
+        return entry[0]
 
     def keep(self, key: tuple, value, charge: int) -> None:
         """Keep `value` under `key` as the most recently used, if `charge` fits the budget."""

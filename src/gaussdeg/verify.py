@@ -37,6 +37,10 @@ from .schur import (
 )
 
 
+# The header of `verify`'s rows: (name, passed, failed, failures) of each suite.
+SUITE_COLUMNS = ("suite", "passed", "failed", "failures")
+
+
 class SuiteResult(Record):
     """One suite's counts of passed and failed checks, and each failure's line."""
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from gaussdeg.degrees import (
+    CONJECTURE_COLUMNS,
     binomial_ratio_product,
     boole_degree,
     bounds,
@@ -193,7 +194,9 @@ def test_criterion_10():
 
 @criterion(11, "conjectured power bound scan (reported, not asserted)")
 def test_criterion_11():
-    rows = tuple(conjecture_scan((1, 2, 3), (2, 3, 4)))
+    rows = tuple(
+        dict(zip(CONJECTURE_COLUMNS, row)) for row in conjecture_scan((1, 2, 3), (2, 3, 4))
+    )
     violations = [row for row in rows if not row["within_conjecture"]]
     for row in rows:
         ratio, power = Fraction(row["ratio"]), Fraction(row["conjecture_upper"])

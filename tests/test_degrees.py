@@ -27,6 +27,8 @@ from gaussdeg.cost import (
 )
 from gaussdeg.degrees import (
     METHODS,
+    CONJECTURE_COLUMNS,
+    TABLE_COLUMNS,
     BoundsReport,
     DegreeReport,
     NotGenericallyFiniteError,
@@ -556,7 +558,7 @@ def test_binomial_ratio_product_below_2n():
 
 
 def test_conjecture_scan_small():
-    rows = tuple(conjecture_scan((1, 2), (2, 3)))
+    rows = tuple(dict(zip(CONJECTURE_COLUMNS, row)) for row in conjecture_scan((1, 2), (2, 3)))
     assert len(rows) == 13
     assert all(row["within_conjecture"] for row in rows)
     for row in rows:
@@ -580,7 +582,7 @@ def test_conjecture_scan_rejects_empty_ranges():
 def test_conjecture_scan_yields_its_first_record_first():
     # rows are made as they are read: the n = 61 table, past the
     # partition-count guard, is not built before (1, 2, 1) is returned
-    row = next(iter(conjecture_scan((1, 61), (2,))))
+    row = dict(zip(CONJECTURE_COLUMNS, next(iter(conjecture_scan((1, 61), (2,))))))
     assert (row["n"], row["d"], row["m"]) == (1, 2, 1)
     assert row == bounds(VeroneseVariety(1, 2), 1).to_dict()
 
@@ -629,7 +631,7 @@ def test_dimension_invariant_over_sweep():
 def test_bounds_sweep_is_bounds_at_every_m(n, d):
     # the sweep's rows are the single cells' records written out
     v = VeroneseVariety(n, d)
-    rows = tuple(conjecture_scan((n,), (d,)))
+    rows = tuple(dict(zip(CONJECTURE_COLUMNS, row)) for row in conjecture_scan((n,), (d,)))
     assert rows == tuple(bounds(v, m).to_dict() for m in range(v.n, v.N))
 
 
@@ -838,6 +840,7 @@ def test_the_guard_refuses_exactly_the_unprintable_ladder_cells():
     for n, d in ((1, 200), (2, 20), (3, 10), (4, 5), (6, 3)):
         v = VeroneseVariety(n, d)
         for row in table_rows(v):
+            row = dict(zip(TABLE_COLUMNS, row))
             m = row["m"]
             if len(row["degree"]) > 4300:
                 long_rows.add((n, d, m))
@@ -868,7 +871,7 @@ def test_base10_rows_read_as_exact_ints():
     v = VeroneseVariety(1, 200)
     cells = gaussdeg.degrees._sweep_cells(v.integral_table.plan)
     assert [type(p) for _, p, _ in islice(cells, 4, 6)] == [int, Decimal]
-    rows = list(conjecture_scan((1,), (200,)))
+    rows = [dict(zip(CONJECTURE_COLUMNS, row)) for row in conjecture_scan((1,), (200,))]
     for m in (2, 5, 6, 21, 100, 199):
         row, cell = rows[m - 1], bounds(v, m)
         assert type(cell.degree) is int and type(cell.product) is int
@@ -908,7 +911,7 @@ def test_base10_sweep_leaves_and_ignores_the_callers_context():
         next(sweep)
         assert getcontext() is caller
     with no_digit_limit():
-        assert row == bounds(v, 100).to_dict()
+        assert dict(zip(CONJECTURE_COLUMNS, row)) == bounds(v, 100).to_dict()
 
 
 def test_bounds_ratio_is_the_reduced_degree_over_product():
@@ -916,6 +919,7 @@ def test_bounds_ratio_is_the_reduced_degree_over_product():
     # sides of the base-10 switch
     with no_digit_limit():
         for row in islice(conjecture_scan((3,), (7,)), 0, None, 9):
+            row = dict(zip(CONJECTURE_COLUMNS, row))
             assert row["ratio"] == str(Fraction(int(row["degree"]), int(row["product"])))
 
 
@@ -945,6 +949,7 @@ def test_short_weighted_sum_is_the_term_by_term_total(v):
     # sweep (Decimal rows past the base-10 switch) and the single cell
     g = ordinary_gauss_degree(v)
     for row in conjecture_scan((v.n,), (v.d,)):
+        row = dict(zip(CONJECTURE_COLUMNS, row))
         m = row["m"]
         expected = _reference_degree(v.integral_table, m)
         assert row["degree"] == str(expected) and expected == degree_main(v, m).deg_xm, m
@@ -1085,9 +1090,10 @@ def test_a_sweep_over_any_table_is_degree_generic_row_by_row(make, args):
 def test_table_rows_are_the_bounds_records_written_out(v):
     # `table` writes the fields of the `conjecture` rows, which are the
     # single cells' records written out
-    rows = list(table_rows(v))
+    rows = [dict(zip(TABLE_COLUMNS, row)) for row in table_rows(v)]
     assert len(rows) == v.N - v.n
     for row, scanned in zip(rows, conjecture_scan((v.n,), (v.d,)), strict=True):
+        scanned = dict(zip(CONJECTURE_COLUMNS, scanned))
         assert row == {
             "m": scanned["m"],
             "dim": dim_xm(v.n, v.N, scanned["m"]),
@@ -1125,7 +1131,7 @@ def test_every_mirrored_row_is_degree_main(n, d):
     for k in mirrored:
         assert cells[k][2] is cells[r - k][2]
         assert cells[k][1] == grassmann_degree(GrassmannShape(k, r))
-    rows = list(table_rows(v))
+    rows = [dict(zip(TABLE_COLUMNS, row)) for row in table_rows(v)]
     with no_digit_limit():
         for k in mirrored:
             m = n + k
@@ -1221,13 +1227,17 @@ def _sweeps_made(monkeypatch) -> list:
 
 
 def test_a_table_row_changed_by_its_caller_changes_no_later_call():
+    # a row is a tuple, which no caller can change; the dict a caller makes
+    # of it through the header is the caller's own
     v = VeroneseVariety(2, 5)
-    rows = list(table_rows(v))
+    rows = [dict(zip(TABLE_COLUMNS, row)) for row in table_rows(v)]
     fresh = [dict(row) for row in rows]
     rows[0]["degree"], rows[1]["ratio"] = "0", "1/2"
     del rows[2]["within_conjecture"]
-    assert list(table_rows(v)) == fresh
-    assert list(conjecture_scan((2,), (5,)))[0]["degree"] == fresh[0]["degree"]
+    assert all(type(row) is tuple for row in table_rows(v))
+    assert [dict(zip(TABLE_COLUMNS, row)) for row in table_rows(v)] == fresh
+    scanned = dict(zip(CONJECTURE_COLUMNS, next(conjecture_scan((2,), (5,)))))
+    assert scanned["degree"] == fresh[0]["degree"]
 
 
 def test_a_sweep_past_the_digit_budget_is_made_whole_and_never_kept(monkeypatch):

@@ -166,6 +166,22 @@ def test_kept_values_stay_within_the_budget_least_recent_first(monkeypatch):
     assert {key[0] for key in kept} == {"sweep", "table", "weights", "primes", "count"}
 
 
+def test_a_read_takes_no_lock():
+    # a thread reads a kept value, and misses another, while the store's
+    # lock is held, as a keep or a clear holds it
+    KEPT.keep(("count", SMALL), 16, 40)
+    got = []
+    with KEPT._lock:
+        reader = threading.Thread(
+            target=lambda: got.extend((KEPT.get(("count", SMALL)), KEPT.get(("count", HOOK))))
+        )
+        reader.start()
+        reader.join(timeout=10)
+        returned = not reader.is_alive()
+    reader.join()
+    assert returned and got == [16, None]
+
+
 def test_every_kind_kept_from_threads_stays_whole(monkeypatch):
     # four threads read and keep sweeps, tables, alternate weights, primes
     # and tableau counts, and clear the store, under a budget of 30,000

@@ -1,16 +1,19 @@
 """The three writers against the rules they must keep, byte for byte.
 
-JSON is `json.dumps(doc, indent=2)`; CSV is `csv.writer(lineterminator="\\n")`
-over each row's cells, less the last newline; the aligned table is the rule
+JSON is `json.dumps(doc, indent=2)` of the document with each row a dict
+under its header; CSV is `csv.writer(lineterminator="\\n")` over the header
+and each row's cells, less the last newline; the aligned table is the rule
 below, `_reference_table`.  Both references are the rules as written
-before the writers copied a number's digits as they are.  The rows compared
-are those every command hands its writer, recorded as it runs, and random
-flat rows of every kind of cell.
+before the writers copied a number's digits as they are and worked a
+column at a time.  The rows compared are those every command hands its
+writer, recorded as it runs, and random rows under random headers, their
+columns of one kind or of mixed kinds.
 """
 
 import csv
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,8 +21,16 @@ from hypothesis import strategies as st
 
 import gaussdeg.cli
 import gaussdeg.verify
-from gaussdeg.cli import main
+from gaussdeg.cli import Rows, main
+from gaussdeg.degrees import (
+    CONJECTURE_COLUMNS,
+    TABLE_COLUMNS,
+    bounds,
+    conjecture_scan,
+    table_rows,
+)
 from gaussdeg.partitions import Numeral
+from gaussdeg.schur import VeroneseVariety
 from gaussdeg.verify import SuiteResult
 
 # the writer, as imported: `_recorded` patches the module's name to record its calls
@@ -36,43 +47,49 @@ def _reference_cell(value) -> str:
     return str(value)
 
 
-def _reference_csv(rows: list[dict]) -> str:
+def _reference_csv(header: tuple, rows: list[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    headers = list(rows[0].keys())
-    writer.writerow(headers)
+    writer.writerow(header)
     for row in rows:
-        writer.writerow([_reference_cell(row.get(h)) for h in headers])
+        writer.writerow([_reference_cell(cell) for cell in row])
     return buffer.getvalue().rstrip("\n")
 
 
-def _reference_table(rows: list[dict]) -> str:
-    headers = list(rows[0].keys())
-    cells = [[_reference_cell(row.get(h)) for h in headers] for row in rows]
+def _reference_table(header: tuple, rows: list[tuple]) -> str:
+    cells = [[_reference_cell(cell) for cell in row] for row in rows]
     widths = [
-        max(len(header), max(len(line[i]) for line in cells))
-        for i, header in enumerate(headers)
+        max(len(key), max(len(line[i]) for line in cells)) for i, key in enumerate(header)
     ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
+    lines = ["  ".join(key.ljust(widths[i]) for i, key in enumerate(header)).rstrip()]
     for line in cells:
-        lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(headers))).rstrip())
+        lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(header))).rstrip())
     return "\n".join(lines)
 
 
-def _assert_written_as_the_rules_write(rows, envelope=None):
-    doc = envelope if envelope is not None else rows
-    assert render_rows(rows, "json", envelope) == json.dumps(doc, indent=2)
-    assert render_rows(rows, "csv", envelope) == _reference_csv(rows)
-    assert render_rows(rows, "table", envelope) == _reference_table(rows)
+def _plain(doc):
+    """`doc` with each `Rows` a list of dicts, one a row, as json.dumps is handed it."""
+    if isinstance(doc, Rows):
+        return [dict(zip(doc.header, row)) for row in doc.rows]
+    if isinstance(doc, dict):
+        return {key: _plain(value) for key, value in doc.items()}
+    return doc
+
+
+def _assert_written_as_the_rules_write(header, rows, envelope=None):
+    doc = envelope if envelope is not None else Rows(header, rows)
+    assert render_rows(header, rows, "json", envelope) == json.dumps(_plain(doc), indent=2)
+    assert render_rows(header, rows, "csv", envelope) == _reference_csv(header, rows)
+    assert render_rows(header, rows, "table", envelope) == _reference_table(header, rows)
 
 
 def _recorded(monkeypatch, capsys, argv) -> list[tuple]:
-    """The (rows, envelope) each writer call of `main(argv)` was handed, in json and csv."""
+    """The (header, rows, envelope) each writer call of `main(argv)` was handed, in json and csv."""
     calls = []
 
-    def recorded(rows, fmt, envelope=None):
-        calls.append((rows, envelope))
-        return render_rows(rows, fmt, envelope)
+    def recorded(header, rows, fmt, envelope=None):
+        calls.append((header, rows, envelope))
+        return render_rows(header, rows, fmt, envelope)
 
     monkeypatch.setattr(gaussdeg.cli, "_render_rows", recorded)
     for fmt in ("json", "csv"):
@@ -113,16 +130,17 @@ def test_every_command_writes_its_rows_as_the_rules_write(monkeypatch, capsys, t
     table = tmp_path / "table.json"
     table.write_text(json.dumps(GENERIC_TABLE), encoding="utf-8")
     argv = [arg.format(table=table) for arg in argv]
-    for rows, envelope in _recorded(monkeypatch, capsys, argv):
-        _assert_written_as_the_rules_write(rows, envelope)
+    for header, rows, envelope in _recorded(monkeypatch, capsys, argv):
+        assert all(type(row) is tuple and len(row) == len(header) for row in rows)
+        _assert_written_as_the_rules_write(header, rows, envelope)
 
 
 def test_long_decimal_rows_are_copied_whole(monkeypatch, capsys):
-    ((rows, _), *_) = _recorded(monkeypatch, capsys, ["table", "--n", "3", "--d", "10"])
-    longest = max(rows, key=lambda row: len(row["degree"]))
-    assert len(longest["degree"]) > 4300 and type(longest["degree"]) is Numeral
-    line = f'{longest["m"]},{longest["dim"]},{longest["degree"]},{longest["ratio"]},'
-    assert line in render_rows(rows, "csv")
+    ((header, rows, _), *_) = _recorded(monkeypatch, capsys, ["table", "--n", "3", "--d", "10"])
+    assert header == TABLE_COLUMNS
+    m, dim, degree, ratio, _ = max(rows, key=lambda row: len(row[2]))
+    assert len(degree) > 4300 and type(degree) is Numeral
+    assert f"{m},{dim},{degree},{ratio}," in render_rows(header, rows, "csv")
 
 
 def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys):
@@ -131,10 +149,10 @@ def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys)
     result = SuiteResult("crossform", 3, len(failures), failures)
     monkeypatch.setattr(gaussdeg.verify, "run_suite", lambda name, **options: result)
     calls = _recorded(monkeypatch, capsys, ["verify", "--suite", "crossform"])
-    for rows, envelope in calls:
-        assert rows[0]["failures"] == "; ".join(failures)
-        assert envelope["suites"][0]["failures"] == failures
-        _assert_written_as_the_rules_write(rows, envelope)
+    for header, rows, envelope in calls:
+        assert dict(zip(header, rows[0]))["failures"] == "; ".join(failures)
+        assert _plain(envelope)["suites"][0]["failures"] == failures
+        _assert_written_as_the_rules_write(header, rows, envelope)
     for fmt in ("json", "csv"):
         assert main(["verify", "--suite", "crossform", "--format", fmt]) == 1
         out = capsys.readouterr().out
@@ -146,36 +164,65 @@ def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys)
 
 def test_syt_note_and_empty_cell(monkeypatch, capsys):
     monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", "5")
-    ((rows, envelope), *_) = _recorded(monkeypatch, capsys, ["syt", "--shape", "3,2,1"])
-    assert rows[0]["bruteforce"] is None and "exceeds brute-force cap 5" in rows[0]["note"]
+    ((header, rows, _), *_) = _recorded(monkeypatch, capsys, ["syt", "--shape", "3,2,1"])
+    doc = dict(zip(header, rows[0]))
+    assert doc["bruteforce"] is None and "exceeds brute-force cap 5" in doc["note"]
     assert main(["syt", "--shape", "3,2,1", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("3 2 1,6,16,,weight 6 exceeds")
 
 
-_KEYS = st.sampled_from(["m", "degree", "a,b", 'say "x"', "", "line\nbreak", "é"])
-_CELLS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.text(max_size=8)
-    | st.sampled_from(["", " ", ",", '"', '""', "\r", "\n", "\r\n", "\x00", " lead", "trail "])
-    | st.integers().map(Numeral)
-    | st.fractions().map(Numeral)
-    | st.lists(st.integers(min_value=0, max_value=99), max_size=3)
-)
+@pytest.mark.parametrize("v", [VeroneseVariety(1, 200), VeroneseVariety(3, 7)], ids=str)
+def test_sweep_rows_are_their_headers_length_and_the_single_cells(v):
+    table = list(table_rows(v))
+    scanned = list(conjecture_scan((v.n,), (v.d,)))
+    assert len(table) == len(scanned) == v.N - v.n
+    assert {len(row) for row in table} == {len(TABLE_COLUMNS)}
+    assert {len(row) for row in scanned} == {len(CONJECTURE_COLUMNS)}
+    # a single cell's record holds ints, whose text passes 4,300 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for m, row in enumerate(scanned, start=v.n):
+            assert dict(zip(CONJECTURE_COLUMNS, row)) == bounds(v, m).to_dict(), m
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
-@given(
-    keys=st.lists(_KEYS, min_size=1, max_size=4, unique=True),
-    cells=st.lists(st.lists(_CELLS, min_size=4, max_size=4), min_size=1, max_size=4),
-    dropped=st.integers(min_value=0, max_value=4),
+_KEYS = st.sampled_from(["m", "degree", "a,b", 'say "x"', "", "line\nbreak", "é", "nul\x00"])
+_TEXTS = st.text(max_size=8) | st.sampled_from(
+    ["", " ", ",", '"', '""', "\r", "\n", "\r\n", "\x00", " lead", "trail ", "é ∂ 😀", 'a, "b"']
 )
-def test_random_flat_rows_are_written_as_the_rules_write(keys, cells, dropped):
-    # a row may lack a key of the first row and hold one it lacks: the csv
-    # and table lines read the first row's keys, an empty cell for a missing one
-    rows = [dict(zip(keys, line)) for line in cells]
-    if dropped < len(keys) and len(rows) > 1:
-        del rows[-1][keys[dropped]]
-        rows[-1]["extra"] = 1
-    _assert_written_as_the_rules_write(rows)
-    _assert_written_as_the_rules_write(rows, {"rows": rows, "count": len(rows)})
+# a number's text past the 4,300-digit str() limit, as a sweep's Decimal writes it
+_LONG_NUMERALS = st.builds(
+    lambda sign, digits: Numeral(sign + "9" * digits), st.sampled_from(["", "-"]),
+    st.integers(5_000, 6_000),
+)
+# the cells of a column of one kind each, and of a column of any kinds
+_KINDS = (
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _TEXTS,
+    st.integers().map(Numeral) | st.fractions().map(Numeral) | _LONG_NUMERALS,
+    st.lists(st.integers(min_value=0, max_value=99), max_size=3),
+)
+_MIXED = st.one_of(*_KINDS)
+
+
+@st.composite
+def _tables(draw) -> tuple:
+    """(header, rows): 1-5 keys over 1-4 row tuples, each column one kind or mixed."""
+    header = tuple(draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True)))
+    count = draw(st.integers(min_value=1, max_value=4))
+    columns = [
+        draw(st.lists(draw(st.sampled_from((*_KINDS, _MIXED))), min_size=count, max_size=count))
+        for _ in header
+    ]
+    return header, list(zip(*columns))
+
+
+@given(_tables())
+def test_random_flat_rows_are_written_as_the_rules_write(table):
+    header, rows = table
+    _assert_written_as_the_rules_write(header, rows)
+    _assert_written_as_the_rules_write(header, rows, {"rows": Rows(header, rows), "count": 1})
