@@ -1,16 +1,18 @@
 """Command-line interface: thin wrappers over the library.
 
-Each subcommand parses arguments, calls library functions, and prints the
-structured result, `table`, `conjecture` and `verify` the row tuples the
-library writes under one header per command; no numeric logic lives here,
-and no digit arithmetic: each command's cost guard is one call into
-`cost`.  Output is deterministic: JSON with big integers and rationals
-rendered as decimal strings ("p/q" for non-integral rationals), or the
-same fields as CSV or an aligned text table.  The JSON is
-`json.dumps(doc, indent=2)`'s text and the CSV `csv.writer`'s, byte for
-byte, each written by one writer here (`_json_text`, `_csv_text`,
-`_table_text`).  A writer takes a header and its rows and works a column
-at a time: a column of one kind is made text in one C-level pass, and a
+Each subcommand parses arguments, calls library functions, and hands one
+document, a dict, to `_render`: a single object, or, from `table`,
+`conjecture` and `verify`, one that holds the row tuples the library
+writes under one header (a `Rows`).  Only `verify --format table` prints
+its suite lines itself.  No numeric logic lives here, and no digit
+arithmetic: each command's cost guard is one call into `cost`.  Output is
+deterministic: JSON with big integers and rationals rendered as decimal
+strings ("p/q" for non-integral rationals), or CSV or an aligned text
+table of the document's `Rows`, or of a single object as one row.  The
+JSON is `json.dumps(doc, indent=2)`'s text and the CSV `csv.writer`'s,
+byte for byte, each written by one writer here (`_json_text`,
+`_csv_text`, `_table_text`).  A writer of rows works a column at a time:
+a column of one kind is made text in one C-level pass, and a
 number's decimal text is copied as it is, where json's indenting encoder
 would escape it and csv would scan it character by character; JSON makes
 the text around its values once for all rows and copies each number
@@ -20,8 +22,9 @@ numbers of a shape or a range, are ASCII `-?[0-9]+` (`integer`).
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 input schema, 3 non-positive table-driven total (no degree exists), 4 an
 internal invariant failed (an exactness or bounds check raised
-ArithmeticError: a bug, not a property of the input).  Under `verify` such
-a failure is a failed check, so it exits 1.
+ArithmeticError: a bug, not a property of the input), 141 the reader of
+stdout closed it (128 + SIGPIPE), with nothing on stderr.  Under `verify`
+such an internal failure is a failed check, so it exits 1.
 
 `main` may be called any number of times in one process.  Each subcommand
 and its options are declared once, in `COMMANDS`.  A canonical argv, the
@@ -223,32 +226,22 @@ def _json_text(doc, newline: str = "\n") -> str:
 
 def _json_chunks(value, newline: str, chunks: list[str]) -> None:
     """Append `value`'s JSON to `chunks`; `newline` starts a line at its depth."""
-    if isinstance(value, dict) and value:
+    kind = type(value)
+    if kind is Numeral:
+        chunks += ('"', value, '"')
+    elif kind in _JSON:
+        chunks.append(_JSON[kind](value))
+    elif kind is Rows:
+        _json_rows(value, newline, chunks)
+    elif kind is dict and value:
         inner = newline + "  "
         opening = "{" + inner
         for key, item in value.items():
-            opening += encode_basestring_ascii(key) + ": "
-            kind = type(item)
-            if kind is Numeral:
-                chunks += (opening, '"', item, '"')
-            elif kind in _JSON:
-                chunks += (opening, _JSON[kind](item))
-            else:
-                chunks.append(opening)
-                _json_chunks(item, inner, chunks)
+            chunks.append(opening + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, chunks)
             opening = "," + inner
         chunks.append(newline + "}")
-    elif type(value) is Numeral:
-        chunks += ('"', value, '"')
-    elif type(value) in _JSON:
-        chunks.append(_JSON[type(value)](value))
-    elif isinstance(value, str):
-        chunks.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        chunks.append(int.__repr__(value))
-    elif type(value) is Rows:
-        _json_rows(value, newline, chunks)
-    elif isinstance(value, (list, tuple)) and value:
+    elif (kind is list or kind is tuple) and value:
         inner = newline + "  "
         opening = "[" + inner
         for item in value:
@@ -256,7 +249,7 @@ def _json_chunks(value, newline: str, chunks: list[str]) -> None:
             _json_chunks(item, inner, chunks)
             opening = "," + inner
         chunks.append(newline + "]")
-    else:  # an empty container or a float
+    else:  # an empty container, a float, or a str or int subclass, written as its base
         chunks.append(json.dumps(value))
 
 
@@ -294,24 +287,26 @@ def _json_rows(table: Rows, newline: str, chunks: list[str]) -> None:
     chunks.append(end + newline + "]")
 
 
-def _render_rows(header: tuple, rows: list[tuple], fmt: str, envelope: dict | None = None) -> str:
-    """JSON of `envelope`, or of `rows` under `header`; or csv or table lines of them.
+def _render(doc: dict, fmt: str) -> str:
+    """JSON of `doc`, or csv or table lines of its one `Rows`, or of `doc` itself as one row.
 
-    `rows` holds one tuple or more, each of `header`'s length.  Every writer
-    works a column at a time: a column's cells are made text together
-    (`_text_column`) and its values JSON together (`_json_rows`).
+    Every writer works a column at a time: a column's cells are made text
+    together (`_text_column`) and its values JSON together (`_json_rows`);
+    the cells of a single row are made text as one column.
     """
     if fmt == "json":
-        return _json_text(envelope if envelope is not None else Rows(header, rows))
-    if len(rows) == 1:  # a single object: its row made text as one column
+        return _json_text(doc)
+    for value in doc.values():
+        if type(value) is Rows:
+            header, rows = value.header, value.rows
+            break
+    else:  # a single object: its keys over one row
+        header, rows = tuple(doc), [tuple(doc.values())]
+    if len(rows) == 1:
         columns = [(text,) for text in _text_column(rows[0])]
     else:
         columns = [_text_column(column) for column in zip(*rows)]
     return _csv_text(header, columns) if fmt == "csv" else _table_text(header, columns)
-
-
-def _render_object(doc: dict, fmt: str) -> str:
-    return _render_rows(tuple(doc), [tuple(doc.values())], fmt, envelope=doc)
 
 
 def cmd_degree(args) -> int:
@@ -321,16 +316,15 @@ def cmd_degree(args) -> int:
         raise ValueError(f"method {args.method} requires {method.requires}")
     method.guard(v, args.m)
     report = method.compute(v, args.m)
-    print(_render_object(report.to_dict(), args.format))
+    print(_render(report.to_dict(), args.format))
     return 0
 
 
 def cmd_table(args) -> int:
     v = VeroneseVariety(args.n, args.d)
     guard_scan((v.n,), (v.d,))
-    rows = list(table_rows(v))
-    envelope = {"n": v.n, "d": v.d, "N": v.N, "rows": Rows(TABLE_COLUMNS, rows)}
-    print(_render_rows(TABLE_COLUMNS, rows, args.format, envelope))
+    doc = {"n": v.n, "d": v.d, "N": v.N, "rows": Rows(TABLE_COLUMNS, list(table_rows(v)))}
+    print(_render(doc, args.format))
     return 0
 
 
@@ -349,10 +343,11 @@ def cmd_verify(args) -> int:
             for failure in result.failures:
                 print(f"  FAIL {failure}")
     else:
-        rows = [(result.name, result.passed, result.failed, result.failures) for result in results]
-        flat = [(*row[:-1], "; ".join(row[-1])) for row in rows]
-        envelope = {"suites": Rows(SUITE_COLUMNS, rows), "ok": ok}
-        print(_render_rows(SUITE_COLUMNS, flat, args.format, envelope))
+        join = tuple if args.format == "json" else "; ".join  # JSON lists them, csv joins them
+        rows = [
+            (result.name, result.passed, result.failed, join(result.failures)) for result in results
+        ]
+        print(_render({"suites": Rows(SUITE_COLUMNS, rows), "ok": ok}, args.format))
     return 0 if ok else 1
 
 
@@ -361,8 +356,7 @@ def cmd_conjecture(args) -> int:
     guard_scan(n_values, d_values)
     rows = list(conjecture_scan(n_values, d_values))
     violations = [row[-1] for row in rows].count(False)  # the last column, within_conjecture
-    envelope = {"rows": Rows(CONJECTURE_COLUMNS, rows), "violations": violations}
-    text = _render_rows(CONJECTURE_COLUMNS, rows, args.format, envelope)
+    text = _render({"rows": Rows(CONJECTURE_COLUMNS, rows), "violations": violations}, args.format)
     if args.format == "table":
         text += f"\nviolations: {violations}"
     print(text)
@@ -375,7 +369,7 @@ def cmd_generic(args) -> int:
     table = SegreIntegralTable.from_json(text)
     guard_reference(table.n, table.N, args.m, 0.0)
     report = degree_generic(table, args.m)
-    print(_render_object(report.to_dict(), args.format))
+    print(_render(report.to_dict(), args.format))
     return 0
 
 
@@ -393,7 +387,7 @@ def cmd_syt(args) -> int:
             f"weight {cells} exceeds brute-force cap {cap}; "
             f"set {ENV_BRUTE_CAP} to raise it"
         )
-    print(_render_object(doc, args.format))
+    print(_render(doc, args.format))
     return 0
 
 
@@ -406,7 +400,7 @@ def cmd_grassmann(args) -> int:
         "dim": grassmann_dim(shape),
         "degree": Numeral(grassmann_degree(shape)),
     }
-    print(_render_object(doc, args.format))
+    print(_render(doc, args.format))
     return 0
 
 
@@ -538,14 +532,7 @@ def build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
-class Arguments(SimpleNamespace):
-    """A canonical argv's arguments, equal as argparse's Namespace is: by their attributes."""
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if hasattr(other, "__dict__") else NotImplemented
-
-
-def read_canonical(argv) -> Arguments | None:
+def read_canonical(argv) -> SimpleNamespace | None:
     """`build_parser().parse_args(argv)` for a canonical argv, else None.
 
     Canonical is a subcommand of `COMMANDS`, then `--flag value` pairs:
@@ -576,7 +563,7 @@ def read_canonical(argv) -> Arguments | None:
         values[option.dest] = value
     if not command.required <= given:
         return None
-    return Arguments(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -586,7 +573,15 @@ def main(argv=None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe is found here, not at exit
+        return code
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # the rest, flushed at exit too, goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except NotGenericallyFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

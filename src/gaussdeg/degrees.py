@@ -172,8 +172,10 @@ def _conjecture_row(n, d, N, m, degree: Numeral, product, num, den, within) -> t
     """The row `conjecture` prints of one cell, whose ratio is num / den in lowest terms.
 
     A tuple in the order of `CONJECTURE_COLUMNS`: n, d, N and m as ints,
-    within as a bool, every other field as text, each number's a `Numeral`.
-    `degree` comes as its text, made once.  The power bound
+    within as a bool, and every other field as text.  The long numbers'
+    text, degree, product and conjecture_value, is a `Numeral`; ratio and
+    conjecture_upper, fractions of short ints, are plain `str`.  `degree`
+    comes as its text, made once.  The power bound
     a/b = ((N-m)/(N-n))^n and the conjectured value a * product / b,
     reduced by gcd(product, b) alone, are written with no `Fraction`.  The
     product, an int or a sweep's Decimal, takes two long operations: with

@@ -234,7 +234,8 @@ class Numeral(str):
 
     Such text holds no quote, backslash, control or non-ASCII character, so
     JSON writes it as it is: `cli`'s JSON writer quotes it without escaping
-    it character by character.
+    it character by character, and its CSV writer joins a column of them
+    without scanning it for a character to quote.
     """
 
 

@@ -1031,7 +1031,10 @@ def _argparse_reads(parser, argv):
 
 def _reads_as_argparse(parser, argv) -> bool:
     read = read_canonical(argv)
-    return read is None or read == _argparse_reads(parser, argv)
+    if read is None:
+        return True
+    namespace = _argparse_reads(parser, argv)
+    return namespace is not None and vars(read) == vars(namespace)
 
 
 def _pairs_reversed(argv):

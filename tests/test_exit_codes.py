@@ -1,15 +1,21 @@
 """The exit-code contract of the command line, over generated argv.
 
 0 success, 1 a verification failure (`verify` only), 2 bad parameters or
-input, 3 no degree exists, 4 an internal invariant failed.  A nonzero exit
-writes nothing to stdout and one `error: ` line to stderr, or argparse's
-usage block when argparse itself refuses the argv; exit 0 writes nothing
-to stderr.  The output itself is pinned by `golden_cli.json`, not here.
+input, 3 no degree exists, 4 an internal invariant failed, 141 the reader
+of stdout closed it (128 + SIGPIPE, as a shell reports a command a closed
+pipe ended).  A nonzero exit but 141 writes nothing to stdout and one
+`error: ` line to stderr, or argparse's usage block when argparse itself
+refuses the argv; exit 0 and exit 141 write nothing to stderr.  The
+output itself is pinned by `golden_cli.json`, not here.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -139,3 +145,36 @@ def test_a_negative_table_exits_3_at_every_m(tables):
         assert (code, out) == (3, ""), m
         assert err.startswith(f"error: weighted total {m - 200} <= 0 at m = {m}: "), m
         assert err.count("\n") == 1
+
+
+def _child(argv, stdout, unbuffered: str) -> subprocess.Popen:
+    """`python -m gaussdeg.cli *argv` writing to `stdout`, its stderr a pipe."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "gaussdeg.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_141_in_silence(tables, unbuffered):
+    # (3, 7)'s table is 347 KB of JSON, more than a pipe holds: the writer
+    # meets the closed pipe while it prints, and again at exit were its
+    # output not sent elsewhere
+    child = _child(["table", "--n", "3", "--d", "7"], subprocess.PIPE, unbuffered)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, b"")
+    # a short output, buffered, meets a pipe its reader closed first only
+    # when it is flushed: in `main`, not at exit
+    read, write = os.pipe()
+    os.close(read)
+    child = _child(["degree", "--n", "2", "--d", "3", "--m", "4"], write, unbuffered)
+    os.close(write)
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, b"")
+    # an OSError that is not a closed pipe is still bad input
+    code, out, err, _ = run(["generic", "--table", str(tables["missing"]), "--m", "3"])
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] ")

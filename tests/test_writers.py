@@ -1,13 +1,16 @@
 """The three writers against the rules they must keep, byte for byte.
 
-JSON is `json.dumps(doc, indent=2)` of the document with each row a dict
-under its header; CSV is `csv.writer(lineterminator="\\n")` over the header
-and each row's cells, less the last newline; the aligned table is the rule
-below, `_reference_table`.  Both references are the rules as written
-before the writers copied a number's digits as they are and worked a
-column at a time.  The rows compared are those every command hands its
-writer, recorded as it runs, and random rows under random headers, their
-columns of one kind or of mixed kinds.
+A command hands `cli._render` one document, a dict.  JSON is
+`json.dumps(doc, indent=2)` of it with each row of its `Rows` a dict under
+the header; CSV is `csv.writer(lineterminator="\\n")` over the header and
+each row's cells of the document's one `Rows`, or of the document itself
+as one row, less the last newline; the aligned table is the rule below,
+`_reference_table`, over the same header and rows.  Both references are
+the rules as written before the writers copied a number's digits as they
+are and worked a column at a time.  The documents compared are those
+every command hands its writer, recorded as it runs, and random ones:
+random rows under random headers, their columns of one kind or of mixed
+kinds, beside other values or as a single object.
 """
 
 import csv
@@ -34,7 +37,9 @@ from gaussdeg.schur import VeroneseVariety
 from gaussdeg.verify import SuiteResult
 
 # the writer, as imported: `_recorded` patches the module's name to record its calls
-render_rows = gaussdeg.cli._render_rows
+render = gaussdeg.cli._render
+# what a command's document is made of: plain containers, `Rows` and scalars
+PLAIN = {dict, list, tuple, Rows, Numeral, str, int, bool, type(None)}
 
 
 def _reference_cell(value) -> str:
@@ -76,27 +81,45 @@ def _plain(doc):
     return doc
 
 
-def _assert_written_as_the_rules_write(header, rows, envelope=None):
-    doc = envelope if envelope is not None else Rows(header, rows)
-    assert render_rows(header, rows, "json", envelope) == json.dumps(_plain(doc), indent=2)
-    assert render_rows(header, rows, "csv", envelope) == _reference_csv(header, rows)
-    assert render_rows(header, rows, "table", envelope) == _reference_table(header, rows)
+def _kinds(value) -> set:
+    """The types of `value` and of everything in it, a `Rows`'s cells included."""
+    inner = ()
+    if type(value) is Rows:
+        inner = [cell for row in value.rows for cell in row]
+    elif isinstance(value, dict):
+        inner = value.values()
+    elif isinstance(value, (list, tuple)):
+        inner = value
+    return {type(value)}.union(*map(_kinds, inner))
 
 
-def _recorded(monkeypatch, capsys, argv) -> list[tuple]:
-    """The (header, rows, envelope) each writer call of `main(argv)` was handed, in json and csv."""
-    calls = []
+def _table(doc: dict) -> Rows:
+    """The rows CSV and the table write: `doc`'s one `Rows`, or `doc` as one row."""
+    tables = [value for value in doc.values() if isinstance(value, Rows)]
+    return tables[0] if tables else Rows(tuple(doc), [tuple(doc.values())])
 
-    def recorded(header, rows, fmt, envelope=None):
-        calls.append((header, rows, envelope))
-        return render_rows(header, rows, fmt, envelope)
 
-    monkeypatch.setattr(gaussdeg.cli, "_render_rows", recorded)
+def _assert_written_as_the_rules_write(doc: dict):
+    table = _table(doc)
+    assert render(doc, "json") == json.dumps(_plain(doc), indent=2)
+    assert render(doc, "csv") == _reference_csv(table.header, table.rows)
+    assert render(doc, "table") == _reference_table(table.header, table.rows)
+
+
+def _recorded(monkeypatch, capsys, argv) -> list[dict]:
+    """The document each writer call of `main(argv)` was handed, in json and csv."""
+    docs = []
+
+    def recorded(doc, fmt):
+        docs.append(doc)
+        return render(doc, fmt)
+
+    monkeypatch.setattr(gaussdeg.cli, "_render", recorded)
     for fmt in ("json", "csv"):
         assert main([*argv, "--format", fmt]) in (0, 1)
     capsys.readouterr()
-    assert calls
-    return calls
+    assert len(docs) == 2  # one call a command
+    return docs
 
 
 GENERIC_TABLE = {
@@ -109,6 +132,8 @@ COMMANDS = [
     ("degree", "--n", "1", "--d", "6", "--m", "3", "--method", "curve_closed"),
     ("degree", "--n", "2", "--d", "2", "--m", "4", "--method", "boole"),
     ("table", "--n", "2", "--d", "3"),
+    # one row, of `Numeral`, bool and int columns
+    ("table", "--n", "1", "--d", "2"),
     # rows of Decimal degrees of up to 35,095 digits, past the 4,300-digit str() limit
     ("table", "--n", "3", "--d", "10"),
     ("conjecture", "--n", "1..2", "--d", "2..4"),
@@ -130,17 +155,20 @@ def test_every_command_writes_its_rows_as_the_rules_write(monkeypatch, capsys, t
     table = tmp_path / "table.json"
     table.write_text(json.dumps(GENERIC_TABLE), encoding="utf-8")
     argv = [arg.format(table=table) for arg in argv]
-    for header, rows, envelope in _recorded(monkeypatch, capsys, argv):
-        assert all(type(row) is tuple and len(row) == len(header) for row in rows)
-        _assert_written_as_the_rules_write(header, rows, envelope)
+    for doc in _recorded(monkeypatch, capsys, argv):
+        assert type(doc) is dict and _kinds(doc) <= PLAIN
+        assert [type(value) for value in doc.values()].count(Rows) <= 1
+        written = _table(doc)
+        assert all(type(row) is tuple and len(row) == len(written.header) for row in written.rows)
+        _assert_written_as_the_rules_write(doc)
 
 
 def test_long_decimal_rows_are_copied_whole(monkeypatch, capsys):
-    ((header, rows, _), *_) = _recorded(monkeypatch, capsys, ["table", "--n", "3", "--d", "10"])
-    assert header == TABLE_COLUMNS
-    m, dim, degree, ratio, _ = max(rows, key=lambda row: len(row[2]))
+    (doc, _) = _recorded(monkeypatch, capsys, ["table", "--n", "3", "--d", "10"])
+    assert doc["rows"].header == TABLE_COLUMNS
+    m, dim, degree, ratio, _ = max(doc["rows"].rows, key=lambda row: len(row[2]))
     assert len(degree) > 4300 and type(degree) is Numeral
-    assert f"{m},{dim},{degree},{ratio}," in render_rows(header, rows, "csv")
+    assert f"{m},{dim},{degree},{ratio}," in render(doc, "csv")
 
 
 def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys):
@@ -148,11 +176,11 @@ def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys)
     failures = ('a, "quoted" one', "two\nlines", 'plain', 'carriage\r, return "')
     result = SuiteResult("crossform", 3, len(failures), failures)
     monkeypatch.setattr(gaussdeg.verify, "run_suite", lambda name, **options: result)
-    calls = _recorded(monkeypatch, capsys, ["verify", "--suite", "crossform"])
-    for header, rows, envelope in calls:
-        assert dict(zip(header, rows[0]))["failures"] == "; ".join(failures)
-        assert _plain(envelope)["suites"][0]["failures"] == failures
-        _assert_written_as_the_rules_write(header, rows, envelope)
+    as_json, as_csv = _recorded(monkeypatch, capsys, ["verify", "--suite", "crossform"])
+    assert _plain(as_json)["suites"][0]["failures"] == failures
+    assert _plain(as_csv)["suites"][0]["failures"] == "; ".join(failures)
+    for doc in (as_json, as_csv):
+        _assert_written_as_the_rules_write(doc)
     for fmt in ("json", "csv"):
         assert main(["verify", "--suite", "crossform", "--format", fmt]) == 1
         out = capsys.readouterr().out
@@ -164,8 +192,7 @@ def test_verify_failures_with_commas_quotes_and_line_breaks(monkeypatch, capsys)
 
 def test_syt_note_and_empty_cell(monkeypatch, capsys):
     monkeypatch.setenv("GAUSSDEG_BRUTE_CAP", "5")
-    ((header, rows, _), *_) = _recorded(monkeypatch, capsys, ["syt", "--shape", "3,2,1"])
-    doc = dict(zip(header, rows[0]))
+    (doc, _) = _recorded(monkeypatch, capsys, ["syt", "--shape", "3,2,1"])
     assert doc["bruteforce"] is None and "exceeds brute-force cap 5" in doc["note"]
     assert main(["syt", "--shape", "3,2,1", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("3 2 1,6,16,,weight 6 exceeds")
@@ -210,19 +237,27 @@ _MIXED = st.one_of(*_KINDS)
 
 
 @st.composite
-def _tables(draw) -> tuple:
-    """(header, rows): 1-5 keys over 1-4 row tuples, each column one kind or mixed."""
+def _documents(draw) -> dict:
+    """1-5 keys over 1-4 row tuples, each column one kind or mixed, as a document.
+
+    The rows are a `Rows` among 0-3 other values, or their first row is a
+    single object under the keys.
+    """
     header = tuple(draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True)))
     count = draw(st.integers(min_value=1, max_value=4))
     columns = [
         draw(st.lists(draw(st.sampled_from((*_KINDS, _MIXED))), min_size=count, max_size=count))
         for _ in header
     ]
-    return header, list(zip(*columns))
+    rows = list(zip(*columns))
+    if draw(st.booleans()):
+        return dict(zip(header, rows[0]))
+    items = list(draw(st.dictionaries(_KEYS, _MIXED, max_size=3)).items())
+    key = draw(_KEYS.filter(lambda key: key not in dict(items)))
+    items.insert(draw(st.integers(0, len(items))), (key, Rows(header, rows)))
+    return dict(items)
 
 
-@given(_tables())
-def test_random_flat_rows_are_written_as_the_rules_write(table):
-    header, rows = table
-    _assert_written_as_the_rules_write(header, rows)
-    _assert_written_as_the_rules_write(header, rows, {"rows": Rows(header, rows), "count": 1})
+@given(_documents())
+def test_random_flat_rows_are_written_as_the_rules_write(doc):
+    _assert_written_as_the_rules_write(doc)
