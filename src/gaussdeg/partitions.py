@@ -294,9 +294,9 @@ class Store:
     Each value is a pure function of its key, charged in bytes by its maker
     from sizes it already has.  `keep` keeps nothing charged past KEPT_BYTES
     alone, and evicts the least recently used until the total is at most
-    KEPT_BYTES.  One lock guards the changes to the map and its total, and
-    only them: `get` reads with no lock, and a value is made outside it,
-    since making a sweep reads its table through the store.
+    KEPT_BYTES.  Every change to the map and its total, a read's move to most
+    recently used included, is made under `_lock`; values are made outside
+    it, since making a sweep reads its table through the store.
     """
 
     def __init__(self):
@@ -305,19 +305,12 @@ class Store:
         self.total = 0
 
     def get(self, key: tuple):
-        """The value kept under `key`, now the most recently used, or None.
-
-        A read takes no lock: the map's `get` and `move_to_end` are each one
-        step under the interpreter's lock, and an entry evicted or cleared
-        between the two is still the value of its key.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        try:
+        """The value kept under `key`, now the most recently used, or None; under `_lock`."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
             self._entries.move_to_end(key)
-        except KeyError:  # evicted or cleared since it was read
-            pass
         return entry[0]
 
     def keep(self, key: tuple, value, charge: int) -> None:

@@ -118,20 +118,11 @@ def veronese_segre_sequence(v: VeroneseVariety) -> SegreSequence:
 
 
 def _det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, its rows any sequences.
+    """Determinant of a square integer matrix, its rows any sequences; 1 for size 0.
 
-    Sizes 0-3 are expanded directly, a handful of products; from size 4 on
-    it is fraction-free Gaussian elimination (Bareiss), on a copy.
+    Fraction-free Gaussian elimination (Bareiss) at every size, on a copy.
     """
     size = len(matrix)
-    if size <= 3:
-        if size == 3:
-            (a, b, c), (d, e, f), (g, h, i) = matrix
-            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if size == 2:
-            (a, b), (c, d) = matrix
-            return a * d - b * c
-        return matrix[0][0] if size else 1
     m = [list(row) for row in matrix]
     sign = 1
     prev = 1
@@ -149,7 +140,7 @@ def _det_int(matrix: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[-1][-1]
+    return sign * m[-1][-1] if size else 1
 
 
 def schur_delta_determinant(s: SegreSequence, lam, length: int) -> int:

@@ -3,6 +3,7 @@
 import sys
 import threading
 from bisect import bisect_right
+from collections import OrderedDict
 
 import pytest
 
@@ -166,20 +167,29 @@ def test_kept_values_stay_within_the_budget_least_recent_first(monkeypatch):
     assert {key[0] for key in kept} == {"sweep", "table", "weights", "primes", "count"}
 
 
-def test_a_read_takes_no_lock():
-    # a thread reads a kept value, and misses another, while the store's
-    # lock is held, as a keep or a clear holds it
-    KEPT.keep(("count", SMALL), 16, 40)
-    got = []
-    with KEPT._lock:
-        reader = threading.Thread(
-            target=lambda: got.extend((KEPT.get(("count", SMALL)), KEPT.get(("count", HOOK))))
-        )
-        reader.start()
-        reader.join(timeout=10)
-        returned = not reader.is_alive()
-    reader.join()
-    assert returned and got == [16, None]
+def test_every_change_to_the_map_is_made_under_the_lock(monkeypatch):
+    # a keep that evicts, a hit, a miss and a clear: each change to the map,
+    # a hit's move to most recently used included, is made holding the lock
+    changes, held = ("move_to_end", "popitem", "pop", "__setitem__", "clear"), []
+
+    def recorded(name):
+        change = getattr(OrderedDict, name)
+
+        def call(self, *args, **kwargs):
+            held.append((name, KEPT._lock.locked()))
+            return change(self, *args, **kwargs)
+
+        return call
+
+    Recorded = type("Recorded", (OrderedDict,), {name: recorded(name) for name in changes})
+    monkeypatch.setattr(KEPT, "_entries", Recorded())
+    monkeypatch.setattr(gaussdeg.partitions, "KEPT_BYTES", 100)
+    for value, shape in enumerate((SMALL, SQUARE, HOOK)):
+        KEPT.keep(("count", shape), value, 40)
+    assert KEPT.get(("count", SQUARE)) == 1 and KEPT.get(("count", SMALL)) is None
+    KEPT.clear()
+    assert {name for name, _ in held} == set(changes)
+    assert all(locked for _, locked in held), held
 
 
 def test_every_kind_kept_from_threads_stays_whole(monkeypatch):

@@ -163,7 +163,7 @@ def test_det_int_pivot_search():
 
 
 def test_det_int_matches_leibniz_on_sparse_matrices():
-    # sizes 1-3 are expanded directly, 4 and 5 eliminated: each size meets
+    # sizes 1-5 are eliminated, each by the one Bareiss path: each size meets
     # the definition on sparse matrices, on full ones, and on full ones
     # whose first pivot is zero
     rng = random.Random(20151)
